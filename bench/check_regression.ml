@@ -17,15 +17,25 @@
    drain rate must stay >= 1.5x the 1-shard rate on at least two
    kernels.
 
-   One check over the sweep of {!Forward_bench}: the coded wire's
+   Two checks over the sweep of {!Forward_bench}: the coded wire's
    helper-drain throughput must stay >= 1.3x the boxed wire's on at
-   least two kernels (BENCH_5.json's headline).
+   least two kernels (BENCH_5.json's headline), and its producer-side
+   feed must stay within [feed_bound] times the boxed feed on at least
+   four of the five kernels — the drain gate alone let a 3.7-7.6x
+   encode regression through.
 
    Exit status 1 with a per-row report on failure. *)
 
 (* The shared-runner tolerance: a row only fails if paged is >15%
    slower than the reference. *)
 let tolerance = 0.85
+
+(* Coded feed over boxed feed (encode + push against push alone).  The
+   committed BENCH_5.json rows span 3.5-4.9x; the bound leaves 20%
+   headroom over the highest.  Both legs fill fresh batches (the
+   sweep's ring holds the whole stream), so the ratio carries
+   allocation noise and the gate asks for four kernels of five. *)
+let feed_bound = 6.0
 
 let () =
   let rows = Engine_bench.run ~size:25 ~reps:3 () in
@@ -88,11 +98,18 @@ let () =
     fail
       "coded drain rate >=1.3x the boxed wire on only %d kernel(s); need >=2"
       deboxed;
+  let lean =
+    List.length
+      (List.filter (fun r -> Forward_bench.feed_ratio r <= feed_bound) frows)
+  in
+  if lean < 4 then
+    fail "coded feed <=%.1fx the boxed feed on only %d kernel(s); need >=4"
+      feed_bound lean;
   match !failures with
   | [] ->
       Fmt.pr
         "@.check_regression: paged shadow, sharded runtime and de-boxed \
-         wire hold their speedups@."
+         wire hold their speedups, and the coded feed stays lean@."
   | fs ->
       Fmt.epr "@.check_regression FAILED:@.";
       List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev fs);

@@ -15,7 +15,10 @@
    Both legs are timed separately, best of [reps].  Aggregate
    helper-drain throughput = events / drain time; [drain_ratio] is
    coded over boxed and is what [check_regression] gates on (>= 1.3x
-   on >= 2 kernels).  Each trip's final engine stats are compared
+   on >= 2 kernels).  [feed_ratio] is the coded feed time over the
+   boxed one — the encode the application core pays on top of the
+   push — and is gated too, so a producer-side regression cannot hide
+   behind a faster drain.  Each trip's final engine stats are compared
    across wires, so a trip that decoded the stream wrong fails loudly
    rather than producing a fast wrong number.
 
@@ -135,6 +138,11 @@ let drain_rate ~events (l : leg) =
 let drain_ratio r =
   drain_rate ~events:r.events r.coded /. drain_rate ~events:r.events r.boxed
 
+(* Coded producer-side cost over boxed (encode + push against push
+   alone) — the feed-side gate. *)
+let feed_ratio r =
+  float_of_int r.coded.feed_ns /. float_of_int (max 1 r.boxed.feed_ns)
+
 let filtered_fraction r =
   float_of_int r.filtered_events /. float_of_int (max 1 r.events)
 
@@ -144,6 +152,8 @@ let json rows =
     obj
       [
         ("feed_ms", Float (ms l.feed_ns));
+        ( "feed_ns_per_ev",
+          Float (float_of_int l.feed_ns /. float_of_int (max 1 r.events)) );
         ("drain_ms", Float (ms l.drain_ns));
         ("drain_ev_per_s", Float (drain_rate ~events:r.events l));
       ]
@@ -157,7 +167,8 @@ let json rows =
            through a channel sized to hold it whole (no blocking); \
            feed and drain timed separately, best of reps; drain runs a \
            fresh Bool-taint engine over the decoded views; \
-           coded_vs_boxed = coded drain rate / boxed drain rate" );
+           coded_vs_boxed = coded drain rate / boxed drain rate; \
+           coded_feed_vs_boxed = coded feed time / boxed feed time" );
       ("batch_size", Int 64);
       ( "results",
         List
@@ -170,6 +181,7 @@ let json rows =
                    ("boxed", leg_json r r.boxed);
                    ("coded", leg_json r r.coded);
                    ("coded_vs_boxed", Float (drain_ratio r));
+                   ("coded_feed_vs_boxed", Float (feed_ratio r));
                    ("filtered_events", Int r.filtered_events);
                    ("filtered_fraction", Float (filtered_fraction r));
                  ])
@@ -177,11 +189,14 @@ let json rows =
     ]
 
 let pp_rows ppf rows =
-  Fmt.pf ppf "%-8s %8s %10s %10s %8s %10s@." "kernel" "events" "boxed ms"
-    "coded ms" "ratio" "filtered";
+  Fmt.pf ppf "%-8s %8s %10s %10s %8s %10s %10s %8s %10s@." "kernel" "events"
+    "boxed ms" "coded ms" "ratio" "boxed feed" "coded feed" "ratio"
+    "filtered";
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-8s %8d %10.3f %10.3f %7.2fx %9.1f%%@." r.kernel r.events
-        (ms r.boxed.drain_ns) (ms r.coded.drain_ns) (drain_ratio r)
+      Fmt.pf ppf "%-8s %8d %10.3f %10.3f %7.2fx %10.3f %10.3f %7.2fx %9.1f%%@."
+        r.kernel r.events (ms r.boxed.drain_ns) (ms r.coded.drain_ns)
+        (drain_ratio r) (ms r.boxed.feed_ns) (ms r.coded.feed_ns)
+        (feed_ratio r)
         (100.0 *. filtered_fraction r))
     rows

@@ -104,24 +104,30 @@ let cmp_op_to_string = function
   | Gt -> "gt"
   | Ge -> "ge"
 
-(** Evaluate an ALU operation on two words.  Division and remainder by
-    zero are reported to the caller as [None] (machine fault). *)
-let eval_alu op a b =
+(* Division and remainder by zero: the one ALU machine fault. *)
+let alu_faults op b =
+  b = 0 && match op with Div | Rem -> true | _ -> false
+
+let alu op a b =
   match op with
-  | Add -> Some (a + b)
-  | Sub -> Some (a - b)
-  | Mul -> Some (a * b)
-  | Div -> if b = 0 then None else Some (a / b)
-  | Rem -> if b = 0 then None else Some (a mod b)
-  | And -> Some (a land b)
-  | Or -> Some (a lor b)
-  | Xor -> Some (a lxor b)
+  | Add -> a + b
+  | Sub -> a - b
+  | Mul -> a * b
+  | Div -> a / b
+  | Rem -> a mod b
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
   | Shl ->
       let s = b land 63 in
-      Some (if s >= 63 then 0 else a lsl s)
+      if s >= 63 then 0 else a lsl s
   | Shr ->
       let s = b land 63 in
-      Some (if s >= 63 then (if a < 0 then -1 else 0) else a asr s)
+      if s >= 63 then (if a < 0 then -1 else 0) else a asr s
+
+(** Evaluate an ALU operation on two words.  Division and remainder by
+    zero are reported to the caller as [None] (machine fault). *)
+let eval_alu op a b = if alu_faults op b then None else Some (alu op a b)
 
 let eval_cmp op a b =
   let holds =

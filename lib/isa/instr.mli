@@ -91,6 +91,15 @@ val cmp_op_to_string : cmp_op -> string
     remainder by zero (a machine fault). *)
 val eval_alu : alu_op -> int -> int -> int option
 
+(** Whether [op] with right operand [b] is a division or remainder by
+    zero — exactly when {!eval_alu} returns [None]. *)
+val alu_faults : alu_op -> int -> bool
+
+(** {!eval_alu} without the option, for callers that checked
+    {!alu_faults} first (an interpreter's hot path).
+    @raise Division_by_zero when {!alu_faults} holds. *)
+val alu : alu_op -> int -> int -> int
+
 (** Evaluate a comparison: [1] when it holds, [0] otherwise. *)
 val eval_cmp : cmp_op -> int -> int -> int
 

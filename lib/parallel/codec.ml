@@ -5,13 +5,14 @@
     area.  [desc] bit 0 selects the encoding: [1] is the frame-compact
     form ([desc lsr 1] is the activation-frame serial; the read/write
     sets reconstruct from the interned {!Site.row} as
-    [frame * Site.frame_stride + off], with a Load's trailing memory
+    [(frame lsl Site.frame_shift) + off], with a Load's trailing memory
     read and a Store's memory write rebuilt from the [addr] lane), [0]
     is the explicit form ([desc lsr 1] indexes the overflow area:
     [nreads, nwrites, reads.., writes..] verbatim — call boundaries,
     faulting events, anything whose dynamic shape diverges from the
     static row).  The encoder verifies the compact shape element-wise
-    per event, so decode is exact by construction, not by trust. *)
+    per event, so decode is exact by construction, not by trust; the
+    check allocates nothing. *)
 
 open Dift_isa
 open Dift_vm
@@ -74,82 +75,78 @@ let batch_clear b =
 (* -- encoding ----------------------------------------------------------- *)
 
 type encoder = {
+  e_rows : Site.row array;  (** the table's rows, by site id *)
   e_table : Site.table;
   mutable e_func : Func.t;  (** last function seen (physical equality) *)
-  mutable e_base : int;  (** its first site id *)
+  mutable e_base : int;  (** its first site id, [-1] when foreign *)
+  mutable e_len : int;  (** its body length *)
 }
 
 let encoder table =
-  let r0 = Site.row table 0 in
+  let f = (Site.row table 0).Site.s_func in
   {
+    e_rows = Site.rows table;
     e_table = table;
-    e_func = r0.Site.s_func;
-    e_base = Site.base table r0.Site.s_func.Func.name;
+    e_func = f;
+    e_base = Site.base_of_func table f;
+    e_len = Array.length f.Func.body;
   }
 
-(* Site id of an event, or [-1] when the event is foreign to the
-   table: unknown function name, pc out of range, or a function /
-   instruction that is not physically the program's own (hand-built
-   test streams).  Machine events carry the program's own [Func.t] and
-   [Instr.t], so physical equality is the exact fidelity check, and in
-   the steady state this is one add (the base lookup is cached on
-   physical function identity; [min_int] caches an unknown name). *)
-let site_of enc (e : Event.exec) =
-  if e.Event.func != enc.e_func then begin
-    enc.e_func <- e.Event.func;
-    enc.e_base <-
-      (match Site.base_opt enc.e_table e.Event.func.Func.name with
-      | Some b -> b
-      | None -> min_int)
-  end;
-  if enc.e_base = min_int || e.Event.pc < 0 then -1
+(* The compact-shape check.  A register location [l] matches static
+   offset [off] in the frame whose first location is [base] iff
+   [l = base + off].  The first register of an event fixes [base]: it
+   must be [l - off], non-negative and a multiple of the frame stride
+   (a power of two: a mask).  Memory locations (even) can never match
+   a register offset (odd). *)
+let frame_mask = Site.frame_stride - 1
+let mismatch = -2
+
+(* The memory location a row's read or write set must end with: [-1]
+   when it has none, [min_int] (matches nothing) when one is due but
+   the event carries no address. *)
+let mem_loc expected addr =
+  if not expected then -1 else if addr >= 0 then addr lsl 1 else min_int
+
+(* Walks one location list against the row's offsets, threading the
+   frame base ([-1] until a register fixes it); returns the base or
+   [mismatch]. *)
+let rec walk offs k locs base mem =
+  if k < Array.length offs then
+    match locs with
+    | [] -> mismatch
+    | l :: rest ->
+        let off = Array.unsafe_get offs k in
+        if base >= 0 then
+          if l = base + off then walk offs (k + 1) rest base mem else mismatch
+        else
+          let d = l - off in
+          if d >= 0 && d land frame_mask = 0 then walk offs (k + 1) rest d mem
+          else mismatch
   else
-    let site = enc.e_base + e.Event.pc in
-    if site >= Site.size enc.e_table then -1
-    else
-      let row = Site.row enc.e_table site in
-      if row.Site.s_func == e.Event.func && row.Site.s_instr == e.Event.instr
-      then site
-      else -1
+    match locs with
+    | [] -> if mem = -1 then base else mismatch
+    | [ l ] -> if mem >= 0 && l = mem then base else mismatch
+    | _ :: _ :: _ -> mismatch
 
 (* The common activation-frame serial of the event's locations, when
    its dynamic read/write sets match the row's static shape exactly;
    [-1] otherwise (then the explicit encoding carries the sets
-   verbatim).  A register location [l] matches static offset [off] iff
-   [l - off] is a non-negative multiple of the frame stride — memory
-   locations (even) can never match a register offset (odd). *)
+   verbatim). *)
 let compact_frame (row : Site.row) (e : Event.exec) =
-  let stride = Site.frame_stride in
-  let frame = ref (-1) in
-  let check off l =
-    let d = l - off in
-    d >= 0
-    && d mod stride = 0
-    &&
-    let q = d / stride in
-    if !frame = -1 then begin
-      frame := q;
-      true
-    end
-    else !frame = q
+  let addr = e.Event.addr in
+  let base =
+    walk row.Site.s_read_offs 0 e.Event.reads (-1)
+      (mem_loc row.Site.s_mem_read addr)
   in
-  let rec walk offs i rest ~mem_last =
-    if i < Array.length offs then
-      match rest with
-      | l :: tl -> check offs.(i) l && walk offs (i + 1) tl ~mem_last
-      | [] -> false
-    else
-      match (rest, mem_last) with
-      | [], false -> true
-      | [ l ], true -> e.Event.addr >= 0 && l = e.Event.addr lsl 1
-      | _ -> false
-  in
-  if
-    walk row.Site.s_read_offs 0 e.Event.reads ~mem_last:row.Site.s_mem_read
-    && walk row.Site.s_write_offs 0 e.Event.writes
-         ~mem_last:row.Site.s_mem_write
-  then if !frame = -1 then 0 else !frame
-  else -1
+  if base = mismatch then -1
+  else
+    let base =
+      walk row.Site.s_write_offs 0 e.Event.writes base
+        (mem_loc row.Site.s_mem_write addr)
+    in
+    if base = mismatch then -1
+    else if base = -1 then 0
+    else base lsr Site.frame_shift
 
 let grow_ovf b need =
   if Array.length b.b_ovf < need then begin
@@ -158,54 +155,74 @@ let grow_ovf b need =
     b.b_ovf <- a
   end
 
+let rec blit_locs a j = function
+  | [] -> j
+  | l :: rest ->
+      a.(j) <- l;
+      blit_locs a (j + 1) rest
+
+(* Foreign event: carried boxed, desc = -(index + 1). *)
+let escape b i (e : Event.exec) =
+  let n = b.b_esc_n in
+  if Array.length b.b_esc <= n then begin
+    let a = Array.make (max 4 (2 * Array.length b.b_esc)) e in
+    Array.blit b.b_esc 0 a 0 n;
+    b.b_esc <- a
+  end;
+  b.b_esc.(n) <- e;
+  b.b_esc_n <- n + 1;
+  b.b_site.(i) <- -1;
+  b.b_desc.(i) <- -(n + 1)
+
+(* Shape diverges from the row: the sets go verbatim to the overflow
+   area as [nreads, nwrites, reads.., writes..]. *)
+let explicit b i (e : Event.exec) =
+  let nr = List.length e.Event.reads and nw = List.length e.Event.writes in
+  let off = b.b_ovf_n in
+  grow_ovf b (off + 2 + nr + nw);
+  let ovf = b.b_ovf in
+  ovf.(off) <- nr;
+  ovf.(off + 1) <- nw;
+  let j = blit_locs ovf (off + 2) e.Event.reads in
+  b.b_ovf_n <- blit_locs ovf j e.Event.writes;
+  b.b_desc.(i) <- off lsl 1
+
 (** Append one event ([batch_length] must be under [batch_capacity]). *)
 let encode enc b (e : Event.exec) =
   let i = b.b_n in
-  let site = site_of enc e in
-  b.b_site.(i) <- site;
-  b.b_step.(i) <- e.Event.step;
-  b.b_tid.(i) <- e.Event.tid;
-  b.b_addr.(i) <- e.Event.addr;
-  b.b_value.(i) <- e.Event.value;
-  b.b_next_pc.(i) <- e.Event.next_pc;
-  b.b_input.(i) <- e.Event.input_index;
-  (if site < 0 then begin
-     (* foreign event: carry it boxed, desc = -(index + 1) *)
-     let n = b.b_esc_n in
-     if Array.length b.b_esc <= n then begin
-       let a = Array.make (max 4 (2 * Array.length b.b_esc)) e in
-       Array.blit b.b_esc 0 a 0 n;
-       b.b_esc <- a
-     end;
-     b.b_esc.(n) <- e;
-     b.b_esc_n <- n + 1;
-     b.b_desc.(i) <- -(n + 1)
-   end
+  (* every lane has the batch's capacity (they are created together
+     and never replaced), so one check covers the unchecked stores *)
+  if i >= Array.length b.b_site then invalid_arg "Codec.encode: batch full";
+  Array.unsafe_set b.b_step i e.Event.step;
+  Array.unsafe_set b.b_tid i e.Event.tid;
+  Array.unsafe_set b.b_addr i e.Event.addr;
+  Array.unsafe_set b.b_value i e.Event.value;
+  Array.unsafe_set b.b_next_pc i e.Event.next_pc;
+  Array.unsafe_set b.b_input i e.Event.input_index;
+  (* Site resolution: a function that is not physically one of the
+     program's (hand-built test streams), a pc outside its body, or an
+     instruction that is not physically the row's makes the event
+     foreign.  The base is looked up ({!Site.base_of_func}) only when
+     the function changes, so in the steady state this is a compare,
+     an add and one row load. *)
+  let f = e.Event.func in
+  if f != enc.e_func then begin
+    enc.e_func <- f;
+    enc.e_base <- Site.base_of_func enc.e_table f;
+    enc.e_len <- Array.length f.Func.body
+  end;
+  let pc = e.Event.pc in
+  (if enc.e_base < 0 || pc < 0 || pc >= enc.e_len then escape b i e
    else
-     let row = Site.row enc.e_table site in
-     let frame = compact_frame row e in
-     if frame >= 0 then b.b_desc.(i) <- (frame lsl 1) lor 1
+     let site = enc.e_base + pc in
+     let row = Array.unsafe_get enc.e_rows site in
+     if row.Site.s_instr != e.Event.instr then escape b i e
      else begin
-     let nr = List.length e.Event.reads
-     and nw = List.length e.Event.writes in
-     let off = b.b_ovf_n in
-     grow_ovf b (off + 2 + nr + nw);
-     b.b_ovf.(off) <- nr;
-     b.b_ovf.(off + 1) <- nw;
-     let j = ref (off + 2) in
-     List.iter
-       (fun l ->
-         b.b_ovf.(!j) <- l;
-         incr j)
-       e.Event.reads;
-     List.iter
-       (fun l ->
-         b.b_ovf.(!j) <- l;
-         incr j)
-       e.Event.writes;
-     b.b_ovf_n <- !j;
-     b.b_desc.(i) <- off lsl 1
-   end);
+       Array.unsafe_set b.b_site i site;
+       let frame = compact_frame row e in
+       if frame >= 0 then Array.unsafe_set b.b_desc i ((frame lsl 1) lor 1)
+       else explicit b i e
+     end);
   b.b_n <- i + 1
 
 (* -- decoding ----------------------------------------------------------- *)
@@ -237,7 +254,7 @@ let decode_into table b i (v : Event.view) =
   let desc = b.b_desc.(i) in
   if desc land 1 = 1 then begin
     let frame = desc lsr 1 in
-    let base = frame * Site.frame_stride in
+    let base = frame lsl Site.frame_shift in
     let offs = row.Site.s_read_offs in
     let nro = Array.length offs in
     let nr = nro + if row.Site.s_mem_read then 1 else 0 in

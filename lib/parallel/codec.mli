@@ -11,7 +11,7 @@
 
     - [1] — {e frame-compact}: [desc lsr 1] is the activation-frame
       serial.  The sets are rebuilt from the site row's static
-      register offsets ([frame * Site.frame_stride + off]) and, for
+      register offsets ([(frame lsl Site.frame_shift) + off]) and, for
       loads/stores, the memory cell from the [addr] lane.  The encoder
       verifies this shape {e element-wise against the live event}
       before using it, so decoding is exact by construction.
@@ -25,9 +25,11 @@
       physically one of the program's own sites); it rides boxed in
       the batch's escape lane at index [-desc - 1] and decodes by
       {!Dift_vm.Event.view_fill}, exact by construction.  The encoder
-      detects this per event ({!Dift_vm.Site.base_opt} plus physical
-      identity of the row's function and instruction), so machine
-      streams never take it and the steady state stays flat.
+      detects this per event: the function must be physically one of
+      the program's ({!Dift_vm.Site.base_of_func}, looked up only when
+      the function changes), the pc inside its body, and the
+      instruction physically the row's.  Machine streams never take
+      it, so the steady state stays flat.
 
     Steady-state forwarding allocates nothing per event: lanes are
     written in place, full batches travel the ring as single elements

@@ -70,10 +70,15 @@ let create ?(page_bits = 6) ?(words = 1024) ?(reset_interval = 8192) ~slots ()
 
 (* Key of a location: (page of its index, plane).  Registers (odd
    locs) and memory (even locs) land on disjoint keys so a dense
-   register file cannot shadow the memory pages. *)
+   register file cannot shadow the memory pages.  A word holds 63
+   keys, one per bit of an OCaml int: [1 lsl 63] is 0, so a 64th key
+   per word would never be published nor seen live.  (Packing 32 keys
+   per word would need twice the words, and so twice this filter's
+   per-run allocation, for the same capacity.) *)
+let keys_per_word = 63
 let key_of t loc = (((loc lsr 1) lsr t.page_bits) lsl 1) lor (loc land 1)
-let word_of t loc = key_of t loc lsr 6 land t.mask
-let bit_of t loc = 1 lsl (key_of t loc land 63)
+let word_of_key t k = (k / keys_per_word) land t.mask
+let bit_of_key k = 1 lsl (k mod keys_per_word)
 
 let refresh_min t =
   let m = ref max_int in
@@ -88,8 +93,9 @@ let refresh_min t =
    published tainted, or some event that may have produced taint there
    is not yet covered by every consumer's published epoch. *)
 let live t loc =
-  let w = word_of t loc in
-  Atomic.get t.words.(w) land bit_of t loc <> 0
+  let k = key_of t loc in
+  let w = word_of_key t k in
+  Atomic.get t.words.(w) land bit_of_key k <> 0
   || t.stamps.(w) > t.cached_min
 
 let rec any_live t = function
@@ -138,6 +144,12 @@ let maybe_reset t =
     end
   end
 
+let rec stamp t step = function
+  | [] -> ()
+  | l :: rest ->
+      t.stamps.(word_of_key t (key_of t l)) <- step;
+      stamp t step rest
+
 let admit t (e : Event.exec) =
   t.since_refresh <- t.since_refresh + 1;
   if t.since_refresh >= refresh_interval then refresh_min t;
@@ -146,9 +158,7 @@ let admit t (e : Event.exec) =
     (* H is being rebuilt: no filtering, and stamp {e every} write —
        an event whose reads are live only in a consumer's
        not-yet-republished shadow must still protect its writes *)
-    List.iter
-      (fun l -> t.stamps.(word_of t l) <- e.Event.step)
-      e.Event.writes;
+    stamp t e.Event.step e.Event.writes;
     t.fed_last <- e.Event.step;
     true
   end
@@ -158,9 +168,7 @@ let admit t (e : Event.exec) =
        propagation from live reads) stamps its write words, so nothing
        downstream of it can be dropped before the helper publishes H *)
     if live_in || Site.is_input_instr e.Event.instr then
-      List.iter
-        (fun l -> t.stamps.(word_of t l) <- e.Event.step)
-        e.Event.writes;
+      stamp t e.Event.step e.Event.writes;
     let forward =
       (not (Site.filterable_instr e.Event.instr))
       || live_in
@@ -181,8 +189,9 @@ let generation t = Atomic.get t.generation
 (* -- consumer side ------------------------------------------------------ *)
 
 let publish_loc t loc =
-  let w = t.words.(word_of t loc) in
-  let bit = bit_of t loc in
+  let k = key_of t loc in
+  let w = t.words.(word_of_key t k) in
+  let bit = bit_of_key k in
   (* check-then-CAS: steady state on already-published pages is one
      atomic load, no write traffic *)
   let rec set () =

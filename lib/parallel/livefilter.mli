@@ -69,8 +69,9 @@ type t
 
 (** [create ~slots ()] — [slots] consumer epoch slots (1 for the
     two-domain runtime, one per shard for the sharded one).  [words]
-    (power of two, default 1024) sizes the hash map; [page_bits]
-    (default 6) sets the locations-per-page granularity.
+    (power of two, default 1024) sizes the hash map at 63 page keys
+    per word, one per bit of an OCaml int (64,512 keys by default);
+    [page_bits] (default 6) sets the locations-per-page granularity.
     [reset_interval] (default 8192) is the number of {!admit} calls
     between generation-reset attempts; [0] disables resets (the
     pre-reset monotone behaviour).

@@ -53,6 +53,10 @@ type status =
 
 type activation = {
   serial : int;
+  loc_base : Loc.t;
+      (** location of register 0 in this frame; register [r]'s is
+          [loc_base + 2 * r] (the {!Loc} encoding is linear in the
+          register index) *)
   func : Func.t;
   mutable pc : int;
   regs : int array;
@@ -91,6 +95,9 @@ type t = {
   mutable tools : Tool.t list;
   rng : Random.State.t;
   mutable current : int;  (** tid currently scheduled *)
+  mutable current_th : thread option;
+      (** [thread m current], memoised: valid while its tid is
+          [current] (see {!current_thread}) *)
   mutable quantum_left : int;
   mutable rev_switches : (int * int) list;  (** (step, tid) choices *)
   mutable replay_sched : (int * int) list;  (** remaining switches *)
@@ -110,7 +117,15 @@ exception Replay_divergence of string
 let fresh_activation m func ~ret_dst ~caller =
   let serial = m.next_serial in
   m.next_serial <- serial + 1;
-  { serial; func; pc = 0; regs = Array.make Reg.count 0; ret_dst; caller }
+  {
+    serial;
+    loc_base = Loc.reg ~frame:serial Reg.r0;
+    func;
+    pc = 0;
+    regs = Array.make Reg.count 0;
+    ret_dst;
+    caller;
+  }
 
 let create ?(config = default_config) program ~input =
   let input =
@@ -141,6 +156,7 @@ let create ?(config = default_config) program ~input =
       tools = [];
       rng = Random.State.make [| config.seed |];
       current = 0;
+      current_th = None;
       quantum_left = 0;
       rev_switches = [];
       replay_sched = (match config.schedule with Some s -> s | None -> []);
@@ -191,7 +207,21 @@ let request_stop m reason =
 
 let thread m tid = List.find_opt (fun t -> t.tid = tid) m.threads
 
-let is_replay m = m.config.schedule <> None
+(* The scheduled thread.  The lookup reruns only after a switch (or a
+   restore, which clears the memo); every other step returns the
+   memoised option itself, without allocating. *)
+let current_thread m =
+  match m.current_th with
+  | Some t as cached when t.tid = m.current -> cached
+  | Some _ | None ->
+      let found = thread m m.current in
+      m.current_th <- found;
+      found
+
+let is_runnable t =
+  match t.status with Runnable -> true | Blocked _ | Finished -> false
+
+let is_replay m = match m.config.schedule with Some _ -> true | None -> false
 
 (* -- state fingerprinting (for replay determinism tests) -------------- *)
 
@@ -208,41 +238,37 @@ let fingerprint m =
 
 (* -- operand evaluation ------------------------------------------------ *)
 
-let eval_operand act = function
-  | Operand.Imm n -> (n, [])
-  | Operand.Reg r -> (act.regs.(Reg.index r), [ Loc.reg ~frame:act.serial r ])
+let idx (r : Reg.t) = (r :> int)
 
-let reg_loc act r = Loc.reg ~frame:act.serial r
+(* = [Loc.reg ~frame:act.serial r], without a call per register *)
+let reg_loc act r = act.loc_base + (idx r lsl 1)
+
+(* Operands are read in two halves so that no (value, locations) pair
+   is built: the value, and the operand's register location consed
+   onto a tail — read sets are assembled back to front, each cell
+   allocated once. *)
+let operand_value act = function
+  | Operand.Imm n -> n
+  | Operand.Reg r -> act.regs.(idx r)
+
+let operand_locs act o tail =
+  match o with
+  | Operand.Imm _ -> tail
+  | Operand.Reg r -> reg_loc act r :: tail
 
 (* Value replacement (§3.1): substitute the value produced at a chosen
    dynamic step. *)
 let substitute m v =
-  if m.config.value_replacements = [] then v
-  else
-    match List.assoc_opt m.step_count m.config.value_replacements with
-    | Some v' -> v'
-    | None -> v
+  match m.config.value_replacements with
+  | [] -> v
+  | rs -> ( match List.assoc_opt m.step_count rs with Some v' -> v' | None -> v)
 
-(* -- event emission ---------------------------------------------------- *)
-
-let emit m (e : Event.exec) =
-  List.iter (fun (t : Tool.t) -> t.Tool.on_exec e) m.tools
-
-let make_event m th ~instr ~reads ~writes ~addr ~next_pc ~input_index ~value
-    =
-  {
-    Event.step = m.step_count;
-    tid = th.tid;
-    func = th.act.func;
-    pc = th.act.pc;
-    instr;
-    reads;
-    writes;
-    addr;
-    next_pc;
-    input_index;
-    value;
-  }
+(* Whether a load/store at [addr >= 0] may proceed: always, unless
+   bounds checking is on and [addr] is a heap address outside every
+   live block. *)
+let accessible m addr =
+  (not (m.config.check_bounds && Memory.in_heap m.mem addr))
+  || Option.is_some (Memory.block_of m.mem addr)
 
 (* -- faults ------------------------------------------------------------ *)
 
@@ -262,6 +288,102 @@ let fault m th kind =
   List.iter (fun (t : Tool.t) -> t.Tool.on_fault f) m.tools;
   m.outcome <- Some (Event.Faulted f)
 
+(* -- event emission ---------------------------------------------------- *)
+
+type step_result =
+  | Executed
+  | Did_block  (** thread could not proceed; nothing was emitted *)
+
+let rec emit_to (e : Event.exec) = function
+  | [] -> ()
+  | (t : Tool.t) :: rest ->
+      t.Tool.on_exec e;
+      emit_to e rest
+
+(* Account one executed instruction and hand its event to the tools. *)
+let dispatch m e =
+  m.step_count <- m.step_count + 1;
+  m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
+  emit_to e m.tools
+
+(* The event of the instruction at [th]'s current site; the thread then
+   continues at [next_pc].  Every instruction except the two call forms
+   (whose event reports the call site after the pc has moved) is
+   emitted through here, with plain labelled arguments so that no
+   closure or option is built per instruction. *)
+let emit m th instr ~reads ~writes ~addr ~input_index ~value ~next_pc =
+  let act = th.act in
+  let e =
+    {
+      Event.step = m.step_count;
+      tid = th.tid;
+      func = act.func;
+      pc = act.pc;
+      instr;
+      reads;
+      writes;
+      addr;
+      next_pc;
+      input_index;
+      value;
+    }
+  in
+  act.pc <- next_pc;
+  dispatch m e;
+  Executed
+
+(* No memory address and no input word: every shape but Load, Store and
+   Read. *)
+let emit_plain m th instr ~reads ~writes ~value ~next_pc =
+  emit m th instr ~reads ~writes ~addr:(-1) ~input_index:(-1) ~value ~next_pc
+
+(* A faulting instruction: its event is emitted first, so slicing can
+   start from it, and the thread stays at the pc. *)
+let emit_fault m th instr ~reads ~value kind =
+  let r = emit_plain m th instr ~reads ~writes:[] ~value ~next_pc:th.act.pc in
+  fault m th kind;
+  r
+
+(* Most system instructions: one operand read, its value reported. *)
+let emit_one m th instr o ~value ~next_pc =
+  emit_plain m th instr ~reads:(operand_locs th.act o []) ~writes:[] ~value
+    ~next_pc
+
+(* The call forms.  The event reports the call site while the caller's
+   pc already points past it; reads are [args] (the caller's argument
+   registers, in order) followed by [tail], writes the callee's
+   argument registers in the same order — tools rely on this pairwise
+   alignment. *)
+let emit_call m th instr callee ~ret_dst ~tail ~value =
+  let act = th.act in
+  let site_pc = act.pc in
+  act.pc <- site_pc + 1;
+  let callee_act = fresh_activation m callee ~ret_dst ~caller:(Some act) in
+  let reads = ref tail and writes = ref [] in
+  for i = callee.Func.arity - 1 downto 0 do
+    callee_act.regs.(i) <- act.regs.(i);
+    reads := (act.loc_base + (i lsl 1)) :: !reads;
+    writes := (callee_act.loc_base + (i lsl 1)) :: !writes
+  done;
+  let e =
+    {
+      Event.step = m.step_count;
+      tid = th.tid;
+      func = act.func;
+      pc = site_pc;
+      instr;
+      reads = !reads;
+      writes = !writes;
+      addr = -1;
+      next_pc = -1;
+      input_index = -1;
+      value;
+    }
+  in
+  th.act <- callee_act;
+  dispatch m e;
+  Executed
+
 (* -- thread completion ------------------------------------------------- *)
 
 let finish_thread m th =
@@ -280,10 +402,6 @@ let finish_thread m th =
     m.threads
 
 (* -- instruction execution --------------------------------------------- *)
-
-type step_result =
-  | Executed
-  | Did_block  (** thread could not proceed; nothing was emitted *)
 
 (* Wakes every thread blocked in Retry mode; used after unlocks.  The
    woken threads re-attempt their blocking instruction when next
@@ -319,278 +437,171 @@ let get_barrier m id =
    event and advances state.  Sets [m.outcome] on halting/faulting. *)
 let rec exec_instr m th =
   let act = th.act in
-  let ins = Func.instr act.func act.pc in
-  let simple ?(reads = []) ?(writes = []) ?(addr = -1) ?(input_index = -1)
-      ?(value = 0) ~next_pc () =
-    let e =
-      make_event m th ~instr:ins ~reads ~writes ~addr ~next_pc ~input_index
-        ~value
-    in
-    m.step_count <- m.step_count + 1;
-    m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-    act.pc <- (if next_pc >= 0 then next_pc else act.pc);
-    emit m e;
-    Executed
-  in
+  let ins = act.func.Func.body.(act.pc) in
+  let next = act.pc + 1 in
   match ins with
-  | Instr.Nop -> simple ~next_pc:(act.pc + 1) ()
+  | Instr.Nop -> emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:next
   | Instr.Mov (d, s) ->
-      let v, rl = eval_operand act s in
-      let v = substitute m v in
-      act.regs.(Reg.index d) <- v;
-      simple ~reads:rl ~writes:[ reg_loc act d ] ~value:v
-        ~next_pc:(act.pc + 1) ()
-  | Instr.Binop (op, d, a, b) -> (
-      let va, ra = eval_operand act a in
-      let vb, rb = eval_operand act b in
-      match Instr.eval_alu op va vb with
-      | None ->
-          (* Emit the faulting event first so slicing can start from it. *)
-          let r = simple ~reads:(ra @ rb) ~next_pc:act.pc () in
-          fault m th Event.Div_by_zero;
-          r
-      | Some v ->
-          let v = substitute m v in
-          act.regs.(Reg.index d) <- v;
-          simple ~reads:(ra @ rb) ~writes:[ reg_loc act d ] ~value:v
-            ~next_pc:(act.pc + 1) ())
+      let v = substitute m (operand_value act s) in
+      act.regs.(idx d) <- v;
+      emit_plain m th ins ~reads:(operand_locs act s [])
+        ~writes:[ reg_loc act d ] ~value:v ~next_pc:next
+  | Instr.Binop (op, d, a, b) ->
+      let va = operand_value act a and vb = operand_value act b in
+      let reads = operand_locs act a (operand_locs act b []) in
+      if Instr.alu_faults op vb then
+        emit_fault m th ins ~reads ~value:0 Event.Div_by_zero
+      else begin
+        let v = substitute m (Instr.alu op va vb) in
+        act.regs.(idx d) <- v;
+        emit_plain m th ins ~reads ~writes:[ reg_loc act d ] ~value:v
+          ~next_pc:next
+      end
   | Instr.Cmp (op, d, a, b) ->
-      let va, ra = eval_operand act a in
-      let vb, rb = eval_operand act b in
+      let va = operand_value act a and vb = operand_value act b in
       let v = substitute m (Instr.eval_cmp op va vb) in
-      act.regs.(Reg.index d) <- v;
-      simple ~reads:(ra @ rb) ~writes:[ reg_loc act d ] ~value:v
-        ~next_pc:(act.pc + 1) ()
-  | Instr.Load (d, base, off) -> (
-      let vb, rb = eval_operand act base in
-      let addr = vb + off in
-      if addr < 0 then begin
-        let r = simple ~reads:rb ~next_pc:act.pc () in
-        fault m th (Event.Out_of_bounds addr);
-        r
+      act.regs.(idx d) <- v;
+      emit_plain m th ins
+        ~reads:(operand_locs act a (operand_locs act b []))
+        ~writes:[ reg_loc act d ] ~value:v ~next_pc:next
+  | Instr.Load (d, base, off) ->
+      let addr = operand_value act base + off in
+      if addr < 0 || not (accessible m addr) then
+        emit_fault m th ins ~reads:(operand_locs act base []) ~value:0
+          (Event.Out_of_bounds addr)
+      else begin
+        let v = substitute m (Memory.read m.mem addr) in
+        act.regs.(idx d) <- v;
+        emit m th ins
+          ~reads:(operand_locs act base [ Loc.mem addr ])
+          ~writes:[ reg_loc act d ] ~addr ~input_index:(-1) ~value:v
+          ~next_pc:next
       end
-      else
-        match
-          if m.config.check_bounds && Memory.in_heap m.mem addr then
-            Memory.block_of m.mem addr
-          else Some { Memory.base = 0; size = 0; live = true }
-        with
-        | None ->
-            let r = simple ~reads:rb ~next_pc:act.pc () in
-            fault m th (Event.Out_of_bounds addr);
-            r
-        | Some _ ->
-            let v = substitute m (Memory.read m.mem addr) in
-            act.regs.(Reg.index d) <- v;
-            simple
-              ~reads:(rb @ [ Loc.mem addr ])
-              ~writes:[ reg_loc act d ] ~addr ~value:v ~next_pc:(act.pc + 1)
-              ())
-  | Instr.Store (src, base, off) -> (
-      let vs, rs = eval_operand act src in
-      let vb, rb = eval_operand act base in
-      let addr = vb + off in
-      if addr < 0 then begin
-        let r = simple ~reads:(rs @ rb) ~next_pc:act.pc () in
-        fault m th (Event.Out_of_bounds addr);
-        r
+  | Instr.Store (src, base, off) ->
+      let addr = operand_value act base + off in
+      let reads = operand_locs act src (operand_locs act base []) in
+      if addr < 0 || not (accessible m addr) then
+        emit_fault m th ins ~reads ~value:0 (Event.Out_of_bounds addr)
+      else begin
+        let vs = substitute m (operand_value act src) in
+        Memory.write m.mem addr vs;
+        emit m th ins ~reads ~writes:[ Loc.mem addr ] ~addr ~input_index:(-1)
+          ~value:vs ~next_pc:next
       end
-      else
-        match
-          if m.config.check_bounds && Memory.in_heap m.mem addr then
-            Memory.block_of m.mem addr
-          else Some { Memory.base = 0; size = 0; live = true }
-        with
-        | None ->
-            let r = simple ~reads:(rs @ rb) ~next_pc:act.pc () in
-            fault m th (Event.Out_of_bounds addr);
-            r
-        | Some _ ->
-            let vs = substitute m vs in
-            Memory.write m.mem addr vs;
-            simple ~reads:(rs @ rb)
-              ~writes:[ Loc.mem addr ]
-              ~addr ~value:vs ~next_pc:(act.pc + 1) ())
-  | Instr.Jmp t -> simple ~next_pc:t ()
+  | Instr.Jmp t -> emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:t
   | Instr.Br (c, t, f) ->
-      let v, rl = eval_operand act c in
+      let v = operand_value act c in
       let taken = if v <> 0 then t else f in
       let taken =
-        if
-          m.config.flip_steps <> []
-          && List.mem m.step_count m.config.flip_steps
-        then if taken = t then f else t
-        else taken
+        match m.config.flip_steps with
+        | [] -> taken
+        | flips ->
+            if List.mem m.step_count flips then if taken = t then f else t
+            else taken
       in
-      simple ~reads:rl ~value:v ~next_pc:taken ()
+      emit_plain m th ins ~reads:(operand_locs act c []) ~writes:[] ~value:v
+        ~next_pc:taken
   | Instr.Call (fname, ret_dst) ->
-      let callee = Program.find m.program fname in
-      act.pc <- act.pc + 1;
-      (* the event must still report the call site *)
-      let site_pc = act.pc - 1 in
-      let callee_act = fresh_activation m callee ~ret_dst ~caller:(Some act) in
-      let reads = ref [] and writes = ref [] in
-      for i = callee.Func.arity - 1 downto 0 do
-        callee_act.regs.(i) <- act.regs.(i);
-        reads := Loc.reg ~frame:act.serial (Reg.make i) :: !reads;
-        writes := Loc.reg ~frame:callee_act.serial (Reg.make i) :: !writes
-      done;
-      let e =
-        {
-          Event.step = m.step_count;
-          tid = th.tid;
-          func = act.func;
-          pc = site_pc;
-          instr = ins;
-          reads = !reads;
-          writes = !writes;
-          addr = -1;
-          next_pc = -1;
-          input_index = -1;
-          value = 0;
-        }
-      in
-      m.step_count <- m.step_count + 1;
-      m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-      th.act <- callee_act;
-      emit m e;
-      Executed
+      emit_call m th ins (Program.find m.program fname) ~ret_dst ~tail:[]
+        ~value:0
   | Instr.Icall (fop, ret_dst) -> (
-      let fid, rl = eval_operand act fop in
+      let fid = operand_value act fop in
+      let rl = operand_locs act fop [] in
       match Program.func_of_id m.program fid with
       | None ->
-          let r = simple ~reads:rl ~value:fid ~next_pc:act.pc () in
-          fault m th (Event.Invalid_icall fid);
-          r
-      | Some callee ->
-          act.pc <- act.pc + 1;
-          let site_pc = act.pc - 1 in
-          let callee_act =
-            fresh_activation m callee ~ret_dst ~caller:(Some act)
-          in
-          (* reads: the arguments in order, then the target operand's
-             registers; writes: the callee's argument registers in the
-             same order — tools rely on this pairwise alignment. *)
-          let reads = ref rl and writes = ref [] in
-          for i = callee.Func.arity - 1 downto 0 do
-            callee_act.regs.(i) <- act.regs.(i);
-            reads := Loc.reg ~frame:act.serial (Reg.make i) :: !reads;
-            writes := Loc.reg ~frame:callee_act.serial (Reg.make i) :: !writes
-          done;
-          let e =
-            {
-              Event.step = m.step_count;
-              tid = th.tid;
-              func = act.func;
-              pc = site_pc;
-              instr = ins;
-              reads = !reads;
-              writes = !writes;
-              addr = -1;
-              next_pc = -1;
-              input_index = -1;
-              value = fid;
-            }
-          in
-          m.step_count <- m.step_count + 1;
-          m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-          th.act <- callee_act;
-          emit m e;
-          Executed)
+          emit_fault m th ins ~reads:rl ~value:fid (Event.Invalid_icall fid)
+      | Some callee -> emit_call m th ins callee ~ret_dst ~tail:rl ~value:fid)
   | Instr.Ret src -> (
       let v, rl =
         match src with
-        | Some o -> eval_operand act o
+        | Some o -> (operand_value act o, operand_locs act o [])
         | None -> (0, [])
       in
       match act.caller with
       | None ->
-          let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
+          let r =
+            emit_plain m th ins ~reads:rl ~writes:[] ~value:v ~next_pc:act.pc
+          in
           finish_thread m th;
           r
       | Some caller ->
           let writes =
             match act.ret_dst with
             | Some d ->
-                caller.regs.(Reg.index d) <- v;
-                [ Loc.reg ~frame:caller.serial d ]
+                caller.regs.(idx d) <- v;
+                [ reg_loc caller d ]
             | None -> []
           in
-          let r = simple ~reads:rl ~writes ~value:v ~next_pc:act.pc () in
+          let r =
+            emit_plain m th ins ~reads:rl ~writes ~value:v ~next_pc:act.pc
+          in
           th.act <- caller;
           r)
   | Instr.Halt ->
-      let r = simple ~next_pc:act.pc () in
+      let r =
+        emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:act.pc
+      in
       m.outcome <- Some Event.Halted;
       r
   | Instr.Sys s -> exec_syscall m th act ins s
 
 and exec_syscall m th act ins s =
-  let simple ?(reads = []) ?(writes = []) ?(input_index = -1) ?(value = 0)
-      ?(next_pc = act.pc + 1) () =
-    let e =
-      make_event m th ~instr:ins ~reads ~writes ~addr:(-1) ~next_pc
-        ~input_index ~value
-    in
-    m.step_count <- m.step_count + 1;
-    m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-    act.pc <- next_pc;
-    emit m e;
-    Executed
-  in
+  let next = act.pc + 1 in
   match s with
   | Instr.Read d ->
-      let idx = m.input_pos in
+      let pos = m.input_pos in
       let v, input_index =
-        if idx < Array.length m.input then begin
-          m.input_pos <- idx + 1;
-          (m.input.(idx), idx)
+        if pos < Array.length m.input then begin
+          m.input_pos <- pos + 1;
+          (m.input.(pos), pos)
         end
         else (-1, -1)
       in
-      act.regs.(Reg.index d) <- v;
+      act.regs.(idx d) <- v;
       if input_index >= 0 then
         m.rev_inputs <- (m.step_count, input_index, v) :: m.rev_inputs;
-      simple ~writes:[ reg_loc act d ] ~input_index ~value:v ()
+      emit m th ins ~reads:[] ~writes:[ reg_loc act d ] ~addr:(-1) ~input_index
+        ~value:v ~next_pc:next
   | Instr.Write o ->
-      let v, rl = eval_operand act o in
+      let v = operand_value act o in
       m.rev_output <- (m.step_count, v) :: m.rev_output;
-      simple ~reads:rl ~value:v ()
+      emit_one m th ins o ~value:v ~next_pc:next
   | Instr.Spawn (d, fname, argo) ->
-      let v, rl = eval_operand act argo in
+      let v = operand_value act argo in
       let callee = Program.find m.program fname in
       let new_act = fresh_activation m callee ~ret_dst:None ~caller:None in
       new_act.regs.(0) <- v;
       let tid = m.next_tid in
       m.next_tid <- tid + 1;
       m.threads <- m.threads @ [ { tid; act = new_act; status = Runnable } ];
-      act.regs.(Reg.index d) <- tid;
-      simple ~reads:rl
+      act.regs.(idx d) <- tid;
+      emit_plain m th ins ~reads:(operand_locs act argo [])
         ~writes:
-          [ reg_loc act d; Loc.reg ~frame:new_act.serial (Reg.make 0) ]
-        ~value:tid ()
+          [ reg_loc act d; new_act.loc_base ]
+        ~value:tid ~next_pc:next
   | Instr.Join o -> (
-      let v, rl = eval_operand act o in
+      let v = operand_value act o in
       match thread m v with
       | Some t when t.status <> Finished ->
           th.status <- Blocked Retry;
           Did_block
-      | Some _ | None -> simple ~reads:rl ~value:v ())
+      | Some _ | None -> emit_one m th ins o ~value:v ~next_pc:next)
   | Instr.Lock o ->
-      let v, rl = eval_operand act o in
+      let v = operand_value act o in
       let mu = get_mutex m v in
       (match mu.owner with
       | None ->
           mu.owner <- Some th.tid;
-          ignore (simple ~reads:rl ~value:v ())
-      | Some owner when owner = th.tid -> ignore (simple ~reads:rl ~value:v ())
+          ignore (emit_one m th ins o ~value:v ~next_pc:next)
+      | Some owner when owner = th.tid ->
+          ignore (emit_one m th ins o ~value:v ~next_pc:next)
       | Some _ ->
           mu.waiters <- mu.waiters @ [ th.tid ];
           th.status <- Blocked Retry);
       if th.status = Runnable || th.status = Finished then Executed
       else Did_block
   | Instr.Unlock o ->
-      let v, rl = eval_operand act o in
+      let v = operand_value act o in
       let mu = get_mutex m v in
       if mu.owner = Some th.tid then begin
         mu.owner <- None;
@@ -598,16 +609,17 @@ and exec_syscall m th act ins s =
         mu.waiters <- [];
         wake_retriers m ws
       end;
-      simple ~reads:rl ~value:v ()
+      emit_one m th ins o ~value:v ~next_pc:next
   | Instr.Barrier_init (ido, po) ->
-      let id, r1 = eval_operand act ido in
-      let parties, r2 = eval_operand act po in
+      let id = operand_value act ido and parties = operand_value act po in
       let b = get_barrier m id in
       b.parties <- parties;
       b.arrived <- 0;
-      simple ~reads:(r1 @ r2) ~value:id ()
+      emit_plain m th ins
+        ~reads:(operand_locs act ido (operand_locs act po []))
+        ~writes:[] ~value:id ~next_pc:next
   | Instr.Barrier ido ->
-      let id, rl = eval_operand act ido in
+      let id = operand_value act ido in
       let b = get_barrier m id in
       b.arrived <- b.arrived + 1;
       if b.arrived >= b.parties then begin
@@ -627,58 +639,50 @@ and exec_syscall m th act ins s =
                 | Blocked Retry | Runnable | Finished -> ())
             | None -> ())
           ws;
-        simple ~reads:rl ~value:id ()
+        emit_one m th ins ido ~value:id ~next_pc:next
       end
       else begin
         b.waiting <- b.waiting @ [ th.tid ];
         th.status <- Blocked Advance;
         (* The arrival itself is observable: emit the event, but leave
            the thread blocked at this pc (it is advanced on release). *)
-        let e =
-          make_event m th ~instr:ins ~reads:rl ~writes:[] ~addr:(-1)
-            ~next_pc:act.pc ~input_index:(-1) ~value:id
-        in
-        m.step_count <- m.step_count + 1;
-        m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-        emit m e;
-        Executed
+        emit_one m th ins ido ~value:id ~next_pc:act.pc
       end
   | Instr.Alloc (d, so) ->
-      let size, rl = eval_operand act so in
+      let size = operand_value act so in
       let base = Memory.alloc m.mem size in
-      act.regs.(Reg.index d) <- base;
-      simple ~reads:rl ~writes:[ reg_loc act d ] ~value:base ()
+      act.regs.(idx d) <- base;
+      emit_plain m th ins ~reads:(operand_locs act so [])
+        ~writes:[ reg_loc act d ] ~value:base ~next_pc:next
   | Instr.Free o -> (
-      let v, rl = eval_operand act o in
+      let v = operand_value act o in
       match Memory.free m.mem v with
-      | Ok () -> simple ~reads:rl ~value:v ()
+      | Ok () -> emit_one m th ins o ~value:v ~next_pc:next
       | Error `Invalid_free ->
-          let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
-          fault m th (Event.Invalid_free v);
-          r)
+          emit_fault m th ins ~reads:(operand_locs act o []) ~value:v
+            (Event.Invalid_free v))
   | Instr.Tid d ->
-      act.regs.(Reg.index d) <- th.tid;
-      simple ~writes:[ reg_loc act d ] ~value:th.tid ()
+      act.regs.(idx d) <- th.tid;
+      emit_plain m th ins ~reads:[] ~writes:[ reg_loc act d ] ~value:th.tid
+        ~next_pc:next
   | Instr.Check o ->
-      let v, rl = eval_operand act o in
-      if v = 0 then begin
-        let r = simple ~reads:rl ~value:v ~next_pc:act.pc () in
-        fault m th Event.Check_failed;
-        r
-      end
-      else simple ~reads:rl ~value:v ()
+      let v = operand_value act o in
+      if v = 0 then
+        emit_fault m th ins ~reads:(operand_locs act o []) ~value:v
+          Event.Check_failed
+      else emit_one m th ins o ~value:v ~next_pc:next
   | Instr.Mark (_, o) ->
-      let v, rl = eval_operand act o in
-      simple ~reads:rl ~value:v ()
+      emit_one m th ins o ~value:(operand_value act o) ~next_pc:next
   | Instr.Exit ->
-      let r = simple ~next_pc:act.pc () in
+      let r =
+        emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:act.pc
+      in
       finish_thread m th;
       r
 
 (* -- scheduling -------------------------------------------------------- *)
 
-let runnable_threads m =
-  List.filter (fun t -> t.status = Runnable) m.threads
+let runnable_threads m = List.filter is_runnable m.threads
 
 let record_switch m tid =
   m.rev_switches <- (m.step_count, tid) :: m.rev_switches;
@@ -703,8 +707,8 @@ let schedule m =
       | _ -> ()
     in
     apply ();
-    match thread m m.current with
-    | Some t when t.status = Runnable -> Some t
+    match current_thread m with
+    | Some t as cur when is_runnable t -> cur
     | Some _ | None -> (
         (* The recorded thread cannot run here: in a faithful replay
            this only happens transiently when the recording switched
@@ -725,8 +729,8 @@ let schedule m =
     let need_new =
       m.quantum_left <= 0
       ||
-      match thread m m.current with
-      | Some t -> t.status <> Runnable
+      match current_thread m with
+      | Some t -> not (is_runnable t)
       | None -> true
     in
     if need_new then begin
@@ -736,8 +740,8 @@ let schedule m =
           let pick = List.nth rs (Random.State.int m.rng (List.length rs)) in
           record_switch m pick.tid
     end;
-    match thread m m.current with
-    | Some t when t.status = Runnable -> Some t
+    match current_thread m with
+    | Some t as cur when is_runnable t -> cur
     | Some _ | None -> None
   end
 
@@ -849,6 +853,7 @@ let of_checkpoint ?(config = default_config) program ~input cp =
   Hashtbl.iter (Hashtbl.replace m.mem.Memory.blocks) fresh.Memory.blocks;
   m.mem.Memory.next <- fresh.Memory.next;
   m.threads <- copy_threads cp.cp_threads;
+  m.current_th <- None;
   m.next_tid <- cp.cp_next_tid;
   m.next_serial <- cp.cp_next_serial;
   Hashtbl.reset m.mutexes;

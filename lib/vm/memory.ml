@@ -22,9 +22,9 @@ let create ?(padding = 0) () =
   { cells = Hashtbl.create 4096; blocks = Hashtbl.create 64;
     next = heap_base; padding }
 
-let read m addr = match Hashtbl.find_opt m.cells addr with
-  | Some v -> v
-  | None -> 0
+(* [find] and a handler rather than [find_opt]: no option per read. *)
+let read m addr =
+  match Hashtbl.find m.cells addr with v -> v | exception Not_found -> 0
 
 let write m addr v =
   if v = 0 then Hashtbl.remove m.cells addr else Hashtbl.replace m.cells addr v

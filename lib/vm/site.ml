@@ -24,13 +24,22 @@ type row = {
 
 type table = {
   rows : row array;
-  bases : (string, int) Hashtbl.t;
+  funcs : Func.t array;  (** the program's functions, in id order *)
+  bases : int array;  (** [bases.(i)] is the first site id of [funcs.(i)] *)
 }
 
 (* Register location [r] of frame [f] is
    [((f * Reg.count + index r) lsl 1) lor 1
     = f * frame_stride + reg_off r]. *)
 let frame_stride = Reg.count lsl 1
+
+let frame_shift =
+  let rec log2 k = if 1 lsl k >= frame_stride then k else log2 (k + 1) in
+  log2 0
+
+(* the codec splits locations with a mask and a shift *)
+let () = assert (frame_stride = 1 lsl frame_shift)
+
 let reg_off r = (Reg.index r lsl 1) lor 1
 
 let is_input_instr = function
@@ -67,35 +76,34 @@ let row_of func pc instr =
   }
 
 let of_program p =
-  let funcs = Program.functions p in
-  let bases = Hashtbl.create 16 in
-  let total =
-    List.fold_left
-      (fun acc (f : Func.t) ->
-        Hashtbl.replace bases f.Func.name acc;
-        acc + Array.length f.Func.body)
-      0 funcs
-  in
+  let funcs = Array.of_list (Program.functions p) in
+  let bases = Array.make (Array.length funcs) 0 in
+  let total = ref 0 in
+  Array.iteri
+    (fun i (f : Func.t) ->
+      bases.(i) <- !total;
+      total := !total + Array.length f.Func.body)
+    funcs;
   (* programs have at least one function with at least one instruction
      (Program.make / Func.make validate that) *)
-  let f0 = List.hd funcs in
-  let rows = Array.make total (row_of f0 0 f0.Func.body.(0)) in
-  List.iter
-    (fun (f : Func.t) ->
-      let base = Hashtbl.find bases f.Func.name in
-      Array.iteri (fun pc instr -> rows.(base + pc) <- row_of f pc instr)
+  let f0 = funcs.(0) in
+  let rows = Array.make !total (row_of f0 0 f0.Func.body.(0)) in
+  Array.iteri
+    (fun i (f : Func.t) ->
+      Array.iteri (fun pc instr -> rows.(bases.(i) + pc) <- row_of f pc instr)
         f.Func.body)
     funcs;
-  { rows; bases }
+  { rows; funcs; bases }
 
 let size t = Array.length t.rows
 
-let base_opt t fname = Hashtbl.find_opt t.bases fname
+let base_of_func t f =
+  let rec find i =
+    if i >= Array.length t.funcs then -1
+    else if t.funcs.(i) == f then t.bases.(i)
+    else find (i + 1)
+  in
+  find 0
 
-let base t fname =
-  match base_opt t fname with
-  | Some b -> b
-  | None -> invalid_arg (Fmt.str "Site.base: unknown function %s" fname)
-
-let id t ~fname ~pc = base t fname + pc
 let row t i = t.rows.(i)
+let rows t = t.rows

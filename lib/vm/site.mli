@@ -8,7 +8,9 @@
     table per run at load time and shares it with every helper once;
     per-event wire traffic then shrinks to the dynamic-only fields
     plus a site id.  Ids are assigned in function-id order, [base
-    (func) + pc], so the table is an array and lookup is one load. *)
+    (func) + pc], so the table is an array and lookup is one load.
+    The base is found by the function's physical identity, never by
+    its name. *)
 
 open Dift_isa
 
@@ -42,23 +44,27 @@ val of_program : Program.t -> table
 (** Total number of sites (= static instruction count). *)
 val size : table -> int
 
-(** First site id of the named function; its pc [p] site is [base + p].
-    @raise Invalid_argument on unknown names. *)
-val base : table -> string -> int
-
-(** {!base} without the raise ([None] on unknown names) — the codec's
-    fidelity check uses it to detect events foreign to the program. *)
-val base_opt : table -> string -> int option
-
-(** [id t ~fname ~pc] = [base t fname + pc].
-    @raise Invalid_argument on unknown names. *)
-val id : table -> fname:string -> pc:int -> int
+(** First site id of a function of the program — its pc [p] site is
+    [base + p] for [0 <= p < Func.length f] — or [-1] when [f] is not
+    {e physically} one of the program's functions (a structurally
+    equal copy is foreign).  A scan of the table's dense function
+    index, built once by {!of_program}; the codec's fidelity check
+    calls it on every function switch. *)
+val base_of_func : table -> Func.t -> int
 
 val row : table -> int -> row
 
+(** Every row, indexed by site id — the table's own array, not a copy,
+    for consumers that index it per event; never mutate it. *)
+val rows : table -> row array
+
 (** Distance between the same register in consecutive activation
-    frames, in location units ([Reg.count lsl 1]). *)
+    frames, in location units ([Reg.count lsl 1]), a power of two. *)
 val frame_stride : int
+
+(** [log2 frame_stride]: a register location [l] of frame [f] with
+    offset [off] splits as [f = (l - off) lsr frame_shift]. *)
+val frame_shift : int
 
 (** Frame-relative location offset of a register. *)
 val reg_off : Reg.t -> int

@@ -225,6 +225,111 @@ let test_batch_recycling () =
         (exec_eq e (Event.view_to_exec v)))
     second
 
+(* -- site resolution edges --------------------------------------------- *)
+
+(* Encode one event alone; its descriptor, and whether it decodes back
+   exactly. *)
+let encode_one tbl (e : Event.exec) =
+  let b = Codec.batch_create ~events_per_batch:1 in
+  Codec.encode (Codec.encoder tbl) b e;
+  let r0 = Site.row tbl 0 in
+  let v = Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr in
+  Codec.decode_into tbl b 0 v;
+  (b.Codec.b_desc.(0), exec_eq e (Event.view_to_exec v))
+
+(* A machine-shaped event of [row] in activation frame [frame]. *)
+let shaped ?(func = fun (r : Site.row) -> r.Site.s_func) (row : Site.row)
+    ~frame =
+  let base = frame lsl Site.frame_shift in
+  let regs offs = Array.to_list (Array.map (fun o -> base + o) offs) in
+  let addr = if row.Site.s_mem_read || row.Site.s_mem_write then 17 else -1 in
+  {
+    Event.step = 3;
+    tid = 0;
+    func = func row;
+    pc = row.Site.s_pc;
+    instr = row.Site.s_instr;
+    reads =
+      (regs row.Site.s_read_offs
+      @ if row.Site.s_mem_read then [ addr lsl 1 ] else []);
+    writes =
+      (regs row.Site.s_write_offs
+      @ if row.Site.s_mem_write then [ addr lsl 1 ] else []);
+    addr;
+    next_pc = row.Site.s_pc + 1;
+    input_index = -1;
+    value = 5;
+  }
+
+(* Sites resolve by the function's physical identity: a copy equal in
+   every field (same name, same instruction array) is foreign and
+   rides the escape lane. *)
+let test_copied_func_escapes () =
+  let copies = Hashtbl.create 8 in
+  let copy (r : Site.row) =
+    let f = r.Site.s_func in
+    match Hashtbl.find_opt copies f.Func.name with
+    | Some c -> c
+    | None ->
+        let c = { f with Func.name = f.Func.name } in
+        Hashtbl.replace copies f.Func.name c;
+        c
+  in
+  for site = 0 to Site.size table - 1 do
+    let row = Site.row table site in
+    let desc, _ = encode_one table (shaped row ~frame:2) in
+    check Alcotest.bool (Fmt.str "site %d: own function compact" site) true
+      (desc land 1 = 1);
+    let e = shaped ~func:copy row ~frame:2 in
+    check Alcotest.bool "the copy is structurally equal" true
+      (e.Event.func = row.Site.s_func && e.Event.func != row.Site.s_func);
+    let desc, exact = encode_one table e in
+    check Alcotest.bool (Fmt.str "site %d: copy escapes" site) true (desc < 0);
+    check Alcotest.bool (Fmt.str "site %d: copy decodes exactly" site) true
+      exact
+  done
+
+(* A pc one past a function's body is the next function's first site
+   id; the event must not be encoded as that site, even when it
+   carries the very instruction interned there. *)
+let test_pc_past_body_escapes () =
+  let p = Spec_like.treesum.Workload.program in
+  let tbl = Site.of_program p in
+  let funcs = Program.functions p in
+  check Alcotest.bool "several functions" true (List.length funcs > 1);
+  List.iteri
+    (fun i (f : Func.t) ->
+      if i < List.length funcs - 1 then begin
+        let next = List.nth funcs (i + 1) in
+        let row = Site.row tbl (Site.base_of_func tbl next) in
+        let e =
+          { (shaped row ~frame:1) with Event.func = f; pc = Func.length f }
+        in
+        let desc, exact = encode_one tbl e in
+        check Alcotest.bool (Fmt.str "%s: pc past body escapes" f.Func.name)
+          true (desc < 0);
+        check Alcotest.bool (Fmt.str "%s: decodes exactly" f.Func.name) true
+          exact
+      end)
+    funcs;
+  check Alcotest.int "unknown function has no base" (-1)
+    (Site.base_of_func tbl alien_func)
+
+(* Frame serials far beyond any test stream's still split exactly by
+   the compact path's mask and shift. *)
+let test_large_frames_compact () =
+  List.iter
+    (fun frame ->
+      for site = 0 to Site.size table - 1 do
+        let row = Site.row table site in
+        let desc, exact = encode_one table (shaped row ~frame) in
+        check Alcotest.bool (Fmt.str "frame %d site %d compact" frame site) true
+          (desc land 1 = 1);
+        check Alcotest.bool (Fmt.str "frame %d site %d exact" frame site) true
+          exact
+      done)
+    [ 1 lsl 20; (1 lsl 20) + 1; (1 lsl 20) + 31; (1 lsl 33) + 5; 1 lsl 40 ]
+
 (* -- whole-run equivalence: wires, filter, runtimes, routes ----------- *)
 
 let same_result name (a : Parallel.result) (b : Parallel.result) =
@@ -320,6 +425,126 @@ let test_filter_bit_identical () =
         inline.Parallel.i_result sharded.Parallel.s_result)
     Spec_like.all
 
+(* Call-dense inputs whose frames reach serial 31 and beyond: a
+   register of frame f hashes to filter key 2f + 1, so frames 31, 63,
+   ... land on key 63 mod 64 — the bit a 64-keys-per-word bitmap
+   cannot hold. *)
+let qsort_inputs = [ (380, 1002); (380, 2000); (1350, 1000) ]
+
+let test_filter_bit_identical_qsort () =
+  let w = Spec_like.qsort in
+  List.iter
+    (fun (size, seed) ->
+      let input = w.Workload.input ~size ~seed in
+      let inline = Parallel.run_inline w.Workload.program ~input in
+      let name = Fmt.str "qsort %d/%d" size seed in
+      let filtered =
+        Parallel.run ~forward_filter:true w.Workload.program ~input
+      in
+      same_result (name ^ " filtered") inline.Parallel.i_result
+        filtered.Parallel.result;
+      let sharded =
+        Parallel.run_sharded ~forward_filter:true ~shards:2 w.Workload.program
+          ~input
+      in
+      same_result (name ^ " filtered sharded") inline.Parallel.i_result
+        sharded.Parallel.s_result)
+    qsort_inputs
+
+(* The filter against a helper that never lags, in one domain: per
+   batch, admit the events, then process the admitted ones, publish
+   their taint and advance the epoch.  Deterministic, so a filter
+   that loses live taint fails here on every run, not only on the
+   interleavings that expose it. *)
+let test_filter_emulated_qsort () =
+  let module Eng = Parallel.Bool_engine in
+  let w = Spec_like.qsort in
+  List.iter
+    (fun (size, seed) ->
+      let program = w.Workload.program in
+      let input = w.Workload.input ~size ~seed in
+      let inline = Parallel.run_inline program ~input in
+      let lf = Livefilter.create ~slots:1 () in
+      let eng = Eng.create program in
+      let sh = Eng.shadow eng in
+      let tainted l = not (Taint.Bool.is_bottom (Eng.Sh.get sh l)) in
+      let repopulate () =
+        Eng.Sh.fold
+          (fun l d () ->
+            if not (Taint.Bool.is_bottom d) then Livefilter.publish_loc lf l)
+          sh ()
+      in
+      let pending = ref [] in
+      let flush () =
+        let admitted = List.rev !pending in
+        pending := [];
+        List.iter
+          (fun e ->
+            let v = Event.view_of_exec e in
+            Eng.process_view eng v;
+            Livefilter.publish lf ~tainted v)
+          admitted;
+        match List.rev admitted with
+        | last :: _ ->
+            Livefilter.advance ~repopulate lf ~slot:0 ~step:last.Event.step
+        | [] -> ()
+      in
+      let n = ref 0 in
+      let m = Machine.create program ~input in
+      Machine.attach m
+        (Tool.make
+           ~on_exec:(fun e ->
+             if Livefilter.admit lf e then pending := e :: !pending;
+             incr n;
+             if !n mod 64 = 0 then flush ())
+           "emulated-helper");
+      ignore (Machine.run m);
+      flush ();
+      let st = Eng.stats eng in
+      let name = Fmt.str "qsort %d/%d emulated" size seed in
+      check Alcotest.bool (name ^ ": filter dropped events") true
+        (Livefilter.filtered lf > 0);
+      check Alcotest.int (name ^ ": sink hits")
+        inline.Parallel.i_result.Parallel.sink_hits st.Engine.sink_hits;
+      check Alcotest.int
+        (name ^ ": tainted locations")
+        inline.Parallel.i_result.Parallel.tainted_locations
+        (fst (Eng.shadow_footprint eng)))
+    qsort_inputs
+
+(* A published register of frame 31, 63, 95 (key 63 mod 64) must read
+   live: a filterable event reading only it is then forwarded. *)
+let test_filter_high_keys_live () =
+  List.iter
+    (fun frame ->
+      let lf = Livefilter.create ~slots:1 () in
+      let l = Loc.reg ~frame Reg.r0 in
+      let ev step =
+        {
+          Event.step;
+          tid = 0;
+          func = alien_func;
+          pc = 0;
+          instr = Instr.Mov (Reg.r1, Operand.Reg Reg.r0);
+          reads = [ l ];
+          writes = [];
+          addr = -1;
+          next_pc = 1;
+          input_index = -1;
+          value = 0;
+        }
+      in
+      check Alcotest.bool
+        (Fmt.str "frame %d: clean read filtered" frame)
+        false
+        (Livefilter.admit lf (ev 0));
+      Livefilter.publish_loc lf l;
+      check Alcotest.bool
+        (Fmt.str "frame %d: published read forwarded" frame)
+        true
+        (Livefilter.admit lf (ev 1)))
+    [ 31; 63; 95; 1023 ]
+
 (* On a taint-sparse stream the filter must actually drop traffic:
    the forwarded volume strictly shrinks, while the report stays
    whole (the dropped events are counted back in). *)
@@ -412,12 +637,24 @@ let suite =
   [
     Alcotest.test_case "batch recycling is clean" `Quick
       test_batch_recycling;
+    Alcotest.test_case "a copied function takes the escape lane" `Quick
+      test_copied_func_escapes;
+    Alcotest.test_case "a pc past the body is not the next site" `Quick
+      test_pc_past_body_escapes;
+    Alcotest.test_case "frames >= 2^20 stay compact and exact" `Quick
+      test_large_frames_compact;
     Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"
       `Quick test_wires_two_domain;
     Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both routes)"
       `Quick test_wires_sharded;
     Alcotest.test_case "forward filter is bit-identical (all kernels)"
       `Quick test_filter_bit_identical;
+    Alcotest.test_case "forward filter is bit-identical (call-dense qsort)"
+      `Quick test_filter_bit_identical_qsort;
+    Alcotest.test_case "forward filter keeps live taint (emulated qsort)"
+      `Quick test_filter_emulated_qsort;
+    Alcotest.test_case "published high keys read live" `Quick
+      test_filter_high_keys_live;
     Alcotest.test_case "forward filter strictly reduces forwarding" `Quick
       test_filter_reduces_forwarding;
     Alcotest.test_case "forward filter stands down under control taint"

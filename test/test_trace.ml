@@ -281,14 +281,20 @@ let test_merge_seqlock_storm () =
   let recorders =
     List.init 3 (fun d ->
         Domain.spawn (fun () ->
-            Trace.name_track tr (Fmt.str "storm-%d" d);
+            let name = Fmt.str "storm-%d" d in
+            Trace.name_track tr name;
             for i = 1 to per_domain do
               Trace.instant tr ~cat:"storm" (Fmt.str "e%d" i)
             done;
             (* keep mutating until the reader is done, so merges keep
-               racing live recording, not just the tail of it *)
+               racing live writes, not just the tail of them.  Renaming
+               brackets its write with the same odd epoch as recording
+               but adds no event: buffers filled by spinning made every
+               later merge sort up to the 65,536-event cap per domain,
+               and the test ran for minutes whenever the spinners got
+               there before the reader finished. *)
             while not (Atomic.get stop) do
-              Trace.instant tr ~cat:"storm" "spin";
+              Trace.name_track tr name;
               Domain.cpu_relax ()
             done))
   in

@@ -503,6 +503,103 @@ let test_input_override () =
   expect_halted o;
   check Alcotest.(list int) "override" [ 1; 99 ] (Machine.output_values m)
 
+(* -- golden event streams -------------------------------------------------
+
+   Every field of every exec event, folded into one hash per run and
+   pinned: a change to the interpreter must emit the same stream,
+   event for event, field for field. *)
+
+let mix h x = (h * 0x100000001b3) lxor x
+
+let stream_fingerprint ?config program ~input =
+  let n = ref 0 and h = ref 0x84222325 in
+  let rec locs h = function [] -> h | l :: tl -> locs (mix h l) tl in
+  let on_exec (e : Event.exec) =
+    incr n;
+    let x = mix !h e.Event.step in
+    let x = mix x e.Event.tid in
+    let x = mix x (Hashtbl.hash e.Event.func.Func.name) in
+    let x = mix x e.Event.pc in
+    let x = locs (mix x (List.length e.Event.reads)) e.Event.reads in
+    let x = locs (mix x (List.length e.Event.writes)) e.Event.writes in
+    let x = mix x e.Event.addr in
+    let x = mix x e.Event.next_pc in
+    let x = mix x e.Event.input_index in
+    h := mix x e.Event.value
+  in
+  let m = Machine.create ?config program ~input in
+  Machine.attach m (Tool.make ~on_exec "golden");
+  let o = Machine.run m in
+  (m, o, !n, !h)
+
+let golden_streams =
+  [
+    ("matmul", 29045, 1212335150259692734);
+    ("qsort", 5949, -3152660004045715055);
+    ("rle", 1999, -1067183776118183007);
+    ("search", 2893, 2583988937897917517);
+    ("hash", 863, -3770264780578267097);
+    ("crc", 607, -2314982979918530380);
+    ("sieve", 1469, -389006743779922526);
+    ("poly", 4987, 4052558416460584950);
+    ("butterfly", 5189, 3585734174036361892);
+    ("bfs", 3363, -1750444716837200258);
+    ("treesum", 1686, 4121097704259672409);
+    ("feistel", 8891, -3021539458677584877);
+    ("server", 8686, 3957123628983357391);
+    ("server+bounds", 8686, 3957123628983357391);
+  ]
+
+let golden_run name =
+  let server ?config () =
+    let b =
+      Dift_workloads.Server_sim.generate ~requests:60 ~seed:5 ~faulty:true ()
+    in
+    let config =
+      match config with
+      | Some c -> c
+      | None -> { Machine.default_config with seed = 9 }
+    in
+    stream_fingerprint ~config
+      (Dift_workloads.Server_sim.program ~workers:2 ())
+      ~input:b.Dift_workloads.Server_sim.input
+  in
+  match name with
+  | "server" -> server ()
+  | "server+bounds" ->
+      server
+        ~config:{ Machine.default_config with seed = 9; check_bounds = true }
+        ()
+  | k ->
+      let w = Dift_workloads.Spec_like.by_name k in
+      let size = match k with "matmul" -> 12 | "butterfly" -> 6 | _ -> 60 in
+      stream_fingerprint w.Dift_workloads.Workload.program
+        ~input:(w.Dift_workloads.Workload.input ~size ~seed:7)
+
+let test_golden_streams () =
+  List.iter
+    (fun (name, events, hash) ->
+      let _, _, n, h = golden_run name in
+      check Alcotest.(pair int int) (name ^ " (events, hash)") (events, hash)
+        (n, h))
+    golden_streams
+
+(* A replay of the recorded schedule emits the very same stream. *)
+let test_golden_replay () =
+  let m, _, n, h = golden_run "server" in
+  let b =
+    Dift_workloads.Server_sim.generate ~requests:60 ~seed:5 ~faulty:true ()
+  in
+  let config =
+    { Machine.default_config with schedule = Some (Machine.schedule_log m) }
+  in
+  let _, _, n', h' =
+    stream_fingerprint ~config
+      (Dift_workloads.Server_sim.program ~workers:2 ())
+      ~input:b.Dift_workloads.Server_sim.input
+  in
+  check Alcotest.(pair int int) "replayed stream" (n, h) (n', h')
+
 let suite =
   [
     Alcotest.test_case "arith" `Quick test_arith;
@@ -530,4 +627,7 @@ let suite =
     Alcotest.test_case "checkpoint/restore" `Quick test_checkpoint_restore;
     Alcotest.test_case "mark and tid" `Quick test_mark_and_tid;
     Alcotest.test_case "input override" `Quick test_input_override;
+    Alcotest.test_case "golden event streams" `Quick test_golden_streams;
+    Alcotest.test_case "replay emits the recorded stream" `Quick
+      test_golden_replay;
   ]

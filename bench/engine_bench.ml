@@ -9,9 +9,10 @@
    [reps] runs.  Two levels per (kernel, domain) pair:
 
    - engine: the whole per-event transfer function
-     ({!Dift_core.Engine.process} under the security policy) over the
-     paged shadow ({!Dift_core.Shadow.Make}) and the hashtable
-     reference ({!Dift_core.Shadow.Make_ref});
+     ({!Dift_core.Engine.process_view} under the security policy, fed
+     one reused view refilled per event as the machine fills its own)
+     over the paged shadow ({!Dift_core.Shadow.Make}) and the
+     hashtable reference ({!Dift_core.Shadow.Make_ref});
 
    - shadow: the bare location traffic of the same stream (a [get]
      per read, a [set] per write, sources injected periodically) —
@@ -46,31 +47,29 @@ let best_ns ~reps ~inner ~setup run =
   in
   go max_int (max 1 reps)
 
-(* Run the kernel once, recording every executed event. *)
-let record_events (w : Workload.t) ~size ~seed =
-  let input = w.Workload.input ~size ~seed in
-  let acc = ref [] in
-  let m = Machine.create w.Workload.program ~input in
-  Machine.attach m
-    (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "bench-collector");
-  ignore (Machine.run m);
-  Array.of_list (List.rev !acc)
-
 module Sweep (D : Taint.DOMAIN) = struct
   module EP = Engine.Make (D)
   module ER = Engine.Make_over (Shadow.Make_ref) (D)
   module SP = Shadow.Make (D)
   module SR = Shadow.Make_ref (D)
 
-  let engine_paged_ns ~reps ~inner program events =
+  let replay process eng views =
+    let v = Recording.scratch () in
+    Array.iter
+      (fun src ->
+        Recording.refill v src;
+        process eng v)
+      views
+
+  let engine_paged_ns ~reps ~inner program views =
     best_ns ~reps ~inner
       ~setup:(fun () -> EP.create ~policy:Policy.security program)
-      (fun eng -> Array.iter (EP.process eng) events)
+      (fun eng -> replay EP.process_view eng views)
 
-  let engine_ref_ns ~reps ~inner program events =
+  let engine_ref_ns ~reps ~inner program views =
     best_ns ~reps ~inner
       ~setup:(fun () -> ER.create ~policy:Policy.security program)
-      (fun eng -> Array.iter (ER.process eng) events)
+      (fun eng -> replay ER.process_view eng views)
 
   (* The bare shadow traffic of the stream: a get per read, a set per
      write.  Every 16th event writes a fresh source (so pages fill and
@@ -142,7 +141,8 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
   List.concat_map
     (fun kname ->
       let w = Spec_like.by_name kname in
-      let events = record_events w ~size ~seed in
+      let events = Recording.events w ~size ~seed in
+      let views = Recording.views w ~size ~seed in
       let n = Array.length events in
       (* replay short streams until ~[target] events are processed per
          timed measurement *)
@@ -154,8 +154,8 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
       [
         row "bool"
           {
-            paged_ns = Sweep_bool.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_bool.engine_ref_ns ~reps ~inner program events;
+            paged_ns = Sweep_bool.engine_paged_ns ~reps ~inner program views;
+            ref_ns = Sweep_bool.engine_ref_ns ~reps ~inner program views;
           }
           {
             paged_ns = Sweep_bool.shadow_paged_ns ~reps ~inner events;
@@ -163,8 +163,8 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
           };
         row "pc"
           {
-            paged_ns = Sweep_pc.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_pc.engine_ref_ns ~reps ~inner program events;
+            paged_ns = Sweep_pc.engine_paged_ns ~reps ~inner program views;
+            ref_ns = Sweep_pc.engine_ref_ns ~reps ~inner program views;
           }
           {
             paged_ns = Sweep_pc.shadow_paged_ns ~reps ~inner events;
@@ -172,8 +172,8 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(target = 100_000) () =
           };
         row "input-set"
           {
-            paged_ns = Sweep_set.engine_paged_ns ~reps ~inner program events;
-            ref_ns = Sweep_set.engine_ref_ns ~reps ~inner program events;
+            paged_ns = Sweep_set.engine_paged_ns ~reps ~inner program views;
+            ref_ns = Sweep_set.engine_ref_ns ~reps ~inner program views;
           }
           {
             paged_ns = Sweep_set.shadow_paged_ns ~reps ~inner events;

@@ -6,8 +6,12 @@
    trip through a channel whose ring is sized to hold the whole
    stream, so neither side ever blocks:
 
-   - feed: every event encoded (coded) or enqueued (boxed) — the
-     producer-side cost of the wire;
+   - feed: every event encoded (coded) or boxed and enqueued (boxed)
+     — the producer-side cost of the wire.  The recording is replayed
+     the way the machine feeds a run: one reused view is refilled per
+     event ({!Recording.refill}) and handed to [Channel.add_view], so
+     the coded leg encodes the view in place and the boxed leg builds
+     the record it ships, as each does behind the machine;
    - drain: every event decoded into the reused scratch view and run
      through a fresh Bool-taint engine — the helper-drain work the
      runtime's critical path is made of.
@@ -36,17 +40,6 @@ module Bool_engine = Engine.Make (Taint.Bool)
 
 let now_ns = Dift_obs.Clock.now_ns
 
-(* Run the kernel once, recording every executed event (same collector
-   as engine_bench / shard_bench). *)
-let record_events (w : Workload.t) ~size ~seed =
-  let input = w.Workload.input ~size ~seed in
-  let acc = ref [] in
-  let m = Machine.create w.Workload.program ~input in
-  Machine.attach m
-    (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "bench-collector");
-  ignore (Machine.run m);
-  Array.of_list (List.rev !acc)
-
 (* One trip: feed the whole pre-recorded stream, close, then drain
    into a fresh engine.  Returns (feed_ns, drain_ns, stats). *)
 let trip ~wire ~batch_size ~table program events =
@@ -56,11 +49,16 @@ let trip ~wire ~batch_size ~table program events =
       ~table ()
   in
   let eng = Bool_engine.create program in
+  let v = Recording.scratch () in
   (* the trips are short: collect pending garbage now so no major
      slice lands inside a timed region *)
   Gc.full_major ();
   let t0 = now_ns () in
-  Array.iter (Channel.add ch) events;
+  Array.iter
+    (fun src ->
+      Recording.refill v src;
+      Channel.add_view ch v)
+    events;
   Channel.close ch;
   let t1 = now_ns () in
   Channel.drain ch ~f:(Bool_engine.process_view eng);
@@ -102,7 +100,7 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(batch_size = 64) () =
         | "treesum" -> 16 * size
         | _ -> 6 * size
       in
-      let events = record_events w ~size:ksize ~seed in
+      let events = Recording.views w ~size:ksize ~seed in
       let table = lazy (Site.of_program program) in
       let boxed, bstats =
         best_trip ~reps ~wire:`Boxed ~batch_size ~table program events
@@ -165,7 +163,9 @@ let json rows =
         String
           "per (kernel, wire): the recorded stream makes one trip \
            through a channel sized to hold it whole (no blocking); \
-           feed and drain timed separately, best of reps; drain runs a \
+           feed and drain timed separately, best of reps; feed refills \
+           one reused view per event and forwards it with \
+           Channel.add_view, as behind the machine; drain runs a \
            fresh Bool-taint engine over the decoded views; \
            coded_vs_boxed = coded drain rate / boxed drain rate; \
            coded_feed_vs_boxed = coded feed time / boxed feed time" );

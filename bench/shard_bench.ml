@@ -26,24 +26,12 @@
    a point's drain rate by the one-shard rate of the same stream;
    [check_regression] gates on it. *)
 
-open Dift_vm
 open Dift_core
 open Dift_workloads
 module Router = Dift_parallel.Router
 module B = Dift_parallel.Shard_engine.Make (Taint.Bool)
 
 let now_ns = Dift_obs.Clock.now_ns
-
-(* Run the kernel once, recording every executed event (same collector
-   as engine_bench). *)
-let record_events (w : Workload.t) ~size ~seed =
-  let input = w.Workload.input ~size ~seed in
-  let acc = ref [] in
-  let m = Machine.create w.Workload.program ~input in
-  Machine.attach m
-    (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "bench-collector");
-  ignore (Machine.run m);
-  Array.of_list (List.rev !acc)
 
 (* Pre-route the stream: shard [s] receives every event whose
    participant mask names it — exactly what [Shard_engine.feed]
@@ -177,7 +165,7 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) () =
         | "treesum" -> 16 * size
         | _ -> 6 * size
       in
-      let events = record_events w ~size:ksize ~seed in
+      let events = Recording.events w ~size:ksize ~seed in
       let reference = B.sequential program (Array.to_list events) in
       let sweep =
         List.map

@@ -115,10 +115,9 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
     stats : stats;
     mutable sink_handler : (sink -> D.t -> Event.exec -> unit) option;
     mutable sink_handler_view : (sink -> D.t -> Event.view -> unit) option;
-    mutable scratch : Event.view option;
+    scratch : Event.view;
         (** reused by {!process} to present boxed records to the
-            view-based transfer function without per-event copies of
-            anything but the loc lists *)
+            view-based transfer function *)
     control : (int, thread_control) Hashtbl.t;
     mutable ctl_tid : int;  (** tid of [ctl_tc], or [min_int] *)
     mutable ctl_tc : thread_control;
@@ -144,7 +143,7 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
       stats = { events = 0; sources = 0; sink_hits = 0 };
       sink_handler = None;
       sink_handler_view = None;
-      scratch = None;
+      scratch = Event.view_blank ();
       control = Hashtbl.create 8;
       ctl_tid = min_int;
       ctl_tc = { cframes = [] };
@@ -460,17 +459,8 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
         end
 
   let process t (e : Event.exec) =
-    let v =
-      match t.scratch with
-      | Some v ->
-          Event.view_fill v e;
-          v
-      | None ->
-          let v = Event.view_of_exec e in
-          t.scratch <- Some v;
-          v
-    in
-    process_view t v
+    Event.view_fill t.scratch e;
+    process_view t t.scratch
 
   (** Expose the engine through an observability registry (derived
       gauges over the live stats and the O(1) shadow accounting). *)
@@ -498,7 +488,7 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
        | Some f -> f
        | None -> fun c -> Machine.charge machine c);
     Machine.attach machine
-      (Tool.make ~on_exec:(process t) (Fmt.str "dift-%s" D.name))
+      (Tool.make ~on_view:(process_view t) (Fmt.str "dift-%s" D.name))
 end
 
 module Make (D : Taint.DOMAIN) = Make_over (Shadow.Make) (D)

@@ -64,15 +64,14 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) : sig
   (** Tainted locations and total shadow words (memory accounting). *)
   val shadow_footprint : t -> int * int
 
-  (** The per-event transfer function (exposed for harnesses that
-      drive the engine themselves; {!attach} wires it up as a VM
-      tool). *)
-  val process : t -> Event.exec -> unit
-
-  (** The transfer function over a decoded {!Event.view} — what the
-      de-boxed forwarding plane calls per event; {!process} is this
-      plus a fill of a per-engine scratch view. *)
+  (** The per-event transfer function over an {!Event.view}, read in
+      place — the machine's own view inline ({!attach} wires it up as
+      a VM tool), a decoded one behind the forwarding plane. *)
   val process_view : t -> Event.view -> unit
+
+  (** {!process_view} over a boxed record (filled into a per-engine
+      scratch view), for harnesses that replay recorded streams. *)
+  val process : t -> Event.exec -> unit
 
   (** Register the engine's statistics in an observability registry as
       derived gauges ([core.engine.*] and [core.shadow.*]; see

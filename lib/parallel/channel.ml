@@ -15,6 +15,13 @@ type t =
 
 let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 
+(* The boxed wire ships a record: a tool's when one already asked for
+   it, otherwise one built for this channel alone. *)
+let add_view t v =
+  match t with
+  | Boxed f -> Forwarder.add f (Event.view_record v)
+  | Coded c -> Codec.feed_view c v
+
 let add t e =
   match t with Boxed f -> Forwarder.add f e | Coded c -> Codec.feed c e
 
@@ -34,18 +41,8 @@ let drain ?around_batch ?after_batch t ~f =
          boxed wire has no batch-boundary hook, so [after_batch]
          degenerates to a per-event call — a sound refinement for its
          one client, the liveness filter's epoch advance. *)
-      let scratch = ref None in
+      let v = Event.view_blank () in
       Forwarder.drain ?around_batch fwd ~f:(fun (e : Event.exec) ->
-          let v =
-            match !scratch with
-            | Some v -> v
-            | None ->
-                let v =
-                  Event.view_create ~func:e.Event.func ~instr:e.Event.instr
-                in
-                scratch := Some v;
-                v
-          in
           Event.view_fill v e;
           f v;
           match after_batch with

@@ -48,7 +48,15 @@ val wire : t -> wire
 
 (** {1 Producer side} *)
 
+(** Forward the event in the view: the coded wire encodes it in
+    place, the boxed wire ships its record
+    ({!Dift_vm.Event.view_record}, the one allocation that wire pays
+    per event and per channel). *)
+val add_view : t -> Event.view -> unit
+
+(** Forward a boxed record. *)
 val add : t -> Event.exec -> unit
+
 val flush : t -> unit
 val close : t -> unit
 

@@ -12,7 +12,8 @@
     faulting events, anything whose dynamic shape diverges from the
     static row).  The encoder verifies the compact shape element-wise
     per event, so decode is exact by construction, not by trust; the
-    check allocates nothing. *)
+    check allocates nothing.  The encoder reads the producer's view in
+    place: the machine's own, on the runtimes' hot path. *)
 
 open Dift_isa
 open Dift_vm
@@ -80,6 +81,7 @@ type encoder = {
   mutable e_func : Func.t;  (** last function seen (physical equality) *)
   mutable e_base : int;  (** its first site id, [-1] when foreign *)
   mutable e_len : int;  (** its body length *)
+  e_scratch : Event.view;  (** {!encode}'s adapter view *)
 }
 
 let encoder table =
@@ -90,6 +92,7 @@ let encoder table =
     e_func = f;
     e_base = Site.base_of_func table f;
     e_len = Array.length f.Func.body;
+    e_scratch = Event.view_blank ();
   }
 
 (* The compact-shape check.  A register location [l] matches static
@@ -107,41 +110,40 @@ let mismatch = -2
 let mem_loc expected addr =
   if not expected then -1 else if addr >= 0 then addr lsl 1 else min_int
 
-(* Walks one location list against the row's offsets, threading the
-   frame base ([-1] until a register fixes it); returns the base or
-   [mismatch]. *)
-let rec walk offs k locs base mem =
+(* Walks the valid prefix [0, n) of one location array against the
+   row's offsets, threading the frame base ([-1] until a register
+   fixes it); returns the base or [mismatch]. *)
+let rec walk offs k (locs : Loc.t array) n base mem =
   if k < Array.length offs then
-    match locs with
-    | [] -> mismatch
-    | l :: rest ->
-        let off = Array.unsafe_get offs k in
-        if base >= 0 then
-          if l = base + off then walk offs (k + 1) rest base mem else mismatch
-        else
-          let d = l - off in
-          if d >= 0 && d land frame_mask = 0 then walk offs (k + 1) rest d mem
-          else mismatch
-  else
-    match locs with
-    | [] -> if mem = -1 then base else mismatch
-    | [ l ] -> if mem >= 0 && l = mem then base else mismatch
-    | _ :: _ :: _ -> mismatch
+    if k >= n then mismatch
+    else
+      let l = Array.unsafe_get locs k in
+      let off = Array.unsafe_get offs k in
+      if base >= 0 then
+        if l = base + off then walk offs (k + 1) locs n base mem else mismatch
+      else
+        let d = l - off in
+        if d >= 0 && d land frame_mask = 0 then walk offs (k + 1) locs n d mem
+        else mismatch
+  else if n = k then if mem = -1 then base else mismatch
+  else if n = k + 1 then
+    if mem >= 0 && Array.unsafe_get locs k = mem then base else mismatch
+  else mismatch
 
 (* The common activation-frame serial of the event's locations, when
    its dynamic read/write sets match the row's static shape exactly;
    [-1] otherwise (then the explicit encoding carries the sets
    verbatim). *)
-let compact_frame (row : Site.row) (e : Event.exec) =
-  let addr = e.Event.addr in
+let compact_frame (row : Site.row) (v : Event.view) =
+  let addr = v.Event.v_addr in
   let base =
-    walk row.Site.s_read_offs 0 e.Event.reads (-1)
+    walk row.Site.s_read_offs 0 v.Event.v_reads v.Event.v_nreads (-1)
       (mem_loc row.Site.s_mem_read addr)
   in
   if base = mismatch then -1
   else
     let base =
-      walk row.Site.s_write_offs 0 e.Event.writes base
+      walk row.Site.s_write_offs 0 v.Event.v_writes v.Event.v_nwrites base
         (mem_loc row.Site.s_mem_write addr)
     in
     if base = mismatch then -1
@@ -155,14 +157,9 @@ let grow_ovf b need =
     b.b_ovf <- a
   end
 
-let rec blit_locs a j = function
-  | [] -> j
-  | l :: rest ->
-      a.(j) <- l;
-      blit_locs a (j + 1) rest
-
 (* Foreign event: carried boxed, desc = -(index + 1). *)
-let escape b i (e : Event.exec) =
+let escape b i (v : Event.view) =
+  let e = Event.view_to_exec v in
   let n = b.b_esc_n in
   if Array.length b.b_esc <= n then begin
     let a = Array.make (max 4 (2 * Array.length b.b_esc)) e in
@@ -176,54 +173,64 @@ let escape b i (e : Event.exec) =
 
 (* Shape diverges from the row: the sets go verbatim to the overflow
    area as [nreads, nwrites, reads.., writes..]. *)
-let explicit b i (e : Event.exec) =
-  let nr = List.length e.Event.reads and nw = List.length e.Event.writes in
+let explicit b i (v : Event.view) =
+  let nr = v.Event.v_nreads and nw = v.Event.v_nwrites in
   let off = b.b_ovf_n in
   grow_ovf b (off + 2 + nr + nw);
   let ovf = b.b_ovf in
   ovf.(off) <- nr;
   ovf.(off + 1) <- nw;
-  let j = blit_locs ovf (off + 2) e.Event.reads in
-  b.b_ovf_n <- blit_locs ovf j e.Event.writes;
+  (* plain loops: the sets are short, and [Array.blit] is a C call *)
+  for k = 0 to nr - 1 do
+    ovf.(off + 2 + k) <- v.Event.v_reads.(k)
+  done;
+  for k = 0 to nw - 1 do
+    ovf.(off + 2 + nr + k) <- v.Event.v_writes.(k)
+  done;
+  b.b_ovf_n <- off + 2 + nr + nw;
   b.b_desc.(i) <- off lsl 1
 
 (** Append one event ([batch_length] must be under [batch_capacity]). *)
-let encode enc b (e : Event.exec) =
+let encode_view enc b (v : Event.view) =
   let i = b.b_n in
   (* every lane has the batch's capacity (they are created together
      and never replaced), so one check covers the unchecked stores *)
   if i >= Array.length b.b_site then invalid_arg "Codec.encode: batch full";
-  Array.unsafe_set b.b_step i e.Event.step;
-  Array.unsafe_set b.b_tid i e.Event.tid;
-  Array.unsafe_set b.b_addr i e.Event.addr;
-  Array.unsafe_set b.b_value i e.Event.value;
-  Array.unsafe_set b.b_next_pc i e.Event.next_pc;
-  Array.unsafe_set b.b_input i e.Event.input_index;
+  Array.unsafe_set b.b_step i v.Event.v_step;
+  Array.unsafe_set b.b_tid i v.Event.v_tid;
+  Array.unsafe_set b.b_addr i v.Event.v_addr;
+  Array.unsafe_set b.b_value i v.Event.v_value;
+  Array.unsafe_set b.b_next_pc i v.Event.v_next_pc;
+  Array.unsafe_set b.b_input i v.Event.v_input_index;
   (* Site resolution: a function that is not physically one of the
      program's (hand-built test streams), a pc outside its body, or an
      instruction that is not physically the row's makes the event
      foreign.  The base is looked up ({!Site.base_of_func}) only when
      the function changes, so in the steady state this is a compare,
      an add and one row load. *)
-  let f = e.Event.func in
+  let f = v.Event.v_func in
   if f != enc.e_func then begin
     enc.e_func <- f;
     enc.e_base <- Site.base_of_func enc.e_table f;
     enc.e_len <- Array.length f.Func.body
   end;
-  let pc = e.Event.pc in
-  (if enc.e_base < 0 || pc < 0 || pc >= enc.e_len then escape b i e
+  let pc = v.Event.v_pc in
+  (if enc.e_base < 0 || pc < 0 || pc >= enc.e_len then escape b i v
    else
      let site = enc.e_base + pc in
      let row = Array.unsafe_get enc.e_rows site in
-     if row.Site.s_instr != e.Event.instr then escape b i e
+     if row.Site.s_instr != v.Event.v_instr then escape b i v
      else begin
        Array.unsafe_set b.b_site i site;
-       let frame = compact_frame row e in
+       let frame = compact_frame row v in
        if frame >= 0 then Array.unsafe_set b.b_desc i ((frame lsl 1) lor 1)
-       else explicit b i e
+       else explicit b i v
      end);
   b.b_n <- i + 1
+
+let encode enc b e =
+  Event.view_fill enc.e_scratch e;
+  encode_view enc b enc.e_scratch
 
 (* -- decoding ----------------------------------------------------------- *)
 
@@ -304,7 +311,6 @@ type t = {
   chaos_free : Chaos.inst option;
   events_per_batch : int;
   mutable cur : batch option;  (** producer side *)
-  mutable scratch : Event.view option;  (** consumer side *)
 }
 
 let create ?obs ?trace ?flight ?chaos ?progress ?escalate ?(ns = "parallel")
@@ -328,7 +334,6 @@ let create ?obs ?trace ?flight ?chaos ?progress ?escalate ?(ns = "parallel")
         chaos;
     events_per_batch;
     cur = None;
-    scratch = None;
   }
 
 let table t = t.table
@@ -377,10 +382,14 @@ let flush t =
         Forwarder.add_n t.fwd b b.b_n
       end
 
-let feed t e =
+let feed_view t v =
   let b = open_cur t in
-  encode t.enc b e;
+  encode_view t.enc b v;
   if b.b_n = t.events_per_batch then flush t
+
+let feed t e =
+  Event.view_fill t.enc.e_scratch e;
+  feed_view t t.enc.e_scratch
 
 let close t =
   flush t;
@@ -389,19 +398,8 @@ let close t =
 let abort t = Forwarder.abort t.fwd
 let aborted t = Forwarder.aborted t.fwd
 
-let scratch_view t =
-  match t.scratch with
-  | Some v -> v
-  | None ->
-      let r0 = Site.row t.table 0 in
-      let v =
-        Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr
-      in
-      t.scratch <- Some v;
-      v
-
 let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
-  let v = scratch_view t in
+  let v = Event.view_blank () in
   let recycle b =
     batch_clear b;
     match t.chaos_free with

@@ -79,7 +79,12 @@ type encoder
 
 val encoder : Site.table -> encoder
 
-(** Append one event to the batch (which must not be full). *)
+(** Append one event to the batch (which must not be full), reading
+    the view's fields and location arrays in place. *)
+val encode_view : encoder -> batch -> Event.view -> unit
+
+(** {!encode_view} over a boxed record (filled into the encoder's
+    scratch view). *)
 val encode : encoder -> batch -> Event.exec -> unit
 
 (** [decode_into table b i v] rebuilds event [i] of [b] into the
@@ -91,7 +96,8 @@ val decode_into : Site.table -> batch -> int -> Event.view -> unit
 (** {1 The coded channel}
 
     A drop-in counterpart of an [Event.exec Forwarder.t]: the producer
-    {!feed}s raw events, the consumer {!drain}s decoded views.  All
+    {!feed_view}s the machine's views, the consumer {!drain}s decoded
+    views.  All
     event-level accounting (events, dropped/discarded/consumed) is in
     logical events, so reports and ledgers reconcile exactly as with
     the boxed channel. *)
@@ -126,8 +132,12 @@ val table : t -> Site.table
 
 (** {2 Producer side} *)
 
-(** Encode and forward one event; ships the open batch when it
-    reaches [events_per_batch] (blocking while the ring is full). *)
+(** Encode and forward one event, read in place from the view; ships
+    the open batch when it reaches [events_per_batch] (blocking while
+    the ring is full). *)
+val feed_view : t -> Event.view -> unit
+
+(** {!feed_view} over a boxed record (filled into a scratch view). *)
 val feed : t -> Event.exec -> unit
 
 (** Ship the open partial batch, if any. *)

@@ -35,6 +35,7 @@ type t = {
       (** per-consumer: last generation whose repopulation this slot
           completed *)
   mutable resets : int;  (** producer-only: completed H clears *)
+  scratch : Event.view;  (** producer-only: {!admit}'s adapter view *)
 }
 
 let refresh_interval = 256
@@ -66,6 +67,7 @@ let create ?(page_bits = 6) ?(words = 1024) ?(reset_interval = 8192) ~slots ()
     generation = Atomic.make 0;
     acks = Array.init slots (fun _ -> Atomic.make 0);
     resets = 0;
+    scratch = Event.view_blank ();
   }
 
 (* Key of a location: (page of its index, plane).  Registers (odd
@@ -98,9 +100,8 @@ let live t loc =
   Atomic.get t.words.(w) land bit_of_key k <> 0
   || t.stamps.(w) > t.cached_min
 
-let rec any_live t = function
-  | [] -> false
-  | l :: tl -> live t l || any_live t tl
+let rec any_live t (locs : Loc.t array) i n =
+  i < n && (live t locs.(i) || any_live t locs (i + 1) n)
 
 (* Generation reset (producer side).  H is monotone, so on taint-dense
    phases it saturates and the filter stops earning its keep even
@@ -144,42 +145,46 @@ let maybe_reset t =
     end
   end
 
-let rec stamp t step = function
-  | [] -> ()
-  | l :: rest ->
-      t.stamps.(word_of_key t (key_of t l)) <- step;
-      stamp t step rest
+let stamp t step (locs : Loc.t array) n =
+  for i = 0 to n - 1 do
+    t.stamps.(word_of_key t (key_of t locs.(i))) <- step
+  done
 
-let admit t (e : Event.exec) =
+let admit_view t (v : Event.view) =
   t.since_refresh <- t.since_refresh + 1;
   if t.since_refresh >= refresh_interval then refresh_min t;
   maybe_reset t;
+  let step = v.Event.v_step in
+  let writes = v.Event.v_writes and nw = v.Event.v_nwrites in
   if t.standdown then begin
     (* H is being rebuilt: no filtering, and stamp {e every} write —
        an event whose reads are live only in a consumer's
        not-yet-republished shadow must still protect its writes *)
-    stamp t e.Event.step e.Event.writes;
-    t.fed_last <- e.Event.step;
+    stamp t step writes nw;
+    t.fed_last <- step;
     true
   end
   else begin
-    let live_in = any_live t e.Event.reads in
+    let live_in = any_live t v.Event.v_reads 0 v.Event.v_nreads in
     (* every forwarded event that may introduce taint (a source, or a
        propagation from live reads) stamps its write words, so nothing
        downstream of it can be dropped before the helper publishes H *)
-    if live_in || Site.is_input_instr e.Event.instr then
-      stamp t e.Event.step e.Event.writes;
+    if live_in || Site.is_input_instr v.Event.v_instr then
+      stamp t step writes nw;
     let forward =
-      (not (Site.filterable_instr e.Event.instr))
+      (not (Site.filterable_instr v.Event.v_instr))
       || live_in
       (* untainted writes over possibly-tainted locations clear taint
          in the helper's shadow — they must go through *)
-      || any_live t e.Event.writes
+      || any_live t writes 0 nw
     in
-    if forward then t.fed_last <- e.Event.step
-    else t.filtered <- t.filtered + 1;
+    if forward then t.fed_last <- step else t.filtered <- t.filtered + 1;
     forward
   end
+
+let admit t e =
+  Event.view_fill t.scratch e;
+  admit_view t t.scratch
 
 let filtered t = t.filtered
 let resets t = t.resets

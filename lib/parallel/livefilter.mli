@@ -82,8 +82,13 @@ val create :
 
 (** {1 Producer side} *)
 
-(** [admit t e] decides whether to forward [e], updating stamps and
-    the filtered count (site class from {!Dift_vm.Site.filterable_instr}). *)
+(** [admit_view t v] decides whether to forward the event in [v],
+    updating stamps and the filtered count (site class from
+    {!Dift_vm.Site.filterable_instr}).  Reads [v] in place: the
+    runtimes call it on the machine's live view. *)
+val admit_view : t -> Event.view -> bool
+
+(** {!admit_view} over a boxed record (filled into a scratch view). *)
 val admit : t -> Event.exec -> bool
 
 (** Events dropped so far (producer-side counter). *)

@@ -91,8 +91,22 @@ let pp_error ppf e =
    negative even if the system clock steps mid-run. *)
 let now_ns = Dift_obs.Clock.now_ns
 
-(* Order-sensitive accumulation: h' = hash (h, observation). *)
-let mix h obs = Hashtbl.hash (h, obs)
+(* The sink trace: an order-sensitive accumulation of every sink
+   observation (step, sink, taint), one integer mix per sink event and
+   no allocation.  Every runtime folds the same observations in step
+   order, so the hashes agree across configurations. *)
+let sink_code : Engine.sink -> int = function
+  | Engine.Sink_icall -> 0
+  | Engine.Sink_output -> 1
+  | Engine.Sink_check -> 2
+  | Engine.Sink_store_address -> 3
+  | Engine.Sink_load_address -> 4
+  | Engine.Sink_branch -> 5
+
+let mix h sink taint step =
+  let x = (step lsl 4) lor (sink_code sink lsl 1) lor Bool.to_int taint in
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 29)
 
 let taint_fingerprint eng =
   let sh = Bool_engine.shadow eng in
@@ -100,16 +114,17 @@ let taint_fingerprint eng =
   |> List.sort compare |> Hashtbl.hash
 
 (* Shared between the inline and the parallel paths: an engine whose
-   sink observations feed the trace hash (and the client callback),
-   with modelled-cycle charging disabled — this runtime measures wall
-   clock, not the cycle model. *)
+   sink observations feed the trace hash, read off the view, and the
+   client callback, the only one that needs each sink's record — with
+   modelled-cycle charging disabled: this runtime measures wall clock,
+   not the cycle model. *)
 let make_engine ?policy ?on_sink program =
   let eng = Bool_engine.create ?policy program in
   Bool_engine.set_charge eng ignore;
   let trace = ref 0 in
-  Bool_engine.on_sink eng (fun sink taint e ->
-      trace := mix !trace (Engine.sink_to_string sink, taint, e.Event.step);
-      match on_sink with Some f -> f sink taint e | None -> ());
+  Bool_engine.on_sink_view eng (fun sink taint v ->
+      trace := mix !trace sink taint v.Event.v_step);
+  (match on_sink with Some f -> Bool_engine.on_sink eng f | None -> ());
   (eng, trace)
 
 let result_of eng trace outcome =
@@ -435,11 +450,11 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
           let m = Machine.create ?config program ~input in
           Machine.attach m
             (Tool.make ~dispatch_cost:0
-               ~on_exec:(fun ev ->
+               ~on_view:(fun v ->
                  incr total;
-                 if ev.Event.step > cut then begin
+                 if v.Event.v_step > cut then begin
                    incr replayed;
-                   Bool_engine.process eng ev
+                   Bool_engine.process_view eng v
                  end)
                "degraded-inline-dift");
           Machine.run m
@@ -485,13 +500,14 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       (match trace with
       | Some tr -> Dift_obs.Trace.name_track tr "app"
       | None -> ());
-      let on_exec =
+      let on_view =
         match lf with
-        | None -> fun e -> Channel.add fwd e
-        | Some l -> fun e -> if Livefilter.admit l e then Channel.add fwd e
+        | None -> Channel.add_view fwd
+        | Some l ->
+            fun v -> if Livefilter.admit_view l v then Channel.add_view fwd v
       in
       Machine.attach m
-        (Tool.make ~dispatch_cost:0 ~on_exec "parallel-dift-forwarder");
+        (Tool.make ~dispatch_cost:0 ~on_view "parallel-dift-forwarder");
       let t0 = now_ns () in
       let run_machine () =
         match trace with
@@ -588,7 +604,7 @@ let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
       Obs_tool.attach reg m
   | None -> ());
   Machine.attach m
-    (Tool.make ~dispatch_cost:0 ~on_exec:(Bool_engine.process eng)
+    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
        "inline-dift");
   let t0 = now_ns () in
   let outcome =
@@ -642,6 +658,8 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       ?chaos ?watchdog ~queue_capacity ~batch_size ?xchg_capacity ~wire
       ?filter:lf ~shards program
   in
+  (* shards build a sink's record only for a client callback *)
+  if Option.is_some on_sink then Bool_shards.record_sink_events c;
   let t_start = now_ns () in
   let partial () =
     Array.fold_left
@@ -731,7 +749,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
           let eng, sink_trace = make_engine ?policy ?on_sink program in
           let m = Machine.create ?config program ~input in
           Machine.attach m
-            (Tool.make ~dispatch_cost:0 ~on_exec:(Bool_engine.process eng)
+            (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
                "degraded-inline-dift");
           let outcome = Machine.run m in
           result_of eng sink_trace outcome
@@ -781,8 +799,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
       | Some tr -> Dift_obs.Trace.name_track tr "app"
       | None -> ());
       Machine.attach m
-        (Tool.make ~dispatch_cost:0
-           ~on_exec:(Bool_shards.feed c)
+        (Tool.make ~dispatch_cost:0 ~on_view:(Bool_shards.feed_view c)
            "sharded-dift-router");
       let t0 = now_ns () in
       let run_machine () =
@@ -840,14 +857,13 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
                  step order. *)
               let sink_trace_hash =
                 List.fold_left
-                  (fun h (step, sink, taint, _) ->
-                    mix h (Engine.sink_to_string sink, taint, step))
+                  (fun h (step, sink, taint, _) -> mix h sink taint step)
                   0 merged.Bool_shards.m_sinks
               in
               (match on_sink with
               | Some f ->
                   List.iter
-                    (fun (_, sink, taint, e) -> f sink taint e)
+                    (fun (_, sink, taint, e) -> f sink taint (Option.get e))
                     merged.Bool_shards.m_sinks
               | None -> ());
               Ok

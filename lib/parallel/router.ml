@@ -43,24 +43,15 @@ let owns t shard loc = shard_of_loc t loc = shard
    the owner of the first write if any (it keeps most stores local),
    else the owner of the first read (sink-only events such as [Br] and
    [Sys Write] evaluate where their operand taint lives), else a
-   step-round-robin shard for events touching no tracked location. *)
-let home_of t (e : Event.exec) =
-  match e.writes with
-  | w :: _ -> shard_of_loc t w
-  | [] -> (
-      match e.reads with
-      | r :: _ -> shard_of_loc t r
-      | [] -> e.step mod t.shards)
+   step-round-robin shard for events touching no tracked location.
+   Views are read in place, so the feeding domain (the machine's view)
+   and a draining shard (its decoded view) reach the same verdict for
+   the same event. *)
+let home_of_view t (v : Event.view) =
+  if v.Event.v_nwrites > 0 then shard_of_loc t v.Event.v_writes.(0)
+  else if v.Event.v_nreads > 0 then shard_of_loc t v.Event.v_reads.(0)
+  else v.Event.v_step mod t.shards
 
-let mask_of_locs t locs =
-  List.fold_left (fun m l -> m lor (1 lsl shard_of_loc t l)) 0 locs
-
-let participants t (e : Event.exec) =
-  (1 lsl home_of t e) lor mask_of_locs t e.reads lor mask_of_locs t e.writes
-
-(* View-based variants over the decoded wire: same arithmetic on the
-   view's scratch arrays, so the feeding domain (exec) and a draining
-   shard (view) always reach the same verdict for the same event. *)
 let mask_of_arr t arr n =
   let m = ref 0 in
   for i = 0 to n - 1 do
@@ -68,15 +59,15 @@ let mask_of_arr t arr n =
   done;
   !m
 
-let home_of_view t (v : Event.view) =
-  if v.Event.v_nwrites > 0 then shard_of_loc t v.Event.v_writes.(0)
-  else if v.Event.v_nreads > 0 then shard_of_loc t v.Event.v_reads.(0)
-  else v.Event.v_step mod t.shards
-
 let participants_view t (v : Event.view) =
   (1 lsl home_of_view t v)
   lor mask_of_arr t v.Event.v_reads v.Event.v_nreads
   lor mask_of_arr t v.Event.v_writes v.Event.v_nwrites
+
+(* The record forms take a fresh view rather than a scratch one: a
+   router is a pure value that every domain of a run shares. *)
+let home_of t e = home_of_view t (Event.view_of_exec e)
+let participants t e = participants_view t (Event.view_of_exec e)
 
 let is_local mask = mask land (mask - 1) = 0
 

@@ -60,11 +60,13 @@ val home_of : t -> Event.exec -> int
     one-bit mask means the event is purely local to that shard. *)
 val participants : t -> Event.exec -> int
 
-(** {!home_of} over a decoded {!Event.view} — same arithmetic, so
-    feeder and shard agree on the verdict for the same event. *)
+(** {!home_of} over an {!Event.view}, read in place — the machine's
+    view on the feeding domain, a decoded one on a shard, so both
+    agree on the verdict for the same event.  {!home_of} is this over
+    a fresh view of the record. *)
 val home_of_view : t -> Event.view -> int
 
-(** {!participants} over a decoded {!Event.view}. *)
+(** {!participants} over an {!Event.view}, read in place. *)
 val participants_view : t -> Event.view -> int
 
 (** [is_local mask] — does this participant mask name exactly one

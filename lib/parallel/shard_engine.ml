@@ -132,8 +132,11 @@ module Make (D : Taint.DOMAIN) = struct
     w_scratch : Event.view;
         (** refilled per event on the boxed {!handle} path; coded
             drains hand their own scratch view to {!handle_view} *)
-    mutable sinks : (int * Engine.sink * D.t * Event.exec) list;
+    mutable sinks : (int * Engine.sink * D.t * Event.exec option) list;
         (** newest first *)
+    mutable sink_events : bool;
+        (** record each sink's event record too (for a client sink
+            callback); off, recording a sink allocates no record *)
     mutable w_handled : int;
     mutable sent : int;
     mutable received : int;
@@ -174,6 +177,7 @@ module Make (D : Taint.DOMAIN) = struct
         w_scratch =
           Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0);
         sinks = [];
+        sink_events = false;
         w_handled = 0;
         sent = 0;
         received = 0;
@@ -182,8 +186,9 @@ module Make (D : Taint.DOMAIN) = struct
       }
     in
     if record_sinks then
-      E.on_sink eng (fun sink taint e ->
-          w.sinks <- (e.Event.step, sink, taint, e) :: w.sinks);
+      E.on_sink_view eng (fun sink taint v ->
+          let e = if w.sink_events then Some (Event.view_to_exec v) else None in
+          w.sinks <- (v.Event.v_step, sink, taint, e) :: w.sinks);
     w
 
   let engine w = w.eng
@@ -365,7 +370,7 @@ module Make (D : Taint.DOMAIN) = struct
     m_events : int;
     m_sources : int;
     m_sink_hits : int;
-    m_sinks : (int * Engine.sink * D.t * Event.exec) list;
+    m_sinks : (int * Engine.sink * D.t * Event.exec option) list;
     m_tainted_locations : int;
     m_shadow_words : int;
     m_fingerprint : int;
@@ -456,6 +461,7 @@ module Make (D : Taint.DOMAIN) = struct
     workers : worker array;
     chans : Channel.t array;
     c_filter : Livefilter.t option;
+    c_scratch : Event.view;  (** {!feed}'s adapter view *)
     clocks : shard_clock array;
     c_trace : Dift_obs.Trace.t option;
     c_flight : Dift_obs.Flight.t option;
@@ -524,6 +530,7 @@ module Make (D : Taint.DOMAIN) = struct
         workers;
         chans;
         c_filter = filter;
+        c_scratch = Event.view_blank ();
         clocks;
         c_trace = trace;
         c_flight = flight;
@@ -579,27 +586,50 @@ module Make (D : Taint.DOMAIN) = struct
   let exchange_messages c =
     Array.fold_left (fun acc w -> acc + w.sent) 0 c.workers
 
-  let feed c e =
+  let record_sink_events c =
+    Array.iter (fun w -> w.sink_events <- true) c.workers
+
+  (* Deliver to, or flush, every shard of a participant mask, in
+     ascending shard order as {!Router.iter_shards} does, without a
+     closure per event. *)
+  let rec add_mask chans v mask s =
+    if mask <> 0 then begin
+      if mask land 1 = 1 then Channel.add_view chans.(s) v;
+      add_mask chans v (mask lsr 1) (s + 1)
+    end
+
+  let rec flush_mask chans mask s =
+    if mask <> 0 then begin
+      if mask land 1 = 1 then Channel.flush chans.(s);
+      flush_mask chans (mask lsr 1) (s + 1)
+    end
+
+  let feed_view c v =
     let forward =
       match c.c_filter with
       | None -> true
-      | Some lf -> Livefilter.admit lf e
+      | Some lf -> Livefilter.admit_view lf v
     in
     if forward then
       match c.c_route with
-      | `Broadcast -> Array.iter (fun ch -> Channel.add ch e) c.chans
+      | `Broadcast ->
+          for s = 0 to Array.length c.chans - 1 do
+            Channel.add_view c.chans.(s) v
+          done
       | `Request_reply ->
-          let mask = Router.participants c.c_router e in
-          if Router.is_local mask then
-            Router.iter_shards mask (fun s -> Channel.add c.chans.(s) e)
-          else begin
+          let mask = Router.participants_view c.c_router v in
+          add_mask c.chans v mask 0;
+          if not (Router.is_local mask) then begin
             c.cross <- c.cross + 1;
-            Router.iter_shards mask (fun s -> Channel.add c.chans.(s) e);
             (* flush every participant: no copy of a cross-shard event
                may sit in an open batch while a peer shard blocks
                awaiting one of its exchange legs *)
-            Router.iter_shards mask (fun s -> Channel.flush c.chans.(s))
+            flush_mask c.chans mask 0
           end
+
+  let feed c e =
+    Event.view_fill c.c_scratch e;
+    feed_view c c.c_scratch
 
   let spawn_one c s w =
     (* chaos [Spawn] interception: any non-Proceed action models

@@ -208,8 +208,9 @@ module Make (D : Taint.DOMAIN) : sig
     m_events : int;  (** engine events (each event has one home) *)
     m_sources : int;  (** taint injections *)
     m_sink_hits : int;  (** sinks reached by non-bottom taint *)
-    m_sinks : (int * Engine.sink * D.t * Event.exec) list;
-        (** every sink callback, globally step-ordered *)
+    m_sinks : (int * Engine.sink * D.t * Event.exec option) list;
+        (** every sink callback, globally step-ordered; the event
+            record is [Some] only after {!record_sink_events} *)
     m_tainted_locations : int;  (** summed over disjoint shards *)
     m_shadow_words : int;  (** summed over disjoint shards *)
     m_fingerprint : int;
@@ -293,10 +294,20 @@ module Make (D : Taint.DOMAIN) : sig
   (** The cluster's routing topology. *)
   val router : cluster -> Router.t
 
-  (** Route one event from the application domain: deliver it to every
-      participant shard's inbound channel, flushing all of them when
-      the event crosses shards (see {!Forwarder.flush}).  [`Broadcast]
-      delivers every event to every shard. *)
+  (** Have every recording shard keep each sink event's record
+      ({!Event.view_to_exec}) in {!merged.m_sinks}, for a client sink
+      callback run after the join.  Call before {!start}; without it a
+      sink costs its shard no record. *)
+  val record_sink_events : cluster -> unit
+
+  (** Route one event from the application domain, read in place from
+      its view: deliver it to every participant shard's inbound
+      channel, flushing all of them when the event crosses shards (see
+      {!Forwarder.flush}).  [`Broadcast] delivers every event to every
+      shard. *)
+  val feed_view : cluster -> Event.view -> unit
+
+  (** {!feed_view} over a boxed record (filled into a scratch view). *)
   val feed : cluster -> Event.exec -> unit
 
   (** Spawn one helper domain per shard, each draining its inbound

@@ -115,10 +115,11 @@ let run ?(config = Machine.default_config) ?(checkpoint_every = 20_000)
          natively re-executed (the replayer of [6] skips them); their
          instructions cost nothing in the model.  A second relevance
          filter drives the cost gate — mark handling is idempotent, so
-         feeding marks to both filters is safe. *)
+         feeding marks to both filters is safe.  The event's record is
+         shared with the tracer's tool, so the gate builds nothing. *)
       let cost_filter = relevance_filter plan in
-      Machine.set_step_cost m3 (fun e ->
-          if cost_filter e then Cost.base_instr else 0);
+      Machine.set_step_cost m3 (fun v ->
+          if cost_filter (Event.view_to_exec v) then Cost.base_instr else 0);
       (* restoring the checkpoint costs one pass over its words *)
       Machine.charge m3 (cp_words * Cost.checkpoint_word);
       let outcome3 = Machine.run m3 in

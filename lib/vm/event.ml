@@ -1,10 +1,6 @@
-(** Events observed by instrumentation tools.
-
-    One {!exec} record is produced for every executed instruction; it
-    carries everything a DBI tool sees: the dynamic instance identity
-    (global step number), the static site (function, pc), the locations
-    read and written, the effective memory address for loads/stores,
-    and the resolved control-flow target. *)
+(** Events observed by instrumentation tools: the machine's reusable
+    {!view} and the {!exec} record built from it on demand; see the
+    interface for the view's lifetime rule. *)
 
 open Dift_isa
 
@@ -51,11 +47,12 @@ type exec = {
 
 let is_branch e = match e.instr with Instr.Br _ -> true | _ -> false
 
-(* A mutable, array-backed projection of [exec].  The read/write sets
-   live in reusable scratch arrays ([v_nreads]/[v_nwrites] valid
-   prefixes) so a decoder can refill one view per event without
-   allocating; [v_exec] caches the boxed record so that views filled
-   {e from} an exec hand the original back for free. *)
+(* A mutable, array-backed form of [exec].  The read/write sets live
+   in reusable scratch arrays ([v_nreads]/[v_nwrites] valid prefixes)
+   so the machine and the decoders can refill one view per event
+   without allocating; [v_exec] caches the boxed record, so that views
+   filled {e from} an exec hand the original back for free and every
+   tool asking for the record of one event gets the same one. *)
 type view = {
   mutable v_step : int;
   mutable v_tid : int;
@@ -90,6 +87,9 @@ let view_create ~func ~instr =
     v_value = 0;
     v_exec = None;
   }
+
+let placeholder = { Func.name = ""; arity = 0; body = [| Instr.Nop |] }
+let view_blank () = view_create ~func:placeholder ~instr:Instr.Nop
 
 (* Blit a loc list into a scratch array, growing it when needed;
    returns the (possibly fresh) array and the filled length. *)
@@ -131,30 +131,43 @@ let view_of_exec e =
   view_fill v e;
   v
 
-let rec locs_of arr i n = if i >= n then [] else arr.(i) :: locs_of arr (i + 1) n
+(* The prefix [0, n) as a list, built back to front; the common short
+   sets are built in one allocation, without a call per cell. *)
+let rec locs_from (arr : Loc.t array) i acc =
+  if i < 0 then acc else locs_from arr (i - 1) (arr.(i) :: acc)
 
-(* Materialise (and cache) the boxed record.  The loc lists are built
-   fresh from the array prefixes, so the result is safe to retain past
-   the next [view_fill]. *)
+let[@inline] locs_of (arr : Loc.t array) n =
+  match n with
+  | 0 -> []
+  | 1 -> [ arr.(0) ]
+  | 2 -> [ arr.(0); arr.(1) ]
+  | _ -> locs_from arr (n - 1) []
+
+(* The boxed record: the cached one, or one built fresh from the
+   array prefixes — safe to retain past the next fill. *)
+let view_record v =
+  match v.v_exec with
+  | Some e -> e
+  | None ->
+      {
+        step = v.v_step;
+        tid = v.v_tid;
+        func = v.v_func;
+        pc = v.v_pc;
+        instr = v.v_instr;
+        reads = locs_of v.v_reads v.v_nreads;
+        writes = locs_of v.v_writes v.v_nwrites;
+        addr = v.v_addr;
+        next_pc = v.v_next_pc;
+        input_index = v.v_input_index;
+        value = v.v_value;
+      }
+
 let view_to_exec v =
   match v.v_exec with
   | Some e -> e
   | None ->
-      let e =
-        {
-          step = v.v_step;
-          tid = v.v_tid;
-          func = v.v_func;
-          pc = v.v_pc;
-          instr = v.v_instr;
-          reads = locs_of v.v_reads 0 v.v_nreads;
-          writes = locs_of v.v_writes 0 v.v_nwrites;
-          addr = v.v_addr;
-          next_pc = v.v_next_pc;
-          input_index = v.v_input_index;
-          value = v.v_value;
-        }
-      in
+      let e = view_record v in
       v.v_exec <- Some e;
       e
 

@@ -1,17 +1,19 @@
 (** Events observed by instrumentation tools.
 
-    One {!exec} record is produced for every executed instruction; it
-    carries everything a DBI tool sees: the dynamic instance identity
-    (global step number), the static site (function, pc), the
-    locations read and written, the effective memory address for
-    loads/stores, and the resolved control-flow target.
+    Every executed instruction is described by one event: the dynamic
+    instance identity (global step number), the static site (function,
+    pc), the locations read and written, the effective memory address
+    for loads/stores, and the resolved control-flow target.  The
+    machine writes it into one reusable {!view}; {!exec} is the same
+    event as an immutable record, built from the view on demand
+    ({!view_to_exec}) for tools that keep events.
 
     This is also the paper's §2.1 forwarding set — the memory
     addresses/values, input words and control-flow outcomes a main
     core must send to a DIFT helper core because the helper cannot
     reconstruct them from the static code; the multicore runtimes
     ([Dift_multicore.Helper] simulated, [Dift_parallel] real)
-    forward exactly these records. *)
+    forward exactly these events. *)
 
 open Dift_isa
 
@@ -57,12 +59,19 @@ type exec = {
   value : int;  (** primary value produced/written, or [0] *)
 }
 
-(** A mutable, array-backed projection of {!exec}, designed to be
-    refilled in place: the read/write sets live in reusable scratch
-    arrays of which the first [v_nreads]/[v_nwrites] entries are
-    valid.  The de-boxed forwarding plane decodes wire batches into
-    one reused view per helper (zero allocation per event); the
-    engine's transfer function consumes views directly. *)
+(** A mutable, array-backed form of {!exec}, designed to be refilled
+    in place: the read/write sets live in reusable scratch arrays of
+    which the first [v_nreads]/[v_nwrites] entries are valid, in the
+    same order as {!exec}'s lists.  The machine fills one view per
+    instruction and hands it to every tool; the de-boxed forwarding
+    plane decodes wire batches into one reused view per helper; the
+    engine's transfer function, the encoder, the liveness filter and
+    the router read views in place.
+
+    {b Lifetime.}  A view handed to a callback is valid only for the
+    duration of that call: its owner refills it for the next event.
+    To keep an event, take its record with {!view_to_exec} (or build
+    the tool with [Tool.make ~on_exec]). *)
 type view = {
   mutable v_step : int;
   mutable v_tid : int;
@@ -87,6 +96,10 @@ type view = {
     first fill). *)
 val view_create : func:Func.t -> instr:Instr.t -> view
 
+(** A blank reusable view for an owner that has no program at hand
+    ([func]/[instr] are placeholders until the first fill). *)
+val view_blank : unit -> view
+
 (** Refill [view] from a boxed record (grows the scratch arrays as
     needed, never shrinks them) and cache the record itself. *)
 val view_fill : view -> exec -> unit
@@ -97,8 +110,15 @@ val view_of_exec : exec -> view
 (** The boxed record for this view: the cached original when there is
     one, otherwise a freshly materialised (and then cached) record
     whose loc lists are copied out of the scratch arrays — safe to
-    retain after the view is refilled. *)
+    retain after the view is refilled.  Every caller between two fills
+    gets the physically same record. *)
 val view_to_exec : view -> exec
+
+(** {!view_to_exec} without caching: the cached record when there is
+    one, otherwise a fresh one that only the caller holds.  For a
+    consumer that ships the record away (the boxed wire) and so has no
+    one to share it with; caching costs a write barrier per event. *)
+val view_record : view -> exec
 
 val is_branch : exec -> bool
 val pp_fault_kind : fault_kind Fmt.t

@@ -106,10 +106,13 @@ type t = {
   mutable outcome : Event.outcome option;
   mutable dispatch_cycles : int;
       (** summed per-instruction dispatch cost of the attached tools *)
-  mutable step_cost : Event.exec -> int;
-      (** base cost of executing one instruction; replay harnesses
-          override it to fast-forward log-applied (irrelevant)
-          regions *)
+  mutable step_cost : (Event.view -> int) option;
+      (** base cost of executing one instruction, {!Cost.base_instr}
+          when [None]; replay harnesses override it to fast-forward
+          log-applied (irrelevant) regions *)
+  view : Event.view;
+      (** the one event: refilled in place for every instruction and
+          handed to every tool *)
 }
 
 exception Replay_divergence of string
@@ -126,6 +129,19 @@ let fresh_activation m func ~ret_dst ~caller =
     ret_dst;
     caller;
   }
+
+(* The machine's view, with scratch arrays that hold the widest event
+   without growing: a call reads every argument register plus an
+   indirect target, and writes every callee argument register. *)
+let event_view program =
+  let v =
+    Event.view_create
+      ~func:(Program.find program (Program.entry program))
+      ~instr:Instr.Nop
+  in
+  v.Event.v_reads <- Array.make (Reg.count + 2) 0;
+  v.Event.v_writes <- Array.make (Reg.count + 2) 0;
+  v
 
 let create ?(config = default_config) program ~input =
   let input =
@@ -164,7 +180,8 @@ let create ?(config = default_config) program ~input =
       stop_request = None;
       outcome = None;
       dispatch_cycles = 0;
-      step_cost = (fun _ -> Cost.base_instr);
+      step_cost = None;
+      view = event_view program;
     }
   in
   let main = Program.find program (Program.entry program) in
@@ -178,7 +195,7 @@ let attach m tool =
   m.dispatch_cycles <- m.dispatch_cycles + tool.Tool.dispatch_cost
 
 (** Override the per-instruction base cost (replay fast-forwarding). *)
-let set_step_cost m f = m.step_cost <- f
+let set_step_cost m f = m.step_cost <- Some f
 
 (** Charge extra modelled cycles (used by tools for their overhead). *)
 let charge m n = m.cycles <- m.cycles + n
@@ -243,18 +260,9 @@ let idx (r : Reg.t) = (r :> int)
 (* = [Loc.reg ~frame:act.serial r], without a call per register *)
 let reg_loc act r = act.loc_base + (idx r lsl 1)
 
-(* Operands are read in two halves so that no (value, locations) pair
-   is built: the value, and the operand's register location consed
-   onto a tail — read sets are assembled back to front, each cell
-   allocated once. *)
 let operand_value act = function
   | Operand.Imm n -> n
   | Operand.Reg r -> act.regs.(idx r)
-
-let operand_locs act o tail =
-  match o with
-  | Operand.Imm _ -> tail
-  | Operand.Reg r -> reg_loc act r :: tail
 
 (* Value replacement (§3.1): substitute the value produced at a chosen
    dynamic step. *)
@@ -294,94 +302,112 @@ type step_result =
   | Executed
   | Did_block  (** thread could not proceed; nothing was emitted *)
 
-let rec emit_to (e : Event.exec) = function
+(* Read and write sets go straight into the view's arrays, in the
+   order tools have always seen them (operands left to right, a load's
+   memory cell after its address register).  [exec_instr] empties both
+   before each instruction. *)
+let[@inline] add_read (v : Event.view) l =
+  let n = v.Event.v_nreads in
+  v.Event.v_reads.(n) <- l;
+  v.Event.v_nreads <- n + 1
+
+let[@inline] add_write (v : Event.view) l =
+  let n = v.Event.v_nwrites in
+  v.Event.v_writes.(n) <- l;
+  v.Event.v_nwrites <- n + 1
+
+let[@inline] add_operand v act = function
+  | Operand.Imm _ -> ()
+  | Operand.Reg r -> add_read v (reg_loc act r)
+
+let rec emit_to (v : Event.view) = function
   | [] -> ()
   | (t : Tool.t) :: rest ->
-      t.Tool.on_exec e;
-      emit_to e rest
+      t.Tool.on_view v;
+      emit_to v rest
 
-(* Account one executed instruction and hand its event to the tools. *)
-let dispatch m e =
-  m.step_count <- m.step_count + 1;
-  m.cycles <- m.cycles + m.step_cost e + m.dispatch_cycles;
-  emit_to e m.tools
+(* Complete the view's scalar fields, account the instruction and hand
+   the view to the tools.  Plain labelled arguments, so that no closure
+   or option is built per instruction.  A run that nobody observes (no
+   tool, the default step cost) skips the fill: its instructions are
+   only counted. *)
+let dispatch m th instr ~func ~pc ~addr ~input_index ~value ~next_pc =
+  match (m.tools, m.step_cost) with
+  | [], None ->
+      m.step_count <- m.step_count + 1;
+      m.cycles <- m.cycles + Cost.base_instr
+  | tools, step_cost ->
+      let v = m.view in
+      v.Event.v_step <- m.step_count;
+      v.Event.v_tid <- th.tid;
+      v.Event.v_pc <- pc;
+      v.Event.v_addr <- addr;
+      v.Event.v_next_pc <- next_pc;
+      v.Event.v_input_index <- input_index;
+      v.Event.v_value <- value;
+      (* pointer fields pay a write barrier: the function only when it
+         changes, the record only when a tool asked for the last
+         event's, the instruction last, with little left to spill *)
+      if v.Event.v_func != func then v.Event.v_func <- func;
+      (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
+      v.Event.v_instr <- instr;
+      m.step_count <- m.step_count + 1;
+      let base = match step_cost with None -> Cost.base_instr | Some f -> f v in
+      m.cycles <- m.cycles + base + m.dispatch_cycles;
+      emit_to v tools
 
-(* The event of the instruction at [th]'s current site; the thread then
-   continues at [next_pc].  Every instruction except the two call forms
-   (whose event reports the call site after the pc has moved) is
-   emitted through here, with plain labelled arguments so that no
-   closure or option is built per instruction. *)
-let emit m th instr ~reads ~writes ~addr ~input_index ~value ~next_pc =
+(* The event of the instruction at [th]'s current site, whose read and
+   write sets are already in the view; the thread then continues at
+   [next_pc].  Every instruction except the two call forms (whose
+   event reports the call site after the pc has moved) is emitted
+   through here. *)
+let emit m th instr ~addr ~input_index ~value ~next_pc =
   let act = th.act in
-  let e =
-    {
-      Event.step = m.step_count;
-      tid = th.tid;
-      func = act.func;
-      pc = act.pc;
-      instr;
-      reads;
-      writes;
-      addr;
-      next_pc;
-      input_index;
-      value;
-    }
-  in
+  let pc = act.pc in
   act.pc <- next_pc;
-  dispatch m e;
+  dispatch m th instr ~func:act.func ~pc ~addr ~input_index ~value ~next_pc;
   Executed
 
 (* No memory address and no input word: every shape but Load, Store and
    Read. *)
-let emit_plain m th instr ~reads ~writes ~value ~next_pc =
-  emit m th instr ~reads ~writes ~addr:(-1) ~input_index:(-1) ~value ~next_pc
+let emit_plain m th instr ~value ~next_pc =
+  emit m th instr ~addr:(-1) ~input_index:(-1) ~value ~next_pc
 
-(* A faulting instruction: its event is emitted first, so slicing can
-   start from it, and the thread stays at the pc. *)
-let emit_fault m th instr ~reads ~value kind =
-  let r = emit_plain m th instr ~reads ~writes:[] ~value ~next_pc:th.act.pc in
+(* A faulting instruction: its event (reads only) is emitted first, so
+   slicing can start from it, and the thread stays at the pc. *)
+let emit_fault m th instr ~value kind =
+  let r = emit_plain m th instr ~value ~next_pc:th.act.pc in
   fault m th kind;
   r
 
 (* Most system instructions: one operand read, its value reported. *)
 let emit_one m th instr o ~value ~next_pc =
-  emit_plain m th instr ~reads:(operand_locs th.act o []) ~writes:[] ~value
-    ~next_pc
+  add_operand m.view th.act o;
+  emit_plain m th instr ~value ~next_pc
+
+(* A call target that reads no register: a direct call has none. *)
+let no_target = Operand.Imm 0
 
 (* The call forms.  The event reports the call site while the caller's
-   pc already points past it; reads are [args] (the caller's argument
-   registers, in order) followed by [tail], writes the callee's
-   argument registers in the same order — tools rely on this pairwise
-   alignment. *)
-let emit_call m th instr callee ~ret_dst ~tail ~value =
+   pc already points past it; reads are the caller's argument
+   registers, in order, followed by [target]'s register, writes the
+   callee's argument registers in the same order — tools rely on this
+   pairwise alignment. *)
+let emit_call m th instr callee ~ret_dst ~target ~value =
   let act = th.act in
   let site_pc = act.pc in
   act.pc <- site_pc + 1;
   let callee_act = fresh_activation m callee ~ret_dst ~caller:(Some act) in
-  let reads = ref tail and writes = ref [] in
-  for i = callee.Func.arity - 1 downto 0 do
+  let v = m.view in
+  for i = 0 to callee.Func.arity - 1 do
     callee_act.regs.(i) <- act.regs.(i);
-    reads := (act.loc_base + (i lsl 1)) :: !reads;
-    writes := (callee_act.loc_base + (i lsl 1)) :: !writes
+    add_read v (act.loc_base + (i lsl 1));
+    add_write v (callee_act.loc_base + (i lsl 1))
   done;
-  let e =
-    {
-      Event.step = m.step_count;
-      tid = th.tid;
-      func = act.func;
-      pc = site_pc;
-      instr;
-      reads = !reads;
-      writes = !writes;
-      addr = -1;
-      next_pc = -1;
-      input_index = -1;
-      value;
-    }
-  in
+  add_operand v act target;
   th.act <- callee_act;
-  dispatch m e;
+  dispatch m th instr ~func:act.func ~pc:site_pc ~addr:(-1) ~input_index:(-1)
+    ~value ~next_pc:(-1);
   Executed
 
 (* -- thread completion ------------------------------------------------- *)
@@ -439,59 +465,65 @@ let rec exec_instr m th =
   let act = th.act in
   let ins = act.func.Func.body.(act.pc) in
   let next = act.pc + 1 in
+  let v = m.view in
+  v.Event.v_nreads <- 0;
+  v.Event.v_nwrites <- 0;
   match ins with
-  | Instr.Nop -> emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:next
+  | Instr.Nop -> emit_plain m th ins ~value:0 ~next_pc:next
   | Instr.Mov (d, s) ->
-      let v = substitute m (operand_value act s) in
-      act.regs.(idx d) <- v;
-      emit_plain m th ins ~reads:(operand_locs act s [])
-        ~writes:[ reg_loc act d ] ~value:v ~next_pc:next
+      let x = substitute m (operand_value act s) in
+      act.regs.(idx d) <- x;
+      add_operand v act s;
+      add_write v (reg_loc act d);
+      emit_plain m th ins ~value:x ~next_pc:next
   | Instr.Binop (op, d, a, b) ->
       let va = operand_value act a and vb = operand_value act b in
-      let reads = operand_locs act a (operand_locs act b []) in
+      add_operand v act a;
+      add_operand v act b;
       if Instr.alu_faults op vb then
-        emit_fault m th ins ~reads ~value:0 Event.Div_by_zero
+        emit_fault m th ins ~value:0 Event.Div_by_zero
       else begin
-        let v = substitute m (Instr.alu op va vb) in
-        act.regs.(idx d) <- v;
-        emit_plain m th ins ~reads ~writes:[ reg_loc act d ] ~value:v
-          ~next_pc:next
+        let x = substitute m (Instr.alu op va vb) in
+        act.regs.(idx d) <- x;
+        add_write v (reg_loc act d);
+        emit_plain m th ins ~value:x ~next_pc:next
       end
   | Instr.Cmp (op, d, a, b) ->
       let va = operand_value act a and vb = operand_value act b in
-      let v = substitute m (Instr.eval_cmp op va vb) in
-      act.regs.(idx d) <- v;
-      emit_plain m th ins
-        ~reads:(operand_locs act a (operand_locs act b []))
-        ~writes:[ reg_loc act d ] ~value:v ~next_pc:next
+      let x = substitute m (Instr.eval_cmp op va vb) in
+      act.regs.(idx d) <- x;
+      add_operand v act a;
+      add_operand v act b;
+      add_write v (reg_loc act d);
+      emit_plain m th ins ~value:x ~next_pc:next
   | Instr.Load (d, base, off) ->
       let addr = operand_value act base + off in
+      add_operand v act base;
       if addr < 0 || not (accessible m addr) then
-        emit_fault m th ins ~reads:(operand_locs act base []) ~value:0
-          (Event.Out_of_bounds addr)
+        emit_fault m th ins ~value:0 (Event.Out_of_bounds addr)
       else begin
-        let v = substitute m (Memory.read m.mem addr) in
-        act.regs.(idx d) <- v;
-        emit m th ins
-          ~reads:(operand_locs act base [ Loc.mem addr ])
-          ~writes:[ reg_loc act d ] ~addr ~input_index:(-1) ~value:v
-          ~next_pc:next
+        let x = substitute m (Memory.read m.mem addr) in
+        act.regs.(idx d) <- x;
+        add_read v (Loc.mem addr);
+        add_write v (reg_loc act d);
+        emit m th ins ~addr ~input_index:(-1) ~value:x ~next_pc:next
       end
   | Instr.Store (src, base, off) ->
       let addr = operand_value act base + off in
-      let reads = operand_locs act src (operand_locs act base []) in
+      add_operand v act src;
+      add_operand v act base;
       if addr < 0 || not (accessible m addr) then
-        emit_fault m th ins ~reads ~value:0 (Event.Out_of_bounds addr)
+        emit_fault m th ins ~value:0 (Event.Out_of_bounds addr)
       else begin
         let vs = substitute m (operand_value act src) in
         Memory.write m.mem addr vs;
-        emit m th ins ~reads ~writes:[ Loc.mem addr ] ~addr ~input_index:(-1)
-          ~value:vs ~next_pc:next
+        add_write v (Loc.mem addr);
+        emit m th ins ~addr ~input_index:(-1) ~value:vs ~next_pc:next
       end
-  | Instr.Jmp t -> emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:t
+  | Instr.Jmp t -> emit_plain m th ins ~value:0 ~next_pc:t
   | Instr.Br (c, t, f) ->
-      let v = operand_value act c in
-      let taken = if v <> 0 then t else f in
+      let x = operand_value act c in
+      let taken = if x <> 0 then t else f in
       let taken =
         match m.config.flip_steps with
         | [] -> taken
@@ -499,125 +531,120 @@ let rec exec_instr m th =
             if List.mem m.step_count flips then if taken = t then f else t
             else taken
       in
-      emit_plain m th ins ~reads:(operand_locs act c []) ~writes:[] ~value:v
-        ~next_pc:taken
+      add_operand v act c;
+      emit_plain m th ins ~value:x ~next_pc:taken
   | Instr.Call (fname, ret_dst) ->
-      emit_call m th ins (Program.find m.program fname) ~ret_dst ~tail:[]
-        ~value:0
+      emit_call m th ins (Program.find m.program fname) ~ret_dst
+        ~target:no_target ~value:0
   | Instr.Icall (fop, ret_dst) -> (
       let fid = operand_value act fop in
-      let rl = operand_locs act fop [] in
       match Program.func_of_id m.program fid with
       | None ->
-          emit_fault m th ins ~reads:rl ~value:fid (Event.Invalid_icall fid)
-      | Some callee -> emit_call m th ins callee ~ret_dst ~tail:rl ~value:fid)
+          add_operand v act fop;
+          emit_fault m th ins ~value:fid (Event.Invalid_icall fid)
+      | Some callee -> emit_call m th ins callee ~ret_dst ~target:fop ~value:fid)
   | Instr.Ret src -> (
-      let v, rl =
+      let x =
         match src with
-        | Some o -> (operand_value act o, operand_locs act o [])
-        | None -> (0, [])
+        | Some o ->
+            add_operand v act o;
+            operand_value act o
+        | None -> 0
       in
       match act.caller with
       | None ->
-          let r =
-            emit_plain m th ins ~reads:rl ~writes:[] ~value:v ~next_pc:act.pc
-          in
+          let r = emit_plain m th ins ~value:x ~next_pc:act.pc in
           finish_thread m th;
           r
       | Some caller ->
-          let writes =
-            match act.ret_dst with
-            | Some d ->
-                caller.regs.(idx d) <- v;
-                [ reg_loc caller d ]
-            | None -> []
-          in
-          let r =
-            emit_plain m th ins ~reads:rl ~writes ~value:v ~next_pc:act.pc
-          in
+          (match act.ret_dst with
+          | Some d ->
+              caller.regs.(idx d) <- x;
+              add_write v (reg_loc caller d)
+          | None -> ());
+          let r = emit_plain m th ins ~value:x ~next_pc:act.pc in
           th.act <- caller;
           r)
   | Instr.Halt ->
-      let r =
-        emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:act.pc
-      in
+      let r = emit_plain m th ins ~value:0 ~next_pc:act.pc in
       m.outcome <- Some Event.Halted;
       r
   | Instr.Sys s -> exec_syscall m th act ins s
 
 and exec_syscall m th act ins s =
   let next = act.pc + 1 in
+  let v = m.view in
   match s with
   | Instr.Read d ->
       let pos = m.input_pos in
-      let v, input_index =
+      let x, input_index =
         if pos < Array.length m.input then begin
           m.input_pos <- pos + 1;
           (m.input.(pos), pos)
         end
         else (-1, -1)
       in
-      act.regs.(idx d) <- v;
+      act.regs.(idx d) <- x;
       if input_index >= 0 then
-        m.rev_inputs <- (m.step_count, input_index, v) :: m.rev_inputs;
-      emit m th ins ~reads:[] ~writes:[ reg_loc act d ] ~addr:(-1) ~input_index
-        ~value:v ~next_pc:next
+        m.rev_inputs <- (m.step_count, input_index, x) :: m.rev_inputs;
+      add_write v (reg_loc act d);
+      emit m th ins ~addr:(-1) ~input_index ~value:x ~next_pc:next
   | Instr.Write o ->
-      let v = operand_value act o in
-      m.rev_output <- (m.step_count, v) :: m.rev_output;
-      emit_one m th ins o ~value:v ~next_pc:next
+      let x = operand_value act o in
+      m.rev_output <- (m.step_count, x) :: m.rev_output;
+      emit_one m th ins o ~value:x ~next_pc:next
   | Instr.Spawn (d, fname, argo) ->
-      let v = operand_value act argo in
+      let x = operand_value act argo in
       let callee = Program.find m.program fname in
       let new_act = fresh_activation m callee ~ret_dst:None ~caller:None in
-      new_act.regs.(0) <- v;
+      new_act.regs.(0) <- x;
       let tid = m.next_tid in
       m.next_tid <- tid + 1;
       m.threads <- m.threads @ [ { tid; act = new_act; status = Runnable } ];
       act.regs.(idx d) <- tid;
-      emit_plain m th ins ~reads:(operand_locs act argo [])
-        ~writes:
-          [ reg_loc act d; new_act.loc_base ]
-        ~value:tid ~next_pc:next
+      add_operand v act argo;
+      add_write v (reg_loc act d);
+      add_write v new_act.loc_base;
+      emit_plain m th ins ~value:tid ~next_pc:next
   | Instr.Join o -> (
-      let v = operand_value act o in
-      match thread m v with
+      let x = operand_value act o in
+      match thread m x with
       | Some t when t.status <> Finished ->
           th.status <- Blocked Retry;
           Did_block
-      | Some _ | None -> emit_one m th ins o ~value:v ~next_pc:next)
+      | Some _ | None -> emit_one m th ins o ~value:x ~next_pc:next)
   | Instr.Lock o ->
-      let v = operand_value act o in
-      let mu = get_mutex m v in
+      let x = operand_value act o in
+      let mu = get_mutex m x in
       (match mu.owner with
       | None ->
           mu.owner <- Some th.tid;
-          ignore (emit_one m th ins o ~value:v ~next_pc:next)
+          ignore (emit_one m th ins o ~value:x ~next_pc:next)
       | Some owner when owner = th.tid ->
-          ignore (emit_one m th ins o ~value:v ~next_pc:next)
+          ignore (emit_one m th ins o ~value:x ~next_pc:next)
       | Some _ ->
           mu.waiters <- mu.waiters @ [ th.tid ];
           th.status <- Blocked Retry);
       if th.status = Runnable || th.status = Finished then Executed
       else Did_block
   | Instr.Unlock o ->
-      let v = operand_value act o in
-      let mu = get_mutex m v in
+      let x = operand_value act o in
+      let mu = get_mutex m x in
       if mu.owner = Some th.tid then begin
         mu.owner <- None;
         let ws = mu.waiters in
         mu.waiters <- [];
         wake_retriers m ws
       end;
-      emit_one m th ins o ~value:v ~next_pc:next
+      emit_one m th ins o ~value:x ~next_pc:next
   | Instr.Barrier_init (ido, po) ->
       let id = operand_value act ido and parties = operand_value act po in
       let b = get_barrier m id in
       b.parties <- parties;
       b.arrived <- 0;
-      emit_plain m th ins
-        ~reads:(operand_locs act ido (operand_locs act po []))
-        ~writes:[] ~value:id ~next_pc:next
+      add_operand v act ido;
+      add_operand v act po;
+      emit_plain m th ins ~value:id ~next_pc:next
   | Instr.Barrier ido ->
       let id = operand_value act ido in
       let b = get_barrier m id in
@@ -652,31 +679,31 @@ and exec_syscall m th act ins s =
       let size = operand_value act so in
       let base = Memory.alloc m.mem size in
       act.regs.(idx d) <- base;
-      emit_plain m th ins ~reads:(operand_locs act so [])
-        ~writes:[ reg_loc act d ] ~value:base ~next_pc:next
+      add_operand v act so;
+      add_write v (reg_loc act d);
+      emit_plain m th ins ~value:base ~next_pc:next
   | Instr.Free o -> (
-      let v = operand_value act o in
-      match Memory.free m.mem v with
-      | Ok () -> emit_one m th ins o ~value:v ~next_pc:next
+      let x = operand_value act o in
+      match Memory.free m.mem x with
+      | Ok () -> emit_one m th ins o ~value:x ~next_pc:next
       | Error `Invalid_free ->
-          emit_fault m th ins ~reads:(operand_locs act o []) ~value:v
-            (Event.Invalid_free v))
+          add_operand v act o;
+          emit_fault m th ins ~value:x (Event.Invalid_free x))
   | Instr.Tid d ->
       act.regs.(idx d) <- th.tid;
-      emit_plain m th ins ~reads:[] ~writes:[ reg_loc act d ] ~value:th.tid
-        ~next_pc:next
+      add_write v (reg_loc act d);
+      emit_plain m th ins ~value:th.tid ~next_pc:next
   | Instr.Check o ->
-      let v = operand_value act o in
-      if v = 0 then
-        emit_fault m th ins ~reads:(operand_locs act o []) ~value:v
-          Event.Check_failed
-      else emit_one m th ins o ~value:v ~next_pc:next
+      let x = operand_value act o in
+      if x = 0 then begin
+        add_operand v act o;
+        emit_fault m th ins ~value:x Event.Check_failed
+      end
+      else emit_one m th ins o ~value:x ~next_pc:next
   | Instr.Mark (_, o) ->
       emit_one m th ins o ~value:(operand_value act o) ~next_pc:next
   | Instr.Exit ->
-      let r =
-        emit_plain m th ins ~reads:[] ~writes:[] ~value:0 ~next_pc:act.pc
-      in
+      let r = emit_plain m th ins ~value:0 ~next_pc:act.pc in
       finish_thread m th;
       r
 

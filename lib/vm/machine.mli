@@ -51,7 +51,7 @@ val charge : t -> int -> unit
 
 (** Override the per-instruction base cost (replay fast-forwarding of
     log-applied regions). *)
-val set_step_cost : t -> (Event.exec -> int) -> unit
+val set_step_cost : t -> (Event.view -> int) -> unit
 
 val program : t -> Dift_isa.Program.t
 val memory : t -> Memory.t

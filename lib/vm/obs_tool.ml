@@ -52,9 +52,9 @@ let tool reg =
       class_names
   in
   Tool.make ~dispatch_cost:0
-    ~on_exec:(fun e ->
+    ~on_view:(fun v ->
       Registry.incr execs;
-      Registry.incr classes.(class_of_instr e.Event.instr))
+      Registry.incr classes.(class_of_instr v.Event.v_instr))
     ~on_fault:(fun _ -> Registry.incr faults)
     ~on_finish:(fun _ -> Registry.incr finishes)
     "obs"
@@ -69,14 +69,14 @@ let trace_tool ?(sample_every = 64) tr =
   let open Dift_obs in
   let left = ref 1 in
   Tool.make ~dispatch_cost:0
-    ~on_exec:(fun e ->
+    ~on_view:(fun v ->
       decr left;
       if !left <= 0 then begin
         left := sample_every;
         Trace.instant tr ~cat:"vm"
           ~args:
-            [ ("step", Json.Int e.Event.step); ("pc", Json.Int e.Event.pc) ]
-          ("instr." ^ class_names.(class_of_instr e.Event.instr))
+            [ ("step", Json.Int v.Event.v_step); ("pc", Json.Int v.Event.v_pc) ]
+          ("instr." ^ class_names.(class_of_instr v.Event.v_instr))
       end)
     ~on_fault:(fun f ->
       Trace.instant tr ~cat:"vm"

@@ -1,22 +1,25 @@
-(** The instrumentation-tool interface.
-
-    A tool is what a Pin/Valgrind plugin is to a real binary: a set of
-    callbacks invoked by the machine as execution proceeds.
-
-    [dispatch_cost] is the per-instruction overhead the machine charges
-    while this tool is attached.  Binary-instrumentation tools pay
-    {!Cost.dbi_dispatch}; OS-level observers (checkpoint/logging, or a
-    tracer that instruments selectively and charges itself) pass [0]. *)
+(** The instrumentation-tool interface; see the interface for the
+    view's lifetime rule. *)
 
 type t = {
   name : string;
   dispatch_cost : int;
-  on_exec : Event.exec -> unit;
+  on_view : Event.view -> unit;
       (** called after each instruction's effects are applied *)
   on_fault : Event.fault -> unit;  (** called when the machine faults *)
   on_finish : Event.outcome -> unit;  (** called once, when the run ends *)
 }
 
-let make ?(dispatch_cost = Cost.dbi_dispatch) ?(on_exec = fun _ -> ())
+(* An exec tool reads the view's cached record: the first tool that
+   asks materialises it, every later one gets the same record. *)
+let make ?(dispatch_cost = Cost.dbi_dispatch) ?(on_view = ignore) ?on_exec
     ?(on_fault = fun _ -> ()) ?(on_finish = fun _ -> ()) name =
-  { name; dispatch_cost; on_exec; on_fault; on_finish }
+  let on_view =
+    match on_exec with
+    | None -> on_view
+    | Some g ->
+        fun v ->
+          on_view v;
+          g (Event.view_to_exec v)
+  in
+  { name; dispatch_cost; on_view; on_fault; on_finish }

@@ -5,6 +5,7 @@ let () =
     [
       ("isa", Test_isa.suite);
       ("vm", Test_vm.suite);
+      ("view", Test_view.suite);
       ("core", Test_core.suite);
       ("shadow-diff", Test_shadow_diff.suite);
       ("workloads", Test_workloads.suite);

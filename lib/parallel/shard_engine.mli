@@ -295,7 +295,7 @@ module Make (D : Taint.DOMAIN) : sig
   val router : cluster -> Router.t
 
   (** Have every recording shard keep each sink event's record
-      ({!Event.view_to_exec}) in {!merged.m_sinks}, for a client sink
+      ({!Event.view_to_exec}) in [m_sinks], for a client sink
       callback run after the join.  Call before {!start}; without it a
       sink costs its shard no record. *)
   val record_sink_events : cluster -> unit

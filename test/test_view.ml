@@ -112,8 +112,9 @@ let test_one_event () =
    [Machine.run] (after [Machine.create]) and a whole
    [Parallel.run_inline] call, fixed costs included.  Measured with
    these inputs: native crc 0.829, matmul 0.236; inline crc 0.844,
-   matmul 0.691 (the rest is the input and schedule logs, memory-cell
-   inserts, and the engine's fixed costs).  The counts repeat exactly.
+   matmul 0.691 — what remains is the input log (an entry per input
+   word read), the schedule log, memory-cell inserts and the engine's
+   fixed costs.  The counts repeat exactly.
    Each bound is the measured value plus half a word per event of
    headroom: one option or list cell built per event (2 or 3 words)
    breaks them all. *)

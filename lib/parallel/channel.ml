@@ -15,11 +15,12 @@ type t =
 
 let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 
-(* The boxed wire ships a record: a tool's when one already asked for
-   it, otherwise one built for this channel alone. *)
+(* The boxed wire ships the event's record: a tool's when one already
+   asked for it, otherwise one built here and shared with every other
+   channel that ships the same event. *)
 let add_view t v =
   match t with
-  | Boxed f -> Forwarder.add f (Event.view_record v)
+  | Boxed f -> Forwarder.add f (Event.view_to_exec v)
   | Coded c -> Codec.feed_view c v
 
 let add t e =

@@ -50,8 +50,8 @@ val wire : t -> wire
 
 (** Forward the event in the view: the coded wire encodes it in
     place, the boxed wire ships its record
-    ({!Dift_vm.Event.view_record}, the one allocation that wire pays
-    per event and per channel). *)
+    ({!Dift_vm.Event.view_to_exec}, the one allocation that wire pays
+    per event, shared by every channel the event goes to). *)
 val add_view : t -> Event.view -> unit
 
 (** Forward a boxed record. *)

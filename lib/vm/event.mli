@@ -114,12 +114,6 @@ val view_of_exec : exec -> view
     gets the physically same record. *)
 val view_to_exec : view -> exec
 
-(** {!view_to_exec} without caching: the cached record when there is
-    one, otherwise a fresh one that only the caller holds.  For a
-    consumer that ships the record away (the boxed wire) and so has no
-    one to share it with; caching costs a write barrier per event. *)
-val view_record : view -> exec
-
 val is_branch : exec -> bool
 val pp_fault_kind : fault_kind Fmt.t
 val pp_fault : fault Fmt.t

@@ -328,33 +328,28 @@ let rec emit_to (v : Event.view) = function
 
 (* Complete the view's scalar fields, account the instruction and hand
    the view to the tools.  Plain labelled arguments, so that no closure
-   or option is built per instruction.  A run that nobody observes (no
-   tool, the default step cost) skips the fill: its instructions are
-   only counted. *)
+   or option is built per instruction. *)
 let dispatch m th instr ~func ~pc ~addr ~input_index ~value ~next_pc =
-  match (m.tools, m.step_cost) with
-  | [], None ->
-      m.step_count <- m.step_count + 1;
-      m.cycles <- m.cycles + Cost.base_instr
-  | tools, step_cost ->
-      let v = m.view in
-      v.Event.v_step <- m.step_count;
-      v.Event.v_tid <- th.tid;
-      v.Event.v_pc <- pc;
-      v.Event.v_addr <- addr;
-      v.Event.v_next_pc <- next_pc;
-      v.Event.v_input_index <- input_index;
-      v.Event.v_value <- value;
-      (* pointer fields pay a write barrier: the function only when it
-         changes, the record only when a tool asked for the last
-         event's, the instruction last, with little left to spill *)
-      if v.Event.v_func != func then v.Event.v_func <- func;
-      (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
-      v.Event.v_instr <- instr;
-      m.step_count <- m.step_count + 1;
-      let base = match step_cost with None -> Cost.base_instr | Some f -> f v in
-      m.cycles <- m.cycles + base + m.dispatch_cycles;
-      emit_to v tools
+  let v = m.view in
+  v.Event.v_step <- m.step_count;
+  v.Event.v_tid <- th.tid;
+  v.Event.v_pc <- pc;
+  v.Event.v_addr <- addr;
+  v.Event.v_next_pc <- next_pc;
+  v.Event.v_input_index <- input_index;
+  v.Event.v_value <- value;
+  (* pointer fields pay a write barrier: the function only when it
+     changes, the record only when a tool asked for the last event's,
+     the instruction last, with little left to spill *)
+  if v.Event.v_func != func then v.Event.v_func <- func;
+  (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
+  v.Event.v_instr <- instr;
+  m.step_count <- m.step_count + 1;
+  let base =
+    match m.step_cost with None -> Cost.base_instr | Some f -> f v
+  in
+  m.cycles <- m.cycles + base + m.dispatch_cycles;
+  emit_to v m.tools
 
 (* The event of the instruction at [th]'s current site, whose read and
    write sets are already in the view; the thread then continues at

@@ -106,6 +106,45 @@ let test_one_event () =
         (List.length fresh = n && List.for_all2 same fresh a))
     cases
 
+(* The boxed wire ships the event's record, built once: two channels
+   fed the same view carry the physically same record, equal to the
+   one an exec tool keeps. *)
+let test_boxed_shares_record () =
+  let w = Spec_like.by_name "crc" in
+  let program = w.Workload.program in
+  let make () = Machine.create program ~input:(w.Workload.input ~size:60 ~seed:7) in
+  let fresh = collect make in
+  let n = List.length fresh and batch_size = 16 in
+  let channel () =
+    Dift_parallel.Channel.create ~wire:`Boxed
+      ~queue_capacity:((n / batch_size) + 2)
+      ~batch_size
+      ~table:(lazy (Site.of_program program))
+      ()
+  in
+  let c1 = channel () and c2 = channel () in
+  let m = make () in
+  Machine.attach m
+    (Tool.make
+       ~on_view:(fun v ->
+         Dift_parallel.Channel.add_view c1 v;
+         Dift_parallel.Channel.add_view c2 v)
+       "two-channels");
+  ignore (Machine.run m);
+  let shipped c =
+    Dift_parallel.Channel.close c;
+    let acc = ref [] in
+    Dift_parallel.Channel.drain c ~f:(fun v ->
+        acc := Event.view_to_exec v :: !acc);
+    List.rev !acc
+  in
+  let a = shipped c1 and b = shipped c2 in
+  check Alcotest.int "every event shipped" n (List.length a);
+  check Alcotest.bool "one record per event, shared by both channels" true
+    (List.length b = n && List.for_all2 ( == ) a b);
+  check Alcotest.bool "shipped records equal a fresh collector's stream" true
+    (List.for_all2 same fresh a)
+
 (* -- allocation budget ---------------------------------------------------
 
    Minor words allocated per event, on the allocating domain: a native
@@ -153,5 +192,7 @@ let suite =
   [
     Alcotest.test_case "one event: view and exec tools agree" `Quick
       test_one_event;
+    Alcotest.test_case "boxed channels share one record per event" `Quick
+      test_boxed_shares_record;
     Alcotest.test_case "allocation budget per event" `Quick test_alloc_budget;
   ]

@@ -15,12 +15,12 @@ type t =
 
 let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 
-(* The boxed wire ships the event's record: a tool's when one already
-   asked for it, otherwise one built here and shared with every other
-   channel that ships the same event. *)
+(* The boxed wire ships the event's record: the cached one when a tool
+   or a fan-out already built it, otherwise one built for this channel
+   alone. *)
 let add_view t v =
   match t with
-  | Boxed f -> Forwarder.add f (Event.view_to_exec v)
+  | Boxed f -> Forwarder.add f (Event.view_record v)
   | Coded c -> Codec.feed_view c v
 
 let add t e =

@@ -50,8 +50,11 @@ val wire : t -> wire
 
 (** Forward the event in the view: the coded wire encodes it in
     place, the boxed wire ships its record
-    ({!Dift_vm.Event.view_to_exec}, the one allocation that wire pays
-    per event, shared by every channel the event goes to). *)
+    ({!Dift_vm.Event.view_record}: the one allocation that wire pays
+    per event, unless the record is already cached in the view).  To
+    send one event to several boxed channels, cache its record first
+    ({!Dift_vm.Event.view_to_exec}) so that they all ship the same
+    one. *)
 val add_view : t -> Event.view -> unit
 
 (** Forward a boxed record. *)

@@ -461,6 +461,7 @@ module Make (D : Taint.DOMAIN) = struct
     workers : worker array;
     chans : Channel.t array;
     c_filter : Livefilter.t option;
+    c_boxed : bool;  (** the channels ship boxed records *)
     c_scratch : Event.view;  (** {!feed}'s adapter view *)
     clocks : shard_clock array;
     c_trace : Dift_obs.Trace.t option;
@@ -530,6 +531,7 @@ module Make (D : Taint.DOMAIN) = struct
         workers;
         chans;
         c_filter = filter;
+        c_boxed = wire = `Boxed;
         c_scratch = Event.view_blank ();
         clocks;
         c_trace = trace;
@@ -604,6 +606,11 @@ module Make (D : Taint.DOMAIN) = struct
       flush_mask chans (mask lsr 1) (s + 1)
     end
 
+  (* An event for several boxed channels: build its record once,
+     cached in the view, so that every channel ships the same one. *)
+  let share_record c v =
+    if c.c_boxed then ignore (Event.view_to_exec v : Event.exec)
+
   let feed_view c v =
     let forward =
       match c.c_filter with
@@ -613,13 +620,16 @@ module Make (D : Taint.DOMAIN) = struct
     if forward then
       match c.c_route with
       | `Broadcast ->
+          if Array.length c.chans > 1 then share_record c v;
           for s = 0 to Array.length c.chans - 1 do
             Channel.add_view c.chans.(s) v
           done
       | `Request_reply ->
           let mask = Router.participants_view c.c_router v in
+          let local = Router.is_local mask in
+          if not local then share_record c v;
           add_mask c.chans v mask 0;
-          if not (Router.is_local mask) then begin
+          if not local then begin
             c.cross <- c.cross + 1;
             (* flush every participant: no copy of a cross-shard event
                may sit in an open batch while a peer shard blocks

@@ -143,27 +143,31 @@ let[@inline] locs_of (arr : Loc.t array) n =
   | 2 -> [ arr.(0); arr.(1) ]
   | _ -> locs_from arr (n - 1) []
 
-(* The boxed record: the cached one, or one built from the array
-   prefixes and cached — safe to retain past the next fill. *)
+(* The boxed record: the cached one, or one built fresh from the
+   array prefixes — safe to retain past the next fill. *)
+let view_record v =
+  match v.v_exec with
+  | Some e -> e
+  | None ->
+      {
+        step = v.v_step;
+        tid = v.v_tid;
+        func = v.v_func;
+        pc = v.v_pc;
+        instr = v.v_instr;
+        reads = locs_of v.v_reads v.v_nreads;
+        writes = locs_of v.v_writes v.v_nwrites;
+        addr = v.v_addr;
+        next_pc = v.v_next_pc;
+        input_index = v.v_input_index;
+        value = v.v_value;
+      }
+
 let view_to_exec v =
   match v.v_exec with
   | Some e -> e
   | None ->
-      let e =
-        {
-          step = v.v_step;
-          tid = v.v_tid;
-          func = v.v_func;
-          pc = v.v_pc;
-          instr = v.v_instr;
-          reads = locs_of v.v_reads v.v_nreads;
-          writes = locs_of v.v_writes v.v_nwrites;
-          addr = v.v_addr;
-          next_pc = v.v_next_pc;
-          input_index = v.v_input_index;
-          value = v.v_value;
-        }
-      in
+      let e = view_record v in
       v.v_exec <- Some e;
       e
 

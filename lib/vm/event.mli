@@ -114,6 +114,13 @@ val view_of_exec : exec -> view
     gets the physically same record. *)
 val view_to_exec : view -> exec
 
+(** {!view_to_exec} without caching: the cached record when there is
+    one, otherwise a fresh one that only the caller holds.  For the
+    boxed wire, which ships the record away: caching it costs every
+    event an allocation and a write barrier into the long-lived view,
+    about 10% of the boxed configuration's application-domain time. *)
+val view_record : view -> exec
+
 val is_branch : exec -> bool
 val pp_fault_kind : fault_kind Fmt.t
 val pp_fault : fault Fmt.t

@@ -118,7 +118,7 @@ val view_to_exec : view -> exec
     one, otherwise a fresh one that only the caller holds.  For the
     boxed wire, which ships the record away: caching it costs every
     event an allocation and a write barrier into the long-lived view,
-    about 10% of the boxed configuration's application-domain time. *)
+    5-11% of the boxed configuration's application-domain time. *)
 val view_record : view -> exec
 
 val is_branch : exec -> bool

@@ -114,8 +114,9 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(batch_size = 64) () =
       | _ -> ());
       let filtered_events =
         let input = w.Workload.input ~size:ksize ~seed in
-        (Parallel.run ~forward_filter:true program ~input)
-          .Parallel.filtered_events
+        match Parallel.run_result ~forward_filter:true program ~input with
+        | Ok r -> r.Parallel.filtered_events
+        | Error e -> Fmt.failwith "forward_bench: %a" Parallel.pp_error e
       in
       {
         kernel = kname;

@@ -107,9 +107,12 @@ let bench_parallel ~queue_capacity ~batch_size =
       (Fmt.str "e11: helper-domain dift crc/60 (q=%d b=%d)" queue_capacity
          batch_size)
     (Staged.stage (fun () ->
-         ignore
-           (Dift_parallel.Parallel.run ~queue_capacity ~batch_size
-              w.Workload.program ~input)))
+         match
+           Dift_parallel.Parallel.run_result ~queue_capacity ~batch_size
+             w.Workload.program ~input
+         with
+         | Ok _ -> ()
+         | Error e -> Fmt.failwith "%a" Dift_parallel.Parallel.pp_error e))
 
 let bench_parallel_q4 = bench_parallel ~queue_capacity:4 ~batch_size:64
 let bench_parallel_q64 = bench_parallel ~queue_capacity:64 ~batch_size:64

@@ -1003,22 +1003,29 @@ let stats_cmd =
         let reg = Dift_obs.Registry.create () in
         (* Phase 1: the two-domain runtime fills [vm.*],
            [core.engine.*], [core.shadow.*] and [parallel.*]. *)
-        ignore
-          (Dift_parallel.Parallel.run ~config ~obs:reg ~queue_capacity
-             ~batch_size w.Workload.program ~input);
-        (* Phase 2: an ONTRAC pass over the same deterministic
-           execution fills [core.ontrac.*] and [core.trace_buffer.*]
-           (no [Obs_tool] here, so the vm counters are not doubled). *)
-        let m = Machine.create ~config w.Workload.program ~input in
-        let tracer = Ontrac.create w.Workload.program in
-        Ontrac.attach tracer m;
-        ignore (Machine.run m);
-        Ontrac.register_obs tracer reg;
-        (match format with
-        | `Json -> Dift_obs.Registry.(write_json out (snapshot reg))
-        | `Prometheus ->
-            Dift_obs.Registry.(write_prometheus out (snapshot reg)));
-        0
+        match
+          Dift_parallel.Parallel.run_result ~config ~obs:reg ~queue_capacity
+            ~batch_size w.Workload.program ~input
+        with
+        | Error e ->
+            Fmt.epr "parallel run failed: %a@." Dift_parallel.Parallel.pp_error
+              e;
+            1
+        | Ok _ ->
+            (* Phase 2: an ONTRAC pass over the same deterministic
+               execution fills [core.ontrac.*] and [core.trace_buffer.*]
+               (no [Obs_tool] here, so the vm counters are not
+               doubled). *)
+            let m = Machine.create ~config w.Workload.program ~input in
+            let tracer = Ontrac.create w.Workload.program in
+            Ontrac.attach tracer m;
+            ignore (Machine.run m);
+            Ontrac.register_obs tracer reg;
+            (match format with
+            | `Json -> Dift_obs.Registry.(write_json out (snapshot reg))
+            | `Prometheus ->
+                Dift_obs.Registry.(write_prometheus out (snapshot reg)));
+            0
   in
   Cmd.v
     (Cmd.info "stats"

@@ -63,7 +63,11 @@ let run ?(size = 40) ?(seed = 3) ?(reps = 3) () =
       (fun (queue_capacity, batch_size) ->
         let reports =
           List.init (max 1 reps) (fun _ ->
-              Parallel.run ~queue_capacity ~batch_size program ~input)
+              match
+                Parallel.run_result ~queue_capacity ~batch_size program ~input
+              with
+              | Ok r -> r
+              | Error e -> Fmt.failwith "e11: %a" Parallel.pp_error e)
         in
         let pick f =
           List.fold_left (fun acc r -> min acc (f r)) max_float reports

@@ -38,17 +38,23 @@ let drain ?around_batch ?after_batch t ~f =
   match t with
   | Coded c -> Codec.drain ?around_batch ?after_batch c ~f
   | Boxed fwd ->
-      (* decode-free wire: refill one scratch view per event.  The
-         boxed wire has no batch-boundary hook, so [after_batch]
-         degenerates to a per-event call — a sound refinement for its
-         one client, the liveness filter's epoch advance. *)
+      (* decode-free wire: refill one scratch view per event.  After a
+         batch the view still holds the batch's last event, which is
+         where [after_batch] reads its step. *)
       let v = Event.view_blank () in
+      let around_batch =
+        match after_batch with
+        | None -> around_batch
+        | Some g ->
+            let around = Option.value around_batch ~default:(fun k -> k ()) in
+            Some
+              (fun k ->
+                around k;
+                g ~last_step:v.Event.v_step)
+      in
       Forwarder.drain ?around_batch fwd ~f:(fun (e : Event.exec) ->
           Event.view_fill v e;
-          f v;
-          match after_batch with
-          | Some g -> g ~last_step:e.Event.step
-          | None -> ())
+          f v)
 
 let events = function
   | Boxed f -> Forwarder.events f

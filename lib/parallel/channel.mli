@@ -67,9 +67,7 @@ val close : t -> unit
 
 (** Apply [f] to every forwarded event as a reused view (do not retain
     it; see {!Codec.drain}).  [after_batch] fires with the last step
-    after each decoded batch on the coded wire, and after {e every}
-    event on the boxed wire (which has no batch hook — a sound
-    refinement for the filter's epoch advance). *)
+    after each fully processed batch, on both wires. *)
 val drain :
   ?around_batch:((unit -> unit) -> unit) ->
   ?after_batch:(last_step:int -> unit) ->

@@ -304,11 +304,8 @@ type t = {
   enc : encoder;
   fwd : batch Forwarder.t;
       (** [batch_size = 1]: one ring slot per encoded batch, event
-          accounting in {!Forwarder.add_n} weights *)
-  free : batch Spsc.t;
-      (** decoded batches coming back for reuse — the preallocated
-          lanes cycle producer → consumer → producer *)
-  chaos_free : Chaos.inst option;
+          accounting in {!Forwarder.add_n} weights; its free list
+          brings decoded batches back for reuse *)
   events_per_batch : int;
   mutable cur : batch option;  (** producer side *)
 }
@@ -318,55 +315,32 @@ let create ?obs ?trace ?flight ?chaos ?progress ?escalate ?(ns = "parallel")
   if events_per_batch < 1 then
     invalid_arg
       (Fmt.str "Codec.create: events_per_batch = %d < 1" events_per_batch);
-  let fwd =
-    Forwarder.create ?obs ?trace ?flight ?chaos ?progress ?escalate ~ns
-      ~queue_capacity ~batch_size:1 ()
-  in
   {
     table;
     enc = encoder table;
-    fwd;
-    free = Spsc.create ~capacity:(queue_capacity + 2) ();
-    chaos_free =
-      Option.map
-        (fun c ->
-          Chaos.instance ~targeted_only:true c ~ns:("ring.free." ^ ns))
-        chaos;
+    fwd =
+      Forwarder.create ?obs ?trace ?flight ?chaos ?progress ?escalate ~ns
+        ~queue_capacity ~batch_size:1 ();
     events_per_batch;
     cur = None;
   }
 
 let table t = t.table
 
-let fresh t = batch_create ~events_per_batch:t.events_per_batch
-
-(* The open batch: the current one, a recycled one off the free list
-   (steady state — the lanes cycle, no allocation), or a fresh set of
-   lanes.  Same free-ring chaos semantics as {!Forwarder}: a [Drop]
-   skips recycling once, an [Abort] kills the free ring, a [Raise]
-   crashes the producer. *)
+(* The open batch: the current one, the lanes a recycled ring slot
+   still holds (steady state — the lanes cycle, no allocation), or a
+   fresh set of lanes.  The free list and its [ring.free.<ns>] chaos
+   seam are the forwarder's own. *)
 let open_cur t =
   match t.cur with
   | Some b -> b
   | None ->
-      let pop_free () =
-        match Spsc.try_pop t.free with
+      let b =
+        match Forwarder.reusable t.fwd with
         | Some b ->
             batch_clear b;
             b
-        | None -> fresh t
-      in
-      let b =
-        match t.chaos_free with
-        | None -> pop_free ()
-        | Some c -> (
-            match Chaos.on_pop c with
-            | Chaos.Proceed -> pop_free ()
-            | Chaos.Fail -> fresh t
-            | Chaos.Abort_now ->
-                Spsc.abort t.free;
-                fresh t
-            | Chaos.Raise_now e -> raise e)
+        | None -> batch_create ~events_per_batch:t.events_per_batch
       in
       t.cur <- Some b;
       b
@@ -400,25 +374,13 @@ let aborted t = Forwarder.aborted t.fwd
 
 let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
   let v = Event.view_blank () in
-  let recycle b =
-    batch_clear b;
-    match t.chaos_free with
-    | None -> ignore (Spsc.try_push t.free b : bool)
-    | Some c -> (
-        match Chaos.on_push c with
-        | Chaos.Proceed -> ignore (Spsc.try_push t.free b : bool)
-        | Chaos.Fail -> ()
-        | Chaos.Abort_now -> Spsc.abort t.free
-        | Chaos.Raise_now e -> raise e)
-  in
   Forwarder.drain ?around_batch t.fwd ~f:(fun b ->
       let n = b.b_n in
       for i = 0 to n - 1 do
         decode_into t.table b i v;
         f v
       done;
-      if n > 0 then after_batch ~last_step:b.b_step.(n - 1);
-      recycle b)
+      if n > 0 then after_batch ~last_step:b.b_step.(n - 1))
 
 (* -- accounting passthrough (event counts are add_n weights) ----------- *)
 

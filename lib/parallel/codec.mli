@@ -35,8 +35,9 @@
     written in place, full batches travel the ring as single elements
     (weighted by their event count, see {!Forwarder.add_n}), the
     consumer decodes each event into one reused {!Dift_vm.Event.view}
-    scratch, and spent batches cycle back to the producer over a free
-    ring ([ring.free.<ns>] chaos seam, explicitly-targeted rules
+    scratch, and spent batches cycle back to the producer inside the
+    ring slots the forwarder recycles ({!Forwarder.reusable}; one free
+    list, one [ring.free.<ns>] chaos seam, explicitly-targeted rules
     only).
 
     See the "Wire format" section of [docs/forwarding-protocol.md]. *)
@@ -110,9 +111,9 @@ type t
     [queue_capacity * events_per_batch] events, matching a boxed
     channel of the same [queue_capacity] and [batch_size =
     events_per_batch].  The observability/chaos options are forwarded
-    to {!Forwarder.create} unchanged (same [ns] conventions); the
-    codec's free ring registers its chaos seam under
-    [ring.free.<ns>].
+    to {!Forwarder.create} unchanged (same [ns] conventions); spent
+    lanes come back through the forwarder's own free list, under its
+    [ring.free.<ns>] chaos seam.
     @raise Invalid_argument if either size is [< 1]. *)
 val create :
   ?obs:Dift_obs.Registry.t ->

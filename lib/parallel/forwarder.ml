@@ -11,10 +11,9 @@
     A recycled array keeps its element references until overwritten,
     bounded by [(queue_capacity + 2) * batch_size] elements.
 
-    The channel is polymorphic in the element type: the two-domain
-    runtime forwards {!Dift_vm.Event.exec} records, and the sharded
-    runtime ({!Parallel.run_sharded}) reuses the same channel for each
-    shard's inbound event ring. *)
+    The channel is polymorphic in the element type: the boxed wire
+    forwards {!Dift_vm.Event.exec} records, and the coded wire
+    ({!Codec}) forwards encoded batches, one per slot. *)
 
 type 'a batch = {
   mutable data : 'a array;  (** [[||]] until the first element *)
@@ -309,6 +308,13 @@ let open_batch t =
     t.cur <- b;
     b
   end
+
+(* The element the open batch's next slot still holds from the
+   record's previous trip round the ring: a recycled record keeps its
+   elements until they are overwritten. *)
+let reusable t =
+  let b = open_batch t in
+  if b.len < Array.length b.data then Some b.data.(b.len) else None
 
 let add t e =
   let b = open_batch t in

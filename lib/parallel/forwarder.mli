@@ -15,10 +15,11 @@
     free list, so steady-state forwarding allocates nothing per
     batch.
 
-    The channel is used in two places: {!Parallel.run} forwards the
-    whole event stream over a single channel to its one helper, and
-    {!Parallel.run_sharded} creates one channel per shard (with a
-    per-shard [?ns] metric namespace) and routes each event to the
+    The runtime ({!Shard_engine}) creates one channel per helper:
+    {!Parallel.run_result} forwards the whole event stream over a
+    single channel to its one helper, and
+    {!Parallel.run_sharded_result} creates one channel per shard (with
+    a per-shard [?ns] metric namespace) and routes each event to the
     shards that participate in it.
 
     Shutdown protocol: the producer calls {!close}, which flushes the
@@ -118,6 +119,15 @@ val add : 'a t -> 'a -> unit
     {!discarded_events}, {!consumed_events}) moves by [n]; batch and
     ring-occupancy accounting still move by one element. *)
 val add_n : 'a t -> 'a -> int -> unit
+
+(** [reusable t] opens the next batch (a record recycled off the free
+    list when one is there, through the [ring.free.<ns>] chaos seam)
+    and returns the element its next slot still holds from that
+    record's previous trip round the ring, if any.  The consumer has
+    finished with such an element, so a producer whose elements are
+    themselves buffers ({!Codec}'s lanes) can refill it instead of
+    allocating. *)
+val reusable : 'a t -> 'a option
 
 (** Push the current partial batch, if any.  The sharded router calls
     this after every cross-shard event so no participant's copy can

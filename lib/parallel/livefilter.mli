@@ -17,7 +17,7 @@
       source, or any event with live reads).
     - [epochs] — one slot per consumer: the step of the last event it
       has fully processed {e and published}, advanced after each
-      decoded batch ({!Codec.drain}'s [after_batch] hook).
+      batch ({!Channel.drain}'s [after_batch] hook).
 
     A location is {e possibly-live} iff its [H] bit is set, or its
     stamp exceeds the producer's cached minimum epoch.  An event is

@@ -1,26 +1,40 @@
-(** The real two-domain DIFT runtime (paper §2.1, "Exploiting
-    multicores").
+(** The parallel DIFT runtimes (paper §2.1, "Exploiting multicores").
 
     Where [Dift_multicore.Helper] {e simulates} the main-core /
     helper-core split with a cycle model, this module {e runs} it: the
-    application executes in the calling OCaml 5 domain while a helper
-    [Domain.t] consumes the forwarded event stream through a bounded
-    {!Forwarder} channel and drives the shared taint engine
+    application executes in the calling OCaml 5 domain while helper
+    domains consume the forwarded event stream through bounded
+    {!Channel}s and drive the shared taint engine
     ({!Dift_core.Engine} over {!Dift_core.Taint.Bool}).  The numbers
     it reports are wall-clock, not modelled cycles — the software
     proof that the paper's decoupled architecture keeps the
     application core running while tracking proceeds elsewhere.
 
-    Because the channel is a FIFO and the VM's event stream is
-    deterministic (seeded scheduling), the helper processes exactly
-    the event sequence an inline engine would, so {!run} and
-    {!run_inline} produce identical {!result}s — asserted by the
-    cross-validation tests in [test/test_parallel.ml].
+    There is one runtime: a supervisor over a {!Shard_engine} cluster.
+    {!run_result} is its one-shard form (the two-domain runtime: one
+    helper, no router, no exchange mesh) and {!run_sharded_result} its
+    N-shard form.  Because the channels are FIFO and the VM's event
+    stream is deterministic (seeded scheduling), every configuration
+    computes exactly what {!run_inline} computes — asserted by the
+    cross-validation tests in [test/test_parallel.ml] and
+    [test/test_sharded.ml].
 
-    Helper-side exceptions (from the engine or a client [on_sink]
-    callback) abort the channel, so the application domain cannot
-    deadlock on a full queue, and are re-raised from {!run} after the
-    join. *)
+    {b Client sink callbacks.}  In both runtimes [on_sink] runs once
+    per sink, on the {e calling} domain, after the helpers joined, in
+    step order.  The helpers keep a sink's event record only when a
+    callback is given; without one, a sink costs a helper one addition
+    to the sink-trace hash.  An exception from [on_sink] fails the run
+    on the [`App] leg.  {!run_inline} calls [on_sink] as each sink
+    happens.
+
+    {b Degraded completion.}  With [~degrade:`Inline], a failure of any
+    non-application leg (helper or shard crash, spawn failure,
+    deadline miss) is completed on the calling domain, and the run
+    comes back [Ok], flagged [degraded], with a result bit-identical
+    to {!run_inline}'s.  One helper resumes: the replay processes only
+    the events past the last batch the helper fully processed.  N
+    shards have no consistent cut mid-protocol, so they rerun from
+    scratch. *)
 
 open Dift_isa
 open Dift_vm
@@ -36,8 +50,8 @@ type result = {
   sources : int;  (** taint injections at input reads *)
   sink_hits : int;  (** sinks reached by tainted data *)
   sink_trace_hash : int;
-      (** order-sensitive hash of every sink observation
-          [(sink, taint, step)] *)
+      (** hash of every sink observation [(step, sink, tainted)]:
+          {!Shard_engine.sink_hash} summed over them *)
   tainted_locations : int;
   shadow_words : int;
   taint_fingerprint : int;
@@ -47,21 +61,21 @@ type result = {
 
 (** {1 Supervised outcomes}
 
-    The [_result] runtimes ({!run_result}, {!run_sharded_result})
-    never re-raise a failure: every shutdown leg — helper crash
-    mid-drain, application crash mid-run, spawn failure, an injected
-    channel fault, a {!Watchdog} deadline miss — joins every domain it
-    started and comes back as a structured {!error}, so a driver can
-    distinguish {e which} side failed and still read coherent partial
-    statistics.  The classic {!run}/{!val-run_sharded} wrappers
-    re-raise [e_exn] for compatibility. *)
+    The runtimes never re-raise a failure: every shutdown leg — helper
+    crash mid-drain, application crash mid-run, spawn failure, an
+    injected channel fault, a {!Watchdog} deadline miss, a raising
+    [on_sink] — joins every domain it started and comes back as a
+    structured {!error}, so a caller can distinguish {e which} side
+    failed and still read coherent partial statistics. *)
 
 (** Which leg of the protocol failed first. *)
 type leg =
   [ `App  (** the application domain (including a trailing-flush
-              failure on its side of the channel) *)
-  | `Helper  (** the single helper domain of {!run} *)
-  | `Shard of int  (** the first sharded helper that died of its own
+              failure on its side of the channel, and a raising
+              [on_sink]) *)
+  | `Helper  (** the one helper of {!run_result} (or of a one-shard
+                 {!run_sharded_result}) *)
+  | `Shard of int  (** the first of N shards that died of its own
                        exception (not of the [Shard_dead] cascade) *)
   | `Spawn  (** [Domain.spawn] itself failed; no run happened *)
   | `Deadline
@@ -96,8 +110,8 @@ val pp_error : error Fmt.t
 (** How a run that lost its parallel plane was completed anyway
     ([~degrade:`Inline]): the failing leg and its exception, plus the
     resume point — [d_cutoff_step] is the step of the last event the
-    parallel plane had fully processed ([-1] when nothing was: a spawn
-    failure, or any sharded degrade, which always reruns from scratch)
+    helper had fully processed ([-1] when nothing was: a spawn
+    failure, or any N-shard degrade, which always reruns from scratch)
     and [d_replayed_events] how many events the inline completion
     processed past it. *)
 type degraded = {
@@ -128,7 +142,7 @@ type report = {
       (** times the application domain blocked on a full ring *)
   consumer_waits : int;
       (** times the helper domain blocked on an empty ring *)
-  main_wall_ns : int;  (** application-domain run time *)
+  main_wall_ns : int;  (** application-domain run time, to the close *)
   total_wall_ns : int;  (** until the helper joined *)
   degraded : degraded option;
       (** [Some _] iff the parallel plane failed and the run was
@@ -141,100 +155,59 @@ type inline_report = {
   i_wall_ns : int;
 }
 
-(** [run program ~input] executes [program] in the current domain
-    while a spawned helper domain performs the taint tracking.
+(** {1 Entry points} *)
 
-    [queue_capacity] (default 64) and [batch_size] (default 64) shape
-    the forwarding channel.  [on_sink] runs {e on the helper domain}
-    for every sink event.  Exceptions raised helper-side are re-raised
-    here after the application run completes.
+(** [run_result program ~input] — the two-domain runtime: [program]
+    runs in the current domain while one spawned helper domain
+    performs the taint tracking.  It is the one-shard cluster of
+    {!run_sharded_result}, with nothing to route or exchange.
 
-    With [?obs], the run is fully instrumented into the registry: the
-    VM's [vm.*] counters ({!Dift_vm.Obs_tool}), the engine's
-    [core.engine.*]/[core.shadow.*] gauges, the channel's
-    [parallel.ring.*]/[parallel.forwarder.*] metrics, and
-    [parallel.helper.*] (busy/wall time, a [parallel.helper.batch]
-    span over per-batch propagation latency, and a derived utilization
-    percentage).  The registry may be snapshotted from any domain,
-    including while the run is in flight.
-
-    With [?trace], the run is recorded on an execution timeline
-    ({!Dift_obs.Trace}) with one track per domain: the application
-    track (named ["app"]) carries the [app.run] span and the
-    producer's [ring.enqueue]/[ring.stall] spans, the helper track
-    (named ["helper"]) carries the [helper.drain] envelope, one
-    [engine.batch] span per propagated batch, the consumer's
-    [ring.dequeue]/[ring.wait] spans, and the engine's shadow-footprint
-    counter samples; both sides feed the [ring.occupancy] counter
-    track.  Export with {!Dift_obs.Trace.write} after the run.
-
-    [wire] picks the forwarding-plane encoding (default [`Coded]:
-    interned sites and flat {!Codec} batches — zero allocation per
-    forwarded event in the steady state; [`Boxed] forwards whole
-    event records as before).  Both wires produce bit-identical
-    reports.  With [~forward_filter:true], the application domain
-    additionally drops events that provably cannot touch live taint
-    (see {!Livefilter}); results stay bit-identical — only
-    [filtered_events] and the forwarded volume change.  The filter
-    stands down silently under [propagate_control].
-
-    With [?chaos], every channel operation and the helper spawn
-    consult the fault plan (see {!Chaos}); without it the runtime
-    takes its ordinary direct path.
-
-    With [?watchdog], every blocking seam publishes progress into the
-    watchdog's table — ring parks as [parallel.push]/[parallel.pop],
-    the spawn window as [spawn.helper], the join as [join.helper] —
-    and the runtime registers its cascade hook (abort the channel), so
-    a wedged peer is torn down after its deadline and surfaced as a
-    [`Deadline] error instead of hanging the run (see {!Watchdog}).
-    The caller creates and {!Watchdog.stop}s the watchdog; one
-    watchdog supervises one run.
-
-    With [~degrade:`Inline], a failure of any non-application leg
-    (helper crash, spawn failure, deadline miss) no longer ends the
-    run: the application domain re-executes the deterministic machine
-    and completes the tracking through the retained engine, processing
-    exactly the events past the last fully-processed batch boundary —
-    the report comes back [Ok], flagged [degraded], with a [result]
-    bit-identical to {!run_inline}'s.  A client [on_sink] callback
-    then fires on the calling domain for the replayed suffix.  If the
-    replay itself fails, the original error returns with the replay
-    exception appended to [e_secondary].
-
-    With [?flight], both domains record their recent structured
-    events on the always-on flight recorder ({!Dift_obs.Flight}):
-    the application ring is named ["app"] and carries [run.start],
-    the channel's producer-side [ring.*] events and the final
-    [run.done]/[run.error] marker; the helper ring is named
-    ["helper"] and carries [helper.start], the consumer-side
-    [ring.*] events and the engine's [engine.progress] milestones.
-    Recording is bounded and never blocks — see
-    [docs/observability.md].
+    - {b Geometry.}  [queue_capacity] (default 64) ring slots of
+      [batch_size] (default 64) events.
+    - {b Wire.}  [wire] picks the forwarding-plane encoding (default
+      [`Coded]: interned sites and flat {!Codec} batches, no
+      allocation per forwarded event in the steady state; [`Boxed]
+      forwards whole event records).  Both wires produce
+      bit-identical results.
+    - {b Filter.}  With [~forward_filter:true], the application domain
+      drops events that provably cannot touch live taint (see
+      {!Livefilter}); results stay bit-identical — only
+      [filtered_events] and the forwarded volume change.  The filter
+      stands down silently under [propagate_control].
+    - {b Sinks and degrade.}  See the module preamble: [on_sink] runs
+      on the calling domain after the join; [~degrade:`Inline]
+      resumes after the helper's last fully processed batch.
+    - {b Metrics} ([?obs]): the VM's [vm.*] counters
+      ({!Dift_vm.Obs_tool}), the engine's [core.engine.*]/
+      [core.shadow.*] gauges, the channel's [parallel.ring.*]/
+      [parallel.forwarder.*] metrics, and [parallel.helper.*]
+      (busy/wall counters, a [parallel.helper.batch] span over
+      per-batch propagation latency, a utilization gauge).  The
+      registry may be snapshotted from any domain, including while the
+      run is in flight.
+    - {b Timeline} ([?trace]): the ["app"] track carries the [app.run]
+      span and the producer's [ring.enqueue]/[ring.stall] spans; the
+      ["helper"] track the [helper.drain] envelope, one [engine.batch]
+      span per batch, the consumer's [ring.dequeue]/[ring.wait] spans
+      and the engine's shadow-footprint samples; both feed the
+      [ring.occupancy] counter track.
+    - {b Flight recorder} ([?flight]): the ["app"] ring carries
+      [run.start], the producer-side [ring.*] events and the final
+      [run.done]/[run.error] marker; the ["helper"] ring carries
+      [helper.start], the consumer-side [ring.*] events, the engine's
+      [engine.progress] milestones and, if the helper dies,
+      [helper.crash] (see [docs/observability.md]).
+    - {b Faults} ([?chaos]): every channel operation and the helper
+      spawn consult the fault plan (see {!Chaos}).
+    - {b Watchdog} ([?watchdog]): ring parks publish progress as
+      [parallel.push]/[parallel.pop], the spawn window as
+      [spawn.helper], the join as [join.helper]; the cascade hook
+      ([parallel]) aborts the channel, so a wedged peer surfaces as a
+      [`Deadline] error instead of a hang.  The caller creates and
+      {!Watchdog.stop}s the watchdog; one watchdog supervises one run.
 
     @raise Invalid_argument if [queue_capacity] or [batch_size] is
     [< 1]. *)
-val run :
-  ?config:Machine.config ->
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?chaos:Chaos.t ->
-  ?watchdog:Watchdog.t ->
-  ?degrade:[ `Inline ] ->
-  ?queue_capacity:int ->
-  ?batch_size:int ->
-  ?wire:Channel.wire ->
-  ?forward_filter:bool ->
-  ?policy:Policy.t ->
-  ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
-  Program.t ->
-  input:int array ->
-  report
-
-(** Supervised {!run}: identical on success; every failure leg joins
-    the helper and returns a structured {!error} instead of raising.
-    {!run} is [run_result] with [Error e] re-raised as [e.e_exn]. *)
 val run_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -253,13 +226,15 @@ val run_result :
   input:int array ->
   (report, error) Stdlib.result
 
-(** The sequential baseline: the same engine attached inline in the
-    current domain, reported in the same shape.  [?obs] instruments
-    the VM and engine as in {!run} (no [parallel.*] group — there is
-    no channel); [?trace] records a single-track timeline ([app.run]
-    span plus engine counter samples, all on the calling domain);
-    [?flight] names the calling domain's recorder ring ["app"] and
-    records the engine's [engine.progress] milestones on it. *)
+(** [run_inline program ~input] — the sequential baseline: the same
+    engine attached inline in the current domain, reported in the
+    same shape; [on_sink] runs as each sink happens.  [?obs]
+    instruments the VM and engine as in {!run_result} (no
+    [parallel.*] group — there is no channel); [?trace] records a
+    single-track timeline ([app.run] span plus engine counter samples,
+    all on the calling domain); [?flight] names the calling domain's
+    recorder ring ["app"] and records the engine's [engine.progress]
+    milestones on it. *)
 val run_inline :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -271,22 +246,8 @@ val run_inline :
   input:int array ->
   inline_report
 
-(** {1 The sharded N-helper runtime}
-
-    {!run_sharded} generalises {!run} from one helper domain to [N]:
-    a {!Router} partitions shadow memory across shards by block
-    interleaving the {!Dift_vm.Loc} encoding, the application domain
-    routes each forwarded event to the shards it touches over
-    per-shard {!Forwarder} channels, and events spanning shards are
-    resolved by {!Shard_engine}'s two-phase read-request/taint-reply
-    exchange (or conservatively broadcast — see
-    {!Shard_engine.route}).  Results merge deterministically at join:
-    sharded(N), sharded(1), {!run} and {!run_inline} all produce the
-    same {!result} — asserted kernel-by-kernel and property-tested in
-    [test/test_sharded.ml]. *)
-
-(** What {!run_sharded} reports on top of the merged {!result}:
-    routing and exchange volume, plus per-shard activity. *)
+(** What {!run_sharded_result} reports on top of the merged
+    {!result}: routing and exchange volume, plus per-shard activity. *)
 type sharded_report = {
   s_result : result;  (** merged, comparable against {!run_inline} *)
   s_shards : int;
@@ -301,97 +262,52 @@ type sharded_report = {
   s_cross_events : int;  (** events that spanned shards *)
   s_exchange_messages : int;  (** taint vectors through the mesh *)
   s_per_shard : Shard_engine.shard_stat array;
-  s_main_wall_ns : int;  (** application-domain run time *)
+  s_main_wall_ns : int;  (** application-domain run time, to the close *)
   s_total_wall_ns : int;  (** until the last shard joined *)
   s_degraded : degraded option;
       (** [Some _] iff the cluster failed and the run was completed by
-          the degraded-mode inline replay (always a full rerun — no
-          consistent cross-shard resume point exists mid-protocol);
-          [s_result] is then still bit-identical to {!run_inline}'s *)
+          the degraded-mode inline replay; [s_result] is then still
+          bit-identical to {!run_inline}'s *)
 }
 
-(** [run_sharded ~shards program ~input] executes [program] in the
-    current domain while [shards] helper domains track taint, each
-    owning a disjoint slice of shadow memory.
+(** [run_sharded_result ~shards program ~input] executes [program] in
+    the current domain while [shards] helper domains track taint, each
+    owning a disjoint slice of shadow memory: a {!Router} partitions
+    shadow memory by block interleaving the {!Dift_vm.Loc} encoding,
+    the application domain routes each forwarded event to the shards
+    it touches, and events spanning shards are resolved by
+    {!Shard_engine}'s two-phase read-request/taint-reply exchange (or
+    conservatively broadcast).  Results merge deterministically at
+    join: sharded(N), {!run_result} and {!run_inline} all produce the
+    same {!result}.  With [~shards:1] this is {!run_result}'s runtime,
+    names and degraded resume included.
 
     [route] picks the cross-shard strategy (default [`Request_reply];
-    that route rejects policies with [propagate_control] — use
-    [`Broadcast] for control-flow tracking).  [block_bits] sets the
-    interleaving granularity ({!Router.default_block_bits} aligns
-    blocks with register frames).  [queue_capacity]/[batch_size]
-    shape each shard's inbound channel and [xchg_capacity] each
-    exchange ring.
+    with more than one shard that route rejects policies with
+    [propagate_control] — use [`Broadcast] for control-flow
+    tracking).  [queue_capacity]/[batch_size] shape each shard's
+    inbound channel and [xchg_capacity] (default 256) each exchange
+    ring.  [wire], [forward_filter] (one liveness epoch per shard),
+    [on_sink] and [degrade] behave as in {!run_result}; N shards
+    degrade by a full rerun.
 
-    Unlike {!run}, [on_sink] fires on the {e calling} domain after the
-    join, in global step order (the deterministic merge); the hash and
-    counts in [s_result] are nevertheless bit-identical to the
-    streaming runtimes.
-
-    With [?obs], each shard's channel publishes under
-    [parallel.shard<i>.*] alongside per-shard busy/wall/utilization
-    gauges and the router's [parallel.router.cross_events]; with
-    [?trace], each shard gets its own [shard-<i>] track of batch and
-    ring spans next to the [app] track.
-
-    [wire] and [forward_filter] behave as in {!run} ([`Coded] default;
-    the filter keeps one liveness epoch per shard and stands down
-    under [propagate_control]).
-
-    With [?chaos], the fault plan is threaded through every shard's
-    inbound channel, every exchange ring and the domain spawns (see
-    {!Shard_engine.Make.cluster}).
-
-    With [?watchdog], every blocking seam of the cluster publishes
-    progress — feed rings ([parallel.shard<i>.push]/[.pop]), exchange
-    rings ([xchg.<src>.<dst>.push]/[.pop]), spawn windows
-    ([spawn.shard<i>]), the join fan-in ([join.shard<i>]) and a
-    per-view work pulse ([work.shard<i>]) — and the cluster registers
-    its cascade hooks in dependency order (each feed channel, then the
-    mesh), so a wedged shard or exchange leg is torn down after its
-    deadline and surfaced as a [`Deadline] error.  With
-    [~degrade:`Inline], any non-application failure is completed by a
-    {e full} inline rerun on a fresh engine (no consistent cross-shard
-    resume point exists mid-protocol) — [Ok], flagged [s_degraded],
-    bit-identical to {!run_inline}.
-
-    With [?flight], the application ring (named ["app"]) records
-    [run.start], producer-side [ring.*] events for every shard
-    channel and the final [run.done]/[run.error] marker, and each
-    shard ring (named ["shard-<i>"]) records [shard.start],
-    consumer-side [ring.*] events, the exchange-mesh [xchg.*] legs,
-    [engine.progress] milestones and — if the shard dies of its own
-    exception — a terminal [shard.crash] event.
+    With N shards the seams take per-shard names: each channel
+    publishes under [parallel.shard<i>.*] ([?obs]) alongside per-shard
+    busy/wall/utilization gauges and [parallel.router.cross_events];
+    each shard gets a [shard-<i>] track ([?trace]) and flight ring
+    ([?flight]: [shard.start], consumer-side [ring.*], the exchange
+    mesh's [xchg.*] legs, [engine.progress], and [shard.crash] if it
+    dies of its own exception); the fault plan ([?chaos]) reaches
+    every shard channel ([parallel.shard<i>]), every exchange ring
+    ([xchg.<src>.<dst>]) and every spawn; the watchdog ([?watchdog])
+    sees feed rings ([parallel.shard<i>.push]/[.pop]), exchange rings
+    ([xchg.<src>.<dst>.push]/[.pop]), spawn windows
+    ([spawn.shard<i>]), the joins ([join.shard<i>]) and a per-view
+    work pulse ([work.shard<i>]), with cascade hooks in dependency
+    order (each feed channel, then the mesh).
 
     @raise Invalid_argument if [shards], [queue_capacity] or
     [batch_size] is [< 1]. *)
-val run_sharded :
-  ?config:Machine.config ->
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?chaos:Chaos.t ->
-  ?watchdog:Watchdog.t ->
-  ?degrade:[ `Inline ] ->
-  ?route:Shard_engine.route ->
-  ?queue_capacity:int ->
-  ?batch_size:int ->
-  ?xchg_capacity:int ->
-  ?block_bits:int ->
-  ?wire:Channel.wire ->
-  ?forward_filter:bool ->
-  ?policy:Policy.t ->
-  ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
-  shards:int ->
-  Program.t ->
-  input:int array ->
-  sharded_report
-
-(** Supervised {!val-run_sharded}: identical on success; every failure
-    (a shard's own crash, the [Shard_dead] cascade, an application
-    crash, a spawn failure) joins all domains and returns a structured
-    {!error} with the failing shard identified in [e_leg].
-    {!val-run_sharded} is [run_sharded_result] with [Error e]
-    re-raised as [e.e_exn]. *)
 val run_sharded_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -404,7 +320,6 @@ val run_sharded_result :
   ?queue_capacity:int ->
   ?batch_size:int ->
   ?xchg_capacity:int ->
-  ?block_bits:int ->
   ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->

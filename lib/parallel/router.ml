@@ -7,7 +7,7 @@
 
 open Dift_vm
 
-type t = { shards : int; block_bits : int }
+type t = { shards : int }
 
 (* 2^6 = 64 locations per block = exactly [Reg.count], so a whole
    register frame is one block and plain ALU traffic (reads and write
@@ -18,24 +18,20 @@ let default_block_bits = 6
 (* Participant sets are int bitmasks, one bit per shard. *)
 let max_shards = Sys.int_size - 2
 
-let create ?(block_bits = default_block_bits) ~shards () =
+let create ~shards () =
   if shards < 1 then
     invalid_arg (Fmt.str "Router.create: shards = %d < 1" shards);
   if shards > max_shards then
     invalid_arg
       (Fmt.str "Router.create: shards = %d > %d" shards max_shards);
-  if block_bits < 0 || block_bits > 30 then
-    invalid_arg
-      (Fmt.str "Router.create: block_bits = %d outside [0, 30]" block_bits);
-  { shards; block_bits }
+  { shards }
 
 let shards t = t.shards
-let block_bits t = t.block_bits
 
 (* [Loc] packs the plane tag in bit 0 (mem: [a lsl 1]; reg:
    [idx lsl 1 lor 1]), so [loc lsr 1] recovers the per-plane index.
    Both planes share the block ring; a shard owns locations from both. *)
-let shard_of_loc t loc = (loc lsr 1) lsr t.block_bits mod t.shards
+let shard_of_loc t loc = (loc lsr 1) lsr default_block_bits mod t.shards
 
 let owns t shard loc = shard_of_loc t loc = shard
 

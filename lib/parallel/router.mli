@@ -1,10 +1,11 @@
 (** Event routing for the sharded N-helper runtime
-    ({!Parallel.run_sharded}).
+    ({!Parallel.run_sharded_result}).
 
     The shadow address space is partitioned across helper shards by
     {e block interleaving} the integer {!Dift_vm.Loc} encoding: location
-    [l] belongs to shard [((l lsr 1) lsr block_bits) mod shards].  The
-    default block of [2{^6} = 64] locations matches
+    [l] belongs to shard
+    [((l lsr 1) lsr default_block_bits) mod shards].  The block of
+    [2{^6} = 64] locations matches
     [Dift_isa.Reg.count], so one register frame — one activation's
     registers — lives entirely on one shard, successive call frames
     round-robin across shards, and memory is striped in 64-word
@@ -21,8 +22,8 @@ open Dift_vm
 
 type t
 
-(** Block size exponent used when [?block_bits] is omitted: [6], i.e.
-    64-location blocks aligned with the register-frame size. *)
+(** Block size exponent: [6], i.e. 64-location blocks aligned with
+    the register-frame size. *)
 val default_block_bits : int
 
 (** Largest supported shard count (participant sets are one-word
@@ -30,17 +31,13 @@ val default_block_bits : int
 val max_shards : int
 
 (** [create ~shards ()] describes a partition of the location space
-    into [shards] interleaved shards of [2{^block_bits}]-location
-    blocks.
-    @raise Invalid_argument if [shards < 1], [shards > max_shards] or
-    [block_bits] is outside [[0, 30]]. *)
-val create : ?block_bits:int -> shards:int -> unit -> t
+    into [shards] interleaved shards of
+    [2{^default_block_bits}]-location blocks.
+    @raise Invalid_argument if [shards < 1] or [shards > max_shards]. *)
+val create : shards:int -> unit -> t
 
 (** Number of shards in the partition. *)
 val shards : t -> int
-
-(** The block size exponent this router was created with. *)
-val block_bits : t -> int
 
 (** [shard_of_loc t l] is the shard owning location [l]. *)
 val shard_of_loc : t -> Loc.t -> int

@@ -57,8 +57,32 @@ let pp_failure ppf f =
    the system clock steps mid-run. *)
 let now_ns = Dift_obs.Clock.now_ns
 
+(* The sink trace: one well-mixed integer per sink observation, folded
+   by addition.  The sum is order-independent, so shards fold their own
+   observations and the merge adds them up; the step inside each
+   observation keeps the order information. *)
+let sink_code : Engine.sink -> int = function
+  | Engine.Sink_icall -> 0
+  | Engine.Sink_output -> 1
+  | Engine.Sink_check -> 2
+  | Engine.Sink_store_address -> 3
+  | Engine.Sink_load_address -> 4
+  | Engine.Sink_branch -> 5
+
+let sink_hash ~step sink tainted =
+  let x = (step lsl 4) lor (sink_code sink lsl 1) lor Bool.to_int tainted in
+  let h = (x lxor (x lsr 29)) * 0x100000001b3 in
+  let h = (h lxor (h lsr 31)) * 0xbf58476d1ce4e5b in
+  h lxor (h lsr 29)
+
 module Make (D : Taint.DOMAIN) = struct
   module E = Engine.Make (D)
+
+  (* [not (D.is_bottom t)], without a call through the functor
+     parameter for the Bool domain: the sink hook and the filter's
+     publication run it per event on the helpers. *)
+  let tainted (t : D.t) : bool =
+    match D.as_bool with Some Taint.Refl -> t | None -> not (D.is_bottom t)
 
   (* One exchange message: the step it belongs to (a protocol
      self-check — rings are FIFO, so a mismatch means a routing bug)
@@ -126,34 +150,33 @@ module Make (D : Taint.DOMAIN) = struct
     route : route;
     x : xchg;
     eng : E.t;
-    record_sinks : bool;
     w_flight : Dift_obs.Flight.t option;
         (** exchange legs record [xchg.push]/[xchg.pop] flight events *)
     w_scratch : Event.view;
         (** refilled per event on the boxed {!handle} path; coded
             drains hand their own scratch view to {!handle_view} *)
+    mutable sink_hash : int;
+        (** {!sink_hash} summed over this shard's sink observations *)
     mutable sinks : (int * Engine.sink * D.t * Event.exec option) list;
-        (** newest first *)
+        (** newest first; kept only while [record_sinks] *)
+    mutable record_sinks : bool;
     mutable sink_events : bool;
-        (** record each sink's event record too (for a client sink
-            callback); off, recording a sink allocates no record *)
-    mutable w_handled : int;
+        (** with [record_sinks], keep each sink's event record too (for
+            a client sink callback) *)
     mutable sent : int;
     mutable received : int;
     mutable w_prog : Dift_obs.Progress.leg option;
         (** [work.shard<i>]: ticked per handled view — the progress
             pulse that keeps legitimately parked peers from tripping
             the watchdog while this shard computes *)
-    mutable w_last_step : int;
-        (** step of the last view handled ([-1] = none); written by
-            the shard domain, read after the join *)
   }
 
   let worker ?policy ?flight ~router ~route ~xchg ~record_sinks ~shard
       program =
     let policy = Option.value policy ~default:Policy.default in
     (match route with
-    | `Request_reply when policy.Policy.propagate_control ->
+    | `Request_reply
+      when policy.Policy.propagate_control && Router.shards router > 1 ->
         invalid_arg
           "Shard_engine: propagate_control entangles every event through \
            per-thread control state and cannot be sharded exactly; use \
@@ -172,27 +195,27 @@ module Make (D : Taint.DOMAIN) = struct
         route;
         x = xchg;
         eng;
-        record_sinks;
         w_flight = flight;
         w_scratch =
           Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0);
+        sink_hash = 0;
         sinks = [];
+        record_sinks;
         sink_events = false;
-        w_handled = 0;
         sent = 0;
         received = 0;
         w_prog = None;
-        w_last_step = -1;
       }
     in
-    if record_sinks then
-      E.on_sink_view eng (fun sink taint v ->
+    E.on_sink_view eng (fun sink taint v ->
+        let step = v.Event.v_step in
+        w.sink_hash <- w.sink_hash + sink_hash ~step sink (tainted taint);
+        if w.record_sinks then
           let e = if w.sink_events then Some (Event.view_to_exec v) else None in
-          w.sinks <- (v.Event.v_step, sink, taint, e) :: w.sinks);
+          w.sinks <- (step, sink, taint, e) :: w.sinks);
     w
 
   let engine w = w.eng
-  let handled w = w.w_handled
   let exchange_sent w = w.sent
   let exchange_received w = w.received
 
@@ -344,8 +367,6 @@ module Make (D : Taint.DOMAIN) = struct
     end
 
   let handle_view w (v : Event.view) =
-    w.w_handled <- w.w_handled + 1;
-    w.w_last_step <- v.Event.v_step;
     (match w.w_prog with
     | Some l -> Dift_obs.Progress.tick l
     | None -> ());
@@ -370,6 +391,7 @@ module Make (D : Taint.DOMAIN) = struct
     m_events : int;
     m_sources : int;
     m_sink_hits : int;
+    m_sink_hash : int;
     m_sinks : (int * Engine.sink * D.t * Event.exec option) list;
     m_tainted_locations : int;
     m_shadow_words : int;
@@ -388,112 +410,143 @@ module Make (D : Taint.DOMAIN) = struct
     |> List.sort compare |> Hashtbl.hash
 
   let merge ws =
-    match ws.(0).route with
-    | `Broadcast ->
-        (* full replication: shard 0 holds the whole answer *)
-        let w0 = ws.(0) in
-        let s = E.stats w0.eng in
-        let tl, sw = E.shadow_footprint w0.eng in
-        {
-          m_events = s.Engine.events;
-          m_sources = s.Engine.sources;
-          m_sink_hits = s.Engine.sink_hits;
-          m_sinks = List.rev w0.sinks;
-          m_tainted_locations = tl;
-          m_shadow_words = sw;
-          m_fingerprint = fingerprint_of [| w0 |];
-        }
-    | `Request_reply ->
-        let ev = ref 0
-        and src = ref 0
-        and hits = ref 0
-        and tl = ref 0
-        and sw = ref 0 in
-        Array.iter
-          (fun w ->
-            let s = E.stats w.eng in
-            ev := !ev + s.Engine.events;
-            src := !src + s.Engine.sources;
-            hits := !hits + s.Engine.sink_hits;
-            let t, wd = E.shadow_footprint w.eng in
-            tl := !tl + t;
-            sw := !sw + wd)
-          ws;
-        (* each shard's list is already step-ascending (it processes
-           its ring in forwarding order); a stable sort on the step is
-           a k-way merge that keeps intra-step order (all entries of
-           one step come from that event's home shard) *)
-        let sinks =
-          Array.fold_left (fun acc w -> List.rev_append w.sinks acc) [] ws
-          |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) ->
-                 compare (a : int) b)
-        in
-        {
-          m_events = !ev;
-          m_sources = !src;
-          m_sink_hits = !hits;
-          m_sinks = sinks;
-          m_tainted_locations = !tl;
-          m_shadow_words = !sw;
-          m_fingerprint = fingerprint_of ws;
-        }
-
-  (* The sequential reference: one worker, one shard, no exchange —
-     [handle] degenerates to [E.process] on every event. *)
-  let sequential ?policy program events =
-    let router = Router.create ~shards:1 () in
-    let xchg = create_xchg ~capacity:1 ~shards:1 () in
-    let w =
-      worker ?policy ~router ~route:`Broadcast ~xchg ~record_sinks:true
-        ~shard:0 program
+    (* broadcast: full replication, shard 0 holds the whole answer;
+       request/reply: every event has one home shard, so the disjoint
+       shards add up *)
+    let ws =
+      match ws.(0).route with `Broadcast -> [| ws.(0) |] | `Request_reply -> ws
     in
+    let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
+    let stat f = sum (fun w -> f (E.stats w.eng)) in
+    {
+      m_events = stat (fun s -> s.Engine.events);
+      m_sources = stat (fun s -> s.Engine.sources);
+      m_sink_hits = stat (fun s -> s.Engine.sink_hits);
+      m_sink_hash = sum (fun w -> w.sink_hash);
+      (* each shard's list is already step-ascending (it processes its
+         ring in forwarding order); a stable sort on the step is a
+         k-way merge that keeps intra-step order (all entries of one
+         step come from that event's home shard) *)
+      m_sinks =
+        Array.fold_left (fun acc w -> List.rev_append w.sinks acc) [] ws
+        |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) ->
+               compare (a : int) b);
+      m_tainted_locations = sum (fun w -> fst (E.shadow_footprint w.eng));
+      m_shadow_words = sum (fun w -> snd (E.shadow_footprint w.eng));
+      m_fingerprint = fingerprint_of ws;
+    }
+
+  (* One worker alone: a one-shard router and no mesh, so [handle]
+     degenerates to [E.process_view] on every event. *)
+  let solo ?policy ~record_sinks program =
+    worker ?policy ~router:(Router.create ~shards:1 ()) ~route:`Broadcast
+      ~xchg:(create_xchg ~shards:0 ()) ~record_sinks ~shard:0 program
+
+  let sequential ?policy program events =
+    let w = solo ?policy ~record_sinks:true program in
     List.iter (handle w) events;
     merge [| w |]
 
   (* -- a cluster: workers + inbound rings + helper domains ------------- *)
 
-  type shard_clock = { mutable busy_ns : int; mutable wall_ns : int }
+  type shard_clock = {
+    mutable busy_ns : int;
+    mutable wall_ns : int;
+    on_busy : int -> unit;  (** registry hook, per timed batch *)
+    on_wall : int -> unit;  (** registry hook, at drain end *)
+  }
 
   type cluster = {
-    c_router : Router.t;
     c_route : route;
     c_xchg : xchg;
     workers : worker array;
     chans : Channel.t array;
     c_filter : Livefilter.t option;
-    c_boxed : bool;  (** the channels ship boxed records *)
-    c_scratch : Event.view;  (** {!feed}'s adapter view *)
     clocks : shard_clock array;
     c_trace : Dift_obs.Trace.t option;
     c_flight : Dift_obs.Flight.t option;
     c_chaos : Chaos.t option;
     c_spawn_legs : Dift_obs.Progress.leg option array;
-        (** [spawn.shard<i>]: armed from just before [Domain.spawn]
-            until the shard body's first instruction *)
+        (** [spawn.helper] / [spawn.shard<i>]: armed from just before
+            [Domain.spawn] until the body's first instruction *)
     c_join_legs : Dift_obs.Progress.leg option array;
-        (** [join.shard<i>]: armed around the join fan-in *)
+        (** [join.helper] / [join.shard<i>]: armed around the joins *)
+    c_solo : unit -> worker;  (** a fresh worker, for {!resume} *)
+    mutable c_feed : Event.view -> unit;
+    mutable c_cutoff : int;
+        (** one shard: step of the last event of the last batch the
+            helper fully processed ([-1] = none); written by the
+            helper, read after the join *)
+    mutable c_closed : bool;
     mutable domains : unit Domain.t array;
     mutable cross : int;
   }
 
-  let cluster ?policy ?(route = `Request_reply) ?block_bits ?obs ?trace
-      ?flight ?chaos ?watchdog ?(queue_capacity = 64) ?(batch_size = 64)
-      ?(xchg_capacity = 256) ?(xchg_journal = false) ?(wire = `Coded)
-      ?filter ~shards program =
-    let router = Router.create ?block_bits ~shards () in
+  (* Deliver to, or flush, every shard of a participant mask, in
+     ascending shard order as {!Router.iter_shards} does, without a
+     closure per event. *)
+  let rec add_mask chans v mask s =
+    if mask <> 0 then begin
+      if mask land 1 = 1 then Channel.add_view chans.(s) v;
+      add_mask chans v (mask lsr 1) (s + 1)
+    end
+
+  let rec flush_mask chans mask s =
+    if mask <> 0 then begin
+      if mask land 1 = 1 then Channel.flush chans.(s);
+      flush_mask chans (mask lsr 1) (s + 1)
+    end
+
+  (* Route one admitted event to several shards.  An event for several
+     boxed channels gets its record built once, cached in the view, so
+     that every channel ships the same one. *)
+  let route_view c ~router ~boxed v =
+    match c.c_route with
+    | `Broadcast ->
+        if boxed then ignore (Event.view_to_exec v : Event.exec);
+        for s = 0 to Array.length c.chans - 1 do
+          Channel.add_view c.chans.(s) v
+        done
+    | `Request_reply ->
+        let mask = Router.participants_view router v in
+        if Router.is_local mask then add_mask c.chans v mask 0
+        else begin
+          if boxed then ignore (Event.view_to_exec v : Event.exec);
+          add_mask c.chans v mask 0;
+          c.cross <- c.cross + 1;
+          (* flush every participant: no copy of a cross-shard event
+             may sit in an open batch while a peer shard blocks
+             awaiting one of its exchange legs *)
+          flush_mask c.chans mask 0
+        end
+
+  let cluster ?policy ?(route = `Request_reply) ?obs ?trace ?flight ?chaos
+      ?watchdog ?(queue_capacity = 64) ?(batch_size = 64)
+      ?(xchg_capacity = 256) ?(wire = `Coded) ?filter ~shards program =
+    let router = Router.create ~shards () in
+    (* One shard has nothing to route or exchange: no mesh, and the
+       names of the two-domain runtime, since that is what it is. *)
+    let one = shards = 1 in
     let progress = Option.map Watchdog.progress watchdog in
     let xchg =
-      create_xchg ~capacity:xchg_capacity ~journal:xchg_journal ?chaos
-        ?progress ~shards ()
+      create_xchg ~capacity:xchg_capacity ?chaos ?progress
+        ~shards:(if one then 0 else shards)
+        ()
     in
     let workers =
       Array.init shards (fun s ->
-          worker ?policy ?flight ~router ~route ~xchg
-            ~record_sinks:
-              (match route with
-              | `Request_reply -> true
-              | `Broadcast -> s = 0)
+          worker ?policy ?flight ~router ~route ~xchg ~record_sinks:false
             ~shard:s program)
+    in
+    let ns s = if one then "parallel" else Fmt.str "parallel.shard%d" s in
+    let leg_array prefix =
+      Array.init shards (fun s ->
+          Option.map
+            (fun p ->
+              Dift_obs.Progress.leg p
+                (if one then prefix ^ ".helper"
+                 else Fmt.str "%s.shard%d" prefix s))
+            progress)
     in
     (* one interned site table, shared by every coded shard channel *)
     let table = lazy (Site.of_program program) in
@@ -501,48 +554,91 @@ module Make (D : Taint.DOMAIN) = struct
       (* request/reply shards coordinate on every cross-shard event, so
          a lost inbound batch would strand peers mid-exchange: escalate
          injected losses on these rings to clean shard crashes *)
-      let escalate = route = `Request_reply in
+      let escalate = route = `Request_reply && not one in
       Array.init shards (fun s ->
           Channel.create ?obs ?trace ?flight ?chaos ?progress ~escalate
-            ~ns:(Fmt.str "parallel.shard%d" s)
-            ~wire ~queue_capacity ~batch_size ~table ())
-    in
-    let leg_array prefix =
-      match progress with
-      | None -> Array.make shards None
-      | Some p ->
-          Array.init shards (fun s ->
-              Some (Dift_obs.Progress.leg p (prefix ^ string_of_int s)))
+            ~ns:(ns s) ~wire ~queue_capacity ~batch_size ~table ())
     in
     (match progress with
-    | Some p ->
+    | Some p when not one ->
         Array.iteri
           (fun s w ->
             w.w_prog <-
               Some (Dift_obs.Progress.leg p (Fmt.str "work.shard%d" s)))
           workers
-    | None -> ());
-    let clocks = Array.init shards (fun _ -> { busy_ns = 0; wall_ns = 0 }) in
+    | _ -> ());
+    let clock ?(on_busy = ignore) ?(on_wall = ignore) () =
+      { busy_ns = 0; wall_ns = 0; on_busy; on_wall }
+    in
+    let clocks =
+      match obs with
+      | Some reg when one ->
+          (* the helper's engine gauges, and its utilization: busy time
+             around whole batches against its wall time; the same
+             per-batch measurement feeds the [parallel.helper.batch]
+             span *)
+          let open Dift_obs in
+          let eng = workers.(0).eng in
+          E.register_obs eng reg;
+          let busy =
+            Registry.counter reg "parallel.helper.busy_ns"
+              ~help:"helper time spent processing batches"
+          in
+          let wall =
+            Registry.counter reg "parallel.helper.wall_ns"
+              ~help:"helper wall time, spawn to drain end"
+          in
+          let batch_span =
+            Registry.span reg "parallel.helper.batch"
+              ~help:"per-batch propagation latency"
+          in
+          Registry.gauge_fn reg "parallel.helper.utilization_pct"
+            ~help:"busy / wall, percent" (fun () ->
+              Registry.value busy * 100 / max 1 (Registry.value wall));
+          [|
+            clock
+              ~on_busy:(fun dt ->
+                Registry.add busy dt;
+                Registry.record_ns batch_span dt)
+              ~on_wall:(Registry.add wall) ();
+          |]
+      | _ -> Array.init shards (fun _ -> clock ())
+    in
+    (* the helper's engine samples its shadow footprint on its track *)
+    (match trace with
+    | Some tr when one -> E.set_trace workers.(0).eng tr
+    | _ -> ());
     let c =
       {
-        c_router = router;
         c_route = route;
         c_xchg = xchg;
         workers;
         chans;
         c_filter = filter;
-        c_boxed = wire = `Boxed;
-        c_scratch = Event.view_blank ();
         clocks;
         c_trace = trace;
         c_flight = flight;
         c_chaos = chaos;
-        c_spawn_legs = leg_array "spawn.shard";
-        c_join_legs = leg_array "join.shard";
+        c_spawn_legs = leg_array "spawn";
+        c_join_legs = leg_array "join";
+        c_solo = (fun () -> solo ?policy ~record_sinks:false program);
+        c_feed = ignore;
+        c_cutoff = -1;
+        c_closed = false;
         domains = [||];
         cross = 0;
       }
     in
+    let boxed = wire = `Boxed and ch = chans.(0) in
+    c.c_feed <-
+      (match filter with
+      | None when one -> Channel.add_view ch
+      | None -> route_view c ~router ~boxed
+      | Some lf when one ->
+          fun v -> if Livefilter.admit_view lf v then Channel.add_view ch v
+      | Some lf ->
+          fun v ->
+            if Livefilter.admit_view lf v then route_view c ~router ~boxed v);
     (* cascade hooks, in dependency order: the feed rings first (their
        consumers unpark and terminate), then the exchange mesh (any
        shard parked mid-exchange gets [Shard_dead] and cascades) —
@@ -552,14 +648,13 @@ module Make (D : Taint.DOMAIN) = struct
     | Some w ->
         Array.iteri
           (fun s ch ->
-            Watchdog.on_miss w
-              ~name:(Fmt.str "parallel.shard%d" s)
-              (fun () -> Channel.abort ch))
+            Watchdog.on_miss w ~name:(ns s) (fun () -> Channel.abort ch))
           chans;
-        Watchdog.on_miss w ~name:"xchg" (fun () -> abort_xchg xchg)
+        if not one then
+          Watchdog.on_miss w ~name:"xchg" (fun () -> abort_xchg xchg)
     | None -> ());
     (match obs with
-    | Some reg ->
+    | Some reg when not one ->
         let open Dift_obs in
         Array.iteri
           (fun s (k : shard_clock) ->
@@ -579,71 +674,35 @@ module Make (D : Taint.DOMAIN) = struct
           clocks;
         Registry.gauge_fn reg "parallel.router.cross_events"
           ~help:"events spanning more than one shard" (fun () -> c.cross)
-    | None -> ());
+    | _ -> ());
     c
 
-  let router c = c.c_router
   let cross_events c = c.cross
 
   let exchange_messages c =
     Array.fold_left (fun acc w -> acc + w.sent) 0 c.workers
 
+  (* Under broadcast only shard 0 reports, so only it records. *)
   let record_sink_events c =
-    Array.iter (fun w -> w.sink_events <- true) c.workers
+    Array.iteri
+      (fun s w ->
+        if s = 0 || c.c_route = `Request_reply then begin
+          w.record_sinks <- true;
+          w.sink_events <- true
+        end)
+      c.workers
 
-  (* Deliver to, or flush, every shard of a participant mask, in
-     ascending shard order as {!Router.iter_shards} does, without a
-     closure per event. *)
-  let rec add_mask chans v mask s =
-    if mask <> 0 then begin
-      if mask land 1 = 1 then Channel.add_view chans.(s) v;
-      add_mask chans v (mask lsr 1) (s + 1)
-    end
-
-  let rec flush_mask chans mask s =
-    if mask <> 0 then begin
-      if mask land 1 = 1 then Channel.flush chans.(s);
-      flush_mask chans (mask lsr 1) (s + 1)
-    end
-
-  (* An event for several boxed channels: build its record once,
-     cached in the view, so that every channel ships the same one. *)
-  let share_record c v =
-    if c.c_boxed then ignore (Event.view_to_exec v : Event.exec)
-
-  let feed_view c v =
-    let forward =
-      match c.c_filter with
-      | None -> true
-      | Some lf -> Livefilter.admit_view lf v
-    in
-    if forward then
-      match c.c_route with
-      | `Broadcast ->
-          if Array.length c.chans > 1 then share_record c v;
-          for s = 0 to Array.length c.chans - 1 do
-            Channel.add_view c.chans.(s) v
-          done
-      | `Request_reply ->
-          let mask = Router.participants_view c.c_router v in
-          let local = Router.is_local mask in
-          if not local then share_record c v;
-          add_mask c.chans v mask 0;
-          if not local then begin
-            c.cross <- c.cross + 1;
-            (* flush every participant: no copy of a cross-shard event
-               may sit in an open batch while a peer shard blocks
-               awaiting one of its exchange legs *)
-            flush_mask c.chans mask 0
-          end
+  let feed_view c = c.c_feed
 
   let feed c e =
-    Event.view_fill c.c_scratch e;
-    feed_view c c.c_scratch
+    let v = Event.view_blank () in
+    Event.view_fill v e;
+    c.c_feed v
 
   let spawn_one c s w =
+    let one = Array.length c.workers = 1 in
     (* chaos [Spawn] interception: any non-Proceed action models
-       [Domain.spawn] itself failing for this shard *)
+       [Domain.spawn] itself failing for this helper *)
     (match c.c_chaos with
     | None -> ()
     | Some ch -> (
@@ -652,20 +711,26 @@ module Make (D : Taint.DOMAIN) = struct
         | Chaos.Raise_now e -> raise e
         | Chaos.Fail | Chaos.Abort_now ->
             raise
-              (Chaos.Injected (Fmt.str "injected spawn failure, shard %d" s))));
+              (Chaos.Injected
+                 (if one then "injected spawn failure, helper"
+                  else Fmt.str "injected spawn failure, shard %d" s))));
+    (* each helper's track and flight-ring name, and its lifecycle
+       events' prefix *)
+    let name = if one then "helper" else Fmt.str "shard-%d" s
+    and role = if one then "helper" else "shard" in
     Domain.spawn (fun () ->
-        (* disarm the spawn leg: the shard body is running, so the
+        (* disarm the spawn leg: the body is running, so the
            spawn-to-first-progress window is over *)
         (match c.c_spawn_legs.(s) with
         | Some l -> Dift_obs.Progress.leave l
         | None -> ());
         (match c.c_trace with
-        | Some tr -> Dift_obs.Trace.name_track tr (Fmt.str "shard-%d" s)
+        | Some tr -> Dift_obs.Trace.name_track tr name
         | None -> ());
         (match c.c_flight with
         | Some fl ->
-            Dift_obs.Flight.name_domain fl (Fmt.str "shard-%d" s);
-            Dift_obs.Flight.record fl ~cat:"run" "shard.start" ~a:s
+            Dift_obs.Flight.name_domain fl name;
+            Dift_obs.Flight.record fl ~cat:"run" (role ^ ".start") ~a:s
         | None -> ());
         let k = c.clocks.(s) in
         let around_batch body =
@@ -673,20 +738,26 @@ module Make (D : Taint.DOMAIN) = struct
           (match c.c_trace with
           | Some tr -> Dift_obs.Trace.span tr ~cat:"core" "engine.batch" body
           | None -> body ());
-          k.busy_ns <- k.busy_ns + (now_ns () - t0)
+          let dt = now_ns () - t0 in
+          k.busy_ns <- k.busy_ns + dt;
+          k.on_busy dt
         in
         let t0 = now_ns () in
-        Fun.protect ~finally:(fun () -> k.wall_ns <- now_ns () - t0)
+        Fun.protect ~finally:(fun () ->
+            k.wall_ns <- now_ns () - t0;
+            k.on_wall k.wall_ns)
         @@ fun () ->
-        let f, after_batch =
+        (* one shard owns every location: no roles to play *)
+        let f, advance =
           match c.c_filter with
-          | None -> ((fun v -> handle_view w v), None)
+          | None when one -> ((fun v -> E.process_view w.eng v), None)
+          | None -> (handle_view w, None)
           | Some lf ->
               (* publish per event (after processing), advance the
-                 shard's epoch per decoded batch: the filter's
-                 soundness relies on exactly this order *)
+                 shard's epoch per batch: the filter's soundness
+                 relies on exactly this order *)
               let sh = E.shadow w.eng in
-              let tainted l = not (D.is_bottom (E.Sh.get sh l)) in
+              let live l = tainted (E.Sh.get sh l) in
               (* generation reset: republish this shard's live taint
                  (shard shadows are disjoint under request/reply and
                  identical under broadcast, so the union over slots is
@@ -694,18 +765,35 @@ module Make (D : Taint.DOMAIN) = struct
               let repopulate () =
                 E.Sh.fold
                   (fun loc d () ->
-                    if not (D.is_bottom d) then Livefilter.publish_loc lf loc)
+                    if tainted d then Livefilter.publish_loc lf loc)
                   sh ()
               in
               ( (fun v ->
-                  handle_view w v;
-                  Livefilter.publish lf ~tainted v),
+                  if one then E.process_view w.eng v else handle_view w v;
+                  Livefilter.publish lf ~tainted:live v),
                 Some
                   (fun ~last_step ->
                     Livefilter.advance ~repopulate lf ~slot:s ~step:last_step)
               )
         in
-        try Channel.drain ~around_batch ?after_batch c.chans.(s) ~f
+        (* one shard resumes a degraded run after its last fully
+           processed batch, so the cutoff advances at batch ends *)
+        let after_batch =
+          if not one then advance
+          else
+            Some
+              (fun ~last_step ->
+                c.c_cutoff <- last_step;
+                match advance with Some g -> g ~last_step | None -> ())
+        in
+        let drain () =
+          Channel.drain ~around_batch ?after_batch c.chans.(s) ~f
+        in
+        try
+          match c.c_trace with
+          | Some tr ->
+              Dift_obs.Trace.span tr ~cat:"parallel" "helper.drain" drain
+          | None -> drain ()
         with ex ->
           (* unblock the application and every peer shard before
              dying, so the failure cascades instead of wedging *)
@@ -713,7 +801,7 @@ module Make (D : Taint.DOMAIN) = struct
           abort_xchg c.c_xchg;
           (match c.c_flight with
           | Some fl ->
-              Dift_obs.Flight.record fl ~cat:"run" "shard.crash" ~a:s
+              Dift_obs.Flight.record fl ~cat:"run" (role ^ ".crash") ~a:s
                 ~detail:(Printexc.to_string ex)
           | None -> ());
           raise ex)
@@ -723,8 +811,8 @@ module Make (D : Taint.DOMAIN) = struct
     let doms = Array.make n None in
     (try
        for s = 0 to n - 1 do
-         (* armed from here until the shard body's first instruction:
-            a domain that never gets scheduled is a watchable seam *)
+         (* armed from here until the body's first instruction: a
+            domain that never gets scheduled is a watchable seam *)
          (match c.c_spawn_legs.(s) with
          | Some l -> Dift_obs.Progress.enter l
          | None -> ());
@@ -751,7 +839,23 @@ module Make (D : Taint.DOMAIN) = struct
        raise (Spawn_failure ex));
     c.domains <- Array.map Option.get doms
 
-  let close_feed c = Array.iter Channel.close c.chans
+  (* An injected failure during a trailing flush must not leak
+     domains: close every channel anyway (a second close of the one
+     that raised is a quiet no-op flush + ring close, since the raising
+     flush already detached its batch), then re-raise. *)
+  let close_feed c =
+    if not c.c_closed then begin
+      c.c_closed <- true;
+      match Array.iter Channel.close c.chans with
+      | () -> ()
+      | exception ex ->
+          Array.iter
+            (fun ch ->
+              try Channel.close ch
+              with _ -> ( try Channel.close ch with _ -> Channel.abort ch))
+            c.chans;
+          raise ex
+    end
 
   (* Feeder crash mid-event: a cross-shard event may have reached only
      some of its participants, leaving the home shard parked against a
@@ -763,22 +867,8 @@ module Make (D : Taint.DOMAIN) = struct
     abort_xchg c.c_xchg
 
   let finish_result c =
-    (* An injected failure during the trailing flush must not leak
-       domains: re-close every channel (idempotent — the raising flush
-       already detached its batch) so the shards still terminate. *)
     let feed_exn =
-      match close_feed c with
-      | () -> None
-      | exception ex ->
-          Array.iter
-            (fun ch ->
-              try Channel.close ch
-              with _ -> (
-                (* the raising flush detached its batch, so a second
-                   close is a quiet no-op flush + ring close *)
-                try Channel.close ch with _ -> Channel.abort ch))
-            c.chans;
-          Some ex
+      match close_feed c with () -> None | exception ex -> Some ex
     in
     let exns =
       Array.mapi
@@ -812,37 +902,47 @@ module Make (D : Taint.DOMAIN) = struct
         in
         Error { f_primary = primary; f_shards = dead }
 
-  let finish c =
-    match finish_result c with Ok m -> m | Error f -> raise f.f_primary
+  let resume c =
+    if Array.length c.workers = 1 then (c.c_cutoff, c.workers.(0))
+    else
+      let w = c.c_solo () in
+      let keep = c.workers.(0).record_sinks in
+      w.record_sinks <- keep;
+      w.sink_events <- keep;
+      (-1, w)
 
   let shard_stats c =
     Array.mapi
       (fun s w ->
+        let ch = c.chans.(s) in
         {
           shard = s;
-          fed = Channel.events c.chans.(s);
-          handled = w.w_handled;
-          batches = Channel.batches c.chans.(s);
-          dropped_batches = Channel.dropped_batches c.chans.(s);
-          dropped_events = Channel.dropped_events c.chans.(s);
-          discarded_batches = Channel.discarded_batches c.chans.(s);
-          discarded_events = Channel.discarded_events c.chans.(s);
+          fed = Channel.events ch;
+          handled = Channel.consumed_events ch;
+          batches = Channel.batches ch;
+          dropped_batches = Channel.dropped_batches ch;
+          dropped_events = Channel.dropped_events ch;
+          discarded_batches = Channel.discarded_batches ch;
+          discarded_events = Channel.discarded_events ch;
           busy_ns = c.clocks.(s).busy_ns;
           wall_ns = c.clocks.(s).wall_ns;
-          producer_stalls = Channel.producer_stalls c.chans.(s);
-          consumer_waits = Channel.consumer_waits c.chans.(s);
+          producer_stalls = Channel.producer_stalls ch;
+          consumer_waits = Channel.consumer_waits ch;
           exchange_sent = w.sent;
           exchange_received = w.received;
         })
       c.workers
 
-  let run_stream ?policy ?route ?block_bits ?queue_capacity ?batch_size
-      ?xchg_capacity ?wire ?filter ~shards program events =
+  (* A stream run records every sink, as {!sequential} does, so
+     the two compare sink by sink. *)
+  let run_stream ?policy ?route ?queue_capacity ?batch_size ?xchg_capacity
+      ?wire ?filter ~shards program events =
     let c =
-      cluster ?policy ?route ?block_bits ?queue_capacity ?batch_size
-        ?xchg_capacity ?wire ?filter ~shards program
+      cluster ?policy ?route ?queue_capacity ?batch_size ?xchg_capacity ?wire
+        ?filter ~shards program
     in
+    record_sink_events c;
     start c;
     List.iter (feed c) events;
-    finish c
+    match finish_result c with Ok m -> m | Error f -> raise f.f_primary
 end

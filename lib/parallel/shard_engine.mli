@@ -38,10 +38,22 @@
     tracking-work reduction; it is the conservative end of the
     bandwidth-versus-synchronisation trade.
 
-    This module is the machinery under {!Parallel.run_sharded}; it is
-    exposed so tests can drive raw event streams through real domain
-    clusters ({!Make.run_stream}) and the benchmark harness can replay
-    recorded exchanges against isolated workers. *)
+    {2 One shard is the two-domain runtime}
+
+    A one-shard cluster has nothing to route or exchange: it builds no
+    mesh, its feeder skips the router, its helper runs the engine
+    directly, and it takes the two-domain runtime's names (channel
+    namespace [parallel], the [helper] track and flight ring, the
+    [parallel.helper.*] metrics, the [spawn.helper]/[join.helper]
+    watchdog legs).  It also tracks the step of the last batch its
+    helper fully processed, so a degraded run can resume there
+    ({!Make.resume}).
+
+    This module is the machinery under {!Parallel.run_result} and
+    {!Parallel.run_sharded_result}; it is exposed so tests can drive
+    raw event streams through real domain clusters ({!Make.run_stream})
+    and the benchmark harness can replay recorded exchanges against
+    isolated workers. *)
 
 open Dift_isa
 open Dift_vm
@@ -79,7 +91,7 @@ type shard_stat = {
 
 (** Raised (and cascaded) when a peer shard died mid-protocol: an
     exchange pop returned end-of-stream because some shard aborted the
-    mesh.  {!Make.finish} re-raises the original failure in
+    mesh.  {!Make.finish_result} reports the original failure in
     preference to this cascade marker. *)
 exception Shard_dead
 
@@ -100,6 +112,14 @@ type failure = {
 }
 
 val pp_failure : failure Fmt.t
+
+(** [sink_hash ~step sink tainted] is one sink observation's share of
+    the sink-trace hash.  The hash of a run is the sum of its
+    observations' shares: order-independent, so shards fold their own
+    and a merge adds them up, while the step inside each share keeps
+    the trace's order information.  Every runtime folds the same
+    observations, so the sums agree across configurations. *)
+val sink_hash : step:int -> Engine.sink -> bool -> int
 
 (** The worker layer over one taint domain. *)
 module Make (D : Taint.DOMAIN) : sig
@@ -161,11 +181,13 @@ module Make (D : Taint.DOMAIN) : sig
   type worker
 
   (** [worker ~router ~route ~xchg ~record_sinks ~shard program] is
-      shard [shard]'s engine plus protocol state.  With
-      [record_sinks], every sink callback is recorded (step, sink,
-      taint, event) for the deterministic merge.
-      @raise Invalid_argument when [route] is [`Request_reply] and the
-      policy enables [propagate_control] (see the module preamble). *)
+      shard [shard]'s engine plus protocol state.  Every sink folds
+      into the worker's {!sink_hash} sum; with [record_sinks], every
+      sink is also recorded (step, sink, taint) for the deterministic
+      merge.
+      @raise Invalid_argument when [route] is [`Request_reply], the
+      router has more than one shard and the policy enables
+      [propagate_control] (see the module preamble). *)
   val worker :
     ?policy:Policy.t ->
     ?flight:Dift_obs.Flight.t ->
@@ -191,9 +213,6 @@ module Make (D : Taint.DOMAIN) : sig
       locations once all events are handled). *)
   val engine : worker -> E.t
 
-  (** Events this worker handled (including assist-only legs). *)
-  val handled : worker -> int
-
   (** Exchange vectors this worker pushed. *)
   val exchange_sent : worker -> int
 
@@ -208,9 +227,15 @@ module Make (D : Taint.DOMAIN) : sig
     m_events : int;  (** engine events (each event has one home) *)
     m_sources : int;  (** taint injections *)
     m_sink_hits : int;  (** sinks reached by non-bottom taint *)
+    m_sink_hash : int;
+        (** the sink-trace hash: {!sink_hash} summed over every sink
+            observation (a tainted one is one whose taint is not
+            bottom) *)
     m_sinks : (int * Engine.sink * D.t * Event.exec option) list;
-        (** every sink callback, globally step-ordered; the event
-            record is [Some] only after {!record_sink_events} *)
+        (** the recorded sinks, globally step-ordered: every sink for
+            {!sequential} and {!run_stream}, none for a cluster unless
+            {!record_sink_events} asked for them (with their event
+            records) *)
     m_tainted_locations : int;  (** summed over disjoint shards *)
     m_shadow_words : int;  (** summed over disjoint shards *)
     m_fingerprint : int;
@@ -235,8 +260,12 @@ module Make (D : Taint.DOMAIN) : sig
       one worker and one inbound {!Forwarder} channel per shard
       (metric namespace [parallel.shard<i>] when [?obs] is given, plus
       per-shard [busy_ns]/[wall_ns]/[utilization_pct] gauges and the
-      [parallel.router.cross_events] counter).  No domains run yet —
-      call {!start}.
+      [parallel.router.cross_events] counter).  One shard takes the
+      two-domain runtime's shape and names instead (see the module
+      preamble): namespace [parallel], the engine's
+      [core.engine.*]/[core.shadow.*] gauges and [parallel.helper.*]
+      (busy/wall counters, the [parallel.helper.batch] span, a
+      utilization gauge).  No domains run yet — call {!start}.
 
       With [?chaos], the same fault plan is threaded through every
       seam: each shard's inbound channel (namespace
@@ -248,15 +277,18 @@ module Make (D : Taint.DOMAIN) : sig
       [ring.*] events (see {!Forwarder.create}), exchange legs as
       [xchg.push]/[xchg.pop]/[xchg.dead] (category [xchg],
       [a] = source shard, [b] = destination), shard lifecycle
-      [shard.start]/[shard.crash] (category [run]), and the engines'
-      [engine.progress] milestones.
+      [shard.start]/[shard.crash] ([helper.start]/[helper.crash] for
+      one shard; category [run]), and the engines'
+      [engine.progress] milestones.  With [?trace], each helper's
+      track carries a [helper.drain] envelope and one [engine.batch]
+      span per batch.
       [?wire] picks the forwarding-plane encoding for every shard's
       inbound channel (default [`Coded] — the de-boxed {!Codec} plane;
       [`Boxed] forwards whole event records as before); both wires are
       result-identical.  With [?filter] (created by the caller with
       one slot per shard), the feeder consults the producer-side
       taint-liveness filter before routing each event, and every shard
-      publishes taint and advances its epoch as it drains — see
+      publishes taint and advances its epoch after each batch — see
       {!Livefilter} for the soundness argument.
 
       With [?watchdog], every blocking seam registers a progress leg
@@ -266,16 +298,19 @@ module Make (D : Taint.DOMAIN) : sig
       ([spawn.shard<i>]), join fan-in ([join.shard<i>]) — plus a
       per-view work pulse ([work.shard<i>]), and the cluster registers
       its cascade hooks (abort each feed channel, then the mesh) so a
-      deadline miss tears the run down in dependency order.  The
-      supervisor must consult {!Watchdog.fired} after
-      {!finish_result}: a post-cascade run can complete looking
+      deadline miss tears the run down in dependency order.  One shard
+      registers [spawn.helper], [join.helper] and the [parallel.*]
+      ring legs only.  The supervisor must consult {!Watchdog.fired}
+      after {!finish_result}: a post-cascade run can complete looking
       ordinary.
+
+      Shadow memory is partitioned in blocks of
+      [2{^Router.default_block_bits}] locations.
       @raise Invalid_argument for [shards < 1] or non-positive channel
       geometry. *)
   val cluster :
     ?policy:Policy.t ->
     ?route:route ->
-    ?block_bits:int ->
     ?obs:Dift_obs.Registry.t ->
     ?trace:Dift_obs.Trace.t ->
     ?flight:Dift_obs.Flight.t ->
@@ -284,34 +319,31 @@ module Make (D : Taint.DOMAIN) : sig
     ?queue_capacity:int ->
     ?batch_size:int ->
     ?xchg_capacity:int ->
-    ?xchg_journal:bool ->
     ?wire:Channel.wire ->
     ?filter:Livefilter.t ->
     shards:int ->
     Program.t ->
     cluster
 
-  (** The cluster's routing topology. *)
-  val router : cluster -> Router.t
-
-  (** Have every recording shard keep each sink event's record
-      ({!Event.view_to_exec}) in [m_sinks], for a client sink
+  (** Have every reporting shard (all of them under request/reply,
+      shard 0 under broadcast) record its sinks with their event
+      records ({!Event.view_to_exec}) in [m_sinks], for a client sink
       callback run after the join.  Call before {!start}; without it a
-      sink costs its shard no record. *)
+      sink costs its shard one addition to its hash and no record. *)
   val record_sink_events : cluster -> unit
 
   (** Route one event from the application domain, read in place from
       its view: deliver it to every participant shard's inbound
       channel, flushing all of them when the event crosses shards (see
       {!Forwarder.flush}).  [`Broadcast] delivers every event to every
-      shard. *)
+      shard; one shard takes every event without a router. *)
   val feed_view : cluster -> Event.view -> unit
 
-  (** {!feed_view} over a boxed record (filled into a scratch view). *)
+  (** {!feed_view} over a boxed record (filled into a fresh view). *)
   val feed : cluster -> Event.exec -> unit
 
   (** Spawn one helper domain per shard, each draining its inbound
-      channel through {!handle}.  A failing shard aborts its channel
+      channel through {!handle_view}.  A failing shard aborts its channel
       and the whole mesh so the failure cascades instead of wedging.
       @raise Spawn_failure if a domain cannot be spawned; the already
       spawned shards are joined and every channel aborted first, so
@@ -319,8 +351,11 @@ module Make (D : Taint.DOMAIN) : sig
   val start : cluster -> unit
 
   (** Close every inbound channel (flushing trailing batches): the
-      shutdown fan-in.  {!finish} calls this; exposed for drivers that
-      need to stop feeding early. *)
+      shutdown fan-in.  Idempotent.  If a trailing flush raises (an
+      injected fault), every channel is closed anyway, so the shards
+      still terminate, and the exception is re-raised.
+      {!finish_result} calls this; a supervisor calls it first to time
+      the application domain up to the close. *)
   val close_feed : cluster -> unit
 
   (** Emergency teardown after a feeder crash mid-event: aborts every
@@ -332,16 +367,22 @@ module Make (D : Taint.DOMAIN) : sig
       {!finish_result} when the domain feeding {!feed} raised. *)
   val abort : cluster -> unit
 
-  (** Close the channels, join every helper domain and merge.
-      Re-raises the first non-{!Shard_dead} helper failure, or
-      {!Shard_dead} if only the cascade markers remain. *)
-  val finish : cluster -> merged
-
-  (** Supervised variant of {!finish}: always joins every domain
-      (never leaks one), and reports failures as a structured
-      {!failure} value instead of re-raising, so callers can inspect
-      which shards died and still read partial {!shard_stats}. *)
+  (** Close the channels ({!close_feed}), join every helper domain and
+      merge.  Always joins every domain (never leaks one), and reports
+      failures as a structured {!failure} value instead of raising, so
+      callers can inspect which shards died and still read partial
+      {!shard_stats}. *)
   val finish_result : cluster -> (merged, failure) result
+
+  (** Where a degraded run continues on the calling domain, after the
+      cluster failed and was joined: [(cut, w)] — process every event
+      whose step is past [cut] through [w] ({!handle_view}), then
+      {!merge} [[| w |]].  One shard resumes its own worker after the
+      last batch its helper fully processed ([cut] is [-1] when none
+      was).  N shards have no consistent cut mid-protocol, so [w] is a
+      fresh worker and [cut] is [-1]: a rerun from scratch.  [w]
+      records sinks iff {!record_sink_events} was called. *)
+  val resume : cluster -> int * worker
 
   (** Events that crossed shards (request/reply route only). *)
   val cross_events : cluster -> int
@@ -353,12 +394,14 @@ module Make (D : Taint.DOMAIN) : sig
   val shard_stats : cluster -> shard_stat array
 
   (** [run_stream ~shards program events] — cluster, start, feed the
-      whole list, finish.  The test-suite driver for comparing
-      sharded(N) against {!sequential} on arbitrary streams. *)
+      whole list, finish, recording every sink.  The test suite's harness
+      for comparing sharded(N) against {!sequential} on arbitrary
+      streams.
+      @raise Failure (or the failing shard's exception) if the cluster
+      fails. *)
   val run_stream :
     ?policy:Policy.t ->
     ?route:route ->
-    ?block_bits:int ->
     ?queue_capacity:int ->
     ?batch_size:int ->
     ?xchg_capacity:int ->

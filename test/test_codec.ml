@@ -17,6 +17,11 @@ open Dift_parallel
 
 let check = Alcotest.check
 
+(* Unwrap a run that must succeed. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "run failed: %a" Parallel.pp_error e
+
 (* -- round-trip: encode ∘ decode ≡ identity --------------------------- *)
 
 let prog = Spec_like.crc.Workload.program
@@ -363,8 +368,8 @@ let test_wires_two_domain () =
       List.iter
         (fun wire ->
           let r =
-            Parallel.run ~wire ~queue_capacity:8 ~batch_size:16
-              w.Workload.program ~input
+            ok (Parallel.run_result ~wire ~queue_capacity:8 ~batch_size:16
+                w.Workload.program ~input)
           in
           same_result
             (Fmt.str "%s/%a" w.Workload.name Channel.pp_wire wire)
@@ -385,8 +390,8 @@ let test_wires_sharded () =
       List.iter
         (fun (route, wire) ->
           let rep =
-            Parallel.run_sharded ~route ~wire ~shards:3 ~queue_capacity:8
-              ~batch_size:8 w.Workload.program ~input
+            ok (Parallel.run_sharded_result ~route ~wire ~shards:3
+                ~queue_capacity:8 ~batch_size:8 w.Workload.program ~input)
           in
           same_result
             (Fmt.str "%s/%s/%a" w.Workload.name
@@ -411,14 +416,14 @@ let test_filter_bit_identical () =
       let input = w.Workload.input ~size:14 ~seed:5 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       let filtered =
-        Parallel.run ~forward_filter:true w.Workload.program ~input
+        ok (Parallel.run_result ~forward_filter:true w.Workload.program ~input)
       in
       same_result
         (Fmt.str "%s/filtered" w.Workload.name)
         inline.Parallel.i_result filtered.Parallel.result;
       let sharded =
-        Parallel.run_sharded ~forward_filter:true ~shards:3
-          w.Workload.program ~input
+        ok (Parallel.run_sharded_result ~forward_filter:true ~shards:3
+            w.Workload.program ~input)
       in
       same_result
         (Fmt.str "%s/filtered sharded" w.Workload.name)
@@ -439,13 +444,13 @@ let test_filter_bit_identical_qsort () =
       let inline = Parallel.run_inline w.Workload.program ~input in
       let name = Fmt.str "qsort %d/%d" size seed in
       let filtered =
-        Parallel.run ~forward_filter:true w.Workload.program ~input
+        ok (Parallel.run_result ~forward_filter:true w.Workload.program ~input)
       in
       same_result (name ^ " filtered") inline.Parallel.i_result
         filtered.Parallel.result;
       let sharded =
-        Parallel.run_sharded ~forward_filter:true ~shards:2 w.Workload.program
-          ~input
+        ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
+            w.Workload.program ~input)
       in
       same_result (name ^ " filtered sharded") inline.Parallel.i_result
         sharded.Parallel.s_result)
@@ -551,16 +556,18 @@ let test_filter_high_keys_live () =
 let test_filter_reduces_forwarding () =
   let w = Spec_like.search in
   let input = w.Workload.input ~size:300 ~seed:1 in
-  let r = Parallel.run ~forward_filter:true w.Workload.program ~input in
+  let r =
+    ok (Parallel.run_result ~forward_filter:true w.Workload.program ~input)
+  in
   check Alcotest.bool "two-domain: events filtered" true
     (r.Parallel.filtered_events > 0);
-  let unfiltered = Parallel.run w.Workload.program ~input in
+  let unfiltered = ok (Parallel.run_result w.Workload.program ~input) in
   check Alcotest.bool "two-domain: forwarded volume shrank" true
     (r.Parallel.result.Parallel.events - r.Parallel.filtered_events
     < unfiltered.Parallel.result.Parallel.events);
   let s =
-    Parallel.run_sharded ~forward_filter:true ~shards:2 w.Workload.program
-      ~input
+    ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
+        w.Workload.program ~input)
   in
   check Alcotest.bool "sharded: events filtered" true
     (s.Parallel.s_filtered_events > 0);
@@ -575,7 +582,8 @@ let test_filter_stands_down_under_control () =
   let policy = Policy.full in
   let inline = Parallel.run_inline ~policy w.Workload.program ~input in
   let r =
-    Parallel.run ~policy ~forward_filter:true w.Workload.program ~input
+    ok (Parallel.run_result ~policy ~forward_filter:true w.Workload.program
+        ~input)
   in
   same_result "search/full filtered" inline.Parallel.i_result
     r.Parallel.result;
@@ -588,28 +596,36 @@ let plan s =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad test plan %S: %s" s e
 
-(* Recycling faults (drop, abort) only degrade the free ring — the
-   producer falls back to fresh lanes and the answer is unchanged. *)
+(* Recycling faults (drop, abort, stall) only degrade the free ring —
+   the producer falls back to fresh lanes and the answer is unchanged.
+   Each rule fires exactly once on either wire: the coded wire's lanes
+   recycle through the forwarder's own free list, the one
+   [ring.free.parallel] seam. *)
 let test_free_ring_faults_benign () =
   let w = Spec_like.crc in
   let input = w.Workload.input ~size:12 ~seed:4 in
   let inline = Parallel.run_inline w.Workload.program ~input in
   List.iter
-    (fun p ->
-      let chaos = Chaos.create (plan p) in
-      let r =
-        Parallel.run ~chaos ~queue_capacity:4 ~batch_size:8
-          w.Workload.program ~input
-      in
-      same_result (Fmt.str "crc under %s" p) inline.Parallel.i_result
-        r.Parallel.result;
-      check Alcotest.bool (Fmt.str "%s fired" p) true (Chaos.fired chaos > 0))
-    [
-      "ring.free.parallel/pop@1=drop";
-      "ring.free.parallel/push@1=drop";
-      "ring.free.parallel/pop@2=abort";
-      "ring.free.parallel/push@2=abort";
-    ]
+    (fun wire ->
+      List.iter
+        (fun p ->
+          let chaos = Chaos.create (plan p) in
+          let r =
+            ok
+              (Parallel.run_result ~chaos ~wire ~queue_capacity:4
+                 ~batch_size:8 w.Workload.program ~input)
+          in
+          let name = Fmt.str "crc under %s, %a wire" p Channel.pp_wire wire in
+          same_result name inline.Parallel.i_result r.Parallel.result;
+          check Alcotest.int (name ^ ": fired once") 1 (Chaos.fired chaos))
+        [
+          "ring.free.parallel/pop@1=drop";
+          "ring.free.parallel/push@1=drop";
+          "ring.free.parallel/pop@2=abort";
+          "ring.free.parallel/push@2=abort";
+          "ring.free.parallel/pop@1=stall:1000";
+        ])
+    [ `Boxed; `Coded ]
 
 (* A raise on the free ring crashes the producer leg like any other
    producer-side fault: supervised shutdown, structured error. *)

@@ -11,6 +11,11 @@ open Dift_parallel
 
 let check = Alcotest.check
 
+(* Unwrap a run that must succeed. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "run failed: %a" Parallel.pp_error e
+
 (* -- the forwarding channel ------------------------------------------- *)
 
 let test_spsc_order () =
@@ -119,8 +124,8 @@ let test_equivalence_all_kernels () =
       let input = w.Workload.input ~size:20 ~seed:7 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       let par =
-        Parallel.run ~queue_capacity:8 ~batch_size:16 w.Workload.program
-          ~input
+        ok (Parallel.run_result ~queue_capacity:8 ~batch_size:16
+            w.Workload.program ~input)
       in
       same_result w.Workload.name inline.Parallel.i_result
         par.Parallel.result;
@@ -141,8 +146,8 @@ let test_equivalence_fixed_seed_shapes () =
   List.iter
     (fun (queue_capacity, batch_size) ->
       let par =
-        Parallel.run ~config ~queue_capacity ~batch_size
-          w.Workload.program ~input
+        ok (Parallel.run_result ~config ~queue_capacity ~batch_size
+            w.Workload.program ~input)
       in
       same_result
         (Fmt.str "crc q=%d b=%d" queue_capacity batch_size)
@@ -156,7 +161,7 @@ let test_equivalence_security_policy () =
   let input = w.Workload.input ~size:16 ~seed:3 in
   let policy = Policy.security in
   let inline = Parallel.run_inline ~policy w.Workload.program ~input in
-  let par = Parallel.run ~policy w.Workload.program ~input in
+  let par = ok (Parallel.run_result ~policy w.Workload.program ~input) in
   same_result "bfs/security" inline.Parallel.i_result par.Parallel.result
 
 (* A tiny ring forces backpressure; the result is still identical and
@@ -166,7 +171,8 @@ let test_backpressure_accounting () =
   let input = w.Workload.input ~size:14 ~seed:2 in
   let inline = Parallel.run_inline w.Workload.program ~input in
   let par =
-    Parallel.run ~queue_capacity:1 ~batch_size:1 w.Workload.program ~input
+    ok (Parallel.run_result ~queue_capacity:1 ~batch_size:1 w.Workload.program
+        ~input)
   in
   same_result "matmul tiny-queue" inline.Parallel.i_result
     par.Parallel.result;
@@ -175,23 +181,91 @@ let test_backpressure_accounting () =
   check Alcotest.bool "some backpressure or waiting happened" true
     (par.Parallel.producer_stalls > 0 || par.Parallel.consumer_waits >= 0)
 
-(* A helper-side exception must not deadlock the application domain
-   and must surface in the caller. *)
+(* Whether the run left a [run.error] marker on any flight ring. *)
+let recorded_run_error flight =
+  List.exists
+    (fun (t : Dift_obs.Flight.tail) ->
+      List.exists
+        (fun (e : Dift_obs.Flight.entry) ->
+          e.Dift_obs.Flight.name = "run.error")
+        t.Dift_obs.Flight.t_entries)
+    (Dift_obs.Flight.tails flight)
+
+(* A helper that dies under backpressure must not deadlock the
+   application domain, and a raising client sink callback (it runs on
+   the calling domain, after the join) must not escape: both come back
+   as structured errors naming their leg. *)
 exception Helper_boom
 
 let test_helper_exception_propagates () =
   let w = Spec_like.sieve in
   let input = w.Workload.input ~size:20 ~seed:1 in
-  let raised =
-    match
-      Parallel.run ~queue_capacity:2 ~batch_size:4
-        ~on_sink:(fun _ _ _ -> raise Helper_boom)
-        w.Workload.program ~input
-    with
-    | _ -> false
-    | exception Helper_boom -> true
+  let run ?chaos ?on_sink () =
+    let flight = Dift_obs.Flight.create () in
+    ( Parallel.run_result ~flight ?chaos ?on_sink ~queue_capacity:2
+        ~batch_size:4 w.Workload.program ~input,
+      flight )
   in
-  check Alcotest.bool "helper exception re-raised at join" true raised
+  let crash =
+    match Chaos.plan_of_string "pop@3=raise" with
+    | Ok p -> Chaos.create p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  (match run ~chaos:crash () with
+  | Ok _, _ -> Alcotest.fail "an injected helper crash must fail the run"
+  | Error e, flight ->
+      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
+      check Alcotest.bool "run.error recorded" true
+        (recorded_run_error flight));
+  match run ~on_sink:(fun _ _ _ -> raise Helper_boom) () with
+  | Ok _, _ -> Alcotest.fail "a raising on_sink must fail the run"
+  | Error e, flight ->
+      check Alcotest.bool "application leg" true (e.Parallel.e_leg = `App);
+      check Alcotest.bool "the callback's exception" true
+        (e.Parallel.e_exn = Helper_boom);
+      check Alcotest.bool "run.error recorded" true (recorded_run_error flight)
+
+(* A transient client-callback failure under [~degrade] is the
+   application's: the run returns an error, or (never a different
+   answer) a result equal to the inline run's.  A callback used to run
+   on the helper, where its failure degraded the run and the replay
+   processed part of a batch twice. *)
+let test_transient_on_sink_under_degrade () =
+  List.iter
+    (fun (name, size, seed) ->
+      let w = Spec_like.by_name name in
+      let input = w.Workload.input ~size ~seed in
+      let inline = Parallel.run_inline w.Workload.program ~input in
+      List.iter
+        (fun fail_at ->
+          let on_sink () =
+            let calls = ref 0 in
+            fun _ _ _ ->
+              incr calls;
+              if !calls = fail_at then failwith "transient on_sink failure"
+          in
+          let agree what = function
+            | Error e ->
+                check Alcotest.bool (what ^ ": application leg") true
+                  (e.Parallel.e_leg = `App)
+            | Ok r ->
+                same_result
+                  (Fmt.str "%s %s, failing call %d" name what fail_at)
+                  inline.Parallel.i_result r
+          in
+          agree "two-domain"
+            (Result.map
+               (fun r -> r.Parallel.result)
+               (Parallel.run_result ~degrade:`Inline ~queue_capacity:4
+                  ~batch_size:64 ~on_sink:(on_sink ()) w.Workload.program
+                  ~input));
+          agree "sharded(2)"
+            (Result.map
+               (fun r -> r.Parallel.s_result)
+               (Parallel.run_sharded_result ~degrade:`Inline ~shards:2
+                  ~on_sink:(on_sink ()) w.Workload.program ~input)))
+        [ 1; 5 ])
+    [ ("crc", 40, 3); ("treesum", 40, 3) ]
 
 let suite =
   [
@@ -210,4 +284,6 @@ let suite =
       test_backpressure_accounting;
     Alcotest.test_case "helper exception propagates" `Quick
       test_helper_exception_propagates;
+    Alcotest.test_case "transient on_sink failure under degrade" `Quick
+      test_transient_on_sink_under_degrade;
   ]

@@ -13,6 +13,11 @@ open Dift_parallel
 
 let check = Alcotest.check
 
+(* Unwrap a run that must succeed. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "run failed: %a" Parallel.pp_error e
+
 let same_result name (a : Parallel.result) (b : Parallel.result) =
   check Alcotest.bool
     (Fmt.str "%s: outcome agrees" name)
@@ -46,8 +51,8 @@ let test_equivalence_all_kernels () =
       List.iter
         (fun shards ->
           let rep =
-            Parallel.run_sharded ~queue_capacity:8 ~batch_size:8 ~shards
-              w.Workload.program ~input
+            ok (Parallel.run_sharded_result ~queue_capacity:8 ~batch_size:8
+                ~shards w.Workload.program ~input)
           in
           same_result
             (Fmt.str "%s/shards=%d" w.Workload.name shards)
@@ -64,11 +69,11 @@ let test_equivalence_all_kernels () =
 let test_agrees_with_two_domain_run () =
   let w = Spec_like.crc in
   let input = w.Workload.input ~size:12 ~seed:5 in
-  let two = Parallel.run w.Workload.program ~input in
+  let two = ok (Parallel.run_result w.Workload.program ~input) in
   let sharded =
-    Parallel.run_sharded ~shards:2 w.Workload.program ~input
+    ok (Parallel.run_sharded_result ~shards:2 w.Workload.program ~input)
   in
-  same_result "crc run vs run_sharded" two.Parallel.result
+  same_result "crc run_result vs run_sharded_result" two.Parallel.result
     sharded.Parallel.s_result
 
 (* Broadcast replication: same answer, every policy allowed. *)
@@ -78,8 +83,8 @@ let test_broadcast_route () =
       let input = w.Workload.input ~size:12 ~seed:9 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       let rep =
-        Parallel.run_sharded ~route:`Broadcast ~shards:3
-          w.Workload.program ~input
+        ok (Parallel.run_sharded_result ~route:`Broadcast ~shards:3
+            w.Workload.program ~input)
       in
       same_result
         (Fmt.str "%s/broadcast" w.Workload.name)
@@ -93,7 +98,7 @@ let test_security_policy () =
   let policy = Policy.security in
   let inline = Parallel.run_inline ~policy w.Workload.program ~input in
   let rep =
-    Parallel.run_sharded ~policy ~shards:4 w.Workload.program ~input
+    ok (Parallel.run_sharded_result ~policy ~shards:4 w.Workload.program ~input)
   in
   same_result "bfs/security sharded" inline.Parallel.i_result
     rep.Parallel.s_result
@@ -107,17 +112,132 @@ let test_control_policy () =
   let policy = Policy.full in
   check Alcotest.bool "request-reply rejects propagate_control" true
     (match
-       Parallel.run_sharded ~policy ~shards:2 w.Workload.program ~input
+       ok (Parallel.run_sharded_result ~policy ~shards:2 w.Workload.program
+           ~input)
      with
     | _ -> false
     | exception Invalid_argument _ -> true);
   let inline = Parallel.run_inline ~policy w.Workload.program ~input in
   let rep =
-    Parallel.run_sharded ~policy ~route:`Broadcast ~shards:2
-      w.Workload.program ~input
+    ok (Parallel.run_sharded_result ~policy ~route:`Broadcast ~shards:2
+        w.Workload.program ~input)
   in
   same_result "search/full broadcast" inline.Parallel.i_result
     rep.Parallel.s_result
+
+(* -- one shard is the two-domain runtime -------------------------------- *)
+
+(* [run_result] and [run_sharded_result ~shards:1] are one runtime: on
+   every kernel, both routes, both wires, filter off and on, the same
+   result and the same channel accounting.  The filter's admissions
+   depend on how far the helper has got, so with the filter on the two
+   runs are tied through the batch count instead: one helper's channel
+   ships full batches of the forwarded events plus one trailing
+   partial batch. *)
+let test_one_shard_is_two_domain () =
+  let batch_size = 8 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let input = w.Workload.input ~size:12 ~seed:4 in
+      let inline = Parallel.run_inline w.Workload.program ~input in
+      List.iter
+        (fun (route, wire, forward_filter) ->
+          let name =
+            Fmt.str "%s/%a/%a/filter=%b" w.Workload.name Shard_engine.pp_route
+              route Channel.pp_wire wire forward_filter
+          in
+          let two =
+            ok
+              (Parallel.run_result ~wire ~forward_filter ~queue_capacity:4
+                 ~batch_size w.Workload.program ~input)
+          in
+          let one =
+            ok
+              (Parallel.run_sharded_result ~route ~wire ~forward_filter
+                 ~queue_capacity:4 ~batch_size ~shards:1 w.Workload.program
+                 ~input)
+          in
+          let s = one.Parallel.s_per_shard.(0) in
+          same_result (name ^ " two-domain") inline.Parallel.i_result
+            two.Parallel.result;
+          same_result (name ^ " one shard") two.Parallel.result
+            one.Parallel.s_result;
+          let batches forwarded = (forwarded + batch_size - 1) / batch_size in
+          check Alcotest.int (name ^ ": two-domain batches")
+            (batches (two.Parallel.result.Parallel.events
+                     - two.Parallel.filtered_events))
+            two.Parallel.batches;
+          check Alcotest.int (name ^ ": one-shard batches")
+            (batches (one.Parallel.s_result.Parallel.events
+                     - one.Parallel.s_filtered_events))
+            s.Shard_engine.batches;
+          if not forward_filter then begin
+            check Alcotest.int (name ^ ": same batches") two.Parallel.batches
+              s.Shard_engine.batches;
+            check Alcotest.int (name ^ ": nothing filtered") 0
+              (two.Parallel.filtered_events + one.Parallel.s_filtered_events)
+          end;
+          check Alcotest.int (name ^ ": same dropped batches")
+            two.Parallel.dropped_batches s.Shard_engine.dropped_batches;
+          check Alcotest.int (name ^ ": same dropped events")
+            two.Parallel.dropped_events s.Shard_engine.dropped_events)
+        [
+          (`Request_reply, `Coded, false);
+          (`Request_reply, `Boxed, true);
+          (`Broadcast, `Coded, true);
+          (`Broadcast, `Boxed, false);
+          (`Request_reply, `Coded, true);
+          (`Request_reply, `Boxed, false);
+          (`Broadcast, `Coded, false);
+          (`Broadcast, `Boxed, true);
+        ])
+    Spec_like.all
+
+(* A one-shard run degrades by resuming after its helper's last fully
+   processed batch, from either entry point; N shards rerun from
+   scratch. *)
+let test_one_shard_degrade_resumes () =
+  let w = Spec_like.crc in
+  let input = w.Workload.input ~size:12 ~seed:3 in
+  let inline = Parallel.run_inline w.Workload.program ~input in
+  let chaos () =
+    match Chaos.plan_of_string "pop@2=raise" with
+    | Ok p -> Chaos.create p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  let resumed name (r : Parallel.result) = function
+    | None -> Alcotest.failf "%s: report must be flagged degraded" name
+    | Some d ->
+        same_result name inline.Parallel.i_result r;
+        check Alcotest.bool (name ^ ": resumed past a real cutoff") true
+          (d.Parallel.d_cutoff_step >= 0);
+        check Alcotest.bool (name ^ ": replayed only the suffix") true
+          (d.Parallel.d_replayed_events < r.Parallel.events)
+  in
+  let two =
+    ok
+      (Parallel.run_result ~chaos:(chaos ()) ~degrade:`Inline
+         ~queue_capacity:4 ~batch_size:1 w.Workload.program ~input)
+  in
+  resumed "two-domain" two.Parallel.result two.Parallel.degraded;
+  let one =
+    ok
+      (Parallel.run_sharded_result ~chaos:(chaos ()) ~degrade:`Inline
+         ~queue_capacity:4 ~batch_size:1 ~shards:1 w.Workload.program ~input)
+  in
+  resumed "one shard" one.Parallel.s_result one.Parallel.s_degraded;
+  let two_shards =
+    ok
+      (Parallel.run_sharded_result ~chaos:(chaos ()) ~degrade:`Inline
+         ~queue_capacity:4 ~batch_size:1 ~shards:2 w.Workload.program ~input)
+  in
+  same_result "two shards" inline.Parallel.i_result
+    two_shards.Parallel.s_result;
+  match two_shards.Parallel.s_degraded with
+  | None -> Alcotest.fail "two shards: report must be flagged degraded"
+  | Some d ->
+      check Alcotest.int "two shards rerun from scratch" (-1)
+        d.Parallel.d_cutoff_step
 
 (* -- regression: channel geometry below 1 must raise, not hang ------- *)
 
@@ -133,22 +253,24 @@ let test_invalid_geometry_rejected () =
       check Alcotest.bool name true (raises_invalid f))
     [
       ( "run: queue_capacity 0",
-        fun () -> ignore (Parallel.run ~queue_capacity:0 p ~input) );
+        fun () -> ignore (Parallel.run_result ~queue_capacity:0 p ~input) );
       ( "run: batch_size 0",
-        fun () -> ignore (Parallel.run ~batch_size:0 p ~input) );
+        fun () -> ignore (Parallel.run_result ~batch_size:0 p ~input) );
       ( "run: batch_size negative",
-        fun () -> ignore (Parallel.run ~batch_size:(-3) p ~input) );
+        fun () -> ignore (Parallel.run_result ~batch_size:(-3) p ~input) );
       ( "run_sharded: shards 0",
-        fun () -> ignore (Parallel.run_sharded ~shards:0 p ~input) );
+        fun () -> ignore (Parallel.run_sharded_result ~shards:0 p ~input) );
       ( "run_sharded: shards negative",
-        fun () -> ignore (Parallel.run_sharded ~shards:(-1) p ~input) );
+        fun () -> ignore (Parallel.run_sharded_result ~shards:(-1) p ~input) );
       ( "run_sharded: queue_capacity 0",
         fun () ->
-          ignore (Parallel.run_sharded ~queue_capacity:0 ~shards:2 p ~input)
+          ignore (Parallel.run_sharded_result ~queue_capacity:0 ~shards:2 p
+              ~input)
       );
       ( "run_sharded: batch_size 0",
         fun () ->
-          ignore (Parallel.run_sharded ~batch_size:0 ~shards:2 p ~input) );
+          ignore (Parallel.run_sharded_result ~batch_size:0 ~shards:2 p
+              ~input) );
     ]
 
 (* Sharded sink callbacks fire at join, in global step order — the
@@ -166,27 +288,33 @@ let test_deferred_on_sink_order () =
   in
   let sharded_obs = ref [] in
   let _ =
-    Parallel.run_sharded ~shards:3 ~on_sink:(observe sharded_obs)
-      w.Workload.program ~input
+    ok (Parallel.run_sharded_result ~shards:3 ~on_sink:(observe sharded_obs)
+        w.Workload.program ~input)
   in
   check Alcotest.bool "same sink observations, same order" true
     (!inline_obs = !sharded_obs);
   check Alcotest.bool "observations non-empty" true (!inline_obs <> [])
 
-(* An exception from the deferred on_sink surfaces at the caller. *)
+(* An exception from the deferred on_sink comes back as a structured
+   application-leg error, with or without degraded completion. *)
 exception Sink_boom
 
 let test_on_sink_exception () =
   let w = Spec_like.sieve in
   let input = w.Workload.input ~size:10 ~seed:1 in
-  check Alcotest.bool "on_sink exception re-raised" true
-    (match
-       Parallel.run_sharded ~shards:2
-         ~on_sink:(fun _ _ _ -> raise Sink_boom)
-         w.Workload.program ~input
-     with
-    | _ -> false
-    | exception Sink_boom -> true)
+  List.iter
+    (fun degrade ->
+      match
+        Parallel.run_sharded_result ?degrade ~shards:2
+          ~on_sink:(fun _ _ _ -> raise Sink_boom)
+          w.Workload.program ~input
+      with
+      | Ok _ -> Alcotest.fail "a raising on_sink must fail the run"
+      | Error e ->
+          check Alcotest.bool "application leg" true (e.Parallel.e_leg = `App);
+          check Alcotest.bool "the callback's exception" true
+            (e.Parallel.e_exn = Sink_boom))
+    [ None; Some `Inline ]
 
 (* -- QCheck: random streams, sharded(N) ≡ sharded(1) ≡ sequential ---- *)
 
@@ -363,6 +491,10 @@ let suite =
       test_security_policy;
     Alcotest.test_case "control policy: rejected exact, correct broadcast"
       `Quick test_control_policy;
+    Alcotest.test_case "one shard ≡ two-domain run (routes, wires, filter)"
+      `Quick test_one_shard_is_two_domain;
+    Alcotest.test_case "one shard degrades by resuming" `Quick
+      test_one_shard_degrade_resumes;
     Alcotest.test_case "invalid channel geometry raises" `Quick
       test_invalid_geometry_rejected;
     Alcotest.test_case "deferred on_sink: same observations, same order"

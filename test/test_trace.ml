@@ -11,6 +11,11 @@ open Dift_workloads
 
 let check = Alcotest.check
 
+(* Unwrap a run that must succeed. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "run failed: %a" Dift_parallel.Parallel.pp_error e
+
 let contains s needle =
   let n = String.length needle and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = needle || at (i + 1)) in
@@ -130,8 +135,8 @@ let test_two_domain_timeline () =
   let tr = Trace.create () in
   Trace.register_obs tr reg;
   let r =
-    Dift_parallel.Parallel.run ~obs:reg ~trace:tr ~queue_capacity:4
-      ~batch_size:16 w.Workload.program ~input
+    ok (Dift_parallel.Parallel.run_result ~obs:reg ~trace:tr ~queue_capacity:4
+        ~batch_size:16 w.Workload.program ~input)
   in
   check Alcotest.bool "run did work" true
     (r.Dift_parallel.Parallel.result.Dift_parallel.Parallel.events > 0);
@@ -187,8 +192,8 @@ let test_traced_run_matches_inline () =
   let input = w.Workload.input ~size:16 ~seed:3 in
   let tr = Trace.create () in
   let r =
-    Dift_parallel.Parallel.run ~trace:tr ~queue_capacity:2 ~batch_size:8
-      w.Workload.program ~input
+    ok (Dift_parallel.Parallel.run_result ~trace:tr ~queue_capacity:2
+        ~batch_size:8 w.Workload.program ~input)
   in
   let i = Dift_parallel.Parallel.run_inline w.Workload.program ~input in
   check Alcotest.bool "same result as untraced inline" true

@@ -170,7 +170,7 @@ let test_boxed_fanout () =
     let m = Machine.create program ~input in
     Machine.attach m (Tool.make ~on_view:(Shards.feed_view c) "fan-out");
     let words = minor_words (fun () -> ignore (Machine.run m)) in
-    ignore (Shards.finish c);
+    ignore (Shards.finish_result c);
     words /. float_of_int (Machine.steps m)
   in
   let one = words_per_event 1 and four = words_per_event 4 in

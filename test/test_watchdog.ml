@@ -23,6 +23,11 @@ module Json = Dift_obs.Json
 
 let check = Alcotest.check
 
+(* Unwrap a run that must succeed. *)
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "run failed: %a" Parallel.pp_error e
+
 (* -- process watchdog: a wedged scenario must fail loudly -------------- *)
 
 let with_watchdog ?(timeout_s = 60.) f =
@@ -565,13 +570,15 @@ let test_livefilter_reset_bit_identical () =
   let inline = Parallel.run_inline w.Workload.program ~input in
   check Alcotest.bool "the run crosses the reset interval" true
     (inline.Parallel.i_result.Parallel.events > 8192);
-  let r = Parallel.run ~forward_filter:true w.Workload.program ~input in
+  let r =
+    ok (Parallel.run_result ~forward_filter:true w.Workload.program ~input)
+  in
   same_result "filtered two-domain across resets"
     inline.Parallel.i_result r.Parallel.result;
   check Alcotest.bool "filter earned" true (r.Parallel.filtered_events > 0);
   let s =
-    Parallel.run_sharded ~forward_filter:true ~shards:2 w.Workload.program
-      ~input
+    ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
+        w.Workload.program ~input)
   in
   same_result "filtered sharded across resets" inline.Parallel.i_result
     s.Parallel.s_result

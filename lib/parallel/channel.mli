@@ -20,21 +20,18 @@ type wire = [ `Boxed | `Coded ]
 
 val pp_wire : wire Fmt.t
 
-type t =
-  | Boxed of Event.exec Forwarder.t
-  | Coded of Codec.t
+type t
 
 (** [create ~wire ~queue_capacity ~batch_size ~table ()] — both wires
-    buffer up to [queue_capacity * batch_size] events; the coded wire
-    uses [batch_size] as its [events_per_batch] and forces [table]
-    (the interned site table is only built when a coded channel
-    actually needs it). *)
+    buffer up to [queue_capacity * batch_size] events.  The coded wire
+    packs [batch_size] events into each {!Codec.batch}, one ring slot
+    per batch, and forces [table] (the interned site table is only
+    built when a coded channel actually needs it).  [probe],
+    [escalate] and [ns] go to the underlying {!Forwarder.create}: the
+    channel is one feed-ring seam (see {!Probe}), whatever its wire.
+    @raise Invalid_argument if either size is [< 1]. *)
 val create :
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?chaos:Chaos.t ->
-  ?progress:Dift_obs.Progress.t ->
+  ?probe:Probe.t ->
   ?escalate:bool ->
   ?ns:string ->
   wire:wire ->
@@ -65,9 +62,14 @@ val close : t -> unit
 
 (** {1 Consumer side} *)
 
-(** Apply [f] to every forwarded event as a reused view (do not retain
-    it; see {!Codec.drain}).  [after_batch] fires with the last step
-    after each fully processed batch, on both wires. *)
+(** Apply [f] to every forwarded event, in program order, as a reused
+    view: do not retain it (call {!Dift_vm.Event.view_to_exec} to
+    materialise a snapshot).  [around_batch] is {!Forwarder.drain}'s
+    hook, wrapping each ring slot (one encoded batch on the coded
+    wire).  [after_batch ~last_step:s] runs after each fully processed
+    batch with the step of its last event — the liveness filter's
+    epoch-advance hook.  If [f] raises, the channel is aborted before
+    the exception propagates. *)
 val drain :
   ?around_batch:((unit -> unit) -> unit) ->
   ?after_batch:(last_step:int -> unit) ->
@@ -76,18 +78,7 @@ val drain :
   unit
 
 val abort : t -> unit
-val aborted : t -> bool
 
-(** {1 Accounting} (identical semantics on both wires) *)
-
-val events : t -> int
-val batches : t -> int
-val dropped_batches : t -> int
-val dropped_events : t -> int
-val discarded_batches : t -> int
-val discarded_events : t -> int
-val consumed_batches : t -> int
-val consumed_events : t -> int
-val producer_stalls : t -> int
-val consumer_waits : t -> int
-val in_flight_batches : t -> int
+(** The channel's books (see {!Forwarder.counts}), in logical events
+    on both wires. *)
+val counts : t -> Forwarder.counts

@@ -7,13 +7,12 @@
     path the cross-validation tests exercise — so this module makes
     them {e schedulable}: a {!plan} is a deterministic list of faults
     keyed to the N-th occurrence of a channel operation, and the
-    runtimes ({!Forwarder}, {!Parallel}, {!Shard_engine}) consult an
-    optional {!t} at each seam.
+    runtimes consult an optional {!t} through their {!Probe}, in the
+    one probe call each seam operation makes.
 
     The seam is strictly {b opt-in}: without a [?chaos] argument the
-    runtimes take their ordinary direct [Spsc] path — no wrapper, no
-    indirect call, no overhead ([bench/check_regression.exe] gates
-    this).
+    probe's fault check is one branch and the operation takes the
+    ordinary [Spsc] path.
 
     Plans are reproducible two ways: {!plan_of_seed} derives one
     pseudo-randomly from an integer seed (the CI sweep), and the

@@ -297,101 +297,8 @@ let decode_into table b i (v : Event.view) =
   end
   end
 
-(* -- the coded channel -------------------------------------------------- *)
-
-type t = {
-  table : Site.table;
-  enc : encoder;
-  fwd : batch Forwarder.t;
-      (** [batch_size = 1]: one ring slot per encoded batch, event
-          accounting in {!Forwarder.add_n} weights; its free list
-          brings decoded batches back for reuse *)
-  events_per_batch : int;
-  mutable cur : batch option;  (** producer side *)
-}
-
-let create ?obs ?trace ?flight ?chaos ?progress ?escalate ?(ns = "parallel")
-    ~queue_capacity ~events_per_batch ~table () =
-  if events_per_batch < 1 then
-    invalid_arg
-      (Fmt.str "Codec.create: events_per_batch = %d < 1" events_per_batch);
-  {
-    table;
-    enc = encoder table;
-    fwd =
-      Forwarder.create ?obs ?trace ?flight ?chaos ?progress ?escalate ~ns
-        ~queue_capacity ~batch_size:1 ();
-    events_per_batch;
-    cur = None;
-  }
-
-let table t = t.table
-
-(* The open batch: the current one, the lanes a recycled ring slot
-   still holds (steady state — the lanes cycle, no allocation), or a
-   fresh set of lanes.  The free list and its [ring.free.<ns>] chaos
-   seam are the forwarder's own. *)
-let open_cur t =
-  match t.cur with
-  | Some b -> b
-  | None ->
-      let b =
-        match Forwarder.reusable t.fwd with
-        | Some b ->
-            batch_clear b;
-            b
-        | None -> batch_create ~events_per_batch:t.events_per_batch
-      in
-      t.cur <- Some b;
-      b
-
-let flush t =
-  match t.cur with
-  | None -> ()
-  | Some b ->
-      if b.b_n > 0 then begin
-        t.cur <- None;
-        (* batch_size = 1: lands on the ring immediately, weighted by
-           its event count *)
-        Forwarder.add_n t.fwd b b.b_n
-      end
-
-let feed_view t v =
-  let b = open_cur t in
-  encode_view t.enc b v;
-  if b.b_n = t.events_per_batch then flush t
-
-let feed t e =
-  Event.view_fill t.enc.e_scratch e;
-  feed_view t t.enc.e_scratch
-
-let close t =
-  flush t;
-  Forwarder.close t.fwd
-
-let abort t = Forwarder.abort t.fwd
-let aborted t = Forwarder.aborted t.fwd
-
-let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
-  let v = Event.view_blank () in
-  Forwarder.drain ?around_batch t.fwd ~f:(fun b ->
-      let n = b.b_n in
-      for i = 0 to n - 1 do
-        decode_into t.table b i v;
-        f v
-      done;
-      if n > 0 then after_batch ~last_step:b.b_step.(n - 1))
-
-(* -- accounting passthrough (event counts are add_n weights) ----------- *)
-
-let events t = Forwarder.events t.fwd
-let batches t = Forwarder.batches t.fwd
-let dropped_batches t = Forwarder.dropped_batches t.fwd
-let dropped_events t = Forwarder.dropped_events t.fwd
-let discarded_batches t = Forwarder.discarded_batches t.fwd
-let discarded_events t = Forwarder.discarded_events t.fwd
-let consumed_batches t = Forwarder.consumed_batches t.fwd
-let consumed_events t = Forwarder.consumed_events t.fwd
-let producer_stalls t = Forwarder.producer_stalls t.fwd
-let consumer_waits t = Forwarder.consumer_waits t.fwd
-let in_flight_batches t = Forwarder.in_flight_batches t.fwd
+let decode_batch table b v f =
+  for i = 0 to b.b_n - 1 do
+    decode_into table b i v;
+    f v
+  done

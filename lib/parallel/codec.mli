@@ -31,14 +31,15 @@
       instruction physically the row's.  Machine streams never take
       it, so the steady state stays flat.
 
-    Steady-state forwarding allocates nothing per event: lanes are
-    written in place, full batches travel the ring as single elements
-    (weighted by their event count, see {!Forwarder.add_n}), the
-    consumer decodes each event into one reused {!Dift_vm.Event.view}
-    scratch, and spent batches cycle back to the producer inside the
-    ring slots the forwarder recycles ({!Forwarder.reusable}; one free
-    list, one [ring.free.<ns>] chaos seam, explicitly-targeted rules
-    only).
+    This module is the format: batches, the encoder and the decoder.
+    The coded channel that carries them is {!Channel}'s [`Coded]
+    wire, where steady-state forwarding allocates nothing per event:
+    lanes are written in place, full batches travel the ring as
+    single elements (weighted by their event count, see
+    {!Forwarder.add_n}), the consumer decodes each event into one
+    reused {!Dift_vm.Event.view} scratch, and spent batches cycle back
+    to the producer inside the ring slots the forwarder recycles
+    ({!Forwarder.reusable}).
 
     See the "Wire format" section of [docs/forwarding-protocol.md]. *)
 
@@ -74,7 +75,7 @@ val batch_clear : batch -> unit
 (** {1 Raw encode / decode}
 
     Exposed for the round-trip property tests and the benchmark
-    harness; runtimes normally go through the channel below. *)
+    harness; runtimes go through {!Channel}. *)
 
 type encoder
 
@@ -94,94 +95,8 @@ val encode : encoder -> batch -> Event.exec -> unit
     read/write fan. *)
 val decode_into : Site.table -> batch -> int -> Event.view -> unit
 
-(** {1 The coded channel}
-
-    A drop-in counterpart of an [Event.exec Forwarder.t]: the producer
-    {!feed_view}s the machine's views, the consumer {!drain}s decoded
-    views.  All
-    event-level accounting (events, dropped/discarded/consumed) is in
-    logical events, so reports and ledgers reconcile exactly as with
-    the boxed channel. *)
-
-type t
-
-(** [create ~queue_capacity ~events_per_batch ~table ()] — the
-    underlying ring holds [queue_capacity] encoded batches of up to
-    [events_per_batch] events each, so the channel buffers up to
-    [queue_capacity * events_per_batch] events, matching a boxed
-    channel of the same [queue_capacity] and [batch_size =
-    events_per_batch].  The observability/chaos options are forwarded
-    to {!Forwarder.create} unchanged (same [ns] conventions); spent
-    lanes come back through the forwarder's own free list, under its
-    [ring.free.<ns>] chaos seam.
-    @raise Invalid_argument if either size is [< 1]. *)
-val create :
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?chaos:Chaos.t ->
-  ?progress:Dift_obs.Progress.t ->
-  ?escalate:bool ->
-  ?ns:string ->
-  queue_capacity:int ->
-  events_per_batch:int ->
-  table:Site.table ->
-  unit ->
-  t
-
-val table : t -> Site.table
-
-(** {2 Producer side} *)
-
-(** Encode and forward one event, read in place from the view; ships
-    the open batch when it reaches [events_per_batch] (blocking while
-    the ring is full). *)
-val feed_view : t -> Event.view -> unit
-
-(** {!feed_view} over a boxed record (filled into a scratch view). *)
-val feed : t -> Event.exec -> unit
-
-(** Ship the open partial batch, if any. *)
-val flush : t -> unit
-
-(** Flush and close the ring. *)
-val close : t -> unit
-
-(** {2 Consumer side} *)
-
-(** [drain t ~f] decodes every forwarded event in program order into
-    an internal scratch view and applies [f] to it; returns when the
-    channel is closed and fully drained.  The view is {e reused}: [f]
-    must not retain it (call {!Dift_vm.Event.view_to_exec} to
-    materialise a snapshot).  [around_batch] is {!Forwarder.drain}'s
-    hook, wrapping each {e encoded} batch.  [after_batch
-    ~last_step:s] runs after each non-empty batch with the step of
-    its last event — the liveness filter's epoch-advance hook.  If
-    [f] raises, the channel is aborted before the exception
-    propagates. *)
-val drain :
-  ?around_batch:((unit -> unit) -> unit) ->
-  ?after_batch:(last_step:int -> unit) ->
-  t ->
-  f:(Event.view -> unit) ->
-  unit
-
-(** Consumer gives up: unblocks the producer for good. *)
-val abort : t -> unit
-
-val aborted : t -> bool
-
-(** {2 Accounting} (see {!Forwarder} for semantics; event counters
-    move in logical events via {!Forwarder.add_n} weights) *)
-
-val events : t -> int
-val batches : t -> int
-val dropped_batches : t -> int
-val dropped_events : t -> int
-val discarded_batches : t -> int
-val discarded_events : t -> int
-val consumed_batches : t -> int
-val consumed_events : t -> int
-val producer_stalls : t -> int
-val consumer_waits : t -> int
-val in_flight_batches : t -> int
+(** [decode_batch table b v f] decodes every event of [b], in order,
+    into [v] and applies [f] to it: the consumer's loop, one call per
+    batch. *)
+val decode_batch :
+  Site.table -> batch -> Event.view -> (Event.view -> unit) -> unit

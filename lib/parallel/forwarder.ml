@@ -25,9 +25,24 @@ type 'a batch = {
           accounting (drops, discards, consumption) is in weights *)
 }
 
+type counts = Probe.counts = {
+  events : int;
+  batches : int;
+  dropped_batches : int;
+  dropped_events : int;
+  discarded_batches : int;
+  discarded_events : int;
+  consumed_batches : int;
+  consumed_events : int;
+  producer_stalls : int;
+  consumer_waits : int;
+  in_flight_batches : int;
+}
+
 type 'a t = {
   ring : 'a batch Spsc.t;
   free : 'a batch Spsc.t;  (** drained records coming back for reuse *)
+  probe : Probe.feed;  (** the feed ring's seam and its free ring's *)
   batch_size : int;
   no_batch : 'a batch;
       (** the no-open-batch marker: physically unique per channel,
@@ -48,89 +63,41 @@ type 'a t = {
       (** batches fully processed by {!drain} (written only by the
           consumer) *)
   mutable consumed_events : int;
-  chaos : Chaos.inst option;
-      (** fault-injection seam; [None] is the direct Spsc path *)
-  chaos_free : Chaos.inst option;
-      (** fault-injection seam on the free-list ring (namespace
-          [ring.free.<ns>], targeted rules only): recycling is
-          load-bearing for the codec's preallocated batches, so its
-          degradation legs are schedulable too.  Free-ring faults
-          never lose events — a failed pop allocates fresh, a failed
-          push lets the record fall to the GC. *)
-  occupancy : Dift_obs.Registry.histogram option;
-      (** elements per pushed batch, when observability is on *)
-  trace : Dift_obs.Trace.t option;
-      (** execution timeline: enqueue/stall and dequeue/wait spans
-          plus the ring-occupancy counter track *)
-  flight : Dift_obs.Flight.t option;
-      (** flight recorder: one bounded event per channel op on the
-          acting domain's ring *)
-  f_ns : string;  (** metric namespace, doubles as the flight category *)
-  push_prog : Dift_obs.Progress.leg option;
-      (** [<ns>.push]: armed while parked on a full ring, ticked per
-          delivered batch *)
-  pop_prog : Dift_obs.Progress.leg option;
-      (** [<ns>.pop]: armed while parked on an empty ring, ticked per
-          consumed batch *)
 }
 
-(* Power-of-two occupancy buckets up to the batch size: a full batch
-   lands in the last real bucket, so the overflow bucket staying at
-   zero is itself an invariant check. *)
-let occupancy_buckets batch_size =
-  let rec up acc b = if b >= batch_size then List.rev (batch_size :: acc)
-    else up (b :: acc) (b * 2)
-  in
-  up [] 1
+let counts t =
+  {
+    events = t.events;
+    batches = t.batches;
+    dropped_batches = t.dropped_batches;
+    dropped_events = t.dropped_events;
+    discarded_batches = t.discarded_batches;
+    discarded_events = t.discarded_events;
+    consumed_batches = t.consumed_batches;
+    consumed_events = t.consumed_events;
+    producer_stalls = Spsc.producer_stalls t.ring;
+    consumer_waits = Spsc.consumer_waits t.ring;
+    in_flight_batches = Spsc.length t.ring;
+  }
 
-let create ?obs ?trace ?flight ?chaos ?progress ?(escalate = false)
-    ?(ns = "parallel") ~queue_capacity ~batch_size () =
+let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel")
+    ~queue_capacity ~batch_size () =
   if queue_capacity < 1 then
     invalid_arg
       (Fmt.str "Forwarder.create: queue_capacity = %d < 1" queue_capacity);
   if batch_size < 1 then
     invalid_arg (Fmt.str "Forwarder.create: batch_size = %d < 1" batch_size);
-  let push_prog, pop_prog =
-    match progress with
-    | None -> (None, None)
-    | Some p ->
-        ( Some (Dift_obs.Progress.leg p (ns ^ ".push")),
-          Some (Dift_obs.Progress.leg p (ns ^ ".pop")) )
-  in
-  let ring =
-    Spsc.create ?push_leg:push_prog ?pop_leg:pop_prog
-      ~capacity:queue_capacity ()
-  in
-  (* + 2: room for the in-flight record on each side on top of the
-     ring's worth, so recycling (almost) never falls through to GC.
-     No progress legs: the free ring never blocks (try_pop/try_push
-     only), so there is no seam to watch. *)
-  let free = Spsc.create ~capacity:(queue_capacity + 2) () in
-  let occupancy =
-    Option.map
-      (fun reg ->
-        let open Dift_obs in
-        let n suffix = ns ^ suffix in
-        Registry.gauge_fn reg (n ".ring.capacity_batches")
-          ~help:"ring slots" (fun () -> Spsc.capacity ring);
-        Registry.gauge_fn reg (n ".ring.stalls")
-          ~help:"producer blocked on a full ring" (fun () ->
-            Spsc.producer_stalls ring);
-        Registry.gauge_fn reg (n ".ring.waits")
-          ~help:"consumer blocked on an empty ring" (fun () ->
-            Spsc.consumer_waits ring);
-        Registry.gauge_fn reg (n ".ring.drops")
-          ~help:"batches dropped after abort" (fun () -> Spsc.dropped ring);
-        Registry.histogram reg (n ".forwarder.batch_occupancy")
-          ~help:"events per pushed batch"
-          ~buckets:(occupancy_buckets batch_size))
-      obs
-  in
+  let probe = Probe.feed probe ~escalate ~ns in
+  let ring = Probe.ring probe ~capacity:queue_capacity in
   let no_batch = { data = [||]; len = 0; weight = 0 } in
   let t =
     {
       ring;
-      free;
+      (* + 2: room for the in-flight record on each side on top of the
+         ring's worth, so recycling (almost) never falls through to
+         GC.  No progress legs: the free ring never blocks. *)
+      free = Spsc.create ~capacity:(queue_capacity + 2) ();
+      probe;
       batch_size;
       no_batch;
       cur = no_batch;
@@ -142,168 +109,46 @@ let create ?obs ?trace ?flight ?chaos ?progress ?(escalate = false)
       discarded_events = 0;
       consumed_batches = 0;
       consumed_events = 0;
-      chaos = Option.map (fun c -> Chaos.instance ~escalate c ~ns) chaos;
-      chaos_free =
-        Option.map
-          (fun c ->
-            Chaos.instance ~targeted_only:true c ~ns:("ring.free." ^ ns))
-          chaos;
-      occupancy;
-      trace;
-      flight;
-      f_ns = ns;
-      push_prog;
-      pop_prog;
     }
   in
-  (match obs with
-  | Some reg ->
-      let open Dift_obs in
-      Registry.gauge_fn reg (ns ^ ".forwarder.events")
-        ~help:"events forwarded" (fun () -> t.events);
-      Registry.gauge_fn reg (ns ^ ".forwarder.batches")
-        ~help:"batches delivered to the ring" (fun () -> t.batches);
-      Registry.gauge_fn reg (ns ^ ".forwarder.dropped_batches")
-        ~help:"batches lost on the producer side (abort/injected)"
-        (fun () -> t.dropped_batches);
-      Registry.gauge_fn reg (ns ^ ".forwarder.dropped_events")
-        ~help:"events lost on the producer side (abort/injected)"
-        (fun () -> t.dropped_events);
-      Registry.gauge_fn reg (ns ^ ".forwarder.discarded_batches")
-        ~help:"batches popped but not processed (injected pop failure)"
-        (fun () -> t.discarded_batches);
-      Registry.gauge_fn reg (ns ^ ".forwarder.discarded_events")
-        ~help:"events popped but not processed (injected pop failure)"
-        (fun () -> t.discarded_events);
-      Registry.gauge_fn reg (ns ^ ".forwarder.consumed_batches")
-        ~help:"batches fully processed by the consumer" (fun () ->
-          t.consumed_batches);
-      Registry.gauge_fn reg (ns ^ ".forwarder.consumed_events")
-        ~help:"events fully processed by the consumer" (fun () ->
-          t.consumed_events);
-      Registry.gauge_fn reg (ns ^ ".ring.in_flight_batches")
-        ~help:"batches delivered but not yet popped" (fun () ->
-          Spsc.length t.ring)
-  | None -> ());
+  Probe.publish probe ring ~batch_size (fun () -> counts t);
   t
-
-let events t = t.events
-let batches t = t.batches
-let producer_stalls t = Spsc.producer_stalls t.ring
-let consumer_waits t = Spsc.consumer_waits t.ring
-let dropped t = t.dropped_batches
-let dropped_batches t = t.dropped_batches
-let dropped_events t = t.dropped_events
-let discarded_batches t = t.discarded_batches
-let discarded_events t = t.discarded_events
-let consumed_batches t = t.consumed_batches
-let consumed_events t = t.consumed_events
-let in_flight_batches t = Spsc.length t.ring
-let aborted t = Spsc.aborted t.ring
-
-(* One bounded flight event on the acting domain's ring; free when the
-   recorder is off (one branch). *)
-let flight_ev t ?(a = 0) ?(b = 0) name =
-  match t.flight with
-  | None -> ()
-  | Some fl -> Dift_obs.Flight.record fl ~a ~b ~cat:t.f_ns name
-
-(* Push one batch, recording the producer's side of the timeline: a
-   span named [ring.stall] when the push parked on a full ring (a
-   backpressure wave) and [ring.enqueue] otherwise, then a sample of
-   the ring occupancy. *)
-let traced_push t batch =
-  match t.trace with
-  | None -> Spsc.push t.ring batch
-  | Some tr ->
-      let open Dift_obs in
-      let stalls0 = Spsc.producer_stalls t.ring in
-      let t0 = Trace.now_ns tr in
-      Spsc.push t.ring batch;
-      let dur_ns = Trace.now_ns tr - t0 in
-      let name =
-        if Spsc.producer_stalls t.ring > stalls0 then "ring.stall"
-        else "ring.enqueue"
-      in
-      Trace.complete_ns tr ~cat:"parallel" name ~start_ns:t0 ~dur_ns;
-      Trace.counter tr ~cat:"parallel" "ring.occupancy"
-        (Spsc.length t.ring)
 
 (* The producer lost this batch: its elements were accepted by {!add}
    but will never reach the consumer. *)
 let account_drop t b =
   t.dropped_batches <- t.dropped_batches + 1;
   t.dropped_events <- t.dropped_events + b.weight;
-  flight_ev t "ring.drop" ~a:b.weight ~b:t.dropped_batches
+  Probe.dropped t.probe ~weight:b.weight ~total:t.dropped_batches
 
 let flush t =
   let b = t.cur in
   if b.len > 0 then begin
-    (match t.occupancy with
-    | Some h -> Dift_obs.Registry.observe h b.len
-    | None -> ());
     (* the consumer takes ownership of the record (and its length —
        no [Array.sub] for a partial batch); open a fresh one lazily *)
     t.cur <- t.no_batch;
-    (* only the producer increments [Spsc.dropped], so the delta
-       around the push tells exactly whether this batch landed on the
-       ring or fell to a post-abort counted drop *)
-    let deliver () =
-      let d0 = Spsc.dropped t.ring in
-      traced_push t b;
-      if Spsc.dropped t.ring > d0 then account_drop t b
-      else begin
-        t.batches <- t.batches + 1;
-        (match t.push_prog with
-        | Some l -> Dift_obs.Progress.tick l
-        | None -> ());
-        flight_ev t "ring.push" ~a:b.weight ~b:(Spsc.length t.ring)
-      end
-    in
-    match t.chaos with
-    | None -> deliver ()
-    | Some c -> (
-        match Chaos.on_push c with
-        | Chaos.Proceed -> deliver ()
-        | Chaos.Fail -> account_drop t b
-        | Chaos.Abort_now ->
-            (* the consumer side dies under us: tear the ring down,
-               then let the push become a counted drop *)
-            Spsc.abort t.ring;
-            deliver ()
-        | Chaos.Raise_now e ->
-            account_drop t b;
-            raise e)
+    match Probe.push t.probe t.ring b ~len:b.len ~weight:b.weight with
+    | Probe.Proceed -> t.batches <- t.batches + 1
+    | Probe.Fail | Probe.Abort_now -> account_drop t b
+    | Probe.Raise_now e ->
+        account_drop t b;
+        raise e
   end
 
 (* An open batch to append to: the current one, a recycled one off the
    free list (steady state — no allocation), or a fresh record.  An
-   injected [ring.free.<ns>/pop] fault degrades recycling (a [Drop]
-   skips the free list for this batch, an [Abort] kills the free ring
-   for good, a [Raise] crashes the producer) — it never loses
-   events. *)
+   injected [ring.free.<ns>/pop] fault degrades recycling (see
+   {!Probe}) — it never loses events. *)
 let open_batch t =
   if t.cur != t.no_batch then t.cur
   else begin
-    let pop_free () =
-      match Spsc.try_pop t.free with
+    let b =
+      match Probe.take_free t.probe t.free with
       | Some b ->
           b.len <- 0;
           b.weight <- 0;
           b
       | None -> { data = [||]; len = 0; weight = 0 }
-    in
-    let b =
-      match t.chaos_free with
-      | None -> pop_free ()
-      | Some c -> (
-          match Chaos.on_pop c with
-          | Chaos.Proceed -> pop_free ()
-          | Chaos.Fail -> { data = [||]; len = 0; weight = 0 }
-          | Chaos.Abort_now ->
-              Spsc.abort t.free;
-              { data = [||]; len = 0; weight = 0 }
-          | Chaos.Raise_now e -> raise e)
     in
     t.cur <- b;
     b
@@ -340,40 +185,16 @@ let add_n t e n =
 let close t =
   flush t;
   Spsc.close t.ring;
-  flight_ev t "ring.close" ~a:t.events ~b:t.batches
+  Probe.closed t.probe ~events:t.events ~batches:t.batches
 
-let abort t =
-  Spsc.abort t.ring;
-  flight_ev t "ring.abort"
-
-(* Pop one batch, recording the consumer's side of the timeline: a
-   span named [ring.wait] when the pop parked on an empty ring (a
-   helper idle episode) and [ring.dequeue] otherwise, then a sample of
-   the ring occupancy. *)
-let traced_pop t =
-  match t.trace with
-  | None -> Spsc.pop t.ring
-  | Some tr ->
-      let open Dift_obs in
-      let waits0 = Spsc.consumer_waits t.ring in
-      let t0 = Trace.now_ns tr in
-      let batch = Spsc.pop t.ring in
-      let dur_ns = Trace.now_ns tr - t0 in
-      let name =
-        if Spsc.consumer_waits t.ring > waits0 then "ring.wait"
-        else "ring.dequeue"
-      in
-      Trace.complete_ns tr ~cat:"parallel" name ~start_ns:t0 ~dur_ns;
-      Trace.counter tr ~cat:"parallel" "ring.occupancy"
-        (Spsc.length t.ring);
-      batch
+let abort t = Probe.abort t.probe t.ring
 
 (* A batch popped but not processed — the consumer-side loss mirror of
    [account_drop]. *)
 let account_discard t b =
   t.discarded_batches <- t.discarded_batches + 1;
   t.discarded_events <- t.discarded_events + b.weight;
-  flight_ev t "ring.discard" ~a:b.weight ~b:t.discarded_batches
+  Probe.discarded t.probe ~weight:b.weight ~total:t.discarded_batches
 
 let drain ?(around_batch = fun k -> k ()) t ~f =
   let run_batch b () =
@@ -387,14 +208,7 @@ let drain ?(around_batch = fun k -> k ()) t ~f =
   let recycle b =
     b.len <- 0;
     b.weight <- 0;
-    match t.chaos_free with
-    | None -> ignore (Spsc.try_push t.free b : bool)
-    | Some c -> (
-        match Chaos.on_push c with
-        | Chaos.Proceed -> ignore (Spsc.try_push t.free b : bool)
-        | Chaos.Fail -> ()
-        | Chaos.Abort_now -> Spsc.abort t.free
-        | Chaos.Raise_now e -> raise e)
+    Probe.give_free t.probe t.free b
   in
   (* Close the in-flight accounting gap: [Spsc.pop] honours the abort
      flag before buffered elements, so batches already delivered when
@@ -417,55 +231,31 @@ let drain ?(around_batch = fun k -> k ()) t ~f =
         | None -> ()
       in
       go ();
-      if !nb > 0 then flight_ev t "ring.sweep" ~a:!nb ~b:!ne
+      if !nb > 0 then Probe.swept t.probe ~batches:!nb ~events:!ne
     end
   in
-  (* [true] = the batch was fully processed; [false] = it became a
-     counted discard.  An injected raise propagates un-accounted — the
-     caller's handler books the batch. *)
-  let consume b =
-    match t.chaos with
-    | None ->
-        around_batch (run_batch b);
-        true
-    | Some c -> (
-        match Chaos.on_pop c with
-        | Chaos.Proceed ->
-            around_batch (run_batch b);
-            true
-        | Chaos.Fail ->
-            account_discard t b;
-            false
-        | Chaos.Abort_now ->
-            (* consumer gives up: the next pop sees the abort, drain
-               sweeps and terminates; this batch is a counted discard *)
-            Spsc.abort t.ring;
-            account_discard t b;
-            false
-        | Chaos.Raise_now e -> raise e)
-  in
   let rec loop () =
-    match traced_pop t with
+    match Probe.pop t.probe t.ring with
     | None -> sweep ()
-    | Some b ->
-        let processed =
-          try consume b
-          with e ->
-            (* the batch in hand is neither processed nor yet counted:
-               book it before the exception escapes, or it would leave
-               the accounting open *)
+    | Some (b, verdict) ->
+        (match verdict with
+        | Probe.Proceed ->
+            (try around_batch (run_batch b)
+             with e ->
+               (* the batch in hand is neither processed nor yet
+                  counted: book it before the exception escapes, or
+                  it would leave the accounting open *)
+               account_discard t b;
+               recycle b;
+               raise e);
+            t.consumed_batches <- t.consumed_batches + 1;
+            t.consumed_events <- t.consumed_events + b.weight;
+            Probe.consumed t.probe t.ring ~weight:b.weight
+        | Probe.Fail | Probe.Abort_now -> account_discard t b
+        | Probe.Raise_now e ->
             account_discard t b;
             recycle b;
-            raise e
-        in
-        if processed then begin
-          t.consumed_batches <- t.consumed_batches + 1;
-          t.consumed_events <- t.consumed_events + b.weight;
-          (match t.pop_prog with
-          | Some l -> Dift_obs.Progress.tick l
-          | None -> ());
-          flight_ev t "ring.pop" ~a:b.weight ~b:(Spsc.length t.ring)
-        end;
+            raise e);
         recycle b;
         loop ()
   in
@@ -476,6 +266,6 @@ let drain ?(around_batch = fun k -> k ()) t ~f =
      so it is counted too. *)
   try loop ()
   with e ->
-    Spsc.abort t.ring;
+    abort t;
     sweep ();
     raise e

@@ -114,13 +114,6 @@ let validate_geometry ~queue_capacity ~batch_size =
   if batch_size < 1 then
     invalid_arg (Fmt.str "Parallel: batch_size = %d < 1" batch_size)
 
-(* One bounded flight event (category [run]) on the calling domain's
-   ring; a no-op when the recorder is off. *)
-let flight_ev flight ?a ?b ?detail name =
-  match flight with
-  | None -> ()
-  | Some fl -> Dift_obs.Flight.record fl ?a ?b ?detail ~cat:"run" name
-
 let leg_to_string = function
   | `App -> "app"
   | `Helper -> "helper"
@@ -150,9 +143,9 @@ type run = {
    join, helper or shard crash, application crash, spawn failure,
    deadline miss, degraded completion — becomes a [run] or a
    structured error. *)
-let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
-    ?xchg_capacity ~queue_capacity ~batch_size ~wire ~forward_filter ?policy
-    ?on_sink ~shards ~report program ~input =
+let supervise ?config ~probe ?degrade ?route ?xchg_capacity ~queue_capacity
+    ~batch_size ~wire ~forward_filter ?policy ?on_sink ~shards ~report program
+    ~input =
   validate_geometry ~queue_capacity ~batch_size;
   (* the filter is sound only when taint flows through the event's
      read set; control-plane taint escapes it, so the filter silently
@@ -164,9 +157,8 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
     else None
   in
   let c =
-    Bool_shards.cluster ?policy ?route ?obs ?trace ?flight ?chaos ?watchdog
-      ~queue_capacity ~batch_size ?xchg_capacity ~wire ?filter:lf ~shards
-      program
+    Bool_shards.cluster ?policy ?route ~probe ~queue_capacity ~batch_size
+      ?xchg_capacity ~wire ?filter:lf ~shards program
   in
   (* the helpers build a sink's record only for a client callback *)
   if Option.is_some on_sink then Bool_shards.record_sink_events c;
@@ -220,24 +212,17 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
       e_partial = partial ();
     }
   in
-  (match flight with
-  | Some fl -> Dift_obs.Flight.name_domain fl "app"
-  | None -> ());
-  flight_ev flight "run.start" ~a:shards ~b:queue_capacity
-    ~detail:(if shards = 1 then "two-domain" else "sharded");
+  Probe.run_start probe ~shards ~queue_capacity;
   let errored e =
-    flight_ev flight "run.error" ~detail:(leg_to_string e.e_leg);
+    Probe.run_error probe ~leg:(leg_to_string e.e_leg);
     Error e
-  in
-  let wd_fired () =
-    match watchdog with Some w -> Watchdog.fired w | None -> None
   in
   (* A post-cascade run can die of a downstream abort exception — or
      even complete looking ordinary.  The deadline miss is the root
      cause, so it takes over as the primary error; whatever the legs
      died of becomes secondary. *)
   let wd_override e =
-    match wd_fired () with
+    match Probe.missed probe with
     | None -> e
     | Some m ->
         {
@@ -265,7 +250,7 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
           { e_leg = `App; e_exn = ex; e_secondary = secondary;
             e_partial = partial () }
     | () ->
-        flight_ev flight "run.done" ~a:events ~b:done_b;
+        Probe.run_done probe ~events ~batches:done_b;
         Ok
           (report c
              {
@@ -289,7 +274,7 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
     match degrade with
     | Some `Inline when e.e_leg <> `App -> (
         let cut, w = Bool_shards.resume c in
-        flight_ev flight "run.degrade" ~a:cut ~detail:(leg_to_string e.e_leg);
+        Probe.run_degrade probe ~cut ~leg:(leg_to_string e.e_leg);
         let total = ref 0 and replayed = ref 0 in
         let m = Machine.create ?config program ~input in
         Machine.attach m
@@ -327,21 +312,11 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
         { e_leg = `Spawn; e_exn = ex; e_secondary = []; e_partial = partial () }
   | () -> (
       let m = Machine.create ?config program ~input in
-      (match obs with Some reg -> Obs_tool.attach reg m | None -> ());
-      (match trace with
-      | Some tr -> Dift_obs.Trace.name_track tr "app"
-      | None -> ());
+      Probe.app probe m;
       Machine.attach m
         (Tool.make ~dispatch_cost:0 ~on_view:(Bool_shards.feed_view c)
            "parallel-dift-forwarder");
       let t0 = now_ns () in
-      let run_machine () =
-        match trace with
-        | Some tr ->
-            Dift_obs.Trace.span tr ~cat:"vm" "app.run" (fun () ->
-                Machine.run m)
-        | None -> Machine.run m
-      in
       (* after a failure on this side: join every helper, keeping what
          they died of as secondary failures *)
       let join_quiet () =
@@ -349,7 +324,7 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
         | Ok _ -> []
         | Error f -> List.map snd f.Shard_engine.f_shards
       in
-      match run_machine () with
+      match Probe.app_run probe (fun () -> Machine.run m) with
       | exception ex ->
           (* The crash may have split a cross-shard event across only
              some participants, so the mesh goes down with the feed
@@ -373,7 +348,7 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
                   let total_wall_ns = now_ns () - t0 in
                   (* a cascade can leave every leg terminating cleanly:
                      the watchdog verdict outranks the ordinary one *)
-                  match wd_fired () with
+                  match Probe.missed probe with
                   | Some m ->
                       conclude_err
                         {
@@ -396,9 +371,10 @@ let supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ?route
 let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     ?(queue_capacity = 64) ?(batch_size = 64) ?(wire = `Coded)
     ?(forward_filter = false) ?policy ?on_sink program ~input =
-  supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-    ~queue_capacity ~batch_size ~wire ~forward_filter ?policy ?on_sink
-    ~shards:1 program ~input ~report:(fun c r ->
+  supervise ?config
+    ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
+    ?degrade ~queue_capacity ~batch_size ~wire ~forward_filter ?policy
+    ?on_sink ~shards:1 program ~input ~report:(fun c r ->
       let s = (Bool_shards.shard_stats c).(0) in
       {
         result = r.r_result;
@@ -433,32 +409,18 @@ let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
       sink_trace :=
         !sink_trace + Shard_engine.sink_hash ~step:v.Event.v_step sink taint);
   (match on_sink with Some f -> Bool_engine.on_sink eng f | None -> ());
-  (match trace with
-  | Some tr ->
-      Dift_obs.Trace.name_track tr "app";
-      Bool_engine.set_trace eng tr
-  | None -> ());
-  (match flight with
-  | Some fl ->
-      Dift_obs.Flight.name_domain fl "app";
-      Bool_engine.set_flight eng fl
-  | None -> ());
+  let probe = Probe.make ?obs ?trace ?flight () in
+  Probe.engine probe ~owner:true
+    ~register_obs:(Bool_engine.register_obs eng)
+    ~set_trace:(Bool_engine.set_trace eng)
+    ~set_flight:(Bool_engine.set_flight eng);
   let m = Machine.create ?config program ~input in
-  (match obs with
-  | Some reg ->
-      Bool_engine.register_obs eng reg;
-      Obs_tool.attach reg m
-  | None -> ());
+  Probe.app probe m;
   Machine.attach m
     (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
        "inline-dift");
   let t0 = now_ns () in
-  let outcome =
-    match trace with
-    | Some tr ->
-        Dift_obs.Trace.span tr ~cat:"vm" "app.run" (fun () -> Machine.run m)
-    | None -> Machine.run m
-  in
+  let outcome = Probe.app_run probe (fun () -> Machine.run m) in
   let i_wall_ns = now_ns () - t0 in
   let s = Bool_engine.stats eng in
   let tainted_locations, shadow_words = Bool_engine.shadow_footprint eng in
@@ -503,8 +465,10 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     ~shards program ~input =
   if shards < 1 then
     invalid_arg (Fmt.str "Parallel.run_sharded_result: shards = %d < 1" shards);
-  supervise ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade ~route
-    ?xchg_capacity ~queue_capacity ~batch_size ~wire ~forward_filter ?policy
+  supervise ?config
+    ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
+    ?degrade ~route ?xchg_capacity ~queue_capacity ~batch_size ~wire
+    ~forward_filter ?policy
     ?on_sink ~shards program ~input ~report:(fun c r ->
       {
         s_result = r.r_result;

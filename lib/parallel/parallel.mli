@@ -177,34 +177,15 @@ type inline_report = {
     - {b Sinks and degrade.}  See the module preamble: [on_sink] runs
       on the calling domain after the join; [~degrade:`Inline]
       resumes after the helper's last fully processed batch.
-    - {b Metrics} ([?obs]): the VM's [vm.*] counters
-      ({!Dift_vm.Obs_tool}), the engine's [core.engine.*]/
-      [core.shadow.*] gauges, the channel's [parallel.ring.*]/
-      [parallel.forwarder.*] metrics, and [parallel.helper.*]
-      (busy/wall counters, a [parallel.helper.batch] span over
-      per-batch propagation latency, a utilization gauge).  The
-      registry may be snapshotted from any domain, including while the
-      run is in flight.
-    - {b Timeline} ([?trace]): the ["app"] track carries the [app.run]
-      span and the producer's [ring.enqueue]/[ring.stall] spans; the
-      ["helper"] track the [helper.drain] envelope, one [engine.batch]
-      span per batch, the consumer's [ring.dequeue]/[ring.wait] spans
-      and the engine's shadow-footprint samples; both feed the
-      [ring.occupancy] counter track.
-    - {b Flight recorder} ([?flight]): the ["app"] ring carries
-      [run.start], the producer-side [ring.*] events and the final
-      [run.done]/[run.error] marker; the ["helper"] ring carries
-      [helper.start], the consumer-side [ring.*] events, the engine's
-      [engine.progress] milestones and, if the helper dies,
-      [helper.crash] (see [docs/observability.md]).
-    - {b Faults} ([?chaos]): every channel operation and the helper
-      spawn consult the fault plan (see {!Chaos}).
-    - {b Watchdog} ([?watchdog]): ring parks publish progress as
-      [parallel.push]/[parallel.pop], the spawn window as
-      [spawn.helper], the join as [join.helper]; the cascade hook
-      ([parallel]) aborts the channel, so a wedged peer surfaces as a
-      [`Deadline] error instead of a hang.  The caller creates and
-      {!Watchdog.stop}s the watchdog; one watchdog supervises one run.
+    - {b Instruments.}  [?obs], [?trace], [?flight], [?chaos] and
+      [?watchdog] make the run's one {!Probe}; its seam catalogue
+      lists every metric, trace span, flight event, progress leg and
+      fault namespace of the feed ring [parallel], the [helper]
+      lifecycle and the [app] run markers.  The registry may be
+      snapshotted from any domain, including while the run is in
+      flight.  A wedged seam surfaces as a [`Deadline] error instead
+      of a hang; the caller creates and {!Watchdog.stop}s the
+      watchdog, and one watchdog supervises one run.
 
     @raise Invalid_argument if [queue_capacity] or [batch_size] is
     [< 1]. *)
@@ -228,13 +209,10 @@ val run_result :
 
 (** [run_inline program ~input] — the sequential baseline: the same
     engine attached inline in the current domain, reported in the
-    same shape; [on_sink] runs as each sink happens.  [?obs]
-    instruments the VM and engine as in {!run_result} (no
-    [parallel.*] group — there is no channel); [?trace] records a
-    single-track timeline ([app.run] span plus engine counter samples,
-    all on the calling domain); [?flight] names the calling domain's
-    recorder ring ["app"] and records the engine's [engine.progress]
-    milestones on it. *)
+    same shape; [on_sink] runs as each sink happens.  The instruments
+    see only the {!Probe} run markers and the engine: no [parallel.*]
+    metrics (there is no channel), one [app] track and one [app]
+    flight ring, carrying the engine's samples and milestones. *)
 val run_inline :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -291,20 +269,10 @@ type sharded_report = {
     [on_sink] and [degrade] behave as in {!run_result}; N shards
     degrade by a full rerun.
 
-    With N shards the seams take per-shard names: each channel
-    publishes under [parallel.shard<i>.*] ([?obs]) alongside per-shard
-    busy/wall/utilization gauges and [parallel.router.cross_events];
-    each shard gets a [shard-<i>] track ([?trace]) and flight ring
-    ([?flight]: [shard.start], consumer-side [ring.*], the exchange
-    mesh's [xchg.*] legs, [engine.progress], and [shard.crash] if it
-    dies of its own exception); the fault plan ([?chaos]) reaches
-    every shard channel ([parallel.shard<i>]), every exchange ring
-    ([xchg.<src>.<dst>]) and every spawn; the watchdog ([?watchdog])
-    sees feed rings ([parallel.shard<i>.push]/[.pop]), exchange rings
-    ([xchg.<src>.<dst>.push]/[.pop]), spawn windows
-    ([spawn.shard<i>]), the joins ([join.shard<i>]) and a per-view
-    work pulse ([work.shard<i>]), with cascade hooks in dependency
-    order (each feed channel, then the mesh).
+    With N shards the seams take per-shard names —
+    [parallel.shard<i>], [shard-<i>], [xchg.<src>.<dst>]; see
+    {!Probe} — and the watchdog's cascade hooks run in dependency
+    order: each feed channel, then the mesh.
 
     @raise Invalid_argument if [shards], [queue_capacity] or
     [batch_size] is [< 1]. *)

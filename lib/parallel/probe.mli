@@ -1,0 +1,255 @@
+(** One run's instruments, and the one handle each seam of the
+    parallel runtimes derives from them.
+
+    A run may carry five instruments: a metrics registry
+    ({!Dift_obs.Registry}), an execution tracer ({!Dift_obs.Trace}), a
+    flight recorder ({!Dift_obs.Flight}), a fault plan ({!Chaos}) and
+    a {!Watchdog} (whose progress table the seams' legs register
+    into).  {!make} bundles whichever are on; {!off} has none.  Each
+    seam of paper §2.1's helper design — the forwarding queue, the
+    helper's drain, the shard exchange — derives its handle from the
+    probe once, at construction, and every seam operation then makes
+    one probe call, which updates whichever instruments are on and
+    returns the chaos verdict.  The seam keeps only its protocol
+    decision: what a lost batch means for its books.  With an
+    instrument off, its part of a probe call is one branch.
+
+    {1 Seam catalogue}
+
+    [<ns>] is a feed ring's namespace: [parallel] for the one helper
+    of the two-domain runtime, [parallel.shard<i>] for shard [i] of N.
+    The tables in [docs/observability.md] and
+    [docs/forwarding-protocol.md] give the payloads.
+
+    {b Feed ring} ({!feed}: one per helper; {!Forwarder}, {!Channel}).
+    - Metrics: gauges [<ns>.ring.capacity_batches], [.stalls],
+      [.waits], [.drops], [.in_flight_batches] and
+      [<ns>.forwarder.events], [.batches], [.dropped_batches],
+      [.dropped_events], [.discarded_batches], [.discarded_events],
+      [.consumed_batches], [.consumed_events] (the {!counts}); the
+      histogram [<ns>.forwarder.batch_occupancy] (events per pushed
+      batch, power-of-two buckets up to the batch size).
+    - Trace (category [parallel]): per push a [ring.enqueue] span on
+      the producer's track, named [ring.stall] when it parked on a
+      full ring; per pop a [ring.dequeue] span on the consumer's,
+      named [ring.wait] when it parked on an empty one; after each
+      transfer a sample of the [ring.occupancy] counter track.
+    - Flight (category [<ns>], on the acting domain):
+      [ring.push]/[ring.pop] per delivered/consumed batch,
+      [ring.drop]/[ring.discard] per lost batch, [ring.close],
+      [ring.sweep] after an abort, and [ring.abort] exactly once per
+      ring, on the domain that aborted it first, whatever the cause.
+    - Progress legs: [<ns>.push] and [<ns>.pop], armed while that
+      side is parked and ticked per delivered/consumed batch.
+    - Chaos: namespace [<ns>].  A [Drop] is a counted loss; an [Abort]
+      aborts the ring, so the push becomes a counted drop or the pop
+      a counted discard; a [Raise] crashes the intercepting side.
+      With [~escalate], [Drop] and [Abort] are served as raises.
+
+    {b Free ring} (the feed ring's recycling list).  Chaos only, under
+    [ring.free.<ns>] and explicitly targeted rules only: a [Drop]
+    skips one recycling, an [Abort] disables the free ring for good,
+    a [Raise] crashes the side it intercepts.  No event is ever lost.
+
+    {b Exchange ring} ({!exchange}: one per ordered shard pair of the
+    {!Shard_engine} mesh).
+    - Flight (category [xchg], [a] = source shard, [b] =
+      destination): [xchg.push], [xchg.pop], and [xchg.dead] when a
+      pop finds the mesh aborted.
+    - Progress legs: [xchg.<src>.<dst>.push] and [.pop].
+    - Chaos: namespace [xchg.<src>.<dst>].  Exchange messages are
+      protocol legs, so a [Drop] or a [Raise] crashes the
+      intercepting shard and an [Abort] tears the whole mesh down.
+
+    {b Helper lifecycle} ({!helpers}: one per helper domain).  One
+    shard is named [helper], shard [i] of N [shard-<i>]: its trace
+    track, its flight ring, and [helper.*]/[shard.*] below.
+    - Metrics: one shard: counters [parallel.helper.busy_ns] and
+      [wall_ns], the span [parallel.helper.batch] (per-batch
+      latency), the gauge [parallel.helper.utilization_pct], and the
+      engine's [core.engine.*]/[core.shadow.*] gauges ({!engine}).  N
+      shards: gauges [parallel.shard<i>.busy_ns], [.wall_ns],
+      [.utilization_pct], [.exchange_sent], and
+      [parallel.router.cross_events].
+    - Trace: a [helper.drain] span (category [parallel]) around the
+      drain, one [engine.batch] span (category [core]) per batch; one
+      shard also carries the engine's shadow-footprint samples.
+    - Flight (category [run]): [helper.start]/[shard.start] and, when
+      the helper dies of an exception, [helper.crash]/[shard.crash]
+      ([a] = shard index); the engine's [engine.progress] milestones
+      (category [core]).
+    - Progress legs: [spawn.helper]/[spawn.shard<i>], armed from
+      before [Domain.spawn] until the body runs;
+      [join.helper]/[join.shard<i>], armed around the join; N shards
+      also [work.shard<i>], ticked per handled event.
+    - Chaos: the run's [Spawn] rules; any terminal fault is a spawn
+      failure.
+
+    {b Run markers} (the application domain).
+    - Metrics: the VM's [vm.*] counters ({!Dift_vm.Obs_tool}).
+    - Trace: the [app] track and its [app.run] span (category [vm]).
+    - Flight (category [run], ring [app]): [run.start], [run.done],
+      [run.error], [run.degrade].
+    - Watchdog: the cascade hooks ({!on_miss}) and the deadline
+      verdict ({!missed}). *)
+
+type t
+
+(** No instrument on. *)
+val off : t
+
+val make :
+  ?obs:Dift_obs.Registry.t ->
+  ?trace:Dift_obs.Trace.t ->
+  ?flight:Dift_obs.Flight.t ->
+  ?chaos:Chaos.t ->
+  ?watchdog:Watchdog.t ->
+  unit ->
+  t
+
+(** A probe call's chaos verdict, as {!Chaos.action}. *)
+type verdict = Chaos.action =
+  | Proceed
+  | Fail
+  | Abort_now
+  | Raise_now of exn
+
+(** {1 Feed rings} *)
+
+(** A feed ring's books, as {!Forwarder.counts} documents them. *)
+type counts = {
+  events : int;
+  batches : int;
+  dropped_batches : int;
+  dropped_events : int;
+  discarded_batches : int;
+  discarded_events : int;
+  consumed_batches : int;
+  consumed_events : int;
+  producer_stalls : int;
+  consumer_waits : int;
+  in_flight_batches : int;
+}
+
+type feed
+
+val feed : t -> escalate:bool -> ns:string -> feed
+
+(** The feed ring itself, with its progress legs. *)
+val ring : feed -> capacity:int -> 'a Spsc.t
+
+(** Register the ring's metrics, reading the books through [counts]. *)
+val publish : feed -> 'a Spsc.t -> batch_size:int -> (unit -> counts) -> unit
+
+(** Push one batch of [len] elements standing for [weight] events.
+    [Proceed]: it landed.  [Fail]: it is lost (an injected drop, or
+    the ring is aborted).  [Raise_now e]: an injected crash; it was
+    not pushed.  Never [Abort_now]: an injected abort aborts the ring
+    and the push becomes a drop. *)
+val push : feed -> 'a Spsc.t -> 'a -> len:int -> weight:int -> verdict
+
+(** Pop one batch, with the verdict on it: [Proceed] (process it),
+    [Fail] (a counted discard; an injected abort has aborted the
+    ring) or [Raise_now e].  [None] at the end of the stream. *)
+val pop : feed -> 'a Spsc.t -> ('a * verdict) option
+
+(** The consumer fully processed a batch of [weight] events. *)
+val consumed : feed -> 'a Spsc.t -> weight:int -> unit
+
+(** A batch of [weight] events lost producer-side; [total] batches
+    so far. *)
+val dropped : feed -> weight:int -> total:int -> unit
+
+(** A batch of [weight] events popped but not processed; [total]
+    batches so far. *)
+val discarded : feed -> weight:int -> total:int -> unit
+
+(** The post-abort sweep recovered [batches] holding [events]. *)
+val swept : feed -> batches:int -> events:int -> unit
+
+val closed : feed -> events:int -> batches:int -> unit
+
+(** Abort the ring; the first abort records [ring.abort]. *)
+val abort : feed -> 'a Spsc.t -> unit
+
+(** The free ring's [try_pop] and [try_push], through its seam. *)
+val take_free : feed -> 'a Spsc.t -> 'a option
+
+val give_free : feed -> 'a Spsc.t -> 'a -> unit
+
+(** {1 Exchange rings} *)
+
+type exchange
+
+val exchange : t -> src:int -> dst:int -> exchange
+
+val exchange_ring : exchange -> capacity:int -> 'a Spsc.t
+
+(** Push to, or pop from, ring [src -> dst] of [mesh] (indexed
+    [mesh.(src).(dst)]).  An injected fault raises or aborts [mesh];
+    {!exchange_pop} returns [None] once the mesh is aborted. *)
+val exchange_push : exchange -> 'a Spsc.t array array -> 'a -> unit
+
+val exchange_pop : exchange -> 'a Spsc.t array array -> 'a option
+
+(** {1 Helper lifecycle} *)
+
+type helper
+
+(** One handle per helper of a [shards]-helper cluster, its metrics
+    registered.  [sent s] is shard [s]'s exchange vector count and
+    [cross ()] the cross-shard event count. *)
+val helpers :
+  t -> shards:int -> sent:(int -> int) -> cross:(unit -> int) -> helper array
+
+(** Hand an engine its hooks: the flight recorder always, the registry
+    and the tracer when it is the [owner] of the run's engine-level
+    names (the inline engine, a one-shard helper's). *)
+val engine :
+  t ->
+  owner:bool ->
+  register_obs:(Dift_obs.Registry.t -> unit) ->
+  set_trace:(Dift_obs.Trace.t -> unit) ->
+  set_flight:(Dift_obs.Flight.t -> unit) ->
+  unit
+
+(** Spawn the helper's domain running [body], wall-clocked.
+    @raise Chaos.Injected on an injected spawn failure. *)
+val spawn : helper -> (unit -> unit) -> unit Domain.t
+
+(** Run the helper's drain, handing it the [around_batch] hook that
+    times each batch. *)
+val drain : helper -> (around_batch:((unit -> unit) -> unit) -> unit) -> unit
+
+(** The helper dies of [exn]. *)
+val crash : helper -> exn -> unit
+
+val join : helper -> unit Domain.t -> unit
+
+(** One handled event (the work pulse). *)
+val work : helper -> unit
+
+val busy_ns : helper -> int
+val wall_ns : helper -> int
+
+(** {1 Run markers} *)
+
+(** The application domain: names its track and flight ring [app]
+    and hands the machine the VM's counters. *)
+val app : t -> Dift_vm.Machine.t -> unit
+
+(** Run the application under the [app.run] span. *)
+val app_run : t -> (unit -> 'a) -> 'a
+
+(** [run.start]; also names the calling domain's flight ring [app]. *)
+val run_start : t -> shards:int -> queue_capacity:int -> unit
+
+val run_done : t -> events:int -> batches:int -> unit
+val run_error : t -> leg:string -> unit
+val run_degrade : t -> cut:int -> leg:string -> unit
+
+(** Register a watchdog cascade hook (see {!Watchdog.on_miss}). *)
+val on_miss : t -> name:string -> (unit -> unit) -> unit
+
+(** The watchdog's miss, once one has fired. *)
+val missed : t -> Watchdog.miss option

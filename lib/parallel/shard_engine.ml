@@ -53,10 +53,6 @@ let pp_failure ppf f =
             l)
     f.f_shards
 
-(* Monotonic: shard busy/wall intervals must never go negative even if
-   the system clock steps mid-run. *)
-let now_ns = Dift_obs.Clock.now_ns
-
 (* The sink trace: one well-mixed integer per sink observation, folded
    by addition.  The sum is order-independent, so shards fold their own
    observations and the merge adds them up; the step inside each
@@ -91,47 +87,29 @@ module Make (D : Taint.DOMAIN) = struct
 
   type xchg = {
     rings : msg Spsc.t array array;  (** [rings.(src).(dst)] *)
+    seams : Probe.exchange array array;  (** each ring's seam *)
     journals : msg list ref array array option;
         (** consumed messages per ring, newest first; written only by
             each ring's consumer domain *)
-    x_chaos : Chaos.inst array array option;
-        (** fault seams per ring, namespaced [xchg.<src>.<dst>] *)
   }
 
-  let create_xchg ?(capacity = 256) ?(journal = false) ?chaos ?progress
+  let create_xchg ?(capacity = 256) ?(journal = false) ?(probe = Probe.off)
       ~shards () =
     if capacity < 1 then
       invalid_arg "Shard_engine.create_xchg: capacity < 1";
+    let seams =
+      Array.init shards (fun src ->
+          Array.init shards (fun dst -> Probe.exchange probe ~src ~dst))
+    in
     {
-      rings =
-        Array.init shards (fun src ->
-            Array.init shards (fun dst ->
-                (* one watchdog leg per blocking side of each mesh
-                   ring, so a stalled exchange names its exact edge *)
-                match progress with
-                | None -> Spsc.create ~capacity ()
-                | Some p ->
-                    Spsc.create
-                      ~push_leg:
-                        (Dift_obs.Progress.leg p
-                           (Fmt.str "xchg.%d.%d.push" src dst))
-                      ~pop_leg:
-                        (Dift_obs.Progress.leg p
-                           (Fmt.str "xchg.%d.%d.pop" src dst))
-                      ~capacity ()));
+      rings = Array.map (Array.map (Probe.exchange_ring ~capacity)) seams;
+      seams;
       journals =
         (if journal then
            Some
              (Array.init shards (fun _ ->
                   Array.init shards (fun _ -> ref [])))
          else None);
-      x_chaos =
-        Option.map
-          (fun c ->
-            Array.init shards (fun src ->
-                Array.init shards (fun dst ->
-                    Chaos.instance c ~ns:(Fmt.str "xchg.%d.%d" src dst))))
-          chaos;
     }
 
   let abort_xchg x = Array.iter (Array.iter Spsc.abort) x.rings
@@ -150,8 +128,6 @@ module Make (D : Taint.DOMAIN) = struct
     route : route;
     x : xchg;
     eng : E.t;
-    w_flight : Dift_obs.Flight.t option;
-        (** exchange legs record [xchg.push]/[xchg.pop] flight events *)
     w_scratch : Event.view;
         (** refilled per event on the boxed {!handle} path; coded
             drains hand their own scratch view to {!handle_view} *)
@@ -165,13 +141,9 @@ module Make (D : Taint.DOMAIN) = struct
             a client sink callback) *)
     mutable sent : int;
     mutable received : int;
-    mutable w_prog : Dift_obs.Progress.leg option;
-        (** [work.shard<i>]: ticked per handled view — the progress
-            pulse that keeps legitimately parked peers from tripping
-            the watchdog while this shard computes *)
   }
 
-  let worker ?policy ?flight ~router ~route ~xchg ~record_sinks ~shard
+  let worker ?policy ~router ~route ~xchg ~record_sinks ~shard
       program =
     let policy = Option.value policy ~default:Policy.default in
     (match route with
@@ -185,8 +157,6 @@ module Make (D : Taint.DOMAIN) = struct
     let eng = E.create ~policy program in
     (* wall-clock runtime: modelled-cycle charging is meaningless here *)
     E.set_charge eng ignore;
-    (* engine milestones land on whichever domain drains this shard *)
-    (match flight with Some fl -> E.set_flight eng fl | None -> ());
     let f0 = List.hd (Dift_isa.Program.functions program) in
     let w =
       {
@@ -195,7 +165,6 @@ module Make (D : Taint.DOMAIN) = struct
         route;
         x = xchg;
         eng;
-        w_flight = flight;
         w_scratch =
           Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0);
         sink_hash = 0;
@@ -204,7 +173,6 @@ module Make (D : Taint.DOMAIN) = struct
         sink_events = false;
         sent = 0;
         received = 0;
-        w_prog = None;
       }
     in
     E.on_sink_view eng (fun sink taint v ->
@@ -219,50 +187,17 @@ module Make (D : Taint.DOMAIN) = struct
   let exchange_sent w = w.sent
   let exchange_received w = w.received
 
-  (* Exchange messages are protocol legs, not payload: silently losing
-     one would wedge the peer waiting for it.  An injected [Fail] on
-     the mesh therefore escalates to a crash of the intercepting
-     shard (which aborts the mesh and cascades cleanly), and
-     [Abort_now] tears the whole mesh down. *)
-  let x_chaos_act w ~src ~dst action =
-    match action with
-    | Chaos.Proceed -> ()
-    | Chaos.Fail ->
-        raise
-          (Chaos.Injected
-             (Fmt.str "injected exchange failure on ring %d->%d" src dst))
-    | Chaos.Abort_now -> Array.iter (Array.iter Spsc.abort) w.x.rings
-    | Chaos.Raise_now e -> raise e
-
-  (* One bounded flight event for an exchange leg on the acting
-     shard's ring ([a] = source shard, [b] = destination shard). *)
-  let flight_x w name ~src ~dst =
-    match w.w_flight with
-    | None -> ()
-    | Some fl -> Dift_obs.Flight.record fl ~cat:"xchg" name ~a:src ~b:dst
-
+  (* An injected fault on the mesh crashes this shard or tears the
+     mesh down (see {!Probe}); a pop that finds the mesh aborted is
+     the [Shard_dead] cascade. *)
   let push_x w ~dst m =
-    (match w.x.x_chaos with
-    | None -> ()
-    | Some insts ->
-        x_chaos_act w ~src:w.w_shard ~dst
-          (Chaos.on_push insts.(w.w_shard).(dst)));
-    w.sent <- w.sent + 1;
-    flight_x w "xchg.push" ~src:w.w_shard ~dst;
-    Spsc.push w.x.rings.(w.w_shard).(dst) m
+    Probe.exchange_push w.x.seams.(w.w_shard).(dst) w.x.rings m;
+    w.sent <- w.sent + 1
 
   let pop_x w ~src =
-    (match w.x.x_chaos with
-    | None -> ()
-    | Some insts ->
-        x_chaos_act w ~src ~dst:w.w_shard
-          (Chaos.on_pop insts.(src).(w.w_shard)));
-    match Spsc.pop w.x.rings.(src).(w.w_shard) with
-    | None ->
-        flight_x w "xchg.dead" ~src ~dst:w.w_shard;
-        raise Shard_dead
+    match Probe.exchange_pop w.x.seams.(src).(w.w_shard) w.x.rings with
+    | None -> raise Shard_dead
     | Some m ->
-        flight_x w "xchg.pop" ~src ~dst:w.w_shard;
         w.received <- w.received + 1;
         (match w.x.journals with
         | Some j ->
@@ -367,9 +302,6 @@ module Make (D : Taint.DOMAIN) = struct
     end
 
   let handle_view w (v : Event.view) =
-    (match w.w_prog with
-    | Some l -> Dift_obs.Progress.tick l
-    | None -> ());
     match w.route with
     | `Broadcast -> E.process_view w.eng v
     | `Request_reply ->
@@ -449,28 +381,14 @@ module Make (D : Taint.DOMAIN) = struct
 
   (* -- a cluster: workers + inbound rings + helper domains ------------- *)
 
-  type shard_clock = {
-    mutable busy_ns : int;
-    mutable wall_ns : int;
-    on_busy : int -> unit;  (** registry hook, per timed batch *)
-    on_wall : int -> unit;  (** registry hook, at drain end *)
-  }
-
   type cluster = {
     c_route : route;
     c_xchg : xchg;
     workers : worker array;
     chans : Channel.t array;
     c_filter : Livefilter.t option;
-    clocks : shard_clock array;
-    c_trace : Dift_obs.Trace.t option;
-    c_flight : Dift_obs.Flight.t option;
-    c_chaos : Chaos.t option;
-    c_spawn_legs : Dift_obs.Progress.leg option array;
-        (** [spawn.helper] / [spawn.shard<i>]: armed from just before
-            [Domain.spawn] until the body's first instruction *)
-    c_join_legs : Dift_obs.Progress.leg option array;
-        (** [join.helper] / [join.shard<i>]: armed around the joins *)
+    helpers : Probe.helper array;
+        (** each helper's lifecycle seam: spawn, drain, clocks, join *)
     c_solo : unit -> worker;  (** a fresh worker, for {!resume} *)
     mutable c_feed : Event.view -> unit;
     mutable c_cutoff : int;
@@ -479,7 +397,7 @@ module Make (D : Taint.DOMAIN) = struct
             helper, read after the join *)
     mutable c_closed : bool;
     mutable domains : unit Domain.t array;
-    mutable cross : int;
+    cross : int ref;
   }
 
   (* Deliver to, or flush, every shard of a participant mask, in
@@ -513,41 +431,31 @@ module Make (D : Taint.DOMAIN) = struct
         else begin
           if boxed then ignore (Event.view_to_exec v : Event.exec);
           add_mask c.chans v mask 0;
-          c.cross <- c.cross + 1;
+          incr c.cross;
           (* flush every participant: no copy of a cross-shard event
              may sit in an open batch while a peer shard blocks
              awaiting one of its exchange legs *)
           flush_mask c.chans mask 0
         end
 
-  let cluster ?policy ?(route = `Request_reply) ?obs ?trace ?flight ?chaos
-      ?watchdog ?(queue_capacity = 64) ?(batch_size = 64)
-      ?(xchg_capacity = 256) ?(wire = `Coded) ?filter ~shards program =
+  let cluster ?policy ?(route = `Request_reply) ?(probe = Probe.off)
+      ?(queue_capacity = 64) ?(batch_size = 64) ?(xchg_capacity = 256)
+      ?(wire = `Coded) ?filter ~shards program =
     let router = Router.create ~shards () in
     (* One shard has nothing to route or exchange: no mesh, and the
        names of the two-domain runtime, since that is what it is. *)
     let one = shards = 1 in
-    let progress = Option.map Watchdog.progress watchdog in
     let xchg =
-      create_xchg ~capacity:xchg_capacity ?chaos ?progress
+      create_xchg ~capacity:xchg_capacity ~probe
         ~shards:(if one then 0 else shards)
         ()
     in
     let workers =
       Array.init shards (fun s ->
-          worker ?policy ?flight ~router ~route ~xchg ~record_sinks:false
-            ~shard:s program)
+          worker ?policy ~router ~route ~xchg ~record_sinks:false ~shard:s
+            program)
     in
     let ns s = if one then "parallel" else Fmt.str "parallel.shard%d" s in
-    let leg_array prefix =
-      Array.init shards (fun s ->
-          Option.map
-            (fun p ->
-              Dift_obs.Progress.leg p
-                (if one then prefix ^ ".helper"
-                 else Fmt.str "%s.shard%d" prefix s))
-            progress)
-    in
     (* one interned site table, shared by every coded shard channel *)
     let table = lazy (Site.of_program program) in
     let chans =
@@ -556,58 +464,18 @@ module Make (D : Taint.DOMAIN) = struct
          injected losses on these rings to clean shard crashes *)
       let escalate = route = `Request_reply && not one in
       Array.init shards (fun s ->
-          Channel.create ?obs ?trace ?flight ?chaos ?progress ~escalate
-            ~ns:(ns s) ~wire ~queue_capacity ~batch_size ~table ())
+          Channel.create ~probe ~escalate ~ns:(ns s) ~wire ~queue_capacity
+            ~batch_size ~table ())
     in
-    (match progress with
-    | Some p when not one ->
-        Array.iteri
-          (fun s w ->
-            w.w_prog <-
-              Some (Dift_obs.Progress.leg p (Fmt.str "work.shard%d" s)))
-          workers
-    | _ -> ());
-    let clock ?(on_busy = ignore) ?(on_wall = ignore) () =
-      { busy_ns = 0; wall_ns = 0; on_busy; on_wall }
-    in
-    let clocks =
-      match obs with
-      | Some reg when one ->
-          (* the helper's engine gauges, and its utilization: busy time
-             around whole batches against its wall time; the same
-             per-batch measurement feeds the [parallel.helper.batch]
-             span *)
-          let open Dift_obs in
-          let eng = workers.(0).eng in
-          E.register_obs eng reg;
-          let busy =
-            Registry.counter reg "parallel.helper.busy_ns"
-              ~help:"helper time spent processing batches"
-          in
-          let wall =
-            Registry.counter reg "parallel.helper.wall_ns"
-              ~help:"helper wall time, spawn to drain end"
-          in
-          let batch_span =
-            Registry.span reg "parallel.helper.batch"
-              ~help:"per-batch propagation latency"
-          in
-          Registry.gauge_fn reg "parallel.helper.utilization_pct"
-            ~help:"busy / wall, percent" (fun () ->
-              Registry.value busy * 100 / max 1 (Registry.value wall));
-          [|
-            clock
-              ~on_busy:(fun dt ->
-                Registry.add busy dt;
-                Registry.record_ns batch_span dt)
-              ~on_wall:(Registry.add wall) ();
-          |]
-      | _ -> Array.init shards (fun _ -> clock ())
-    in
-    (* the helper's engine samples its shadow footprint on its track *)
-    (match trace with
-    | Some tr when one -> E.set_trace workers.(0).eng tr
-    | _ -> ());
+    (* engine milestones land on whichever domain drains the shard; one
+       helper's engine also owns the engine-level metrics and samples
+       its shadow footprint on its track *)
+    Array.iter
+      (fun w ->
+        Probe.engine probe ~owner:one ~register_obs:(E.register_obs w.eng)
+          ~set_trace:(E.set_trace w.eng) ~set_flight:(E.set_flight w.eng))
+      workers;
+    let cross = ref 0 in
     let c =
       {
         c_route = route;
@@ -615,18 +483,16 @@ module Make (D : Taint.DOMAIN) = struct
         workers;
         chans;
         c_filter = filter;
-        clocks;
-        c_trace = trace;
-        c_flight = flight;
-        c_chaos = chaos;
-        c_spawn_legs = leg_array "spawn";
-        c_join_legs = leg_array "join";
+        helpers =
+          Probe.helpers probe ~shards
+            ~sent:(fun s -> workers.(s).sent)
+            ~cross:(fun () -> !cross);
         c_solo = (fun () -> solo ?policy ~record_sinks:false program);
         c_feed = ignore;
         c_cutoff = -1;
         c_closed = false;
         domains = [||];
-        cross = 0;
+        cross;
       }
     in
     let boxed = wire = `Boxed and ch = chans.(0) in
@@ -644,40 +510,15 @@ module Make (D : Taint.DOMAIN) = struct
        shard parked mid-exchange gets [Shard_dead] and cascades) —
        the same teardown {!abort} runs on a feeder crash, and every
        piece is idempotent *)
-    (match watchdog with
-    | Some w ->
-        Array.iteri
-          (fun s ch ->
-            Watchdog.on_miss w ~name:(ns s) (fun () -> Channel.abort ch))
-          chans;
-        if not one then
-          Watchdog.on_miss w ~name:"xchg" (fun () -> abort_xchg xchg)
-    | None -> ());
-    (match obs with
-    | Some reg when not one ->
-        let open Dift_obs in
-        Array.iteri
-          (fun s (k : shard_clock) ->
-            let n suffix = Fmt.str "parallel.shard%d.%s" s suffix in
-            Registry.gauge_fn reg (n "busy_ns")
-              ~help:"shard time spent processing batches" (fun () ->
-                k.busy_ns);
-            Registry.gauge_fn reg (n "wall_ns")
-              ~help:"shard wall time, spawn to drain end" (fun () ->
-                k.wall_ns);
-            Registry.gauge_fn reg (n "utilization_pct")
-              ~help:"busy / wall, percent" (fun () ->
-                k.busy_ns * 100 / max 1 k.wall_ns);
-            Registry.gauge_fn reg (n "exchange_sent")
-              ~help:"cross-shard taint vectors pushed" (fun () ->
-                c.workers.(s).sent))
-          clocks;
-        Registry.gauge_fn reg "parallel.router.cross_events"
-          ~help:"events spanning more than one shard" (fun () -> c.cross)
-    | _ -> ());
+    Array.iteri
+      (fun s ch ->
+        Probe.on_miss probe ~name:(ns s) (fun () -> Channel.abort ch))
+      chans;
+    if not one then
+      Probe.on_miss probe ~name:"xchg" (fun () -> abort_xchg xchg);
     c
 
-  let cross_events c = c.cross
+  let cross_events c = !(c.cross)
 
   let exchange_messages c =
     Array.fold_left (fun acc w -> acc + w.sent) 0 c.workers
@@ -700,130 +541,72 @@ module Make (D : Taint.DOMAIN) = struct
     c.c_feed v
 
   let spawn_one c s w =
-    let one = Array.length c.workers = 1 in
-    (* chaos [Spawn] interception: any non-Proceed action models
-       [Domain.spawn] itself failing for this helper *)
-    (match c.c_chaos with
-    | None -> ()
-    | Some ch -> (
-        match Chaos.on_spawn ch with
-        | Chaos.Proceed -> ()
-        | Chaos.Raise_now e -> raise e
-        | Chaos.Fail | Chaos.Abort_now ->
-            raise
-              (Chaos.Injected
-                 (if one then "injected spawn failure, helper"
-                  else Fmt.str "injected spawn failure, shard %d" s))));
-    (* each helper's track and flight-ring name, and its lifecycle
-       events' prefix *)
-    let name = if one then "helper" else Fmt.str "shard-%d" s
-    and role = if one then "helper" else "shard" in
-    Domain.spawn (fun () ->
-        (* disarm the spawn leg: the body is running, so the
-           spawn-to-first-progress window is over *)
-        (match c.c_spawn_legs.(s) with
-        | Some l -> Dift_obs.Progress.leave l
-        | None -> ());
-        (match c.c_trace with
-        | Some tr -> Dift_obs.Trace.name_track tr name
-        | None -> ());
-        (match c.c_flight with
-        | Some fl ->
-            Dift_obs.Flight.name_domain fl name;
-            Dift_obs.Flight.record fl ~cat:"run" (role ^ ".start") ~a:s
-        | None -> ());
-        let k = c.clocks.(s) in
-        let around_batch body =
-          let t0 = now_ns () in
-          (match c.c_trace with
-          | Some tr -> Dift_obs.Trace.span tr ~cat:"core" "engine.batch" body
-          | None -> body ());
-          let dt = now_ns () - t0 in
-          k.busy_ns <- k.busy_ns + dt;
-          k.on_busy dt
-        in
-        let t0 = now_ns () in
-        Fun.protect ~finally:(fun () ->
-            k.wall_ns <- now_ns () - t0;
-            k.on_wall k.wall_ns)
-        @@ fun () ->
-        (* one shard owns every location: no roles to play *)
-        let f, advance =
-          match c.c_filter with
-          | None when one -> ((fun v -> E.process_view w.eng v), None)
-          | None -> (handle_view w, None)
-          | Some lf ->
-              (* publish per event (after processing), advance the
-                 shard's epoch per batch: the filter's soundness
-                 relies on exactly this order *)
-              let sh = E.shadow w.eng in
-              let live l = tainted (E.Sh.get sh l) in
-              (* generation reset: republish this shard's live taint
-                 (shard shadows are disjoint under request/reply and
-                 identical under broadcast, so the union over slots is
-                 exactly the live taint) *)
-              let repopulate () =
-                E.Sh.fold
-                  (fun loc d () ->
-                    if tainted d then Livefilter.publish_loc lf loc)
-                  sh ()
-              in
-              ( (fun v ->
-                  if one then E.process_view w.eng v else handle_view w v;
-                  Livefilter.publish lf ~tainted:live v),
-                Some
-                  (fun ~last_step ->
-                    Livefilter.advance ~repopulate lf ~slot:s ~step:last_step)
-              )
-        in
-        (* one shard resumes a degraded run after its last fully
-           processed batch, so the cutoff advances at batch ends *)
-        let after_batch =
-          if not one then advance
-          else
+    let one = Array.length c.workers = 1 and h = c.helpers.(s) in
+    Probe.spawn h @@ fun () ->
+    (* one shard owns every location: no roles to play.  N shards tick
+       the work pulse per view, which keeps legitimately parked peers
+       from tripping the watchdog while this shard computes *)
+    let f, advance =
+      match c.c_filter with
+      | None when one -> ((fun v -> E.process_view w.eng v), None)
+      | None ->
+          ( (fun v ->
+              Probe.work h;
+              handle_view w v),
+            None )
+      | Some lf ->
+          (* publish per event (after processing), advance the shard's
+             epoch per batch: the filter's soundness relies on exactly
+             this order *)
+          let sh = E.shadow w.eng in
+          let live l = tainted (E.Sh.get sh l) in
+          (* generation reset: republish this shard's live taint (shard
+             shadows are disjoint under request/reply and identical
+             under broadcast, so the union over slots is exactly the
+             live taint) *)
+          let repopulate () =
+            E.Sh.fold
+              (fun loc d () -> if tainted d then Livefilter.publish_loc lf loc)
+              sh ()
+          in
+          ( (fun v ->
+              if one then E.process_view w.eng v
+              else begin
+                Probe.work h;
+                handle_view w v
+              end;
+              Livefilter.publish lf ~tainted:live v),
             Some
               (fun ~last_step ->
-                c.c_cutoff <- last_step;
-                match advance with Some g -> g ~last_step | None -> ())
-        in
-        let drain () =
-          Channel.drain ~around_batch ?after_batch c.chans.(s) ~f
-        in
-        try
-          match c.c_trace with
-          | Some tr ->
-              Dift_obs.Trace.span tr ~cat:"parallel" "helper.drain" drain
-          | None -> drain ()
-        with ex ->
-          (* unblock the application and every peer shard before
-             dying, so the failure cascades instead of wedging *)
-          Channel.abort c.chans.(s);
-          abort_xchg c.c_xchg;
-          (match c.c_flight with
-          | Some fl ->
-              Dift_obs.Flight.record fl ~cat:"run" (role ^ ".crash") ~a:s
-                ~detail:(Printexc.to_string ex)
-          | None -> ());
-          raise ex)
+                Livefilter.advance ~repopulate lf ~slot:s ~step:last_step) )
+    in
+    (* one shard resumes a degraded run after its last fully processed
+       batch, so the cutoff advances at batch ends *)
+    let after_batch =
+      if not one then advance
+      else
+        Some
+          (fun ~last_step ->
+            c.c_cutoff <- last_step;
+            match advance with Some g -> g ~last_step | None -> ())
+    in
+    try
+      Probe.drain h (fun ~around_batch ->
+          Channel.drain ~around_batch ?after_batch c.chans.(s) ~f)
+    with ex ->
+      (* unblock the application and every peer shard before dying, so
+         the failure cascades instead of wedging *)
+      Channel.abort c.chans.(s);
+      abort_xchg c.c_xchg;
+      Probe.crash h ex;
+      raise ex
 
   let start c =
     let n = Array.length c.workers in
     let doms = Array.make n None in
     (try
        for s = 0 to n - 1 do
-         (* armed from here until the body's first instruction: a
-            domain that never gets scheduled is a watchable seam *)
-         (match c.c_spawn_legs.(s) with
-         | Some l -> Dift_obs.Progress.enter l
-         | None -> ());
-         match spawn_one c s c.workers.(s) with
-         | d -> doms.(s) <- Some d
-         | exception ex ->
-             (* the body never ran, so it cannot disarm the leg *)
-             (match c.c_spawn_legs.(s) with
-             | Some l -> Dift_obs.Progress.leave l
-             | None -> ());
-             raise ex
+         doms.(s) <- Some (spawn_one c s c.workers.(s))
        done
      with ex ->
        (* a later shard failed to spawn: tear the channels down so the
@@ -873,16 +656,7 @@ module Make (D : Taint.DOMAIN) = struct
     let exns =
       Array.mapi
         (fun s d ->
-          let join () =
-            match c.c_join_legs.(s) with
-            | None -> Domain.join d
-            | Some l ->
-                Dift_obs.Progress.enter l;
-                Fun.protect
-                  ~finally:(fun () -> Dift_obs.Progress.leave l)
-                  (fun () -> Domain.join d)
-          in
-          match join () with
+          match Probe.join c.helpers.(s) d with
           | () -> None
           | exception ex -> Some (s, ex))
         c.domains
@@ -914,20 +688,20 @@ module Make (D : Taint.DOMAIN) = struct
   let shard_stats c =
     Array.mapi
       (fun s w ->
-        let ch = c.chans.(s) in
+        let k = Channel.counts c.chans.(s) and h = c.helpers.(s) in
         {
           shard = s;
-          fed = Channel.events ch;
-          handled = Channel.consumed_events ch;
-          batches = Channel.batches ch;
-          dropped_batches = Channel.dropped_batches ch;
-          dropped_events = Channel.dropped_events ch;
-          discarded_batches = Channel.discarded_batches ch;
-          discarded_events = Channel.discarded_events ch;
-          busy_ns = c.clocks.(s).busy_ns;
-          wall_ns = c.clocks.(s).wall_ns;
-          producer_stalls = Channel.producer_stalls ch;
-          consumer_waits = Channel.consumer_waits ch;
+          fed = k.events;
+          handled = k.consumed_events;
+          batches = k.batches;
+          dropped_batches = k.dropped_batches;
+          dropped_events = k.dropped_events;
+          discarded_batches = k.discarded_batches;
+          discarded_events = k.discarded_events;
+          busy_ns = Probe.busy_ns h;
+          wall_ns = Probe.wall_ns h;
+          producer_stalls = k.producer_stalls;
+          consumer_waits = k.consumer_waits;
           exchange_sent = w.sent;
           exchange_received = w.received;
         })

@@ -143,23 +143,18 @@ module Make (D : Taint.DOMAIN) : sig
       {!journal} — the benchmark harness uses this to replay a shard's
       inbound exchange against an isolated worker.
 
-      With [?chaos], every ring derives a fault-injection instance
-      under the namespace [xchg.<src>.<dst>].  Exchange messages are
-      protocol legs, so the terminal faults escalate: an injected
-      [Drop] or [Raise] crashes the intercepting shard (which aborts
-      the mesh — the failure cascades as {!Shard_dead} instead of
-      wedging a waiting peer), and [Abort] tears the whole mesh down.
-      [Stall]/[Delay] only sleep, leaving results bit-identical.
-
-      With [?progress], every ring's blocking push/pop parks publish
-      watchdog progress epochs on legs [xchg.<src>.<dst>.push]/[.pop]
-      (see {!Watchdog}).
+      Each ring derives its exchange seam from [probe] (default
+      {!Probe.off}); the catalogue in {!Probe} lists its flight
+      events, progress legs and fault namespace [xchg.<src>.<dst>].
+      An injected [Drop] or [Raise] crashes the intercepting shard,
+      which aborts the mesh, so the failure cascades as {!Shard_dead}
+      instead of wedging a waiting peer; [Abort] tears the whole mesh
+      down; [Stall]/[Delay] only sleep, leaving results bit-identical.
       @raise Invalid_argument if [capacity < 1]. *)
   val create_xchg :
     ?capacity:int ->
     ?journal:bool ->
-    ?chaos:Chaos.t ->
-    ?progress:Dift_obs.Progress.t ->
+    ?probe:Probe.t ->
     shards:int ->
     unit ->
     xchg
@@ -190,7 +185,6 @@ module Make (D : Taint.DOMAIN) : sig
       [propagate_control] (see the module preamble). *)
   val worker :
     ?policy:Policy.t ->
-    ?flight:Dift_obs.Flight.t ->
     router:Router.t ->
     route:route ->
     xchg:xchg ->
@@ -257,31 +251,22 @@ module Make (D : Taint.DOMAIN) : sig
   type cluster
 
   (** [cluster ~shards program] assembles a router, the exchange mesh,
-      one worker and one inbound {!Forwarder} channel per shard
-      (metric namespace [parallel.shard<i>] when [?obs] is given, plus
-      per-shard [busy_ns]/[wall_ns]/[utilization_pct] gauges and the
-      [parallel.router.cross_events] counter).  One shard takes the
-      two-domain runtime's shape and names instead (see the module
-      preamble): namespace [parallel], the engine's
-      [core.engine.*]/[core.shadow.*] gauges and [parallel.helper.*]
-      (busy/wall counters, the [parallel.helper.batch] span, a
-      utilization gauge).  No domains run yet — call {!start}.
+      one worker and one inbound {!Channel} per shard (namespace
+      [parallel.shard<i>]).  One shard takes the two-domain runtime's
+      shape and names instead (see the module preamble).  No domains
+      run yet — call {!start}.
 
-      With [?chaos], the same fault plan is threaded through every
-      seam: each shard's inbound channel (namespace
-      [parallel.shard<i>]), every exchange ring ([xchg.<src>.<dst>];
-      see {!create_xchg}), and {!start}'s domain spawns.
+      [probe] (default {!Probe.off}) carries the run's instruments:
+      every seam — each inbound channel, each exchange ring, each
+      helper's spawn, drain and join — derives its handle from it,
+      with the metrics, trace spans, flight events, progress legs and
+      fault namespaces the catalogue in {!Probe} lists.  With a
+      watchdog, the cluster also registers its cascade hooks (abort
+      each feed channel, then the mesh) so a deadline miss tears the
+      run down in dependency order; the supervisor must consult the
+      watchdog after {!finish_result}, since a post-cascade run can
+      complete looking ordinary.
 
-      With [?flight], every seam also records bounded flight-recorder
-      events on the acting domain's ring: the inbound channels'
-      [ring.*] events (see {!Forwarder.create}), exchange legs as
-      [xchg.push]/[xchg.pop]/[xchg.dead] (category [xchg],
-      [a] = source shard, [b] = destination), shard lifecycle
-      [shard.start]/[shard.crash] ([helper.start]/[helper.crash] for
-      one shard; category [run]), and the engines'
-      [engine.progress] milestones.  With [?trace], each helper's
-      track carries a [helper.drain] envelope and one [engine.batch]
-      span per batch.
       [?wire] picks the forwarding-plane encoding for every shard's
       inbound channel (default [`Coded] — the de-boxed {!Codec} plane;
       [`Boxed] forwards whole event records as before); both wires are
@@ -291,19 +276,6 @@ module Make (D : Taint.DOMAIN) : sig
       publishes taint and advances its epoch after each batch — see
       {!Livefilter} for the soundness argument.
 
-      With [?watchdog], every blocking seam registers a progress leg
-      into the watchdog's table — feed rings
-      ([parallel.shard<i>.push]/[.pop]), exchange rings
-      ([xchg.<src>.<dst>.push]/[.pop]), spawn windows
-      ([spawn.shard<i>]), join fan-in ([join.shard<i>]) — plus a
-      per-view work pulse ([work.shard<i>]), and the cluster registers
-      its cascade hooks (abort each feed channel, then the mesh) so a
-      deadline miss tears the run down in dependency order.  One shard
-      registers [spawn.helper], [join.helper] and the [parallel.*]
-      ring legs only.  The supervisor must consult {!Watchdog.fired}
-      after {!finish_result}: a post-cascade run can complete looking
-      ordinary.
-
       Shadow memory is partitioned in blocks of
       [2{^Router.default_block_bits}] locations.
       @raise Invalid_argument for [shards < 1] or non-positive channel
@@ -311,11 +283,7 @@ module Make (D : Taint.DOMAIN) : sig
   val cluster :
     ?policy:Policy.t ->
     ?route:route ->
-    ?obs:Dift_obs.Registry.t ->
-    ?trace:Dift_obs.Trace.t ->
-    ?flight:Dift_obs.Flight.t ->
-    ?chaos:Chaos.t ->
-    ?watchdog:Watchdog.t ->
+    ?probe:Probe.t ->
     ?queue_capacity:int ->
     ?batch_size:int ->
     ?xchg_capacity:int ->
@@ -390,7 +358,7 @@ module Make (D : Taint.DOMAIN) : sig
   (** Total exchange vectors pushed across the mesh. *)
   val exchange_messages : cluster -> int
 
-  (** Per-shard activity after {!finish}. *)
+  (** Per-shard activity after {!finish_result}. *)
   val shard_stats : cluster -> shard_stat array
 
   (** [run_stream ~shards program events] — cluster, start, feed the

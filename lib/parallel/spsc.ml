@@ -162,10 +162,13 @@ let close t =
   Atomic.set t.closed true;
   signal_locked t t.not_empty
 
-let abort t =
-  Atomic.set t.aborted true;
+let abort_first t =
+  let first = not (Atomic.exchange t.aborted true) in
   signal_locked t t.not_full;
-  signal_locked t t.not_empty
+  signal_locked t t.not_empty;
+  first
+
+let abort t = ignore (abort_first t : bool)
 
 (* Park the consumer until an element arrives or the channel closes.
    Progress leg armed on the park path only, as in [wait_not_full]. *)

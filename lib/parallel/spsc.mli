@@ -100,6 +100,10 @@ val try_pop : 'a t -> 'a option
     without deadlocking the main core.  Idempotent. *)
 val abort : 'a t -> unit
 
+(** {!abort}, returning [true] iff this call set the flag — exactly
+    one caller sees [true], however many domains abort the ring. *)
+val abort_first : 'a t -> bool
+
 (** [pop_remaining t] dequeues the oldest buffered element {e even
     after} {!abort} — [pop]/[try_pop] honour the abort flag before the
     buffer, so elements delivered before the abort would otherwise sit

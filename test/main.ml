@@ -23,6 +23,7 @@ let () =
       ("faults", Test_faults.suite);
       ("watchdog", Test_watchdog.suite);
       ("postmortem", Test_postmortem.suite);
+      ("names", Test_names.suite);
       ("faultloc", Test_faultloc.suite);
       ("attack", Test_attack.suite);
       ("avoidance", Test_avoidance.suite);

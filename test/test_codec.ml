@@ -194,12 +194,13 @@ let roundtrip_prop =
    with partial final batches, then a synchronous drain. *)
 let roundtrip_channel events =
   let ch =
-    Codec.create ~queue_capacity:64 ~events_per_batch:8 ~table ()
+    Channel.create ~wire:`Coded ~queue_capacity:64 ~batch_size:8
+      ~table:(Lazy.from_val table) ()
   in
-  List.iter (Codec.feed ch) events;
-  Codec.close ch;
+  List.iter (Channel.add ch) events;
+  Channel.close ch;
   let out = ref [] in
-  Codec.drain ch ~f:(fun v -> out := Event.view_to_exec v :: !out);
+  Channel.drain ch ~f:(fun v -> out := Event.view_to_exec v :: !out);
   let out = List.rev !out in
   List.length out = List.length events && List.for_all2 exec_eq events out
 

@@ -7,8 +7,8 @@
    turns any wedged scenario into a hard process abort so a deadlock
    is a loud test failure, not a hung CI job.
 
-   Also the accounting regression tests: [Forwarder.batches] counts
-   only delivered batches (post-abort pushes land in
+   Also the accounting regression tests: [batches] in
+   [Forwarder.counts] counts only delivered batches (post-abort pushes land in
    [dropped_batches]/[dropped_events], so the books reconcile), and
    the Spsc shutdown edges (final element racing close, abort against
    a parked peer) under QCheck. *)
@@ -303,7 +303,9 @@ module SE = Shard_engine.Make (Dift_core.Taint.Bool)
 let run_cross ?chaos () =
   let events = cross_events 8 in
   let c =
-    SE.cluster ?chaos ~route:`Request_reply ~queue_capacity:4 ~batch_size:1
+    SE.cluster
+      ?probe:(Option.map (fun chaos -> Probe.make ~chaos ()) chaos)
+      ~route:`Request_reply ~queue_capacity:4 ~batch_size:1
       ~xchg_capacity:4 ~shards:2 stream_prog
   in
   SE.start c;
@@ -368,7 +370,11 @@ let test_forwarder_drop_accounting () =
   (* regression: [batches]/[events] used to count batches pushed after
      an abort even though Spsc dropped them, so the gauges could not
      reconcile.  With batch_size=1: fed = delivered + dropped. *)
-  let fwd = Forwarder.create ~queue_capacity:4 ~batch_size:1 () in
+  let reg = Dift_obs.Registry.create () in
+  let fwd =
+    Forwarder.create ~probe:(Probe.make ~obs:reg ()) ~queue_capacity:4
+      ~batch_size:1 ()
+  in
   let consumed = Atomic.make 0 in
   let helper =
     Domain.spawn (fun () ->
@@ -387,13 +393,18 @@ let test_forwarder_drop_accounting () =
   | () -> Alcotest.fail "helper must die of Exit"
   | exception Exit -> Forwarder.abort fwd
   | exception e -> raise e);
-  check Alcotest.int "all events accepted" 100 (Forwarder.events fwd);
-  check Alcotest.bool "drops counted" true (Forwarder.dropped_batches fwd > 0);
+  let k = Forwarder.counts fwd in
+  check Alcotest.int "all events accepted" 100 k.events;
+  check Alcotest.bool "drops counted" true (k.dropped_batches > 0);
   check Alcotest.int "fed = delivered + dropped" 100
-    (Forwarder.batches fwd + Forwarder.dropped_events fwd);
-  check Alcotest.int "dropped gauge = dropped batches"
-    (Forwarder.dropped_batches fwd)
-    (Forwarder.dropped fwd)
+    (k.batches + k.dropped_events);
+  check Alcotest.int "dropped gauge = dropped batches" k.dropped_batches
+    (match
+       Dift_obs.Registry.(find (snapshot reg))
+         "parallel.forwarder.dropped_batches"
+     with
+    | Some (Dift_obs.Registry.Gauge_v v) -> v
+    | _ -> Alcotest.fail "dropped_batches gauge missing")
 
 let test_forwarder_crash_ledger () =
   with_watchdog @@ fun () ->
@@ -419,23 +430,67 @@ let test_forwarder_crash_ledger () =
   | () -> Alcotest.fail "helper must die of Exit"
   | exception Exit -> ()
   | exception e -> raise e);
-  check Alcotest.int "every event is booked exactly once"
-    (Forwarder.events fwd)
-    (Forwarder.consumed_events fwd
-    + Forwarder.discarded_events fwd
-    + Forwarder.dropped_events fwd
-    + Forwarder.in_flight_batches fwd);
+  let k = Forwarder.counts fwd in
+  check Alcotest.int "every event is booked exactly once" k.events
+    (k.consumed_events + k.discarded_events + k.dropped_events
+   + k.in_flight_batches);
   (* f completed twice; its third call raised, so that batch is booked
      as discarded, not consumed *)
   check Alcotest.int "the helper consumed what f completed" 2
-    (Forwarder.consumed_events fwd);
+    k.consumed_events;
   check Alcotest.bool "the crashing batch and the swept ring are discarded"
     true
-    (Forwarder.discarded_batches fwd >= 1);
-  check Alcotest.int "batch ledger closes too" (Forwarder.batches fwd)
-    (Forwarder.consumed_batches fwd
-    + Forwarder.discarded_batches fwd
-    + Forwarder.in_flight_batches fwd)
+    (k.discarded_batches >= 1);
+  check Alcotest.int "batch ledger closes too" k.batches
+    (k.consumed_batches + k.discarded_batches + k.in_flight_batches)
+
+(* -- ring.abort: one flight event per aborted feed ring ----------------- *)
+
+(* The flight categories (feed-ring namespaces) of every [ring.abort]. *)
+let ring_aborts flight =
+  List.concat_map
+    (fun (t : Dift_obs.Flight.tail) ->
+      List.filter_map
+        (fun (e : Dift_obs.Flight.entry) ->
+          if e.name = "ring.abort" then Some e.cat else None)
+        t.t_entries)
+    (Dift_obs.Flight.tails flight)
+
+(* regression: an injected abort, or a helper crash, used to tear the
+   ring down without recording [ring.abort]; only an explicit
+   [Forwarder.abort] did.  Whatever the cause, the ring's first abort
+   records it, once. *)
+let test_ring_abort_two_domain plan_s () =
+  with_watchdog @@ fun () ->
+  let w = kernel "crc" in
+  let input = w.Workload.input ~size:40 ~seed:3 in
+  let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
+  let chaos = Chaos.create ~flight (plan plan_s) in
+  ignore
+    (Parallel.run_result ~flight ~chaos ~queue_capacity:2 ~batch_size:4
+       w.Workload.program ~input);
+  check Alcotest.int "the fault fired" 1 (Chaos.fired chaos);
+  check
+    Alcotest.(list string)
+    "one ring.abort for the aborted ring" [ "parallel" ] (ring_aborts flight)
+
+let test_ring_abort_sharded () =
+  with_watchdog @@ fun () ->
+  let w = kernel "crc" in
+  let input = w.Workload.input ~size:40 ~seed:3 in
+  let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
+  let chaos = Chaos.create ~flight (plan "parallel.shard1/pop@1=abort") in
+  ignore
+    (Parallel.run_sharded_result ~flight ~chaos ~queue_capacity:4
+       ~batch_size:1 ~shards:3 w.Workload.program ~input);
+  let aborts = ring_aborts flight in
+  (* shard 1 aborts its ring; a peer whose ring the cascade tears down
+     records its own, and no ring records two *)
+  check Alcotest.int "shard 1's ring aborted once" 1
+    (List.length (List.filter (String.equal "parallel.shard1") aborts));
+  check Alcotest.int "no ring aborted twice"
+    (List.length (List.sort_uniq compare aborts))
+    (List.length aborts)
 
 (* -- random-seed sweep: every plan terminates cleanly ------------------ *)
 
@@ -578,6 +633,14 @@ let suite =
       test_forwarder_drop_accounting;
     Alcotest.test_case "forwarder crash ledger closes" `Quick
       test_forwarder_crash_ledger;
+    Alcotest.test_case "ring.abort once (injected pop abort)" `Quick
+      (test_ring_abort_two_domain "pop@2=abort");
+    Alcotest.test_case "ring.abort once (injected push abort)" `Quick
+      (test_ring_abort_two_domain "push@2=abort");
+    Alcotest.test_case "ring.abort once (helper crash)" `Quick
+      (test_ring_abort_two_domain "pop@2=raise");
+    Alcotest.test_case "ring.abort once per shard ring" `Quick
+      test_ring_abort_sharded;
     Alcotest.test_case "random-seed sweep terminates" `Quick test_seed_sweep;
     Alcotest.test_case "abort unparks a parked consumer" `Quick
       test_abort_unparks_consumer;

@@ -31,13 +31,14 @@
 let tolerance = 0.85
 
 (* Coded feed over boxed feed (encode + push against record + push).
-   The bound was set at 20% headroom over the highest feed ratio
-   (4.9x) of the BENCH_5.json rows committed when the boxed leg only
-   enqueued prebuilt records; the rows that replay views like the
-   machine span 0.5-1.6x.  Both legs fill fresh batches (the sweep's
-   ring holds the whole stream), so the ratio carries allocation noise
-   and the gate asks for four kernels of five. *)
-let feed_bound = 6.0
+   The committed BENCH_5.json rows (full scale, 256-event batches)
+   span 0.33-1.34x; the bound is 20% over the highest of them, rounded
+   down.  At smoke scale the rows read 0.43-1.52x on a 2-vCPU box, the
+   highest always crc, whose 2.4k-event stream is too short to
+   amortise anything.  Both legs fill fresh batches (the sweep's ring
+   holds the whole stream), so the ratio carries allocation noise and
+   the gate asks for four kernels of five. *)
+let feed_bound = 1.6
 
 let () =
   let rows = Engine_bench.run ~size:25 ~reps:3 () in

@@ -87,7 +87,8 @@ let best_trip ~reps ~wire ~batch_size ~table program events =
 
 let kernels = [ "crc"; "qsort"; "matmul"; "treesum"; "feistel" ]
 
-let run ?(size = 60) ?(seed = 3) ?(reps = 5) ?(batch_size = 64) () =
+let run ?(size = 60) ?(seed = 3) ?(reps = 5)
+    ?(batch_size = Channel.default_batch_size) () =
   List.map
     (fun kname ->
       let w = Spec_like.by_name kname in
@@ -170,7 +171,7 @@ let json rows =
            fresh Bool-taint engine over the decoded views; \
            coded_vs_boxed = coded drain rate / boxed drain rate; \
            coded_feed_vs_boxed = coded feed time / boxed feed time" );
-      ("batch_size", Int 64);
+      ("batch_size", Int Channel.default_batch_size);
       ( "results",
         List
           (List.map

@@ -218,13 +218,15 @@ let taint_cmd =
   in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Dift_parallel.Channel.default_queue_capacity
       & info [ "queue-capacity" ]
           ~doc:"Forwarding-ring capacity, in batches (with --parallel).")
   in
   let batch_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Dift_parallel.Channel.default_batch_size
       & info [ "batch-size" ]
           ~doc:"Events per forwarded batch (with --parallel).")
   in
@@ -965,12 +967,14 @@ let stats_cmd =
   in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Dift_parallel.Channel.default_queue_capacity
       & info [ "queue-capacity" ] ~doc:"Forwarding-ring capacity, in batches.")
   in
   let batch_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Dift_parallel.Channel.default_batch_size
       & info [ "batch-size" ] ~doc:"Events per forwarded batch.")
   in
   let out_arg =

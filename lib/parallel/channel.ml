@@ -6,6 +6,9 @@ open Dift_vm
 
 type wire = [ `Boxed | `Coded ]
 
+let default_queue_capacity = 16
+let default_batch_size = 256
+
 let pp_wire ppf (w : wire) =
   Fmt.string ppf (match w with `Boxed -> "boxed" | `Coded -> "coded")
 
@@ -27,6 +30,10 @@ type t =
 
 let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 
+(* What the boxed wire leaves in a consumed slot: a recycled batch
+   must not keep its records alive (and promoted) until refilled. *)
+let no_exec = Event.view_to_exec (Event.view_blank ())
+
 (** Build a channel of the requested wire with shared geometry.  The
     coded wire's [events_per_batch] is the boxed wire's [batch_size],
     so both buffer [queue_capacity * batch_size] events. *)
@@ -34,7 +41,8 @@ let create ?probe ?escalate ?ns ~wire ~queue_capacity ~batch_size ~table () =
   match wire with
   | `Boxed ->
       Boxed
-        (Forwarder.create ?probe ?escalate ?ns ~queue_capacity ~batch_size ())
+        (Forwarder.create ?probe ?escalate ~blank:no_exec ?ns ~queue_capacity
+           ~batch_size ())
   | `Coded ->
       if batch_size < 1 then
         invalid_arg (Fmt.str "Channel.create: batch_size = %d < 1" batch_size);
@@ -120,8 +128,8 @@ let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
       let v = Event.view_blank () in
       Forwarder.drain ?around_batch c.fwd ~f:(fun b ->
           Codec.decode_batch c.table b v f;
-          let n = b.Codec.b_n in
-          if n > 0 then after_batch ~last_step:b.Codec.b_step.(n - 1))
+          (* the view holds the batch's last event *)
+          if b.Codec.b_n > 0 then after_batch ~last_step:v.Event.v_step)
   | Boxed fwd ->
       (* decode-free wire: refill one scratch view per event.  After a
          batch the view still holds the batch's last event, which is

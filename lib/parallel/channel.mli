@@ -20,6 +20,13 @@ type wire = [ `Boxed | `Coded ]
 
 val pp_wire : wire Fmt.t
 
+(** The default geometry of every runtime's channels: ring slots, and
+    events per batch.  Together they hold 4,096 events in flight; the
+    large batch spreads each batch's handoff over many events. *)
+val default_queue_capacity : int
+
+val default_batch_size : int
+
 type t
 
 (** [create ~wire ~queue_capacity ~batch_size ~table ()] — both wires

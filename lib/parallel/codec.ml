@@ -1,42 +1,84 @@
-(** The de-boxed forwarding wire; see the interface for the format.
+(** The minimal forwarding wire; see the interface for the format.
 
-    Layout notes.  A {!batch} is a struct-of-arrays of one lane per
-    dynamic field plus a [desc] lane and a shared growable overflow
-    area.  [desc] bit 0 selects the encoding: [1] is the frame-compact
-    form ([desc lsr 1] is the activation-frame serial; the read/write
-    sets reconstruct from the interned {!Site.row} as
-    [(frame lsl Site.frame_shift) + off], with a Load's trailing memory
-    read and a Store's memory write rebuilt from the [addr] lane), [0]
-    is the explicit form ([desc lsr 1] indexes the overflow area:
-    [nreads, nwrites, reads.., writes..] verbatim — call boundaries,
-    faulting events, anything whose dynamic shape diverges from the
-    static row).  The encoder verifies the compact shape element-wise
-    per event, so decode is exact by construction, not by trust; the
-    check allocates nothing.  The encoder reads the producer's view in
-    place: the machine's own, on the runtimes' hot path. *)
+    Layout notes.  A {!batch} is a descriptor lane, a value lane, an
+    address lane written only at the sites that carry one, a header
+    (the step of event 0) and a shared growable overflow area.  The
+    descriptor packs the Br taken bit, the thread id, the step gap,
+    the site id and a payload that is either the activation-frame
+    serial or an overflow offset.  Everything else the helper needs
+    follows from the interned {!Site.row}; the encoder checks every
+    implied field against the live event and writes the ones that
+    disagree to the overflow area, so decode is exact by
+    construction, not by trust.  Neither side allocates per event. *)
 
 open Dift_isa
 open Dift_vm
 
+(* -- the descriptor word ------------------------------------------------ *)
+
+(* bit 0: the read/write sets are frame-compact *)
+let c_bit = 1
+
+(* bit 1: the payload is an overflow offset *)
+let x_bit = 2
+
+(* bit 2: a Br went to its taken target *)
+let t_bit = 4
+let tid_shift = 3
+let tid_bits = 6
+let gap_shift = tid_shift + tid_bits
+let gap_bits = 10
+let site_shift = gap_shift + gap_bits
+let site_bits = 22
+let pay_shift = site_shift + site_bits
+
+(* the payload's bits: what is left of a non-negative OCaml int *)
+let pay_max = (1 lsl (Sys.int_size - 1 - pay_shift)) - 1
+let tid_mask = (1 lsl tid_bits) - 1
+let gap_mask = (1 lsl gap_bits) - 1
+let site_mask = (1 lsl site_bits) - 1
+
+(* An overflow record starts with a mask of the implied fields the
+   live event disagreed with; field [j] is bit [1 lsl j], and their
+   values follow in field order. *)
+let o_step = 1
+let o_tid = 2
+let o_next = 4
+let o_input = 8
+let o_addr = 16
+let o_fields = 5
+
+let implied_field (v : Event.view) = function
+  | 0 -> v.Event.v_step
+  | 1 -> v.Event.v_tid
+  | 2 -> v.Event.v_next_pc
+  | 3 -> v.Event.v_input_index
+  | _ -> v.Event.v_addr
+
+let set_implied_field (v : Event.view) j x =
+  match j with
+  | 0 -> v.Event.v_step <- x
+  | 1 -> v.Event.v_tid <- x
+  | 2 -> v.Event.v_next_pc <- x
+  | 3 -> v.Event.v_input_index <- x
+  | _ -> v.Event.v_addr <- x
+
+(* The descriptor lane's header words: [b_n] and [b_step0]. *)
+let header_words = 2
+
+(* -- batches ------------------------------------------------------------ *)
+
 type batch = {
-  b_site : int array;
-  b_step : int array;
-  b_tid : int array;
-  b_addr : int array;
-  b_value : int array;
-  b_next_pc : int array;
-  b_input : int array;
   b_desc : int array;
+  b_value : int array;
+  b_addr : int array;
   mutable b_ovf : int array;
   mutable b_esc : Event.exec array;
-      (** escape hatch: events {e foreign} to the interned program
-          (hand-built streams whose [(func, pc, instr)] is not a real
-          site) ride boxed here, referenced by a negative [desc].
-          Machine streams never take it, so the steady state stays
-          flat. *)
   mutable b_n : int;
   mutable b_ovf_n : int;
   mutable b_esc_n : int;
+  mutable b_addr_n : int;
+  mutable b_step0 : int;
 }
 
 let batch_create ~events_per_batch =
@@ -46,27 +88,28 @@ let batch_create ~events_per_batch =
          events_per_batch);
   let z () = Array.make events_per_batch 0 in
   {
-    b_site = z ();
-    b_step = z ();
-    b_tid = z ();
-    b_addr = z ();
-    b_value = z ();
-    b_next_pc = z ();
-    b_input = z ();
     b_desc = z ();
+    b_value = z ();
+    b_addr = z ();
     b_ovf = Array.make 64 0;
     b_esc = [||];
     b_n = 0;
     b_ovf_n = 0;
     b_esc_n = 0;
+    b_addr_n = 0;
+    b_step0 = 0;
   }
 
-let batch_capacity b = Array.length b.b_site
+let batch_capacity b = Array.length b.b_desc
 let batch_length b = b.b_n
+
+let batch_words b =
+  header_words + b.b_n + (b.b_n - b.b_esc_n) + b.b_addr_n + b.b_ovf_n
 
 let batch_clear b =
   b.b_n <- 0;
   b.b_ovf_n <- 0;
+  b.b_addr_n <- 0;
   if b.b_esc_n > 0 then begin
     (* drop the boxed references so a recycled batch does not pin them *)
     b.b_esc <- [||];
@@ -80,18 +123,25 @@ type encoder = {
   e_table : Site.table;
   mutable e_func : Func.t;  (** last function seen (physical equality) *)
   mutable e_base : int;  (** its first site id, [-1] when foreign *)
-  mutable e_len : int;  (** its body length *)
+  mutable e_len : int;
+      (** the pcs of it that have a site id the descriptor can hold *)
   e_scratch : Event.view;  (** {!encode}'s adapter view *)
 }
 
+(* A function's encodable pcs: its body, cut where site ids outgrow
+   the descriptor's field (the pcs past the cut escape). *)
+let encodable_len base (f : Func.t) =
+  if base < 0 then 0 else min (Array.length f.Func.body) (site_mask + 1 - base)
+
 let encoder table =
   let f = (Site.row table 0).Site.s_func in
+  let base = Site.base_of_func table f in
   {
     e_rows = Site.rows table;
     e_table = table;
     e_func = f;
-    e_base = Site.base_of_func table f;
-    e_len = Array.length f.Func.body;
+    e_base = base;
+    e_len = encodable_len base f;
     e_scratch = Event.view_blank ();
   }
 
@@ -132,7 +182,7 @@ let rec walk offs k (locs : Loc.t array) n base mem =
 
 (* The common activation-frame serial of the event's locations, when
    its dynamic read/write sets match the row's static shape exactly;
-   [-1] otherwise (then the explicit encoding carries the sets
+   [-1] otherwise (then the overflow area carries the sets
    verbatim). *)
 let compact_frame (row : Site.row) (v : Event.view) =
   let addr = v.Event.v_addr in
@@ -168,40 +218,98 @@ let escape b i (v : Event.view) =
   end;
   b.b_esc.(n) <- e;
   b.b_esc_n <- n + 1;
-  b.b_site.(i) <- -1;
-  b.b_desc.(i) <- -(n + 1)
+  Array.unsafe_set b.b_desc i (-(n + 1))
 
-(* Shape diverges from the row: the sets go verbatim to the overflow
-   area as [nreads, nwrites, reads.., writes..]. *)
-let explicit b i (v : Event.view) =
+(* The overflow record of an event some implied field or its set shape
+   disagrees with: [mask], the disagreeing fields in mask order, then
+   the frame serial when the sets are compact ([frame >= 0]), or
+   [nreads, nwrites, reads.., writes..] verbatim when they are not.
+   Returns the descriptor's flag and payload bits. *)
+let overflow b (v : Event.view) mask frame =
   let nr = v.Event.v_nreads and nw = v.Event.v_nwrites in
   let off = b.b_ovf_n in
-  grow_ovf b (off + 2 + nr + nw);
+  grow_ovf b (off + 1 + o_fields + if frame >= 0 then 1 else 2 + nr + nw);
   let ovf = b.b_ovf in
-  ovf.(off) <- nr;
-  ovf.(off + 1) <- nw;
-  (* plain loops: the sets are short, and [Array.blit] is a C call *)
-  for k = 0 to nr - 1 do
-    ovf.(off + 2 + k) <- v.Event.v_reads.(k)
+  ovf.(off) <- mask;
+  let k = ref (off + 1) in
+  for j = 0 to o_fields - 1 do
+    if mask land (1 lsl j) <> 0 then begin
+      ovf.(!k) <- implied_field v j;
+      incr k
+    end
   done;
-  for k = 0 to nw - 1 do
-    ovf.(off + 2 + nr + k) <- v.Event.v_writes.(k)
-  done;
-  b.b_ovf_n <- off + 2 + nr + nw;
-  b.b_desc.(i) <- off lsl 1
+  let k = !k in
+  if frame >= 0 then begin
+    ovf.(k) <- frame;
+    b.b_ovf_n <- k + 1;
+    (off lsl pay_shift) lor x_bit lor c_bit
+  end
+  else begin
+    ovf.(k) <- nr;
+    ovf.(k + 1) <- nw;
+    (* plain loops: the sets are short, and [Array.blit] is a C call *)
+    for j = 0 to nr - 1 do
+      ovf.(k + 2 + j) <- v.Event.v_reads.(j)
+    done;
+    for j = 0 to nw - 1 do
+      ovf.(k + 2 + nr + j) <- v.Event.v_writes.(j)
+    done;
+    b.b_ovf_n <- k + 2 + nr + nw;
+    (off lsl pay_shift) lor x_bit
+  end
+
+(* A site event: value lane, address lane where the site carries one,
+   and the descriptor, with every implied field checked. *)
+let encode_site b i site (row : Site.row) (v : Event.view) =
+  Array.unsafe_set b.b_value i v.Event.v_value;
+  let gap = v.Event.v_step - b.b_step0 - i in
+  let mask = if gap lsr gap_bits = 0 then 0 else o_step in
+  let tid = v.Event.v_tid in
+  let mask = if tid lsr tid_bits = 0 then mask else mask lor o_tid in
+  let np = v.Event.v_next_pc in
+  let taken = np <> row.Site.s_next_pc && np = row.Site.s_taken_pc in
+  let mask =
+    if np = row.Site.s_next_pc || taken then mask else mask lor o_next
+  in
+  (* the address lane carries a Load/Store's address and a Read's input
+     index; the other of the two is implied [-1] *)
+  let addr = v.Event.v_addr and input = v.Event.v_input_index in
+  let mask =
+    if row.Site.s_mem_read || row.Site.s_mem_write then begin
+      Array.unsafe_set b.b_addr i addr;
+      b.b_addr_n <- b.b_addr_n + 1;
+      if input = -1 then mask else mask lor o_input
+    end
+    else if row.Site.s_input then begin
+      Array.unsafe_set b.b_addr i input;
+      b.b_addr_n <- b.b_addr_n + 1;
+      if addr = -1 then mask else mask lor o_addr
+    end
+    else
+      (if addr = -1 then mask else mask lor o_addr)
+      lor if input = -1 then 0 else o_input
+  in
+  let frame = compact_frame row v in
+  let flags =
+    if mask = 0 && frame >= 0 && frame <= pay_max then
+      (frame lsl pay_shift) lor c_bit
+    else overflow b v mask frame
+  in
+  let fields =
+    (site lsl site_shift)
+    lor (if mask land o_step = 0 then gap lsl gap_shift else 0)
+    lor (if mask land o_tid = 0 then tid lsl tid_shift else 0)
+    lor if taken then t_bit else 0
+  in
+  Array.unsafe_set b.b_desc i (flags lor fields)
 
 (** Append one event ([batch_length] must be under [batch_capacity]). *)
 let encode_view enc b (v : Event.view) =
   let i = b.b_n in
   (* every lane has the batch's capacity (they are created together
      and never replaced), so one check covers the unchecked stores *)
-  if i >= Array.length b.b_site then invalid_arg "Codec.encode: batch full";
-  Array.unsafe_set b.b_step i v.Event.v_step;
-  Array.unsafe_set b.b_tid i v.Event.v_tid;
-  Array.unsafe_set b.b_addr i v.Event.v_addr;
-  Array.unsafe_set b.b_value i v.Event.v_value;
-  Array.unsafe_set b.b_next_pc i v.Event.v_next_pc;
-  Array.unsafe_set b.b_input i v.Event.v_input_index;
+  if i >= Array.length b.b_desc then invalid_arg "Codec.encode: batch full";
+  if i = 0 then b.b_step0 <- v.Event.v_step;
   (* Site resolution: a function that is not physically one of the
      program's (hand-built test streams), a pc outside its body, or an
      instruction that is not physically the row's makes the event
@@ -212,20 +320,17 @@ let encode_view enc b (v : Event.view) =
   if f != enc.e_func then begin
     enc.e_func <- f;
     enc.e_base <- Site.base_of_func enc.e_table f;
-    enc.e_len <- Array.length f.Func.body
+    enc.e_len <- encodable_len enc.e_base f
   end;
   let pc = v.Event.v_pc in
-  (if enc.e_base < 0 || pc < 0 || pc >= enc.e_len then escape b i v
+  (* an overflow area past the payload's reach (a batch of millions of
+     call events, say) escapes too *)
+  (if pc < 0 || pc >= enc.e_len || b.b_ovf_n > pay_max then escape b i v
    else
      let site = enc.e_base + pc in
      let row = Array.unsafe_get enc.e_rows site in
      if row.Site.s_instr != v.Event.v_instr then escape b i v
-     else begin
-       Array.unsafe_set b.b_site i site;
-       let frame = compact_frame row v in
-       if frame >= 0 then Array.unsafe_set b.b_desc i ((frame lsl 1) lor 1)
-       else explicit b i v
-     end);
+     else encode_site b i site row v);
   b.b_n <- i + 1
 
 let encode enc b e =
@@ -234,71 +339,110 @@ let encode enc b e =
 
 (* -- decoding ----------------------------------------------------------- *)
 
+(* The view's scratch array when it holds [n] locations, else a larger
+   one the caller must store back. *)
 let ensure arr n =
   if Array.length arr >= n then arr
   else Array.make (max n ((2 * Array.length arr) + 4)) 0
 
+(* The frame-compact sets of [row] in frame [frame], with a Load's
+   trailing memory read and a Store's memory write at [addr].  The
+   view's array fields are written only when they grow. *)
+let compact_sets (row : Site.row) frame addr (v : Event.view) =
+  let base = frame lsl Site.frame_shift in
+  let offs = row.Site.s_read_offs in
+  let nro = Array.length offs in
+  let nr = nro + if row.Site.s_mem_read then 1 else 0 in
+  let ra = ensure v.Event.v_reads nr in
+  for k = 0 to nro - 1 do
+    Array.unsafe_set ra k (base + Array.unsafe_get offs k)
+  done;
+  if row.Site.s_mem_read then Array.unsafe_set ra nro (addr lsl 1);
+  if ra != v.Event.v_reads then v.Event.v_reads <- ra;
+  v.Event.v_nreads <- nr;
+  let woffs = row.Site.s_write_offs in
+  let nwo = Array.length woffs in
+  let nw = nwo + if row.Site.s_mem_write then 1 else 0 in
+  let wa = ensure v.Event.v_writes nw in
+  for k = 0 to nwo - 1 do
+    Array.unsafe_set wa k (base + Array.unsafe_get woffs k)
+  done;
+  if row.Site.s_mem_write then Array.unsafe_set wa nwo (addr lsl 1);
+  if wa != v.Event.v_writes then v.Event.v_writes <- wa;
+  v.Event.v_nwrites <- nw
+
+(* An event with an overflow record at [off]: the disagreeing fields
+   replace the implied ones, then the sets. *)
+let decode_overflow b d (row : Site.row) off (v : Event.view) =
+  let ovf = b.b_ovf in
+  let mask = ovf.(off) in
+  let k = ref (off + 1) in
+  for j = 0 to o_fields - 1 do
+    if mask land (1 lsl j) <> 0 then begin
+      set_implied_field v j ovf.(!k);
+      incr k
+    end
+  done;
+  let k = !k in
+  if d land c_bit <> 0 then compact_sets row ovf.(k) v.Event.v_addr v
+  else begin
+    let nr = ovf.(k) and nw = ovf.(k + 1) in
+    let ra = ensure v.Event.v_reads nr in
+    Array.blit ovf (k + 2) ra 0 nr;
+    if ra != v.Event.v_reads then v.Event.v_reads <- ra;
+    v.Event.v_nreads <- nr;
+    let wa = ensure v.Event.v_writes nw in
+    Array.blit ovf (k + 2 + nr) wa 0 nw;
+    if wa != v.Event.v_writes then v.Event.v_writes <- wa;
+    v.Event.v_nwrites <- nw
+  end
+
+(* Event [i] of [b] into [v].  Of the view's pointer fields only the
+   instruction is written every event, as the machine does: the
+   function when it changes, the cached record when there is one, the
+   location arrays when they grow. *)
+let decode rows b i (v : Event.view) =
+  let d = b.b_desc.(i) in
+  if d < 0 then
+    (* foreign event off the escape hatch: exact by construction *)
+    Event.view_fill v b.b_esc.(-d - 1)
+  else begin
+    let row : Site.row = rows.((d lsr site_shift) land site_mask) in
+    let f = row.Site.s_func in
+    if v.Event.v_func != f then v.Event.v_func <- f;
+    (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
+    v.Event.v_instr <- row.Site.s_instr;
+    v.Event.v_pc <- row.Site.s_pc;
+    v.Event.v_value <- Array.unsafe_get b.b_value i;
+    v.Event.v_step <- b.b_step0 + i + ((d lsr gap_shift) land gap_mask);
+    v.Event.v_tid <- (d lsr tid_shift) land tid_mask;
+    v.Event.v_next_pc <-
+      (if d land t_bit = 0 then row.Site.s_next_pc else row.Site.s_taken_pc);
+    if row.Site.s_mem_read || row.Site.s_mem_write then begin
+      v.Event.v_addr <- Array.unsafe_get b.b_addr i;
+      v.Event.v_input_index <- -1
+    end
+    else if row.Site.s_input then begin
+      v.Event.v_addr <- -1;
+      v.Event.v_input_index <- Array.unsafe_get b.b_addr i
+    end
+    else begin
+      v.Event.v_addr <- -1;
+      v.Event.v_input_index <- -1
+    end;
+    if d land x_bit = 0 then
+      compact_sets row (d lsr pay_shift) v.Event.v_addr v
+    else decode_overflow b d row (d lsr pay_shift) v
+  end
+
 (** Decode event [i] of [b] into the reusable view (no allocation once
     the view's scratch arrays have grown to the stream's maximum
     read/write fan). *)
-let decode_into table b i (v : Event.view) =
-  let desc0 = b.b_desc.(i) in
-  if desc0 < 0 then
-    (* foreign event off the escape hatch: exact by construction *)
-    Event.view_fill v b.b_esc.(-desc0 - 1)
-  else begin
-  let row = Site.row table b.b_site.(i) in
-  v.Event.v_func <- row.Site.s_func;
-  v.Event.v_pc <- row.Site.s_pc;
-  v.Event.v_instr <- row.Site.s_instr;
-  v.Event.v_step <- b.b_step.(i);
-  v.Event.v_tid <- b.b_tid.(i);
-  v.Event.v_addr <- b.b_addr.(i);
-  v.Event.v_value <- b.b_value.(i);
-  v.Event.v_next_pc <- b.b_next_pc.(i);
-  v.Event.v_input_index <- b.b_input.(i);
-  v.Event.v_exec <- None;
-  let desc = b.b_desc.(i) in
-  if desc land 1 = 1 then begin
-    let frame = desc lsr 1 in
-    let base = frame lsl Site.frame_shift in
-    let offs = row.Site.s_read_offs in
-    let nro = Array.length offs in
-    let nr = nro + if row.Site.s_mem_read then 1 else 0 in
-    let ra = ensure v.Event.v_reads nr in
-    for k = 0 to nro - 1 do
-      ra.(k) <- base + offs.(k)
-    done;
-    if row.Site.s_mem_read then ra.(nro) <- b.b_addr.(i) lsl 1;
-    v.Event.v_reads <- ra;
-    v.Event.v_nreads <- nr;
-    let woffs = row.Site.s_write_offs in
-    let nwo = Array.length woffs in
-    let nw = nwo + if row.Site.s_mem_write then 1 else 0 in
-    let wa = ensure v.Event.v_writes nw in
-    for k = 0 to nwo - 1 do
-      wa.(k) <- base + woffs.(k)
-    done;
-    if row.Site.s_mem_write then wa.(nwo) <- b.b_addr.(i) lsl 1;
-    v.Event.v_writes <- wa;
-    v.Event.v_nwrites <- nw
-  end
-  else begin
-    let off = desc lsr 1 in
-    let nr = b.b_ovf.(off) and nw = b.b_ovf.(off + 1) in
-    let ra = ensure v.Event.v_reads nr in
-    Array.blit b.b_ovf (off + 2) ra 0 nr;
-    let wa = ensure v.Event.v_writes nw in
-    Array.blit b.b_ovf (off + 2 + nr) wa 0 nw;
-    v.Event.v_reads <- ra;
-    v.Event.v_nreads <- nr;
-    v.Event.v_writes <- wa;
-    v.Event.v_nwrites <- nw
-  end
-  end
+let decode_into table b i v = decode (Site.rows table) b i v
 
 let decode_batch table b v f =
+  let rows = Site.rows table in
   for i = 0 to b.b_n - 1 do
-    decode_into table b i v;
+    decode rows b i v;
     f v
   done

@@ -1,35 +1,58 @@
-(** The de-boxed forwarding plane: a flat struct-of-arrays wire format
-    for the event stream, replacing per-event {!Dift_vm.Event.exec}
-    records (boxed ints, two location lists, a function pointer) with
-    preallocated integer lanes plus an interned {!Dift_vm.Site} id.
+(** The minimal forwarding wire: the event stream as flat integer
+    lanes that carry only what the helper cannot rebuild from the
+    static code (paper §2.1), instead of per-event
+    {!Dift_vm.Event.exec} records.
 
-    {b Wire format.}  A {!batch} holds up to [events_per_batch] events
-    as parallel [int array] lanes — site id, step, tid, addr, value,
-    next_pc, input_index, and a [desc] word — plus one shared growable
-    overflow area.  [desc] bit 0 picks the encoding of the event's
-    read/write location sets:
+    {b Wire format.}  A {!batch} holds up to [events_per_batch]
+    events: one descriptor word each, a value lane, an address lane
+    written only at the sites that carry one, a header word (the step
+    of event 0, [b_step0]) and one shared growable overflow area.  The
+    descriptor of a non-escaped event packs, from bit 0 up:
 
-    - [1] — {e frame-compact}: [desc lsr 1] is the activation-frame
-      serial.  The sets are rebuilt from the site row's static
-      register offsets ([(frame lsl Site.frame_shift) + off]) and, for
-      loads/stores, the memory cell from the [addr] lane.  The encoder
-      verifies this shape {e element-wise against the live event}
-      before using it, so decoding is exact by construction.
-    - [0] — {e explicit}: [desc lsr 1] is an offset into the overflow
-      area holding [nreads, nwrites, reads.., writes..] verbatim.
-      Used whenever the dynamic shape diverges from the static row:
-      call/return boundaries (two frames), indirect-call target
-      operands, faulting events.
-    - [desc < 0] — {e escape}: the event is foreign to the interned
-      program (a hand-built stream whose [(func, pc, instr)] is not
-      physically one of the program's own sites); it rides boxed in
-      the batch's escape lane at index [-desc - 1] and decodes by
-      {!Dift_vm.Event.view_fill}, exact by construction.  The encoder
-      detects this per event: the function must be physically one of
-      the program's ({!Dift_vm.Site.base_of_func}, looked up only when
-      the function changes), the pc inside its body, and the
-      instruction physically the row's.  Machine streams never take
-      it, so the steady state stays flat.
+    - [C] (bit 0) — the read/write sets are {e frame-compact}: they
+      rebuild from the site row's static register offsets
+      ([(frame lsl Site.frame_shift) + off]) and, for loads/stores,
+      the memory cell from the address lane.  [0] means the sets
+      diverge from the row (call/return boundaries, indirect-call
+      target operands, faults) and ride verbatim in the overflow area.
+    - [X] (bit 1) — the payload is an overflow offset rather than the
+      frame serial.
+    - [T] (bit 2) — a [Br] went to its taken target.
+    - the thread id (6 bits), the step gap (10 bits), the interned
+      {!Dift_vm.Site} id (22 bits), and the payload (the rest): the
+      activation-frame serial, or the overflow offset.
+
+    {b Implied fields.}  The step is [b_step0 + i + gap]; the tid is
+    the descriptor's; [next_pc] is the row's static successor
+    (the row's [s_next_pc], or [s_taken_pc] under [T]); the
+    address lane holds a Load/Store's address and a [Read]'s input
+    index, and the other one of the two is [-1], as both are at every
+    other site.  The encoder checks each implied field against the
+    live event.  Where one disagrees (a filtered or routed stream's
+    step gaps past the field, a tid past 63, a fault's or a waiting
+    barrier's [next_pc], a hand-built event's stray address), or the
+    frame serial outgrows the payload, or the sets are not compact,
+    the event gets an overflow record at the payload's offset:
+    [mask], the disagreeing fields in mask order (step, tid, next_pc,
+    input index, address), then the frame serial ([C = 1]) or
+    [nreads, nwrites, reads.., writes..] ([C = 0]).  So decode is
+    exact for every stream, by construction.
+
+    {b Escape.}  [desc < 0]: the event is foreign to the interned
+    program (a hand-built stream whose [(func, pc, instr)] is not
+    physically one of the program's own sites); it rides boxed in the
+    batch's escape lane at index [-desc - 1] and decodes by
+    {!Dift_vm.Event.view_fill}, exact by construction.  The encoder
+    detects this per event: the function must be physically one of
+    the program's ({!Dift_vm.Site.base_of_func}, looked up only when
+    the function changes), the pc inside its body, and the
+    instruction physically the row's.  Machine streams never take it,
+    so the steady state stays flat.
+
+    On a single-threaded machine stream an event costs its descriptor,
+    its value and, at a Load, Store or Read, one address-lane word:
+    about two words plus the overflow of call boundaries
+    ({!batch_words}).
 
     This module is the format: batches, the encoder and the decoder.
     The coded channel that carries them is {!Channel}'s [`Coded]
@@ -48,20 +71,19 @@ open Dift_vm
 (** {1 Batches} *)
 
 type batch = {
-  b_site : int array;
-  b_step : int array;
-  b_tid : int array;
-  b_addr : int array;
+  b_desc : int array;  (** one descriptor per event *)
   b_value : int array;
-  b_next_pc : int array;
-  b_input : int array;
-  b_desc : int array;
+  b_addr : int array;
+      (** written only at Load/Store (the address) and Read (the input
+          index) sites *)
   mutable b_ovf : int array;
   mutable b_esc : Event.exec array;
       (** boxed escape lane for foreign events (negative [desc]) *)
   mutable b_n : int;
   mutable b_ovf_n : int;
   mutable b_esc_n : int;
+  mutable b_addr_n : int;  (** address-lane words written *)
+  mutable b_step0 : int;  (** header: the step of event 0 *)
 }
 
 (** A fresh batch with all lanes sized [events_per_batch].
@@ -71,6 +93,12 @@ val batch_create : events_per_batch:int -> batch
 val batch_capacity : batch -> int
 val batch_length : batch -> int
 val batch_clear : batch -> unit
+
+(** The words the batch carries: its two header words ([b_n],
+    [b_step0]), one descriptor per event, one value per non-escaped
+    event, the address-lane words written and the overflow area in
+    use.  An escaped event's boxed record is not counted. *)
+val batch_words : batch -> int
 
 (** {1 Raw encode / decode}
 
@@ -90,13 +118,15 @@ val encode_view : encoder -> batch -> Event.view -> unit
 val encode : encoder -> batch -> Event.exec -> unit
 
 (** [decode_into table b i v] rebuilds event [i] of [b] into the
-    reusable view [v] (invalidating [v]'s cached exec).  Allocates
-    nothing once [v]'s scratch arrays cover the stream's maximum
-    read/write fan. *)
+    reusable view [v] (invalidating [v]'s cached exec).  Of [v]'s
+    pointer fields it writes the instruction every event and the
+    function, the cached record and the location arrays only when
+    they change.  Allocates nothing once [v]'s scratch arrays cover
+    the stream's maximum read/write fan. *)
 val decode_into : Site.table -> batch -> int -> Event.view -> unit
 
 (** [decode_batch table b v f] decodes every event of [b], in order,
     into [v] and applies [f] to it: the consumer's loop, one call per
-    batch. *)
+    batch.  Afterwards [v] holds the batch's last event. *)
 val decode_batch :
   Site.table -> batch -> Event.view -> (Event.view -> unit) -> unit

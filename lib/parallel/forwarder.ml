@@ -8,8 +8,10 @@
     producer over a second, never-blocking {!Spsc} ring (the free
     list), so in steady state the forwarder allocates nothing per
     batch: the backing arrays cycle producer → consumer → producer.
-    A recycled array keeps its element references until overwritten,
-    bounded by [(queue_capacity + 2) * batch_size] elements.
+    A recycled array keeps its element references until overwritten
+    unless the channel has a [blank] to clear them with: the boxed
+    wire's records would otherwise stay alive, up to
+    [(queue_capacity + 2) * batch_size] of them, and be promoted.
 
     The channel is polymorphic in the element type: the boxed wire
     forwards {!Dift_vm.Event.exec} records, and the coded wire
@@ -44,6 +46,7 @@ type 'a t = {
   free : 'a batch Spsc.t;  (** drained records coming back for reuse *)
   probe : Probe.feed;  (** the feed ring's seam and its free ring's *)
   batch_size : int;
+  blank : 'a option;  (** overwrites consumed slots *)
   no_batch : 'a batch;
       (** the no-open-batch marker: physically unique per channel,
           never pushed *)
@@ -80,7 +83,7 @@ let counts t =
     in_flight_batches = Spsc.length t.ring;
   }
 
-let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel")
+let create ?(probe = Probe.off) ?(escalate = false) ?blank ?(ns = "parallel")
     ~queue_capacity ~batch_size () =
   if queue_capacity < 1 then
     invalid_arg
@@ -99,6 +102,7 @@ let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel")
       free = Spsc.create ~capacity:(queue_capacity + 2) ();
       probe;
       batch_size;
+      blank;
       no_batch;
       cur = no_batch;
       events = 0;
@@ -206,6 +210,7 @@ let drain ?(around_batch = fun k -> k ()) t ~f =
      injected [ring.free.<ns>/push] fault fires) the record just falls
      to the GC *)
   let recycle b =
+    (match t.blank with Some x -> Array.fill b.data 0 b.len x | None -> ());
     b.len <- 0;
     b.weight <- 0;
     Probe.give_free t.probe t.free b

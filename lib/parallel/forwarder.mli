@@ -55,10 +55,16 @@ type 'a t
     served as raises instead of counted losses (see
     {!Chaos.instance}).  The sharded engine sets it on the
     request/reply feed rings.
+
+    [blank], when given, overwrites every consumed slot before its
+    batch goes back to the producer, so a recycled batch does not keep
+    its elements alive until they are overwritten.  Without it the
+    elements stay, for {!reusable}.
     @raise Invalid_argument if either size is [< 1]. *)
 val create :
   ?probe:Probe.t ->
   ?escalate:bool ->
+  ?blank:'a ->
   ?ns:string ->
   queue_capacity:int ->
   batch_size:int ->

@@ -369,7 +369,8 @@ let supervise ?config ~probe ?degrade ?route ?xchg_capacity ~queue_capacity
                         ~done_b:p.p_batches))))
 
 let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-    ?(queue_capacity = 64) ?(batch_size = 64) ?(wire = `Coded)
+    ?(queue_capacity = Channel.default_queue_capacity)
+    ?(batch_size = Channel.default_batch_size) ?(wire = `Coded)
     ?(forward_filter = false) ?policy ?on_sink program ~input =
   supervise ?config
     ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
@@ -460,7 +461,9 @@ type sharded_report = {
 }
 
 let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-    ?(route = `Request_reply) ?(queue_capacity = 64) ?(batch_size = 64)
+    ?(route = `Request_reply)
+    ?(queue_capacity = Channel.default_queue_capacity)
+    ?(batch_size = Channel.default_batch_size)
     ?xchg_capacity ?(wire = `Coded) ?(forward_filter = false) ?policy ?on_sink
     ~shards program ~input =
   if shards < 1 then

@@ -162,8 +162,9 @@ type inline_report = {
     performs the taint tracking.  It is the one-shard cluster of
     {!run_sharded_result}, with nothing to route or exchange.
 
-    - {b Geometry.}  [queue_capacity] (default 64) ring slots of
-      [batch_size] (default 64) events.
+    - {b Geometry.}  [queue_capacity] ring slots of [batch_size]
+      events, by default {!Channel.default_queue_capacity} (16) and
+      {!Channel.default_batch_size} (256).
     - {b Wire.}  [wire] picks the forwarding-plane encoding (default
       [`Coded]: interned sites and flat {!Codec} batches, no
       allocation per forwarded event in the steady state; [`Boxed]
@@ -264,7 +265,7 @@ type sharded_report = {
     with more than one shard that route rejects policies with
     [propagate_control] — use [`Broadcast] for control-flow
     tracking).  [queue_capacity]/[batch_size] shape each shard's
-    inbound channel and [xchg_capacity] (default 256) each exchange
+    inbound channel (defaults as in {!run_result}) and [xchg_capacity] (default 256) each exchange
     ring.  [wire], [forward_filter] (one liveness epoch per shard),
     [on_sink] and [degrade] behave as in {!run_result}; N shards
     degrade by a full rerun.

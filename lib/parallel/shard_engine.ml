@@ -439,7 +439,8 @@ module Make (D : Taint.DOMAIN) = struct
         end
 
   let cluster ?policy ?(route = `Request_reply) ?(probe = Probe.off)
-      ?(queue_capacity = 64) ?(batch_size = 64) ?(xchg_capacity = 256)
+      ?(queue_capacity = Channel.default_queue_capacity)
+      ?(batch_size = Channel.default_batch_size) ?(xchg_capacity = 256)
       ?(wire = `Coded) ?filter ~shards program =
     let router = Router.create ~shards () in
     (* One shard has nothing to route or exchange: no mesh, and the

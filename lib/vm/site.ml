@@ -20,6 +20,8 @@ type row = {
   s_input : bool;
   s_sink : bool;
   s_filterable : bool;
+  s_next_pc : int;
+  s_taken_pc : int;
 }
 
 type table = {
@@ -60,7 +62,18 @@ let is_sink_instr = function
    mixes them all). *)
 let filterable_instr i = not (is_input_instr i || is_sink_instr i)
 
+(* Where the machine continues after the site when it completes
+   normally: a branch falls through, a call leaves the function, and
+   [Ret], [Halt] and [Exit] report their own pc. *)
+let static_next pc = function
+  | Instr.Jmp t -> t
+  | Instr.Br (_, _, f) -> f
+  | Instr.Call _ | Instr.Icall _ -> -1
+  | Instr.Ret _ | Instr.Halt | Instr.Sys Instr.Exit -> pc
+  | _ -> pc + 1
+
 let row_of func pc instr =
+  let next = static_next pc instr in
   {
     s_func = func;
     s_pc = pc;
@@ -73,6 +86,8 @@ let row_of func pc instr =
     s_input = is_input_instr instr;
     s_sink = is_sink_instr instr;
     s_filterable = filterable_instr instr;
+    s_next_pc = next;
+    s_taken_pc = (match instr with Instr.Br (_, t, _) -> t | _ -> next);
   }
 
 let of_program p =

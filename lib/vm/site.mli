@@ -33,6 +33,14 @@ type row = {
           check) — tainted or not, so such events can never be
           filtered *)
   s_filterable : bool;  (** neither {!s_input} nor {!s_sink} *)
+  s_next_pc : int;
+      (** the event's [next_pc] when the site completes normally: the
+          jump target of [Jmp], the fall-through of [Br], [-1] for the
+          call forms, the site's own pc for [Ret], [Halt] and [Exit],
+          and [pc + 1] otherwise.  Faults, and a [Barrier] that must
+          wait, report their own pc instead. *)
+  s_taken_pc : int;
+      (** the taken target of [Br]; {!s_next_pc} at every other site *)
 }
 
 type table

@@ -1,8 +1,10 @@
-(* The de-boxed forwarding plane: the SoA codec must be a lossless
-   wire — encode ∘ decode is the identity on machine-shaped events
-   (compact and explicit descriptors), on events foreign to the
-   interned program (the escape hatch), and through the full channel
-   framing.  Whole-run equivalence: the coded wire, the boxed wire and
+(* The de-boxed forwarding plane: the minimal wire must be lossless —
+   encode ∘ decode is the identity on machine-shaped events (compact
+   and explicit sets, implied fields that agree with the live event or
+   ride the overflow area), on machine streams with events dropped, on
+   events foreign to the interned program (the escape hatch), and
+   through the full channel framing; and machine streams stay within
+   the wire's word budget.  Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
    on every kernel, in both runtimes, on both shard routes — and the
    filter strictly reduces forwarded volume on taint-sparse streams.
@@ -50,28 +52,69 @@ let pp_exec ppf (e : Event.exec) =
     Fmt.(list ~sep:comma int)
     e.Event.writes e.Event.addr
 
+(* Programs whose sites cover every descriptor case: crc's loads,
+   stores, reads and branches, treesum's calls, returns and jumps, and
+   the server's threads. *)
+let tables =
+  List.map Site.of_program
+    [ prog; Spec_like.treesum.Workload.program; Server_sim.program () ]
+
+(* The implied next-pc: mostly the row's static successor (a branch's
+   fall-through, a jump's target, [-1] after a call, the own pc of a
+   return or halt), a branch's taken target, and sometimes neither (a
+   fault, a waiting barrier, a flipped or hand-built target). *)
+let next_pc_gen (row : Site.row) =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, return row.Site.s_next_pc);
+        (3, return row.Site.s_taken_pc);
+        (1, int_range (-1) 50);
+      ])
+
+(* The address lane's pair: a Load/Store's address and a Read's input
+   index ride the lane, the other of the two is implied [-1], and both
+   are at every other site — each implied value sometimes wrong. *)
+let lanes_gen (row : Site.row) =
+  QCheck2.Gen.(
+    let stray = frequency [ (5, return (-1)); (1, int_bound 400) ] in
+    let* addr =
+      if row.Site.s_mem_read || row.Site.s_mem_write then int_bound 400
+      else stray
+    in
+    let* input_index = if row.Site.s_input then int_range (-1) 40 else stray in
+    return (addr, input_index))
+
+(* Step and tid as a hand-built stream might give them; the stream
+   generator below rewrites them into runs with gaps and switches. *)
 let dyn_gen =
   QCheck2.Gen.(
     let* step = int_bound 100_000 in
     let* tid = int_bound 3 in
     let* value = int_bound 1_000 in
-    let* next_pc = int_bound 50 in
-    let* input_index = int_range (-1) 40 in
-    return (step, tid, value, next_pc, input_index))
+    return (step, tid, value))
+
+(* Activation frames: small, and past the descriptor's inline payload
+   (those still decode compact, through the overflow area). *)
+let frame_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, int_bound 5); (1, return (1 lsl 21)); (1, return ((1 lsl 40) + 3));
+      ])
 
 (* A machine-shaped event of a real site: the dynamic read/write sets
    are exactly the row's static offsets in one activation frame (plus
    the memory cell for loads/stores), so the encoder's element-wise
-   verification succeeds and the compact descriptor is taken. *)
-let compact_event_gen =
+   verification succeeds and the sets are frame-compact. *)
+let compact_event_gen tbl =
   QCheck2.Gen.(
-    let* site = int_bound (Site.size table - 1) in
-    let* frame = int_bound 5 in
-    let* addr0 = int_bound 400 in
-    let* step, tid, value, next_pc, input_index = dyn_gen in
-    let row = Site.row table site in
-    let mem = row.Site.s_mem_read || row.Site.s_mem_write in
-    let addr = if mem then addr0 else if addr0 mod 3 = 0 then -1 else addr0 in
+    let* site = int_bound (Site.size tbl - 1) in
+    let row = Site.row tbl site in
+    let* frame = frame_gen in
+    let* addr, input_index = lanes_gen row in
+    let* next_pc = next_pc_gen row in
+    let* step, tid, value = dyn_gen in
     let base = frame * Site.frame_stride in
     let regs offs = Array.to_list (Array.map (fun o -> base + o) offs) in
     return
@@ -105,15 +148,17 @@ let loc_gen =
       ])
 
 (* The same sites with arbitrary dynamic location sets: the shape
-   diverges from the row, so the explicit descriptor must carry the
-   sets verbatim through the overflow area. *)
-let explicit_event_gen =
+   diverges from the row, so the overflow area must carry the sets
+   verbatim. *)
+let explicit_event_gen tbl =
   QCheck2.Gen.(
-    let* site = int_bound (Site.size table - 1) in
+    let* site = int_bound (Site.size tbl - 1) in
+    let row = Site.row tbl site in
     let* reads = list_size (int_bound 4) loc_gen in
     let* writes = list_size (int_bound 3) loc_gen in
-    let* step, tid, value, next_pc, input_index = dyn_gen in
-    let row = Site.row table site in
+    let* addr, input_index = lanes_gen row in
+    let* next_pc = next_pc_gen row in
+    let* step, tid, value = dyn_gen in
     return
       {
         Event.step;
@@ -123,7 +168,7 @@ let explicit_event_gen =
         instr = row.Site.s_instr;
         reads;
         writes;
-        addr = -1;
+        addr;
         next_pc;
         input_index;
         value;
@@ -142,7 +187,9 @@ let foreign_event_gen =
     let* pc = int_bound 22 in
     let* reads = list_size (int_bound 3) loc_gen in
     let* writes = list_size (int_bound 2) loc_gen in
-    let* step, tid, value, next_pc, input_index = dyn_gen in
+    let* step, tid, value = dyn_gen in
+    let* next_pc = int_bound 50 in
+    let* input_index = int_range (-1) 40 in
     return
       {
         Event.step;
@@ -158,15 +205,66 @@ let foreign_event_gen =
         value;
       })
 
-let event_gen =
+let event_gen tbl =
   QCheck2.Gen.(
     frequency
       [
-        (4, compact_event_gen); (2, explicit_event_gen);
+        (4, compact_event_gen tbl); (2, explicit_event_gen tbl);
         (1, foreign_event_gen);
       ])
 
-let events_gen = QCheck2.Gen.(list_size (int_range 1 100) event_gen)
+(* A stream: consecutive steps with gaps (inside the descriptor's
+   field, past it, and backwards) and runs of tids with switches
+   (including tids past the descriptor's field). *)
+let stream_gen tbl =
+  QCheck2.Gen.(
+    let* events = list_size (int_range 1 300) (event_gen tbl) in
+    let n = List.length events in
+    let* step0 = int_bound 100_000 in
+    let* gaps =
+      list_repeat n
+        (frequency
+           [
+             (20, return 0); (3, int_range 1 1_000); (1, int_range 1_023 5_000);
+             (1, int_range (-5) (-1));
+           ])
+    in
+    let* tids =
+      list_repeat n
+        (frequency
+           [ (12, return (-1)); (3, int_bound 3); (1, int_range 60 70) ])
+    in
+    let _, _, rev =
+      List.fold_left2
+        (fun (step, tid, acc) (e, gap) t ->
+          let step = step + 1 + gap and tid = if t < 0 then tid else t in
+          (step, tid, { e with Event.step; tid } :: acc))
+        (step0 - 1, 0, [])
+        (List.combine events gaps)
+        tids
+    in
+    return (tbl, List.rev rev))
+
+(* The generators' site pool holds every next-pc shape the descriptor
+   distinguishes. *)
+let test_site_pool () =
+  let rows = List.concat_map (fun t -> Array.to_list (Site.rows t)) tables in
+  List.iter
+    (fun (name, p) ->
+      check Alcotest.bool (name ^ " sites generated") true
+        (List.exists (fun (r : Site.row) -> p r.Site.s_instr) rows))
+    [
+      ("Br", function Instr.Br _ -> true | _ -> false);
+      ("Jmp", function Instr.Jmp _ -> true | _ -> false);
+      ("Call", function Instr.Call _ -> true | _ -> false);
+      ("Ret", function Instr.Ret _ -> true | _ -> false);
+      ("Halt", function Instr.Halt -> true | _ -> false);
+      ("Load", function Instr.Load _ -> true | _ -> false);
+      ("Store", function Instr.Store _ -> true | _ -> false);
+      ("Read", function Instr.Sys (Instr.Read _) -> true | _ -> false);
+    ]
+
+let tabled_stream_gen = QCheck2.Gen.(oneofl tables >>= stream_gen)
 
 (* One shared scratch view, refilled per decode — exactly the
    consumer-side reuse discipline. *)
@@ -174,28 +272,42 @@ let scratch () =
   let r0 = Site.row table 0 in
   Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr
 
-let roundtrip_batch events =
-  let enc = Codec.encoder table in
-  let b = Codec.batch_create ~events_per_batch:(List.length events) in
-  List.iter (Codec.encode enc b) events;
+(* Encode [events] into batches of [cap] events, decode every event
+   back into one view, and compare. *)
+let roundtrip tbl ~cap events =
+  let enc = Codec.encoder tbl in
   let v = scratch () in
-  List.for_all
-    (fun (i, e) ->
-      Codec.decode_into table b i v;
-      exec_eq e (Event.view_to_exec v))
-    (List.mapi (fun i e -> (i, e)) events)
+  let rec go events =
+    events = []
+    ||
+    let now = List.filteri (fun i _ -> i < cap) events
+    and rest = List.filteri (fun i _ -> i >= cap) events in
+    let b = Codec.batch_create ~events_per_batch:cap in
+    List.iter (Codec.encode enc b) now;
+    List.for_all Fun.id
+      (List.mapi
+         (fun i e ->
+           Codec.decode_into tbl b i v;
+           exec_eq e (Event.view_to_exec v))
+         now)
+    && go rest
+  in
+  go events
+
+let pp_stream = Fmt.(str "%a" (list ~sep:(any "; ") pp_exec))
 
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"codec: encode ∘ decode ≡ identity"
-    ~print:Fmt.(str "%a" (list ~sep:(any "; ") pp_exec))
-    events_gen roundtrip_batch
+    ~print:(fun (_, (_, es)) -> pp_stream es)
+    QCheck2.Gen.(pair (int_range 1 300) tabled_stream_gen)
+    (fun (cap, (tbl, events)) -> roundtrip tbl ~cap events)
 
 (* Same property through the channel: feed / flush / close framing
    with partial final batches, then a synchronous drain. *)
-let roundtrip_channel events =
+let roundtrip_channel (tbl, events) =
   let ch =
     Channel.create ~wire:`Coded ~queue_capacity:64 ~batch_size:8
-      ~table:(Lazy.from_val table) ()
+      ~table:(Lazy.from_val tbl) ()
   in
   List.iter (Channel.add ch) events;
   Channel.close ch;
@@ -207,19 +319,90 @@ let roundtrip_channel events =
 let roundtrip_channel_prop =
   QCheck2.Test.make ~count:50
     ~name:"codec: channel feed/drain preserves the stream"
-    ~print:Fmt.(str "%a" (list ~sep:(any "; ") pp_exec))
-    events_gen roundtrip_channel
+    ~print:(fun (_, es) -> pp_stream es)
+    tabled_stream_gen roundtrip_channel
+
+(* Real machine streams, recorded once: a call-dense kernel, a loop
+   kernel with reads, and the two-worker server (tid switches). *)
+let record program input =
+  let acc = ref [] in
+  let m = Machine.create program ~input in
+  Machine.attach m (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "collect");
+  ignore (Machine.run m);
+  Array.of_list (List.rev !acc)
+
+let machine_streams =
+  lazy
+    (List.map
+       (fun (program, input) -> (Site.of_program program, record program input))
+       [
+         (prog, Spec_like.crc.Workload.input ~size:60 ~seed:3);
+         ( Spec_like.treesum.Workload.program,
+           Spec_like.treesum.Workload.input ~size:40 ~seed:3 );
+         (let b = Server_sim.generate ~requests:12 ~seed:3 () in
+          (Server_sim.program (), b.Server_sim.input));
+       ])
+
+(* Dropping events, as the liveness filter and the request/reply
+   router do, leaves step gaps and cuts runs: whatever is left must
+   still decode exactly. *)
+let filtered_stream_prop =
+  QCheck2.Test.make ~count:60
+    ~name:"codec: a machine stream with dropped events decodes exactly"
+    QCheck2.Gen.(
+      quad (int_bound 2) (int_bound 1_000_000) (int_bound 100)
+        (int_range 1 300))
+    (fun (k, seed, drop_pct, cap) ->
+      let tbl, stream = List.nth (Lazy.force machine_streams) k in
+      let rng = Random.State.make [| seed |] in
+      let kept =
+        List.filter
+          (fun _ -> Random.State.int rng 100 >= drop_pct)
+          (Array.to_list stream)
+      in
+      roundtrip tbl ~cap kept)
+
+(* The minimal wire's budget: real machine streams cost at most three
+   words per event (descriptor, value, the address lane where a site
+   has one, call boundaries' overflow records, batch headers). *)
+let test_wire_budget () =
+  List.iter
+    (fun (name, size) ->
+      let w = Spec_like.by_name name in
+      let program = w.Workload.program in
+      let stream = record program (w.Workload.input ~size ~seed:7) in
+      let tbl = Site.of_program program in
+      let enc = Codec.encoder tbl in
+      let cap = Channel.default_batch_size in
+      let words = ref 0 in
+      let b = Codec.batch_create ~events_per_batch:cap in
+      let ship () =
+        words := !words + Codec.batch_words b;
+        Codec.batch_clear b
+      in
+      Array.iter
+        (fun e ->
+          Codec.encode enc b e;
+          if Codec.batch_length b = cap then ship ())
+        stream;
+      ship ();
+      let per_ev = float_of_int !words /. float_of_int (Array.length stream) in
+      check Alcotest.bool
+        (Fmt.str "%s: %.2f words/event <= 3.0" name per_ev)
+        true (per_ev <= 3.0))
+    [ ("matmul", 8); ("crc", 600); ("sieve", 400); ("treesum", 200);
+      ("feistel", 40) ]
 
 (* A recycled batch must not leak state into its next fill. *)
 let test_batch_recycling () =
   let enc = Codec.encoder table in
   let b = Codec.batch_create ~events_per_batch:4 in
   let mk = QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |]) in
-  let first = mk QCheck2.Gen.(list_repeat 4 event_gen) in
+  let first = mk QCheck2.Gen.(list_repeat 4 (event_gen table)) in
   List.iter (Codec.encode enc b) first;
   Codec.batch_clear b;
   check Alcotest.int "cleared" 0 (Codec.batch_length b);
-  let second = mk QCheck2.Gen.(list_repeat 4 event_gen) in
+  let second = mk QCheck2.Gen.(list_repeat 4 (event_gen table)) in
   List.iter (Codec.encode enc b) second;
   let v = scratch () in
   List.iteri
@@ -648,7 +831,7 @@ let test_free_ring_raise_crashes_producer () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ roundtrip_prop; roundtrip_channel_prop ]
+    [ roundtrip_prop; roundtrip_channel_prop; filtered_stream_prop ]
 
 let suite =
   [
@@ -660,6 +843,10 @@ let suite =
       test_pc_past_body_escapes;
     Alcotest.test_case "frames >= 2^20 stay compact and exact" `Quick
       test_large_frames_compact;
+    Alcotest.test_case "machine streams fit the wire budget" `Quick
+      test_wire_budget;
+    Alcotest.test_case "the generators cover every next-pc shape" `Quick
+      test_site_pool;
     Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"
       `Quick test_wires_two_domain;
     Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both routes)"

@@ -4,7 +4,9 @@
    fully instrumented runs — two-domain, sharded request/reply and
    sharded broadcast — each with a registry, a tracer, a flight
    recorder, a fault plan that never fires and a watchdog that never
-   misses, so every seam is wired and no failure leg runs.
+   misses, so every seam is wired and no failure leg runs.  A fourth,
+   inline, takes the registry, tracer and flight recorder only: it has
+   no channel to inject into and no seam to watch.
 
    Excluded, because their presence depends on scheduling: which of
    [ring.stall]/[ring.enqueue] and of [ring.wait]/[ring.dequeue] a
@@ -107,6 +109,12 @@ let two_domain ~obs ~trace ~flight ~chaos ~watchdog =
     (Parallel.run_result ~obs ~trace ~flight ~chaos ~watchdog
        w.Workload.program ~input)
 
+let inline ~obs ~trace ~flight ~chaos:_ ~watchdog:_ =
+  let w = kernel "crc" in
+  let input = w.Workload.input ~size:40 ~seed:3 in
+  let r = Parallel.run_inline ~obs ~trace ~flight w.Workload.program ~input in
+  r.Parallel.i_result.Parallel.events > 0
+
 let sharded ~route ~shards ~obs ~trace ~flight ~chaos ~watchdog =
   let w = kernel "treesum" in
   let input = w.Workload.input ~size:60 ~seed:3 in
@@ -172,6 +180,24 @@ let two_domain_seen =
       ];
   }
 
+let inline_seen =
+  {
+    metrics =
+      [
+        "core.engine.events"; "core.engine.sink_hits"; "core.engine.sources";
+        "core.shadow.tainted_locations"; "core.shadow.words";
+      ]
+      @ vm_metrics;
+    legs = [];
+    flight = [ ("app", [ "core/engine.progress" ]) ];
+    trace =
+      [
+        ("app", [ "vm/app.run" ]);
+        ("shadow.tainted_locations", [ "core/shadow.tainted_locations" ]);
+        ("shadow.words", [ "core/shadow.words" ]);
+      ];
+  }
+
 let sharded_seen ~route ~shards =
   let exchanges = route = `Request_reply in
   let ns s = Fmt.str "parallel.shard%d" s in
@@ -229,12 +255,15 @@ let check_seen expected got =
 
 let test_two_domain () = check_seen two_domain_seen (observe two_domain)
 
+let test_inline () = check_seen inline_seen (observe inline)
+
 let test_sharded route shards () =
   check_seen (sharded_seen ~route ~shards) (observe (sharded ~route ~shards))
 
 let suite =
   [
     Alcotest.test_case "two-domain instrument names" `Quick test_two_domain;
+    Alcotest.test_case "inline instrument names" `Quick test_inline;
     Alcotest.test_case "sharded request/reply instrument names" `Quick
       (test_sharded `Request_reply 3);
     Alcotest.test_case "sharded broadcast instrument names" `Quick

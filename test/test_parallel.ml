@@ -117,6 +117,79 @@ let same_result name (a : Parallel.result) (b : Parallel.result) =
     (Fmt.str "%s: taint fingerprint" name)
     a.Parallel.taint_fingerprint b.Parallel.taint_fingerprint
 
+(* -- run_inline against an independent reference ----------------------- *)
+
+(* Every equivalence test compares a runtime against [run_inline], so
+   [run_inline] itself is checked here against a reference assembled
+   by hand: a bare engine attached to a machine, a local fold of the
+   sink-trace hash and a local hash of the sorted final shadow. *)
+module Ref_engine = Engine.Make (Taint.Bool)
+
+let reference ?policy program ~input =
+  let eng = Ref_engine.create ?policy program in
+  let sink_trace = ref 0 and sinks = ref [] in
+  Ref_engine.on_sink_view eng (fun sink taint v ->
+      let step = v.Event.v_step in
+      sink_trace :=
+        !sink_trace
+        + Shard_engine.sink_hash ~step sink (not (Taint.Bool.is_bottom taint));
+      sinks := (step, sink, taint) :: !sinks);
+  let m = Machine.create program ~input in
+  Ref_engine.attach ~charge:ignore eng m;
+  let outcome = Machine.run m in
+  let s = Ref_engine.stats eng in
+  let tainted_locations, shadow_words = Ref_engine.shadow_footprint eng in
+  let fingerprint =
+    Ref_engine.Sh.fold
+      (fun loc d acc -> (loc, d) :: acc)
+      (Ref_engine.shadow eng) []
+    |> List.sort compare |> Hashtbl.hash
+  in
+  ( {
+      Parallel.outcome;
+      events = s.Engine.events;
+      sources = s.Engine.sources;
+      sink_hits = s.Engine.sink_hits;
+      sink_trace_hash = !sink_trace;
+      tainted_locations;
+      shadow_words;
+      taint_fingerprint = fingerprint;
+    },
+    List.rev !sinks )
+
+let test_inline_against_reference () =
+  let server = Server_sim.program ~workers:2 () in
+  let server_input =
+    (Server_sim.generate ~requests:30 ~seed:5 ()).Server_sim.input
+  in
+  let cases =
+    List.map
+      (fun (w : Workload.t) ->
+        (w.Workload.name, w.Workload.program, w.Workload.input ~size:20 ~seed:7))
+      Spec_like.all
+    @ [ ("server", server, server_input) ]
+  in
+  List.iter
+    (fun (pname, policy) ->
+      List.iter
+        (fun (name, program, input) ->
+          let label = Fmt.str "%s/%s" name pname in
+          let expected, expected_sinks = reference ~policy program ~input in
+          let streamed = ref [] in
+          let inline =
+            Parallel.run_inline ~policy
+              ~on_sink:(fun sink taint e ->
+                streamed := (e.Event.step, sink, taint) :: !streamed)
+              program ~input
+          in
+          same_result label expected inline.Parallel.i_result;
+          check Alcotest.bool
+            (Fmt.str "%s: on_sink streams every sink in order" label)
+            true
+            (List.rev !streamed = expected_sinks))
+        cases)
+    [ ("default", Policy.default); ("full", Policy.full) ]
+
 (* Every kernel: the helper-domain run equals the inline run. *)
 let test_equivalence_all_kernels () =
   List.iter
@@ -274,6 +347,8 @@ let suite =
     Alcotest.test_case "spsc close drains" `Quick test_spsc_close_drains;
     Alcotest.test_case "spsc abort unblocks producer" `Quick
       test_spsc_abort_unblocks_producer;
+    Alcotest.test_case "inline ≡ hand-built reference" `Quick
+      test_inline_against_reference;
     Alcotest.test_case "parallel ≡ inline on all kernels" `Quick
       test_equivalence_all_kernels;
     Alcotest.test_case "parallel ≡ inline, fixed seed, channel shapes"

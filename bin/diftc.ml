@@ -204,8 +204,6 @@ let trace_cmd =
 
 (* -- taint ------------------------------------------------------------------- *)
 
-module Bool_engine = Engine.Make (Taint.Bool)
-
 let taint_cmd =
   let parallel_arg =
     Arg.(
@@ -235,10 +233,12 @@ let taint_cmd =
       value & opt (some int) None
       & info [ "xchg-capacity" ] ~docv:"N"
           ~doc:
-            "Cross-shard exchange-ring capacity, in batches (with \
-             --helpers > 1; default 256).  Sizes the request and reply \
-             rings of the two-phase exchange independently of the \
-             inbound forwarding rings.")
+            (Fmt.str
+               "Cross-shard exchange-ring capacity, in batches (with \
+                --helpers > 1; default %d).  Sizes the request and reply \
+                rings of the two-phase exchange independently of the \
+                inbound forwarding rings."
+               Dift_parallel.Shard_engine.default_xchg_capacity))
   in
   let wire_arg =
     let wire = Arg.enum [ ("coded", `Coded); ("boxed", `Boxed) ] in
@@ -544,106 +544,60 @@ let taint_cmd =
         in
         let rc = ref 0 in
         let failed : Dift_parallel.Parallel.error option ref = ref None in
-        if parallel && helpers > 1 then begin
-          let open Dift_parallel.Parallel in
-          match
-            run_sharded_result ?obs ?trace:tracer ?flight ?chaos
-              ?watchdog:wd ?degrade ?xchg_capacity ~wire ~forward_filter
-              ~route ~queue_capacity ~batch_size ~on_sink ~shards:helpers
-              w.Workload.program ~input
-          with
-          | Error e ->
-              Fmt.epr "sharded run failed: %a@." pp_error e;
-              failed := Some e;
-              rc := (if expected_failure e.e_exn then 0 else 1)
-          | Ok r ->
-              (match r.s_degraded with
-              | Some d -> Fmt.pr "%a@." pp_degraded d
-              | None -> ());
-              Fmt.pr "events: %d, sources: %d, tainted sinks: %d@."
-                r.s_result.events r.s_result.sources r.s_result.sink_hits;
-              Fmt.pr "shadow: %d locations, %d words@."
-                r.s_result.tainted_locations r.s_result.shadow_words;
-              Fmt.pr "sharding: %a@." pp_sharded_report r;
-              Array.iter
-                (fun (s : Dift_parallel.Shard_engine.shard_stat) ->
-                  Fmt.pr
-                    "  shard %d: %d events in %d batches, %d sent / %d \
-                     received, busy %.2f ms (%d stalls, %d waits)@."
-                    s.Dift_parallel.Shard_engine.shard
-                    s.Dift_parallel.Shard_engine.handled
-                    s.Dift_parallel.Shard_engine.batches
-                    s.Dift_parallel.Shard_engine.exchange_sent
-                    s.Dift_parallel.Shard_engine.exchange_received
-                    (float_of_int s.Dift_parallel.Shard_engine.busy_ns
-                    /. 1e6)
-                    s.Dift_parallel.Shard_engine.producer_stalls
-                    s.Dift_parallel.Shard_engine.consumer_waits)
-                r.s_per_shard
-        end
-        else if parallel then begin
-          let open Dift_parallel.Parallel in
-          match
-            run_result ?obs ?trace:tracer ?flight ?chaos ?watchdog:wd
-              ?degrade ~wire ~forward_filter ~queue_capacity ~batch_size
-              ~on_sink w.Workload.program ~input
-          with
-          | Error e ->
-              Fmt.epr "parallel run failed: %a@." pp_error e;
-              failed := Some e;
-              rc := (if expected_failure e.e_exn then 0 else 1)
-          | Ok r ->
-              (match r.degraded with
-              | Some d -> Fmt.pr "%a@." pp_degraded d
-              | None -> ());
-              Fmt.pr "events: %d, sources: %d, tainted sinks: %d@."
-                r.result.events r.result.sources r.result.sink_hits;
-              Fmt.pr "shadow: %d locations, %d words@."
-                r.result.tainted_locations r.result.shadow_words;
-              Fmt.pr
-                "channel: %d batches (ring %d x %d), %d producer stalls, \
-                 %d helper waits@."
-                r.batches r.queue_capacity r.batch_size r.producer_stalls
-                r.consumer_waits;
-              if r.dropped_batches > 0 then
-                Fmt.pr "dropped: %d batches / %d events@." r.dropped_batches
-                  r.dropped_events;
-              Fmt.pr "wall: main %.2f ms, total %.2f ms@."
-                (float_of_int r.main_wall_ns /. 1e6)
-                (float_of_int r.total_wall_ns /. 1e6)
-        end
-        else begin
-          let m = Machine.create w.Workload.program ~input in
-          let eng = Bool_engine.create w.Workload.program in
-          Bool_engine.on_sink eng on_sink;
-          Bool_engine.attach eng m;
-          Option.iter
-            (fun reg ->
-              Bool_engine.register_obs eng reg;
-              Obs_tool.attach reg m)
-            obs;
-          Option.iter
-            (fun tr ->
-              Dift_obs.Trace.name_track tr "app";
-              Bool_engine.set_trace eng tr;
-              Obs_tool.attach_trace tr m)
-            tracer;
-          Option.iter
-            (fun fl ->
-              Dift_obs.Flight.name_domain fl "app";
-              Bool_engine.set_flight eng fl)
-            flight;
-          (match tracer with
-          | Some tr ->
-              Dift_obs.Trace.span tr ~cat:"vm" "app.run" (fun () ->
-                  ignore (Machine.run m))
-          | None -> ignore (Machine.run m));
-          let locs, words = Bool_engine.shadow_footprint eng in
-          let s = Bool_engine.stats eng in
-          Fmt.pr "events: %d, sources: %d, tainted sinks: %d@."
-            s.Engine.events s.Engine.sources s.Engine.sink_hits;
-          Fmt.pr "shadow: %d locations, %d words@." locs words
-        end;
+        let print_result (r : Dift_parallel.Parallel.result) =
+          Fmt.pr "events: %d, sources: %d, tainted sinks: %d@." r.events
+            r.sources r.sink_hits;
+          Fmt.pr "shadow: %d locations, %d words@." r.tainted_locations
+            r.shadow_words
+        in
+        (if not parallel then
+           print_result
+             (Dift_parallel.Parallel.run_inline ?obs ?trace:tracer ?flight
+                ~on_sink w.Workload.program ~input)
+               .i_result
+         else
+           let open Dift_parallel.Parallel in
+           match
+             run_sharded_result ?obs ?trace:tracer ?flight ?chaos
+               ?watchdog:wd ?degrade ?xchg_capacity ~wire ~forward_filter
+               ~route ~queue_capacity ~batch_size ~on_sink ~shards:helpers
+               w.Workload.program ~input
+           with
+           | Error e ->
+               Fmt.epr "%s run failed: %a@."
+                 (if helpers > 1 then "sharded" else "parallel")
+                 pp_error e;
+               failed := Some e;
+               rc := if expected_failure e.e_exn then 0 else 1
+           | Ok r when helpers = 1 ->
+               let s = r.s_per_shard.(0) in
+               Option.iter (Fmt.pr "%a@." pp_degraded) r.s_degraded;
+               print_result r.s_result;
+               Fmt.pr
+                 "channel: %d batches (ring %d x %d), %d producer stalls, \
+                  %d helper waits@."
+                 s.batches r.s_queue_capacity r.s_batch_size
+                 s.producer_stalls s.consumer_waits;
+               if s.dropped_batches > 0 then
+                 Fmt.pr "dropped: %d batches / %d events@." s.dropped_batches
+                   s.dropped_events;
+               Fmt.pr "wall: main %.2f ms, total %.2f ms@."
+                 (float_of_int r.s_main_wall_ns /. 1e6)
+                 (float_of_int r.s_total_wall_ns /. 1e6)
+           | Ok r ->
+               Option.iter (Fmt.pr "%a@." pp_degraded) r.s_degraded;
+               print_result r.s_result;
+               Fmt.pr "sharding: %a@." pp_sharded_report r;
+               Array.iter
+                 (fun (s : Dift_parallel.Shard_engine.shard_stat) ->
+                   Fmt.pr
+                     "  shard %d: %d events in %d batches, %d sent / %d \
+                      received, busy %.2f ms (%d stalls, %d waits)@."
+                     s.shard s.handled s.batches s.exchange_sent
+                     s.exchange_received
+                     (float_of_int s.busy_ns /. 1e6)
+                     s.producer_stalls s.consumer_waits)
+                 r.s_per_shard);
         (match chaos with
         | Some c ->
             Fmt.epr "faults fired: %d@." (Dift_parallel.Chaos.fired c)
@@ -670,7 +624,10 @@ let taint_cmd =
                 g_batch_size = batch_size;
                 g_xchg_capacity =
                   (if helpers > 1 then
-                     Some (Option.value xchg_capacity ~default:256)
+                     Some
+                       (Option.value xchg_capacity
+                          ~default:
+                            Dift_parallel.Shard_engine.default_xchg_capacity)
                    else None);
                 g_wire = wire;
                 g_forward_filter = forward_filter;

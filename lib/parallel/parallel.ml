@@ -6,7 +6,8 @@
 open Dift_vm
 open Dift_core
 
-module Bool_engine = Engine.Make (Taint.Bool)
+module Bool_shards = Shard_engine.Make (Taint.Bool)
+module Bool_engine = Bool_shards.E
 
 type result = {
   outcome : Event.outcome;
@@ -91,8 +92,6 @@ let pp_error ppf e =
 (* Monotonic (see {!Dift_obs.Clock}): wall intervals must never go
    negative even if the system clock steps mid-run. *)
 let now_ns = Dift_obs.Clock.now_ns
-
-module Bool_shards = Shard_engine.Make (Taint.Bool)
 
 let result_of outcome ~events (m : Bool_shards.merged) =
   {
@@ -393,23 +392,13 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
         degraded = r.r_degraded;
       })
 
-let taint_fingerprint eng =
-  Bool_engine.Sh.fold (fun loc d acc -> (loc, d) :: acc)
-    (Bool_engine.shadow eng) []
-  |> List.sort compare |> Hashtbl.hash
-
-(* The engine runs on the calling domain and folds its sink
-   observations into the same sum the helpers fold; the client
-   callback streams.  Modelled-cycle charging is off: this runtime
-   measures wall clock. *)
+(* The solo worker on the calling domain: the machine drives its
+   engine directly, the client callback streams, and the result is the
+   worker's {!Bool_shards.merge}, as in a degraded completion. *)
 let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
-  let eng = Bool_engine.create ?policy program in
-  Bool_engine.set_charge eng ignore;
-  let sink_trace = ref 0 in
-  Bool_engine.on_sink_view eng (fun sink taint v ->
-      sink_trace :=
-        !sink_trace + Shard_engine.sink_hash ~step:v.Event.v_step sink taint);
-  (match on_sink with Some f -> Bool_engine.on_sink eng f | None -> ());
+  let w = Bool_shards.solo ?policy ~record_sinks:false program in
+  let eng = Bool_shards.engine w in
+  Option.iter (Bool_engine.on_sink eng) on_sink;
   let probe = Probe.make ?obs ?trace ?flight () in
   Probe.engine probe ~owner:true
     ~register_obs:(Bool_engine.register_obs eng)
@@ -423,20 +412,9 @@ let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
   let t0 = now_ns () in
   let outcome = Probe.app_run probe (fun () -> Machine.run m) in
   let i_wall_ns = now_ns () - t0 in
-  let s = Bool_engine.stats eng in
-  let tainted_locations, shadow_words = Bool_engine.shadow_footprint eng in
+  let merged = Bool_shards.merge [| w |] in
   {
-    i_result =
-      {
-        outcome;
-        events = s.Engine.events;
-        sources = s.Engine.sources;
-        sink_hits = s.Engine.sink_hits;
-        sink_trace_hash = !sink_trace;
-        tainted_locations;
-        shadow_words;
-        taint_fingerprint = taint_fingerprint eng;
-      };
+    i_result = result_of outcome ~events:merged.Bool_shards.m_events merged;
     i_wall_ns;
   }
 

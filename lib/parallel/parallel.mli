@@ -40,7 +40,11 @@ open Dift_isa
 open Dift_vm
 open Dift_core
 
-module Bool_engine : module type of Engine.Make (Taint.Bool)
+(** The boolean-taint engine every runtime runs: the {!Shard_engine}
+    workers' engine, whose solo worker is {!run_inline}'s.  (An
+    interface cannot name a module inside a functor application, so
+    the signature is spelled as {!Dift_core.Engine.Make}'s own.) *)
+module Bool_engine : module type of Engine.Make_over (Shadow.Make) (Taint.Bool)
 
 (** The functional outcome of a tracked run — everything that must be
     identical between the parallel and the sequential runtime. *)
@@ -106,6 +110,10 @@ type error = {
 (** One line: failing leg, primary exception, secondary count and the
     partial channel accounting. *)
 val pp_error : error Fmt.t
+
+(** The leg's name in flight records and crash bundles: [app],
+    [helper], [shard-<i>], [spawn] or [deadline]. *)
+val leg_to_string : leg -> string
 
 (** How a run that lost its parallel plane was completed anyway
     ([~degrade:`Inline]): the failing leg and its exception, plus the
@@ -208,12 +216,16 @@ val run_result :
   input:int array ->
   (report, error) Stdlib.result
 
-(** [run_inline program ~input] — the sequential baseline: the same
-    engine attached inline in the current domain, reported in the
-    same shape; [on_sink] runs as each sink happens.  The instruments
-    see only the {!Probe} run markers and the engine: no [parallel.*]
-    metrics (there is no channel), one [app] track and one [app]
-    flight ring, carrying the engine's samples and milestones. *)
+(** [run_inline program ~input] — the sequential baseline and the
+    reference every runtime must match: {!Shard_engine}'s solo worker
+    ({!Shard_engine.Make.solo}) driven by the machine in the current
+    domain, one helper with no domain, channel or mesh.  Its result is
+    the worker's {!Shard_engine.Make.merge}, the same merge a
+    degraded completion reports; [on_sink] runs as each sink
+    happens.  The instruments see only the {!Probe} run markers and
+    the engine: no [parallel.*] metrics (there is no channel), one
+    [app] track and one [app] flight ring, carrying the engine's
+    samples and milestones. *)
 val run_inline :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -265,8 +277,8 @@ type sharded_report = {
     with more than one shard that route rejects policies with
     [propagate_control] — use [`Broadcast] for control-flow
     tracking).  [queue_capacity]/[batch_size] shape each shard's
-    inbound channel (defaults as in {!run_result}) and [xchg_capacity] (default 256) each exchange
-    ring.  [wire], [forward_filter] (one liveness epoch per shard),
+    inbound channel (defaults as in {!run_result}) and [xchg_capacity]
+    (default {!Shard_engine.default_xchg_capacity}) each exchange ring.  [wire], [forward_filter] (one liveness epoch per shard),
     [on_sink] and [degrade] behave as in {!run_result}; N shards
     degrade by a full rerun.
 

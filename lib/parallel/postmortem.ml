@@ -33,18 +33,11 @@ let geometry_json g =
     | None -> []
     | Some c -> [ ("xchg_capacity", Json.Int c) ])
 
-let leg_to_string : Parallel.leg -> string = function
-  | `App -> "app"
-  | `Helper -> "helper"
-  | `Shard s -> Printf.sprintf "shard-%d" s
-  | `Spawn -> "spawn"
-  | `Deadline -> "deadline"
-
 let error_json (e : Parallel.error) =
   let p = e.e_partial in
   Json.obj
     ([
-       ("leg", Json.String (leg_to_string e.e_leg));
+       ("leg", Json.String (Parallel.leg_to_string e.e_leg));
        ("exn", Json.String (Printexc.to_string e.e_exn));
        ( "secondary",
          Json.List

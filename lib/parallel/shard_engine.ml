@@ -53,6 +53,8 @@ let pp_failure ppf f =
             l)
     f.f_shards
 
+let default_xchg_capacity = 256
+
 (* The sink trace: one well-mixed integer per sink observation, folded
    by addition.  The sum is order-independent, so shards fold their own
    observations and the merge adds them up; the step inside each
@@ -93,7 +95,7 @@ module Make (D : Taint.DOMAIN) = struct
             each ring's consumer domain *)
   }
 
-  let create_xchg ?(capacity = 256) ?(journal = false) ?(probe = Probe.off)
+  let create_xchg ?(capacity = default_xchg_capacity) ?(journal = false) ?(probe = Probe.off)
       ~shards () =
     if capacity < 1 then
       invalid_arg "Shard_engine.create_xchg: capacity < 1";
@@ -440,7 +442,8 @@ module Make (D : Taint.DOMAIN) = struct
 
   let cluster ?policy ?(route = `Request_reply) ?(probe = Probe.off)
       ?(queue_capacity = Channel.default_queue_capacity)
-      ?(batch_size = Channel.default_batch_size) ?(xchg_capacity = 256)
+      ?(batch_size = Channel.default_batch_size)
+      ?(xchg_capacity = default_xchg_capacity)
       ?(wire = `Coded) ?filter ~shards program =
     let router = Router.create ~shards () in
     (* One shard has nothing to route or exchange: no mesh, and the

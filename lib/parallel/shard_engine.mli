@@ -50,7 +50,8 @@
     ({!Make.resume}).
 
     This module is the machinery under {!Parallel.run_result} and
-    {!Parallel.run_sharded_result}; it is exposed so tests can drive
+    {!Parallel.run_sharded_result}, and its solo worker ({!Make.solo})
+    is {!Parallel.run_inline}'s engine; it is exposed so tests can drive
     raw event streams through real domain clusters ({!Make.run_stream})
     and the benchmark harness can replay recorded exchanges against
     isolated workers. *)
@@ -113,6 +114,10 @@ type failure = {
 
 val pp_failure : failure Fmt.t
 
+(** The default capacity of each exchange ring, in messages (256):
+    {!Make.create_xchg}'s and {!Make.cluster}'s [xchg_capacity]. *)
+val default_xchg_capacity : int
+
 (** [sink_hash ~step sink tainted] is one sink observation's share of
     the sink-trace hash.  The hash of a run is the sum of its
     observations' shares: order-independent, so shards fold their own
@@ -136,9 +141,9 @@ module Make (D : Taint.DOMAIN) : sig
   (** A full mesh of {!Spsc} rings, one per ordered shard pair. *)
   type xchg
 
-  (** [create_xchg ~shards ()] builds the mesh.  [capacity] bounds
-      each ring (any value [>= 1] is deadlock-free; it only trades
-      memory against provider stalls).  With [~journal:true] every
+  (** [create_xchg ~shards ()] builds the mesh.  [capacity] (default
+      {!default_xchg_capacity}) bounds each ring (any value [>= 1] is
+      deadlock-free; it only trades memory against provider stalls).  With [~journal:true] every
       consumed message is also recorded, retrievable per ring with
       {!journal} — the benchmark harness uses this to replay a shard's
       inbound exchange against an isolated worker.
@@ -206,6 +211,13 @@ module Make (D : Taint.DOMAIN) : sig
   (** The shard's underlying engine (its shadow holds only owned
       locations once all events are handled). *)
   val engine : worker -> E.t
+
+  (** [solo ~record_sinks program] is a worker alone: a one-shard
+      router and no mesh, so {!handle_view} is [E.process_view] on
+      every event, and driving {!engine} directly is the same.  It is
+      the engine of {!sequential}, of a degraded rerun ({!resume}) and
+      of [Parallel.run_inline]. *)
+  val solo : ?policy:Policy.t -> record_sinks:bool -> Program.t -> worker
 
   (** Exchange vectors this worker pushed. *)
   val exchange_sent : worker -> int
@@ -276,8 +288,9 @@ module Make (D : Taint.DOMAIN) : sig
       publishes taint and advances its epoch after each batch — see
       {!Livefilter} for the soundness argument.
 
-      Shadow memory is partitioned in blocks of
-      [2{^Router.default_block_bits}] locations.
+      Each exchange ring holds [xchg_capacity] messages (default
+      {!default_xchg_capacity}).  Shadow memory is partitioned in
+      blocks of [2{^Router.default_block_bits}] locations.
       @raise Invalid_argument for [shards < 1] or non-positive channel
       geometry. *)
   val cluster :

@@ -52,7 +52,7 @@ let route_streams router events =
    one domain per shard; return the merged result, the per-ring
    consumption journals and the total exchange volume. *)
 let concurrent_journals ~router ~shards program streams =
-  let xchg = B.create_xchg ~capacity:256 ~journal:true ~shards () in
+  let xchg = B.create_xchg ~journal:true ~shards () in
   let workers =
     Array.init shards (fun s ->
         B.worker ~router ~route:`Request_reply ~xchg ~record_sinks:false

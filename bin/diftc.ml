@@ -234,7 +234,7 @@ let taint_cmd =
       & info [ "xchg-capacity" ] ~docv:"N"
           ~doc:
             (Fmt.str
-               "Cross-shard exchange-ring capacity, in batches (with \
+               "Cross-shard exchange-ring capacity, in messages (with \
                 --helpers > 1; default %d).  Sizes the request and reply \
                 rings of the two-phase exchange independently of the \
                 inbound forwarding rings."
@@ -569,35 +569,36 @@ let taint_cmd =
                  pp_error e;
                failed := Some e;
                rc := if expected_failure e.e_exn then 0 else 1
-           | Ok r when helpers = 1 ->
-               let s = r.s_per_shard.(0) in
-               Option.iter (Fmt.pr "%a@." pp_degraded) r.s_degraded;
-               print_result r.s_result;
-               Fmt.pr
-                 "channel: %d batches (ring %d x %d), %d producer stalls, \
-                  %d helper waits@."
-                 s.batches r.s_queue_capacity r.s_batch_size
-                 s.producer_stalls s.consumer_waits;
-               if s.dropped_batches > 0 then
-                 Fmt.pr "dropped: %d batches / %d events@." s.dropped_batches
-                   s.dropped_events;
-               Fmt.pr "wall: main %.2f ms, total %.2f ms@."
-                 (float_of_int r.s_main_wall_ns /. 1e6)
-                 (float_of_int r.s_total_wall_ns /. 1e6)
            | Ok r ->
                Option.iter (Fmt.pr "%a@." pp_degraded) r.s_degraded;
                print_result r.s_result;
-               Fmt.pr "sharding: %a@." pp_sharded_report r;
-               Array.iter
-                 (fun (s : Dift_parallel.Shard_engine.shard_stat) ->
-                   Fmt.pr
-                     "  shard %d: %d events in %d batches, %d sent / %d \
-                      received, busy %.2f ms (%d stalls, %d waits)@."
-                     s.shard s.handled s.batches s.exchange_sent
-                     s.exchange_received
-                     (float_of_int s.busy_ns /. 1e6)
-                     s.producer_stalls s.consumer_waits)
-                 r.s_per_shard);
+               if helpers = 1 then begin
+                 let s = r.s_per_shard.(0) in
+                 Fmt.pr
+                   "channel: %d batches (ring %d x %d), %d producer stalls, \
+                    %d helper waits@."
+                   s.batches r.s_queue_capacity r.s_batch_size
+                   s.producer_stalls s.consumer_waits;
+                 if s.dropped_batches > 0 then
+                   Fmt.pr "dropped: %d batches / %d events@."
+                     s.dropped_batches s.dropped_events;
+                 Fmt.pr "wall: main %.2f ms, total %.2f ms@."
+                   (float_of_int r.s_main_wall_ns /. 1e6)
+                   (float_of_int r.s_total_wall_ns /. 1e6)
+               end
+               else begin
+                 Fmt.pr "sharding: %a@." pp_sharded_report r;
+                 Array.iter
+                   (fun (s : Dift_parallel.Shard_engine.shard_stat) ->
+                     Fmt.pr
+                       "  shard %d: %d events in %d batches, %d sent / %d \
+                        received, busy %.2f ms (%d stalls, %d waits)@."
+                       s.shard s.handled s.batches s.exchange_sent
+                       s.exchange_received
+                       (float_of_int s.busy_ns /. 1e6)
+                       s.producer_stalls s.consumer_waits)
+                   r.s_per_shard
+               end);
         (match chaos with
         | Some c ->
             Fmt.epr "faults fired: %d@." (Dift_parallel.Chaos.fired c)

@@ -44,7 +44,8 @@ open Dift_core
     workers' engine, whose solo worker is {!run_inline}'s.  (An
     interface cannot name a module inside a functor application, so
     the signature is spelled as {!Dift_core.Engine.Make}'s own.) *)
-module Bool_engine : module type of Engine.Make_over (Shadow.Make) (Taint.Bool)
+module Bool_engine :
+  module type of Engine.Make_over (Shadow.Make) (Taint.Bool)
 
 (** The functional outcome of a tracked run — everything that must be
     identical between the parallel and the sequential runtime. *)
@@ -219,7 +220,8 @@ val run_result :
 (** [run_inline program ~input] — the sequential baseline and the
     reference every runtime must match: {!Shard_engine}'s solo worker
     ({!Shard_engine.Make.solo}) driven by the machine in the current
-    domain, one helper with no domain, channel or mesh.  Its result is
+    domain: the one-shard runtime without a helper domain, channel or
+    mesh.  Its result is
     the worker's {!Shard_engine.Make.merge}, the same merge a
     degraded completion reports; [on_sink] runs as each sink
     happens.  The instruments see only the {!Probe} run markers and
@@ -278,7 +280,8 @@ type sharded_report = {
     [propagate_control] — use [`Broadcast] for control-flow
     tracking).  [queue_capacity]/[batch_size] shape each shard's
     inbound channel (defaults as in {!run_result}) and [xchg_capacity]
-    (default {!Shard_engine.default_xchg_capacity}) each exchange ring.  [wire], [forward_filter] (one liveness epoch per shard),
+    (default {!Shard_engine.default_xchg_capacity}) each exchange
+    ring.  [wire], [forward_filter] (one liveness epoch per shard),
     [on_sink] and [degrade] behave as in {!run_result}; N shards
     degrade by a full rerun.
 

@@ -95,8 +95,8 @@ module Make (D : Taint.DOMAIN) = struct
             each ring's consumer domain *)
   }
 
-  let create_xchg ?(capacity = default_xchg_capacity) ?(journal = false) ?(probe = Probe.off)
-      ~shards () =
+  let create_xchg ?(capacity = default_xchg_capacity) ?(journal = false)
+      ?(probe = Probe.off) ~shards () =
     if capacity < 1 then
       invalid_arg "Shard_engine.create_xchg: capacity < 1";
     let seams =

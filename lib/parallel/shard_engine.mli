@@ -143,10 +143,11 @@ module Make (D : Taint.DOMAIN) : sig
 
   (** [create_xchg ~shards ()] builds the mesh.  [capacity] (default
       {!default_xchg_capacity}) bounds each ring (any value [>= 1] is
-      deadlock-free; it only trades memory against provider stalls).  With [~journal:true] every
-      consumed message is also recorded, retrievable per ring with
-      {!journal} — the benchmark harness uses this to replay a shard's
-      inbound exchange against an isolated worker.
+      deadlock-free; it only trades memory against provider stalls).
+      With [~journal:true] every consumed message is also recorded,
+      retrievable per ring with {!journal} — the benchmark harness
+      uses this to replay a shard's inbound exchange against an
+      isolated worker.
 
       Each ring derives its exchange seam from [probe] (default
       {!Probe.off}); the catalogue in {!Probe} lists its flight

@@ -5,7 +5,7 @@
     experiment runs the same decoupled architecture for real: the
     application on the calling OCaml domain, taint propagation on a
     helper domain, connected by the bounded batched forwarding channel
-    of {!Dift_parallel.Forwarder}.  The sweep varies the two channel
+    of {!Dift_parallel.Channel}.  The sweep varies the two channel
     parameters — ring capacity (in batches) and batch size (events per
     batch) — and reports, per shape, the application-domain time, the
     total time until the helper joins, and the backpressure stalls.

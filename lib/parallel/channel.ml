@@ -1,6 +1,17 @@
-(** The forwarding-plane switch: one producer/consumer surface over
-    either wire, so the runtimes pick the encoding with a constructor
-    and nothing downstream changes.  See the interface. *)
+(** The forwarding plane (paper §2.1): one feed ring per helper, over
+    either wire; see the interface for the protocol.
+
+    A ring slot carries one batch of the wire's own type: a
+    {!Codec.batch} on the coded wire, a record batch (an
+    {!Dift_vm.Event.exec} array plus a fill length) on the boxed one.
+    The batch hands the consumer its length, so a partial batch (the
+    trailing one at {!close}, or a {!flush}) costs no [Array.sub]
+    copy.  The consumer empties each spent batch and hands it back to
+    the producer over a second, never-blocking {!Spsc} ring (the free
+    ring), so in steady state forwarding allocates nothing per batch:
+    batches cycle producer → consumer → producer.  Emptying a boxed
+    batch overwrites its consumed slots, so it does not keep its
+    records alive, and promoted, until they are refilled. *)
 
 open Dift_vm
 
@@ -12,135 +23,293 @@ let default_batch_size = 256
 let pp_wire ppf (w : wire) =
   Fmt.string ppf (match w with `Boxed -> "boxed" | `Coded -> "coded")
 
-(* The coded wire: {!Codec} batches over a forwarder. *)
-type coded = {
-  table : Site.table;
-  enc : Codec.encoder;
-  fwd : Codec.batch Forwarder.t;
-      (** [batch_size = 1]: one ring slot per encoded batch, event
-          accounting in {!Forwarder.add_n} weights; its free list
-          brings decoded batches back for reuse *)
-  events_per_batch : int;
-  mutable cur : Codec.batch option;  (** producer side *)
+(* -- the feed ring, generic in the batch type -------------------------- *)
+
+type 'b feed = {
+  ring : 'b Spsc.t;
+  free : 'b Spsc.t;  (** spent batches coming back for reuse *)
+  probe : Probe.feed;  (** the feed ring's seam and its free ring's *)
+  batch_size : int;  (** events in a full batch *)
+  length : 'b -> int;  (** events a batch carries *)
+  fresh : unit -> 'b;  (** a new, empty batch *)
+  clear : 'b -> unit;  (** empty a spent batch for reuse *)
+  mutable cur : 'b option;  (** the open batch, producer side *)
+  mutable events : int;
+  mutable batches : int;  (** batches actually enqueued on the ring *)
+  mutable dropped_batches : int;
+      (** producer-side losses: post-abort pushes and injected push
+          failures (written only by the producer domain) *)
+  mutable dropped_events : int;
+  mutable discarded_batches : int;
+      (** consumer-side losses: batches popped but not processed
+          (injected pop failures and the post-abort sweep; written
+          only by the consumer) *)
+  mutable discarded_events : int;
+  mutable consumed_batches : int;
+      (** batches fully processed by {!drain} (written only by the
+          consumer) *)
+  mutable consumed_events : int;
 }
 
+let feed_counts q : Probe.counts =
+  {
+    events = q.events;
+    batches = q.batches;
+    dropped_batches = q.dropped_batches;
+    dropped_events = q.dropped_events;
+    discarded_batches = q.discarded_batches;
+    discarded_events = q.discarded_events;
+    consumed_batches = q.consumed_batches;
+    consumed_events = q.consumed_events;
+    producer_stalls = Spsc.producer_stalls q.ring;
+    consumer_waits = Spsc.consumer_waits q.ring;
+    in_flight_batches = Spsc.length q.ring;
+  }
+
+let feed ~probe ~escalate ~ns ~queue_capacity ~batch_size ~length ~fresh
+    ~clear =
+  let probe = Probe.feed probe ~escalate ~ns in
+  let ring = Probe.ring probe ~capacity:queue_capacity in
+  let q =
+    {
+      ring;
+      (* + 2: room for the batch in hand on each side on top of the
+         ring's worth, so recycling (almost) never falls through to
+         GC.  No progress legs: the free ring never blocks. *)
+      free = Spsc.create ~capacity:(queue_capacity + 2) ();
+      probe;
+      batch_size;
+      length;
+      fresh;
+      clear;
+      cur = None;
+      events = 0;
+      batches = 0;
+      dropped_batches = 0;
+      dropped_events = 0;
+      discarded_batches = 0;
+      discarded_events = 0;
+      consumed_batches = 0;
+      consumed_events = 0;
+    }
+  in
+  Probe.publish probe ring ~batch_size (fun () -> feed_counts q);
+  q
+
+(* The batch to append to: the open one, a spent one off the free ring
+   (steady state: no allocation), or a fresh one.  An injected
+   [ring.free.<ns>/pop] fault degrades recycling (see {!Probe}); it
+   never loses events. *)
+let open_batch q =
+  match q.cur with
+  | Some b -> b
+  | None ->
+      let b =
+        match Probe.take_free q.probe q.free with
+        | Some b -> b
+        | None -> q.fresh ()
+      in
+      q.cur <- Some b;
+      b
+
+(* The producer lost this batch: its events were shipped but will
+   never reach the consumer. *)
+let account_drop q n =
+  q.dropped_batches <- q.dropped_batches + 1;
+  q.dropped_events <- q.dropped_events + n;
+  Probe.dropped q.probe ~events:n ~total:q.dropped_batches
+
+(* Push the open batch, if it holds any event.  The consumer takes
+   ownership of it; the next event opens another. *)
+let ship q =
+  match q.cur with
+  | Some b when q.length b > 0 -> (
+      q.cur <- None;
+      let n = q.length b in
+      q.events <- q.events + n;
+      match Probe.push q.probe q.ring b ~events:n with
+      | Probe.Proceed -> q.batches <- q.batches + 1
+      | Probe.Fail | Probe.Abort_now -> account_drop q n
+      | Probe.Raise_now e ->
+          account_drop q n;
+          raise e)
+  | _ -> ()
+
+let close_feed q =
+  ship q;
+  Spsc.close q.ring;
+  Probe.closed q.probe ~events:q.events ~batches:q.batches
+
+let abort_feed q = Probe.abort q.probe q.ring
+
+(* A batch popped but not processed: the consumer-side mirror of
+   [account_drop]. *)
+let account_discard q b =
+  let n = q.length b in
+  q.discarded_batches <- q.discarded_batches + 1;
+  q.discarded_events <- q.discarded_events + n;
+  Probe.discarded q.probe ~events:n ~total:q.discarded_batches
+
+let drain_feed ~around_batch q ~run =
+  (* if the free ring is momentarily full (or an injected
+     [ring.free.<ns>/push] fault fires) the batch just falls to the
+     GC *)
+  let recycle b =
+    q.clear b;
+    Probe.give_free q.probe q.free b
+  in
+  let discard b =
+    account_discard q b;
+    recycle b
+  in
+  (* Close the in-flight accounting gap: [Spsc.pop] honours the abort
+     flag before buffered elements, so batches already delivered when
+     an abort lands would otherwise vanish from the books ([batches]
+     exceeding processed events by up to the queue capacity).  After
+     any abort the producer can no longer publish, so sweeping the
+     buffer into the discard counters makes
+     [batches = consumed + discarded (+ racing in-flight)] reconcile. *)
+  let sweep () =
+    if Spsc.aborted q.ring then begin
+      let nb = ref 0 and ne = ref 0 in
+      let rec go () =
+        match Spsc.pop_remaining q.ring with
+        | Some b ->
+            incr nb;
+            ne := !ne + q.length b;
+            discard b;
+            go ()
+        | None -> ()
+      in
+      go ();
+      if !nb > 0 then Probe.swept q.probe ~batches:!nb ~events:!ne
+    end
+  in
+  let rec loop () =
+    match Probe.pop q.probe q.ring with
+    | None -> sweep ()
+    | Some (b, Probe.Proceed) ->
+        (try around_batch (fun () -> run b)
+         with e ->
+           (* the batch in hand is neither processed nor yet counted:
+              book it before the exception escapes, or it would leave
+              the accounting open *)
+           discard b;
+           raise e);
+        let n = q.length b in
+        q.consumed_batches <- q.consumed_batches + 1;
+        q.consumed_events <- q.consumed_events + n;
+        Probe.consumed q.probe q.ring ~events:n;
+        recycle b;
+        loop ()
+    | Some (b, (Probe.Fail | Probe.Abort_now)) ->
+        discard b;
+        loop ()
+    | Some (b, Probe.Raise_now e) ->
+        discard b;
+        raise e
+  in
+  (* A consumer dying mid-drain must not leave the producer parked
+     against a full ring: tear the ring down first, so the producer's
+     outstanding and subsequent pushes become counted drops instead of
+     a wedge, then sweep what was already delivered so it is counted
+     too. *)
+  try loop ()
+  with e ->
+    abort_feed q;
+    sweep ();
+    raise e
+
+(* -- the two wires ------------------------------------------------------ *)
+
+(* The boxed wire's batch: records, filled to [batch_size]. *)
+type boxed = { data : Event.exec array; mutable len : int }
+
 type t =
-  | Boxed of Event.exec Forwarder.t
-  | Coded of coded
+  | Boxed of boxed feed
+  | Coded of { table : Site.table; enc : Codec.encoder; q : Codec.batch feed }
 
 let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 
-(* What the boxed wire leaves in a consumed slot: a recycled batch
-   must not keep its records alive (and promoted) until refilled. *)
+(* What the boxed wire leaves in a consumed slot. *)
 let no_exec = Event.view_to_exec (Event.view_blank ())
 
-(** Build a channel of the requested wire with shared geometry.  The
-    coded wire's [events_per_batch] is the boxed wire's [batch_size],
-    so both buffer [queue_capacity * batch_size] events. *)
-let create ?probe ?escalate ?ns ~wire ~queue_capacity ~batch_size ~table () =
+let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel") ~wire
+    ~queue_capacity ~batch_size ~table () =
+  if queue_capacity < 1 then
+    invalid_arg
+      (Fmt.str "Channel.create: queue_capacity = %d < 1" queue_capacity);
+  if batch_size < 1 then
+    invalid_arg (Fmt.str "Channel.create: batch_size = %d < 1" batch_size);
   match wire with
   | `Boxed ->
       Boxed
-        (Forwarder.create ?probe ?escalate ~blank:no_exec ?ns ~queue_capacity
-           ~batch_size ())
+        (feed ~probe ~escalate ~ns ~queue_capacity ~batch_size
+           ~length:(fun b -> b.len)
+           ~fresh:(fun () -> { data = Array.make batch_size no_exec; len = 0 })
+           ~clear:(fun b ->
+             Array.fill b.data 0 b.len no_exec;
+             b.len <- 0))
   | `Coded ->
-      if batch_size < 1 then
-        invalid_arg (Fmt.str "Channel.create: batch_size = %d < 1" batch_size);
       let table = Lazy.force table in
       Coded
         {
           table;
           enc = Codec.encoder table;
-          fwd =
-            Forwarder.create ?probe ?escalate ?ns ~queue_capacity
-              ~batch_size:1 ();
-          events_per_batch = batch_size;
-          cur = None;
+          q =
+            feed ~probe ~escalate ~ns ~queue_capacity ~batch_size
+              ~length:Codec.batch_length
+              ~fresh:(fun () ->
+                Codec.batch_create ~events_per_batch:batch_size)
+              ~clear:Codec.batch_clear;
         }
 
-(* The open batch: the current one, the lanes a recycled ring slot
-   still holds (steady state — the lanes cycle, no allocation), or a
-   fresh set of lanes.  The free list and its [ring.free.<ns>] chaos
-   seam are the forwarder's own. *)
-let open_cur c =
-  match c.cur with
-  | Some b -> b
-  | None ->
-      let b =
-        match Forwarder.reusable c.fwd with
-        | Some b ->
-            Codec.batch_clear b;
-            b
-        | None -> Codec.batch_create ~events_per_batch:c.events_per_batch
-      in
-      c.cur <- Some b;
-      b
-
-(* batch_size = 1: the batch lands on the ring immediately, weighted
-   by its event count *)
-let ship c =
-  match c.cur with
-  | Some b when b.Codec.b_n > 0 ->
-      c.cur <- None;
-      Forwarder.add_n c.fwd b b.Codec.b_n
-  | _ -> ()
-
-let ship_full c b = if b.Codec.b_n = c.events_per_batch then ship c
+let add t e =
+  match t with
+  | Boxed q ->
+      let b = open_batch q in
+      b.data.(b.len) <- e;
+      b.len <- b.len + 1;
+      if b.len = q.batch_size then ship q
+  | Coded { enc; q; _ } ->
+      let b = open_batch q in
+      Codec.encode enc b e;
+      if b.Codec.b_n = q.batch_size then ship q
 
 (* The boxed wire ships the event's record: the cached one when a tool
    or a fan-out already built it, otherwise one built for this channel
    alone.  The coded wire encodes the view in place. *)
 let add_view t v =
   match t with
-  | Boxed f -> Forwarder.add f (Event.view_record v)
-  | Coded c ->
-      let b = open_cur c in
-      Codec.encode_view c.enc b v;
-      ship_full c b
+  | Boxed _ -> add t (Event.view_record v)
+  | Coded { enc; q; _ } ->
+      let b = open_batch q in
+      Codec.encode_view enc b v;
+      if b.Codec.b_n = q.batch_size then ship q
 
-let add t e =
-  match t with
-  | Boxed f -> Forwarder.add f e
-  | Coded c ->
-      let b = open_cur c in
-      Codec.encode c.enc b e;
-      ship_full c b
-
-let flush = function Boxed f -> Forwarder.flush f | Coded c -> ship c
-
-let close = function
-  | Boxed f -> Forwarder.close f
-  | Coded c ->
-      ship c;
-      Forwarder.close c.fwd
-
-let abort = function
-  | Boxed f -> Forwarder.abort f
-  | Coded c -> Forwarder.abort c.fwd
+let flush = function Boxed q -> ship q | Coded { q; _ } -> ship q
+let close = function Boxed q -> close_feed q | Coded { q; _ } -> close_feed q
+let abort = function Boxed q -> abort_feed q | Coded { q; _ } -> abort_feed q
 
 let counts = function
-  | Boxed f -> Forwarder.counts f
-  | Coded c -> Forwarder.counts c.fwd
+  | Boxed q -> feed_counts q
+  | Coded { q; _ } -> feed_counts q
 
-let drain ?around_batch ?(after_batch = fun ~last_step:_ -> ()) t ~f =
+(* Both wires refill one scratch view per event; after a batch it
+   holds the batch's last event, which is where [after_batch] reads
+   its step. *)
+let drain ?(around_batch = fun k -> k ())
+    ?(after_batch = fun ~last_step:_ -> ()) t ~f =
+  let v = Event.view_blank () in
   match t with
-  | Coded c ->
-      let v = Event.view_blank () in
-      Forwarder.drain ?around_batch c.fwd ~f:(fun b ->
-          Codec.decode_batch c.table b v f;
-          (* the view holds the batch's last event *)
-          if b.Codec.b_n > 0 then after_batch ~last_step:v.Event.v_step)
-  | Boxed fwd ->
-      (* decode-free wire: refill one scratch view per event.  After a
-         batch the view still holds the batch's last event, which is
-         where [after_batch] reads its step. *)
-      let v = Event.view_blank () in
-      let around = Option.value around_batch ~default:(fun k -> k ()) in
-      Forwarder.drain
-        ~around_batch:(fun k ->
-          around k;
+  | Coded { table; q; _ } ->
+      drain_feed ~around_batch q ~run:(fun b ->
+          Codec.decode_batch table b v f;
           after_batch ~last_step:v.Event.v_step)
-        fwd
-        ~f:(fun (e : Event.exec) ->
-          Event.view_fill v e;
-          f v)
+  | Boxed q ->
+      drain_feed ~around_batch q ~run:(fun b ->
+          for i = 0 to b.len - 1 do
+            Event.view_fill v (Array.unsafe_get b.data i);
+            f v
+          done;
+          after_batch ~last_step:v.Event.v_step)

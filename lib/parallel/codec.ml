@@ -435,7 +435,7 @@ let decode rows b i (v : Event.view) =
     else decode_overflow b d row (d lsr pay_shift) v
   end
 
-(** Decode event [i] of [b] into the reusable view (no allocation once
+(** Decode event [i] of [b] into the reused view (no allocation once
     the view's scratch arrays have grown to the stream's maximum
     read/write fan). *)
 let decode_into table b i v = decode (Site.rows table) b i v

@@ -57,12 +57,11 @@
     This module is the format: batches, the encoder and the decoder.
     The coded channel that carries them is {!Channel}'s [`Coded]
     wire, where steady-state forwarding allocates nothing per event:
-    lanes are written in place, full batches travel the ring as
-    single elements (weighted by their event count, see
-    {!Forwarder.add_n}), the consumer decodes each event into one
-    reused {!Dift_vm.Event.view} scratch, and spent batches cycle back
-    to the producer inside the ring slots the forwarder recycles
-    ({!Forwarder.reusable}).
+    lanes are written in place, each full batch is one ring slot and
+    carries its own event count ([b_n]), the consumer decodes each
+    event into one reused {!Dift_vm.Event.view} scratch, and spent
+    batches come back to the producer over the channel's free ring
+    as themselves: emptied by {!batch_clear}, their lanes refilled.
 
     See the "Wire format" section of [docs/forwarding-protocol.md]. *)
 
@@ -118,7 +117,7 @@ val encode_view : encoder -> batch -> Event.view -> unit
 val encode : encoder -> batch -> Event.exec -> unit
 
 (** [decode_into table b i v] rebuilds event [i] of [b] into the
-    reusable view [v] (invalidating [v]'s cached exec).  Of [v]'s
+    reused view [v] (invalidating [v]'s cached exec).  Of [v]'s
     pointer fields it writes the instruction every event and the
     function, the cached record and the location arrays only when
     they change.  Allocates nothing once [v]'s scratch arrays cover

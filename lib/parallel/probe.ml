@@ -156,7 +156,7 @@ let abort f ring = if Spsc.abort_first ring then note f "ring.abort" ~a:0 ~b:0
 
 (* Only the producer increments [Spsc.dropped], so the delta around the
    push tells whether the batch landed or fell to a post-abort drop. *)
-let deliver f ring x ~weight =
+let deliver f ring x ~events =
   let dropped0 = Spsc.dropped ring in
   (match f.run.trace with
   | None -> Spsc.push ring x
@@ -166,19 +166,19 @@ let deliver f ring x ~weight =
   if Spsc.dropped ring > dropped0 then Fail
   else begin
     tick f.push_leg;
-    note f "ring.push" ~a:weight ~b:(Spsc.length ring);
+    note f "ring.push" ~a:events ~b:(Spsc.length ring);
     Proceed
   end
 
-let push f ring x ~len ~weight =
-  (match f.occupancy with Some h -> Registry.observe h len | None -> ());
+let push f ring x ~events =
+  (match f.occupancy with Some h -> Registry.observe h events | None -> ());
   match verdict f.chaos Chaos.on_push with
-  | Proceed -> deliver f ring x ~weight
+  | Proceed -> deliver f ring x ~events
   | Abort_now ->
       (* the consumer side dies under us: tear the ring down, then let
          the push become a counted drop *)
       abort f ring;
-      deliver f ring x ~weight
+      deliver f ring x ~events
   | (Fail | Raise_now _) as v -> v
 
 let pop f ring =
@@ -199,17 +199,17 @@ let pop f ring =
           Some (x, Fail)
       | v -> Some (x, v))
 
-let consumed f ring ~weight =
+let consumed f ring ~events =
   tick f.pop_leg;
-  note f "ring.pop" ~a:weight ~b:(Spsc.length ring)
+  note f "ring.pop" ~a:events ~b:(Spsc.length ring)
 
-let dropped f ~weight ~total = note f "ring.drop" ~a:weight ~b:total
-let discarded f ~weight ~total = note f "ring.discard" ~a:weight ~b:total
+let dropped f ~events ~total = note f "ring.drop" ~a:events ~b:total
+let discarded f ~events ~total = note f "ring.discard" ~a:events ~b:total
 let swept f ~batches ~events = note f "ring.sweep" ~a:batches ~b:events
 let closed f ~events ~batches = note f "ring.close" ~a:events ~b:batches
 
 (* Free-ring faults never lose events: a failed pop allocates fresh, a
-   failed push lets the record fall to the GC. *)
+   failed push lets the batch fall to the GC. *)
 let take_free f free =
   match verdict f.free_chaos Chaos.on_pop with
   | Proceed -> Spsc.try_pop free

@@ -21,14 +21,15 @@
     The tables in [docs/observability.md] and
     [docs/forwarding-protocol.md] give the payloads.
 
-    {b Feed ring} ({!feed}: one per helper; {!Forwarder}, {!Channel}).
+    {b Feed ring} ({!feed}: one per helper, a {!Channel}).
     - Metrics: gauges [<ns>.ring.capacity_batches], [.stalls],
       [.waits], [.drops], [.in_flight_batches] and
       [<ns>.forwarder.events], [.batches], [.dropped_batches],
       [.dropped_events], [.discarded_batches], [.discarded_events],
       [.consumed_batches], [.consumed_events] (the {!counts}); the
       histogram [<ns>.forwarder.batch_occupancy] (events per pushed
-      batch, power-of-two buckets up to the batch size).
+      batch on either wire, power-of-two buckets up to the batch
+      size).
     - Trace (category [parallel]): per push a [ring.enqueue] span on
       the producer's track, named [ring.stall] when it parked on a
       full ring; per pop a [ring.dequeue] span on the consumer's,
@@ -116,19 +117,41 @@ type verdict = Chaos.action =
 
 (** {1 Feed rings} *)
 
-(** A feed ring's books, as {!Forwarder.counts} documents them. *)
+(** A feed ring's books ({!Channel.counts}), in events on either
+    wire.  After both domains quiesce they close exactly:
+    [batches = consumed_batches + discarded_batches +
+    in_flight_batches] (see {!Channel.drain}). *)
 type counts = {
   events : int;
+      (** events in shipped batches, delivered or not: after
+          {!Channel.close}, every event forwarded *)
   batches : int;
+      (** batches actually delivered to the ring.  A batch lost to an
+          abort or an injected failure is {e not} counted here: it
+          lands in [dropped_batches] instead, so with [batch_size = 1]
+          [events = batches + dropped_events] after {!Channel.close} *)
   dropped_batches : int;
-  dropped_events : int;
+      (** batches lost on the producer side: pushed after an abort,
+          or failed by an injected fault *)
+  dropped_events : int;  (** events inside [dropped_batches] *)
   discarded_batches : int;
-  discarded_events : int;
-  consumed_batches : int;
-  consumed_events : int;
+      (** batches popped but not processed: an injected pop failure
+          discarded them, the drain raised on them, or the post-abort
+          sweep recovered them from the ring (always [0] on a clean
+          un-injected run) *)
+  discarded_events : int;  (** events inside [discarded_batches] *)
+  consumed_batches : int;  (** batches fully processed by the drain *)
+  consumed_events : int;  (** events inside [consumed_batches] *)
   producer_stalls : int;
+      (** times the producer blocked on a full ring (backpressure;
+          the wall-clock analogue of the simulator's [stall_cycles]) *)
   consumer_waits : int;
+      (** times the consumer blocked on an empty ring (helper idle
+          episodes) *)
   in_flight_batches : int;
+      (** batches delivered but not yet popped (racy snapshot, exact
+          when both sides have quiesced): the residual term of the
+          post-abort ledger *)
 }
 
 type feed
@@ -138,31 +161,33 @@ val feed : t -> escalate:bool -> ns:string -> feed
 (** The feed ring itself, with its progress legs. *)
 val ring : feed -> capacity:int -> 'a Spsc.t
 
-(** Register the ring's metrics, reading the books through [counts]. *)
+(** Register the ring's metrics, reading the books through [counts];
+    [batch_size] is the events in a full batch, the occupancy
+    histogram's last bucket. *)
 val publish : feed -> 'a Spsc.t -> batch_size:int -> (unit -> counts) -> unit
 
-(** Push one batch of [len] elements standing for [weight] events.
+(** Push one batch of [events] events.
     [Proceed]: it landed.  [Fail]: it is lost (an injected drop, or
     the ring is aborted).  [Raise_now e]: an injected crash; it was
     not pushed.  Never [Abort_now]: an injected abort aborts the ring
     and the push becomes a drop. *)
-val push : feed -> 'a Spsc.t -> 'a -> len:int -> weight:int -> verdict
+val push : feed -> 'a Spsc.t -> 'a -> events:int -> verdict
 
 (** Pop one batch, with the verdict on it: [Proceed] (process it),
     [Fail] (a counted discard; an injected abort has aborted the
     ring) or [Raise_now e].  [None] at the end of the stream. *)
 val pop : feed -> 'a Spsc.t -> ('a * verdict) option
 
-(** The consumer fully processed a batch of [weight] events. *)
-val consumed : feed -> 'a Spsc.t -> weight:int -> unit
+(** The consumer fully processed a batch of [events] events. *)
+val consumed : feed -> 'a Spsc.t -> events:int -> unit
 
-(** A batch of [weight] events lost producer-side; [total] batches
+(** A batch of [events] events lost producer-side; [total] batches
     so far. *)
-val dropped : feed -> weight:int -> total:int -> unit
+val dropped : feed -> events:int -> total:int -> unit
 
-(** A batch of [weight] events popped but not processed; [total]
+(** A batch of [events] events popped but not processed; [total]
     batches so far. *)
-val discarded : feed -> weight:int -> total:int -> unit
+val discarded : feed -> events:int -> total:int -> unit
 
 (** The post-abort sweep recovered [batches] holding [events]. *)
 val swept : feed -> batches:int -> events:int -> unit

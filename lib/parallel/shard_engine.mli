@@ -317,7 +317,7 @@ module Make (D : Taint.DOMAIN) : sig
   (** Route one event from the application domain, read in place from
       its view: deliver it to every participant shard's inbound
       channel, flushing all of them when the event crosses shards (see
-      {!Forwarder.flush}).  [`Broadcast] delivers every event to every
+      {!Channel.flush}).  [`Broadcast] delivers every event to every
       shard; one shard takes every event without a router. *)
   val feed_view : cluster -> Event.view -> unit
 

@@ -1,4 +1,4 @@
-(** Events observed by instrumentation tools: the machine's reusable
+(** Events observed by instrumentation tools: the machine's reused
     {!view} and the {!exec} record built from it on demand; see the
     interface for the view's lifetime rule. *)
 
@@ -48,7 +48,7 @@ type exec = {
 let is_branch e = match e.instr with Instr.Br _ -> true | _ -> false
 
 (* A mutable, array-backed form of [exec].  The read/write sets live
-   in reusable scratch arrays ([v_nreads]/[v_nwrites] valid prefixes)
+   in reused scratch arrays ([v_nreads]/[v_nwrites] valid prefixes)
    so the machine and the decoders can refill one view per event
    without allocating; [v_exec] caches the boxed record, so that views
    filled {e from} an exec hand the original back for free and every

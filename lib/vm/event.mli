@@ -4,7 +4,7 @@
     instance identity (global step number), the static site (function,
     pc), the locations read and written, the effective memory address
     for loads/stores, and the resolved control-flow target.  The
-    machine writes it into one reusable {!view}; {!exec} is the same
+    machine writes it into one reused {!view}; {!exec} is the same
     event as an immutable record, built from the view on demand
     ({!view_to_exec}) for tools that keep events.
 
@@ -60,7 +60,7 @@ type exec = {
 }
 
 (** A mutable, array-backed form of {!exec}, designed to be refilled
-    in place: the read/write sets live in reusable scratch arrays of
+    in place: the read/write sets live in reused scratch arrays of
     which the first [v_nreads]/[v_nwrites] entries are valid, in the
     same order as {!exec}'s lists.  The machine fills one view per
     instruction and hands it to every tool; the de-boxed forwarding
@@ -92,11 +92,11 @@ type view = {
           {!view_to_exec}; invalidated by refilling *)
 }
 
-(** A blank reusable view ([func]/[instr] are placeholders until the
+(** A blank view to reuse ([func]/[instr] are placeholders until the
     first fill). *)
 val view_create : func:Func.t -> instr:Instr.t -> view
 
-(** A blank reusable view for an owner that has no program at hand
+(** A blank view to reuse, for an owner that has no program at hand
     ([func]/[instr] are placeholders until the first fill). *)
 val view_blank : unit -> view
 

@@ -7,7 +7,7 @@
     (§2.2) and the race detector (§3.1).
 
     The machine describes each executed instruction once, in one
-    reusable {!Event.view} that it refills in place, and hands that
+    reused {!Event.view} that it refills in place, and hands that
     view to every attached tool through [on_view].  The view is
     valid only for the duration of the call: a tool that keeps an
     event must take a record, either by being built with [~on_exec]

@@ -8,7 +8,7 @@
    is a loud test failure, not a hung CI job.
 
    Also the accounting regression tests: [batches] in
-   [Forwarder.counts] counts only delivered batches (post-abort pushes land in
+   [Channel.counts] counts only delivered batches (post-abort pushes land in
    [dropped_batches]/[dropped_events], so the books reconcile), and
    the Spsc shutdown edges (final element racing close, abort against
    a parked peer) under QCheck. *)
@@ -363,48 +363,72 @@ let test_exchange_ring_abort_terminates () =
            (fun (_, e) -> e = Shard_engine.Shard_dead || injected e)
            f.Shard_engine.f_shards)
 
-(* -- forwarder accounting regression ---------------------------------- *)
+(* -- feed-ring accounting regression ------------------------------------ *)
+
+(* The first [n] records of a recorded crc machine run, so that a coded
+   channel interns real sites, and a channel of [wire] with one event
+   per batch over the run's program. *)
+let crc_feed ?probe ~wire n =
+  let w = kernel "crc" in
+  let acc = ref [] in
+  let m =
+    Machine.create w.Workload.program
+      ~input:(w.Workload.input ~size:20 ~seed:3)
+  in
+  Machine.attach m (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "collect");
+  ignore (Machine.run m);
+  let records = Array.sub (Array.of_list (List.rev !acc)) 0 n in
+  ( Channel.create ?probe ~wire ~queue_capacity:4 ~batch_size:1
+      ~table:(lazy (Site.of_program w.Workload.program))
+      (),
+    records )
+
+(* Feed [records], closing at the end, until the channel gives up. *)
+let feed_all ch records =
+  try
+    Array.iter (Channel.add ch) records;
+    Channel.close ch
+  with _ -> ()
+
+(* A helper whose drain abandons the stream on the third event. *)
+let crash_on_third ch =
+  let consumed = Atomic.make 0 in
+  Domain.spawn (fun () ->
+      Channel.drain ch ~f:(fun _ ->
+          if 3 <= 1 + Atomic.fetch_and_add consumed 1 then raise Exit))
 
 let test_forwarder_drop_accounting () =
   with_watchdog @@ fun () ->
   (* regression: [batches]/[events] used to count batches pushed after
      an abort even though Spsc dropped them, so the gauges could not
      reconcile.  With batch_size=1: fed = delivered + dropped. *)
-  let reg = Dift_obs.Registry.create () in
-  let fwd =
-    Forwarder.create ~probe:(Probe.make ~obs:reg ()) ~queue_capacity:4
-      ~batch_size:1 ()
-  in
-  let consumed = Atomic.make 0 in
-  let helper =
-    Domain.spawn (fun () ->
-        Forwarder.drain fwd ~f:(fun _ ->
-            (* abandon the stream after the third element *)
-            if 3 <= 1 + Atomic.fetch_and_add consumed 1 then
-              raise Exit))
-  in
-  (try
-     for i = 1 to 100 do
-       Forwarder.add fwd i
-     done;
-     Forwarder.close fwd
-   with _ -> ());
-  (match Domain.join helper with
-  | () -> Alcotest.fail "helper must die of Exit"
-  | exception Exit -> Forwarder.abort fwd
-  | exception e -> raise e);
-  let k = Forwarder.counts fwd in
-  check Alcotest.int "all events accepted" 100 k.events;
-  check Alcotest.bool "drops counted" true (k.dropped_batches > 0);
-  check Alcotest.int "fed = delivered + dropped" 100
-    (k.batches + k.dropped_events);
-  check Alcotest.int "dropped gauge = dropped batches" k.dropped_batches
-    (match
-       Dift_obs.Registry.(find (snapshot reg))
-         "parallel.forwarder.dropped_batches"
-     with
-    | Some (Dift_obs.Registry.Gauge_v v) -> v
-    | _ -> Alcotest.fail "dropped_batches gauge missing")
+  List.iter
+    (fun wire ->
+      let name s = Fmt.str "%a: %s" Channel.pp_wire wire s in
+      let reg = Dift_obs.Registry.create () in
+      let ch, records =
+        crc_feed ~probe:(Probe.make ~obs:reg ()) ~wire 100
+      in
+      let helper = crash_on_third ch in
+      feed_all ch records;
+      (match Domain.join helper with
+      | () -> Alcotest.fail "helper must die of Exit"
+      | exception Exit -> Channel.abort ch
+      | exception e -> raise e);
+      let k = Channel.counts ch in
+      check Alcotest.int (name "all events accepted") 100 k.events;
+      check Alcotest.bool (name "drops counted") true (k.dropped_batches > 0);
+      check Alcotest.int (name "fed = delivered + dropped") 100
+        (k.batches + k.dropped_events);
+      check Alcotest.int (name "dropped gauge = dropped batches")
+        k.dropped_batches
+        (match
+           Dift_obs.Registry.(find (snapshot reg))
+             "parallel.forwarder.dropped_batches"
+         with
+        | Some (Dift_obs.Registry.Gauge_v v) -> v
+        | _ -> Alcotest.fail "dropped_batches gauge missing"))
+    [ `Coded; `Boxed ]
 
 let test_forwarder_crash_ledger () =
   with_watchdog @@ fun () ->
@@ -413,36 +437,31 @@ let test_forwarder_crash_ledger () =
      once — consumed, discarded (the batch in hand plus the post-abort
      sweep of the ring), dropped producer-side, or visibly in flight
      (a push that raced the abort flag itself).  Nothing vanishes. *)
-  let fwd = Forwarder.create ~queue_capacity:4 ~batch_size:1 () in
-  let consumed = Atomic.make 0 in
-  let helper =
-    Domain.spawn (fun () ->
-        Forwarder.drain fwd ~f:(fun _ ->
-            if 3 <= 1 + Atomic.fetch_and_add consumed 1 then raise Exit))
-  in
-  (try
-     for i = 1 to 100 do
-       Forwarder.add fwd i
-     done;
-     Forwarder.close fwd
-   with _ -> ());
-  (match Domain.join helper with
-  | () -> Alcotest.fail "helper must die of Exit"
-  | exception Exit -> ()
-  | exception e -> raise e);
-  let k = Forwarder.counts fwd in
-  check Alcotest.int "every event is booked exactly once" k.events
-    (k.consumed_events + k.discarded_events + k.dropped_events
-   + k.in_flight_batches);
-  (* f completed twice; its third call raised, so that batch is booked
-     as discarded, not consumed *)
-  check Alcotest.int "the helper consumed what f completed" 2
-    k.consumed_events;
-  check Alcotest.bool "the crashing batch and the swept ring are discarded"
-    true
-    (k.discarded_batches >= 1);
-  check Alcotest.int "batch ledger closes too" k.batches
-    (k.consumed_batches + k.discarded_batches + k.in_flight_batches)
+  List.iter
+    (fun wire ->
+      let name s = Fmt.str "%a: %s" Channel.pp_wire wire s in
+      let ch, records = crc_feed ~wire 100 in
+      let helper = crash_on_third ch in
+      feed_all ch records;
+      (match Domain.join helper with
+      | () -> Alcotest.fail "helper must die of Exit"
+      | exception Exit -> ()
+      | exception e -> raise e);
+      let k = Channel.counts ch in
+      check Alcotest.int (name "every event is booked exactly once") k.events
+        (k.consumed_events + k.discarded_events + k.dropped_events
+       + k.in_flight_batches);
+      (* f completed twice; its third call raised, so that batch is
+         booked as discarded, not consumed *)
+      check Alcotest.int (name "the helper consumed what f completed") 2
+        k.consumed_events;
+      check Alcotest.bool
+        (name "the crashing batch and the swept ring are discarded")
+        true
+        (k.discarded_batches >= 1);
+      check Alcotest.int (name "batch ledger closes too") k.batches
+        (k.consumed_batches + k.discarded_batches + k.in_flight_batches))
+    [ `Coded; `Boxed ]
 
 (* -- ring.abort: one flight event per aborted feed ring ----------------- *)
 
@@ -458,7 +477,7 @@ let ring_aborts flight =
 
 (* regression: an injected abort, or a helper crash, used to tear the
    ring down without recording [ring.abort]; only an explicit
-   [Forwarder.abort] did.  Whatever the cause, the ring's first abort
+   [Channel.abort] did.  Whatever the cause, the ring's first abort
    records it, once. *)
 let test_ring_abort_two_domain plan_s () =
   with_watchdog @@ fun () ->

@@ -501,6 +501,44 @@ let test_heartbeat () =
         | None -> false)
   | None -> Alcotest.fail "first snapshot has no hb group"
 
+(* -- feed-ring occupancy: events per pushed batch, on either wire -------- *)
+
+(* The occupancy histogram observes every batch the producer pushes, so
+   its count is the delivered batches of a clean run, its sum the
+   forwarded events, and a full batch lands in its last bucket. *)
+let test_batch_occupancy () =
+  let w = Dift_workloads.Spec_like.crc in
+  List.iter
+    (fun wire ->
+      let name s = Fmt.str "%a: %s" Dift_parallel.Channel.pp_wire wire s in
+      let reg = Registry.create () in
+      (match
+         Dift_parallel.Parallel.run_result ~obs:reg ~wire
+           w.Dift_workloads.Workload.program
+           ~input:(w.Dift_workloads.Workload.input ~size:200 ~seed:1)
+       with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail (name "the run failed"));
+      let snap = Registry.snapshot reg in
+      let gauge metric =
+        match Registry.find snap metric with
+        | Some (Registry.Gauge_v v) -> v
+        | _ -> Alcotest.failf "%s missing" metric
+      in
+      match Registry.find snap "parallel.forwarder.batch_occupancy" with
+      | Some (Registry.Histogram_v h) ->
+          check Alcotest.int (name "count = batches")
+            (gauge "parallel.forwarder.batches")
+            h.count;
+          check Alcotest.int (name "sum = events")
+            (gauge "parallel.forwarder.events")
+            h.sum;
+          check Alcotest.int (name "last bucket = batch size")
+            Dift_parallel.Channel.default_batch_size
+            (List.nth h.buckets (List.length h.buckets - 1))
+      | _ -> Alcotest.fail (name "batch_occupancy histogram missing"))
+    [ `Coded; `Boxed ]
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter;
@@ -513,6 +551,8 @@ let suite =
     Alcotest.test_case "snapshot JSON shape" `Quick test_snapshot_json_shape;
     Alcotest.test_case "json printer" `Quick test_json_printer;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
+    Alcotest.test_case "batch occupancy is events per batch" `Quick
+      test_batch_occupancy;
     Alcotest.test_case "two-domain stats snapshot" `Quick
       test_two_domain_stats_snapshot;
     Alcotest.test_case "monotonic clock" `Quick test_clock_monotonic;

@@ -406,67 +406,63 @@ let taint_cmd =
       | Some n, _ | None, Some n -> Ok n
       | None, None -> Error "no kernel named (positional or --workload)"
     in
-    match Result.bind named find_workload with
-    | Error e ->
+    (* each spec is parsed once; a bad one is reported after the
+       flag-combination checks *)
+    let parse of_string = function
+      | None -> Ok None
+      | Some spec -> Result.map Option.some (of_string spec)
+    in
+    match
+      ( Result.bind named find_workload,
+        parse Dift_parallel.Watchdog.deadlines_of_string deadline,
+        parse Dift_parallel.Chaos.plan_of_string fault_plan )
+    with
+    | Error e, _, _ ->
         Fmt.epr "%s@." e;
         1
-    | Ok _ when parallel && (queue_capacity < 1 || batch_size < 1) ->
+    | Ok _, _, _ when parallel && (queue_capacity < 1 || batch_size < 1) ->
         Fmt.epr "--queue-capacity and --batch-size must be at least 1@.";
         1
-    | Ok _ when parallel && helpers < 1 ->
+    | Ok _, _, _ when parallel && helpers < 1 ->
         Fmt.epr "--helpers must be at least 1@.";
         1
-    | Ok _ when (match xchg_capacity with Some c -> c < 1 | None -> false) ->
+    | Ok _, _, _
+      when match xchg_capacity with Some c -> c < 1 | None -> false ->
         Fmt.epr "--xchg-capacity must be at least 1@.";
         1
-    | Ok _ when xchg_capacity <> None && not (parallel && helpers > 1) ->
+    | Ok _, _, _ when xchg_capacity <> None && not (parallel && helpers > 1) ->
         Fmt.epr "--xchg-capacity requires --parallel --helpers > 1@.";
         1
-    | Ok _ when forward_filter && not parallel ->
+    | Ok _, _, _ when forward_filter && not parallel ->
         Fmt.epr "--forward-filter requires --parallel@.";
         1
-    | Ok _ when (fault_plan <> None || fault_seed <> None) && not parallel ->
+    | Ok _, _, _
+      when (fault_plan <> None || fault_seed <> None) && not parallel ->
         Fmt.epr "--fault-plan/--fault-seed require --parallel@.";
         1
-    | Ok _ when crash_dump <> None && not parallel ->
+    | Ok _, _, _ when crash_dump <> None && not parallel ->
         Fmt.epr "--crash-dump requires --parallel@.";
         1
-    | Ok _ when (match flight_record with Some c -> c < 1 | None -> false) ->
+    | Ok _, _, _
+      when match flight_record with Some c -> c < 1 | None -> false ->
         Fmt.epr "--flight-record capacity must be at least 1@.";
         1
-    | Ok _ when heartbeat <> None && heartbeat_interval < 1 ->
+    | Ok _, _, _ when heartbeat <> None && heartbeat_interval < 1 ->
         Fmt.epr "--heartbeat-interval-ms must be at least 1@.";
         1
-    | Ok _ when fault_plan <> None && fault_seed <> None ->
+    | Ok _, _, _ when fault_plan <> None && fault_seed <> None ->
         Fmt.epr "--fault-plan and --fault-seed are mutually exclusive@.";
         1
-    | Ok _ when (deadline <> None || degrade <> None) && not parallel ->
+    | Ok _, _, _ when (deadline <> None || degrade <> None) && not parallel ->
         Fmt.epr "--deadline-ms/--degrade require --parallel@.";
         1
-    | Ok _
-      when match deadline with
-           | Some d ->
-               Result.is_error
-                 (Dift_parallel.Watchdog.deadlines_of_string d)
-           | None -> false -> (
-        match
-          Option.map Dift_parallel.Watchdog.deadlines_of_string deadline
-        with
-        | Some (Error e) ->
-            Fmt.epr "bad --deadline-ms: %s@." e;
-            1
-        | _ -> assert false)
-    | Ok _
-      when match fault_plan with
-           | Some p ->
-               Result.is_error (Dift_parallel.Chaos.plan_of_string p)
-           | None -> false -> (
-        match Option.map Dift_parallel.Chaos.plan_of_string fault_plan with
-        | Some (Error e) ->
-            Fmt.epr "bad --fault-plan: %s@." e;
-            1
-        | _ -> assert false)
-    | Ok w ->
+    | Ok _, Error e, _ ->
+        Fmt.epr "bad --deadline-ms: %s@." e;
+        1
+    | Ok _, _, Error e ->
+        Fmt.epr "bad --fault-plan: %s@." e;
+        1
+    | Ok w, Ok deadlines, Ok plan ->
         let input = w.Workload.input ~size ~seed in
         (* The registry backs [--stats] directly, and is also what the
            heartbeat samples and the crash bundle snapshots — any of
@@ -503,24 +499,13 @@ let taint_cmd =
             heartbeat
         in
         let wd =
-          Option.map
-            (fun spec ->
-              let deadlines =
-                match Dift_parallel.Watchdog.deadlines_of_string spec with
-                | Ok d -> d
-                | Error _ -> assert false (* rejected above *)
-              in
-              Dift_parallel.Watchdog.create ?obs ?flight ?sampler deadlines)
-            deadline
+          Option.map (Dift_parallel.Watchdog.create ?obs ?flight ?sampler)
+            deadlines
         in
         let plan =
-          match (fault_plan, fault_seed) with
-          | Some p, _ -> (
-              match Dift_parallel.Chaos.plan_of_string p with
-              | Ok pl -> Some pl
-              | Error _ -> assert false (* rejected above *))
-          | None, Some s -> Some (Dift_parallel.Chaos.plan_of_seed s)
-          | None, None -> None
+          match plan with
+          | Some _ -> plan
+          | None -> Option.map Dift_parallel.Chaos.plan_of_seed fault_seed
         in
         (match plan with
         | Some pl ->

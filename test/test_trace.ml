@@ -200,6 +200,59 @@ let test_traced_run_matches_inline () =
     (r.Dift_parallel.Parallel.result
     = i.Dift_parallel.Parallel.i_result)
 
+(* -- the engine's samples ----------------------------------------------- *)
+
+(* Where and when the engine's instruments fire, pinned on a run long
+   enough for two progress milestones: crc at size 450, seed 3, is
+   4,507 events.  [engine.progress] fires on the first processed event
+   and every 4,096th after it ([a] = events counting this one, [b] =
+   sink hits before it), on the ring of the domain that processes —
+   [app] inline, [helper] under two domains; the shadow footprint is
+   sampled on the first processed event and every 256th after it, so
+   18 times, the first before any taint exists. *)
+let test_engine_samples () =
+  let w = Spec_like.crc in
+  let input = w.Workload.input ~size:450 ~seed:3 in
+  let module P = Dift_parallel.Parallel in
+  let pinned ~ring run =
+    let tr = Trace.create () and fl = Flight.create ~capacity:4096 () in
+    let events = run ~trace:tr ~flight:fl in
+    check Alcotest.int (ring ^ ": events") 4507 events;
+    let progress =
+      List.concat_map
+        (fun (t : Flight.tail) ->
+          List.filter_map
+            (fun (e : Flight.entry) ->
+              if e.name = "engine.progress" then Some (t.t_domain, e.a, e.b)
+              else None)
+            t.t_entries)
+        (Flight.tails fl)
+    in
+    check
+      Alcotest.(list (triple string int int))
+      (ring ^ ": engine.progress milestones")
+      [ (ring, 1, 0); (ring, 4097, 410) ]
+      progress;
+    let words =
+      List.filter_map
+        (fun (e : Trace.event) ->
+          match e.Trace.kind with
+          | Trace.Sample { value } when e.Trace.name = "shadow.words" ->
+              Some value
+          | _ -> None)
+        (Trace.events tr)
+    in
+    check Alcotest.int (ring ^ ": shadow.words samples") 18
+      (List.length words);
+    check Alcotest.int (ring ^ ": first sample") 0 (List.hd words)
+  in
+  pinned ~ring:"app" (fun ~trace ~flight ->
+      (P.run_inline ~trace ~flight w.Workload.program ~input).P.i_result
+        .P.events);
+  pinned ~ring:"helper" (fun ~trace ~flight ->
+      (ok (P.run_result ~trace ~flight w.Workload.program ~input)).P.result
+        .P.events)
+
 (* -- register_obs idempotence regression ------------------------------- *)
 
 (* Re-attaching a registry used to re-add the carried-over drop count
@@ -330,6 +383,7 @@ let suite =
     Alcotest.test_case "two-domain timeline" `Quick test_two_domain_timeline;
     Alcotest.test_case "traced run matches inline" `Quick
       test_traced_run_matches_inline;
+    Alcotest.test_case "engine samples" `Quick test_engine_samples;
     Alcotest.test_case "register_obs is idempotent" `Quick
       test_register_obs_idempotent;
     Alcotest.test_case "merge requires quiescence" `Quick

@@ -309,7 +309,7 @@ let taint_cmd =
             "Inject a deterministic fault plan into the parallel runtime \
              (with --parallel).  Grammar: [WHERE/]OP@N=FAULT, \
              ';'-separated — e.g. \
-             $(b,push\\@3=abort;xchg/pop\\@2=raise).  The run exits 0 \
+             $(b,push@3=abort;xchg/pop@2=raise).  The run exits 0 \
              when it terminates cleanly with only injected failures.")
   in
   let fault_seed_arg =

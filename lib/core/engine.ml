@@ -127,12 +127,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
             always collapses into one int compare *)
     pending_spawn_taint : (int, D.t) Hashtbl.t;  (** tid -> control taint *)
     mutable charge : int -> unit;
-    mutable tracer : (Dift_obs.Trace.t * int) option;
-        (** timeline tracer and its sampling period *)
-    mutable trace_left : int;  (** events until the next sample *)
-    mutable flight : (Dift_obs.Flight.t * int) option;
-        (** flight recorder and its milestone period *)
-    mutable flight_left : int;  (** events until the next milestone *)
   }
 
   let create ?(policy = Policy.default) program =
@@ -149,10 +143,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
       ctl_tc = { cframes = [] };
       pending_spawn_taint = Hashtbl.create 8;
       charge = ignore;
-      tracer = None;
-      trace_left = 0;
-      flight = None;
-      flight_left = 0;
     }
 
   let on_sink t f = t.sink_handler <- Some f
@@ -276,55 +266,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
 
   (* -- the per-event transfer function --------------------------------- *)
 
-  (** Sample the shadow footprint onto the timeline every
-      [sample_every] processed events (default [256]) — the
-      [shadow.words] / [shadow.tainted_locations] counter tracks ride
-      on whichever domain runs {!process}, so the helper track shows
-      the footprint growing while the application track keeps
-      executing.  @raise Invalid_argument if [sample_every < 1]. *)
-  let set_trace ?(sample_every = 256) t tr =
-    if sample_every < 1 then invalid_arg "Engine.set_trace: sample_every < 1";
-    t.tracer <- Some (tr, sample_every);
-    t.trace_left <- 1
-
-  let trace_sample t =
-    match t.tracer with
-    | None -> ()
-    | Some (tr, every) ->
-        t.trace_left <- t.trace_left - 1;
-        if t.trace_left <= 0 then begin
-          t.trace_left <- every;
-          let open Dift_obs in
-          Trace.counter tr ~cat:"core" "shadow.words"
-            (Sh.footprint_words t.shadow);
-          Trace.counter tr ~cat:"core" "shadow.tainted_locations"
-            (Sh.tainted_locations t.shadow)
-        end
-
-  (** Record a bounded [engine.progress] milestone on the flight
-      recorder every [milestone_every] processed events (default
-      [4096]; [a] = events processed, [b] = sink hits so far) — so a
-      crash bundle shows how far the engine's domain got.  The first
-      processed event records immediately, marking engine start on
-      the processing domain's ring.
-      @raise Invalid_argument if [milestone_every < 1]. *)
-  let set_flight ?(milestone_every = 4096) t fl =
-    if milestone_every < 1 then
-      invalid_arg "Engine.set_flight: milestone_every < 1";
-    t.flight <- Some (fl, milestone_every);
-    t.flight_left <- 1
-
-  let flight_milestone t =
-    match t.flight with
-    | None -> ()
-    | Some (fl, every) ->
-        t.flight_left <- t.flight_left - 1;
-        if t.flight_left <= 0 then begin
-          t.flight_left <- every;
-          Dift_obs.Flight.record fl ~cat:"core" "engine.progress"
-            ~a:t.stats.events ~b:t.stats.sink_hits
-        end
-
   (* Argument copies are pure moves: tags propagate unchanged (no
      [at_write]), so PC taint keeps naming the instruction that
      produced the value.  The pairwise walk stops at the shorter
@@ -339,8 +280,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
 
   let process_view t (v : Event.view) =
     t.stats.events <- t.stats.events + 1;
-    trace_sample t;
-    flight_milestone t;
     t.charge Cost.inline_taint_propagate;
     let ctl = control_taint t v in
     match v.Event.v_instr with
@@ -461,23 +400,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) = struct
   let process t (e : Event.exec) =
     Event.view_fill t.scratch e;
     process_view t t.scratch
-
-  (** Expose the engine through an observability registry (derived
-      gauges over the live stats and the O(1) shadow accounting). *)
-  let register_obs t reg =
-    let open Dift_obs in
-    let g name help f = Registry.gauge_fn reg name ~help f in
-    let s = t.stats in
-    g "core.engine.events" "events the engine processed" (fun () ->
-        s.events);
-    g "core.engine.sources" "taint injections at input reads" (fun () ->
-        s.sources);
-    g "core.engine.sink_hits" "sinks reached by non-bottom taint"
-      (fun () -> s.sink_hits);
-    g "core.shadow.tainted_locations" "locations with non-bottom taint"
-      (fun () -> Sh.tainted_locations t.shadow);
-    g "core.shadow.words" "shadow footprint, machine words" (fun () ->
-        Sh.footprint_words t.shadow)
 
   (** Attach the engine to a machine; overhead is charged to the
       machine's cycle counter unless [charge] overrides it (the

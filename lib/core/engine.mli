@@ -9,6 +9,12 @@
     application areas instantiate: boolean taint for detection, PC
     taint for bug location, input sets for lineage.
 
+    The engine takes no instrument.  Its transfer function
+    ({!Make_over.process_view}) does the tracking work and counts it
+    in {!stats}; a run that traces, flight-records or registers an
+    engine wraps that function and reads {!stats} and the shadow
+    footprint from outside ([Dift_parallel.Probe.engine]).
+
     {!Make} runs over the default flat paged shadow ({!Shadow.Make});
     {!Make_over} additionally takes the shadow implementation as a
     functor argument, which is how the differential suite builds an
@@ -72,31 +78,6 @@ module Make_over (Shadow_impl : Shadow.IMPL) (D : Taint.DOMAIN) : sig
   (** {!process_view} over a boxed record (filled into a per-engine
       scratch view), for harnesses that replay recorded streams. *)
   val process : t -> Event.exec -> unit
-
-  (** Register the engine's statistics in an observability registry as
-      derived gauges ([core.engine.*] and [core.shadow.*]; see
-      [docs/observability.md]).  Snapshot-time reads only — the
-      propagation hot path is untouched. *)
-  val register_obs : t -> Dift_obs.Registry.t -> unit
-
-  (** Sample the shadow footprint onto an execution timeline: every
-      [sample_every] processed events (default [256]) the engine
-      records [shadow.words] and [shadow.tainted_locations] counter
-      samples (category [core]) into the {e processing} domain's
-      trace buffer — under the two-domain runtime that is the helper
-      track, so the trace shows the footprint growing while the
-      application track keeps executing (paper §2.1).
-      @raise Invalid_argument if [sample_every < 1]. *)
-  val set_trace : ?sample_every:int -> t -> Dift_obs.Trace.t -> unit
-
-  (** Record bounded [engine.progress] milestones (category [core],
-      [a] = events processed, [b] = sink hits) on the flight recorder
-      every [milestone_every] processed events (default [4096]), on
-      the {e processing} domain's ring — so a crash bundle shows how
-      far the engine got before the run died.  The first processed
-      event records immediately (an engine-start marker).
-      @raise Invalid_argument if [milestone_every < 1]. *)
-  val set_flight : ?milestone_every:int -> t -> Dift_obs.Flight.t -> unit
 
   (** Attach to a machine; overhead is charged to the machine's cycle
       counter unless [charge] overrides it. *)

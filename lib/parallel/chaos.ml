@@ -141,13 +141,6 @@ let plan t = t.c_plan
 let fired t = Atomic.get t.c_fired
 let stalled_ns t = Atomic.get t.c_stalled_ns
 
-let register_obs t reg =
-  Dift_obs.Registry.gauge_fn reg "chaos.fired"
-    ~help:"faults fired so far, all instances" (fun () -> fired t);
-  Dift_obs.Registry.gauge_fn reg "chaos.stalled_ns"
-    ~help:"injected sleep served so far (ns, post-clamp)" (fun () ->
-      stalled_ns t)
-
 type inst = {
   owner : t;
   ns : string;

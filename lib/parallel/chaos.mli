@@ -108,9 +108,6 @@ val fired : t -> int
     time against the plan. *)
 val stalled_ns : t -> int
 
-(** Publish [chaos.fired] and [chaos.stalled_ns] gauges. *)
-val register_obs : t -> Dift_obs.Registry.t -> unit
-
 (** A per-channel view: [ns] selects which rules apply (prefix
     match).  Push operations must come from the channel's single
     producer domain and pops from its single consumer domain, like

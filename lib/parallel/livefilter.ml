@@ -3,9 +3,13 @@
 
 open Dift_vm
 
+(* The bitmap: [n_words] words (a power of two, so a mask picks the
+   word) of 63 page keys each, 64,512 keys; a page is [1 lsl
+   page_bits] locations of one plane. *)
+let n_words = 1024
+let page_bits = 6
+
 type t = {
-  page_bits : int;
-  mask : int;  (** word-index mask; [Array.length words - 1] *)
   words : int Atomic.t array;
       (** H — the monotone ever-tainted page-hash bitmap.  Helpers set
           bits (check-then-CAS-OR); nobody ever clears one. *)
@@ -40,22 +44,15 @@ type t = {
 
 let refresh_interval = 256
 
-let create ?(page_bits = 6) ?(words = 1024) ?(reset_interval = 8192) ~slots ()
-    =
+let create ?(reset_interval = 8192) ~slots () =
   if slots < 1 then
     invalid_arg (Fmt.str "Livefilter.create: slots = %d < 1" slots);
   if reset_interval < 0 then
     invalid_arg
       (Fmt.str "Livefilter.create: reset_interval = %d < 0" reset_interval);
-  if words < 1 || words land (words - 1) <> 0 then
-    invalid_arg
-      (Fmt.str "Livefilter.create: words = %d not a positive power of two"
-         words);
   {
-    page_bits;
-    mask = words - 1;
-    words = Array.init words (fun _ -> Atomic.make 0);
-    stamps = Array.make words min_int;
+    words = Array.init n_words (fun _ -> Atomic.make 0);
+    stamps = Array.make n_words min_int;
     epochs = Array.init slots (fun _ -> Atomic.make (-1));
     cached_min = -1;
     since_refresh = 0;
@@ -78,8 +75,8 @@ let create ?(page_bits = 6) ?(words = 1024) ?(reset_interval = 8192) ~slots ()
    per word would need twice the words, and so twice this filter's
    per-run allocation, for the same capacity.) *)
 let keys_per_word = 63
-let key_of t loc = (((loc lsr 1) lsr t.page_bits) lsl 1) lor (loc land 1)
-let word_of_key t k = (k / keys_per_word) land t.mask
+let key_of loc = (((loc lsr 1) lsr page_bits) lsl 1) lor (loc land 1)
+let word_of_key k = (k / keys_per_word) land (n_words - 1)
 let bit_of_key k = 1 lsl (k mod keys_per_word)
 
 let refresh_min t =
@@ -95,8 +92,8 @@ let refresh_min t =
    published tainted, or some event that may have produced taint there
    is not yet covered by every consumer's published epoch. *)
 let live t loc =
-  let k = key_of t loc in
-  let w = word_of_key t k in
+  let k = key_of loc in
+  let w = word_of_key k in
   Atomic.get t.words.(w) land bit_of_key k <> 0
   || t.stamps.(w) > t.cached_min
 
@@ -147,7 +144,7 @@ let maybe_reset t =
 
 let stamp t step (locs : Loc.t array) n =
   for i = 0 to n - 1 do
-    t.stamps.(word_of_key t (key_of t locs.(i))) <- step
+    t.stamps.(word_of_key (key_of locs.(i))) <- step
   done
 
 let admit_view t (v : Event.view) =
@@ -194,8 +191,8 @@ let generation t = Atomic.get t.generation
 (* -- consumer side ------------------------------------------------------ *)
 
 let publish_loc t loc =
-  let k = key_of t loc in
-  let w = t.words.(word_of_key t k) in
+  let k = key_of loc in
+  let w = t.words.(word_of_key k) in
   let bit = bit_of_key k in
   (* check-then-CAS: steady state on already-published pages is one
      atomic load, no write traffic *)

@@ -68,17 +68,14 @@ open Dift_vm
 type t
 
 (** [create ~slots ()] — [slots] consumer epoch slots (1 for the
-    two-domain runtime, one per shard for the sharded one).  [words]
-    (power of two, default 1024) sizes the hash map at 63 page keys
-    per word, one per bit of an OCaml int (64,512 keys by default);
-    [page_bits] (default 6) sets the locations-per-page granularity.
+    two-domain runtime, one per shard for the sharded one).  The hash
+    map is 1024 words of 63 page keys, one per bit of an OCaml int
+    (64,512 keys), over pages of 64 locations of one plane.
     [reset_interval] (default 8192) is the number of {!admit} calls
     between generation-reset attempts; [0] disables resets (the
     pre-reset monotone behaviour).
-    @raise Invalid_argument if [slots < 1], [reset_interval < 0], or
-    [words] is not a positive power of two. *)
-val create :
-  ?page_bits:int -> ?words:int -> ?reset_interval:int -> slots:int -> unit -> t
+    @raise Invalid_argument if [slots < 1] or [reset_interval < 0]. *)
+val create : ?reset_interval:int -> slots:int -> unit -> t
 
 (** {1 Producer side} *)
 

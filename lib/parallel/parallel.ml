@@ -397,17 +397,13 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
    worker's {!Bool_shards.merge}, as in a degraded completion. *)
 let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
   let w = Bool_shards.solo ?policy ~record_sinks:false program in
-  let eng = Bool_shards.engine w in
-  Option.iter (Bool_engine.on_sink eng) on_sink;
+  Option.iter (Bool_engine.on_sink (Bool_shards.engine w)) on_sink;
   let probe = Probe.make ?obs ?trace ?flight () in
-  Probe.engine probe ~owner:true
-    ~register_obs:(Bool_engine.register_obs eng)
-    ~set_trace:(Bool_engine.set_trace eng)
-    ~set_flight:(Bool_engine.set_flight eng);
+  Bool_shards.instrument probe ~owner:true w;
   let m = Machine.create ?config program ~input in
   Probe.app probe m;
   Machine.attach m
-    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_engine.process_view eng)
+    (Tool.make ~dispatch_cost:0 ~on_view:(Bool_shards.transfer w)
        "inline-dift");
   let t0 = now_ns () in
   let outcome = Probe.app_run probe (fun () -> Machine.run m) in

@@ -221,13 +221,14 @@ val run_result :
     reference every runtime must match: {!Shard_engine}'s solo worker
     ({!Shard_engine.Make.solo}) driven by the machine in the current
     domain: the one-shard runtime without a helper domain, channel or
-    mesh.  Its result is
-    the worker's {!Shard_engine.Make.merge}, the same merge a
-    degraded completion reports; [on_sink] runs as each sink
-    happens.  The instruments see only the {!Probe} run markers and
-    the engine: no [parallel.*] metrics (there is no channel), one
-    [app] track and one [app] flight ring, carrying the engine's
-    samples and milestones. *)
+    mesh.  The machine's tool is the worker's
+    {!Shard_engine.Make.transfer}, the engine's transfer function
+    behind {!Probe.engine}.  Its result is the worker's
+    {!Shard_engine.Make.merge}, the same merge a degraded completion
+    reports; [on_sink] runs as each sink happens.  The instruments
+    see only the {!Probe} run markers and the engine: no [parallel.*]
+    metrics (there is no channel), one [app] track and one [app]
+    flight ring, carrying the engine's samples and milestones. *)
 val run_inline :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->

@@ -372,12 +372,42 @@ let helpers h_run ~shards ~sent ~cross =
         ~help:"events spanning more than one shard" cross;
       hs
 
-let engine t ~owner ~register_obs ~set_trace ~set_flight =
-  if owner then begin
-    Option.iter register_obs t.obs;
-    Option.iter set_trace t.trace
-  end;
-  Option.iter set_flight t.flight
+(* The wrapper runs before the engine counts the event, so [n] is the
+   count before this one: [n land 255 = 0] holds on the first
+   processed event and every 256th after it. *)
+let engine t ~owner ~(stats : Dift_core.Engine.stats) ~shadow_footprint
+    process =
+  (match t.obs with
+  | Some reg when owner ->
+      let g name help f = Registry.gauge_fn reg name ~help f in
+      g "core.engine.events" "events the engine processed" (fun () ->
+          stats.events);
+      g "core.engine.sources" "taint injections at input reads" (fun () ->
+          stats.sources);
+      g "core.engine.sink_hits" "sinks reached by non-bottom taint"
+        (fun () -> stats.sink_hits);
+      g "core.shadow.tainted_locations" "locations with non-bottom taint"
+        (fun () -> fst (shadow_footprint ()));
+      g "core.shadow.words" "shadow footprint, machine words" (fun () ->
+          snd (shadow_footprint ()))
+  | _ -> ());
+  match ((if owner then t.trace else None), t.flight) with
+  | None, None -> process
+  | trace, flight ->
+      fun v ->
+        let n = stats.events in
+        (match trace with
+        | Some tr when n land 255 = 0 ->
+            let locations, words = shadow_footprint () in
+            Trace.counter tr ~cat:"core" "shadow.words" words;
+            Trace.counter tr ~cat:"core" "shadow.tainted_locations" locations
+        | _ -> ());
+        (match flight with
+        | Some fl when n land 4095 = 0 ->
+            Flight.record fl ~cat:"core" "engine.progress" ~a:(n + 1)
+              ~b:stats.sink_hits
+        | _ -> ());
+        process v
 
 let name h = if h.solo then "helper" else Fmt.str "shard-%d" h.shard
 let role h = if h.solo then "helper" else "shard"

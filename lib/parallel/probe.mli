@@ -74,11 +74,12 @@
       [parallel.router.cross_events].
     - Trace: a [helper.drain] span (category [parallel]) around the
       drain, one [engine.batch] span (category [core]) per batch; one
-      shard also carries the engine's shadow-footprint samples.
+      shard also carries the engine's shadow-footprint samples
+      ({!engine}).
     - Flight (category [run]): [helper.start]/[shard.start] and, when
       the helper dies of an exception, [helper.crash]/[shard.crash]
-      ([a] = shard index); the engine's [engine.progress] milestones
-      (category [core]).
+      ([a] = shard index); every shard's engine adds its
+      [engine.progress] milestones (category [core], {!engine}).
     - Progress legs: [spawn.helper]/[spawn.shard<i>], armed from
       before [Domain.spawn] until the body runs;
       [join.helper]/[join.shard<i>], armed around the join; N shards
@@ -227,15 +228,29 @@ type helper
 val helpers :
   t -> shards:int -> sent:(int -> int) -> cross:(unit -> int) -> helper array
 
-(** Hand an engine its hooks: the flight recorder always, the registry
-    and the tracer when it is the [owner] of the run's engine-level
-    names (the inline engine, a one-shard helper's). *)
+(** [engine t ~owner ~stats ~shadow_footprint process] is the function
+    to call for each event in place of the engine's transfer function
+    [process]: [process] itself when neither the tracer (for an
+    [owner]) nor the flight recorder is on, otherwise [process] behind
+    the engine's samples, taken just before the event is processed on
+    the processing domain.
+    - Trace, [owner] only: the [shadow.words] and
+      [shadow.tainted_locations] counters (category [core]) on the
+      first processed event and every 256th after it.
+    - Flight: [engine.progress] (category [core], [a] = events
+      counting this one, [b] = sink hits before it) on the first
+      processed event and every 4,096th after it.
+    With a registry, the [owner] also registers the [core.engine.*]
+    and [core.shadow.*] gauges over [stats] and [shadow_footprint]
+    ([(tainted locations, words)]).  The [owner] is the engine whose
+    names the run reports: the inline engine, a one-shard helper's. *)
 val engine :
   t ->
   owner:bool ->
-  register_obs:(Dift_obs.Registry.t -> unit) ->
-  set_trace:(Dift_obs.Trace.t -> unit) ->
-  set_flight:(Dift_obs.Flight.t -> unit) ->
+  stats:Dift_core.Engine.stats ->
+  shadow_footprint:(unit -> int * int) ->
+  (Dift_vm.Event.view -> unit) ->
+  Dift_vm.Event.view ->
   unit
 
 (** Spawn the helper's domain running [body], wall-clocked.

@@ -130,6 +130,9 @@ module Make (D : Taint.DOMAIN) = struct
     route : route;
     x : xchg;
     eng : E.t;
+    mutable transfer : Event.view -> unit;
+        (** the engine's per-event function, behind the run's
+            instruments once {!instrument} wired them *)
     w_scratch : Event.view;
         (** refilled per event on the boxed {!handle} path; coded
             drains hand their own scratch view to {!handle_view} *)
@@ -167,6 +170,7 @@ module Make (D : Taint.DOMAIN) = struct
         route;
         x = xchg;
         eng;
+        transfer = E.process_view eng;
         w_scratch =
           Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0);
         sink_hash = 0;
@@ -186,6 +190,14 @@ module Make (D : Taint.DOMAIN) = struct
     w
 
   let engine w = w.eng
+  let transfer w = w.transfer
+
+  let instrument probe ~owner w =
+    w.transfer <-
+      Probe.engine probe ~owner ~stats:(E.stats w.eng)
+        ~shadow_footprint:(fun () -> E.shadow_footprint w.eng)
+        (E.process_view w.eng)
+
   let exchange_sent w = w.sent
   let exchange_received w = w.received
 
@@ -232,9 +244,9 @@ module Make (D : Taint.DOMAIN) = struct
 
   (* The home shard runs the *unmodified* sequential transfer function
      by windowing remote state through its own shadow: pull each
-     provider's read-taint vector and [set] it in place, run
-     {!E.process_view} (sinks, stats, policy handling and write
-     stamping all behave exactly as in the sequential engine), then
+     provider's read-taint vector and [set] it in place, run the
+     engine's transfer function (sinks, stats, policy handling and
+     write stamping all behave exactly as in the sequential engine), then
      read the resulting taints of remote write locations back out of
      the shadow, ship them to their owners, and clear every remote
      location again.  The set/clear pairs cancel in the incremental
@@ -254,7 +266,7 @@ module Make (D : Taint.DOMAIN) = struct
           let l = reads.(i) in
           if Router.shard_of_loc w.router l = s then E.Sh.set sh l vec.(i)
         done);
-    E.process_view w.eng v;
+    w.transfer v;
     let rmask = remote_mask w writes nw in
     if rmask <> 0 then begin
       let wv = Array.make nw D.bottom in
@@ -305,10 +317,10 @@ module Make (D : Taint.DOMAIN) = struct
 
   let handle_view w (v : Event.view) =
     match w.route with
-    | `Broadcast -> E.process_view w.eng v
+    | `Broadcast -> w.transfer v
     | `Request_reply ->
         let mask = Router.participants_view w.router v in
-        if Router.is_local mask then E.process_view w.eng v
+        if Router.is_local mask then w.transfer v
         else begin
           let home = Router.home_of_view w.router v in
           if home = w.w_shard then handle_home w v
@@ -474,11 +486,7 @@ module Make (D : Taint.DOMAIN) = struct
     (* engine milestones land on whichever domain drains the shard; one
        helper's engine also owns the engine-level metrics and samples
        its shadow footprint on its track *)
-    Array.iter
-      (fun w ->
-        Probe.engine probe ~owner:one ~register_obs:(E.register_obs w.eng)
-          ~set_trace:(E.set_trace w.eng) ~set_flight:(E.set_flight w.eng))
-      workers;
+    Array.iter (instrument probe ~owner:one) workers;
     let cross = ref 0 in
     let c =
       {
@@ -552,7 +560,7 @@ module Make (D : Taint.DOMAIN) = struct
        from tripping the watchdog while this shard computes *)
     let f, advance =
       match c.c_filter with
-      | None when one -> ((fun v -> E.process_view w.eng v), None)
+      | None when one -> (w.transfer, None)
       | None ->
           ( (fun v ->
               Probe.work h;
@@ -574,7 +582,7 @@ module Make (D : Taint.DOMAIN) = struct
               sh ()
           in
           ( (fun v ->
-              if one then E.process_view w.eng v
+              if one then w.transfer v
               else begin
                 Probe.work h;
                 handle_view w v

@@ -213,9 +213,20 @@ module Make (D : Taint.DOMAIN) : sig
       locations once all events are handled). *)
   val engine : worker -> E.t
 
+  (** [instrument probe ~owner w] puts [w]'s engine behind the run's
+      instruments: from here on [w] processes every event through
+      {!Probe.engine}'s function ([owner] as there).  {!cluster} does
+      this for its workers. *)
+  val instrument : Probe.t -> owner:bool -> worker -> unit
+
+  (** The per-event function [w] processes its local events with:
+      {!E.process_view} on its engine, or {!Probe.engine}'s wrapper
+      of it once {!instrument}ed. *)
+  val transfer : worker -> Event.view -> unit
+
   (** [solo ~record_sinks program] is a worker alone: a one-shard
-      router and no mesh, so {!handle_view} is [E.process_view] on
-      every event, and driving {!engine} directly is the same.  It is
+      router and no mesh, so {!handle_view} is {!transfer} on every
+      event, and driving {!transfer} directly is the same.  It is
       the engine of {!sequential}, of a degraded rerun ({!resume}) and
       of [Parallel.run_inline]. *)
   val solo : ?policy:Policy.t -> record_sinks:bool -> Program.t -> worker
@@ -273,7 +284,9 @@ module Make (D : Taint.DOMAIN) : sig
       every seam — each inbound channel, each exchange ring, each
       helper's spawn, drain and join — derives its handle from it,
       with the metrics, trace spans, flight events, progress legs and
-      fault namespaces the catalogue in {!Probe} lists.  With a
+      fault namespaces the catalogue in {!Probe} lists; every worker
+      is {!instrument}ed, the one of a one-shard cluster as the
+      [owner].  With a
       watchdog, the cluster also registers its cascade hooks (abort
       each feed channel, then the mesh) so a deadline miss tears the
       run down in dependency order; the supervisor must consult the
@@ -361,8 +374,10 @@ module Make (D : Taint.DOMAIN) : sig
       whose step is past [cut] through [w] ({!handle_view}), then
       {!merge} [[| w |]].  One shard resumes its own worker after the
       last batch its helper fully processed ([cut] is [-1] when none
-      was).  N shards have no consistent cut mid-protocol, so [w] is a
-      fresh worker and [cut] is [-1]: a rerun from scratch.  [w]
+      was), instruments and all, so its milestones continue on the
+      calling domain's ring.  N shards have no consistent cut
+      mid-protocol, so [w] is a fresh, uninstrumented worker and [cut]
+      is [-1]: a rerun from scratch.  [w]
       records sinks iff {!record_sink_events} was called. *)
   val resume : cluster -> int * worker
 

@@ -61,18 +61,17 @@ let tool reg =
 
 let attach reg m = Machine.attach m (tool reg)
 
-(* 1-in-N sampled instruction-class instants on the calling domain's
+(* 1-in-64 sampled instruction-class instants on the calling domain's
    trace track; the first event is always recorded so short runs still
    show up. *)
-let trace_tool ?(sample_every = 64) tr =
-  if sample_every < 1 then invalid_arg "Obs_tool.trace_tool: sample_every < 1";
+let trace_tool tr =
   let open Dift_obs in
   let left = ref 1 in
   Tool.make ~dispatch_cost:0
     ~on_view:(fun v ->
       decr left;
       if !left <= 0 then begin
-        left := sample_every;
+        left := 64;
         Trace.instant tr ~cat:"vm"
           ~args:
             [ ("step", Json.Int v.Event.v_step); ("pc", Json.Int v.Event.v_pc) ]
@@ -85,5 +84,4 @@ let trace_tool ?(sample_every = 64) tr =
     ~on_finish:(fun _ -> Trace.instant tr ~cat:"vm" "finish")
     "obs-trace"
 
-let attach_trace ?sample_every tr m =
-  Machine.attach m (trace_tool ?sample_every tr)
+let attach_trace tr m = Machine.attach m (trace_tool tr)

@@ -21,24 +21,16 @@
     same registry accumulates into the same counters. *)
 val attach : Dift_obs.Registry.t -> Machine.t -> unit
 
-(** The tool itself, for harnesses that manage attachment manually. *)
-val tool : Dift_obs.Registry.t -> Tool.t
-
 (** {1 Timeline tracing}
 
     Where {!attach} aggregates, {!attach_trace} shows the workload's
-    phases on the execution timeline: every [sample_every]-th executed
-    instruction (default [64]) records an instant event named
+    phases on the execution timeline: every 64th executed instruction,
+    starting with the first, records an instant event named
     [instr.<class>] (category [vm], with the step and pc as
     arguments) into the calling domain's trace track, so instruction
     phases (e.g. a load-heavy inner loop giving way to output writes)
     are visible between the surrounding spans.  Faults and run
     completion record [fault]/[finish] instants unconditionally. *)
 
-(** [attach_trace tr m] attaches the sampling trace tool to [m].
-    @raise Invalid_argument if [sample_every < 1]. *)
-val attach_trace : ?sample_every:int -> Dift_obs.Trace.t -> Machine.t -> unit
-
-(** The trace tool itself, for harnesses that manage attachment
-    manually.  Each call creates an independent sampling phase. *)
-val trace_tool : ?sample_every:int -> Dift_obs.Trace.t -> Tool.t
+(** [attach_trace tr m] attaches the sampling trace tool to [m]. *)
+val attach_trace : Dift_obs.Trace.t -> Machine.t -> unit

@@ -393,6 +393,82 @@ let test_wire_budget () =
     [ ("matmul", 8); ("crc", 600); ("sieve", 400); ("treesum", 200);
       ("feistel", 40) ]
 
+(* The wire itself, pinned: the kernels' machine streams, encoded from
+   the machine's live view into fresh 256-event batches, must give
+   exactly these words, overflow descriptors and lanes.  An encoder
+   whose compact check is too strict still round-trips, but it sends
+   compact events to the overflow area; only this test sees that. *)
+let wire_of program input =
+  let tbl = Site.of_program program in
+  let enc = Codec.encoder tbl in
+  let buf = Buffer.create 4096 in
+  let words = ref 0 and ovf = ref 0 in
+  let add x = Buffer.add_int64_le buf (Int64.of_int x) in
+  let lane a n =
+    add n;
+    for i = 0 to n - 1 do
+      add a.(i)
+    done
+  in
+  let cap = 256 in
+  let b = ref (Codec.batch_create ~events_per_batch:cap) in
+  let ship () =
+    let b = !b in
+    let n = b.Codec.b_n in
+    words := !words + Codec.batch_words b;
+    for i = 0 to n - 1 do
+      let d = b.Codec.b_desc.(i) in
+      if d >= 0 && d land 2 <> 0 then incr ovf
+    done;
+    add n;
+    add b.Codec.b_step0;
+    add b.Codec.b_addr_n;
+    lane b.Codec.b_desc n;
+    lane b.Codec.b_value n;
+    lane b.Codec.b_addr n;
+    lane b.Codec.b_ovf b.Codec.b_ovf_n
+  in
+  let m = Machine.create program ~input in
+  Machine.attach m
+    (Tool.make
+       ~on_view:(fun v ->
+         Codec.encode_view enc !b v;
+         if Codec.batch_length !b = cap then begin
+           ship ();
+           b := Codec.batch_create ~events_per_batch:cap
+         end)
+       "pin-wire");
+  ignore (Machine.run m);
+  if Codec.batch_length !b > 0 then ship ();
+  (!words, !ovf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let pinned_wire =
+  [
+    ("matmul", 8, (20189, 0, "312a20df22c8ec63610321fdce72bb0a"));
+    ("crc", 600, (12663, 0, "e153373b2be1eef1a84941c970e93821"));
+    ("sieve", 400, (23823, 0, "a29728911d143cc808a42f8424d50f40"));
+    ("treesum", 200, (12927, 126, "692cfa7652ac9a65f4db916f85c170f2"));
+    ("feistel", 40, (12551, 80, "cea2f6daa3f0b7d08132cb0ac67ac0bd"));
+  ]
+
+let pinned_server = (3949, 2, "46d524eb24465d74d403b29ae6aa0c2e")
+
+let test_wire_pinned () =
+  let pin name (words, ovf, digest) (words', ovf', digest') =
+    check Alcotest.int (name ^ ": batch words") words words';
+    check Alcotest.int (name ^ ": overflow descriptors") ovf ovf';
+    check Alcotest.string (name ^ ": lane digest") digest digest'
+  in
+  List.iter
+    (fun (name, size, expected) ->
+      let w = Spec_like.by_name name in
+      pin name expected
+        (wire_of w.Workload.program (w.Workload.input ~size ~seed:7)))
+    pinned_wire;
+  let b = Server_sim.generate ~requests:12 ~seed:3 () in
+  pin "server" pinned_server
+    (wire_of (Server_sim.program ~workers:2 ()) b.Server_sim.input)
+
 (* A recycled batch must not leak state into its next fill. *)
 let test_batch_recycling () =
   let enc = Codec.encoder table in
@@ -845,6 +921,8 @@ let suite =
       test_large_frames_compact;
     Alcotest.test_case "machine streams fit the wire budget" `Quick
       test_wire_budget;
+    Alcotest.test_case "machine streams encode to the pinned wire" `Quick
+      test_wire_pinned;
     Alcotest.test_case "the generators cover every next-pc shape" `Quick
       test_site_pool;
     Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"

@@ -145,60 +145,48 @@ let encoder table =
     e_scratch = Event.view_blank ();
   }
 
-(* The compact-shape check.  A register location [l] matches static
-   offset [off] in the frame whose first location is [base] iff
-   [l = base + off].  The first register of an event fixes [base]: it
-   must be [l - off], non-negative and a multiple of the frame stride
-   (a power of two: a mask).  Memory locations (even) can never match
-   a register offset (odd). *)
 let frame_mask = Site.frame_stride - 1
-let mismatch = -2
 
-(* The memory location a row's read or write set must end with: [-1]
-   when it has none, [min_int] (matches nothing) when one is due but
-   the event carries no address. *)
-let mem_loc expected addr =
-  if not expected then -1 else if addr >= 0 then addr lsl 1 else min_int
-
-(* Walks the valid prefix [0, n) of one location array against the
-   row's offsets, threading the frame base ([-1] until a register
-   fixes it); returns the base or [mismatch]. *)
-let rec walk offs k (locs : Loc.t array) n base mem =
-  if k < Array.length offs then
-    if k >= n then mismatch
-    else
-      let l = Array.unsafe_get locs k in
-      let off = Array.unsafe_get offs k in
-      if base >= 0 then
-        if l = base + off then walk offs (k + 1) locs n base mem else mismatch
-      else
-        let d = l - off in
-        if d >= 0 && d land frame_mask = 0 then walk offs (k + 1) locs n d mem
-        else mismatch
-  else if n = k then if mem = -1 then base else mismatch
-  else if n = k + 1 then
-    if mem >= 0 && Array.unsafe_get locs k = mem then base else mismatch
-  else mismatch
-
-(* The common activation-frame serial of the event's locations, when
-   its dynamic read/write sets match the row's static shape exactly;
-   [-1] otherwise (then the overflow area carries the sets
-   verbatim). *)
+(* The compact-shape check, one pass over the facts {!Site.of_program}
+   computed once per site.  The sets are frame-compact when their
+   lengths are the row's, a Load's last read and a Store's write are
+   the cell [addr lsl 1], and every register location [l] is
+   [base + off] for its static offset [off].  The first register fixes
+   [base], which must be non-negative and a multiple of the frame
+   stride (a power of two: a mask).  Every comparison after the counts
+   folds into one accumulator, so the check branches on the event's
+   data only at its ends.  Returns the frame serial, or [-1] (then the
+   overflow area carries the sets verbatim). *)
 let compact_frame (row : Site.row) (v : Event.view) =
-  let addr = v.Event.v_addr in
-  let base =
-    walk row.Site.s_read_offs 0 v.Event.v_reads v.Event.v_nreads (-1)
-      (mem_loc row.Site.s_mem_read addr)
-  in
-  if base = mismatch then -1
+  let nr = row.Site.s_nreads and nw = row.Site.s_nwrites in
+  if v.Event.v_nreads <> nr || v.Event.v_nwrites <> nw then -1
   else
-    let base =
-      walk row.Site.s_write_offs 0 v.Event.v_writes v.Event.v_nwrites base
-        (mem_loc row.Site.s_mem_write addr)
+    let reads = v.Event.v_reads and writes = v.Event.v_writes in
+    let roffs = row.Site.s_read_offs and woffs = row.Site.s_write_offs in
+    let nro = Array.length roffs and nwo = Array.length woffs in
+    let cell = v.Event.v_addr lsl 1 in
+    let acc =
+      (if nro < nr then Array.unsafe_get reads nro lxor cell else 0)
+      lor if nwo < nw then Array.unsafe_get writes nwo lxor cell else 0
     in
-    if base = mismatch then -1
-    else if base = -1 then 0
-    else base lsr Site.frame_shift
+    let base =
+      if nro > 0 then Array.unsafe_get reads 0 - Array.unsafe_get roffs 0
+      else if nwo > 0 then Array.unsafe_get writes 0 - Array.unsafe_get woffs 0
+      else 0
+    in
+    (* non-negative and stride-aligned: no sign bit, no low bits *)
+    let acc = ref (acc lor (base land (min_int lor frame_mask))) in
+    for k = 0 to nro - 1 do
+      acc :=
+        !acc
+        lor (Array.unsafe_get reads k lxor (base + Array.unsafe_get roffs k))
+    done;
+    for k = 0 to nwo - 1 do
+      acc :=
+        !acc
+        lor (Array.unsafe_get writes k lxor (base + Array.unsafe_get woffs k))
+    done;
+    if !acc = 0 then base lsr Site.frame_shift else -1
 
 let grow_ovf b need =
   if Array.length b.b_ovf < need then begin
@@ -258,50 +246,71 @@ let overflow b (v : Event.view) mask frame =
     (off lsl pay_shift) lor x_bit
   end
 
-(* A site event: value lane, address lane where the site carries one,
-   and the descriptor, with every implied field checked. *)
-let encode_site b i site (row : Site.row) (v : Event.view) =
-  Array.unsafe_set b.b_value i v.Event.v_value;
-  let gap = v.Event.v_step - b.b_step0 - i in
+(* The descriptor bits, all but site and taken, of an event that
+   misses {!encode_site}'s fast path: it disagrees with some implied
+   field (the mask says which) or its frame does not fit the payload,
+   so it gets an overflow record. *)
+let encode_slow b (row : Site.row) (v : Event.view) ~gap ~frame =
   let mask = if gap lsr gap_bits = 0 then 0 else o_step in
-  let tid = v.Event.v_tid in
-  let mask = if tid lsr tid_bits = 0 then mask else mask lor o_tid in
+  let mask = if v.Event.v_tid lsr tid_bits = 0 then mask else mask lor o_tid in
   let np = v.Event.v_next_pc in
-  let taken = np <> row.Site.s_next_pc && np = row.Site.s_taken_pc in
   let mask =
-    if np = row.Site.s_next_pc || taken then mask else mask lor o_next
+    if np = row.Site.s_next_pc || np = row.Site.s_taken_pc then mask
+    else mask lor o_next
   in
-  (* the address lane carries a Load/Store's address and a Read's input
-     index; the other of the two is implied [-1] *)
   let addr = v.Event.v_addr and input = v.Event.v_input_index in
   let mask =
-    if row.Site.s_mem_read || row.Site.s_mem_write then begin
-      Array.unsafe_set b.b_addr i addr;
-      b.b_addr_n <- b.b_addr_n + 1;
-      if input = -1 then mask else mask lor o_input
-    end
-    else if row.Site.s_input then begin
-      Array.unsafe_set b.b_addr i input;
-      b.b_addr_n <- b.b_addr_n + 1;
-      if addr = -1 then mask else mask lor o_addr
-    end
-    else
-      (if addr = -1 then mask else mask lor o_addr)
-      lor if input = -1 then 0 else o_input
+    match row.Site.s_lane with
+    | Site.Addr_lane -> if input = -1 then mask else mask lor o_input
+    | Site.Input_lane -> if addr = -1 then mask else mask lor o_addr
+    | Site.No_lane ->
+        (if addr = -1 then mask else mask lor o_addr)
+        lor if input = -1 then 0 else o_input
   in
+  overflow b v mask frame
+  lor (if mask land o_step = 0 then gap lsl gap_shift else 0)
+  lor if mask land o_tid = 0 then v.Event.v_tid lsl tid_shift else 0
+
+(* A site event: value lane, address lane where the site carries one,
+   and the descriptor.  One condition covers every implied field: the
+   step gap and the tid fit their fields, the next pc is the row's
+   (either successor), the address-lane value the site does not carry
+   is [-1] ([addr land input = -1] iff both are), and the sets are
+   compact in a frame the payload holds.  Only an event that fails it
+   works out which fields disagree. *)
+let encode_site b i site (row : Site.row) (v : Event.view) =
+  Array.unsafe_set b.b_value i v.Event.v_value;
+  let addr = v.Event.v_addr and input = v.Event.v_input_index in
+  let implied =
+    match row.Site.s_lane with
+    | Site.No_lane -> addr land input
+    | Site.Addr_lane ->
+        Array.unsafe_set b.b_addr i addr;
+        b.b_addr_n <- b.b_addr_n + 1;
+        input
+    | Site.Input_lane ->
+        Array.unsafe_set b.b_addr i input;
+        b.b_addr_n <- b.b_addr_n + 1;
+        addr
+  in
+  let gap = v.Event.v_step - b.b_step0 - i and tid = v.Event.v_tid in
+  let np = v.Event.v_next_pc in
+  let fell = np = row.Site.s_next_pc in
+  let taken = (not fell) && np = row.Site.s_taken_pc in
   let frame = compact_frame row v in
-  let flags =
-    if mask = 0 && frame >= 0 && frame <= pay_max then
-      (frame lsl pay_shift) lor c_bit
-    else overflow b v mask frame
+  let bits =
+    if
+      implied = -1
+      && (fell || taken)
+      && (gap lsr gap_bits) lor (tid lsr tid_bits) lor (frame land lnot pay_max)
+         = 0
+    then
+      (frame lsl pay_shift) lor (gap lsl gap_shift) lor (tid lsl tid_shift)
+      lor c_bit
+    else encode_slow b row v ~gap ~frame
   in
-  let fields =
-    (site lsl site_shift)
-    lor (if mask land o_step = 0 then gap lsl gap_shift else 0)
-    lor (if mask land o_tid = 0 then tid lsl tid_shift else 0)
-    lor if taken then t_bit else 0
-  in
-  Array.unsafe_set b.b_desc i (flags lor fields)
+  Array.unsafe_set b.b_desc i
+    (bits lor (site lsl site_shift) lor if taken then t_bit else 0)
 
 (** Append one event ([batch_length] must be under [batch_capacity]). *)
 let encode_view enc b (v : Event.view) =
@@ -345,29 +354,31 @@ let ensure arr n =
   if Array.length arr >= n then arr
   else Array.make (max n ((2 * Array.length arr) + 4)) 0
 
-(* The frame-compact sets of [row] in frame [frame], with a Load's
-   trailing memory read and a Store's memory write at [addr].  The
-   view's array fields are written only when they grow. *)
+(* The frame-compact sets of [row] in frame [frame]: the row's
+   lengths, the register offsets, and past them a Load's memory read
+   or a Store's memory write at [addr] (the encoder's check reads the
+   same facts).  The view's array fields are written only when they
+   grow. *)
 let compact_sets (row : Site.row) frame addr (v : Event.view) =
   let base = frame lsl Site.frame_shift in
   let offs = row.Site.s_read_offs in
   let nro = Array.length offs in
-  let nr = nro + if row.Site.s_mem_read then 1 else 0 in
+  let nr = row.Site.s_nreads in
   let ra = ensure v.Event.v_reads nr in
   for k = 0 to nro - 1 do
     Array.unsafe_set ra k (base + Array.unsafe_get offs k)
   done;
-  if row.Site.s_mem_read then Array.unsafe_set ra nro (addr lsl 1);
+  if nro < nr then Array.unsafe_set ra nro (addr lsl 1);
   if ra != v.Event.v_reads then v.Event.v_reads <- ra;
   v.Event.v_nreads <- nr;
   let woffs = row.Site.s_write_offs in
   let nwo = Array.length woffs in
-  let nw = nwo + if row.Site.s_mem_write then 1 else 0 in
+  let nw = row.Site.s_nwrites in
   let wa = ensure v.Event.v_writes nw in
   for k = 0 to nwo - 1 do
     Array.unsafe_set wa k (base + Array.unsafe_get woffs k)
   done;
-  if row.Site.s_mem_write then Array.unsafe_set wa nwo (addr lsl 1);
+  if nwo < nw then Array.unsafe_set wa nwo (addr lsl 1);
   if wa != v.Event.v_writes then v.Event.v_writes <- wa;
   v.Event.v_nwrites <- nw
 
@@ -418,18 +429,16 @@ let decode rows b i (v : Event.view) =
     v.Event.v_tid <- (d lsr tid_shift) land tid_mask;
     v.Event.v_next_pc <-
       (if d land t_bit = 0 then row.Site.s_next_pc else row.Site.s_taken_pc);
-    if row.Site.s_mem_read || row.Site.s_mem_write then begin
-      v.Event.v_addr <- Array.unsafe_get b.b_addr i;
-      v.Event.v_input_index <- -1
-    end
-    else if row.Site.s_input then begin
-      v.Event.v_addr <- -1;
-      v.Event.v_input_index <- Array.unsafe_get b.b_addr i
-    end
-    else begin
-      v.Event.v_addr <- -1;
-      v.Event.v_input_index <- -1
-    end;
+    (match row.Site.s_lane with
+    | Site.Addr_lane ->
+        v.Event.v_addr <- Array.unsafe_get b.b_addr i;
+        v.Event.v_input_index <- -1
+    | Site.Input_lane ->
+        v.Event.v_addr <- -1;
+        v.Event.v_input_index <- Array.unsafe_get b.b_addr i
+    | Site.No_lane ->
+        v.Event.v_addr <- -1;
+        v.Event.v_input_index <- -1);
     if d land x_bit = 0 then
       compact_sets row (d lsr pay_shift) v.Event.v_addr v
     else decode_overflow b d row (d lsr pay_shift) v

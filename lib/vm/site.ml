@@ -2,12 +2,18 @@
 
     See the interface for the contract.  Row construction derives the
     static shape from {!Instr.uses}/{!Instr.def}, which the machine's
-    event builder mirrors for every straight-line instruction — the
-    codec verifies the match element-wise per event and falls back to
-    an explicit encoding when dynamic shape diverges (call boundaries,
-    faults). *)
+    event builder mirrors for every straight-line instruction.  Each
+    row also carries the facts the codec's per-event check needs, so
+    that check is one straight-line pass: the compact set lengths
+    (memory cell included) and what the address lane carries.  The
+    codec compares the counts, then the memory cell and every
+    register location against one frame, and falls back to an
+    explicit encoding when the dynamic shape diverges (call
+    boundaries, faults). *)
 
 open Dift_isa
+
+type lane = No_lane | Addr_lane | Input_lane
 
 type row = {
   s_func : Func.t;
@@ -17,6 +23,9 @@ type row = {
   s_write_offs : int array;
   s_mem_read : bool;
   s_mem_write : bool;
+  s_nreads : int;
+  s_nwrites : int;
+  s_lane : lane;
   s_input : bool;
   s_sink : bool;
   s_filterable : bool;
@@ -74,16 +83,29 @@ let static_next pc = function
 
 let row_of func pc instr =
   let next = static_next pc instr in
+  let read_offs = Array.of_list (List.map reg_off (Instr.uses instr)) in
+  let write_offs =
+    match Instr.def instr with Some d -> [| reg_off d |] | None -> [||]
+  in
+  let mem_read = match instr with Instr.Load _ -> true | _ -> false in
+  let mem_write = match instr with Instr.Store _ -> true | _ -> false in
+  let input = is_input_instr instr in
+  let cell b = if b then 1 else 0 in
   {
     s_func = func;
     s_pc = pc;
     s_instr = instr;
-    s_read_offs = Array.of_list (List.map reg_off (Instr.uses instr));
-    s_write_offs =
-      (match Instr.def instr with Some d -> [| reg_off d |] | None -> [||]);
-    s_mem_read = (match instr with Instr.Load _ -> true | _ -> false);
-    s_mem_write = (match instr with Instr.Store _ -> true | _ -> false);
-    s_input = is_input_instr instr;
+    s_read_offs = read_offs;
+    s_write_offs = write_offs;
+    s_mem_read = mem_read;
+    s_mem_write = mem_write;
+    s_nreads = Array.length read_offs + cell mem_read;
+    s_nwrites = Array.length write_offs + cell mem_write;
+    s_lane =
+      (if mem_read || mem_write then Addr_lane
+       else if input then Input_lane
+       else No_lane);
+    s_input = input;
     s_sink = is_sink_instr instr;
     s_filterable = filterable_instr instr;
     s_next_pc = next;

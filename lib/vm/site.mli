@@ -14,6 +14,12 @@
 
 open Dift_isa
 
+(** What a site's address lane carries on the wire. *)
+type lane =
+  | No_lane  (** nothing: the event's address and input index are [-1] *)
+  | Addr_lane  (** a Load's or Store's address; the input index is [-1] *)
+  | Input_lane  (** a [Read]'s input index; the address is [-1] *)
+
 type row = {
   s_func : Func.t;
   s_pc : int;
@@ -26,6 +32,15 @@ type row = {
       (** same, for the register {!Instr.def} writes (0 or 1 entry) *)
   s_mem_read : bool;  (** a Load: reads end with the memory cell *)
   s_mem_write : bool;  (** a Store: writes are the memory cell *)
+  s_nreads : int;
+      (** the length of a frame-compact read set: the register
+          offsets, plus the memory cell of a Load *)
+  s_nwrites : int;
+      (** the length of a frame-compact write set: the register
+          offset, or the memory cell of a Store *)
+  s_lane : lane;
+      (** {!Addr_lane} exactly at Load and Store, {!Input_lane}
+          exactly at {!s_input} sites *)
   s_input : bool;  (** a taint source ([Sys Read]) *)
   s_sink : bool;
       (** the transfer function reports a sink for every event of this

@@ -205,12 +205,83 @@ let foreign_event_gen =
         value;
       })
 
+(* A compact event of a real row with exactly one change the compact
+   check must see: a register from another frame, every register
+   shifted off the frame stride, one location dropped or duplicated,
+   a memory cell that is not [addr lsl 1], a Load/Store whose address
+   is [-1], or reads and writes from different frames.  Each must
+   still decode exactly. *)
+let near_miss_gen tbl =
+  QCheck2.Gen.(
+    let* e = compact_event_gen tbl in
+    let row = Site.row tbl (Site.base_of_func tbl e.Event.func + e.Event.pc) in
+    let nrr = Array.length row.Site.s_read_offs
+    and nwr = Array.length row.Site.s_write_offs in
+    let nr = List.length e.Event.reads and nw = List.length e.Event.writes in
+    let stride = Site.frame_stride in
+    (* [f] applied to element [j], or to the first [n] elements *)
+    let at j f l = List.mapi (fun i x -> if i = j then f x else x) l in
+    let first n f l = List.mapi (fun i x -> if i < n then f x else x) l in
+    (* [f] applied to location [j] of reads-then-writes *)
+    let on_loc j f =
+      if j < nr then { e with Event.reads = f j e.Event.reads }
+      else { e with Event.writes = f (j - nr) e.Event.writes }
+    in
+    let changes =
+      List.concat
+        [
+          (if nrr + nwr > 0 then [ `Other_frame; `Off_stride ] else []);
+          (if nr + nw > 0 then [ `Drop; `Dup ] else []);
+          (if row.Site.s_mem_read || row.Site.s_mem_write then
+             [ `Cell; `No_addr ]
+           else []);
+          (if nrr > 0 && nwr > 0 then [ `Split_frames ] else []);
+        ]
+    in
+    if changes = [] then return e
+    else
+      let* change = oneofl changes in
+      let* k = int_range 1 3 in
+      let away l = l + (k * stride) in
+      match change with
+      | `Other_frame ->
+          let* j = int_bound (nrr + nwr - 1) in
+          let j = if j < nrr then j else nr + j - nrr in
+          return (on_loc j (fun j -> at j away))
+      | `Off_stride ->
+          let* d = map (fun x -> 2 * x) (int_range 1 ((stride / 2) - 1)) in
+          let shift l = l + d in
+          return
+            {
+              e with
+              Event.reads = first nrr shift e.Event.reads;
+              writes = first nwr shift e.Event.writes;
+            }
+      | `Drop ->
+          let* j = int_bound (nr + nw - 1) in
+          return (on_loc j (fun j -> List.filteri (fun i _ -> i <> j)))
+      | `Dup ->
+          let* j = int_bound (nr + nw - 1) in
+          return
+            (on_loc j (fun j l ->
+                 List.concat
+                   (List.mapi (fun i x -> if i = j then [ x; x ] else [ x ]) l)))
+      | `Cell ->
+          let wrong _ = (e.Event.addr + k) lsl 1 in
+          return
+            (if row.Site.s_mem_read then
+               { e with Event.reads = at nrr wrong e.Event.reads }
+             else { e with Event.writes = at nwr wrong e.Event.writes })
+      | `No_addr -> return { e with Event.addr = -1 }
+      | `Split_frames ->
+          return { e with Event.writes = first nwr away e.Event.writes })
+
 let event_gen tbl =
   QCheck2.Gen.(
     frequency
       [
         (4, compact_event_gen tbl); (2, explicit_event_gen tbl);
-        (1, foreign_event_gen);
+        (2, near_miss_gen tbl); (1, foreign_event_gen);
       ])
 
 (* A stream: consecutive steps with gaps (inside the descriptor's
@@ -525,6 +596,51 @@ let shaped ?(func = fun (r : Site.row) -> r.Site.s_func) (row : Site.row)
     input_index = -1;
     value = 5;
   }
+
+(* Every row's interned shape, the one definition encoder and decoder
+   share: the compact set lengths count {!Instr.uses}, {!Instr.def} and
+   the memory cell, the address lane carries exactly a Load's or
+   Store's address or a Read's input index, and a compact event of the
+   row decodes to sets of exactly those lengths. *)
+let test_interned_shape () =
+  let programs =
+    List.map (fun (w : Workload.t) -> (w.Workload.name, w.Workload.program))
+      Spec_like.all
+    @ [ ("server", Server_sim.program ~workers:2 ()) ]
+  in
+  List.iter
+    (fun (name, program) ->
+      let tbl = Site.of_program program in
+      Array.iteri
+        (fun site (row : Site.row) ->
+          let instr = row.Site.s_instr in
+          let cell b = if b then 1 else 0 in
+          let what = Fmt.str "%s site %d" name site in
+          check Alcotest.int (what ^ ": reads")
+            (List.length (Instr.uses instr) + cell row.Site.s_mem_read)
+            row.Site.s_nreads;
+          check Alcotest.int (what ^ ": writes")
+            ((match Instr.def instr with Some _ -> 1 | None -> 0)
+            + cell row.Site.s_mem_write)
+            row.Site.s_nwrites;
+          check Alcotest.bool (what ^ ": lane") true
+            (row.Site.s_lane
+            =
+            if row.Site.s_mem_read || row.Site.s_mem_write then Site.Addr_lane
+            else if row.Site.s_input then Site.Input_lane
+            else Site.No_lane);
+          let b = Codec.batch_create ~events_per_batch:1 in
+          Codec.encode (Codec.encoder tbl) b (shaped row ~frame:3);
+          check Alcotest.bool (what ^ ": compact") true
+            (b.Codec.b_desc.(0) land 1 = 1);
+          let v = Event.view_blank () in
+          Codec.decode_into tbl b 0 v;
+          check Alcotest.int (what ^ ": decoded reads") row.Site.s_nreads
+            v.Event.v_nreads;
+          check Alcotest.int (what ^ ": decoded writes") row.Site.s_nwrites
+            v.Event.v_nwrites)
+        (Site.rows tbl))
+    programs
 
 (* Sites resolve by the function's physical identity: a copy equal in
    every field (same name, same instruction array) is foreign and
@@ -913,6 +1029,8 @@ let suite =
   [
     Alcotest.test_case "batch recycling is clean" `Quick
       test_batch_recycling;
+    Alcotest.test_case "the interned shape agrees with the instruction"
+      `Quick test_interned_shape;
     Alcotest.test_case "a copied function takes the escape lane" `Quick
       test_copied_func_escapes;
     Alcotest.test_case "a pc past the body is not the next site" `Quick

@@ -39,7 +39,7 @@ type row = {
       (** the length of a frame-compact write set: the register
           offset, or the memory cell of a Store *)
   s_lane : lane;
-      (** {!Addr_lane} exactly at Load and Store, {!Input_lane}
+      (** [Addr_lane] exactly at Load and Store, [Input_lane]
           exactly at {!s_input} sites *)
   s_input : bool;  (** a taint source ([Sys Read]) *)
   s_sink : bool;

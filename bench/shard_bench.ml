@@ -26,6 +26,7 @@
    a point's drain rate by the one-shard rate of the same stream;
    [check_regression] gates on it. *)
 
+open Dift_vm
 open Dift_core
 open Dift_workloads
 module Router = Dift_parallel.Router
@@ -34,7 +35,7 @@ module B = Dift_parallel.Shard_engine.Make (Taint.Bool)
 let now_ns = Dift_obs.Clock.now_ns
 
 (* Pre-route the stream: shard [s] receives every event whose
-   participant mask names it — exactly what [Shard_engine.feed]
+   participant mask names it — exactly what [Shard_engine.feed_view]
    delivers down the per-shard channels. *)
 let route_streams router events =
   let shards = Router.shards router in
@@ -47,6 +48,16 @@ let route_streams router events =
       Router.iter_shards mask (fun s -> buckets.(s) <- e :: buckets.(s)))
     events;
   (!cross, Array.map (fun l -> Array.of_list (List.rev l)) buckets)
+
+(* Replay recorded events through [f], each refilled into one scratch
+   view, as a drained channel hands its shard one. *)
+let replay f stream =
+  let v = Event.view_blank () in
+  Array.iter
+    (fun e ->
+      Event.view_fill v e;
+      f v)
+    stream
 
 (* Pass 1: drive the pre-routed streams through a journaling mesh with
    one domain per shard; return the merged result, the per-ring
@@ -61,7 +72,7 @@ let concurrent_journals ~router ~shards program streams =
   let doms =
     Array.init shards (fun s ->
         Domain.spawn (fun () ->
-            try Array.iter (B.handle workers.(s)) streams.(s)
+            try replay (B.handle_view workers.(s)) streams.(s)
             with e ->
               B.abort_xchg xchg;
               raise e))
@@ -111,7 +122,7 @@ let isolated ~reps ~router ~shards ~journals program stream s =
     else begin
       let w = setup () in
       let t0 = now_ns () in
-      Array.iter (B.handle w) stream;
+      replay (B.handle_view w) stream;
       go (min best (now_ns () - t0)) (Some w) (n - 1)
     end
   in
@@ -166,7 +177,11 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5) () =
         | _ -> 6 * size
       in
       let events = Recording.events w ~size:ksize ~seed in
-      let reference = B.sequential program (Array.to_list events) in
+      let reference =
+        let w = B.solo ~record_sinks:false program in
+        replay (B.transfer w) events;
+        B.merge [| w |]
+      in
       let sweep =
         List.map
           (fun shards ->

@@ -241,6 +241,9 @@ let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel") ~wire
       (Fmt.str "Channel.create: queue_capacity = %d < 1" queue_capacity);
   if batch_size < 1 then
     invalid_arg (Fmt.str "Channel.create: batch_size = %d < 1" batch_size);
+  if wire = `Coded && batch_size > Codec.max_batch_size then
+    Fmt.invalid_arg "Channel.create: coded batch_size = %d > %d" batch_size
+      Codec.max_batch_size;
   match wire with
   | `Boxed ->
       Boxed

@@ -70,7 +70,8 @@ type t
     served as raises instead of counted losses (see
     {!Chaos.instance}).  The sharded engine sets it on the
     request/reply feed rings.
-    @raise Invalid_argument if either size is [< 1]. *)
+    @raise Invalid_argument if either size is [< 1], or a coded
+    channel's [batch_size] exceeds {!Codec.max_batch_size}. *)
 val create :
   ?probe:Probe.t ->
   ?escalate:bool ->

@@ -8,7 +8,7 @@
 exception Injected of string
 
 type op = Push | Pop | Spawn
-type fault = Stall of int | Delay of int | Drop | Abort | Raise
+type fault = Stall of int | Drop | Abort | Raise
 type rule = { on : op; at : int; fault : fault; where : string option }
 type plan = rule list
 
@@ -18,7 +18,6 @@ let op_to_string = function Push -> "push" | Pop -> "pop" | Spawn -> "spawn"
 
 let fault_to_string = function
   | Stall ns -> Fmt.str "stall:%d" ns
-  | Delay ns -> Fmt.str "delay:%d" ns
   | Drop -> "drop"
   | Abort -> "abort"
   | Raise -> "raise"
@@ -36,11 +35,11 @@ let fault_of_string s =
   | [ "drop" ] -> Ok Drop
   | [ "abort" ] -> Ok Abort
   | [ "raise" ] -> Ok Raise
-  | [ (("stall" | "delay") as kind); ns ] -> (
+  | [ "stall"; ns ] -> (
       match int_of_string_opt ns with
-      | Some n when n >= 0 -> Ok (if kind = "stall" then Stall n else Delay n)
+      | Some n when n >= 0 -> Ok (Stall n)
       | _ -> Error (Fmt.str "bad duration %S (want non-negative ns)" ns))
-  | _ -> Error (Fmt.str "unknown fault %S" s)
+  | _ -> Error (Fmt.str "unknown fault %S (want stall:<ns>|drop|abort|raise)" s)
 
 let rule_of_string s =
   let where, rest =
@@ -105,7 +104,7 @@ let plan_of_seed ?(rules = 4) seed =
     let fault =
       match Random.State.int st 10 with
       | 0 | 1 | 2 -> Stall (100_000 + Random.State.int st 2_000_000)
-      | 3 | 4 -> Delay (50_000 + Random.State.int st 1_000_000)
+      | 3 | 4 -> Stall (50_000 + Random.State.int st 1_000_000)
       | 5 | 6 -> Drop
       | 7 -> Abort
       | _ -> Raise
@@ -185,7 +184,7 @@ let sleep_ns owner ns =
     Unix.sleepf (float_of_int ns /. 1e9)
   end
 
-(* Serve the [n]-th occurrence of [op]: sleep out any stall/delay rule
+(* Serve the [n]-th occurrence of [op]: sleep out any stall rule
    that matched, then return the strongest terminal action (Raise >
    Abort > Drop) so composite plans behave predictably. *)
 let act owner rules op ~what n =
@@ -200,7 +199,7 @@ let act owner rules op ~what n =
               ~detail:(Fmt.str "%s=%s" what (fault_to_string r.fault))
         | None -> ());
         match r.fault with
-        | Stall ns | Delay ns -> sleep_ns owner ns
+        | Stall ns -> sleep_ns owner ns
         | Drop -> (
             match !terminal with
             | Proceed -> terminal := Fail

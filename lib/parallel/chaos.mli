@@ -35,9 +35,6 @@ type fault =
   | Stall of int
       (** sleep this many ns {e before} the operation: an artificial
           full/empty stall on the intercepted side *)
-  | Delay of int
-      (** sleep this many ns before the operation completes: the
-          peer's wakeup arrives late (a delayed-wakeup window) *)
   | Drop  (** fail the operation: a push is dropped (and counted), a
               pop discards the popped element (and counts it) *)
   | Abort  (** abort the channel (or the whole exchange mesh) at this
@@ -55,7 +52,7 @@ type plan = rule list
 
 (** [plan_of_seed ?rules seed] derives a reproducible pseudo-random
     plan ([rules] rules, default 4) from [seed]: mixed push/pop
-    stalls, delays, drops, aborts and raises at small occurrence
+    stalls, drops, aborts and raises at small occurrence
     indices, occasionally a spawn failure.  Same seed, same plan. *)
 val plan_of_seed : ?rules:int -> int -> plan
 
@@ -68,7 +65,7 @@ val plan_to_string : plan -> string
 plan  := rule (';' rule)*
 rule  := [where '/'] op '@' at '=' fault
 op    := 'push' | 'pop' | 'spawn'
-fault := 'stall:' ns | 'delay:' ns | 'drop' | 'abort' | 'raise'
+fault := 'stall:' ns | 'drop' | 'abort' | 'raise'
     v}
     e.g. [push@3=abort;parallel.shard1/pop@2=raise;xchg/push@1=stall:2000000].
     [where] is matched as a prefix of the channel namespace
@@ -101,7 +98,7 @@ val plan : t -> plan
 val fired : t -> int
 
 (** Total injected sleep actually served so far, in ns, across every
-    instance (atomic).  Individual [Stall]/[Delay] durations are
+    instance (atomic).  Individual [Stall] durations are
     clamped to 2 s apiece before serving, so a fat-fingered plan
     degrades a run instead of wedging it past any watchdog deadline;
     this total is post-clamp, letting tests reconcile elapsed wall
@@ -131,7 +128,7 @@ type inst
 
 val instance : ?escalate:bool -> ?targeted_only:bool -> t -> ns:string -> inst
 
-(** What the intercepted operation should do.  [Stall]/[Delay] faults
+(** What the intercepted operation should do.  [Stall] faults
     are served {e inside} [on_push]/[on_pop] (the call sleeps, then
     returns [Proceed]); the terminal faults are returned for the seam
     to interpret, so that dropped work is accounted where the counts

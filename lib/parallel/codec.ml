@@ -66,6 +66,14 @@ let set_implied_field (v : Event.view) j x =
 (* The descriptor lane's header words: [b_n] and [b_step0]. *)
 let header_words = 2
 
+(* The largest batch whose every overflow offset fits the payload: the
+   longest record is the mask, every implied field, both set lengths
+   and both sets at the machine's widest event (a call reads every
+   argument register plus an indirect target, at most [Reg.count + 2]
+   locations a set), and the last event's starts [n - 1] records in. *)
+let max_batch_size =
+  (pay_max / (1 + o_fields + 2 + (2 * (Reg.count + 2)))) + 1
+
 (* -- batches ------------------------------------------------------------ *)
 
 type batch = {
@@ -73,48 +81,36 @@ type batch = {
   b_value : int array;
   b_addr : int array;
   mutable b_ovf : int array;
-  mutable b_esc : Event.exec array;
   mutable b_n : int;
   mutable b_ovf_n : int;
-  mutable b_esc_n : int;
   mutable b_addr_n : int;
   mutable b_step0 : int;
 }
 
 let batch_create ~events_per_batch =
-  if events_per_batch < 1 then
-    invalid_arg
-      (Fmt.str "Codec.batch_create: events_per_batch = %d < 1"
-         events_per_batch);
+  if events_per_batch < 1 || events_per_batch > max_batch_size then
+    Fmt.invalid_arg "Codec.batch_create: events_per_batch = %d outside [1, %d]"
+      events_per_batch max_batch_size;
   let z () = Array.make events_per_batch 0 in
   {
     b_desc = z ();
     b_value = z ();
     b_addr = z ();
     b_ovf = Array.make 64 0;
-    b_esc = [||];
     b_n = 0;
     b_ovf_n = 0;
-    b_esc_n = 0;
     b_addr_n = 0;
     b_step0 = 0;
   }
 
-let batch_capacity b = Array.length b.b_desc
 let batch_length b = b.b_n
 
-let batch_words b =
-  header_words + b.b_n + (b.b_n - b.b_esc_n) + b.b_addr_n + b.b_ovf_n
+let batch_words b = header_words + (2 * b.b_n) + b.b_addr_n + b.b_ovf_n
 
 let batch_clear b =
   b.b_n <- 0;
   b.b_ovf_n <- 0;
-  b.b_addr_n <- 0;
-  if b.b_esc_n > 0 then begin
-    (* drop the boxed references so a recycled batch does not pin them *)
-    b.b_esc <- [||];
-    b.b_esc_n <- 0
-  end
+  b.b_addr_n <- 0
 
 (* -- encoding ----------------------------------------------------------- *)
 
@@ -123,25 +119,19 @@ type encoder = {
   e_table : Site.table;
   mutable e_func : Func.t;  (** last function seen (physical equality) *)
   mutable e_base : int;  (** its first site id, [-1] when foreign *)
-  mutable e_len : int;
-      (** the pcs of it that have a site id the descriptor can hold *)
   e_scratch : Event.view;  (** {!encode}'s adapter view *)
 }
 
-(* A function's encodable pcs: its body, cut where site ids outgrow
-   the descriptor's field (the pcs past the cut escape). *)
-let encodable_len base (f : Func.t) =
-  if base < 0 then 0 else min (Array.length f.Func.body) (site_mask + 1 - base)
-
 let encoder table =
+  if Site.size table > site_mask + 1 then
+    Fmt.invalid_arg "Codec.encoder: %d sites > %d" (Site.size table)
+      (site_mask + 1);
   let f = (Site.row table 0).Site.s_func in
-  let base = Site.base_of_func table f in
   {
     e_rows = Site.rows table;
     e_table = table;
     e_func = f;
-    e_base = base;
-    e_len = encodable_len base f;
+    e_base = Site.base_of_func table f;
     e_scratch = Event.view_blank ();
   }
 
@@ -195,19 +185,6 @@ let grow_ovf b need =
     b.b_ovf <- a
   end
 
-(* Foreign event: carried boxed, desc = -(index + 1). *)
-let escape b i (v : Event.view) =
-  let e = Event.view_to_exec v in
-  let n = b.b_esc_n in
-  if Array.length b.b_esc <= n then begin
-    let a = Array.make (max 4 (2 * Array.length b.b_esc)) e in
-    Array.blit b.b_esc 0 a 0 n;
-    b.b_esc <- a
-  end;
-  b.b_esc.(n) <- e;
-  b.b_esc_n <- n + 1;
-  Array.unsafe_set b.b_desc i (-(n + 1))
-
 (* The overflow record of an event some implied field or its set shape
    disagrees with: [mask], the disagreeing fields in mask order, then
    the frame serial when the sets are compact ([frame >= 0]), or
@@ -216,6 +193,8 @@ let escape b i (v : Event.view) =
 let overflow b (v : Event.view) mask frame =
   let nr = v.Event.v_nreads and nw = v.Event.v_nwrites in
   let off = b.b_ovf_n in
+  (* unreachable from a machine stream in a batch of [max_batch_size] *)
+  if off > pay_max then invalid_arg "Codec.encode: overflow past the payload";
   grow_ovf b (off + 1 + o_fields + if frame >= 0 then 1 else 2 + nr + nw);
   let ovf = b.b_ovf in
   ovf.(off) <- mask;
@@ -312,34 +291,31 @@ let encode_site b i site (row : Site.row) (v : Event.view) =
   Array.unsafe_set b.b_desc i
     (bits lor (site lsl site_shift) lor if taken then t_bit else 0)
 
-(** Append one event ([batch_length] must be under [batch_capacity]). *)
+(* An event that is not physically one of the table's sites. *)
+let foreign (v : Event.view) =
+  Fmt.invalid_arg "Codec.encode: %s:%d is not an interned site"
+    v.Event.v_func.Func.name v.Event.v_pc
+
+(** Append one event (the batch must not be full). *)
 let encode_view enc b (v : Event.view) =
   let i = b.b_n in
   (* every lane has the batch's capacity (they are created together
      and never replaced), so one check covers the unchecked stores *)
   if i >= Array.length b.b_desc then invalid_arg "Codec.encode: batch full";
   if i = 0 then b.b_step0 <- v.Event.v_step;
-  (* Site resolution: a function that is not physically one of the
-     program's (hand-built test streams), a pc outside its body, or an
-     instruction that is not physically the row's makes the event
-     foreign.  The base is looked up ({!Site.base_of_func}) only when
-     the function changes, so in the steady state this is a compare,
-     an add and one row load. *)
+  (* Site resolution: the base is looked up only when the function
+     changes.  A foreign function's base is [-1], and a pc outside the
+     body lands off the table or on another function's row. *)
   let f = v.Event.v_func in
   if f != enc.e_func then begin
     enc.e_func <- f;
-    enc.e_base <- Site.base_of_func enc.e_table f;
-    enc.e_len <- encodable_len enc.e_base f
+    enc.e_base <- Site.base_of_func enc.e_table f
   end;
-  let pc = v.Event.v_pc in
-  (* an overflow area past the payload's reach (a batch of millions of
-     call events, say) escapes too *)
-  (if pc < 0 || pc >= enc.e_len || b.b_ovf_n > pay_max then escape b i v
-   else
-     let site = enc.e_base + pc in
-     let row = Array.unsafe_get enc.e_rows site in
-     if row.Site.s_instr != v.Event.v_instr then escape b i v
-     else encode_site b i site row v);
+  let site = enc.e_base + v.Event.v_pc in
+  if site < 0 || site >= Array.length enc.e_rows then foreign v;
+  let row = Array.unsafe_get enc.e_rows site in
+  if row.Site.s_func != f || row.Site.s_instr != v.Event.v_instr then foreign v;
+  encode_site b i site row v;
   b.b_n <- i + 1
 
 let encode enc b e =
@@ -414,35 +390,30 @@ let decode_overflow b d (row : Site.row) off (v : Event.view) =
    location arrays when they grow. *)
 let decode rows b i (v : Event.view) =
   let d = b.b_desc.(i) in
-  if d < 0 then
-    (* foreign event off the escape hatch: exact by construction *)
-    Event.view_fill v b.b_esc.(-d - 1)
-  else begin
-    let row : Site.row = rows.((d lsr site_shift) land site_mask) in
-    let f = row.Site.s_func in
-    if v.Event.v_func != f then v.Event.v_func <- f;
-    (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
-    v.Event.v_instr <- row.Site.s_instr;
-    v.Event.v_pc <- row.Site.s_pc;
-    v.Event.v_value <- Array.unsafe_get b.b_value i;
-    v.Event.v_step <- b.b_step0 + i + ((d lsr gap_shift) land gap_mask);
-    v.Event.v_tid <- (d lsr tid_shift) land tid_mask;
-    v.Event.v_next_pc <-
-      (if d land t_bit = 0 then row.Site.s_next_pc else row.Site.s_taken_pc);
-    (match row.Site.s_lane with
-    | Site.Addr_lane ->
-        v.Event.v_addr <- Array.unsafe_get b.b_addr i;
-        v.Event.v_input_index <- -1
-    | Site.Input_lane ->
-        v.Event.v_addr <- -1;
-        v.Event.v_input_index <- Array.unsafe_get b.b_addr i
-    | Site.No_lane ->
-        v.Event.v_addr <- -1;
-        v.Event.v_input_index <- -1);
-    if d land x_bit = 0 then
-      compact_sets row (d lsr pay_shift) v.Event.v_addr v
-    else decode_overflow b d row (d lsr pay_shift) v
-  end
+  let row : Site.row = rows.((d lsr site_shift) land site_mask) in
+  let f = row.Site.s_func in
+  if v.Event.v_func != f then v.Event.v_func <- f;
+  (match v.Event.v_exec with Some _ -> v.Event.v_exec <- None | None -> ());
+  v.Event.v_instr <- row.Site.s_instr;
+  v.Event.v_pc <- row.Site.s_pc;
+  v.Event.v_value <- Array.unsafe_get b.b_value i;
+  v.Event.v_step <- b.b_step0 + i + ((d lsr gap_shift) land gap_mask);
+  v.Event.v_tid <- (d lsr tid_shift) land tid_mask;
+  v.Event.v_next_pc <-
+    (if d land t_bit = 0 then row.Site.s_next_pc else row.Site.s_taken_pc);
+  (match row.Site.s_lane with
+  | Site.Addr_lane ->
+      v.Event.v_addr <- Array.unsafe_get b.b_addr i;
+      v.Event.v_input_index <- -1
+  | Site.Input_lane ->
+      v.Event.v_addr <- -1;
+      v.Event.v_input_index <- Array.unsafe_get b.b_addr i
+  | Site.No_lane ->
+      v.Event.v_addr <- -1;
+      v.Event.v_input_index <- -1);
+  if d land x_bit = 0 then
+    compact_sets row (d lsr pay_shift) v.Event.v_addr v
+  else decode_overflow b d row (d lsr pay_shift) v
 
 (** Decode event [i] of [b] into the reused view (no allocation once
     the view's scratch arrays have grown to the stream's maximum

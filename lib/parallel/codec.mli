@@ -7,7 +7,7 @@
     events: one descriptor word each, a value lane, an address lane
     written only at the sites that carry one, a header word (the step
     of event 0, [b_step0]) and one shared growable overflow area.  The
-    descriptor of a non-escaped event packs, from bit 0 up:
+    descriptor packs, from bit 0 up:
 
     - [C] (bit 0) — the read/write sets are {e frame-compact}: they
       rebuild from the site row's static register offsets
@@ -38,16 +38,11 @@
     [nreads, nwrites, reads.., writes..] ([C = 0]).  So decode is
     exact for every stream, by construction.
 
-    {b Escape.}  [desc < 0]: the event is foreign to the interned
-    program (a hand-built stream whose [(func, pc, instr)] is not
-    physically one of the program's own sites); it rides boxed in the
-    batch's escape lane at index [-desc - 1] and decodes by
-    {!Dift_vm.Event.view_fill}, exact by construction.  The encoder
-    detects this per event: the function must be physically one of
-    the program's ({!Dift_vm.Site.base_of_func}, looked up only when
-    the function changes), the pc inside its body, and the
-    instruction physically the row's.  Machine streams never take it,
-    so the steady state stays flat.
+    {b Sites only.}  The encoder raises [Invalid_argument] for an
+    event whose function, pc and instruction are not physically one of
+    the interned program's sites, and for an overflow offset past the
+    payload, which no machine stream reaches in a batch of at most
+    {!max_batch_size} events.
 
     On a single-threaded machine stream an event costs its descriptor,
     its value and, at a Load, Store or Read, one address-lane word:
@@ -76,27 +71,27 @@ type batch = {
       (** written only at Load/Store (the address) and Read (the input
           index) sites *)
   mutable b_ovf : int array;
-  mutable b_esc : Event.exec array;
-      (** boxed escape lane for foreign events (negative [desc]) *)
   mutable b_n : int;
   mutable b_ovf_n : int;
-  mutable b_esc_n : int;
   mutable b_addr_n : int;  (** address-lane words written *)
   mutable b_step0 : int;  (** header: the step of event 0 *)
 }
 
+(** The largest batch (14,980 events) whose overflow offsets fit the
+    payload whatever the machine's events. *)
+val max_batch_size : int
+
 (** A fresh batch with all lanes sized [events_per_batch].
-    @raise Invalid_argument if [events_per_batch < 1]. *)
+    @raise Invalid_argument if [events_per_batch] is outside
+    [[1, max_batch_size]]. *)
 val batch_create : events_per_batch:int -> batch
 
-val batch_capacity : batch -> int
 val batch_length : batch -> int
 val batch_clear : batch -> unit
 
 (** The words the batch carries: its two header words ([b_n],
-    [b_step0]), one descriptor per event, one value per non-escaped
-    event, the address-lane words written and the overflow area in
-    use.  An escaped event's boxed record is not counted. *)
+    [b_step0]), one descriptor and one value per event, the
+    address-lane words written and the overflow area in use. *)
 val batch_words : batch -> int
 
 (** {1 Raw encode / decode}
@@ -106,10 +101,14 @@ val batch_words : batch -> int
 
 type encoder
 
+(** @raise Invalid_argument if the table has more sites than the
+    descriptor's 22-bit site field holds. *)
 val encoder : Site.table -> encoder
 
 (** Append one event to the batch (which must not be full), reading
-    the view's fields and location arrays in place. *)
+    the view's fields and location arrays in place.
+    @raise Invalid_argument if the batch is full or the event is not
+    one of the table's sites. *)
 val encode_view : encoder -> batch -> Event.view -> unit
 
 (** {!encode_view} over a boxed record (filled into the encoder's

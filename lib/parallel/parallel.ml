@@ -105,14 +105,6 @@ let result_of outcome ~events (m : Bool_shards.merged) =
     taint_fingerprint = m.Bool_shards.m_fingerprint;
   }
 
-(* Channel geometry below 1 would loop in batch fill / ring indexing
-   arithmetic; reject it up front with a caller-level message. *)
-let validate_geometry ~queue_capacity ~batch_size =
-  if queue_capacity < 1 then
-    invalid_arg (Fmt.str "Parallel: queue_capacity = %d < 1" queue_capacity);
-  if batch_size < 1 then
-    invalid_arg (Fmt.str "Parallel: batch_size = %d < 1" batch_size)
-
 let leg_to_string = function
   | `App -> "app"
   | `Helper -> "helper"
@@ -141,11 +133,11 @@ type run = {
    feeds a [shards]-helper cluster, then every leg's outcome — clean
    join, helper or shard crash, application crash, spawn failure,
    deadline miss, degraded completion — becomes a [run] or a
-   structured error. *)
+   structured error.  The router, the filter and the channels check
+   the geometry as the cluster creates them, before any domain. *)
 let supervise ?config ~probe ?degrade ?route ?xchg_capacity ~queue_capacity
     ~batch_size ~wire ~forward_filter ?policy ?on_sink ~shards ~report program
     ~input =
-  validate_geometry ~queue_capacity ~batch_size;
   (* the filter is sound only when taint flows through the event's
      read set; control-plane taint escapes it, so the filter silently
      stands down under propagate_control *)
@@ -440,8 +432,6 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     ?(batch_size = Channel.default_batch_size)
     ?xchg_capacity ?(wire = `Coded) ?(forward_filter = false) ?policy ?on_sink
     ~shards program ~input =
-  if shards < 1 then
-    invalid_arg (Fmt.str "Parallel.run_sharded_result: shards = %d < 1" shards);
   supervise ?config
     ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
     ?degrade ~route ?xchg_capacity ~queue_capacity ~batch_size ~wire

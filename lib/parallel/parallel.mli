@@ -197,8 +197,9 @@ type inline_report = {
       of a hang; the caller creates and {!Watchdog.stop}s the
       watchdog, and one watchdog supervises one run.
 
-    @raise Invalid_argument if [queue_capacity] or [batch_size] is
-    [< 1]. *)
+    @raise Invalid_argument before any domain starts if
+    [queue_capacity] or [batch_size] is [< 1], or a coded
+    [batch_size] exceeds {!Codec.max_batch_size}. *)
 val run_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -291,8 +292,9 @@ type sharded_report = {
     {!Probe} — and the watchdog's cascade hooks run in dependency
     order: each feed channel, then the mesh.
 
-    @raise Invalid_argument if [shards], [queue_capacity] or
-    [batch_size] is [< 1]. *)
+    @raise Invalid_argument before any domain starts if [shards],
+    [queue_capacity] or [batch_size] is [< 1], or a coded
+    [batch_size] exceeds {!Codec.max_batch_size}. *)
 val run_sharded_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->

@@ -60,9 +60,8 @@ let participants_view t (v : Event.view) =
   lor mask_of_arr t v.Event.v_reads v.Event.v_nreads
   lor mask_of_arr t v.Event.v_writes v.Event.v_nwrites
 
-(* The record forms take a fresh view rather than a scratch one: a
+(* The record form takes a fresh view rather than a scratch one: a
    router is a pure value that every domain of a run shares. *)
-let home_of t e = home_of_view t (Event.view_of_exec e)
 let participants t e = participants_view t (Event.view_of_exec e)
 
 let is_local mask = mask land (mask - 1) = 0

@@ -11,7 +11,7 @@
     round-robin across shards, and memory is striped in 64-word
     blocks.
 
-    A router value is a pure description: [shard_of_loc], [home_of]
+    A router value is a pure description: [shard_of_loc], [home_of_view]
     and [participants] are arithmetic on the event alone, so the
     application domain (routing) and every helper domain (deciding its
     own role in a cross-shard event) evaluate the same function
@@ -45,22 +45,18 @@ val shard_of_loc : t -> Loc.t -> int
 (** [owns t s l] is [shard_of_loc t l = s]. *)
 val owns : t -> int -> Loc.t -> bool
 
-(** [home_of t e] is the shard that executes the engine transfer
-    function for event [e]: the owner of the first write when [e]
-    writes (keeping stores local), else the owner of the first read
-    (sink-only events evaluate where their operand taint lives), else
-    [e.step mod shards]. *)
-val home_of : t -> Event.exec -> int
-
 (** [participants t e] is the bitmask of shards involved in [e]: the
     owners of every read and write location plus the home shard.  A
     one-bit mask means the event is purely local to that shard. *)
 val participants : t -> Event.exec -> int
 
-(** {!home_of} over an {!Event.view}, read in place — the machine's
-    view on the feeding domain, a decoded one on a shard, so both
-    agree on the verdict for the same event.  {!home_of} is this over
-    a fresh view of the record. *)
+(** [home_of_view t v] is the shard that executes the engine transfer
+    function for the event in [v]: the owner of the first write when
+    it writes (keeping stores local), else the owner of the first read
+    (sink-only events evaluate where their operand taint lives), else
+    [step mod shards].  The view is read in place — the machine's view
+    on the feeding domain, a decoded one on a shard — so both agree on
+    the verdict for the same event. *)
 val home_of_view : t -> Event.view -> int
 
 (** {!participants} over an {!Event.view}, read in place. *)

@@ -133,9 +133,6 @@ module Make (D : Taint.DOMAIN) = struct
     mutable transfer : Event.view -> unit;
         (** the engine's per-event function, behind the run's
             instruments once {!instrument} wired them *)
-    w_scratch : Event.view;
-        (** refilled per event on the boxed {!handle} path; coded
-            drains hand their own scratch view to {!handle_view} *)
     mutable sink_hash : int;
         (** {!sink_hash} summed over this shard's sink observations *)
     mutable sinks : (int * Engine.sink * D.t * Event.exec option) list;
@@ -162,7 +159,6 @@ module Make (D : Taint.DOMAIN) = struct
     let eng = E.create ~policy program in
     (* wall-clock runtime: modelled-cycle charging is meaningless here *)
     E.set_charge eng ignore;
-    let f0 = List.hd (Dift_isa.Program.functions program) in
     let w =
       {
         w_shard = shard;
@@ -171,8 +167,6 @@ module Make (D : Taint.DOMAIN) = struct
         x = xchg;
         eng;
         transfer = E.process_view eng;
-        w_scratch =
-          Event.view_create ~func:f0 ~instr:f0.Dift_isa.Func.body.(0);
         sink_hash = 0;
         sinks = [];
         record_sinks;
@@ -327,10 +321,6 @@ module Make (D : Taint.DOMAIN) = struct
           else handle_assist w v ~home
         end
 
-  let handle w (e : Event.exec) =
-    Event.view_fill w.w_scratch e;
-    handle_view w w.w_scratch
-
   (* -- deterministic merge --------------------------------------------- *)
 
   type merged = {
@@ -382,16 +372,11 @@ module Make (D : Taint.DOMAIN) = struct
       m_fingerprint = fingerprint_of ws;
     }
 
-  (* One worker alone: a one-shard router and no mesh, so [handle]
-     degenerates to [E.process_view] on every event. *)
+  (* One worker alone: a one-shard router and no mesh, so
+     [handle_view] degenerates to [E.process_view] on every event. *)
   let solo ?policy ~record_sinks program =
     worker ?policy ~router:(Router.create ~shards:1 ()) ~route:`Broadcast
       ~xchg:(create_xchg ~shards:0 ()) ~record_sinks ~shard:0 program
-
-  let sequential ?policy program events =
-    let w = solo ?policy ~record_sinks:true program in
-    List.iter (handle w) events;
-    merge [| w |]
 
   (* -- a cluster: workers + inbound rings + helper domains ------------- *)
 
@@ -546,11 +531,6 @@ module Make (D : Taint.DOMAIN) = struct
       c.workers
 
   let feed_view c = c.c_feed
-
-  let feed c e =
-    let v = Event.view_blank () in
-    Event.view_fill v e;
-    c.c_feed v
 
   let spawn_one c s w =
     let one = Array.length c.workers = 1 and h = c.helpers.(s) in
@@ -718,17 +698,4 @@ module Make (D : Taint.DOMAIN) = struct
           exchange_received = w.received;
         })
       c.workers
-
-  (* A stream run records every sink, as {!sequential} does, so
-     the two compare sink by sink. *)
-  let run_stream ?policy ?route ?queue_capacity ?batch_size ?xchg_capacity
-      ?wire ?filter ~shards program events =
-    let c =
-      cluster ?policy ?route ?queue_capacity ?batch_size ?xchg_capacity ?wire
-        ?filter ~shards program
-    in
-    record_sink_events c;
-    start c;
-    List.iter (feed c) events;
-    match finish_result c with Ok m -> m | Error f -> raise f.f_primary
 end

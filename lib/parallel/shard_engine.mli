@@ -51,8 +51,8 @@
 
     This module is the machinery under {!Parallel.run_result} and
     {!Parallel.run_sharded_result}, and its solo worker ({!Make.solo})
-    is {!Parallel.run_inline}'s engine; it is exposed so tests can drive
-    raw event streams through real domain clusters ({!Make.run_stream})
+    is {!Parallel.run_inline}'s engine; it is exposed so tests can
+    feed machine runs through real domain clusters ({!Make.feed_view})
     and the benchmark harness can replay recorded exchanges against
     isolated workers. *)
 
@@ -155,7 +155,7 @@ module Make (D : Taint.DOMAIN) : sig
       An injected [Drop] or [Raise] crashes the intercepting shard,
       which aborts the mesh, so the failure cascades as {!Shard_dead}
       instead of wedging a waiting peer; [Abort] tears the whole mesh
-      down; [Stall]/[Delay] only sleep, leaving results bit-identical.
+      down; [Stall] only sleeps, leaving results bit-identical.
       @raise Invalid_argument if [capacity < 1]. *)
   val create_xchg :
     ?capacity:int ->
@@ -199,14 +199,12 @@ module Make (D : Taint.DOMAIN) : sig
     Program.t ->
     worker
 
-  (** Process one routed event: run it locally, or play this shard's
-      home/provider/receiver legs of the cross-shard exchange.  May
-      block on the mesh; raises {!Shard_dead} if a peer aborted. *)
-  val handle : worker -> Event.exec -> unit
-
-  (** {!handle} over a decoded {!Event.view} — the zero-copy path the
-      coded wire drains through ({!Channel.drain} hands every shard a
-      reused scratch view).  The view is read during the call only. *)
+  (** Process one routed event, read in place from its view: run it
+      locally, or play this shard's home/provider/receiver legs of the
+      cross-shard exchange.  Both wires drain through it
+      ({!Channel.drain} hands every shard a reused scratch view).  The
+      view is read during the call only.  May block on the mesh;
+      raises {!Shard_dead} if a peer aborted. *)
   val handle_view : worker -> Event.view -> unit
 
   (** The shard's underlying engine (its shadow holds only owned
@@ -226,9 +224,10 @@ module Make (D : Taint.DOMAIN) : sig
 
   (** [solo ~record_sinks program] is a worker alone: a one-shard
       router and no mesh, so {!handle_view} is {!transfer} on every
-      event, and driving {!transfer} directly is the same.  It is
-      the engine of {!sequential}, of a degraded rerun ({!resume}) and
-      of [Parallel.run_inline]. *)
+      event, and driving {!transfer} directly is the same.  It is the
+      sequential reference ({!merge} [[| w |]]): the engine of a
+      degraded rerun ({!resume}), of [Parallel.run_inline] and of the
+      sharded tests' oracle. *)
   val solo : ?policy:Policy.t -> record_sinks:bool -> Program.t -> worker
 
   (** Exchange vectors this worker pushed. *)
@@ -250,10 +249,10 @@ module Make (D : Taint.DOMAIN) : sig
             observation (a tainted one is one whose taint is not
             bottom) *)
     m_sinks : (int * Engine.sink * D.t * Event.exec option) list;
-        (** the recorded sinks, globally step-ordered: every sink for
-            {!sequential} and {!run_stream}, none for a cluster unless
-            {!record_sink_events} asked for them (with their event
-            records) *)
+        (** the recorded sinks, globally step-ordered: every sink of a
+            worker made with [record_sinks] (without event records),
+            none for a cluster unless {!record_sink_events} asked for
+            them (with their event records) *)
     m_tainted_locations : int;  (** summed over disjoint shards *)
     m_shadow_words : int;  (** summed over disjoint shards *)
     m_fingerprint : int;
@@ -265,10 +264,6 @@ module Make (D : Taint.DOMAIN) : sig
       joined).  Request/reply sums disjoint shards; broadcast reports
       shard 0. *)
   val merge : worker array -> merged
-
-  (** The sequential reference: one engine processing [events] in
-      order, reported in the same {!merged} shape. *)
-  val sequential : ?policy:Policy.t -> Program.t -> Event.exec list -> merged
 
   (** {1 Clusters: workers + inbound rings + helper domains} *)
 
@@ -305,8 +300,8 @@ module Make (D : Taint.DOMAIN) : sig
       Each exchange ring holds [xchg_capacity] messages (default
       {!default_xchg_capacity}).  Shadow memory is partitioned in
       blocks of [2{^Router.default_block_bits}] locations.
-      @raise Invalid_argument for [shards < 1] or non-positive channel
-      geometry. *)
+      @raise Invalid_argument for [shards < 1] or a channel geometry
+      {!Channel.create} rejects. *)
   val cluster :
     ?policy:Policy.t ->
     ?route:route ->
@@ -334,9 +329,6 @@ module Make (D : Taint.DOMAIN) : sig
       shard; one shard takes every event without a router. *)
   val feed_view : cluster -> Event.view -> unit
 
-  (** {!feed_view} over a boxed record (filled into a fresh view). *)
-  val feed : cluster -> Event.exec -> unit
-
   (** Spawn one helper domain per shard, each draining its inbound
       channel through {!handle_view}.  A failing shard aborts its channel
       and the whole mesh so the failure cascades instead of wedging.
@@ -359,7 +351,7 @@ module Make (D : Taint.DOMAIN) : sig
       shard on a provide leg forever; after [abort], every shard
       terminates (normal drain end or the [Shard_dead] cascade) and
       {!finish_result}'s joins return.  Call it before
-      {!finish_result} when the domain feeding {!feed} raised. *)
+      {!finish_result} when the domain feeding {!feed_view} raised. *)
   val abort : cluster -> unit
 
   (** Close the channels ({!close_feed}), join every helper domain and
@@ -389,23 +381,4 @@ module Make (D : Taint.DOMAIN) : sig
 
   (** Per-shard activity after {!finish_result}. *)
   val shard_stats : cluster -> shard_stat array
-
-  (** [run_stream ~shards program events] — cluster, start, feed the
-      whole list, finish, recording every sink.  The test suite's harness
-      for comparing sharded(N) against {!sequential} on arbitrary
-      streams.
-      @raise Failure (or the failing shard's exception) if the cluster
-      fails. *)
-  val run_stream :
-    ?policy:Policy.t ->
-    ?route:route ->
-    ?queue_capacity:int ->
-    ?batch_size:int ->
-    ?xchg_capacity:int ->
-    ?wire:Channel.wire ->
-    ?filter:Livefilter.t ->
-    shards:int ->
-    Program.t ->
-    Event.exec list ->
-    merged
 end

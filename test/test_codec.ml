@@ -1,10 +1,11 @@
 (* The de-boxed forwarding plane: the minimal wire must be lossless —
    encode ∘ decode is the identity on machine-shaped events (compact
    and explicit sets, implied fields that agree with the live event or
-   ride the overflow area), on machine streams with events dropped, on
-   events foreign to the interned program (the escape hatch), and
-   through the full channel framing; and machine streams stay within
-   the wire's word budget.  Whole-run equivalence: the coded wire, the boxed wire and
+   ride the overflow area), on machine streams with events dropped,
+   and through the full channel framing; events foreign to the
+   interned program and batches too large for the payload are
+   rejected; and machine streams stay within the wire's word budget.
+   Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
    on every kernel, in both runtimes, on both shard routes — and the
    filter strictly reduces forwarded volume on taint-sparse streams.
@@ -176,7 +177,7 @@ let explicit_event_gen tbl =
 
 (* Events foreign to the interned program (a hand-built function that
    is not physically any of its sites, mostly with out-of-range pcs):
-   the escape hatch must carry them exactly. *)
+   the encoder must reject them. *)
 let alien_prog =
   Program.make [ Func.make ~name:"main" ~arity:0 [| Instr.Halt |] ]
 
@@ -281,7 +282,7 @@ let event_gen tbl =
     frequency
       [
         (4, compact_event_gen tbl); (2, explicit_event_gen tbl);
-        (2, near_miss_gen tbl); (1, foreign_event_gen);
+        (2, near_miss_gen tbl);
       ])
 
 (* A stream: consecutive steps with gaps (inside the descriptor's
@@ -372,6 +373,21 @@ let roundtrip_prop =
     ~print:(fun (_, (_, es)) -> pp_stream es)
     QCheck2.Gen.(pair (int_range 1 300) tabled_stream_gen)
     (fun (cap, (tbl, events)) -> roundtrip tbl ~cap events)
+
+(* A foreign event raises, wherever it falls in a batch, and leaves
+   the batch's events as they were. *)
+let foreign_prop =
+  QCheck2.Test.make ~count:100 ~name:"codec: a foreign event raises"
+    ~print:(fun ((_, es), e) -> pp_stream (es @ [ e ]))
+    QCheck2.Gen.(pair tabled_stream_gen foreign_event_gen)
+    (fun ((tbl, events), e) ->
+      let enc = Codec.encoder tbl in
+      let b = Codec.batch_create ~events_per_batch:(List.length events + 1) in
+      List.iter (Codec.encode enc b) events;
+      (match Codec.encode enc b e with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+      && Codec.batch_length b = List.length events)
 
 (* Same property through the channel: feed / flush / close framing
    with partial final batches, then a synchronous drain. *)
@@ -642,10 +658,15 @@ let test_interned_shape () =
         (Site.rows tbl))
     programs
 
+let foreign_raises tbl e =
+  match encode_one tbl e with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
 (* Sites resolve by the function's physical identity: a copy equal in
-   every field (same name, same instruction array) is foreign and
-   rides the escape lane. *)
-let test_copied_func_escapes () =
+   every field (same name, same instruction array) is foreign, and
+   the encoder rejects it. *)
+let test_copied_func_foreign () =
   let copies = Hashtbl.create 8 in
   let copy (r : Site.row) =
     let f = r.Site.s_func in
@@ -664,16 +685,14 @@ let test_copied_func_escapes () =
     let e = shaped ~func:copy row ~frame:2 in
     check Alcotest.bool "the copy is structurally equal" true
       (e.Event.func = row.Site.s_func && e.Event.func != row.Site.s_func);
-    let desc, exact = encode_one table e in
-    check Alcotest.bool (Fmt.str "site %d: copy escapes" site) true (desc < 0);
-    check Alcotest.bool (Fmt.str "site %d: copy decodes exactly" site) true
-      exact
+    check Alcotest.bool (Fmt.str "site %d: copy raises" site) true
+      (foreign_raises table e)
   done
 
 (* A pc one past a function's body is the next function's first site
    id; the event must not be encoded as that site, even when it
-   carries the very instruction interned there. *)
-let test_pc_past_body_escapes () =
+   carries the very instruction interned there: it is foreign. *)
+let test_pc_past_body_foreign () =
   let p = Spec_like.treesum.Workload.program in
   let tbl = Site.of_program p in
   let funcs = Program.functions p in
@@ -686,15 +705,64 @@ let test_pc_past_body_escapes () =
         let e =
           { (shaped row ~frame:1) with Event.func = f; pc = Func.length f }
         in
-        let desc, exact = encode_one tbl e in
-        check Alcotest.bool (Fmt.str "%s: pc past body escapes" f.Func.name)
-          true (desc < 0);
-        check Alcotest.bool (Fmt.str "%s: decodes exactly" f.Func.name) true
-          exact
+        check Alcotest.bool (Fmt.str "%s: pc past body raises" f.Func.name)
+          true (foreign_raises tbl e)
       end)
     funcs;
   check Alcotest.int "unknown function has no base" (-1)
     (Site.base_of_func tbl alien_func)
+
+(* A batch past [Codec.max_batch_size] could outgrow the payload with
+   overflow records: the codec refuses to make one, and a coded run
+   refuses it before any domain starts (the plan's spawn fault never
+   fires) and before the machine runs.  Within the bound, only events
+   wider than any machine's can reach the payload's end. *)
+let test_oversized_batch () =
+  let big = Codec.max_batch_size + 1 in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "batch_create past the bound" true
+    (raises (fun () -> Codec.batch_create ~events_per_batch:big));
+  let w = Spec_like.crc in
+  let input = w.Workload.input ~size:4 ~seed:1 in
+  let chaos =
+    Chaos.create
+      [ { Chaos.on = Chaos.Spawn; at = 1; fault = Chaos.Raise; where = None } ]
+  in
+  let sinks = ref 0 in
+  check Alcotest.bool "run_result: coded batch_size past the bound" true
+    (raises (fun () ->
+         Parallel.run_result ~chaos ~batch_size:big
+           ~on_sink:(fun _ _ _ -> incr sinks)
+           w.Workload.program ~input));
+  check Alcotest.bool "run_sharded_result: coded batch_size past the bound"
+    true
+    (raises (fun () ->
+         Parallel.run_sharded_result ~chaos ~batch_size:big ~shards:2
+           w.Workload.program ~input));
+  check Alcotest.int "no domain spawned" 0 (Chaos.fired chaos);
+  check Alcotest.int "no event ran" 0 !sinks;
+  (* the largest batch holds a whole crc run *)
+  ignore
+    (ok (Parallel.run_result ~batch_size:Codec.max_batch_size
+        w.Workload.program ~input));
+  (* a hand-built event with 256 reads, over twice the machine's widest
+     set, fills the overflow area past the payload's reach *)
+  let row = Site.row table 0 in
+  let v = Event.view_create ~func:row.Site.s_func ~instr:row.Site.s_instr in
+  v.Event.v_pc <- row.Site.s_pc;
+  v.Event.v_next_pc <- row.Site.s_next_pc;
+  v.Event.v_reads <- Array.init 256 (fun i -> i);
+  v.Event.v_nreads <- 256;
+  let enc = Codec.encoder table in
+  let b = Codec.batch_create ~events_per_batch:Codec.max_batch_size in
+  check Alcotest.bool "too-wide events overflow the payload" true
+    (raises (fun () ->
+         for i = 0 to Codec.max_batch_size - 1 do
+           v.Event.v_step <- i;
+           Codec.encode_view enc b v
+         done))
 
 (* Frame serials far beyond any test stream's still split exactly by
    the compact path's mask and shift. *)
@@ -1023,7 +1091,8 @@ let test_free_ring_raise_crashes_producer () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ roundtrip_prop; roundtrip_channel_prop; filtered_stream_prop ]
+    [ roundtrip_prop; foreign_prop; roundtrip_channel_prop;
+      filtered_stream_prop ]
 
 let suite =
   [
@@ -1031,10 +1100,12 @@ let suite =
       test_batch_recycling;
     Alcotest.test_case "the interned shape agrees with the instruction"
       `Quick test_interned_shape;
-    Alcotest.test_case "a copied function takes the escape lane" `Quick
-      test_copied_func_escapes;
+    Alcotest.test_case "a copied function is foreign and raises" `Quick
+      test_copied_func_foreign;
     Alcotest.test_case "a pc past the body is not the next site" `Quick
-      test_pc_past_body_escapes;
+      test_pc_past_body_foreign;
+    Alcotest.test_case "an oversized coded batch raises" `Quick
+      test_oversized_batch;
     Alcotest.test_case "frames >= 2^20 stay compact and exact" `Quick
       test_large_frames_compact;
     Alcotest.test_case "machine streams fit the wire budget" `Quick

@@ -104,7 +104,17 @@ let test_plan_roundtrip () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S must be rejected" bad)
     [ ""; "push@0=drop"; "push@x=drop"; "push@1=warp"; "frob@1=drop";
-      "push@1=stall:-5"; "push@1" ]
+      "push@1=stall:-5"; "push@1" ];
+  (* [delay:] is no fault; the error points to [stall:] *)
+  match Chaos.plan_of_string "push@1=delay:5" with
+  | Ok _ -> Alcotest.fail "delay: must be rejected"
+  | Error e ->
+      let has_stall =
+        List.exists
+          (fun i -> String.sub e i 6 = "stall:")
+          (List.init (max 0 (String.length e - 5)) Fun.id)
+      in
+      check Alcotest.bool "the error names stall:" true has_stall
 
 (* -- two-domain runtime: every leg ------------------------------------ *)
 
@@ -200,15 +210,15 @@ let test_pop_drop_discards () =
 
 let test_stall_delay_bit_identical () =
   with_watchdog @@ fun () ->
-  (* stalls and delayed wakeups perturb timing only: the result must
-     be bit-identical to an uninjected run *)
+  (* stalls before a push and before a pop perturb timing only: the
+     result must be bit-identical to an uninjected run *)
   let clean =
     match run_crc () with
     | Ok r -> r
     | Error e -> Alcotest.failf "clean run failed: %a" Parallel.pp_error e
   in
   match
-    run_crc ~chaos:(chaos "push@1=stall:2000000;pop@2=delay:1000000") ()
+    run_crc ~chaos:(chaos "push@1=stall:2000000;pop@2=stall:1000000") ()
   with
   | Error e -> Alcotest.failf "stall plan failed: %a" Parallel.pp_error e
   | Ok r ->
@@ -262,71 +272,58 @@ let test_spawn_failure_sharded () =
 
 (* -- exchange-mesh faults --------------------------------------------- *)
 
-(* A deterministic cross-shard stream over a synthetic program: with
-   the default 64-location blocks and 2 shards, [mem 0] lives on shard
-   0 and [mem 64] on shard 1, so the mov crosses shards every time. *)
-let stream_prog =
-  Program.make [ Func.make ~name:"main" ~arity:0 [| Instr.Halt |] ]
-
-let stream_func = Program.find stream_prog "main"
-
-let ev step ?(reads = []) ?(writes = []) ?(input_index = -1) instr =
-  {
-    Event.step;
-    tid = 0;
-    func = stream_func;
-    pc = 0;
-    instr;
-    reads;
-    writes;
-    addr = -1;
-    next_pc = 0;
-    input_index;
-    value = 0;
-  }
-
-let cross_events n =
-  List.concat
-    (List.init n (fun i ->
-         let base = 3 * i in
-         [
-           ev base ~writes:[ Loc.mem 0 ] ~input_index:i
-             (Instr.Sys (Instr.Read Reg.r0));
-           ev (base + 1) ~reads:[ Loc.mem 0 ] ~writes:[ Loc.mem 64 ]
-             (Instr.Mov (Reg.r0, Operand.Reg Reg.r1));
-           ev (base + 2) ~reads:[ Loc.mem 64 ]
-             (Instr.Sys (Instr.Write (Operand.Reg Reg.r0)));
-         ]))
+(* A small real program whose taint crosses shards every iteration:
+   with the default 64-location blocks and 2 shards, [mem 0] lives on
+   shard 0 and [mem 64] on shard 1, and each iteration reads an input,
+   stores it to [mem 0], moves it to [mem 64] and writes it out from
+   there, so the store to [mem 64] and the load back from it cross
+   shards whichever shard owns the register frame. *)
+let cross_prog =
+  let r = Reg.make and imm = Operand.imm and reg x = Operand.reg (Reg.make x) in
+  Program.make
+    [
+      Builder.define ~name:"main" ~arity:0 (fun b ->
+          Builder.for_up b ~idx:(r 7) ~from_:(imm 0) ~below:(imm 8) (fun () ->
+              Builder.read b (r 1);
+              Builder.store b (reg 1) (imm 0) 0;
+              Builder.load b (r 2) (imm 0) 0;
+              Builder.store b (reg 2) (imm 64) 0;
+              Builder.load b (r 3) (imm 64) 0;
+              Builder.write b (reg 3));
+          Builder.halt b);
+    ]
 
 module SE = Shard_engine.Make (Dift_core.Taint.Bool)
 
 let run_cross ?chaos () =
-  let events = cross_events 8 in
   let c =
     SE.cluster
       ?probe:(Option.map (fun chaos -> Probe.make ~chaos ()) chaos)
       ~route:`Request_reply ~queue_capacity:4 ~batch_size:1
-      ~xchg_capacity:4 ~shards:2 stream_prog
+      ~xchg_capacity:4 ~shards:2 cross_prog
   in
   SE.start c;
-  (match List.iter (SE.feed c) events with
-  | () -> ()
+  let m = Machine.create cross_prog ~input:(Array.init 8 (fun i -> i + 1)) in
+  Machine.attach m (Tool.make ~on_view:(SE.feed_view c) "cross-feed");
+  (match Machine.run m with
+  | _ -> ()
   | exception _ ->
-      (* a cascade can reach the feeding side; finish_result still
-         joins and reports *)
-      ());
-  (SE.finish_result c, events)
+      (* a cascade can reach the feeding side: tear the cluster down,
+         as the supervisor does; finish_result still joins and
+         reports *)
+      SE.abort c);
+  (SE.finish_result c, SE.cross_events c)
 
 let test_exchange_stall_bit_identical () =
   with_watchdog @@ fun () ->
-  let reference =
+  let reference, cross =
     match run_cross () with
-    | Ok m, _ -> m
+    | Ok m, cross -> (m, cross)
     | Error f, _ ->
         Alcotest.failf "clean cross run failed: %a" Shard_engine.pp_failure f
   in
   check Alcotest.bool "stream really crosses shards" true
-    (reference.SE.m_sink_hits > 0);
+    (reference.SE.m_sink_hits > 0 && cross > 0);
   (* stall the first exchange push for 2ms: timing noise only *)
   match run_cross ~chaos:(chaos "xchg/push@1=stall:2000000") () with
   | Error f, _ ->

@@ -1,8 +1,9 @@
 (* Property-based tests over randomly generated programs.
 
    The generator produces terminating programs (straight-line code,
-   bounded loops, guarded blocks) over a small register file and a
-   small memory window, with input reads and output writes sprinkled
+   bounded loops, guarded blocks, calls into a generated callee) over
+   a small register file and eight memory cells spread over five
+   64-location blocks, with input reads and output writes sprinkled
    in.  Properties cross-validate independent implementations against
    each other: the taint engine against the dependence graph + slicer,
    the recording machine against its replay, and checkpoint/resume
@@ -24,15 +25,17 @@ type op =
   | G_write of int
   | G_store of int * int  (* ra, cell *)
   | G_load of int * int  (* rd, cell *)
+  | G_call of int  (* rd := callee (r0, r1) *)
   | G_guarded of int * op list  (* guard reg, body *)
   | G_loop of int * int * op list
       (* index reg (distinct per nesting depth), iterations (1..4), body *)
 
-let rec op_gen depth =
+let rec op_gen ~calls depth =
   QCheck2.Gen.(
     let leaf =
       oneof
-        [
+        ((if calls then [ map (fun rd -> G_call rd) (0 -- 5) ] else [])
+        @ [
           map2 (fun rd k -> G_movi (rd, k)) (0 -- 5) (0 -- 100);
           map2
             (fun (k, rd) (ra, rb) -> G_arith (k, rd, ra, rb))
@@ -42,7 +45,7 @@ let rec op_gen depth =
           map (fun ra -> G_write ra) (0 -- 5);
           map2 (fun ra cell -> G_store (ra, cell)) (0 -- 5) (0 -- 7);
           map2 (fun rd cell -> G_load (rd, cell)) (0 -- 5) (0 -- 7);
-        ]
+        ])
     in
     if depth = 0 then leaf
     else
@@ -53,15 +56,25 @@ let rec op_gen depth =
             map2
               (fun g body -> G_guarded (g, body))
               (0 -- 5)
-              (list_size (1 -- 4) (op_gen (depth - 1))) );
+              (list_size (1 -- 4) (op_gen ~calls (depth - 1))) );
           ( 1,
             map2
               (fun n body -> G_loop (6 + depth, 1 + (n mod 4), body))
               (0 -- 3)
-              (list_size (1 -- 4) (op_gen (depth - 1))) );
+              (list_size (1 -- 4) (op_gen ~calls (depth - 1))) );
         ])
 
-let prog_gen = QCheck2.Gen.(list_size (3 -- 25) (op_gen 2))
+(* [main]'s body and the callee's, which makes no calls itself. *)
+let prog_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (3 -- 25) (op_gen ~calls:true 2))
+      (list_size (1 -- 6) (op_gen ~calls:false 1)))
+
+(* Each cell its own address, [40 * cell] apart: the eight cells span
+   blocks 1 to 5 of the 64-location memory blocks, so a sharded run
+   spreads them over its shards. *)
+let cell_addr cell = 100 + (40 * cell)
 
 let rec emit b op =
   match op with
@@ -72,15 +85,16 @@ let rec emit b op =
   | G_read rd -> Builder.read b (Reg.make rd)
   | G_write ra -> Builder.write b (reg (Reg.make ra))
   | G_store (ra, cell) ->
-      Builder.store b (reg (Reg.make ra)) (imm (100 + cell)) 0
-  | G_load (rd, cell) -> Builder.load b (Reg.make rd) (imm (100 + cell)) 0
+      Builder.store b (reg (Reg.make ra)) (imm (cell_addr cell)) 0
+  | G_load (rd, cell) -> Builder.load b (Reg.make rd) (imm (cell_addr cell)) 0
+  | G_call rd -> Builder.call b "callee" ~ret:(Some (Reg.make rd))
   | G_guarded (g, body) ->
       Builder.if_nz1 b (reg (Reg.make g)) (fun () -> List.iter (emit b) body)
   | G_loop (idx, n, body) ->
       Builder.for_up b ~idx:(Reg.make idx) ~from_:(imm 0) ~below:(imm n)
         (fun () -> List.iter (emit b) body)
 
-let build_program ops =
+let build_program (ops, callee) =
   Program.make
     [
       Builder.define ~name:"main" ~arity:0 (fun b ->
@@ -88,6 +102,9 @@ let build_program ops =
           (* always end with an observable output *)
           Builder.write b (reg (Reg.make 0));
           Builder.halt b);
+      Builder.define ~name:"callee" ~arity:2 (fun b ->
+          List.iter (emit b) callee;
+          Builder.ret b (Some (reg (Reg.make 0))));
     ]
 
 let inputs_for _ops = Array.init 64 (fun i -> (i * 37) + 3)

@@ -1,9 +1,11 @@
 (* The sharded N-helper runtime computes exactly what the sequential
    engine computes — same sink trace, same stats, same final shadow —
    for every workload kernel at 1, 2 and 4 shards, on both cross-shard
-   routes, and (as a QCheck property) for random event streams that
-   force cross-shard source/dest splits, in all three taint domains.
-   Plus the regression test for channel-geometry validation. *)
+   routes, and (as QCheck properties, sink by sink) for generated
+   programs and call-dense kernels whose memory cells and register
+   frames spread over the shards, in the Bool and Pc domains, on both
+   wires, under the default, security and full policies.  Plus the
+   regression test for channel-geometry validation. *)
 
 open Dift_isa
 open Dift_vm
@@ -316,168 +318,204 @@ let test_on_sink_exception () =
             (e.Parallel.e_exn = Sink_boom))
     [ None; Some `Inline ]
 
-(* -- QCheck: random streams, sharded(N) ≡ sharded(1) ≡ sequential ---- *)
+(* -- QCheck: generated programs, sharded(N) ≡ solo, sink by sink ----- *)
 
-(* A synthetic one-function program: stream events only need a [func]
-   to name their site; no machine ever runs it. *)
-let stream_prog =
-  Program.make [ Func.make ~name:"main" ~arity:0 [| Instr.Halt |] ]
+(* The property's channel geometries, (queue capacity, batch size):
+   down to two-slot rings of three-event batches. *)
+let geometries = [ (8, 8); (4, 4); (2, 3) ]
 
-let stream_func = Program.find stream_prog "main"
+(* Generated cases run, and those whose run crossed shards at 2 and at
+   4 shards: a property none of whose cases crosses shards says nothing
+   about the exchange. *)
+type tally = { mutable cases : int; mutable cross2 : int; mutable cross4 : int }
 
-(* Locations spanning several 64-location blocks in both planes, so
-   independently drawn reads/writes frequently split across shards —
-   the property is vacuous without cross-shard events. *)
-let loc_gen =
-  QCheck2.Gen.(
-    oneof
-      [
-        map Loc.mem (int_bound 300);
-        map2
-          (fun frame r -> Loc.reg ~frame (Reg.make r))
-          (int_bound 5)
-          (int_bound (Reg.count - 1));
-      ])
-
-(* Abstract stream operations, lowered to Event.exec records with
-   sequential step numbers. *)
-type sop =
-  | SRead of Loc.t
-  | SMov of Loc.t * Loc.t
-  | SAdd of Loc.t * Loc.t * Loc.t
-  | SLoad of Loc.t * Loc.t * Loc.t  (* dst, mem source, address reg *)
-  | SStore of Loc.t * Loc.t * Loc.t  (* mem dst, value source, address reg *)
-  | SOut of Loc.t
-  | SBr of Loc.t
-  | SCheck of Loc.t
-  | SNop
-
-let pp_sop ppf = function
-  | SRead l -> Fmt.pf ppf "read>%d" l
-  | SMov (s, d) -> Fmt.pf ppf "mov %d>%d" s d
-  | SAdd (a, b, d) -> Fmt.pf ppf "add %d,%d>%d" a b d
-  | SLoad (d, m, a) -> Fmt.pf ppf "load %d@%d>%d" m a d
-  | SStore (d, v, a) -> Fmt.pf ppf "store %d@%d>%d" v a d
-  | SOut l -> Fmt.pf ppf "out<%d" l
-  | SBr l -> Fmt.pf ppf "br<%d" l
-  | SCheck l -> Fmt.pf ppf "check<%d" l
-  | SNop -> Fmt.pf ppf "nop"
-
-let sop_gen =
-  QCheck2.Gen.(
-    frequency
-      [
-        (2, map (fun l -> SRead l) loc_gen);
-        (3, map2 (fun s d -> SMov (s, d)) loc_gen loc_gen);
-        (3, map3 (fun a b d -> SAdd (a, b, d)) loc_gen loc_gen loc_gen);
-        (2, map3 (fun d m a -> SLoad (d, m, a)) loc_gen loc_gen loc_gen);
-        (2, map3 (fun d v a -> SStore (d, v, a)) loc_gen loc_gen loc_gen);
-        (1, map (fun l -> SOut l) loc_gen);
-        (1, map (fun l -> SBr l) loc_gen);
-        (1, map (fun l -> SCheck l) loc_gen);
-        (1, return SNop);
-      ])
-
-let stream_gen = QCheck2.Gen.(list_size (int_range 1 150) sop_gen)
-
-let event_of_sop step sop =
-  let ev ?(reads = []) ?(writes = []) ?(input_index = -1) instr =
-    {
-      Event.step;
-      tid = 0;
-      func = stream_func;
-      pc = step mod 23;
-      instr;
-      reads;
-      writes;
-      addr = -1;
-      next_pc = 0;
-      input_index;
-      value = 0;
-    }
-  in
-  match sop with
-  | SRead l ->
-      (* some reads hit input exhaustion (input_index = -1): no source *)
-      ev ~writes:[ l ]
-        ~input_index:(if step mod 5 = 0 then -1 else step)
-        (Instr.Sys (Instr.Read Reg.r0))
-  | SMov (s, d) ->
-      ev ~reads:[ s ] ~writes:[ d ] (Instr.Mov (Reg.r0, Operand.Reg Reg.r1))
-  | SAdd (a, b, d) ->
-      ev ~reads:[ a; b ] ~writes:[ d ]
-        (Instr.Binop (Instr.Add, Reg.r0, Operand.Reg Reg.r1, Operand.Reg Reg.r2))
-  | SLoad (d, m, a) ->
-      ev ~reads:[ m; a ] ~writes:[ d ]
-        (Instr.Load (Reg.r0, Operand.Reg Reg.r1, 0))
-  | SStore (d, v, a) ->
-      ev ~reads:[ v; a ] ~writes:[ d ]
-        (Instr.Store (Operand.Reg Reg.r0, Operand.Reg Reg.r1, 0))
-  | SOut l -> ev ~reads:[ l ] (Instr.Sys (Instr.Write (Operand.Reg Reg.r0)))
-  | SBr l -> ev ~reads:[ l ] (Instr.Br (Operand.Reg Reg.r0, 0, 0))
-  | SCheck l -> ev ~reads:[ l ] (Instr.Sys (Instr.Check (Operand.Reg Reg.r0)))
-  | SNop -> ev Instr.Nop
-
-let events_of_stream ops = List.mapi event_of_sop ops
-
-module Stream_prop (D : Taint.DOMAIN) = struct
+module Prop (D : Taint.DOMAIN) = struct
   module SE = Shard_engine.Make (D)
 
-  (* Everything observable about a merged run.  Taint values inside
-     the sink list and the fingerprint are compared structurally: the
-     exchange ships representations verbatim and the home shard
-     replays the exact sequential join order, so representations (not
-     just abstract values) must coincide. *)
-  let key (m : SE.merged) =
+  (* Everything observable about a merged run, with its sinks one by
+     one in step order: the sink, its taint and every field of its
+     event, so a sink event decoded wrong (a lane, an implied next pc)
+     shows even where the taint does not.  Taint values are compared
+     structurally: the exchange ships representations verbatim and the
+     home shard replays the exact sequential join order, so
+     representations (not just abstract values) must coincide. *)
+  let key (m : SE.merged) sinks =
+    let event (e : Event.exec) =
+      ( (e.Event.step, e.Event.tid, e.Event.func.Func.name, e.Event.pc),
+        (e.Event.reads, e.Event.writes, e.Event.addr, e.Event.next_pc),
+        (e.Event.input_index, e.Event.value) )
+    in
     ( m.SE.m_events,
       m.SE.m_sources,
       m.SE.m_sink_hits,
-      List.map
-        (fun (step, sink, taint, _) ->
-          (step, Engine.sink_to_string sink, taint))
-        m.SE.m_sinks,
+      List.map (fun (sink, taint, e) -> (sink, taint, event e)) sinks,
       m.SE.m_tainted_locations,
       m.SE.m_shadow_words,
       m.SE.m_fingerprint )
 
-  let agree ?policy ops =
-    let events = events_of_stream ops in
-    let reference = key (SE.sequential ?policy stream_prog events) in
-    List.for_all
-      (fun (shards, queue_capacity, batch_size) ->
-        key
-          (SE.run_stream ?policy ~shards ~queue_capacity ~batch_size
-             ~xchg_capacity:4 stream_prog events)
-        = reference)
-      [ (1, 8, 8); (2, 4, 4); (4, 2, 3) ]
+  let run program ~input on_view =
+    let m = Machine.create program ~input in
+    Machine.attach m (Tool.make ~on_view "prop-feed");
+    Machine.run m
 
-  let property name =
-    QCheck2.Test.make ~count:30
-      ~name:(Fmt.str "sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ sequential (%s)" name)
-      ~print:Fmt.(str "%a" (list ~sep:(any "; ") pp_sop))
-      stream_gen
-      (fun ops -> agree ops)
+  (* The oracle: a solo worker driven by the machine. *)
+  let solo policy program ~input =
+    let w = SE.solo ~policy ~record_sinks:false program in
+    let sinks = ref [] in
+    SE.E.on_sink (SE.engine w) (fun sink taint e ->
+        sinks := (sink, taint, e) :: !sinks);
+    ignore (run program ~input (SE.transfer w));
+    key (SE.merge [| w |]) (List.rev !sinks)
 
-  let property_security name =
-    QCheck2.Test.make ~count:15
-      ~name:(Fmt.str "sharded ≡ sequential, security policy (%s)" name)
-      ~print:Fmt.(str "%a" (list ~sep:(any "; ") pp_sop))
-      stream_gen
-      (fun ops -> agree ~policy:Policy.security ops)
+  (* A cluster fed the machine's views, as the runtimes feed it; its
+     key and the events that crossed shards. *)
+  let sharded policy route wire shards (queue_capacity, batch_size) program
+      ~input =
+    let c =
+      SE.cluster ~policy ~route ~wire ~shards ~queue_capacity ~batch_size
+        ~xchg_capacity:4 program
+    in
+    SE.record_sink_events c;
+    SE.start c;
+    (match run program ~input (SE.feed_view c) with
+    | _ -> ()
+    | exception ex ->
+        SE.abort c;
+        ignore (SE.finish_result c);
+        raise ex);
+    match SE.finish_result c with
+    | Ok m ->
+        ( key m
+            (List.map (fun (_, sink, taint, e) -> (sink, taint, Option.get e))
+               m.SE.m_sinks),
+          SE.cross_events c )
+    | Error f -> raise f.Shard_engine.f_primary
+
+  (* Every configuration of the grid under [policies] agrees with the
+     solo worker on [program]: shards {1, 2, 4} x geometries x both
+     wires on the exact route, and, with [full], [Policy.full] on the
+     broadcast route. *)
+  let agree ?tally ~policies ~full program ~input =
+    let crossed = Array.make 5 false in
+    let exact policy =
+      let reference = solo policy program ~input in
+      List.for_all
+        (fun wire ->
+          List.for_all
+            (fun shards ->
+              List.for_all
+                (fun geometry ->
+                  let k, cross =
+                    sharded policy `Request_reply wire shards geometry program
+                      ~input
+                  in
+                  if cross > 0 then crossed.(shards) <- true;
+                  k = reference)
+                geometries)
+            [ 1; 2; 4 ])
+        [ `Coded; `Boxed ]
+    in
+    let broadcast () =
+      let reference = solo Policy.full program ~input in
+      List.for_all
+        (fun wire ->
+          List.for_all2
+            (fun shards geometry ->
+              fst (sharded Policy.full `Broadcast wire shards geometry program
+                     ~input)
+              = reference)
+            [ 1; 2; 4 ] geometries)
+        [ `Coded; `Boxed ]
+    in
+    let ok = List.for_all exact policies && ((not full) || broadcast ()) in
+    Option.iter
+      (fun t ->
+        t.cases <- t.cases + 1;
+        if crossed.(2) then t.cross2 <- t.cross2 + 1;
+        if crossed.(4) then t.cross4 <- t.cross4 + 1)
+      tally;
+    ok
 end
 
-module Bool_prop = Stream_prop (Taint.Bool)
-module Pc_prop = Stream_prop (Taint.Pc)
-module Input_set_prop = Stream_prop (Taint.Input_set)
+module Bool_prop = Prop (Taint.Bool)
+module Pc_prop = Prop (Taint.Pc)
+module Set_prop = Prop (Taint.Input_set)
+
+let pp_program ppf ops = Program.pp ppf (Test_props.build_program ops)
+
+(* A property over generated programs ({!Test_props.prog_gen}: memory
+   cells over five blocks, calls into a generated callee, so memory
+   and register frames both spread over the shards) that fails unless
+   some case crosses shards at 2 and at 4 shards.  The share of cases
+   that do is printed. *)
+let program_property ~count name agree =
+  let tally = { cases = 0; cross2 = 0; cross4 = 0 } in
+  let test =
+    QCheck2.Test.make ~count ~name ~print:(Fmt.str "%a" pp_program)
+      Test_props.prog_gen (fun ops ->
+        agree tally (Test_props.build_program ops)
+          ~input:(Test_props.inputs_for ops))
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Fmt.pr "%d cases: %d cross shards at 2 shards, %d at 4@." tally.cases
+        tally.cross2 tally.cross4;
+      check Alcotest.bool "some case crosses at 2 shards" true
+        (tally.cross2 > 0);
+      check Alcotest.bool "some case crosses at 4 shards" true
+        (tally.cross4 > 0) )
+
+(* The call-dense kernels at random sizes and seeds: every activation
+   a fresh register frame, so frames round-robin over the shards. *)
+let kernel_gen =
+  QCheck2.Gen.(
+    let* w, lo, hi =
+      oneofl
+        [ (Spec_like.treesum, 2, 12); (Spec_like.feistel, 1, 3);
+          (Spec_like.qsort, 3, 12) ]
+    in
+    let* size = lo -- hi in
+    let* seed = 0 -- 1000 in
+    return (w, size, seed))
+
+let kernel_property =
+  QCheck2.Test.make ~count:2
+    ~name:"sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (call-dense kernels)"
+    ~print:(fun ((w : Workload.t), size, seed) ->
+      Fmt.str "%s size %d seed %d" w.Workload.name size seed)
+    kernel_gen
+    (fun ((w : Workload.t), size, seed) ->
+      let input = w.Workload.input ~size ~seed in
+      let policies = [ Policy.default; Policy.security ] in
+      Bool_prop.agree ~policies ~full:true w.Workload.program ~input
+      && Pc_prop.agree ~policies ~full:false w.Workload.program ~input)
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      Bool_prop.property "Bool";
-      Pc_prop.property "Pc";
-      Input_set_prop.property "Input_set";
-      Bool_prop.property_security "Bool";
-    ]
+  [
+    program_property ~count:6
+      "sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (generated programs, Bool)"
+      (fun tally ->
+        Bool_prop.agree ~tally ~policies:[ Policy.default ] ~full:true);
+    program_property ~count:6
+      "sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (generated programs, Pc \
+       and Input_set)"
+      (fun tally program ~input ->
+        Pc_prop.agree ~tally ~policies:[ Policy.default ] ~full:false program
+          ~input
+        && Set_prop.agree ~policies:[ Policy.default ] ~full:false program
+             ~input);
+    program_property ~count:6
+      "sharded ≡ sequential, security policy (generated programs, Bool and Pc)"
+      (fun tally program ~input ->
+        Bool_prop.agree ~tally ~policies:[ Policy.security ] ~full:false
+          program ~input
+        && Pc_prop.agree ~policies:[ Policy.security ] ~full:false program
+             ~input);
+    QCheck_alcotest.to_alcotest kernel_property;
+  ]
 
 let suite =
   [

@@ -1,6 +1,6 @@
 (* The benchmark harness.
 
-   Three parts:
+   Two parts, then the sweeps:
 
    1. The experiment tables — one per table/claim in the paper's
       evaluation (E1..E10), regenerated at reduced scale (run
@@ -13,10 +13,9 @@
       visible (the tables above measure the modelled cycles, not wall
       clock).
 
-   3. A machine-readable summary: the E11 inline-vs-helper wall-clock
-      sweep serialized to BENCH_2.json (see docs/observability.md for
-      the schema).  `bench --json [FILE]` writes only that file and
-      skips the slow parts — the CI smoke path. *)
+   Then the engine, shard-scaling and forwarding-plane sweeps,
+   serialized to BENCH_3.json, BENCH_4.json and BENCH_5.json for
+   bench/check_regression.ml. *)
 
 open Bechamel
 open Toolkit
@@ -286,47 +285,10 @@ let run_benchmarks () =
         (if Float.is_nan words then "n/a" else Fmt.str "%.0f" words))
     names
 
-(* -- part 3: machine-readable E11 summary ---------------------------------- *)
+(* -- the sweeps -------------------------------------------------------- *)
 
-let bench_json () =
-  let open Dift_obs.Json in
-  (* size 200 / best-of-10: at the default sweep size the kernel runs
-     in tens of microseconds, so the fixed domain spawn/join cost (and
-     its scheduling noise, especially on single-core runners) swamps
-     the quantity being measured; a longer kernel amortises it and the
-     deeper best-of tightens the cost-floor estimate *)
-  let r = Dift_experiments.E11_parallel.run ~size:200 ~reps:10 () in
-  obj
-    [
-      ("bench", String "e11-two-domain-dift");
-      ("kernel", String r.Dift_experiments.E11_parallel.kernel);
-      ("native_ms", Float r.Dift_experiments.E11_parallel.native_ms);
-      ("inline_ms", Float r.Dift_experiments.E11_parallel.inline_ms);
-      (* inline-DIFT slowdown over the uninstrumented run — the
-         sequential-overhead baseline every speedup is judged against *)
-      ( "inline_vs_native",
-        Float
-          (r.Dift_experiments.E11_parallel.inline_ms
-          /. r.Dift_experiments.E11_parallel.native_ms) );
-      ( "configs",
-        List
-          (List.map
-             (fun (row : Dift_experiments.E11_parallel.row) ->
-               obj
-                 [
-                   ("queue_capacity", Int row.queue_capacity);
-                   ("batch_size", Int row.batch_size);
-                   ("main_ms", Float row.main_ms);
-                   ("total_ms", Float row.total_ms);
-                   ("stalls", Int row.stalls);
-                   ("speedup_vs_inline", Float row.speedup);
-                   ("main_ratio", Float row.main_ratio);
-                 ])
-             r.Dift_experiments.E11_parallel.rows) );
-    ]
-
-let write_bench_json file =
-  let json = Dift_obs.Json.to_string (bench_json ()) in
+let write_json file json =
+  let json = Dift_obs.Json.to_string json in
   if file = "-" then print_string json
   else begin
     let oc = open_out file in
@@ -340,54 +302,30 @@ let write_bench_json file =
 let write_engine_json ?size ?reps file =
   let rows = Engine_bench.run ?size ?reps () in
   Engine_bench.pp_rows Fmt.stdout rows;
-  let json = Dift_obs.Json.to_string (Engine_bench.json rows) in
-  if file = "-" then print_string json
-  else begin
-    let oc = open_out file in
-    output_string oc json;
-    close_out oc;
-    Fmt.pr "wrote %s@." file
-  end
+  write_json file (Engine_bench.json rows)
 
 (* The forwarding-plane sweep (kernel x wire, feed/drain trip; see
    forward_bench.ml) serialized to BENCH_5.json. *)
 let write_forward_json ?size ?reps file =
   let rows = Forward_bench.run ?size ?reps () in
   Forward_bench.pp_rows Fmt.stdout rows;
-  let json = Dift_obs.Json.to_string (Forward_bench.json rows) in
-  if file = "-" then print_string json
-  else begin
-    let oc = open_out file in
-    output_string oc json;
-    close_out oc;
-    Fmt.pr "wrote %s@." file
-  end
+  write_json file (Forward_bench.json rows)
 
 (* The shard-scaling sweep (kernel x shard count, two-pass journal
    replay; see shard_bench.ml) serialized to BENCH_4.json. *)
 let write_shard_json ?size ?reps file =
   let rows = Shard_bench.run ?size ?reps () in
   Shard_bench.pp_rows Fmt.stdout rows;
-  let json = Dift_obs.Json.to_string (Shard_bench.json rows) in
-  if file = "-" then print_string json
-  else begin
-    let oc = open_out file in
-    output_string oc json;
-    close_out oc;
-    Fmt.pr "wrote %s@." file
-  end
+  write_json file (Shard_bench.json rows)
 
 let () =
-  (* `bench --json [FILE]`: only the machine-readable E11 summary;
-     `bench --engine-json [FILE]`: only the engine micro-sweep;
+  (* `bench --engine-json [FILE]`: only the engine micro-sweep;
      `bench --shard-json [FILE]`: only the shard-scaling sweep;
      `bench --forward-json [FILE]`: only the forwarding-plane sweep
      (`--smoke` shrinks any sweep to the CI scale).  Plain `bench`:
-     tables + micro-benchmarks, then all four summaries next to the
+     tables + micro-benchmarks, then all three sweeps next to the
      current directory. *)
   match Array.to_list Sys.argv with
-  | _ :: "--json" :: rest ->
-      write_bench_json (match rest with f :: _ -> f | [] -> "BENCH_2.json")
   | _ :: "--engine-json" :: rest ->
       let smoke = List.mem "--smoke" rest in
       let file =
@@ -418,7 +356,6 @@ let () =
   | _ ->
       print_tables ();
       run_benchmarks ();
-      write_bench_json "BENCH_2.json";
       write_engine_json "BENCH_3.json";
       write_shard_json "BENCH_4.json";
       write_forward_json "BENCH_5.json"

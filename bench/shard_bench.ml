@@ -66,8 +66,7 @@ let concurrent_journals ~router ~shards program streams =
   let xchg = B.create_xchg ~journal:true ~shards () in
   let workers =
     Array.init shards (fun s ->
-        B.worker ~router ~route:`Request_reply ~xchg ~record_sinks:false
-          ~shard:s program)
+        B.worker ~router ~xchg ~record_sinks:false ~shard:s program)
   in
   let doms =
     Array.init shards (fun s ->
@@ -108,10 +107,7 @@ let isolated ~reps ~router ~shards ~journals program stream s =
     for src = 0 to shards - 1 do
       if src <> s then B.prefill xchg ~src ~dst:s journals.(src).(s)
     done;
-    let w =
-      B.worker ~router ~route:`Request_reply ~xchg ~record_sinks:false
-        ~shard:s program
-    in
+    let w = B.worker ~router ~xchg ~record_sinks:false ~shard:s program in
     (* the replays are short (tens of microseconds): collect pending
        garbage now so no major slice lands inside the timed region *)
     Gc.full_major ();

@@ -228,18 +228,6 @@ let taint_cmd =
       & info [ "batch-size" ]
           ~doc:"Events per forwarded batch (with --parallel).")
   in
-  let xchg_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "xchg-capacity" ] ~docv:"N"
-          ~doc:
-            (Fmt.str
-               "Cross-shard exchange-ring capacity, in messages (with \
-                --helpers > 1; default %d).  Sizes the request and reply \
-                rings of the two-phase exchange independently of the \
-                inbound forwarding rings."
-               Dift_parallel.Shard_engine.default_xchg_capacity))
-  in
   let wire_arg =
     let wire = Arg.enum [ ("coded", `Coded); ("boxed", `Boxed) ] in
     Arg.(
@@ -271,21 +259,7 @@ let taint_cmd =
             "Number of helper domains (with --parallel).  With N > 1, \
              shadow memory is sharded across the helpers and \
              cross-shard events are resolved by the two-phase \
-             exchange (see --route).")
-  in
-  let route_arg =
-    let route =
-      Arg.enum
-        [ ("request-reply", `Request_reply); ("broadcast", `Broadcast) ]
-    in
-    Arg.(
-      value
-      & opt route `Request_reply
-      & info [ "route" ] ~docv:"ROUTE"
-          ~doc:
-            "Cross-shard strategy with --helpers > 1: $(b,request-reply) \
-             (exact two-phase exchange over disjoint shards) or \
-             $(b,broadcast) (replicate every event to every shard).")
+             exchange.")
   in
   (* The kernel can be named either positionally or with [--workload]
      (convenient in scripted invocations where the options come
@@ -395,10 +369,10 @@ let taint_cmd =
     if taint && sink = Engine.Sink_output then
       Fmt.pr "tainted output %d at step %d@." e.Event.value e.Event.step
   in
-  let run pos_name workload size seed parallel helpers route queue_capacity
-      batch_size xchg_capacity wire forward_filter fault_plan fault_seed
-      flight_record crash_dump heartbeat heartbeat_interval deadline degrade
-      stats chrome trace_capacity =
+  let run pos_name workload size seed parallel helpers queue_capacity
+      batch_size wire forward_filter fault_plan fault_seed flight_record
+      crash_dump heartbeat heartbeat_interval deadline degrade stats chrome
+      trace_capacity =
     let named =
       match (pos_name, workload) with
       | Some p, Some w when p <> w ->
@@ -425,13 +399,6 @@ let taint_cmd =
         1
     | Ok _, _, _ when parallel && helpers < 1 ->
         Fmt.epr "--helpers must be at least 1@.";
-        1
-    | Ok _, _, _
-      when match xchg_capacity with Some c -> c < 1 | None -> false ->
-        Fmt.epr "--xchg-capacity must be at least 1@.";
-        1
-    | Ok _, _, _ when xchg_capacity <> None && not (parallel && helpers > 1) ->
-        Fmt.epr "--xchg-capacity requires --parallel --helpers > 1@.";
         1
     | Ok _, _, _ when forward_filter && not parallel ->
         Fmt.epr "--forward-filter requires --parallel@.";
@@ -544,9 +511,8 @@ let taint_cmd =
            let open Dift_parallel.Parallel in
            match
              run_sharded_result ?obs ?trace:tracer ?flight ?chaos
-               ?watchdog:wd ?degrade ?xchg_capacity ~wire ~forward_filter
-               ~route ~queue_capacity ~batch_size ~on_sink ~shards:helpers
-               w.Workload.program ~input
+               ?watchdog:wd ?degrade ~wire ~forward_filter ~queue_capacity
+               ~batch_size ~on_sink ~shards:helpers w.Workload.program ~input
            with
            | Error e ->
                Fmt.epr "%s run failed: %a@."
@@ -608,13 +574,6 @@ let taint_cmd =
                 g_shards = helpers;
                 g_queue_capacity = queue_capacity;
                 g_batch_size = batch_size;
-                g_xchg_capacity =
-                  (if helpers > 1 then
-                     Some
-                       (Option.value xchg_capacity
-                          ~default:
-                            Dift_parallel.Shard_engine.default_xchg_capacity)
-                   else None);
                 g_wire = wire;
                 g_forward_filter = forward_filter;
                 g_deadline =
@@ -654,9 +613,9 @@ let taint_cmd =
           (--fault-plan/--fault-seed).")
     Term.(
       const run $ pos_name_arg $ workload_arg $ size_arg $ seed_arg
-      $ parallel_arg $ helpers_arg $ route_arg $ queue_arg $ batch_arg
-      $ xchg_arg $ wire_arg $ forward_filter_arg $ fault_plan_arg
-      $ fault_seed_arg $ flight_record_arg $ crash_dump_arg $ heartbeat_arg
+      $ parallel_arg $ helpers_arg $ queue_arg $ batch_arg $ wire_arg
+      $ forward_filter_arg $ fault_plan_arg $ fault_seed_arg
+      $ flight_record_arg $ crash_dump_arg $ heartbeat_arg
       $ heartbeat_interval_arg $ deadline_arg $ degrade_arg $ stats_arg
       $ chrome_trace_arg $ trace_capacity_arg)
 
@@ -730,15 +689,12 @@ let inspect_cmd =
     | None -> ()
   in
   let print_geometry g =
-    Fmt.pr "geometry: %s runtime, %d shard(s), ring %d x %d%s%s%s%s%s@."
+    Fmt.pr "geometry: %s runtime, %d shard(s), ring %d x %d%s%s%s%s@."
       (Option.value ~default:"?" (str g "runtime"))
       (num "shards" g) (num "queue_capacity" g) (num "batch_size" g)
       (match str g "wire" with
       | Some w -> Fmt.str ", %s wire" w
       | None -> "")
-      (match J.member "xchg_capacity" g with
-      | Some (J.Int c) -> Fmt.str ", xchg %d" c
-      | _ -> "")
       (match J.member "forward_filter" g with
       | Some (J.Bool true) -> ", forward filter"
       | _ -> "")

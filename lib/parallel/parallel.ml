@@ -135,9 +135,8 @@ type run = {
    deadline miss, degraded completion — becomes a [run] or a
    structured error.  The router, the filter and the channels check
    the geometry as the cluster creates them, before any domain. *)
-let supervise ?config ~probe ?degrade ?route ?xchg_capacity ~queue_capacity
-    ~batch_size ~wire ~forward_filter ?policy ?on_sink ~shards ~report program
-    ~input =
+let supervise ?config ~probe ?degrade ~queue_capacity ~batch_size ~wire
+    ~forward_filter ?policy ?on_sink ~shards ~report program ~input =
   (* the filter is sound only when taint flows through the event's
      read set; control-plane taint escapes it, so the filter silently
      stands down under propagate_control *)
@@ -148,8 +147,8 @@ let supervise ?config ~probe ?degrade ?route ?xchg_capacity ~queue_capacity
     else None
   in
   let c =
-    Bool_shards.cluster ?policy ?route ~probe ~queue_capacity ~batch_size
-      ?xchg_capacity ~wire ?filter:lf ~shards program
+    Bool_shards.cluster ?policy ~probe ~queue_capacity ~batch_size ~wire
+      ?filter:lf ~shards program
   in
   (* the helpers build a sink's record only for a client callback *)
   if Option.is_some on_sink then Bool_shards.record_sink_events c;
@@ -411,7 +410,6 @@ let run_inline ?config ?obs ?trace ?flight ?policy ?on_sink program ~input =
 type sharded_report = {
   s_result : result;
   s_shards : int;
-  s_route : Shard_engine.route;
   s_queue_capacity : int;
   s_batch_size : int;
   s_wire : Channel.wire;
@@ -427,20 +425,16 @@ type sharded_report = {
 }
 
 let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
-    ?(route = `Request_reply)
     ?(queue_capacity = Channel.default_queue_capacity)
-    ?(batch_size = Channel.default_batch_size)
-    ?xchg_capacity ?(wire = `Coded) ?(forward_filter = false) ?policy ?on_sink
-    ~shards program ~input =
+    ?(batch_size = Channel.default_batch_size) ?(wire = `Coded)
+    ?(forward_filter = false) ?policy ?on_sink ~shards program ~input =
   supervise ?config
     ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
-    ?degrade ~route ?xchg_capacity ~queue_capacity ~batch_size ~wire
-    ~forward_filter ?policy
+    ?degrade ~queue_capacity ~batch_size ~wire ~forward_filter ?policy
     ?on_sink ~shards program ~input ~report:(fun c r ->
       {
         s_result = r.r_result;
         s_shards = shards;
-        s_route = route;
         s_queue_capacity = queue_capacity;
         s_batch_size = batch_size;
         s_wire = wire;
@@ -455,11 +449,11 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
 
 let pp_sharded_report ppf r =
   Fmt.pf ppf
-    "%d shard%s (%a): %d cross events, %d exchange msgs; main %.2f ms, \
-     total %.2f ms"
+    "%d shard%s: %d cross events, %d exchange msgs; main %.2f ms, total \
+     %.2f ms"
     r.s_shards
     (if r.s_shards = 1 then "" else "s")
-    Shard_engine.pp_route r.s_route r.s_cross_events r.s_exchange_messages
+    r.s_cross_events r.s_exchange_messages
     (float_of_int r.s_main_wall_ns /. 1e6)
     (float_of_int r.s_total_wall_ns /. 1e6)
 

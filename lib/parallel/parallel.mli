@@ -60,8 +60,8 @@ type result = {
   tainted_locations : int;
   shadow_words : int;
   taint_fingerprint : int;
-      (** hash of the full final shadow state (sorted location/taint
-          pairs) *)
+      (** hash of the full final shadow state:
+          {!Shard_engine.entry_hash} summed over every entry *)
 }
 
 (** {1 Supervised outcomes}
@@ -246,7 +246,6 @@ val run_inline :
 type sharded_report = {
   s_result : result;  (** merged, comparable against {!run_inline} *)
   s_shards : int;
-  s_route : Shard_engine.route;
   s_queue_capacity : int;  (** per-shard inbound ring slots *)
   s_batch_size : int;  (** events per inbound batch *)
   s_wire : Channel.wire;  (** forwarding-plane encoding of the run *)
@@ -271,21 +270,18 @@ type sharded_report = {
     shadow memory by block interleaving the {!Dift_vm.Loc} encoding,
     the application domain routes each forwarded event to the shards
     it touches, and events spanning shards are resolved by
-    {!Shard_engine}'s two-phase read-request/taint-reply exchange (or
-    conservatively broadcast).  Results merge deterministically at
-    join: sharded(N), {!run_result} and {!run_inline} all produce the
-    same {!result}.  With [~shards:1] this is {!run_result}'s runtime,
-    names and degraded resume included.
+    {!Shard_engine}'s two-phase read-request/taint-reply exchange.
+    Results merge deterministically at join: sharded(N), {!run_result}
+    and {!run_inline} all produce the same {!result}.  With
+    [~shards:1] this is {!run_result}'s runtime, names and degraded
+    resume included.
 
-    [route] picks the cross-shard strategy (default [`Request_reply];
-    with more than one shard that route rejects policies with
-    [propagate_control] — use [`Broadcast] for control-flow
-    tracking).  [queue_capacity]/[batch_size] shape each shard's
-    inbound channel (defaults as in {!run_result}) and [xchg_capacity]
-    (default {!Shard_engine.default_xchg_capacity}) each exchange
-    ring.  [wire], [forward_filter] (one liveness epoch per shard),
-    [on_sink] and [degrade] behave as in {!run_result}; N shards
-    degrade by a full rerun.
+    [queue_capacity]/[batch_size] shape each shard's inbound channel
+    (defaults as in {!run_result}); each exchange ring holds
+    {!Shard_engine.default_xchg_capacity} messages.  [wire],
+    [forward_filter] (one liveness epoch per shard), [on_sink] and
+    [degrade] behave as in {!run_result}; N shards degrade by a full
+    rerun.  A [propagate_control] policy runs on one shard only.
 
     With N shards the seams take per-shard names —
     [parallel.shard<i>], [shard-<i>], [xchg.<src>.<dst>]; see
@@ -293,8 +289,9 @@ type sharded_report = {
     order: each feed channel, then the mesh.
 
     @raise Invalid_argument before any domain starts if [shards],
-    [queue_capacity] or [batch_size] is [< 1], or a coded
-    [batch_size] exceeds {!Codec.max_batch_size}. *)
+    [queue_capacity] or [batch_size] is [< 1], a coded [batch_size]
+    exceeds {!Codec.max_batch_size}, or [shards > 1] under a
+    [propagate_control] policy. *)
 val run_sharded_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -303,10 +300,8 @@ val run_sharded_result :
   ?chaos:Chaos.t ->
   ?watchdog:Watchdog.t ->
   ?degrade:[ `Inline ] ->
-  ?route:Shard_engine.route ->
   ?queue_capacity:int ->
   ?batch_size:int ->
-  ?xchg_capacity:int ->
   ?wire:Channel.wire ->
   ?forward_filter:bool ->
   ?policy:Policy.t ->
@@ -316,8 +311,8 @@ val run_sharded_result :
   input:int array ->
   (sharded_report, error) Stdlib.result
 
-(** One-line summary of a sharded run (shard count, route, exchange
-    volume, wall times); combine with {!pp_result} for the merged
+(** One-line summary of a sharded run (shard count, exchange volume,
+    wall times); combine with {!pp_result} for the merged
     outcome. *)
 val pp_sharded_report : sharded_report Fmt.t
 

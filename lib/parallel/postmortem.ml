@@ -7,7 +7,6 @@ type geometry = {
   g_shards : int;
   g_queue_capacity : int;
   g_batch_size : int;
-  g_xchg_capacity : int option;
   g_wire : Channel.wire;
   g_forward_filter : bool;
   g_deadline : string option;
@@ -25,13 +24,10 @@ let geometry_json g =
        ("forward_filter", Json.Bool g.g_forward_filter);
        ("degrade", Json.Bool g.g_degrade);
      ]
-    @ (match g.g_deadline with
-      | None -> []
-      | Some d -> [ ("deadline_ms", Json.String d) ])
     @
-    match g.g_xchg_capacity with
+    match g.g_deadline with
     | None -> []
-    | Some c -> [ ("xchg_capacity", Json.Int c) ])
+    | Some d -> [ ("deadline_ms", Json.String d) ])
 
 let error_json (e : Parallel.error) =
   let p = e.e_partial in

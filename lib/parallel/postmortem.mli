@@ -26,7 +26,6 @@ type geometry = {
   g_shards : int;  (** helper domains; [1] for the two-domain runtime *)
   g_queue_capacity : int;  (** per-channel ring slots, in batches *)
   g_batch_size : int;  (** events per batch *)
-  g_xchg_capacity : int option;  (** exchange-ring slots (sharded only) *)
   g_wire : Channel.wire;  (** forwarding wire ([`Coded] or [`Boxed]) *)
   g_forward_filter : bool;  (** producer-side liveness filter enabled *)
   g_deadline : string option;

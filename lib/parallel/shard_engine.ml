@@ -6,14 +6,6 @@
 open Dift_vm
 open Dift_core
 
-type route = [ `Request_reply | `Broadcast ]
-
-let pp_route ppf (r : route) =
-  Fmt.string ppf
-    (match r with
-    | `Request_reply -> "request-reply"
-    | `Broadcast -> "broadcast")
-
 type shard_stat = {
   shard : int;
   fed : int;
@@ -55,10 +47,11 @@ let pp_failure ppf f =
 
 let default_xchg_capacity = 256
 
-(* The sink trace: one well-mixed integer per sink observation, folded
-   by addition.  The sum is order-independent, so shards fold their own
-   observations and the merge adds them up; the step inside each
-   observation keeps the order information. *)
+(* The sink trace and the shadow fingerprint: one well-mixed integer
+   per sink observation or shadow entry, folded by addition.  The sum
+   is order-independent, so shards fold their own and the merge adds
+   them up; the step inside each observation keeps the trace's order
+   information. *)
 let sink_code : Engine.sink -> int = function
   | Engine.Sink_icall -> 0
   | Engine.Sink_output -> 1
@@ -67,11 +60,15 @@ let sink_code : Engine.sink -> int = function
   | Engine.Sink_load_address -> 4
   | Engine.Sink_branch -> 5
 
-let sink_hash ~step sink tainted =
-  let x = (step lsl 4) lor (sink_code sink lsl 1) lor Bool.to_int tainted in
+let mix x =
   let h = (x lxor (x lsr 29)) * 0x100000001b3 in
   let h = (h lxor (h lsr 31)) * 0xbf58476d1ce4e5b in
   h lxor (h lsr 29)
+
+let sink_hash ~step sink tainted =
+  mix ((step lsl 4) lor (sink_code sink lsl 1) lor Bool.to_int tainted)
+
+let entry_hash loc taint = mix (mix loc lxor taint)
 
 module Make (D : Taint.DOMAIN) = struct
   module E = Engine.Make (D)
@@ -127,7 +124,6 @@ module Make (D : Taint.DOMAIN) = struct
   type worker = {
     w_shard : int;
     router : Router.t;
-    route : route;
     x : xchg;
     eng : E.t;
     mutable transfer : Event.view -> unit;
@@ -145,17 +141,13 @@ module Make (D : Taint.DOMAIN) = struct
     mutable received : int;
   }
 
-  let worker ?policy ~router ~route ~xchg ~record_sinks ~shard
-      program =
+  let worker ?policy ~router ~xchg ~record_sinks ~shard program =
     let policy = Option.value policy ~default:Policy.default in
-    (match route with
-    | `Request_reply
-      when policy.Policy.propagate_control && Router.shards router > 1 ->
-        invalid_arg
-          "Shard_engine: propagate_control entangles every event through \
-           per-thread control state and cannot be sharded exactly; use \
-           ~route:`Broadcast"
-    | _ -> ());
+    if policy.Policy.propagate_control && Router.shards router > 1 then
+      invalid_arg
+        "Shard_engine: propagate_control entangles every event through \
+         per-thread control state and cannot be sharded exactly; run it \
+         on one shard";
     let eng = E.create ~policy program in
     (* wall-clock runtime: modelled-cycle charging is meaningless here *)
     E.set_charge eng ignore;
@@ -163,7 +155,6 @@ module Make (D : Taint.DOMAIN) = struct
       {
         w_shard = shard;
         router;
-        route;
         x = xchg;
         eng;
         transfer = E.process_view eng;
@@ -310,16 +301,12 @@ module Make (D : Taint.DOMAIN) = struct
     end
 
   let handle_view w (v : Event.view) =
-    match w.route with
-    | `Broadcast -> w.transfer v
-    | `Request_reply ->
-        let mask = Router.participants_view w.router v in
-        if Router.is_local mask then w.transfer v
-        else begin
-          let home = Router.home_of_view w.router v in
-          if home = w.w_shard then handle_home w v
-          else handle_assist w v ~home
-        end
+    let mask = Router.participants_view w.router v in
+    if Router.is_local mask then w.transfer v
+    else begin
+      let home = Router.home_of_view w.router v in
+      if home = w.w_shard then handle_home w v else handle_assist w v ~home
+    end
 
   (* -- deterministic merge --------------------------------------------- *)
 
@@ -334,24 +321,25 @@ module Make (D : Taint.DOMAIN) = struct
     m_fingerprint : int;
   }
 
-  (* Same recipe as the sequential fingerprint: every (loc, taint)
-     entry, sorted, hashed.  Request/reply shards own disjoint
-     location sets, so concatenating their folds enumerates exactly
-     the sequential shadow. *)
+  (* A taint as {!entry_hash}'s integer: itself for Bool. *)
+  let taint_code : D.t -> int =
+    match D.as_bool with
+    | Some Taint.Refl -> Bool.to_int
+    | None -> Hashtbl.hash
+
+  (* {!entry_hash} summed over every (loc, taint) entry of every shard:
+     shards own disjoint location sets, so the sum is the sequential
+     shadow's whatever the partition and the fold order. *)
   let fingerprint_of ws =
     Array.fold_left
       (fun acc w ->
-        E.Sh.fold (fun loc d acc -> (loc, d) :: acc) (E.shadow w.eng) acc)
-      [] ws
-    |> List.sort compare |> Hashtbl.hash
+        E.Sh.fold
+          (fun loc d acc -> acc + entry_hash loc (taint_code d))
+          (E.shadow w.eng) acc)
+      0 ws
 
+  (* Every event has one home shard, so the disjoint shards add up. *)
   let merge ws =
-    (* broadcast: full replication, shard 0 holds the whole answer;
-       request/reply: every event has one home shard, so the disjoint
-       shards add up *)
-    let ws =
-      match ws.(0).route with `Broadcast -> [| ws.(0) |] | `Request_reply -> ws
-    in
     let sum f = Array.fold_left (fun acc w -> acc + f w) 0 ws in
     let stat f = sum (fun w -> f (E.stats w.eng)) in
     {
@@ -372,16 +360,15 @@ module Make (D : Taint.DOMAIN) = struct
       m_fingerprint = fingerprint_of ws;
     }
 
-  (* One worker alone: a one-shard router and no mesh, so
-     [handle_view] degenerates to [E.process_view] on every event. *)
+  (* One worker alone: a one-shard router and no mesh, so every event
+     is local and [handle_view] is [transfer]. *)
   let solo ?policy ~record_sinks program =
-    worker ?policy ~router:(Router.create ~shards:1 ()) ~route:`Broadcast
+    worker ?policy ~router:(Router.create ~shards:1 ())
       ~xchg:(create_xchg ~shards:0 ()) ~record_sinks ~shard:0 program
 
   (* -- a cluster: workers + inbound rings + helper domains ------------- *)
 
   type cluster = {
-    c_route : route;
     c_xchg : xchg;
     workers : worker array;
     chans : Channel.t array;
@@ -414,30 +401,23 @@ module Make (D : Taint.DOMAIN) = struct
       flush_mask chans (mask lsr 1) (s + 1)
     end
 
-  (* Route one admitted event to several shards.  An event for several
-     boxed channels gets its record built once, cached in the view, so
-     that every channel ships the same one. *)
+  (* Route one admitted event to its participant shards.  A cross-shard
+     event for several boxed channels gets its record built once,
+     cached in the view, so that every channel ships the same one. *)
   let route_view c ~router ~boxed v =
-    match c.c_route with
-    | `Broadcast ->
-        if boxed then ignore (Event.view_to_exec v : Event.exec);
-        for s = 0 to Array.length c.chans - 1 do
-          Channel.add_view c.chans.(s) v
-        done
-    | `Request_reply ->
-        let mask = Router.participants_view router v in
-        if Router.is_local mask then add_mask c.chans v mask 0
-        else begin
-          if boxed then ignore (Event.view_to_exec v : Event.exec);
-          add_mask c.chans v mask 0;
-          incr c.cross;
-          (* flush every participant: no copy of a cross-shard event
-             may sit in an open batch while a peer shard blocks
-             awaiting one of its exchange legs *)
-          flush_mask c.chans mask 0
-        end
+    let mask = Router.participants_view router v in
+    if Router.is_local mask then add_mask c.chans v mask 0
+    else begin
+      if boxed then ignore (Event.view_to_exec v : Event.exec);
+      add_mask c.chans v mask 0;
+      incr c.cross;
+      (* flush every participant: no copy of a cross-shard event may
+         sit in an open batch while a peer shard blocks awaiting one of
+         its exchange legs *)
+      flush_mask c.chans mask 0
+    end
 
-  let cluster ?policy ?(route = `Request_reply) ?(probe = Probe.off)
+  let cluster ?policy ?(probe = Probe.off)
       ?(queue_capacity = Channel.default_queue_capacity)
       ?(batch_size = Channel.default_batch_size)
       ?(xchg_capacity = default_xchg_capacity)
@@ -453,20 +433,18 @@ module Make (D : Taint.DOMAIN) = struct
     in
     let workers =
       Array.init shards (fun s ->
-          worker ?policy ~router ~route ~xchg ~record_sinks:false ~shard:s
-            program)
+          worker ?policy ~router ~xchg ~record_sinks:false ~shard:s program)
     in
     let ns s = if one then "parallel" else Fmt.str "parallel.shard%d" s in
     (* one interned site table, shared by every coded shard channel *)
     let table = lazy (Site.of_program program) in
     let chans =
-      (* request/reply shards coordinate on every cross-shard event, so
-         a lost inbound batch would strand peers mid-exchange: escalate
+      (* shards coordinate on every cross-shard event, so a lost
+         inbound batch would strand peers mid-exchange: escalate
          injected losses on these rings to clean shard crashes *)
-      let escalate = route = `Request_reply && not one in
       Array.init shards (fun s ->
-          Channel.create ~probe ~escalate ~ns:(ns s) ~wire ~queue_capacity
-            ~batch_size ~table ())
+          Channel.create ~probe ~escalate:(not one) ~ns:(ns s) ~wire
+            ~queue_capacity ~batch_size ~table ())
     in
     (* engine milestones land on whichever domain drains the shard; one
        helper's engine also owns the engine-level metrics and samples
@@ -475,7 +453,6 @@ module Make (D : Taint.DOMAIN) = struct
     let cross = ref 0 in
     let c =
       {
-        c_route = route;
         c_xchg = xchg;
         workers;
         chans;
@@ -520,14 +497,11 @@ module Make (D : Taint.DOMAIN) = struct
   let exchange_messages c =
     Array.fold_left (fun acc w -> acc + w.sent) 0 c.workers
 
-  (* Under broadcast only shard 0 reports, so only it records. *)
   let record_sink_events c =
-    Array.iteri
-      (fun s w ->
-        if s = 0 || c.c_route = `Request_reply then begin
-          w.record_sinks <- true;
-          w.sink_events <- true
-        end)
+    Array.iter
+      (fun w ->
+        w.record_sinks <- true;
+        w.sink_events <- true)
       c.workers
 
   let feed_view c = c.c_feed
@@ -538,14 +512,15 @@ module Make (D : Taint.DOMAIN) = struct
     (* one shard owns every location: no roles to play.  N shards tick
        the work pulse per view, which keeps legitimately parked peers
        from tripping the watchdog while this shard computes *)
+    let process =
+      if one then w.transfer
+      else fun v ->
+        Probe.work h;
+        handle_view w v
+    in
     let f, advance =
       match c.c_filter with
-      | None when one -> (w.transfer, None)
-      | None ->
-          ( (fun v ->
-              Probe.work h;
-              handle_view w v),
-            None )
+      | None -> (process, None)
       | Some lf ->
           (* publish per event (after processing), advance the shard's
              epoch per batch: the filter's soundness relies on exactly
@@ -553,20 +528,15 @@ module Make (D : Taint.DOMAIN) = struct
           let sh = E.shadow w.eng in
           let live l = tainted (E.Sh.get sh l) in
           (* generation reset: republish this shard's live taint (shard
-             shadows are disjoint under request/reply and identical
-             under broadcast, so the union over slots is exactly the
-             live taint) *)
+             shadows are disjoint, so the union over slots is exactly
+             the live taint) *)
           let repopulate () =
             E.Sh.fold
               (fun loc d () -> if tainted d then Livefilter.publish_loc lf loc)
               sh ()
           in
           ( (fun v ->
-              if one then w.transfer v
-              else begin
-                Probe.work h;
-                handle_view w v
-              end;
+              process v;
               Livefilter.publish lf ~tainted:live v),
             Some
               (fun ~last_step ->

@@ -29,14 +29,10 @@
     protocol is deadlock-free (the argument is spelled out in the
     protocol document).
 
-    The [`Request_reply] route is exact for every policy {e except}
+    The exchange is exact for every policy {e except}
     [propagate_control], whose per-thread control state entangles all
-    events; {!val-worker} rejects that combination.  The [`Broadcast]
-    route replicates every event to every shard instead — each shard
-    computes the full answer redundantly, shard 0 reports — which
-    supports every policy (including control flow) at the cost of no
-    tracking-work reduction; it is the conservative end of the
-    bandwidth-versus-synchronisation trade.
+    events: {!Make.val-worker} rejects that policy on more than one
+    shard, and a one-shard runtime (which exchanges nothing) runs it.
 
     {2 One shard is the two-domain runtime}
 
@@ -59,15 +55,6 @@
 open Dift_isa
 open Dift_vm
 open Dift_core
-
-(** Cross-shard resolution strategy: [`Request_reply] is the exact
-    two-phase exchange over disjoint shards; [`Broadcast] is full
-    replication (every shard sees every event, shard 0 reports). *)
-type route = [ `Request_reply | `Broadcast ]
-
-(** Prints [request-reply] or [broadcast] (the same spelling the CLI
-    accepts). *)
-val pp_route : route Fmt.t
 
 (** Per-shard activity summary, reported by {!Make.shard_stats} after
     a cluster run. *)
@@ -126,6 +113,12 @@ val default_xchg_capacity : int
     observations, so the sums agree across configurations. *)
 val sink_hash : step:int -> Engine.sink -> bool -> int
 
+(** [entry_hash loc code] is one shadow entry's share of the shadow
+    fingerprint, [code] being its taint as an integer ([Bool.to_int]
+    in the Bool domain).  The fingerprint sums every entry's share, so
+    as with {!sink_hash}, disjoint shards add up in any order. *)
+val entry_hash : Loc.t -> int -> int
+
 (** The worker layer over one taint domain. *)
 module Make (D : Taint.DOMAIN) : sig
   (** This worker's engine instantiation (independent of any other
@@ -181,18 +174,16 @@ module Make (D : Taint.DOMAIN) : sig
 
   type worker
 
-  (** [worker ~router ~route ~xchg ~record_sinks ~shard program] is
-      shard [shard]'s engine plus protocol state.  Every sink folds
-      into the worker's {!sink_hash} sum; with [record_sinks], every
-      sink is also recorded (step, sink, taint) for the deterministic
-      merge.
-      @raise Invalid_argument when [route] is [`Request_reply], the
-      router has more than one shard and the policy enables
-      [propagate_control] (see the module preamble). *)
+  (** [worker ~router ~xchg ~record_sinks ~shard program] is shard
+      [shard]'s engine plus protocol state.  Every sink folds into the
+      worker's {!sink_hash} sum; with [record_sinks], every sink is
+      also recorded (step, sink, taint) for the deterministic merge.
+      @raise Invalid_argument when the router has more than one shard
+      and the policy enables [propagate_control] (see the module
+      preamble). *)
   val worker :
     ?policy:Policy.t ->
     router:Router.t ->
-    route:route ->
     xchg:xchg ->
     record_sinks:bool ->
     shard:int ->
@@ -223,8 +214,9 @@ module Make (D : Taint.DOMAIN) : sig
   val transfer : worker -> Event.view -> unit
 
   (** [solo ~record_sinks program] is a worker alone: a one-shard
-      router and no mesh, so {!handle_view} is {!transfer} on every
-      event, and driving {!transfer} directly is the same.  It is the
+      router and no mesh, so every event is local, {!handle_view} is
+      {!transfer} on every event, and driving {!transfer} directly is
+      the same.  It is the
       sequential reference ({!merge} [[| w |]]): the engine of a
       degraded rerun ({!resume}), of [Parallel.run_inline] and of the
       sharded tests' oracle. *)
@@ -256,13 +248,14 @@ module Make (D : Taint.DOMAIN) : sig
     m_tainted_locations : int;  (** summed over disjoint shards *)
     m_shadow_words : int;  (** summed over disjoint shards *)
     m_fingerprint : int;
-        (** hash of the sorted (loc, taint) entries of the union
-            shadow — same recipe as the sequential fingerprint *)
+        (** the shadow fingerprint: {!entry_hash} summed over every
+            (loc, taint) entry of the union shadow, so a difference in
+            any one entry changes it (up to hash collisions) *)
   }
 
   (** Merge the workers of one cluster (call only after all domains
-      joined).  Request/reply sums disjoint shards; broadcast reports
-      shard 0. *)
+      joined): every event has one home shard and the shards' shadows
+      are disjoint, so the counts, hashes and fingerprints add up. *)
   val merge : worker array -> merged
 
   (** {1 Clusters: workers + inbound rings + helper domains} *)
@@ -298,13 +291,15 @@ module Make (D : Taint.DOMAIN) : sig
       {!Livefilter} for the soundness argument.
 
       Each exchange ring holds [xchg_capacity] messages (default
-      {!default_xchg_capacity}).  Shadow memory is partitioned in
-      blocks of [2{^Router.default_block_bits}] locations.
-      @raise Invalid_argument for [shards < 1] or a channel geometry
-      {!Channel.create} rejects. *)
+      {!default_xchg_capacity}, which the runtimes use; tests force
+      ring-full blocking with a small one).  Shadow memory is
+      partitioned in blocks of [2{^Router.default_block_bits}]
+      locations.
+      @raise Invalid_argument for [shards < 1], a channel geometry
+      {!Channel.create} rejects, or [propagate_control] on more than
+      one shard (see {!val-worker}). *)
   val cluster :
     ?policy:Policy.t ->
-    ?route:route ->
     ?probe:Probe.t ->
     ?queue_capacity:int ->
     ?batch_size:int ->
@@ -315,18 +310,17 @@ module Make (D : Taint.DOMAIN) : sig
     Program.t ->
     cluster
 
-  (** Have every reporting shard (all of them under request/reply,
-      shard 0 under broadcast) record its sinks with their event
-      records ({!Event.view_to_exec}) in [m_sinks], for a client sink
-      callback run after the join.  Call before {!start}; without it a
+  (** Have every shard record its sinks with their event records
+      ({!Event.view_to_exec}) in [m_sinks], for a client sink callback
+      run after the join.  Call before {!start}; without it a
       sink costs its shard one addition to its hash and no record. *)
   val record_sink_events : cluster -> unit
 
   (** Route one event from the application domain, read in place from
       its view: deliver it to every participant shard's inbound
       channel, flushing all of them when the event crosses shards (see
-      {!Channel.flush}).  [`Broadcast] delivers every event to every
-      shard; one shard takes every event without a router. *)
+      {!Channel.flush}).  One shard takes every event without a
+      router. *)
   val feed_view : cluster -> Event.view -> unit
 
   (** Spawn one helper domain per shard, each draining its inbound
@@ -373,7 +367,7 @@ module Make (D : Taint.DOMAIN) : sig
       records sinks iff {!record_sink_events} was called. *)
   val resume : cluster -> int * worker
 
-  (** Events that crossed shards (request/reply route only). *)
+  (** Events that crossed shards. *)
   val cross_events : cluster -> int
 
   (** Total exchange vectors pushed across the mesh. *)

@@ -246,12 +246,17 @@ let is_replay m = match m.config.schedule with Some _ -> true | None -> false
     and program output.  Two runs with equal fingerprints behaved
     identically as far as the program semantics is concerned. *)
 let fingerprint m =
-  let cells = ref [] in
-  Hashtbl.iter
-    (fun a v -> cells := (a, v) :: !cells)
-    m.mem.Memory.cells;
-  let cells = List.sort compare !cells in
-  Hashtbl.hash (cells, List.rev m.rev_output, m.input_pos)
+  (* every cell and every output counts: the cells as an
+     order-independent sum of their hashes, the outputs folded in
+     order (a structural hash of the lists would read only their first
+     few values) *)
+  let cells =
+    Hashtbl.fold (fun a v acc -> acc + Hashtbl.hash (a, v)) m.mem.Memory.cells 0
+  in
+  let output =
+    List.fold_left (fun acc o -> Hashtbl.hash (acc, o)) 0 m.rev_output
+  in
+  Hashtbl.hash (cells, output, m.input_pos)
 
 (* -- operand evaluation ------------------------------------------------ *)
 

@@ -79,8 +79,9 @@ val input_log : t -> (int * int * int) list
 val request_stop : t -> string -> unit
 
 (** A hash of the externally observable machine state: memory contents
-    and program output.  Two runs with equal fingerprints behaved
-    identically as far as program semantics is concerned. *)
+    and program output.  Every memory cell and every output counts, so
+    two runs with equal fingerprints behaved identically as far as
+    program semantics is concerned (up to hash collisions). *)
 val fingerprint : t -> int
 
 (** Run to completion (or fault / deadlock / step budget / stop

@@ -7,7 +7,7 @@
    rejected; and machine streams stay within the wire's word budget.
    Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
-   on every kernel, in both runtimes, on both shard routes — and the
+   on every kernel, in both runtimes and sharded — and the
    filter strictly reduces forwarded volume on taint-sparse streams.
    Plus the codec free ring's [ring.free.*] chaos seam: recycling
    faults degrade, they never change the answer. *)
@@ -779,7 +779,7 @@ let test_large_frames_compact () =
       done)
     [ 1 lsl 20; (1 lsl 20) + 1; (1 lsl 20) + 31; (1 lsl 33) + 5; 1 lsl 40 ]
 
-(* -- whole-run equivalence: wires, filter, runtimes, routes ----------- *)
+(* -- whole-run equivalence: wires, filter, runtimes ------------------- *)
 
 let same_result name (a : Parallel.result) (b : Parallel.result) =
   check Alcotest.bool
@@ -825,31 +825,22 @@ let test_wires_two_domain () =
         [ `Boxed; `Coded ])
     Spec_like.all
 
-(* Every kernel: both wires, both shard routes, sharded runtime. *)
+(* Every kernel: both wires, sharded runtime. *)
 let test_wires_sharded () =
   List.iter
     (fun (w : Workload.t) ->
       let input = w.Workload.input ~size:12 ~seed:9 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       List.iter
-        (fun (route, wire) ->
+        (fun wire ->
           let rep =
-            ok (Parallel.run_sharded_result ~route ~wire ~shards:3
-                ~queue_capacity:8 ~batch_size:8 w.Workload.program ~input)
+            ok (Parallel.run_sharded_result ~wire ~shards:3 ~queue_capacity:8
+                ~batch_size:8 w.Workload.program ~input)
           in
           same_result
-            (Fmt.str "%s/%s/%a" w.Workload.name
-               (match route with
-               | `Request_reply -> "request-reply"
-               | `Broadcast -> "broadcast")
-               Channel.pp_wire wire)
+            (Fmt.str "%s/%a" w.Workload.name Channel.pp_wire wire)
             inline.Parallel.i_result rep.Parallel.s_result)
-        [
-          (`Request_reply, `Boxed);
-          (`Request_reply, `Coded);
-          (`Broadcast, `Boxed);
-          (`Broadcast, `Coded);
-        ])
+        [ `Boxed; `Coded ])
     Spec_like.all
 
 (* Every kernel: the producer-side liveness filter is invisible in the
@@ -1116,7 +1107,7 @@ let suite =
       test_site_pool;
     Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"
       `Quick test_wires_two_domain;
-    Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both routes)"
+    Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both wires)"
       `Quick test_wires_sharded;
     Alcotest.test_case "forward filter is bit-identical (all kernels)"
       `Quick test_filter_bit_identical;

@@ -234,31 +234,23 @@ let test_spawn_failure_two_domain () =
       check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
       check Alcotest.int "nothing fed" 0 e.Parallel.e_partial.Parallel.p_events
 
-(* -- sharded runtime: shard crash, spawn failure, both routes --------- *)
+(* -- sharded runtime: shard crash, spawn failure ----------------------- *)
 
-let run_sharded_crc ?chaos ?route () =
+let run_sharded_crc ?chaos () =
   let w = kernel "crc" in
   let input = w.Workload.input ~size:12 ~seed:3 in
-  Parallel.run_sharded_result ?chaos ?route ~queue_capacity:4 ~batch_size:1
+  Parallel.run_sharded_result ?chaos ~queue_capacity:4 ~batch_size:1
     ~shards:3 w.Workload.program ~input
 
-let test_shard_crash route name =
+let test_shard_crash_request_reply () =
   with_watchdog @@ fun () ->
   (* shard 1's first pop raises: its failure must be attributed, the
      other shards must terminate (cascade or clean), nothing wedges *)
-  match run_sharded_crc ~chaos:(chaos "parallel.shard1/pop@1=raise") ~route ()
-  with
-  | Ok _ -> Alcotest.failf "%s: injected shard crash must surface" name
+  match run_sharded_crc ~chaos:(chaos "parallel.shard1/pop@1=raise") () with
+  | Ok _ -> Alcotest.fail "injected shard crash must surface"
   | Error e ->
-      check Alcotest.bool (name ^ ": shard 1 blamed") true
-        (e.Parallel.e_leg = `Shard 1);
-      check Alcotest.bool (name ^ ": injected exn") true
-        (injected e.Parallel.e_exn)
-
-let test_shard_crash_request_reply () =
-  test_shard_crash `Request_reply "request-reply"
-
-let test_shard_crash_broadcast () = test_shard_crash `Broadcast "broadcast"
+      check Alcotest.bool "shard 1 blamed" true (e.Parallel.e_leg = `Shard 1);
+      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn)
 
 let test_spawn_failure_sharded () =
   with_watchdog @@ fun () ->
@@ -299,8 +291,7 @@ let run_cross ?chaos () =
   let c =
     SE.cluster
       ?probe:(Option.map (fun chaos -> Probe.make ~chaos ()) chaos)
-      ~route:`Request_reply ~queue_capacity:4 ~batch_size:1
-      ~xchg_capacity:4 ~shards:2 cross_prog
+      ~queue_capacity:4 ~batch_size:1 ~xchg_capacity:4 ~shards:2 cross_prog
   in
   SE.start c;
   let m = Machine.create cross_prog ~input:(Array.init 8 (fun i -> i + 1)) in
@@ -635,8 +626,6 @@ let suite =
       test_spawn_failure_two_domain;
     Alcotest.test_case "shard crash (request-reply)" `Quick
       test_shard_crash_request_reply;
-    Alcotest.test_case "shard crash (broadcast)" `Quick
-      test_shard_crash_broadcast;
     Alcotest.test_case "spawn failure (sharded)" `Quick
       test_spawn_failure_sharded;
     Alcotest.test_case "exchange stall bit-identical" `Quick

@@ -1,11 +1,10 @@
 (* The instrument names the parallel runtimes expose, pinned: metric
    names in the registry, watchdog progress legs, the (category, name)
-   pairs on each flight-recorder ring and on each trace track.  Three
-   fully instrumented runs — two-domain, sharded request/reply and
-   sharded broadcast — each with a registry, a tracer, a flight
-   recorder, a fault plan that never fires and a watchdog that never
-   misses, so every seam is wired and no failure leg runs.  A fourth,
-   inline, takes the registry, tracer and flight recorder only: it has
+   pairs on each flight-recorder ring and on each trace track.  Two
+   fully instrumented runs — two-domain and sharded request/reply —
+   each with a registry, a tracer, a flight recorder, a fault plan
+   that never fires and a watchdog that never misses, so every seam is
+   wired and no failure leg runs.  A third, inline, takes the registry, tracer and flight recorder only: it has
    no channel to inject into and no seam to watch.
 
    Excluded, because their presence depends on scheduling: which of
@@ -115,12 +114,12 @@ let inline ~obs ~trace ~flight ~chaos:_ ~watchdog:_ =
   let r = Parallel.run_inline ~obs ~trace ~flight w.Workload.program ~input in
   r.Parallel.i_result.Parallel.events > 0
 
-let sharded ~route ~shards ~obs ~trace ~flight ~chaos ~watchdog =
+let sharded ~shards ~obs ~trace ~flight ~chaos ~watchdog =
   let w = kernel "treesum" in
   let input = w.Workload.input ~size:60 ~seed:3 in
   Result.is_ok
-    (Parallel.run_sharded_result ~obs ~trace ~flight ~chaos ~watchdog ~route
-       ~shards w.Workload.program ~input)
+    (Parallel.run_sharded_result ~obs ~trace ~flight ~chaos ~watchdog ~shards
+       w.Workload.program ~input)
 
 (* -- the expected names --------------------------------------------------- *)
 
@@ -198,8 +197,7 @@ let inline_seen =
       ];
   }
 
-let sharded_seen ~route ~shards =
-  let exchanges = route = `Request_reply in
+let sharded_seen ~shards =
   let ns s = Fmt.str "parallel.shard%d" s in
   {
     metrics =
@@ -224,9 +222,10 @@ let sharded_seen ~route ~shards =
         @ [ "run/run.done"; "run/run.start" ] )
       :: List.init shards (fun s ->
              ( Fmt.str "shard-%d" s,
-               [ "core/engine.progress"; ns s ^ "/ring.pop"; "run/shard.start" ]
-               @ if exchanges then [ "xchg/xchg.pop"; "xchg/xchg.push" ]
-                 else [] ));
+               [
+                 "core/engine.progress"; ns s ^ "/ring.pop"; "run/shard.start";
+                 "xchg/xchg.pop"; "xchg/xchg.push";
+               ] ));
     trace =
       ("app", [ "vm/app.run" ])
       :: ("ring.occupancy", [ "parallel/ring.occupancy" ])
@@ -257,15 +256,13 @@ let test_two_domain () = check_seen two_domain_seen (observe two_domain)
 
 let test_inline () = check_seen inline_seen (observe inline)
 
-let test_sharded route shards () =
-  check_seen (sharded_seen ~route ~shards) (observe (sharded ~route ~shards))
+let test_sharded shards () =
+  check_seen (sharded_seen ~shards) (observe (sharded ~shards))
 
 let suite =
   [
     Alcotest.test_case "two-domain instrument names" `Quick test_two_domain;
     Alcotest.test_case "inline instrument names" `Quick test_inline;
     Alcotest.test_case "sharded request/reply instrument names" `Quick
-      (test_sharded `Request_reply 3);
-    Alcotest.test_case "sharded broadcast instrument names" `Quick
-      (test_sharded `Broadcast 2);
+      (test_sharded 3);
   ]

@@ -4,6 +4,7 @@
    coverage of the SPSC channel itself (ordering, blocking, shutdown,
    abort) and helper-side exception propagation. *)
 
+open Dift_isa
 open Dift_vm
 open Dift_core
 open Dift_workloads
@@ -122,7 +123,8 @@ let same_result name (a : Parallel.result) (b : Parallel.result) =
 (* Every equivalence test compares a runtime against [run_inline], so
    [run_inline] itself is checked here against a reference assembled
    by hand: a bare engine attached to a machine, a local fold of the
-   sink-trace hash and a local hash of the sorted final shadow. *)
+   sink-trace hash and a local fold of the final shadow's entry
+   hashes. *)
 module Ref_engine = Engine.Make (Taint.Bool)
 
 let reference ?policy program ~input =
@@ -141,9 +143,8 @@ let reference ?policy program ~input =
   let tainted_locations, shadow_words = Ref_engine.shadow_footprint eng in
   let fingerprint =
     Ref_engine.Sh.fold
-      (fun loc d acc -> (loc, d) :: acc)
-      (Ref_engine.shadow eng) []
-    |> List.sort compare |> Hashtbl.hash
+      (fun loc d acc -> acc + Shard_engine.entry_hash loc (Bool.to_int d))
+      (Ref_engine.shadow eng) 0
   in
   ( {
       Parallel.outcome;
@@ -189,6 +190,33 @@ let test_inline_against_reference () =
             (List.rev !streamed = expected_sinks))
         cases)
     [ ("default", Policy.default); ("full", Policy.full) ]
+
+(* Forty tainted input values stored to cells 1000..1039, then one
+   more to cell 1040 or 1041 as the last input says: the two runs'
+   final shadows hold as many entries and differ only in their last,
+   and the fingerprint must tell them apart. *)
+let test_fingerprint_every_entry () =
+  let main =
+    Builder.define ~name:"main" ~arity:0 (fun b ->
+        Builder.for_up b ~idx:Reg.r7 ~from_:(Operand.imm 0)
+          ~below:(Operand.imm 40) (fun () ->
+            Builder.read b Reg.r1;
+            Builder.store b (Operand.reg Reg.r1) (Operand.reg Reg.r7) 1000);
+        Builder.read b Reg.r2;
+        Builder.store b (Operand.reg Reg.r1) (Operand.reg Reg.r2) 1040;
+        Builder.halt b)
+  in
+  let p = Program.make [ main ] in
+  let run last =
+    (Parallel.run_inline p
+       ~input:(Array.init 41 (fun i -> if i = 40 then last else i + 1)))
+      .Parallel.i_result
+  in
+  let a = run 0 and b = run 1 in
+  check Alcotest.int "same number of tainted locations"
+    a.Parallel.tainted_locations b.Parallel.tainted_locations;
+  check Alcotest.bool "the last entry changes the fingerprint" true
+    (a.Parallel.taint_fingerprint <> b.Parallel.taint_fingerprint)
 
 (* Every kernel: the helper-domain run equals the inline run. *)
 let test_equivalence_all_kernels () =
@@ -347,6 +375,8 @@ let suite =
     Alcotest.test_case "spsc close drains" `Quick test_spsc_close_drains;
     Alcotest.test_case "spsc abort unblocks producer" `Quick
       test_spsc_abort_unblocks_producer;
+    Alcotest.test_case "taint fingerprint reads every entry" `Quick
+      test_fingerprint_every_entry;
     Alcotest.test_case "inline ≡ hand-built reference" `Quick
       test_inline_against_reference;
     Alcotest.test_case "parallel ≡ inline on all kernels" `Quick

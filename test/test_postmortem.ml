@@ -29,7 +29,6 @@ let geometry ~runtime ~shards =
     g_shards = shards;
     g_queue_capacity = 4;
     g_batch_size = 1;
-    g_xchg_capacity = None;
     g_wire = `Coded;
     g_forward_filter = false;
     g_deadline = None;

@@ -94,6 +94,11 @@ let rec emit b op =
       Builder.for_up b ~idx:(Reg.make idx) ~from_:(imm 0) ~below:(imm n)
         (fun () -> List.iter (emit b) body)
 
+let define_callee callee =
+  Builder.define ~name:"callee" ~arity:2 (fun b ->
+      List.iter (emit b) callee;
+      Builder.ret b (Some (reg (Reg.make 0))))
+
 let build_program (ops, callee) =
   Program.make
     [
@@ -102,9 +107,7 @@ let build_program (ops, callee) =
           (* always end with an observable output *)
           Builder.write b (reg (Reg.make 0));
           Builder.halt b);
-      Builder.define ~name:"callee" ~arity:2 (fun b ->
-          List.iter (emit b) callee;
-          Builder.ret b (Some (reg (Reg.make 0))));
+      define_callee callee;
     ]
 
 let inputs_for _ops = Array.init 64 (fun i -> (i * 37) + 3)

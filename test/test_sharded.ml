@@ -1,11 +1,12 @@
 (* The sharded N-helper runtime computes exactly what the sequential
    engine computes — same sink trace, same stats, same final shadow —
-   for every workload kernel at 1, 2 and 4 shards, on both cross-shard
-   routes, and (as QCheck properties, sink by sink) for generated
-   programs and call-dense kernels whose memory cells and register
+   for every workload kernel at 1, 2 and 4 shards, and (as QCheck
+   properties, sink by sink) for generated programs (which also spawn
+   a thread) and call-dense kernels whose memory cells and register
    frames spread over the shards, in the Bool and Pc domains, on both
-   wires, under the default, security and full policies.  Plus the
-   regression test for channel-geometry validation. *)
+   wires, under the default and security policies, and under the full
+   policy on one shard.  Plus the regression test for channel-geometry
+   validation. *)
 
 open Dift_isa
 open Dift_vm
@@ -78,21 +79,6 @@ let test_agrees_with_two_domain_run () =
   same_result "crc run_result vs run_sharded_result" two.Parallel.result
     sharded.Parallel.s_result
 
-(* Broadcast replication: same answer, every policy allowed. *)
-let test_broadcast_route () =
-  List.iter
-    (fun (w : Workload.t) ->
-      let input = w.Workload.input ~size:12 ~seed:9 in
-      let inline = Parallel.run_inline w.Workload.program ~input in
-      let rep =
-        ok (Parallel.run_sharded_result ~route:`Broadcast ~shards:3
-            w.Workload.program ~input)
-      in
-      same_result
-        (Fmt.str "%s/broadcast" w.Workload.name)
-        inline.Parallel.i_result rep.Parallel.s_result)
-    [ Spec_like.crc; Spec_like.qsort ]
-
 (* The security policy (pointer flows) must survive sharding. *)
 let test_security_policy () =
   let w = Spec_like.bfs in
@@ -105,32 +91,42 @@ let test_security_policy () =
   same_result "bfs/security sharded" inline.Parallel.i_result
     rep.Parallel.s_result
 
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 (* Control-flow taint entangles all events through per-thread state:
-   the exact route must refuse it, the broadcast route must get it
-   right. *)
+   two shards must refuse it before any domain starts (a spawn fault
+   never fires), and one shard, which exchanges nothing, must get it
+   right from either entry point. *)
 let test_control_policy () =
   let w = Spec_like.search in
   let input = w.Workload.input ~size:10 ~seed:2 in
   let policy = Policy.full in
-  check Alcotest.bool "request-reply rejects propagate_control" true
-    (match
-       ok (Parallel.run_sharded_result ~policy ~shards:2 w.Workload.program
-           ~input)
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  let inline = Parallel.run_inline ~policy w.Workload.program ~input in
-  let rep =
-    ok (Parallel.run_sharded_result ~policy ~route:`Broadcast ~shards:2
-        w.Workload.program ~input)
+  let chaos =
+    match Chaos.plan_of_string "spawn@1=raise" with
+    | Ok p -> Chaos.create p
+    | Error e -> Alcotest.failf "bad plan: %s" e
   in
-  same_result "search/full broadcast" inline.Parallel.i_result
-    rep.Parallel.s_result
+  check Alcotest.bool "two shards reject propagate_control" true
+    (raises_invalid (fun () ->
+         Parallel.run_sharded_result ~chaos ~policy ~shards:2
+           w.Workload.program ~input));
+  check Alcotest.int "no domain spawned" 0 (Chaos.fired chaos);
+  let inline = Parallel.run_inline ~policy w.Workload.program ~input in
+  let two = ok (Parallel.run_result ~policy w.Workload.program ~input) in
+  same_result "search/full two-domain" inline.Parallel.i_result
+    two.Parallel.result;
+  let one =
+    ok (Parallel.run_sharded_result ~policy ~shards:1 w.Workload.program
+        ~input)
+  in
+  same_result "search/full one shard" inline.Parallel.i_result
+    one.Parallel.s_result
 
 (* -- one shard is the two-domain runtime -------------------------------- *)
 
 (* [run_result] and [run_sharded_result ~shards:1] are one runtime: on
-   every kernel, both routes, both wires, filter off and on, the same
+   every kernel, both wires, filter off and on, the same
    result and the same channel accounting.  The filter's admissions
    depend on how far the helper has got, so with the filter on the two
    runs are tied through the batch count instead: one helper's channel
@@ -143,10 +139,10 @@ let test_one_shard_is_two_domain () =
       let input = w.Workload.input ~size:12 ~seed:4 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       List.iter
-        (fun (route, wire, forward_filter) ->
+        (fun (wire, forward_filter) ->
           let name =
-            Fmt.str "%s/%a/%a/filter=%b" w.Workload.name Shard_engine.pp_route
-              route Channel.pp_wire wire forward_filter
+            Fmt.str "%s/%a/filter=%b" w.Workload.name Channel.pp_wire wire
+              forward_filter
           in
           let two =
             ok
@@ -155,7 +151,7 @@ let test_one_shard_is_two_domain () =
           in
           let one =
             ok
-              (Parallel.run_sharded_result ~route ~wire ~forward_filter
+              (Parallel.run_sharded_result ~wire ~forward_filter
                  ~queue_capacity:4 ~batch_size ~shards:1 w.Workload.program
                  ~input)
           in
@@ -184,14 +180,7 @@ let test_one_shard_is_two_domain () =
           check Alcotest.int (name ^ ": same dropped events")
             two.Parallel.dropped_events s.Shard_engine.dropped_events)
         [
-          (`Request_reply, `Coded, false);
-          (`Request_reply, `Boxed, true);
-          (`Broadcast, `Coded, true);
-          (`Broadcast, `Boxed, false);
-          (`Request_reply, `Coded, true);
-          (`Request_reply, `Boxed, false);
-          (`Broadcast, `Coded, false);
-          (`Broadcast, `Boxed, true);
+          (`Coded, false); (`Boxed, true); (`Coded, true); (`Boxed, false);
         ])
     Spec_like.all
 
@@ -242,9 +231,6 @@ let test_one_shard_degrade_resumes () =
         d.Parallel.d_cutoff_step
 
 (* -- regression: channel geometry below 1 must raise, not hang ------- *)
-
-let raises_invalid f =
-  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_invalid_geometry_rejected () =
   let w = Spec_like.crc in
@@ -324,10 +310,36 @@ let test_on_sink_exception () =
    down to two-slot rings of three-event batches. *)
 let geometries = [ (8, 8); (4, 4); (2, 3) ]
 
-(* Generated cases run, and those whose run crossed shards at 2 and at
-   4 shards: a property none of whose cases crosses shards says nothing
-   about the exchange. *)
-type tally = { mutable cases : int; mutable cross2 : int; mutable cross4 : int }
+(* Generated cases run, those whose run crossed shards at 2 and at 4
+   shards, and those with an event that writes on two shards: a
+   property none of whose cases crosses shards says nothing about the
+   exchange, and one with no such write says nothing about its
+   receiver leg. *)
+type tally = {
+  mutable cases : int;
+  mutable cross2 : int;
+  mutable cross4 : int;
+  mutable split_writes : int;
+}
+
+let run_machine program ~input on_view =
+  let m = Machine.create program ~input in
+  Machine.attach m (Tool.make ~on_view "prop-feed");
+  Machine.run m
+
+(* Whether some event writes locations that 4 shards place on two
+   different shards (2 shards split no write that 4 keep together). *)
+let writes_split program ~input =
+  let router = Router.create ~shards:4 () in
+  let split = ref false in
+  ignore
+    (run_machine program ~input (fun v ->
+         let w = v.Event.v_writes in
+         for i = 1 to v.Event.v_nwrites - 1 do
+           if Router.shard_of_loc router w.(i) <> Router.shard_of_loc router w.(0)
+           then split := true
+         done));
+  !split
 
 module Prop (D : Taint.DOMAIN) = struct
   module SE = Shard_engine.Make (D)
@@ -353,31 +365,26 @@ module Prop (D : Taint.DOMAIN) = struct
       m.SE.m_shadow_words,
       m.SE.m_fingerprint )
 
-  let run program ~input on_view =
-    let m = Machine.create program ~input in
-    Machine.attach m (Tool.make ~on_view "prop-feed");
-    Machine.run m
-
   (* The oracle: a solo worker driven by the machine. *)
   let solo policy program ~input =
     let w = SE.solo ~policy ~record_sinks:false program in
     let sinks = ref [] in
     SE.E.on_sink (SE.engine w) (fun sink taint e ->
         sinks := (sink, taint, e) :: !sinks);
-    ignore (run program ~input (SE.transfer w));
+    ignore (run_machine program ~input (SE.transfer w));
     key (SE.merge [| w |]) (List.rev !sinks)
 
   (* A cluster fed the machine's views, as the runtimes feed it; its
      key and the events that crossed shards. *)
-  let sharded policy route wire shards (queue_capacity, batch_size) program
+  let sharded policy wire shards (queue_capacity, batch_size) program
       ~input =
     let c =
-      SE.cluster ~policy ~route ~wire ~shards ~queue_capacity ~batch_size
+      SE.cluster ~policy ~wire ~shards ~queue_capacity ~batch_size
         ~xchg_capacity:4 program
     in
     SE.record_sink_events c;
     SE.start c;
-    (match run program ~input (SE.feed_view c) with
+    (match run_machine program ~input (SE.feed_view c) with
     | _ -> ()
     | exception ex ->
         SE.abort c;
@@ -391,13 +398,13 @@ module Prop (D : Taint.DOMAIN) = struct
           SE.cross_events c )
     | Error f -> raise f.Shard_engine.f_primary
 
-  (* Every configuration of the grid under [policies] agrees with the
-     solo worker on [program]: shards {1, 2, 4} x geometries x both
-     wires on the exact route, and, with [full], [Policy.full] on the
-     broadcast route. *)
+  (* Every configuration of the grid agrees with the solo worker on
+     [program]: under each of [policies], shards {1, 2, 4} x
+     geometries x both wires, and, with [full], [Policy.full] (which
+     only one shard runs) on the geometries x both wires. *)
   let agree ?tally ~policies ~full program ~input =
     let crossed = Array.make 5 false in
-    let exact policy =
+    let grid policy shard_counts =
       let reference = solo policy program ~input in
       List.for_all
         (fun wire ->
@@ -406,28 +413,18 @@ module Prop (D : Taint.DOMAIN) = struct
               List.for_all
                 (fun geometry ->
                   let k, cross =
-                    sharded policy `Request_reply wire shards geometry program
-                      ~input
+                    sharded policy wire shards geometry program ~input
                   in
                   if cross > 0 then crossed.(shards) <- true;
                   k = reference)
                 geometries)
-            [ 1; 2; 4 ])
+            shard_counts)
         [ `Coded; `Boxed ]
     in
-    let broadcast () =
-      let reference = solo Policy.full program ~input in
-      List.for_all
-        (fun wire ->
-          List.for_all2
-            (fun shards geometry ->
-              fst (sharded Policy.full `Broadcast wire shards geometry program
-                     ~input)
-              = reference)
-            [ 1; 2; 4 ] geometries)
-        [ `Coded; `Boxed ]
+    let ok =
+      List.for_all (fun policy -> grid policy [ 1; 2; 4 ]) policies
+      && ((not full) || grid Policy.full [ 1 ])
     in
-    let ok = List.for_all exact policies && ((not full) || broadcast ()) in
     Option.iter
       (fun t ->
         t.cases <- t.cases + 1;
@@ -441,32 +438,71 @@ module Bool_prop = Prop (Taint.Bool)
 module Pc_prop = Prop (Taint.Pc)
 module Set_prop = Prop (Taint.Input_set)
 
-let pp_program ppf ops = Program.pp ppf (Test_props.build_program ops)
+(* {!Test_props.prog_gen}'s programs (memory cells over five blocks,
+   calls into a generated callee, so memory and register frames both
+   spread over the shards), extended: after its generated body, [main]
+   spawns a generated [worker] on one of its registers and joins it.
+   The argument is tainted whenever that register is, and always when
+   [main] first reads an input into it (three cases in four).  The worker
+   writes its r0 out first.  A spawn writes the spawner's tid register
+   and the child's r0, two frames that often live on two shards, so
+   the home shard ships the child's r0 taint to its owner: the
+   exchange's receiver leg. *)
+let spawn_prog_gen =
+  QCheck2.Gen.(
+    triple Test_props.prog_gen
+      (pair (0 -- 5) (frequencyl [ (3, true); (1, false) ]))
+      (list_size (0 -- 4) (Test_props.op_gen ~calls:false 1)))
 
-(* A property over generated programs ({!Test_props.prog_gen}: memory
-   cells over five blocks, calls into a generated callee, so memory
-   and register frames both spread over the shards) that fails unless
-   some case crosses shards at 2 and at 4 shards.  The share of cases
-   that do is printed. *)
+let build_spawning ((ops, callee), (arg, read_first), worker) =
+  let reg x = Operand.reg (Reg.make x) and tid = Reg.make 9 in
+  Program.make
+    [
+      Builder.define ~name:"main" ~arity:0 (fun b ->
+          List.iter (Test_props.emit b) ops;
+          if read_first then Builder.read b (Reg.make arg);
+          Builder.spawn b tid "worker" (reg arg);
+          Builder.join b (Operand.reg tid);
+          Builder.write b (reg 0);
+          Builder.halt b);
+      Test_props.define_callee callee;
+      Builder.define ~name:"worker" ~arity:1 (fun b ->
+          Builder.write b (reg 0);
+          List.iter (Test_props.emit b) worker;
+          Builder.ret b None);
+    ]
+
+let pp_program ppf case = Program.pp ppf (build_spawning case)
+
+(* A property over {!spawn_prog_gen}'s programs that fails unless some
+   case crosses shards at 2 and at 4 shards and some case writes on
+   two shards.  The shares of cases that do are printed. *)
 let program_property ~count name agree =
-  let tally = { cases = 0; cross2 = 0; cross4 = 0 } in
+  let tally = { cases = 0; cross2 = 0; cross4 = 0; split_writes = 0 } in
   let test =
     QCheck2.Test.make ~count ~name ~print:(Fmt.str "%a" pp_program)
-      Test_props.prog_gen (fun ops ->
-        agree tally (Test_props.build_program ops)
-          ~input:(Test_props.inputs_for ops))
+      spawn_prog_gen (fun case ->
+        let program = build_spawning case
+        and input = Test_props.inputs_for () in
+        if writes_split program ~input then
+          tally.split_writes <- tally.split_writes + 1;
+        agree tally program ~input)
   in
   let name, speed, run = QCheck_alcotest.to_alcotest test in
   ( name,
     speed,
     fun () ->
       run ();
-      Fmt.pr "%d cases: %d cross shards at 2 shards, %d at 4@." tally.cases
-        tally.cross2 tally.cross4;
+      Fmt.pr
+        "%d cases: %d cross shards at 2 shards, %d at 4; %d write on two \
+         shards@."
+        tally.cases tally.cross2 tally.cross4 tally.split_writes;
       check Alcotest.bool "some case crosses at 2 shards" true
         (tally.cross2 > 0);
       check Alcotest.bool "some case crosses at 4 shards" true
-        (tally.cross4 > 0) )
+        (tally.cross4 > 0);
+      check Alcotest.bool "some case writes on two shards" true
+        (tally.split_writes > 0) )
 
 (* The call-dense kernels at random sizes and seeds: every activation
    a fresh register frame, so frames round-robin over the shards. *)
@@ -523,13 +559,11 @@ let suite =
       `Quick test_equivalence_all_kernels;
     Alcotest.test_case "sharded ≡ two-domain run" `Quick
       test_agrees_with_two_domain_run;
-    Alcotest.test_case "broadcast route ≡ inline" `Quick
-      test_broadcast_route;
     Alcotest.test_case "security policy survives sharding" `Quick
       test_security_policy;
-    Alcotest.test_case "control policy: rejected exact, correct broadcast"
+    Alcotest.test_case "control policy: rejected exact, correct at one shard"
       `Quick test_control_policy;
-    Alcotest.test_case "one shard ≡ two-domain run (routes, wires, filter)"
+    Alcotest.test_case "one shard ≡ two-domain run (wires, filter)"
       `Quick test_one_shard_is_two_domain;
     Alcotest.test_case "one shard degrades by resuming" `Quick
       test_one_shard_degrade_resumes;

@@ -444,6 +444,31 @@ let test_replay_determinism () =
         (Machine.output_values m1) (Machine.output_values m2))
     [ 11; 12; 13; 14 ]
 
+(* Forty input values stored to cells 1000..1039: two runs whose
+   inputs differ only in the last value have memories that differ only
+   in their highest cell, and that difference must show in the
+   fingerprint. *)
+let test_fingerprint_high_cell () =
+  let main =
+    Builder.define ~name:"main" ~arity:0 (fun b ->
+        Builder.for_up b ~idx:Reg.r7 ~from_:(Operand.imm 0)
+          ~below:(Operand.imm 40) (fun () ->
+            Builder.read b Reg.r1;
+            Builder.store b (Operand.reg Reg.r1) (Operand.reg Reg.r7) 1000);
+        Builder.halt b)
+  in
+  let p = Program.make [ main ] in
+  let fingerprint last =
+    let m =
+      Machine.create p
+        ~input:(Array.init 40 (fun i -> if i = 39 then last else i + 1))
+    in
+    ignore (Machine.run m);
+    Machine.fingerprint m
+  in
+  check Alcotest.bool "one high cell changes the fingerprint" true
+    (fingerprint 40 <> fingerprint 41)
+
 let test_checkpoint_restore () =
   let main =
     Builder.define ~name:"main" ~arity:0 (fun b ->
@@ -624,6 +649,8 @@ let suite =
     Alcotest.test_case "barrier" `Quick test_barrier;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
+    Alcotest.test_case "fingerprint reads every cell" `Quick
+      test_fingerprint_high_cell;
     Alcotest.test_case "checkpoint/restore" `Quick test_checkpoint_restore;
     Alcotest.test_case "mark and tid" `Quick test_mark_and_tid;
     Alcotest.test_case "input override" `Quick test_input_override;

@@ -389,37 +389,27 @@ let test_degrade_does_not_mask_app_crash () =
   | Ok _ -> Alcotest.fail "an app crash must not be degraded away"
   | Error e -> check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App)
 
-let test_degrade_sharded route name =
+let test_degrade_sharded_request_reply () =
   with_watchdog @@ fun () ->
   let w = kernel "crc" in
   let input = w.Workload.input ~size:12 ~seed:3 in
   match
     Parallel.run_sharded_result
       ~chaos:(chaos "parallel.shard1/pop@1=raise")
-      ~route ~degrade:`Inline ~queue_capacity:4 ~batch_size:1 ~shards:3
+      ~degrade:`Inline ~queue_capacity:4 ~batch_size:1 ~shards:3
       w.Workload.program ~input
   with
   | Error e ->
-      Alcotest.failf "%s: degraded sharded run must complete: %a" name
-        Parallel.pp_error e
+      Alcotest.failf "degraded sharded run must complete: %a" Parallel.pp_error
+        e
   | Ok r -> (
-      same_result
-        (name ^ ": degraded shard crash")
-        (inline_crc ()) r.Parallel.s_result;
+      same_result "degraded shard crash" (inline_crc ()) r.Parallel.s_result;
       match r.Parallel.s_degraded with
-      | None -> Alcotest.failf "%s: report must be flagged degraded" name
+      | None -> Alcotest.fail "report must be flagged degraded"
       | Some d ->
-          check Alcotest.bool (name ^ ": shard leg") true
-            (d.Parallel.d_leg = `Shard 1);
-          check Alcotest.int
-            (name ^ ": sharded degrade always reruns from scratch")
-            (-1) d.Parallel.d_cutoff_step)
-
-let test_degrade_sharded_request_reply () =
-  test_degrade_sharded `Request_reply "request-reply"
-
-let test_degrade_sharded_broadcast () =
-  test_degrade_sharded `Broadcast "broadcast"
+          check Alcotest.bool "shard leg" true (d.Parallel.d_leg = `Shard 1);
+          check Alcotest.int "sharded degrade always reruns from scratch" (-1)
+            d.Parallel.d_cutoff_step)
 
 (* -- QCheck: false-positive freedom on clean runs ----------------------- *)
 
@@ -609,8 +599,6 @@ let suite =
       test_degrade_does_not_mask_app_crash;
     Alcotest.test_case "degrade: sharded (request-reply)" `Quick
       test_degrade_sharded_request_reply;
-    Alcotest.test_case "degrade: sharded (broadcast)" `Quick
-      test_degrade_sharded_broadcast;
     Alcotest.test_case "livefilter: reset cycle" `Quick
       test_livefilter_reset_cycle;
     Alcotest.test_case "livefilter: reset awaits every ack" `Quick

@@ -37,12 +37,13 @@ type 'b feed = {
   mutable events : int;
   mutable batches : int;  (** batches actually enqueued on the ring *)
   mutable dropped_batches : int;
-      (** producer-side losses: post-abort pushes and injected push
-          failures (written only by the producer domain) *)
+      (** producer-side losses: post-abort pushes and the batch in
+          hand at an injected push crash (written only by the producer
+          domain) *)
   mutable dropped_events : int;
   mutable discarded_batches : int;
       (** consumer-side losses: batches popped but not processed
-          (injected pop failures and the post-abort sweep; written
+          (the batch in hand at a crash and the post-abort sweep; written
           only by the consumer) *)
   mutable discarded_events : int;
   mutable consumed_batches : int;
@@ -66,9 +67,8 @@ let feed_counts q : Probe.counts =
     in_flight_batches = Spsc.length q.ring;
   }
 
-let feed ~probe ~escalate ~ns ~queue_capacity ~batch_size ~length ~fresh
-    ~clear =
-  let probe = Probe.feed probe ~escalate ~ns in
+let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~fresh ~clear =
+  let probe = Probe.feed probe ~ns in
   let ring = Probe.ring probe ~capacity:queue_capacity in
   let q =
     {
@@ -128,9 +128,9 @@ let ship q =
       let n = q.length b in
       q.events <- q.events + n;
       match Probe.push q.probe q.ring b ~events:n with
-      | Probe.Proceed -> q.batches <- q.batches + 1
-      | Probe.Fail | Probe.Abort_now -> account_drop q n
-      | Probe.Raise_now e ->
+      | true -> q.batches <- q.batches + 1
+      | false -> account_drop q n
+      | exception e ->
           account_drop q n;
           raise e)
   | _ -> ()
@@ -188,8 +188,10 @@ let drain_feed ~around_batch q ~run =
   let rec loop () =
     match Probe.pop q.probe q.ring with
     | None -> sweep ()
-    | Some (b, Probe.Proceed) ->
-        (try around_batch (fun () -> run b)
+    | Some (b, crash) ->
+        (try
+           Option.iter raise crash;
+           around_batch (fun () -> run b)
          with e ->
            (* the batch in hand is neither processed nor yet counted:
               book it before the exception escapes, or it would leave
@@ -202,12 +204,6 @@ let drain_feed ~around_batch q ~run =
         Probe.consumed q.probe q.ring ~events:n;
         recycle b;
         loop ()
-    | Some (b, (Probe.Fail | Probe.Abort_now)) ->
-        discard b;
-        loop ()
-    | Some (b, Probe.Raise_now e) ->
-        discard b;
-        raise e
   in
   (* A consumer dying mid-drain must not leave the producer parked
      against a full ring: tear the ring down first, so the producer's
@@ -234,7 +230,7 @@ let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 (* What the boxed wire leaves in a consumed slot. *)
 let no_exec = Event.view_to_exec (Event.view_blank ())
 
-let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel") ~wire
+let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
     ~queue_capacity ~batch_size ~table () =
   if queue_capacity < 1 then
     invalid_arg
@@ -247,7 +243,7 @@ let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel") ~wire
   match wire with
   | `Boxed ->
       Boxed
-        (feed ~probe ~escalate ~ns ~queue_capacity ~batch_size
+        (feed ~probe ~ns ~queue_capacity ~batch_size
            ~length:(fun b -> b.len)
            ~fresh:(fun () -> { data = Array.make batch_size no_exec; len = 0 })
            ~clear:(fun b ->
@@ -260,7 +256,7 @@ let create ?(probe = Probe.off) ?(escalate = false) ?(ns = "parallel") ~wire
           table;
           enc = Codec.encoder table;
           q =
-            feed ~probe ~escalate ~ns ~queue_capacity ~batch_size
+            feed ~probe ~ns ~queue_capacity ~batch_size
               ~length:Codec.batch_length
               ~fresh:(fun () ->
                 Codec.batch_create ~events_per_batch:batch_size)

@@ -60,21 +60,14 @@ type t
     [parallel.shard<i>]).  Its metrics, trace spans, flight events,
     progress legs and fault-injection seams (the event ring's and the
     free ring's [ring.free.<ns>]) are catalogued in {!Probe}, whatever
-    the wire.  Injected push failures become counted
-    [dropped_batches], injected pop failures counted
-    [discarded_batches] (see {!Probe.counts}), and injected raises
-    surface from {!flush}/{!close}/{!drain} after accounting.
-
-    [escalate] (default [false]) marks a channel whose losses would
-    wedge a protocol riding on it: injected drop/abort faults are then
-    served as raises instead of counted losses (see
-    {!Chaos.instance}).  The sharded engine sets it on the
-    request/reply feed rings.
+    the wire.  Every injected fault on the event ring crashes the side
+    it intercepts: it surfaces from {!add}/{!add_view}/{!flush}/{!close}
+    or {!drain} after the batch in hand is booked as dropped or
+    discarded (see {!Probe.counts}).
     @raise Invalid_argument if either size is [< 1], or a coded
     channel's [batch_size] exceeds {!Codec.max_batch_size}. *)
 val create :
   ?probe:Probe.t ->
-  ?escalate:bool ->
   ?ns:string ->
   wire:wire ->
   queue_capacity:int ->
@@ -126,8 +119,8 @@ val close : t -> unit
     exception propagates, so a producer parked against a full ring is
     released: its pushes become counted drops instead of a wedge.
 
-    {b Abort accounting.}  When drain ends by abort (its own, an
-    injected one, or a raise), it {e sweeps} the batches still
+    {b Abort accounting.}  When drain ends by abort (its own after a
+    raise, or another side's), it {e sweeps} the batches still
     buffered in the ring into [discarded_batches]: they were delivered
     but can never be consumed, and the producer cannot publish after
     an abort, so without the sweep up to [queue_capacity] batches

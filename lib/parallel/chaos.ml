@@ -144,19 +144,17 @@ type inst = {
   owner : t;
   ns : string;
   rules : rule list;  (** pre-filtered for this channel's namespace *)
-  escalate : bool;
-      (** losses on this channel would wedge a higher-level protocol:
-          map [Fail]/[Abort_now] to [Raise_now] so they become a clean
-          crash instead *)
   pushes : int Atomic.t;
   pops : int Atomic.t;
 }
+
+type free = inst
 
 let prefix ~pre s =
   String.length pre <= String.length s
   && String.sub s 0 (String.length pre) = pre
 
-let instance ?(escalate = false) ?(targeted_only = false) t ~ns =
+let make_instance ~targeted_only t ~ns =
   let rules =
     List.filter
       (fun r ->
@@ -167,9 +165,10 @@ let instance ?(escalate = false) ?(targeted_only = false) t ~ns =
         | Some w -> prefix ~pre:w ns)
       t.c_plan
   in
-  { owner = t; ns; rules; escalate; pushes = Atomic.make 0; pops = Atomic.make 0 }
+  { owner = t; ns; rules; pushes = Atomic.make 0; pops = Atomic.make 0 }
 
-type action = Proceed | Fail | Abort_now | Raise_now of exn
+let instance t ~ns = make_instance ~targeted_only:false t ~ns
+let free_ring t ~ns = make_instance ~targeted_only:true t ~ns
 
 (* A fat-fingered plan ("stall:3600000000000") must degrade a run, not
    wedge it past any reasonable watchdog deadline: injected sleeps are
@@ -184,69 +183,63 @@ let sleep_ns owner ns =
     Unix.sleepf (float_of_int ns /. 1e9)
   end
 
+let strength = function Stall _ -> 0 | Drop -> 1 | Abort -> 2 | Raise -> 3
+
 (* Serve the [n]-th occurrence of [op]: sleep out any stall rule
-   that matched, then return the strongest terminal action (Raise >
+   that matched, then return the strongest terminal fault (Raise >
    Abort > Drop) so composite plans behave predictably. *)
 let act owner rules op ~what n =
-  let terminal = ref Proceed in
-  List.iter
-    (fun r ->
-      if r.on = op && r.at = n then begin
+  List.fold_left
+    (fun terminal r ->
+      if r.on <> op || r.at <> n then terminal
+      else begin
         Atomic.incr owner.c_fired;
         (match owner.c_flight with
         | Some fl ->
             Dift_obs.Flight.record fl ~cat:"chaos" "chaos.fire" ~a:n
               ~detail:(Fmt.str "%s=%s" what (fault_to_string r.fault))
         | None -> ());
-        match r.fault with
-        | Stall ns -> sleep_ns owner ns
-        | Drop -> (
-            match !terminal with
-            | Proceed -> terminal := Fail
-            | Fail | Abort_now | Raise_now _ -> ())
-        | Abort -> (
-            match !terminal with
-            | Proceed | Fail -> terminal := Abort_now
-            | Abort_now | Raise_now _ -> ())
-        | Raise ->
-            terminal :=
-              Raise_now (Injected (Fmt.str "injected crash at %s #%d" what n))
+        match (r.fault, terminal) with
+        | Stall ns, _ ->
+            sleep_ns owner ns;
+            terminal
+        | f, Some t when strength t >= strength f -> terminal
+        | f, _ -> Some f
       end)
-    rules;
-  !terminal
+    None rules
 
-(* On an escalating channel, a counted loss would silently break the
-   protocol riding on it (a peer would wait forever for the lost
-   element) — turn it into a crash of the intercepting side, which the
-   supervisors tear down cleanly. *)
-let escalated i ~what n action =
-  if not i.escalate then action
-  else
-    match action with
-    | Fail | Abort_now ->
-        Raise_now
-          (Injected (Fmt.str "injected loss escalated to crash at %s #%d" what n))
-    | Proceed | Raise_now _ -> action
+let injected ~what n f =
+  Injected (Fmt.str "injected %s at %s #%d" (fault_to_string f) what n)
 
-let on_push i =
+(* Count this occurrence of [op] on [i] and hand its terminal fault,
+   if any, to [fault] with the exception that names it. *)
+let serve i op ~none ~fault =
   match i.rules with
-  | [] -> Proceed
-  | rules ->
-      let n = 1 + Atomic.fetch_and_add i.pushes 1 in
-      let what = i.ns ^ "/push" in
-      escalated i ~what n (act i.owner rules Push ~what n)
+  | [] -> none
+  | rules -> (
+      let n =
+        1 + Atomic.fetch_and_add (if op = Push then i.pushes else i.pops) 1
+      in
+      let what = Fmt.str "%s/%s" i.ns (op_to_string op) in
+      match act i.owner rules op ~what n with
+      | None -> none
+      | Some f -> fault f (injected ~what n f))
 
-let on_pop i =
-  match i.rules with
-  | [] -> Proceed
-  | rules ->
-      let n = 1 + Atomic.fetch_and_add i.pops 1 in
-      let what = i.ns ^ "/pop" in
-      escalated i ~what n (act i.owner rules Pop ~what n)
+let crash _ e = Some e
+let on_push i = serve i Push ~none:None ~fault:crash
+let on_pop i = serve i Pop ~none:None ~fault:crash
+
+type degrade = Keep | Skip | Disable
+
+let degrade f e =
+  match f with Drop -> Skip | Abort -> Disable | Raise | Stall _ -> raise e
+
+let on_free_push i = serve i Push ~none:Keep ~fault:degrade
+let on_free_pop i = serve i Pop ~none:Keep ~fault:degrade
 
 let on_spawn t =
   match List.filter (fun r -> r.on = Spawn) t.c_plan with
-  | [] -> Proceed
+  | [] -> None
   | rules ->
       let n = 1 + Atomic.fetch_and_add t.spawns 1 in
-      act t rules Spawn ~what:"spawn" n
+      Option.map (injected ~what:"spawn" n) (act t rules Spawn ~what:"spawn" n)

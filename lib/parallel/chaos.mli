@@ -35,10 +35,12 @@ type fault =
   | Stall of int
       (** sleep this many ns {e before} the operation: an artificial
           full/empty stall on the intercepted side *)
-  | Drop  (** fail the operation: a push is dropped (and counted), a
-              pop discards the popped element (and counts it) *)
-  | Abort  (** abort the channel (or the whole exchange mesh) at this
-               operation *)
+  | Drop  (** lose the element: on an event or exchange ring a crash
+              of the intercepting side ({!instance}), on the free ring
+              one skipped recycling ({!free_ring}) *)
+  | Abort  (** give the channel up: on an event or exchange ring a
+               crash of the intercepting side, on the free ring the
+               end of recycling *)
   | Raise  (** raise {!Injected} from the operation: a crash on the
                intercepting side *)
 
@@ -108,40 +110,51 @@ val stalled_ns : t -> int
 (** A per-channel view: [ns] selects which rules apply (prefix
     match).  Push operations must come from the channel's single
     producer domain and pops from its single consumer domain, like
-    the underlying {!Spsc} sides.
-
-    [escalate] marks a channel whose losses would wedge a protocol
-    riding on it (e.g. the sharded request/reply feed rings, where a
-    shard missing an event strands its peers mid-exchange): [Drop]
-    and [Abort] faults on such a channel are served as [Raise_now]
-    instead — a crash of the intercepting side, which the supervised
-    shutdown tears down cleanly.  Same policy the exchange mesh
-    applies to its own rings.
-
-    [targeted_only] restricts the instance to rules with an explicit
-    [where] prefix: bare rules (no [where]) do not match.  Auxiliary
-    rings whose faults are pure degradations — the forwarder's
-    free-list ring ([ring.free.*]) — use it so that a plan like
-    [pop@1=raise] keeps meaning "the first {e event-carrying} pop",
-    not whichever recycling pop happens to run first. *)
+    the underlying {!Spsc} sides. *)
 type inst
 
-val instance : ?escalate:bool -> ?targeted_only:bool -> t -> ns:string -> inst
+(** [instance t ~ns] — a ring that carries events or exchange
+    messages ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]).
+    Every terminal fault on it crashes the side that intercepts it:
+    the helper must compute exactly what inline tracking computes, and
+    a lost event would change its result, a lost exchange message
+    strand a peer mid-exchange. *)
+val instance : t -> ns:string -> inst
 
-(** What the intercepted operation should do.  [Stall] faults
-    are served {e inside} [on_push]/[on_pop] (the call sleeps, then
-    returns [Proceed]); the terminal faults are returned for the seam
-    to interpret, so that dropped work is accounted where the counts
-    live. *)
-type action =
-  | Proceed
-  | Fail  (** [Drop]: the caller drops/discards and counts *)
-  | Abort_now  (** [Abort]: the caller aborts the channel/mesh *)
-  | Raise_now of exn  (** [Raise]: the caller raises after accounting *)
+(** Serve the next push (pop) on the ring: sleep out any [Stall]
+    fired at this occurrence, then return the crash that any
+    [Drop], [Abort] or [Raise] fired here schedules — {!Injected},
+    naming the fault, the channel and the occurrence — for the seam
+    to raise after its accounting. *)
+val on_push : inst -> exn option
 
-val on_push : inst -> action
-val on_pop : inst -> action
+val on_pop : inst -> exn option
 
 (** The [Spawn] interception point — global to the run (domains are
-    spawned from one supervising domain). *)
-val on_spawn : t -> action
+    spawned from one supervising domain); any terminal fault is a
+    spawn failure. *)
+val on_spawn : t -> exn option
+
+(** {2 The free ring}
+
+    The one seam whose faults lose no event: a feed ring's free-list
+    ring ([ring.free.<ns>]), which only recycles spent batches. *)
+
+type free
+
+(** [free_ring t ~ns] takes only rules with an explicit [where]
+    prefix: bare rules (no [where]) do not match, so that a plan like
+    [pop@1=raise] keeps meaning "the first {e event-carrying} pop",
+    not whichever recycling pop happens to run first. *)
+val free_ring : t -> ns:string -> free
+
+(** What an intercepted free-ring operation should do: [Keep]
+    recycling, [Skip] this one recycling (a [Drop]), or [Disable] the
+    free ring for good (an [Abort]).  [Stall]s are served inside the
+    call. *)
+type degrade = Keep | Skip | Disable
+
+(** @raise Injected on a [Raise]: a crash of the intercepting side. *)
+val on_free_push : free -> degrade
+
+val on_free_pop : free -> degrade

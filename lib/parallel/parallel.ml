@@ -468,25 +468,3 @@ let speedup i r =
 
 let main_ratio i r =
   float_of_int r.main_wall_ns /. float_of_int (max 1 i.i_wall_ns)
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%a; %d events, %d sources, %d sink hits; shadow %d locs / %d words"
-    Event.pp_outcome r.outcome r.events r.sources r.sink_hits
-    r.tainted_locations r.shadow_words
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "queue %d x %d (%a wire%t): %a; %d batches, %d stalls, %d waits; main \
-     %.2f ms, total %.2f ms"
-    r.queue_capacity r.batch_size Channel.pp_wire r.wire
-    (fun ppf ->
-      if r.filtered_events > 0 then
-        Fmt.pf ppf ", %d filtered" r.filtered_events)
-    pp_result r.result r.batches r.producer_stalls r.consumer_waits
-    (float_of_int r.main_wall_ns /. 1e6)
-    (float_of_int r.total_wall_ns /. 1e6)
-
-let pp_inline_report ppf r =
-  Fmt.pf ppf "inline: %a; %.2f ms" pp_result r.i_result
-    (float_of_int r.i_wall_ns /. 1e6)

@@ -144,8 +144,9 @@ type report = {
           configuration *)
   batches : int;  (** ring messages actually delivered *)
   dropped_batches : int;
-      (** batches lost producer-side (post-abort or injected); always
-          [0] on a clean un-injected run *)
+      (** batches the producer lost to a failed plane: non-zero only
+          on a [degraded] report, since any lost batch fails the run
+          or degrades it *)
   dropped_events : int;  (** events inside [dropped_batches] *)
   producer_stalls : int;
       (** times the application domain blocked on a full ring *)
@@ -311,9 +312,8 @@ val run_sharded_result :
   input:int array ->
   (sharded_report, error) Stdlib.result
 
-(** One-line summary of a sharded run (shard count, exchange volume,
-    wall times); combine with {!pp_result} for the merged
-    outcome. *)
+(** One-line summary of a sharded run: shard count, exchange volume
+    and wall times.  The merged outcome is in [s_result]. *)
 val pp_sharded_report : sharded_report Fmt.t
 
 (** {1 Baselines and comparisons} *)
@@ -330,14 +330,3 @@ val speedup : inline_report -> report -> float
     run ([< 1.] when the main domain finishes faster than inline —
     the paper's main-core overhead, wall-clock edition). *)
 val main_ratio : inline_report -> report -> float
-
-(** Outcome, event/source/sink counts and shadow footprint on one
-    line. *)
-val pp_result : result Fmt.t
-
-(** Channel geometry, {!pp_result}, batch/stall/wait counts and wall
-    times. *)
-val pp_report : report Fmt.t
-
-(** {!pp_result} plus the inline wall time. *)
-val pp_inline_report : inline_report Fmt.t

@@ -17,14 +17,6 @@ let off =
 let make ?obs ?trace ?flight ?chaos ?watchdog () =
   { obs; trace; flight; chaos; watchdog }
 
-type verdict = Chaos.action =
-  | Proceed
-  | Fail
-  | Abort_now
-  | Raise_now of exn
-
-let verdict inst on = match inst with None -> Proceed | Some i -> on i
-
 let leg t name =
   Option.map (fun w -> Progress.leg (Watchdog.progress w) name) t.watchdog
 
@@ -52,7 +44,7 @@ type feed = {
   run : t;
   ns : string;  (** metric namespace, doubles as the flight category *)
   chaos : Chaos.inst option;
-  free_chaos : Chaos.inst option;
+  free_chaos : Chaos.free option;
       (** the free ring's seam: recycling is load-bearing for the
           codec's preallocated batches, so its degradation legs are
           schedulable too *)
@@ -61,15 +53,13 @@ type feed = {
   mutable occupancy : Registry.histogram option;
 }
 
-let feed run ~escalate ~ns =
+let feed run ~ns =
   {
     run;
     ns;
-    chaos = Option.map (fun c -> Chaos.instance ~escalate c ~ns) run.chaos;
+    chaos = Option.map (fun c -> Chaos.instance c ~ns) run.chaos;
     free_chaos =
-      Option.map
-        (fun c -> Chaos.instance ~targeted_only:true c ~ns:("ring.free." ^ ns))
-        run.chaos;
+      Option.map (fun c -> Chaos.free_ring c ~ns:("ring.free." ^ ns)) run.chaos;
     push_leg = leg run (ns ^ ".push");
     pop_leg = leg run (ns ^ ".pop");
     occupancy = None;
@@ -163,23 +153,17 @@ let deliver f ring x ~events =
   | Some tr ->
       transfer tr ring ~parks:Spsc.producer_stalls ~fast:"ring.enqueue"
         ~slow:"ring.stall" (fun () -> Spsc.push ring x));
-  if Spsc.dropped ring > dropped0 then Fail
-  else begin
+  let landed = Spsc.dropped ring = dropped0 in
+  if landed then begin
     tick f.push_leg;
-    note f "ring.push" ~a:events ~b:(Spsc.length ring);
-    Proceed
-  end
+    note f "ring.push" ~a:events ~b:(Spsc.length ring)
+  end;
+  landed
 
 let push f ring x ~events =
   (match f.occupancy with Some h -> Registry.observe h events | None -> ());
-  match verdict f.chaos Chaos.on_push with
-  | Proceed -> deliver f ring x ~events
-  | Abort_now ->
-      (* the consumer side dies under us: tear the ring down, then let
-         the push become a counted drop *)
-      abort f ring;
-      deliver f ring x ~events
-  | (Fail | Raise_now _) as v -> v
+  Option.iter raise (Option.bind f.chaos Chaos.on_push);
+  deliver f ring x ~events
 
 let pop f ring =
   let got =
@@ -189,15 +173,7 @@ let pop f ring =
         transfer tr ring ~parks:Spsc.consumer_waits ~fast:"ring.dequeue"
           ~slow:"ring.wait" (fun () -> Spsc.pop ring)
   in
-  match got with
-  | None -> None
-  | Some x -> (
-      match verdict f.chaos Chaos.on_pop with
-      | Abort_now ->
-          (* the consumer gives up: the next pop sees the abort *)
-          abort f ring;
-          Some (x, Fail)
-      | v -> Some (x, v))
+  Option.map (fun x -> (x, Option.bind f.chaos Chaos.on_pop)) got
 
 let consumed f ring ~events =
   tick f.pop_leg;
@@ -210,21 +186,22 @@ let closed f ~events ~batches = note f "ring.close" ~a:events ~b:batches
 
 (* Free-ring faults never lose events: a failed pop allocates fresh, a
    failed push lets the batch fall to the GC. *)
+let free_verdict f on =
+  match f.free_chaos with None -> Chaos.Keep | Some i -> on i
+
 let take_free f free =
-  match verdict f.free_chaos Chaos.on_pop with
-  | Proceed -> Spsc.try_pop free
-  | Fail -> None
-  | Abort_now ->
+  match free_verdict f Chaos.on_free_pop with
+  | Keep -> Spsc.try_pop free
+  | Skip -> None
+  | Disable ->
       Spsc.abort free;
       None
-  | Raise_now e -> raise e
 
 let give_free f free x =
-  match verdict f.free_chaos Chaos.on_push with
-  | Proceed -> ignore (Spsc.try_push free x : bool)
-  | Fail -> ()
-  | Abort_now -> Spsc.abort free
-  | Raise_now e -> raise e
+  match free_verdict f Chaos.on_free_push with
+  | Keep -> ignore (Spsc.try_push free x : bool)
+  | Skip -> ()
+  | Disable -> Spsc.abort free
 
 (* -- exchange rings ----------------------------------------------------- *)
 
@@ -258,26 +235,15 @@ let x_note x name =
   | None -> ()
   | Some fl -> Flight.record fl ~cat:"xchg" name ~a:x.src ~b:x.dst
 
-(* Exchange messages are protocol legs, not payload: silently losing
-   one would wedge the peer waiting for it.  An injected [Fail]
-   therefore crashes the intercepting shard (which aborts the mesh and
-   cascades cleanly), and [Abort_now] tears the whole mesh down. *)
-let x_fault x mesh = function
-  | Proceed -> ()
-  | Fail ->
-      raise
-        (Chaos.Injected
-           (Fmt.str "injected exchange failure on ring %d->%d" x.src x.dst))
-  | Abort_now -> Array.iter (Array.iter Spsc.abort) mesh
-  | Raise_now e -> raise e
-
+(* An injected fault crashes the intercepting shard, whose handler
+   aborts the mesh so that its peers cascade. *)
 let exchange_push x mesh m =
-  x_fault x mesh (verdict x.x_chaos Chaos.on_push);
+  Option.iter raise (Option.bind x.x_chaos Chaos.on_push);
   x_note x "xchg.push";
   Spsc.push mesh.(x.src).(x.dst) m
 
 let exchange_pop x mesh =
-  x_fault x mesh (verdict x.x_chaos Chaos.on_pop);
+  Option.iter raise (Option.bind x.x_chaos Chaos.on_pop);
   let m = Spsc.pop mesh.(x.src).(x.dst) in
   x_note x (if Option.is_none m then "xchg.dead" else "xchg.pop");
   m
@@ -417,14 +383,7 @@ let spawn h body =
      that never gets scheduled is a watchable seam *)
   enter h.spawn_leg;
   match
-    (match verdict h.h_run.chaos Chaos.on_spawn with
-    | Proceed -> ()
-    | Raise_now e -> raise e
-    | Fail | Abort_now ->
-        raise
-          (Chaos.Injected
-             (if h.solo then "injected spawn failure, helper"
-              else Fmt.str "injected spawn failure, shard %d" h.shard)));
+    Option.iter raise (Option.bind h.h_run.chaos Chaos.on_spawn);
     Domain.spawn (fun () ->
         leave h.spawn_leg;
         Option.iter (fun tr -> Trace.name_track tr (name h)) h.h_run.trace;

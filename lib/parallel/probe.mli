@@ -42,10 +42,11 @@
       ring, on the domain that aborted it first, whatever the cause.
     - Progress legs: [<ns>.push] and [<ns>.pop], armed while that
       side is parked and ticked per delivered/consumed batch.
-    - Chaos: namespace [<ns>].  A [Drop] is a counted loss; an [Abort]
-      aborts the ring, so the push becomes a counted drop or the pop
-      a counted discard; a [Raise] crashes the intercepting side.
-      With [~escalate], [Drop] and [Abort] are served as raises.
+    - Chaos: namespace [<ns>].  A [Drop], an [Abort] and a [Raise]
+      all crash the intercepting side, after the batch in hand is
+      booked as dropped (push) or discarded (pop); a lost batch never
+      lets the run complete with a result inline tracking would not
+      compute.
 
     {b Free ring} (the feed ring's recycling list).  Chaos only, under
     [ring.free.<ns>] and explicitly targeted rules only: a [Drop]
@@ -58,9 +59,9 @@
       destination): [xchg.push], [xchg.pop], and [xchg.dead] when a
       pop finds the mesh aborted.
     - Progress legs: [xchg.<src>.<dst>.push] and [.pop].
-    - Chaos: namespace [xchg.<src>.<dst>].  Exchange messages are
-      protocol legs, so a [Drop] or a [Raise] crashes the
-      intercepting shard and an [Abort] tears the whole mesh down.
+    - Chaos: namespace [xchg.<src>.<dst>].  Any terminal fault
+      crashes the intercepting shard, whose handler tears the whole
+      mesh down.
 
     {b Helper lifecycle} ({!helpers}: one per helper domain).  One
     shard is named [helper], shard [i] of N [shard-<i>]: its trace
@@ -109,13 +110,6 @@ val make :
   unit ->
   t
 
-(** A probe call's chaos verdict, as {!Chaos.action}. *)
-type verdict = Chaos.action =
-  | Proceed
-  | Fail
-  | Abort_now
-  | Raise_now of exn
-
 (** {1 Feed rings} *)
 
 (** A feed ring's books ({!Channel.counts}), in events on either
@@ -133,13 +127,14 @@ type counts = {
           [events = batches + dropped_events] after {!Channel.close} *)
   dropped_batches : int;
       (** batches lost on the producer side: pushed after an abort,
-          or failed by an injected fault *)
+          or in hand when an injected push fault crashed the
+          producer *)
   dropped_events : int;  (** events inside [dropped_batches] *)
   discarded_batches : int;
-      (** batches popped but not processed: an injected pop failure
-          discarded them, the drain raised on them, or the post-abort
-          sweep recovered them from the ring (always [0] on a clean
-          un-injected run) *)
+      (** batches popped but not processed: in hand when the drain
+          raised (an injected pop fault or a failing consumer), or
+          recovered from the ring by the post-abort sweep (always [0]
+          on a clean un-injected run) *)
   discarded_events : int;  (** events inside [discarded_batches] *)
   consumed_batches : int;  (** batches fully processed by the drain *)
   consumed_events : int;  (** events inside [consumed_batches] *)
@@ -157,7 +152,7 @@ type counts = {
 
 type feed
 
-val feed : t -> escalate:bool -> ns:string -> feed
+val feed : t -> ns:string -> feed
 
 (** The feed ring itself, with its progress legs. *)
 val ring : feed -> capacity:int -> 'a Spsc.t
@@ -167,17 +162,16 @@ val ring : feed -> capacity:int -> 'a Spsc.t
     histogram's last bucket. *)
 val publish : feed -> 'a Spsc.t -> batch_size:int -> (unit -> counts) -> unit
 
-(** Push one batch of [events] events.
-    [Proceed]: it landed.  [Fail]: it is lost (an injected drop, or
-    the ring is aborted).  [Raise_now e]: an injected crash; it was
-    not pushed.  Never [Abort_now]: an injected abort aborts the ring
-    and the push becomes a drop. *)
-val push : feed -> 'a Spsc.t -> 'a -> events:int -> verdict
+(** Push one batch of [events] events: [true] if it landed, [false]
+    if it is lost to an abort of the ring.
+    @raise Chaos.Injected on an injected fault; the batch was not
+    pushed. *)
+val push : feed -> 'a Spsc.t -> 'a -> events:int -> bool
 
-(** Pop one batch, with the verdict on it: [Proceed] (process it),
-    [Fail] (a counted discard; an injected abort has aborted the
-    ring) or [Raise_now e].  [None] at the end of the stream. *)
-val pop : feed -> 'a Spsc.t -> ('a * verdict) option
+(** Pop one batch, with the injected crash scheduled at this pop, if
+    any, for the consumer to raise once it has booked the batch.
+    [None] at the end of the stream. *)
+val pop : feed -> 'a Spsc.t -> ('a * exn option) option
 
 (** The consumer fully processed a batch of [events] events. *)
 val consumed : feed -> 'a Spsc.t -> events:int -> unit
@@ -212,8 +206,9 @@ val exchange : t -> src:int -> dst:int -> exchange
 val exchange_ring : exchange -> capacity:int -> 'a Spsc.t
 
 (** Push to, or pop from, ring [src -> dst] of [mesh] (indexed
-    [mesh.(src).(dst)]).  An injected fault raises or aborts [mesh];
-    {!exchange_pop} returns [None] once the mesh is aborted. *)
+    [mesh.(src).(dst)]).  {!exchange_pop} returns [None] once the mesh
+    is aborted.
+    @raise Chaos.Injected on an injected fault. *)
 val exchange_push : exchange -> 'a Spsc.t array array -> 'a -> unit
 
 val exchange_pop : exchange -> 'a Spsc.t array array -> 'a option

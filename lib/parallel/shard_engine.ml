@@ -186,9 +186,8 @@ module Make (D : Taint.DOMAIN) = struct
   let exchange_sent w = w.sent
   let exchange_received w = w.received
 
-  (* An injected fault on the mesh crashes this shard or tears the
-     mesh down (see {!Probe}); a pop that finds the mesh aborted is
-     the [Shard_dead] cascade. *)
+  (* An injected fault on the mesh crashes this shard (see {!Probe});
+     a pop that finds the mesh aborted is the [Shard_dead] cascade. *)
   let push_x w ~dst m =
     Probe.exchange_push w.x.seams.(w.w_shard).(dst) w.x.rings m;
     w.sent <- w.sent + 1
@@ -439,12 +438,9 @@ module Make (D : Taint.DOMAIN) = struct
     (* one interned site table, shared by every coded shard channel *)
     let table = lazy (Site.of_program program) in
     let chans =
-      (* shards coordinate on every cross-shard event, so a lost
-         inbound batch would strand peers mid-exchange: escalate
-         injected losses on these rings to clean shard crashes *)
       Array.init shards (fun s ->
-          Channel.create ~probe ~escalate:(not one) ~ns:(ns s) ~wire
-            ~queue_capacity ~batch_size ~table ())
+          Channel.create ~probe ~ns:(ns s) ~wire ~queue_capacity ~batch_size
+            ~table ())
     in
     (* engine milestones land on whichever domain drains the shard; one
        helper's engine also owns the engine-level metrics and samples

@@ -67,7 +67,8 @@ type shard_stat = {
       (** inbound batches lost producer-side (post-abort or injected) *)
   dropped_events : int;  (** events inside [dropped_batches] *)
   discarded_batches : int;
-      (** inbound batches popped but not processed (injected) *)
+      (** inbound batches popped but not processed (the batch in hand
+          at a crash, and the post-abort sweep) *)
   discarded_events : int;  (** events inside [discarded_batches] *)
   busy_ns : int;  (** time spent inside batch processing *)
   wall_ns : int;  (** helper wall time, spawn to drain end *)
@@ -145,10 +146,10 @@ module Make (D : Taint.DOMAIN) : sig
       Each ring derives its exchange seam from [probe] (default
       {!Probe.off}); the catalogue in {!Probe} lists its flight
       events, progress legs and fault namespace [xchg.<src>.<dst>].
-      An injected [Drop] or [Raise] crashes the intercepting shard,
-      which aborts the mesh, so the failure cascades as {!Shard_dead}
-      instead of wedging a waiting peer; [Abort] tears the whole mesh
-      down; [Stall] only sleeps, leaving results bit-identical.
+      An injected [Drop], [Abort] or [Raise] crashes the intercepting
+      shard, which aborts the mesh, so the failure cascades as
+      {!Shard_dead} instead of wedging a waiting peer; [Stall] only
+      sleeps, leaving results bit-identical.
       @raise Invalid_argument if [capacity < 1]. *)
   val create_xchg :
     ?capacity:int ->

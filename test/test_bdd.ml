@@ -139,8 +139,8 @@ let suite =
     Alcotest.test_case "clustered sets share nodes" `Quick
       test_clustered_sets_share_nodes;
     Alcotest.test_case "diff and empty" `Quick test_empty_and_diff;
-    QCheck_alcotest.to_alcotest prop_term_agrees;
-    QCheck_alcotest.to_alcotest prop_cardinal;
-    QCheck_alcotest.to_alcotest prop_mem;
-    QCheck_alcotest.to_alcotest prop_union_idempotent;
+    Qcheck_run.to_alcotest prop_term_agrees;
+    Qcheck_run.to_alcotest prop_cardinal;
+    Qcheck_run.to_alcotest prop_mem;
+    Qcheck_run.to_alcotest prop_union_idempotent;
   ]

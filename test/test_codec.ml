@@ -1081,7 +1081,7 @@ let test_free_ring_raise_crashes_producer () =
       | ex -> Alcotest.failf "unexpected exn %s" (Printexc.to_string ex))
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Qcheck_run.to_alcotest
     [ roundtrip_prop; foreign_prop; roundtrip_channel_prop;
       filtered_stream_prop ]
 

@@ -118,11 +118,22 @@ let test_plan_roundtrip () =
 
 (* -- two-domain runtime: every leg ------------------------------------ *)
 
-let run_crc ?obs ?chaos ?(batch_size = 8) () =
+let run_crc ?obs ?chaos ?degrade ?(batch_size = 8) () =
   let w = kernel "crc" in
   let input = w.Workload.input ~size:12 ~seed:3 in
-  Parallel.run_result ?obs ?chaos ~queue_capacity:4 ~batch_size
+  Parallel.run_result ?obs ?chaos ?degrade ~queue_capacity:4 ~batch_size
     w.Workload.program ~input
+
+let inline_of name ~size =
+  let w = kernel name in
+  (Parallel.run_inline w.Workload.program
+     ~input:(w.Workload.input ~size ~seed:3))
+    .Parallel.i_result
+
+let gauge reg name =
+  match Dift_obs.Registry.(find (snapshot reg) name) with
+  | Some (Dift_obs.Registry.Gauge_v v) -> v
+  | _ -> Alcotest.failf "gauge %s missing" name
 
 let test_helper_crash_mid_drain () =
   with_watchdog @@ fun () ->
@@ -152,61 +163,66 @@ let test_app_crash_mid_run () =
 
 let test_abort_at_step_n () =
   with_watchdog @@ fun () ->
-  (* consumer-side teardown at batch 2: the run completes, losses are
-     counted, and the books reconcile exactly (batch_size=1 makes the
-     event arithmetic exact: fed = delivered + dropped) *)
+  (* an injected abort on the application's second push crashes the
+     application leg, and the books still reconcile exactly
+     (batch_size=1: one event per batch) *)
   let reg = Dift_obs.Registry.create () in
   match run_crc ~obs:reg ~chaos:(chaos "push@2=abort") ~batch_size:1 () with
-  | Error e -> Alcotest.failf "abort must not fail the run: %a"
-                 Parallel.pp_error e
-  | Ok r ->
-      check Alcotest.bool "drops counted" true (r.Parallel.dropped_batches > 0);
-      check Alcotest.bool "engine events <= delivered batches" true
-        (r.Parallel.result.Parallel.events <= r.Parallel.batches);
+  | Ok _ -> Alcotest.fail "an injected abort must fail the run"
+  | Error e ->
+      check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App);
+      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
+      let p = e.Parallel.e_partial in
+      check Alcotest.int "the aborting push is the one dropped batch" 1
+        p.Parallel.p_dropped_batches;
       check Alcotest.int "one event per dropped batch"
-        r.Parallel.dropped_batches r.Parallel.dropped_events;
+        p.Parallel.p_dropped_batches p.Parallel.p_dropped_events;
       (* regression (in-flight accounting): batches sitting in the ring
-         when the abort landed used to vanish uncounted; the drain now
+         when the abort landed used to vanish uncounted; the drain
          sweeps them into the discarded ledger, so the delivered count
          reconciles exactly against consumed + discarded with nothing
          left in flight once the helper has joined *)
-      let gauge name =
-        match Dift_obs.Registry.(find (snapshot reg) name) with
-        | Some (Dift_obs.Registry.Gauge_v v) -> v
-        | _ -> Alcotest.failf "gauge %s missing" name
-      in
-      let consumed = gauge "parallel.forwarder.consumed_batches" in
-      let discarded = gauge "parallel.forwarder.discarded_batches" in
-      let in_flight = gauge "parallel.ring.in_flight_batches" in
-      check Alcotest.int "nothing in flight after the join" 0 in_flight;
+      let consumed = gauge reg "parallel.forwarder.consumed_batches" in
+      let discarded = gauge reg "parallel.forwarder.discarded_batches" in
+      check Alcotest.int "nothing in flight after the join" 0
+        (gauge reg "parallel.ring.in_flight_batches");
       check Alcotest.int "delivered = consumed + discarded"
-        r.Parallel.batches (consumed + discarded);
-      check Alcotest.int "engine events = consumed batches"
-        r.Parallel.result.Parallel.events consumed
+        p.Parallel.p_batches (consumed + discarded)
 
 let test_consumer_give_up () =
   with_watchdog @@ fun () ->
-  (* the helper abandons the stream at its second pop; the producer
-     must never wedge against the dead consumer *)
+  (* an injected abort at the helper's second pop crashes the helper;
+     the producer must never wedge against the dead consumer *)
   match run_crc ~chaos:(chaos "pop@2=abort") ~batch_size:1 () with
+  | Ok _ -> Alcotest.fail "an injected consumer abort must fail the run"
   | Error e ->
-      Alcotest.failf "consumer give-up must not fail the run: %a"
-        Parallel.pp_error e
-  | Ok r ->
+      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
+      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
       check Alcotest.bool "subsequent pushes dropped and counted" true
-        (r.Parallel.dropped_batches > 0)
+        (e.Parallel.e_partial.Parallel.p_dropped_batches > 0)
 
 let test_pop_drop_discards () =
   with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "pop@1=drop") ~batch_size:1 () with
+  (* a dropped batch would leave the helper's result short of
+     inline's: the drop crashes the helper, which books the batch in
+     hand as discarded, and a degraded run completes it bit-identical *)
+  let reg = Dift_obs.Registry.create () in
+  (match run_crc ~obs:reg ~chaos:(chaos "pop@1=drop") ~batch_size:1 () with
+  | Ok _ -> Alcotest.fail "an injected pop drop must fail the run"
   | Error e ->
-      Alcotest.failf "a discarded batch must not fail the run: %a"
-        Parallel.pp_error e
+      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
+      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
+      check Alcotest.bool "the dropped batch is discarded" true
+        (gauge reg "parallel.forwarder.discarded_batches" >= 1));
+  match
+    run_crc ~chaos:(chaos "pop@1=drop") ~degrade:`Inline ~batch_size:1 ()
+  with
+  | Error e ->
+      Alcotest.failf "degraded run must complete: %a" Parallel.pp_error e
   | Ok r ->
-      (* the discarded event never reached the engine *)
-      check Alcotest.bool "engine saw fewer events than were delivered"
-        true
-        (r.Parallel.result.Parallel.events < r.Parallel.batches)
+      check Alcotest.bool "flagged degraded" true (r.Parallel.degraded <> None);
+      same_result "degraded pop drop" (inline_of "crc" ~size:12)
+        r.Parallel.result
 
 let test_stall_delay_bit_identical () =
   with_watchdog @@ fun () ->
@@ -499,42 +515,84 @@ let test_ring_abort_sharded () =
     (List.length (List.sort_uniq compare aborts))
     (List.length aborts)
 
-(* -- random-seed sweep: every plan terminates cleanly ------------------ *)
+(* -- one loss rule: an Error, or inline's result ------------------------ *)
+
+(* A faulted run either fails with a structured error whose primary
+   failure is the injection (or the cascade it caused), or returns
+   exactly what inline tracking returns. *)
+let error_or_inline name ~reference = function
+  | Ok r -> same_result name reference r
+  | Error (e : Parallel.error) ->
+      check Alcotest.bool
+        (Fmt.str "%s: failure is injected or cascade (%s)" name
+           (Printexc.to_string e.Parallel.e_exn))
+        true
+        (injected e.Parallel.e_exn
+        || e.Parallel.e_exn = Shard_engine.Shard_dead)
 
 let test_seed_sweep () =
   with_watchdog ~timeout_s:120. @@ fun () ->
   let w = kernel "hash" in
   let input = w.Workload.input ~size:10 ~seed:1 in
+  let reference =
+    (Parallel.run_inline w.Workload.program ~input).Parallel.i_result
+  in
   for seed = 0 to 7 do
     let c = Chaos.create (Chaos.plan_of_seed seed) in
-    match
-      Parallel.run_result ~chaos:c ~queue_capacity:4 ~batch_size:4
-        w.Workload.program ~input
-    with
-    | Ok _ -> ()
-    | Error e ->
-        check Alcotest.bool
-          (Fmt.str "seed %d: failure is injected (%s)" seed
-             (Printexc.to_string e.Parallel.e_exn))
-          true
-          (injected e.Parallel.e_exn)
+    Parallel.run_result ~chaos:c ~queue_capacity:4 ~batch_size:4
+      w.Workload.program ~input
+    |> Result.map (fun r -> r.Parallel.result)
+    |> error_or_inline (Fmt.str "seed %d" seed) ~reference
   done;
   for seed = 100 to 103 do
     let c = Chaos.create (Chaos.plan_of_seed seed) in
-    match
-      Parallel.run_sharded_result ~chaos:c ~queue_capacity:4 ~batch_size:4
-        ~shards:2 w.Workload.program ~input
-    with
-    | Ok _ -> ()
-    | Error e ->
-        check Alcotest.bool
-          (Fmt.str "sharded seed %d: failure is injected or cascade (%s)"
-             seed
-             (Printexc.to_string e.Parallel.e_exn))
-          true
-          (injected e.Parallel.e_exn
-          || e.Parallel.e_exn = Shard_engine.Shard_dead)
+    Parallel.run_sharded_result ~chaos:c ~queue_capacity:4 ~batch_size:4
+      ~shards:2 w.Workload.program ~input
+    |> Result.map (fun r -> r.Parallel.s_result)
+    |> error_or_inline (Fmt.str "sharded seed %d" seed) ~reference
   done
+
+(* Every loss on an event ring, on either side, at the first three
+   occurrences, with and without degraded completion: two domains on
+   crc, and shard 1 of two on hash (crc routes nothing to shard 1).
+   A pop-side loss is a helper's crash, so a degraded run completes
+   it; a push-side loss is the application's, which a replay would
+   only repeat. *)
+let test_one_loss_rule () =
+  with_watchdog ~timeout_s:120. @@ fun () ->
+  let two_domain degrade chaos program ~input =
+    Parallel.run_result ~chaos ?degrade ~queue_capacity:4 ~batch_size:1
+      program ~input
+    |> Result.map (fun r -> (r.Parallel.result, r.Parallel.degraded))
+  and sharded degrade chaos program ~input =
+    Parallel.run_sharded_result ~chaos ?degrade ~queue_capacity:4
+      ~batch_size:1 ~shards:2 program ~input
+    |> Result.map (fun r -> (r.Parallel.s_result, r.Parallel.s_degraded))
+  in
+  let each l f = List.iter f l in
+  each
+    [ ("two-domain", "crc", "", two_domain);
+      ("sharded", "hash", "parallel.shard1/", sharded) ]
+  @@ fun (leg, kname, where, run) ->
+  let w = kernel kname in
+  let input = w.Workload.input ~size:12 ~seed:3 in
+  let reference = inline_of kname ~size:12 in
+  each [ "push"; "pop" ] @@ fun op ->
+  each [ "drop"; "abort" ] @@ fun fault ->
+  each [ 1; 2; 3 ] @@ fun at ->
+  each [ None; Some `Inline ] @@ fun degrade ->
+  let rule = Fmt.str "%s%s@%d=%s" where op at fault in
+  let name =
+    Fmt.str "%s %s%s" leg rule (if degrade = None then "" else " (degrade)")
+  in
+  let got = run degrade (chaos rule) w.Workload.program ~input in
+  error_or_inline name ~reference (Result.map fst got);
+  if op = "pop" && degrade <> None then
+    match got with
+    | Ok (_, Some _) -> ()
+    | Ok (_, None) -> Alcotest.failf "%s: not flagged degraded" name
+    | Error e ->
+        Alcotest.failf "%s: degraded run failed: %a" name Parallel.pp_error e
 
 (* -- QCheck: Spsc shutdown edges --------------------------------------- *)
 
@@ -647,10 +705,12 @@ let suite =
     Alcotest.test_case "ring.abort once per shard ring" `Quick
       test_ring_abort_sharded;
     Alcotest.test_case "random-seed sweep terminates" `Quick test_seed_sweep;
+    Alcotest.test_case "one loss rule: an error or inline's result" `Quick
+      test_one_loss_rule;
     Alcotest.test_case "abort unparks a parked consumer" `Quick
       test_abort_unparks_consumer;
     Alcotest.test_case "wall times non-negative" `Quick
       test_wall_times_non_negative;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Qcheck_run.to_alcotest
       [ prop_final_element_at_close; prop_abort_unparks_producer ]

@@ -362,7 +362,7 @@ let prop_determinism =
       && Machine.cycles m1 = Machine.cycles m2)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Qcheck_run.to_alcotest
     [
       prop_taint_subset_of_slice;
       prop_optimized_graph_equal;

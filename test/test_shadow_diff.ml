@@ -331,7 +331,7 @@ let test_engine_differential_input_set () =
     [ "crc"; "matmul"; "sieve" ]
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  List.map Qcheck_run.to_alcotest
     [ Diff_bool.property "bool"; Diff_pc.property "pc";
       Diff_set.property "input-set" ]
   @ [

@@ -488,7 +488,7 @@ let program_property ~count name agree =
           tally.split_writes <- tally.split_writes + 1;
         agree tally program ~input)
   in
-  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  let name, speed, run = Qcheck_run.to_alcotest test in
   ( name,
     speed,
     fun () ->
@@ -550,7 +550,7 @@ let qcheck_tests =
           program ~input
         && Pc_prop.agree ~policies:[ Policy.security ] ~full:false program
              ~input);
-    QCheck_alcotest.to_alcotest kernel_property;
+    Qcheck_run.to_alcotest kernel_property;
   ]
 
 let suite =

@@ -608,5 +608,5 @@ let suite =
     Alcotest.test_case "livefilter: bit-identical across resets" `Quick
       test_livefilter_reset_bit_identical;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
+  @ List.map Qcheck_run.to_alcotest
       [ prop_clean_two_domain_never_trips; prop_clean_sharded_never_trips ]

@@ -282,8 +282,11 @@ let taint_cmd =
           ~doc:
             "Inject a deterministic fault plan into the parallel runtime \
              (with --parallel).  Grammar: [WHERE/]OP@N=FAULT, \
-             ';'-separated — e.g. \
-             $(b,push@3=abort;xchg/pop@2=raise).  The run exits 0 \
+             ';'-separated, where OP is push, pop or spawn, FAULT is \
+             $(b,stall:)NS or $(b,crash), and WHERE is a prefix of \
+             parallel, parallel.shard<i> or xchg.<src>.<dst> — e.g. \
+             $(b,push@3=crash;xchg/pop@2=stall:2000000).  A crash \
+             fails the run on the side it hits.  The run exits 0 \
              when it terminates cleanly with only injected failures.")
   in
   let fault_seed_arg =

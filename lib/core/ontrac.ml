@@ -101,8 +101,7 @@ type t = {
   scope_set : (string, unit) Hashtbl.t option;
   mutable machine : Machine.t option;
   mutable events_since_prune : int;
-  mutable tracer : (Dift_obs.Trace.t * int) option;
-      (** timeline tracer and its sampling period *)
+  mutable tracer : Dift_obs.Trace.t option;  (** timeline tracer *)
   mutable trace_left : int;  (** instructions until the next sample *)
 }
 
@@ -175,26 +174,27 @@ let in_scope t fname =
 let charge t n =
   match t.machine with Some m -> Machine.charge m n | None -> ()
 
+(** Traced instructions between two fill samples. *)
+let trace_sample_every = 1024
+
 (** Sample the circular buffer onto an execution timeline: every
-    [sample_every] traced instructions (default [1024]) a
+    [trace_sample_every] traced instructions a
     [trace_buffer.stored_bytes] counter sample shows the buffer
     filling, and every {!Trace_buffer.add} that evicts records emits a
     [trace_buffer.drain] duration span carrying the eviction count —
     so the window wrapping around is visible as drain pulses on an
-    otherwise monotone fill ramp.
-    @raise Invalid_argument if [sample_every < 1]. *)
-let set_trace ?(sample_every = 1024) t tr =
-  if sample_every < 1 then invalid_arg "Ontrac.set_trace: sample_every < 1";
-  t.tracer <- Some (tr, sample_every);
+    otherwise monotone fill ramp. *)
+let set_trace t tr =
+  t.tracer <- Some tr;
   t.trace_left <- 1
 
 let trace_sample t =
   match t.tracer with
   | None -> ()
-  | Some (tr, every) ->
+  | Some tr ->
       t.trace_left <- t.trace_left - 1;
       if t.trace_left <= 0 then begin
-        t.trace_left <- every;
+        t.trace_left <- trace_sample_every;
         Dift_obs.Trace.counter tr ~cat:"core" "trace_buffer.stored_bytes"
           (Trace_buffer.stored_bytes t.buffer)
       end
@@ -204,7 +204,7 @@ let trace_sample t =
 let buffer_add t ~use_step ~bytes =
   match t.tracer with
   | None -> Trace_buffer.add t.buffer ~use_step ~bytes
-  | Some (tr, _) ->
+  | Some tr ->
       let open Dift_obs in
       let evicted0 = Trace_buffer.evicted_records t.buffer in
       let t0 = Trace.now_ns tr in

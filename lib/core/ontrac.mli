@@ -99,13 +99,11 @@ val final_graph : t -> Ddg.t * int
 val register_obs : t -> Dift_obs.Registry.t -> unit
 
 (** Put the circular trace buffer on an execution timeline: every
-    [sample_every] traced instructions (default [1024]) a
-    [trace_buffer.stored_bytes] counter sample records the fill
-    level, and every append that evicts records emits a
-    [trace_buffer.drain] duration span (category [core], with the
-    eviction count as an argument) — the §2.1 bounded-window story as
-    a fill ramp punctuated by drain pulses.
-    @raise Invalid_argument if [sample_every < 1]. *)
-val set_trace : ?sample_every:int -> t -> Dift_obs.Trace.t -> unit
+    1024 traced instructions a [trace_buffer.stored_bytes] counter
+    sample records the fill level, and every append that evicts
+    records emits a [trace_buffer.drain] duration span (category
+    [core], with the eviction count as an argument) — the §2.1
+    bounded-window story as a fill ramp punctuated by drain pulses. *)
+val set_trace : t -> Dift_obs.Trace.t -> unit
 
 val pp_stats : stats Fmt.t

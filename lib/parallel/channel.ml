@@ -6,12 +6,12 @@
     {!Dift_vm.Event.exec} array plus a fill length) on the boxed one.
     The batch hands the consumer its length, so a partial batch (the
     trailing one at {!close}, or a {!flush}) costs no [Array.sub]
-    copy.  The consumer empties each spent batch and hands it back to
-    the producer over a second, never-blocking {!Spsc} ring (the free
-    ring), so in steady state forwarding allocates nothing per batch:
-    batches cycle producer → consumer → producer.  Emptying a boxed
-    batch overwrites its consumed slots, so it does not keep its
-    records alive, and promoted, until they are refilled. *)
+    copy.  The consumer empties each batch before its next pop, and
+    the producer reopens its own shipped batches once the consumer is
+    past them, so in steady state forwarding allocates no batch.
+    Emptying a boxed batch overwrites its consumed slots, so it does
+    not keep its records alive, and promoted, until they are
+    refilled. *)
 
 open Dift_vm
 
@@ -27,8 +27,10 @@ let pp_wire ppf (w : wire) =
 
 type 'b feed = {
   ring : 'b Spsc.t;
-  free : 'b Spsc.t;  (** spent batches coming back for reuse *)
-  probe : Probe.feed;  (** the feed ring's seam and its free ring's *)
+  shipped : 'b Queue.t;
+      (** batches whose push landed and that are not yet reopened,
+          oldest first (producer side) *)
+  probe : Probe.feed;  (** the feed ring's seam *)
   batch_size : int;  (** events in a full batch *)
   length : 'b -> int;  (** events a batch carries *)
   fresh : unit -> 'b;  (** a new, empty batch *)
@@ -73,10 +75,7 @@ let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~fresh ~clear =
   let q =
     {
       ring;
-      (* + 2: room for the batch in hand on each side on top of the
-         ring's worth, so recycling (almost) never falls through to
-         GC.  No progress legs: the free ring never blocks. *)
-      free = Spsc.create ~capacity:(queue_capacity + 2) ();
+      shipped = Queue.create ();
       probe;
       batch_size;
       length;
@@ -96,18 +95,23 @@ let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~fresh ~clear =
   Probe.publish probe ring ~batch_size (fun () -> feed_counts q);
   q
 
-(* The batch to append to: the open one, a spent one off the free ring
-   (steady state: no allocation), or a fresh one.  An injected
-   [ring.free.<ns>/pop] fault degrades recycling (see {!Probe}); it
-   never loses events. *)
+(* The batch to append to: the open one, the oldest shipped one once
+   the consumer is done with it (steady state: no allocation), or a
+   fresh one.  The oldest shipped batch is [j = batches - length
+   shipped], and the consumer has popped [batches - length ring] of
+   them.  [drain_feed] empties batch [j] before it pops [j + 1], so
+   [j] is spent once [batches - length ring >= j + 2]; that [j] itself
+   was popped is not enough, as the consumer may still be reading it.
+   At most the ring's worth and the batch in the consumer's hand are
+   in use, so [shipped] never holds more than [queue_capacity + 2]. *)
 let open_batch q =
   match q.cur with
   | Some b -> b
   | None ->
       let b =
-        match Probe.take_free q.probe q.free with
-        | Some b -> b
-        | None -> q.fresh ()
+        if Queue.length q.shipped >= Spsc.length q.ring + 2 then
+          Queue.pop q.shipped
+        else q.fresh ()
       in
       q.cur <- Some b;
       b
@@ -119,8 +123,9 @@ let account_drop q n =
   q.dropped_events <- q.dropped_events + n;
   Probe.dropped q.probe ~events:n ~total:q.dropped_batches
 
-(* Push the open batch, if it holds any event.  The consumer takes
-   ownership of it; the next event opens another. *)
+(* Push the open batch, if it holds any event.  The consumer owns it
+   until [open_batch] finds it spent; the next event opens another.  A
+   batch whose push did not land is never reopened. *)
 let ship q =
   match q.cur with
   | Some b when q.length b > 0 -> (
@@ -128,7 +133,9 @@ let ship q =
       let n = q.length b in
       q.events <- q.events + n;
       match Probe.push q.probe q.ring b ~events:n with
-      | true -> q.batches <- q.batches + 1
+      | true ->
+          q.batches <- q.batches + 1;
+          Queue.push b q.shipped
       | false -> account_drop q n
       | exception e ->
           account_drop q n;
@@ -150,17 +157,12 @@ let account_discard q b =
   q.discarded_events <- q.discarded_events + n;
   Probe.discarded q.probe ~events:n ~total:q.discarded_batches
 
+(* Every popped batch, processed or discarded, is emptied before the
+   next pop: the producer's [open_batch] reopens it on that. *)
 let drain_feed ~around_batch q ~run =
-  (* if the free ring is momentarily full (or an injected
-     [ring.free.<ns>/push] fault fires) the batch just falls to the
-     GC *)
-  let recycle b =
-    q.clear b;
-    Probe.give_free q.probe q.free b
-  in
   let discard b =
     account_discard q b;
-    recycle b
+    q.clear b
   in
   (* Close the in-flight accounting gap: [Spsc.pop] honours the abort
      flag before buffered elements, so batches already delivered when
@@ -202,7 +204,7 @@ let drain_feed ~around_batch q ~run =
         q.consumed_batches <- q.consumed_batches + 1;
         q.consumed_events <- q.consumed_events + n;
         Probe.consumed q.probe q.ring ~events:n;
-        recycle b;
+        q.clear b;
         loop ()
   in
   (* A consumer dying mid-drain must not leave the producer parked

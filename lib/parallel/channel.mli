@@ -11,11 +11,15 @@
 
     One ring slot carries one batch of the wire's own type, so the
     ring capacity is counted in {e batches} and a channel buffers up
-    to [queue_capacity * batch_size] events.  Spent batches come back
-    from the consumer to the producer over a free ring, so
-    steady-state forwarding allocates nothing per batch.  Consumers
-    always see {!Dift_vm.Event.view}s: the coded wire decodes into
-    its scratch view, the boxed wire refills one from each record.
+    to [queue_capacity * batch_size] events.  The consumer empties
+    each batch before its next pop, and the producer reopens the
+    oldest batch it shipped once the consumer has popped the batch
+    after it, so a channel owns at most [queue_capacity + 2] batches
+    and steady-state forwarding allocates nothing per batch.  As in
+    paper §2.1, the one bounded FIFO is the only link between the two
+    cores: no ring carries batches back.  Consumers always see
+    {!Dift_vm.Event.view}s: the coded wire decodes into its scratch
+    view, the boxed wire refills one from each record.
 
     The runtime ({!Shard_engine}) creates one channel per helper:
     {!Parallel.run_result} forwards the whole event stream over a
@@ -58,12 +62,11 @@ type t
     channel derives its feed-ring seam from it under the namespace
     [ns] (default ["parallel"]; the sharded runtime passes
     [parallel.shard<i>]).  Its metrics, trace spans, flight events,
-    progress legs and fault-injection seams (the event ring's and the
-    free ring's [ring.free.<ns>]) are catalogued in {!Probe}, whatever
-    the wire.  Every injected fault on the event ring crashes the side
-    it intercepts: it surfaces from {!add}/{!add_view}/{!flush}/{!close}
-    or {!drain} after the batch in hand is booked as dropped or
-    discarded (see {!Probe.counts}).
+    progress legs and fault-injection seam are catalogued in
+    {!Probe}, whatever the wire.  An injected [Crash] on the ring
+    crashes the side it intercepts: it surfaces from
+    {!add}/{!add_view}/{!flush}/{!close} or {!drain} after the batch
+    in hand is booked as dropped or discarded (see {!Probe.counts}).
     @raise Invalid_argument if either size is [< 1], or a coded
     channel's [batch_size] exceeds {!Codec.max_batch_size}. *)
 val create :

@@ -8,7 +8,7 @@
 exception Injected of string
 
 type op = Push | Pop | Spawn
-type fault = Stall of int | Drop | Abort | Raise
+type fault = Stall of int | Crash
 type rule = { on : op; at : int; fault : fault; where : string option }
 type plan = rule list
 
@@ -18,9 +18,7 @@ let op_to_string = function Push -> "push" | Pop -> "pop" | Spawn -> "spawn"
 
 let fault_to_string = function
   | Stall ns -> Fmt.str "stall:%d" ns
-  | Drop -> "drop"
-  | Abort -> "abort"
-  | Raise -> "raise"
+  | Crash -> "crash"
 
 let rule_to_string r =
   Fmt.str "%s%s@%d=%s"
@@ -32,14 +30,31 @@ let pp_plan ppf p = Fmt.string ppf (plan_to_string p)
 
 let fault_of_string s =
   match String.split_on_char ':' s with
-  | [ "drop" ] -> Ok Drop
-  | [ "abort" ] -> Ok Abort
-  | [ "raise" ] -> Ok Raise
+  | [ "crash" ] -> Ok Crash
   | [ "stall"; ns ] -> (
       match int_of_string_opt ns with
       | Some n when n >= 0 -> Ok (Stall n)
       | _ -> Error (Fmt.str "bad duration %S (want non-negative ns)" ns))
-  | _ -> Error (Fmt.str "unknown fault %S (want stall:<ns>|drop|abort|raise)" s)
+  | _ -> Error (Fmt.str "unknown fault %S (want stall:<ns>|crash)" s)
+
+let prefix ~pre s =
+  String.length pre <= String.length s
+  && String.sub s 0 (String.length pre) = pre
+
+(* Whether [w] is a prefix of some channel namespace: [parallel],
+   [parallel.shard<i>] or [xchg.<src>.<dst>].  Any other [where]
+   would match no channel, and its rule would never fire. *)
+let names_a_channel w =
+  let digits s = String.for_all (fun c -> '0' <= c && c <= '9') s in
+  match String.split_on_char '.' w with
+  | [ p ] -> prefix ~pre:p "parallel" || prefix ~pre:p "xchg"
+  | [ "parallel"; s ] ->
+      prefix ~pre:s "shard"
+      || prefix ~pre:"shard" s
+         && digits (String.sub s 5 (String.length s - 5))
+  | [ "xchg"; src ] -> digits src
+  | [ "xchg"; src; dst ] -> src <> "" && digits src && digits dst
+  | _ -> false
 
 let rule_of_string s =
   let where, rest =
@@ -49,9 +64,15 @@ let rule_of_string s =
           String.sub s (i + 1) (String.length s - i - 1) )
     | None -> (None, s)
   in
-  match String.index_opt rest '@' with
-  | None -> Error (Fmt.str "rule %S: missing '@'" s)
-  | Some i -> (
+  match (where, String.index_opt rest '@') with
+  | Some w, _ when not (names_a_channel w) ->
+      Error
+        (Fmt.str
+           "rule %S: %S names no channel (want a prefix of parallel, \
+            parallel.shard<i> or xchg.<src>.<dst>)"
+           s w)
+  | _, None -> Error (Fmt.str "rule %S: missing '@'" s)
+  | _, Some i -> (
       let op_name = String.sub rest 0 i in
       let tail = String.sub rest (i + 1) (String.length rest - i - 1) in
       match String.index_opt tail '=' with
@@ -95,8 +116,9 @@ let plan_of_string s =
 (* -- seeded plans ------------------------------------------------------- *)
 
 (* Small occurrence indices and sub-5ms sleeps: plans must bite within
-   a CI-sized run and never slow the sweep meaningfully. *)
-let plan_of_seed ?(rules = 4) seed =
+   a CI-sized run and never slow the sweep meaningfully.  Four rules,
+   crashes drawn half the time. *)
+let plan_of_seed seed =
   let st = Random.State.make [| 0x5eed; seed |] in
   let rule _ =
     let on = if Random.State.bool st then Push else Pop in
@@ -105,16 +127,14 @@ let plan_of_seed ?(rules = 4) seed =
       match Random.State.int st 10 with
       | 0 | 1 | 2 -> Stall (100_000 + Random.State.int st 2_000_000)
       | 3 | 4 -> Stall (50_000 + Random.State.int st 1_000_000)
-      | 5 | 6 -> Drop
-      | 7 -> Abort
-      | _ -> Raise
+      | _ -> Crash
     in
     { on; at; fault; where = None }
   in
-  let base = List.init (max 1 rules) rule in
+  let base = List.init 4 rule in
   (* one seed in ~6 also rehearses a spawn failure *)
   if Random.State.int st 6 = 0 then
-    { on = Spawn; at = 1 + Random.State.int st 2; fault = Raise; where = None }
+    { on = Spawn; at = 1 + Random.State.int st 2; fault = Crash; where = None }
     :: base
   else base
 
@@ -148,27 +168,15 @@ type inst = {
   pops : int Atomic.t;
 }
 
-type free = inst
-
-let prefix ~pre s =
-  String.length pre <= String.length s
-  && String.sub s 0 (String.length pre) = pre
-
-let make_instance ~targeted_only t ~ns =
+let instance t ~ns =
   let rules =
     List.filter
       (fun r ->
         r.on <> Spawn
-        &&
-        match r.where with
-        | None -> not targeted_only
-        | Some w -> prefix ~pre:w ns)
+        && match r.where with None -> true | Some w -> prefix ~pre:w ns)
       t.c_plan
   in
   { owner = t; ns; rules; pushes = Atomic.make 0; pops = Atomic.make 0 }
-
-let instance t ~ns = make_instance ~targeted_only:false t ~ns
-let free_ring t ~ns = make_instance ~targeted_only:true t ~ns
 
 (* A fat-fingered plan ("stall:3600000000000") must degrade a run, not
    wedge it past any reasonable watchdog deadline: injected sleeps are
@@ -183,63 +191,48 @@ let sleep_ns owner ns =
     Unix.sleepf (float_of_int ns /. 1e9)
   end
 
-let strength = function Stall _ -> 0 | Drop -> 1 | Abort -> 2 | Raise -> 3
-
-(* Serve the [n]-th occurrence of [op]: sleep out any stall rule
-   that matched, then return the strongest terminal fault (Raise >
-   Abort > Drop) so composite plans behave predictably. *)
+(* Serve the [n]-th occurrence of [op]: sleep out every stall rule
+   that matched, and return the crash that any crash rule schedules,
+   naming the occurrence. *)
 let act owner rules op ~what n =
-  List.fold_left
-    (fun terminal r ->
-      if r.on <> op || r.at <> n then terminal
-      else begin
-        Atomic.incr owner.c_fired;
-        (match owner.c_flight with
-        | Some fl ->
-            Dift_obs.Flight.record fl ~cat:"chaos" "chaos.fire" ~a:n
-              ~detail:(Fmt.str "%s=%s" what (fault_to_string r.fault))
-        | None -> ());
-        match (r.fault, terminal) with
-        | Stall ns, _ ->
-            sleep_ns owner ns;
-            terminal
-        | f, Some t when strength t >= strength f -> terminal
-        | f, _ -> Some f
-      end)
-    None rules
+  let crash =
+    List.fold_left
+      (fun crash r ->
+        if r.on <> op || r.at <> n then crash
+        else begin
+          Atomic.incr owner.c_fired;
+          (match owner.c_flight with
+          | Some fl ->
+              Dift_obs.Flight.record fl ~cat:"chaos" "chaos.fire" ~a:n
+                ~detail:(Fmt.str "%s=%s" what (fault_to_string r.fault))
+          | None -> ());
+          match r.fault with
+          | Stall ns ->
+              sleep_ns owner ns;
+              crash
+          | Crash -> true
+        end)
+      false rules
+  in
+  if crash then Some (Injected (Fmt.str "injected crash at %s #%d" what n))
+  else None
 
-let injected ~what n f =
-  Injected (Fmt.str "injected %s at %s #%d" (fault_to_string f) what n)
-
-(* Count this occurrence of [op] on [i] and hand its terminal fault,
-   if any, to [fault] with the exception that names it. *)
-let serve i op ~none ~fault =
+(* Count this occurrence of [op] on [i] and serve it. *)
+let serve i op =
   match i.rules with
-  | [] -> none
-  | rules -> (
+  | [] -> None
+  | rules ->
       let n =
         1 + Atomic.fetch_and_add (if op = Push then i.pushes else i.pops) 1
       in
-      let what = Fmt.str "%s/%s" i.ns (op_to_string op) in
-      match act i.owner rules op ~what n with
-      | None -> none
-      | Some f -> fault f (injected ~what n f))
+      act i.owner rules op ~what:(Fmt.str "%s/%s" i.ns (op_to_string op)) n
 
-let crash _ e = Some e
-let on_push i = serve i Push ~none:None ~fault:crash
-let on_pop i = serve i Pop ~none:None ~fault:crash
-
-type degrade = Keep | Skip | Disable
-
-let degrade f e =
-  match f with Drop -> Skip | Abort -> Disable | Raise | Stall _ -> raise e
-
-let on_free_push i = serve i Push ~none:Keep ~fault:degrade
-let on_free_pop i = serve i Pop ~none:Keep ~fault:degrade
+let on_push i = serve i Push
+let on_pop i = serve i Pop
 
 let on_spawn t =
   match List.filter (fun r -> r.on = Spawn) t.c_plan with
   | [] -> None
   | rules ->
       let n = 1 + Atomic.fetch_and_add t.spawns 1 in
-      Option.map (injected ~what:"spawn" n) (act t rules Spawn ~what:"spawn" n)
+      act t rules Spawn ~what:"spawn" n

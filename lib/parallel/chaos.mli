@@ -20,7 +20,7 @@
     (the [diftc taint --fault-plan] flag), so any red sweep seed is a
     one-flag repro. *)
 
-(** The exception injected by a [`Raise] fault — stands in for a
+(** The exception a [Crash] fault injects — stands in for a
     helper/application crash.  The payload names the channel and
     operation it fired on. *)
 exception Injected of string
@@ -33,16 +33,15 @@ type op = Push | Pop | Spawn
 
 type fault =
   | Stall of int
-      (** sleep this many ns {e before} the operation: an artificial
-          full/empty stall on the intercepted side *)
-  | Drop  (** lose the element: on an event or exchange ring a crash
-              of the intercepting side ({!instance}), on the free ring
-              one skipped recycling ({!free_ring}) *)
-  | Abort  (** give the channel up: on an event or exchange ring a
-               crash of the intercepting side, on the free ring the
-               end of recycling *)
-  | Raise  (** raise {!Injected} from the operation: a crash on the
-               intercepting side *)
+      (** sleep this many ns {e before} the operation (on a feed
+          ring's pop: after the batch is taken, before it is
+          processed): an artificial full/empty stall on the
+          intercepted side *)
+  | Crash
+      (** raise {!Injected} from the operation: a crash of the
+          intercepting side.  A lost event or exchange message would
+          change the helper's result or strand a peer mid-exchange, so
+          losing one and crashing are the same fault. *)
 
 (** One scheduled fault: fire [fault] on the [at]-th (1-based)
     occurrence of [on] for channels whose name starts with [where]
@@ -52,11 +51,11 @@ type rule = { on : op; at : int; fault : fault; where : string option }
 
 type plan = rule list
 
-(** [plan_of_seed ?rules seed] derives a reproducible pseudo-random
-    plan ([rules] rules, default 4) from [seed]: mixed push/pop
-    stalls, drops, aborts and raises at small occurrence
-    indices, occasionally a spawn failure.  Same seed, same plan. *)
-val plan_of_seed : ?rules:int -> int -> plan
+(** [plan_of_seed seed] derives a reproducible pseudo-random plan of
+    four rules from [seed]: push/pop stalls and crashes at small
+    occurrence indices, occasionally a spawn failure.  Same seed, same
+    plan. *)
+val plan_of_seed : int -> plan
 
 (** Render a plan in the grammar {!plan_of_string} accepts —
     [plan_of_string (plan_to_string p) = Ok p]. *)
@@ -67,11 +66,14 @@ val plan_to_string : plan -> string
 plan  := rule (';' rule)*
 rule  := [where '/'] op '@' at '=' fault
 op    := 'push' | 'pop' | 'spawn'
-fault := 'stall:' ns | 'drop' | 'abort' | 'raise'
+fault := 'stall:' ns | 'crash'
     v}
-    e.g. [push@3=abort;parallel.shard1/pop@2=raise;xchg/push@1=stall:2000000].
+    e.g. [push@3=crash;parallel.shard1/pop@2=crash;xchg/push@1=stall:2000000].
     [where] is matched as a prefix of the channel namespace
-    ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]). *)
+    ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]); a [where]
+    that is a prefix of none of them is rejected, as it could never
+    fire.  [drop], [abort], [raise] and [delay:] are rejected with an
+    error that names the faults there are. *)
 val plan_of_string : string -> (plan, string) result
 
 val pp_plan : plan Fmt.t
@@ -114,47 +116,18 @@ val stalled_ns : t -> int
 type inst
 
 (** [instance t ~ns] — a ring that carries events or exchange
-    messages ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]).
-    Every terminal fault on it crashes the side that intercepts it:
-    the helper must compute exactly what inline tracking computes, and
-    a lost event would change its result, a lost exchange message
-    strand a peer mid-exchange. *)
+    messages ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]). *)
 val instance : t -> ns:string -> inst
 
 (** Serve the next push (pop) on the ring: sleep out any [Stall]
-    fired at this occurrence, then return the crash that any
-    [Drop], [Abort] or [Raise] fired here schedules — {!Injected},
-    naming the fault, the channel and the occurrence — for the seam
-    to raise after its accounting. *)
+    fired at this occurrence, then return the crash that any [Crash]
+    fired here schedules — {!Injected}, naming the channel and the
+    occurrence — for the seam to raise after its accounting. *)
 val on_push : inst -> exn option
 
 val on_pop : inst -> exn option
 
 (** The [Spawn] interception point — global to the run (domains are
-    spawned from one supervising domain); any terminal fault is a
-    spawn failure. *)
+    spawned from one supervising domain); a [Crash] is a spawn
+    failure. *)
 val on_spawn : t -> exn option
-
-(** {2 The free ring}
-
-    The one seam whose faults lose no event: a feed ring's free-list
-    ring ([ring.free.<ns>]), which only recycles spent batches. *)
-
-type free
-
-(** [free_ring t ~ns] takes only rules with an explicit [where]
-    prefix: bare rules (no [where]) do not match, so that a plan like
-    [pop@1=raise] keeps meaning "the first {e event-carrying} pop",
-    not whichever recycling pop happens to run first. *)
-val free_ring : t -> ns:string -> free
-
-(** What an intercepted free-ring operation should do: [Keep]
-    recycling, [Skip] this one recycling (a [Drop]), or [Disable] the
-    free ring for good (an [Abort]).  [Stall]s are served inside the
-    call. *)
-type degrade = Keep | Skip | Disable
-
-(** @raise Injected on a [Raise]: a crash of the intercepting side. *)
-val on_free_push : free -> degrade
-
-val on_free_pop : free -> degrade

@@ -54,9 +54,10 @@
     wire, where steady-state forwarding allocates nothing per event:
     lanes are written in place, each full batch is one ring slot and
     carries its own event count ([b_n]), the consumer decodes each
-    event into one reused {!Dift_vm.Event.view} scratch, and spent
-    batches come back to the producer over the channel's free ring
-    as themselves: emptied by {!batch_clear}, their lanes refilled.
+    event into one reused {!Dift_vm.Event.view} scratch and empties
+    each batch ({!batch_clear}) before its next pop, and the producer
+    reopens its own shipped batches once the consumer is past them,
+    their lanes refilled.
 
     See the "Wire format" section of [docs/forwarding-protocol.md]. *)
 

@@ -44,10 +44,6 @@ type feed = {
   run : t;
   ns : string;  (** metric namespace, doubles as the flight category *)
   chaos : Chaos.inst option;
-  free_chaos : Chaos.free option;
-      (** the free ring's seam: recycling is load-bearing for the
-          codec's preallocated batches, so its degradation legs are
-          schedulable too *)
   push_leg : Progress.leg option;
   pop_leg : Progress.leg option;
   mutable occupancy : Registry.histogram option;
@@ -58,8 +54,6 @@ let feed run ~ns =
     run;
     ns;
     chaos = Option.map (fun c -> Chaos.instance c ~ns) run.chaos;
-    free_chaos =
-      Option.map (fun c -> Chaos.free_ring c ~ns:("ring.free." ^ ns)) run.chaos;
     push_leg = leg run (ns ^ ".push");
     pop_leg = leg run (ns ^ ".pop");
     occupancy = None;
@@ -183,25 +177,6 @@ let dropped f ~events ~total = note f "ring.drop" ~a:events ~b:total
 let discarded f ~events ~total = note f "ring.discard" ~a:events ~b:total
 let swept f ~batches ~events = note f "ring.sweep" ~a:batches ~b:events
 let closed f ~events ~batches = note f "ring.close" ~a:events ~b:batches
-
-(* Free-ring faults never lose events: a failed pop allocates fresh, a
-   failed push lets the batch fall to the GC. *)
-let free_verdict f on =
-  match f.free_chaos with None -> Chaos.Keep | Some i -> on i
-
-let take_free f free =
-  match free_verdict f Chaos.on_free_pop with
-  | Keep -> Spsc.try_pop free
-  | Skip -> None
-  | Disable ->
-      Spsc.abort free;
-      None
-
-let give_free f free x =
-  match free_verdict f Chaos.on_free_push with
-  | Keep -> ignore (Spsc.try_push free x : bool)
-  | Skip -> ()
-  | Disable -> Spsc.abort free
 
 (* -- exchange rings ----------------------------------------------------- *)
 

@@ -42,16 +42,10 @@
       ring, on the domain that aborted it first, whatever the cause.
     - Progress legs: [<ns>.push] and [<ns>.pop], armed while that
       side is parked and ticked per delivered/consumed batch.
-    - Chaos: namespace [<ns>].  A [Drop], an [Abort] and a [Raise]
-      all crash the intercepting side, after the batch in hand is
-      booked as dropped (push) or discarded (pop); a lost batch never
-      lets the run complete with a result inline tracking would not
-      compute.
-
-    {b Free ring} (the feed ring's recycling list).  Chaos only, under
-    [ring.free.<ns>] and explicitly targeted rules only: a [Drop]
-    skips one recycling, an [Abort] disables the free ring for good,
-    a [Raise] crashes the side it intercepts.  No event is ever lost.
+    - Chaos: namespace [<ns>].  A [Crash] crashes the intercepting
+      side, after the batch in hand is booked as dropped (push) or
+      discarded (pop); a lost batch never lets the run complete with
+      a result inline tracking would not compute.
 
     {b Exchange ring} ({!exchange}: one per ordered shard pair of the
     {!Shard_engine} mesh).
@@ -59,8 +53,8 @@
       destination): [xchg.push], [xchg.pop], and [xchg.dead] when a
       pop finds the mesh aborted.
     - Progress legs: [xchg.<src>.<dst>.push] and [.pop].
-    - Chaos: namespace [xchg.<src>.<dst>].  Any terminal fault
-      crashes the intercepting shard, whose handler tears the whole
+    - Chaos: namespace [xchg.<src>.<dst>].  A [Crash] crashes the
+      intercepting shard, whose handler tears the whole
       mesh down.
 
     {b Helper lifecycle} ({!helpers}: one per helper domain).  One
@@ -85,8 +79,7 @@
       before [Domain.spawn] until the body runs;
       [join.helper]/[join.shard<i>], armed around the join; N shards
       also [work.shard<i>], ticked per handled event.
-    - Chaos: the run's [Spawn] rules; any terminal fault is a spawn
-      failure.
+    - Chaos: the run's [Spawn] rules; a [Crash] is a spawn failure.
 
     {b Run markers} (the application domain).
     - Metrics: the VM's [vm.*] counters ({!Dift_vm.Obs_tool}).
@@ -191,11 +184,6 @@ val closed : feed -> events:int -> batches:int -> unit
 
 (** Abort the ring; the first abort records [ring.abort]. *)
 val abort : feed -> 'a Spsc.t -> unit
-
-(** The free ring's [try_pop] and [try_push], through its seam. *)
-val take_free : feed -> 'a Spsc.t -> 'a option
-
-val give_free : feed -> 'a Spsc.t -> 'a -> unit
 
 (** {1 Exchange rings} *)
 

@@ -146,10 +146,10 @@ module Make (D : Taint.DOMAIN) : sig
       Each ring derives its exchange seam from [probe] (default
       {!Probe.off}); the catalogue in {!Probe} lists its flight
       events, progress legs and fault namespace [xchg.<src>.<dst>].
-      An injected [Drop], [Abort] or [Raise] crashes the intercepting
-      shard, which aborts the mesh, so the failure cascades as
-      {!Shard_dead} instead of wedging a waiting peer; [Stall] only
-      sleeps, leaving results bit-identical.
+      An injected [Crash] crashes the intercepting shard, which
+      aborts the mesh, so the failure cascades as {!Shard_dead}
+      instead of wedging a waiting peer; [Stall] only sleeps, leaving
+      results bit-identical.
       @raise Invalid_argument if [capacity < 1]. *)
   val create_xchg :
     ?capacity:int ->

@@ -143,21 +143,6 @@ let push t x =
     else store_and_publish t tl x
   end
 
-let try_push t x =
-  if Atomic.get t.closed then invalid_arg "Spsc.try_push: closed channel";
-  if Atomic.get t.aborted then begin
-    Atomic.incr t.drops;
-    true
-  end
-  else begin
-    let tl = Atomic.get t.tail in
-    if tl - Atomic.get t.head >= t.cap then false
-    else begin
-      store_and_publish t tl x;
-      true
-    end
-  end
-
 let close t =
   Atomic.set t.closed true;
   signal_locked t t.not_empty
@@ -215,13 +200,7 @@ let rec pop t =
     pop t
   end
 
-let try_pop t =
-  let h = Atomic.get t.head in
-  if Atomic.get t.aborted then None
-  else if Atomic.get t.tail - h > 0 then Some (take t h)
-  else None
-
-(* Unlike [pop]/[try_pop], ignores the aborted flag: after an abort
+(* Unlike [pop], ignores the aborted flag: after an abort
    the producer never publishes again (pushes turn into counted
    drops), so the elements still buffered are exactly the ones that
    were delivered but will never be consumed — the sweep that lets

@@ -60,13 +60,6 @@ val aborted : 'a t -> bool
     @raise Invalid_argument if the channel is closed. *)
 val push : 'a t -> 'a -> unit
 
-(** [try_push t x] enqueues [x] if the channel has room and returns
-    [true]; returns [false] (without blocking or counting a stall) if
-    it is full.  After {!abort}, behaves like {!push}: the element is
-    dropped, counted, and [true] is returned.
-    @raise Invalid_argument if the channel is closed. *)
-val try_push : 'a t -> 'a -> bool
-
 (** No more pushes; blocked and future {!pop}s see the remaining
     elements and then [None].  Idempotent. *)
 val close : 'a t -> unit
@@ -90,11 +83,6 @@ val dropped : 'a t -> int
     drained (or aborted). *)
 val pop : 'a t -> 'a option
 
-(** [try_pop t] dequeues the oldest element if one is buffered;
-    [None] if the channel is momentarily empty (or aborted) — it never
-    blocks and does not distinguish empty from closed-and-drained. *)
-val try_pop : 'a t -> 'a option
-
 (** Consumer gives up: wakes and un-blocks the producer permanently,
     turning pushes into drops.  Used to propagate a helper-side crash
     without deadlocking the main core.  Idempotent. *)
@@ -105,7 +93,7 @@ val abort : 'a t -> unit
 val abort_first : 'a t -> bool
 
 (** [pop_remaining t] dequeues the oldest buffered element {e even
-    after} {!abort} — [pop]/[try_pop] honour the abort flag before the
+    after} {!abort} — {!pop} honours the abort flag before the
     buffer, so elements delivered before the abort would otherwise sit
     in the ring uncounted.  The consumer calls this in a loop after
     aborting to sweep those elements into its discard accounting

@@ -8,9 +8,7 @@
    Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
    on every kernel, in both runtimes and sharded — and the
-   filter strictly reduces forwarded volume on taint-sparse streams.
-   Plus the codec free ring's [ring.free.*] chaos seam: recycling
-   faults degrade, they never change the answer. *)
+   filter strictly reduces forwarded volume on taint-sparse streams. *)
 
 open Dift_isa
 open Dift_vm
@@ -728,7 +726,7 @@ let test_oversized_batch () =
   let input = w.Workload.input ~size:4 ~seed:1 in
   let chaos =
     Chaos.create
-      [ { Chaos.on = Chaos.Spawn; at = 1; fault = Chaos.Raise; where = None } ]
+      [ { Chaos.on = Chaos.Spawn; at = 1; fault = Chaos.Crash; where = None } ]
   in
   let sinks = ref 0 in
   check Alcotest.bool "run_result: coded batch_size past the bound" true
@@ -1024,62 +1022,6 @@ let test_filter_stands_down_under_control () =
     r.Parallel.result;
   check Alcotest.int "filter stood down" 0 r.Parallel.filtered_events
 
-(* -- the codec free ring's chaos seam --------------------------------- *)
-
-let plan s =
-  match Chaos.plan_of_string s with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "bad test plan %S: %s" s e
-
-(* Recycling faults (drop, abort, stall) only degrade the free ring —
-   the producer falls back to fresh lanes and the answer is unchanged.
-   Each rule fires exactly once on either wire: the coded wire's lanes
-   recycle through the forwarder's own free list, the one
-   [ring.free.parallel] seam. *)
-let test_free_ring_faults_benign () =
-  let w = Spec_like.crc in
-  let input = w.Workload.input ~size:12 ~seed:4 in
-  let inline = Parallel.run_inline w.Workload.program ~input in
-  List.iter
-    (fun wire ->
-      List.iter
-        (fun p ->
-          let chaos = Chaos.create (plan p) in
-          let r =
-            ok
-              (Parallel.run_result ~chaos ~wire ~queue_capacity:4
-                 ~batch_size:8 w.Workload.program ~input)
-          in
-          let name = Fmt.str "crc under %s, %a wire" p Channel.pp_wire wire in
-          same_result name inline.Parallel.i_result r.Parallel.result;
-          check Alcotest.int (name ^ ": fired once") 1 (Chaos.fired chaos))
-        [
-          "ring.free.parallel/pop@1=drop";
-          "ring.free.parallel/push@1=drop";
-          "ring.free.parallel/pop@2=abort";
-          "ring.free.parallel/push@2=abort";
-          "ring.free.parallel/pop@1=stall:1000";
-        ])
-    [ `Boxed; `Coded ]
-
-(* A raise on the free ring crashes the producer leg like any other
-   producer-side fault: supervised shutdown, structured error. *)
-let test_free_ring_raise_crashes_producer () =
-  let w = Spec_like.crc in
-  let input = w.Workload.input ~size:12 ~seed:4 in
-  let chaos = Chaos.create (plan "ring.free.parallel/pop@1=raise") in
-  match
-    Parallel.run_result ~chaos ~queue_capacity:4 ~batch_size:8
-      w.Workload.program ~input
-  with
-  | Ok _ -> Alcotest.fail "injected raise did not surface"
-  | Error e -> (
-      check Alcotest.bool "blamed on the application leg" true
-        (e.Parallel.e_leg = `App);
-      match e.Parallel.e_exn with
-      | Chaos.Injected _ -> ()
-      | ex -> Alcotest.failf "unexpected exn %s" (Printexc.to_string ex))
-
 let qcheck_tests =
   List.map Qcheck_run.to_alcotest
     [ roundtrip_prop; foreign_prop; roundtrip_channel_prop;
@@ -1121,9 +1063,5 @@ let suite =
       test_filter_reduces_forwarding;
     Alcotest.test_case "forward filter stands down under control taint"
       `Quick test_filter_stands_down_under_control;
-    Alcotest.test_case "free-ring faults are benign" `Quick
-      test_free_ring_faults_benign;
-    Alcotest.test_case "free-ring raise crashes the producer" `Quick
-      test_free_ring_raise_crashes_producer;
   ]
   @ qcheck_tests

@@ -91,37 +91,66 @@ let test_plan_roundtrip () =
   check Alcotest.bool "deterministic" true
     (Chaos.plan_of_seed 42 = Chaos.plan_of_seed 42);
   (* explicit grammar corners *)
-  (match Chaos.plan_of_string "parallel.shard1/pop@2=raise;push@1=stall:50" with
+  (match Chaos.plan_of_string "parallel.shard1/pop@2=crash;push@1=stall:50" with
   | Ok [ r1; r2 ] ->
       check Alcotest.bool "where parsed" true
         (r1.Chaos.where = Some "parallel.shard1");
       check Alcotest.bool "stall parsed" true
         (r2.Chaos.fault = Chaos.Stall 50)
   | _ -> Alcotest.fail "two-rule plan must parse");
+  let rejected bad =
+    match Chaos.plan_of_string bad with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "%S must be rejected" bad
+  in
+  let names e word =
+    List.exists
+      (fun i -> String.sub e i (String.length word) = word)
+      (List.init (max 0 (String.length e - String.length word + 1)) Fun.id)
+  in
   List.iter
-    (fun bad ->
-      match Chaos.plan_of_string bad with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%S must be rejected" bad)
-    [ ""; "push@0=drop"; "push@x=drop"; "push@1=warp"; "frob@1=drop";
+    (fun bad -> ignore (rejected bad))
+    [ ""; "push@0=crash"; "push@x=crash"; "push@1=warp"; "frob@1=crash";
       "push@1=stall:-5"; "push@1" ];
-  (* [delay:] is no fault; the error points to [stall:] *)
-  match Chaos.plan_of_string "push@1=delay:5" with
-  | Ok _ -> Alcotest.fail "delay: must be rejected"
-  | Error e ->
-      let has_stall =
-        List.exists
-          (fun i -> String.sub e i 6 = "stall:")
-          (List.init (max 0 (String.length e - 5)) Fun.id)
-      in
-      check Alcotest.bool "the error names stall:" true has_stall
+  (* [delay:], [drop], [abort] and [raise] are no faults; the error
+     names the ones there are *)
+  List.iter
+    (fun (bad, word) ->
+      check Alcotest.bool
+        (Fmt.str "the error for %S names %s" bad word)
+        true
+        (names (rejected bad) word))
+    [ ("push@1=delay:5", "stall:"); ("push@1=drop", "crash");
+      ("pop@2=abort", "crash"); ("pop@1=raise", "crash") ];
+  (* a [where] must be a prefix of some channel namespace: [parallel],
+     [parallel.shard<i>] or [xchg.<src>.<dst>]; a misspelt or retired
+     one would never fire *)
+  List.iter
+    (fun w ->
+      match Chaos.plan_of_string (w ^ "/pop@2=crash") with
+      | Ok [ r ] ->
+          check Alcotest.bool (w ^ " parsed") true (r.Chaos.where = Some w)
+      | _ -> Alcotest.failf "%S names a channel" w)
+    [ ""; "p"; "parallel"; "parallel."; "parallel.sh"; "parallel.shard";
+      "parallel.shard1"; "parallel.shard12"; "xc"; "xchg"; "xchg.";
+      "xchg.0"; "xchg.0."; "xchg.0.1"; "xchg.10.11" ];
+  List.iter
+    (fun w ->
+      check Alcotest.bool
+        (Fmt.str "%S names no channel" w)
+        true
+        (names (rejected (w ^ "/pop@2=crash")) "names no channel"))
+    [ "paralel"; "parallel7"; "parallel.shard1x"; "parallel.s1";
+      "parallel.shard1.x"; "ring.parallel"; "ring"; "xchg.a";
+      "xchg..1"; "xchg.0.1.2"; "xchg.0.x"; "shard1" ]
 
 (* -- two-domain runtime: every leg ------------------------------------ *)
 
-let run_crc ?obs ?chaos ?degrade ?(batch_size = 8) () =
+let run_crc ?obs ?chaos ?degrade ?wire ?(queue_capacity = 4)
+    ?(batch_size = 8) () =
   let w = kernel "crc" in
   let input = w.Workload.input ~size:12 ~seed:3 in
-  Parallel.run_result ?obs ?chaos ?degrade ~queue_capacity:4 ~batch_size
+  Parallel.run_result ?obs ?chaos ?degrade ?wire ~queue_capacity ~batch_size
     w.Workload.program ~input
 
 let inline_of name ~size =
@@ -137,7 +166,7 @@ let gauge reg name =
 
 let test_helper_crash_mid_drain () =
   with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "pop@2=raise") () with
+  match run_crc ~chaos:(chaos "pop@2=crash") () with
   | Ok _ -> Alcotest.fail "injected helper crash must surface"
   | Error e ->
       check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
@@ -153,7 +182,7 @@ let test_app_crash_mid_run () =
   with_watchdog @@ fun () ->
   (* the injected push failure raises on the application domain, from
      inside the forwarding tool *)
-  match run_crc ~chaos:(chaos "push@3=raise") () with
+  match run_crc ~chaos:(chaos "push@3=crash") () with
   | Ok _ -> Alcotest.fail "injected app crash must surface"
   | Error e ->
       check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App);
@@ -163,17 +192,17 @@ let test_app_crash_mid_run () =
 
 let test_abort_at_step_n () =
   with_watchdog @@ fun () ->
-  (* an injected abort on the application's second push crashes the
+  (* an injected crash on the application's second push fails the
      application leg, and the books still reconcile exactly
      (batch_size=1: one event per batch) *)
   let reg = Dift_obs.Registry.create () in
-  match run_crc ~obs:reg ~chaos:(chaos "push@2=abort") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected abort must fail the run"
+  match run_crc ~obs:reg ~chaos:(chaos "push@2=crash") ~batch_size:1 () with
+  | Ok _ -> Alcotest.fail "an injected push crash must fail the run"
   | Error e ->
       check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App);
       check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
       let p = e.Parallel.e_partial in
-      check Alcotest.int "the aborting push is the one dropped batch" 1
+      check Alcotest.int "the crashing push is the one dropped batch" 1
         p.Parallel.p_dropped_batches;
       check Alcotest.int "one event per dropped batch"
         p.Parallel.p_dropped_batches p.Parallel.p_dropped_events;
@@ -191,10 +220,10 @@ let test_abort_at_step_n () =
 
 let test_consumer_give_up () =
   with_watchdog @@ fun () ->
-  (* an injected abort at the helper's second pop crashes the helper;
-     the producer must never wedge against the dead consumer *)
-  match run_crc ~chaos:(chaos "pop@2=abort") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected consumer abort must fail the run"
+  (* an injected crash at the helper's second pop gives the helper
+     up; the producer must never wedge against the dead consumer *)
+  match run_crc ~chaos:(chaos "pop@2=crash") ~batch_size:1 () with
+  | Ok _ -> Alcotest.fail "an injected consumer crash must fail the run"
   | Error e ->
       check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
       check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
@@ -203,47 +232,63 @@ let test_consumer_give_up () =
 
 let test_pop_drop_discards () =
   with_watchdog @@ fun () ->
-  (* a dropped batch would leave the helper's result short of
-     inline's: the drop crashes the helper, which books the batch in
-     hand as discarded, and a degraded run completes it bit-identical *)
+  (* a batch popped but never processed would leave the helper's
+     result short of inline's: a crash at the first pop books the
+     batch in hand as discarded, and a degraded run completes it
+     bit-identical *)
   let reg = Dift_obs.Registry.create () in
-  (match run_crc ~obs:reg ~chaos:(chaos "pop@1=drop") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected pop drop must fail the run"
+  (match run_crc ~obs:reg ~chaos:(chaos "pop@1=crash") ~batch_size:1 () with
+  | Ok _ -> Alcotest.fail "an injected pop crash must fail the run"
   | Error e ->
       check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
       check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
       check Alcotest.bool "the dropped batch is discarded" true
         (gauge reg "parallel.forwarder.discarded_batches" >= 1));
   match
-    run_crc ~chaos:(chaos "pop@1=drop") ~degrade:`Inline ~batch_size:1 ()
+    run_crc ~chaos:(chaos "pop@1=crash") ~degrade:`Inline ~batch_size:1 ()
   with
   | Error e ->
       Alcotest.failf "degraded run must complete: %a" Parallel.pp_error e
   | Ok r ->
       check Alcotest.bool "flagged degraded" true (r.Parallel.degraded <> None);
-      same_result "degraded pop drop" (inline_of "crc" ~size:12)
+      same_result "degraded pop crash" (inline_of "crc" ~size:12)
         r.Parallel.result
 
 let test_stall_delay_bit_identical () =
   with_watchdog @@ fun () ->
-  (* stalls before a push and before a pop perturb timing only: the
-     result must be bit-identical to an uninjected run *)
-  let clean =
-    match run_crc () with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "clean run failed: %a" Parallel.pp_error e
+  (* stalls before a push and right after a pop perturb timing only:
+     the result must be bit-identical to inline's, on both wires.  A
+     pop stall sleeps with the batch just taken in hand, so the
+     producer runs ahead while the consumer holds it; on a one-slot
+     ring with one event per batch the producer reopens a shipped
+     batch as soon as the reuse rule lets it, and a rule that reopened
+     a batch once it was popped, rather than once the one after it
+     was, would overwrite the batch in hand. *)
+  let reference = inline_of "crc" ~size:12 in
+  let plan_s =
+    "push@1=stall:2000000;pop@2=stall:1000000;pop@5=stall:1000000;\
+     pop@9=stall:1000000"
   in
-  match
-    run_crc ~chaos:(chaos "push@1=stall:2000000;pop@2=stall:1000000") ()
-  with
-  | Error e -> Alcotest.failf "stall plan failed: %a" Parallel.pp_error e
-  | Ok r ->
-      same_result "stall/delay" clean.Parallel.result r.Parallel.result;
-      check Alcotest.int "no drops" 0 r.Parallel.dropped_batches
+  List.iter
+    (fun (wire, queue_capacity, batch_size) ->
+      let name =
+        Fmt.str "%a wire, %d × %d" Channel.pp_wire wire queue_capacity
+          batch_size
+      in
+      match
+        run_crc ~chaos:(chaos plan_s) ~wire ~queue_capacity ~batch_size ()
+      with
+      | Error e ->
+          Alcotest.failf "%s: stall plan failed: %a" name Parallel.pp_error e
+      | Ok r ->
+          same_result name reference r.Parallel.result;
+          check Alcotest.int (name ^ ": no drops") 0
+            r.Parallel.dropped_batches)
+    [ (`Coded, 4, 8); (`Boxed, 4, 8); (`Coded, 1, 1); (`Boxed, 1, 1) ]
 
 let test_spawn_failure_two_domain () =
   with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "spawn@1=raise") () with
+  match run_crc ~chaos:(chaos "spawn@1=crash") () with
   | Ok _ -> Alcotest.fail "spawn failure must surface"
   | Error e ->
       check Alcotest.bool "spawn leg" true (e.Parallel.e_leg = `Spawn);
@@ -262,7 +307,7 @@ let test_shard_crash_request_reply () =
   with_watchdog @@ fun () ->
   (* shard 1's first pop raises: its failure must be attributed, the
      other shards must terminate (cascade or clean), nothing wedges *)
-  match run_sharded_crc ~chaos:(chaos "parallel.shard1/pop@1=raise") () with
+  match run_sharded_crc ~chaos:(chaos "parallel.shard1/pop@1=crash") () with
   | Ok _ -> Alcotest.fail "injected shard crash must surface"
   | Error e ->
       check Alcotest.bool "shard 1 blamed" true (e.Parallel.e_leg = `Shard 1);
@@ -272,7 +317,7 @@ let test_spawn_failure_sharded () =
   with_watchdog @@ fun () ->
   (* the second of three spawns fails: the first shard is already
      running and must be joined, not leaked *)
-  match run_sharded_crc ~chaos:(chaos "spawn@2=raise") () with
+  match run_sharded_crc ~chaos:(chaos "spawn@2=crash") () with
   | Ok _ -> Alcotest.fail "sharded spawn failure must surface"
   | Error e ->
       check Alcotest.bool "spawn leg" true (e.Parallel.e_leg = `Spawn);
@@ -347,7 +392,7 @@ let test_exchange_crash_cascades () =
   with_watchdog @@ fun () ->
   (* a crash on an exchange pop: the popping shard dies, the mesh is
      aborted, every peer terminates via the Shard_dead cascade *)
-  match run_cross ~chaos:(chaos "xchg/pop@1=raise") () with
+  match run_cross ~chaos:(chaos "xchg/pop@1=crash") () with
   | Ok _, _ -> Alcotest.fail "injected exchange crash must surface"
   | Error f, _ ->
       check Alcotest.bool "primary is the injection" true
@@ -357,9 +402,10 @@ let test_exchange_crash_cascades () =
 
 let test_exchange_ring_abort_terminates () =
   with_watchdog @@ fun () ->
-  (* aborting the whole mesh mid-protocol must cascade to Shard_dead
-     everywhere, never wedge *)
-  match run_cross ~chaos:(chaos "xchg/push@2=abort") () with
+  (* a crash on an exchange push tears the whole mesh down
+     mid-protocol: it must cascade to Shard_dead everywhere, never
+     wedge *)
+  match run_cross ~chaos:(chaos "xchg/push@2=crash") () with
   | Ok _, _ -> Alcotest.fail "mesh abort must surface"
   | Error f, _ ->
       check Alcotest.bool "every failure is a cascade or injection" true
@@ -479,7 +525,7 @@ let ring_aborts flight =
         t.t_entries)
     (Dift_obs.Flight.tails flight)
 
-(* regression: an injected abort, or a helper crash, used to tear the
+(* regression: an injected fault, or a helper crash, used to tear the
    ring down without recording [ring.abort]; only an explicit
    [Channel.abort] did.  Whatever the cause, the ring's first abort
    records it, once. *)
@@ -502,7 +548,7 @@ let test_ring_abort_sharded () =
   let w = kernel "crc" in
   let input = w.Workload.input ~size:40 ~seed:3 in
   let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
-  let chaos = Chaos.create ~flight (plan "parallel.shard1/pop@1=abort") in
+  let chaos = Chaos.create ~flight (plan "parallel.shard1/pop@1=crash") in
   ignore
     (Parallel.run_sharded_result ~flight ~chaos ~queue_capacity:4
        ~batch_size:1 ~shards:3 w.Workload.program ~input);
@@ -552,12 +598,12 @@ let test_seed_sweep () =
     |> error_or_inline (Fmt.str "sharded seed %d" seed) ~reference
   done
 
-(* Every loss on an event ring, on either side, at the first three
+(* A crash on an event ring, on either side, at the first three
    occurrences, with and without degraded completion: two domains on
    crc, and shard 1 of two on hash (crc routes nothing to shard 1).
-   A pop-side loss is a helper's crash, so a degraded run completes
-   it; a push-side loss is the application's, which a replay would
-   only repeat. *)
+   A pop-side crash is a helper's, so a degraded run completes it; a
+   push-side crash is the application's, which a replay would only
+   repeat. *)
 let test_one_loss_rule () =
   with_watchdog ~timeout_s:120. @@ fun () ->
   let two_domain degrade chaos program ~input =
@@ -578,10 +624,9 @@ let test_one_loss_rule () =
   let input = w.Workload.input ~size:12 ~seed:3 in
   let reference = inline_of kname ~size:12 in
   each [ "push"; "pop" ] @@ fun op ->
-  each [ "drop"; "abort" ] @@ fun fault ->
   each [ 1; 2; 3 ] @@ fun at ->
   each [ None; Some `Inline ] @@ fun degrade ->
-  let rule = Fmt.str "%s%s@%d=%s" where op at fault in
+  let rule = Fmt.str "%s%s@%d=crash" where op at in
   let name =
     Fmt.str "%s %s%s" leg rule (if degrade = None then "" else " (degrade)")
   in
@@ -697,11 +742,11 @@ let suite =
     Alcotest.test_case "forwarder crash ledger closes" `Quick
       test_forwarder_crash_ledger;
     Alcotest.test_case "ring.abort once (injected pop abort)" `Quick
-      (test_ring_abort_two_domain "pop@2=abort");
+      (test_ring_abort_two_domain "pop@1=crash");
     Alcotest.test_case "ring.abort once (injected push abort)" `Quick
-      (test_ring_abort_two_domain "push@2=abort");
+      (test_ring_abort_two_domain "push@2=crash");
     Alcotest.test_case "ring.abort once (helper crash)" `Quick
-      (test_ring_abort_two_domain "pop@2=raise");
+      (test_ring_abort_two_domain "pop@2=crash");
     Alcotest.test_case "ring.abort once per shard ring" `Quick
       test_ring_abort_sharded;
     Alcotest.test_case "random-seed sweep terminates" `Quick test_seed_sweep;

@@ -47,7 +47,7 @@ let observe run =
   let tr = Trace.create ~capacity:(1 lsl 18) () in
   let fl = Flight.create ~capacity:(1 lsl 16) () in
   let plan =
-    match Chaos.plan_of_string "pop@1000000=drop" with
+    match Chaos.plan_of_string "pop@1000000=crash" with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in

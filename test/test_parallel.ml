@@ -308,7 +308,7 @@ let test_helper_exception_propagates () =
       flight )
   in
   let crash =
-    match Chaos.plan_of_string "pop@3=raise" with
+    match Chaos.plan_of_string "pop@3=crash" with
     | Ok p -> Chaos.create p
     | Error e -> Alcotest.failf "bad plan: %s" e
   in

@@ -134,11 +134,11 @@ let run_sharded plan_s expected_leg () =
         (assert_bundle ~expected_leg ~flight ~chaos e
            (geometry ~runtime:"sharded" ~shards:3))
 
-let test_bundle_helper_leg = run_two_domain "pop@2=raise" `Helper
-let test_bundle_app_leg = run_two_domain "push@3=raise" `App
-let test_bundle_spawn_leg = run_two_domain "spawn@1=raise" `Spawn
-let test_bundle_shard_leg = run_sharded "parallel.shard1/pop@1=raise" (`Shard 1)
-let test_bundle_sharded_spawn_leg = run_sharded "spawn@2=raise" `Spawn
+let test_bundle_helper_leg = run_two_domain "pop@2=crash" `Helper
+let test_bundle_app_leg = run_two_domain "push@3=crash" `App
+let test_bundle_spawn_leg = run_two_domain "spawn@1=crash" `Spawn
+let test_bundle_shard_leg = run_sharded "parallel.shard1/pop@1=crash" (`Shard 1)
+let test_bundle_sharded_spawn_leg = run_sharded "spawn@2=crash" `Spawn
 
 (* The optional sections appear when their sources are supplied, and
    the embedded metrics are the post-mortem registry state. *)
@@ -147,7 +147,7 @@ let test_bundle_optional_sections () =
   let input = w.Workload.input ~size:12 ~seed:3 in
   let flight = Flight.create () in
   let reg = Dift_obs.Registry.create () in
-  let chaos = Chaos.create ~flight (plan "pop@2=raise") in
+  let chaos = Chaos.create ~flight (plan "pop@2=crash") in
   match
     Parallel.run_result ~obs:reg ~flight ~chaos ~queue_capacity:4
       ~batch_size:1 w.Workload.program ~input

@@ -103,7 +103,7 @@ let test_control_policy () =
   let input = w.Workload.input ~size:10 ~seed:2 in
   let policy = Policy.full in
   let chaos =
-    match Chaos.plan_of_string "spawn@1=raise" with
+    match Chaos.plan_of_string "spawn@1=crash" with
     | Ok p -> Chaos.create p
     | Error e -> Alcotest.failf "bad plan: %s" e
   in
@@ -192,7 +192,7 @@ let test_one_shard_degrade_resumes () =
   let input = w.Workload.input ~size:12 ~seed:3 in
   let inline = Parallel.run_inline w.Workload.program ~input in
   let chaos () =
-    match Chaos.plan_of_string "pop@2=raise" with
+    match Chaos.plan_of_string "pop@2=crash" with
     | Ok p -> Chaos.create p
     | Error e -> Alcotest.failf "bad plan: %s" e
   in

@@ -328,7 +328,7 @@ let test_stall_clamp () =
 
 let test_degrade_helper_crash () =
   with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "pop@2=raise") ~degrade:`Inline () with
+  match run_crc ~chaos:(chaos "pop@2=crash") ~degrade:`Inline () with
   | Error e ->
       Alcotest.failf "degraded run must complete: %a" Parallel.pp_error e
   | Ok r -> (
@@ -346,7 +346,7 @@ let test_degrade_helper_crash () =
 
 let test_degrade_spawn_failure () =
   with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "spawn@1=raise") ~degrade:`Inline () with
+  match run_crc ~chaos:(chaos "spawn@1=crash") ~degrade:`Inline () with
   | Error e ->
       Alcotest.failf "degraded run must complete: %a" Parallel.pp_error e
   | Ok r -> (
@@ -385,7 +385,7 @@ let test_degrade_does_not_mask_app_crash () =
   with_watchdog @@ fun () ->
   (* an application-leg failure is the caller's own crash: degraded
      completion must not swallow it *)
-  match run_crc ~chaos:(chaos "push@3=raise") ~degrade:`Inline () with
+  match run_crc ~chaos:(chaos "push@3=crash") ~degrade:`Inline () with
   | Ok _ -> Alcotest.fail "an app crash must not be degraded away"
   | Error e -> check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App)
 
@@ -395,7 +395,7 @@ let test_degrade_sharded_request_reply () =
   let input = w.Workload.input ~size:12 ~seed:3 in
   match
     Parallel.run_sharded_result
-      ~chaos:(chaos "parallel.shard1/pop@1=raise")
+      ~chaos:(chaos "parallel.shard1/pop@1=crash")
       ~degrade:`Inline ~queue_capacity:4 ~batch_size:1 ~shards:3
       w.Workload.program ~input
   with

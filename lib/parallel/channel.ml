@@ -33,10 +33,13 @@ type 'b feed = {
   probe : Probe.feed;  (** the feed ring's seam *)
   batch_size : int;  (** events in a full batch *)
   length : 'b -> int;  (** events a batch carries *)
+  words : 'b -> int;  (** wire words a batch carries *)
   fresh : unit -> 'b;  (** a new, empty batch *)
   clear : 'b -> unit;  (** empty a spent batch for reuse *)
   mutable cur : 'b option;  (** the open batch, producer side *)
   mutable events : int;
+  mutable words_shipped : int;
+  mutable created : int;  (** batches [fresh] made *)
   mutable batches : int;  (** batches actually enqueued on the ring *)
   mutable dropped_batches : int;
       (** producer-side losses: post-abort pushes and the batch in
@@ -57,6 +60,8 @@ type 'b feed = {
 let feed_counts q : Probe.counts =
   {
     events = q.events;
+    words = q.words_shipped;
+    created_batches = q.created;
     batches = q.batches;
     dropped_batches = q.dropped_batches;
     dropped_events = q.dropped_events;
@@ -69,7 +74,7 @@ let feed_counts q : Probe.counts =
     in_flight_batches = Spsc.length q.ring;
   }
 
-let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~fresh ~clear =
+let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~words ~fresh ~clear =
   let probe = Probe.feed probe ~ns in
   let ring = Probe.ring probe ~capacity:queue_capacity in
   let q =
@@ -79,10 +84,13 @@ let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~fresh ~clear =
       probe;
       batch_size;
       length;
+      words;
       fresh;
       clear;
       cur = None;
       events = 0;
+      words_shipped = 0;
+      created = 0;
       batches = 0;
       dropped_batches = 0;
       dropped_events = 0;
@@ -111,34 +119,40 @@ let open_batch q =
       let b =
         if Queue.length q.shipped >= Spsc.length q.ring + 2 then
           Queue.pop q.shipped
-        else q.fresh ()
+        else begin
+          q.created <- q.created + 1;
+          q.fresh ()
+        end
       in
       q.cur <- Some b;
       b
 
-(* The producer lost this batch: its events were shipped but will
-   never reach the consumer. *)
-let account_drop q n =
+(* The producer lost this batch: its [n] events were shipped but will
+   never reach the consumer.  It stays the open batch, emptied. *)
+let account_drop q b n =
   q.dropped_batches <- q.dropped_batches + 1;
   q.dropped_events <- q.dropped_events + n;
-  Probe.dropped q.probe ~events:n ~total:q.dropped_batches
+  Probe.dropped q.probe ~events:n ~total:q.dropped_batches;
+  q.clear b
 
 (* Push the open batch, if it holds any event.  The consumer owns it
    until [open_batch] finds it spent; the next event opens another.  A
-   batch whose push did not land is never reopened. *)
+   batch whose push did not land never reached the consumer: it is
+   emptied and stays the open one. *)
 let ship q =
   match q.cur with
   | Some b when q.length b > 0 -> (
-      q.cur <- None;
       let n = q.length b in
       q.events <- q.events + n;
+      q.words_shipped <- q.words_shipped + q.words b;
       match Probe.push q.probe q.ring b ~events:n with
       | true ->
+          q.cur <- None;
           q.batches <- q.batches + 1;
           Queue.push b q.shipped
-      | false -> account_drop q n
+      | false -> account_drop q b n
       | exception e ->
-          account_drop q n;
+          account_drop q b n;
           raise e)
   | _ -> ()
 
@@ -239,14 +253,12 @@ let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
       (Fmt.str "Channel.create: queue_capacity = %d < 1" queue_capacity);
   if batch_size < 1 then
     invalid_arg (Fmt.str "Channel.create: batch_size = %d < 1" batch_size);
-  if wire = `Coded && batch_size > Codec.max_batch_size then
-    Fmt.invalid_arg "Channel.create: coded batch_size = %d > %d" batch_size
-      Codec.max_batch_size;
   match wire with
   | `Boxed ->
       Boxed
         (feed ~probe ~ns ~queue_capacity ~batch_size
            ~length:(fun b -> b.len)
+           ~words:(fun b -> b.len)
            ~fresh:(fun () -> { data = Array.make batch_size no_exec; len = 0 })
            ~clear:(fun b ->
              Array.fill b.data 0 b.len no_exec;
@@ -259,7 +271,7 @@ let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
           enc = Codec.encoder table;
           q =
             feed ~probe ~ns ~queue_capacity ~batch_size
-              ~length:Codec.batch_length
+              ~length:Codec.batch_length ~words:Codec.batch_words
               ~fresh:(fun () ->
                 Codec.batch_create ~events_per_batch:batch_size)
               ~clear:Codec.batch_clear;
@@ -287,6 +299,10 @@ let add_view t v =
       let b = open_batch q in
       Codec.encode_view enc b v;
       if b.Codec.b_n = q.batch_size then ship q
+
+let forward_sink_values = function
+  | Boxed _ -> ()
+  | Coded { enc; _ } -> Codec.forward_sink_values enc
 
 let flush = function Boxed q -> ship q | Coded { q; _ } -> ship q
 let close = function Boxed q -> close_feed q | Coded { q; _ } -> close_feed q

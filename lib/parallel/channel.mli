@@ -3,9 +3,9 @@
     wire formats, so each runtime picks its encoding once and the
     feed/drain/supervision logic downstream is wire-agnostic.
 
-    - [`Coded] — the default: flat {!Codec} batches of interned site
-      ids and integer lanes (zero allocation per event in the steady
-      state).
+    - [`Coded] — the default: {!Codec}'s outcome wire, flat integer
+      batches of what the helper cannot rebuild from the static code
+      (zero allocation per event in the steady state).
     - [`Boxed] — whole {!Dift_vm.Event.exec} records (one pointer per
       event, heap-shaped payload), in record batches.
 
@@ -15,7 +15,9 @@
     each batch before its next pop, and the producer reopens the
     oldest batch it shipped once the consumer has popped the batch
     after it, so a channel owns at most [queue_capacity + 2] batches
-    and steady-state forwarding allocates nothing per batch.  As in
+    and steady-state forwarding allocates nothing per batch.  A batch
+    whose push did not land (an aborted ring, an injected crash) is
+    emptied and stays the producer's open batch.  As in
     paper §2.1, the one bounded FIFO is the only link between the two
     cores: no ring carries batches back.  Consumers always see
     {!Dift_vm.Event.view}s: the coded wire decodes into its scratch
@@ -67,8 +69,7 @@ type t
     crashes the side it intercepts: it surfaces from
     {!add}/{!add_view}/{!flush}/{!close} or {!drain} after the batch
     in hand is booked as dropped or discarded (see {!Probe.counts}).
-    @raise Invalid_argument if either size is [< 1], or a coded
-    channel's [batch_size] exceeds {!Codec.max_batch_size}. *)
+    @raise Invalid_argument if either size is [< 1]. *)
 val create :
   ?probe:Probe.t ->
   ?ns:string ->
@@ -94,6 +95,11 @@ val add_view : t -> Event.view -> unit
 
 (** Forward a boxed record. *)
 val add : t -> Event.exec -> unit
+
+(** From now on, forward each sink event's value too
+    ({!Codec.forward_sink_values}; the boxed wire always ships whole
+    records).  For a run whose helpers record sink events. *)
+val forward_sink_values : t -> unit
 
 (** Push the open partial batch, if any.  The sharded router calls
     this after every cross-shard event so no participant's copy can

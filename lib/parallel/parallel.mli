@@ -199,8 +199,7 @@ type inline_report = {
       watchdog, and one watchdog supervises one run.
 
     @raise Invalid_argument before any domain starts if
-    [queue_capacity] or [batch_size] is [< 1], or a coded
-    [batch_size] exceeds {!Codec.max_batch_size}. *)
+    [queue_capacity] or [batch_size] is [< 1]. *)
 val run_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -290,9 +289,8 @@ type sharded_report = {
     order: each feed channel, then the mesh.
 
     @raise Invalid_argument before any domain starts if [shards],
-    [queue_capacity] or [batch_size] is [< 1], a coded [batch_size]
-    exceeds {!Codec.max_batch_size}, or [shards > 1] under a
-    [propagate_control] policy. *)
+    [queue_capacity] or [batch_size] is [< 1], or [shards > 1] under
+    a [propagate_control] policy. *)
 val run_sharded_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->

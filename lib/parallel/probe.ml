@@ -28,6 +28,8 @@ let tick = function Some l -> Progress.tick l | None -> ()
 
 type counts = {
   events : int;
+  words : int;
+  created_batches : int;
   batches : int;
   dropped_batches : int;
   dropped_events : int;
@@ -95,6 +97,7 @@ let publish f ring ~batch_size counts =
              ~help:"events per pushed batch"
              ~buckets:(occupancy_buckets batch_size));
       books ".forwarder.events" "events forwarded" (fun c -> c.events);
+      books ".forwarder.words" "wire words shipped" (fun c -> c.words);
       books ".forwarder.batches" "batches delivered to the ring" (fun c ->
           c.batches);
       books ".forwarder.dropped_batches"

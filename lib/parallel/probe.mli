@@ -24,7 +24,7 @@
     {b Feed ring} ({!feed}: one per helper, a {!Channel}).
     - Metrics: gauges [<ns>.ring.capacity_batches], [.stalls],
       [.waits], [.drops], [.in_flight_batches] and
-      [<ns>.forwarder.events], [.batches], [.dropped_batches],
+      [<ns>.forwarder.events], [.words], [.batches], [.dropped_batches],
       [.dropped_events], [.discarded_batches], [.discarded_events],
       [.consumed_batches], [.consumed_events] (the {!counts}); the
       histogram [<ns>.forwarder.batch_occupancy] (events per pushed
@@ -113,6 +113,13 @@ type counts = {
   events : int;
       (** events in shipped batches, delivered or not: after
           {!Channel.close}, every event forwarded *)
+  words : int;
+      (** wire words in those batches: {!Codec.batch_words} on the
+          coded wire, one record pointer per event on the boxed one *)
+  created_batches : int;
+      (** batches the channel allocated: at most [queue_capacity + 2],
+          as it reopens the ones the consumer is done with and keeps
+          one whose push did not land *)
   batches : int;
       (** batches actually delivered to the ring.  A batch lost to an
           abort or an injected failure is {e not} counted here: it

@@ -468,7 +468,7 @@ module Make (D : Taint.DOMAIN) = struct
     let boxed = wire = `Boxed and ch = chans.(0) in
     c.c_feed <-
       (match filter with
-      | None when one -> Channel.add_view ch
+      | None when one -> fun v -> Channel.add_view ch v
       | None -> route_view c ~router ~boxed
       | Some lf when one ->
           fun v -> if Livefilter.admit_view lf v then Channel.add_view ch v
@@ -498,7 +498,8 @@ module Make (D : Taint.DOMAIN) = struct
       (fun w ->
         w.record_sinks <- true;
         w.sink_events <- true)
-      c.workers
+      c.workers;
+    Array.iter Channel.forward_sink_values c.chans
 
   let feed_view c = c.c_feed
 
@@ -583,7 +584,7 @@ module Make (D : Taint.DOMAIN) = struct
   (* An injected failure during a trailing flush must not leak
      domains: close every channel anyway (a second close of the one
      that raised is a quiet no-op flush + ring close, since the raising
-     flush already detached its batch), then re-raise. *)
+     flush already emptied its batch), then re-raise. *)
   let close_feed c =
     if not c.c_closed then begin
       c.c_closed <- true;

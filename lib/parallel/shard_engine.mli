@@ -313,8 +313,10 @@ module Make (D : Taint.DOMAIN) : sig
 
   (** Have every shard record its sinks with their event records
       ({!Event.view_to_exec}) in [m_sinks], for a client sink callback
-      run after the join.  Call before {!start}; without it a
-      sink costs its shard one addition to its hash and no record. *)
+      run after the join, and the channels forward each sink event's
+      value ({!Channel.forward_sink_values}), which the coded wire
+      otherwise leaves out.  Call before {!start}; without it a sink
+      costs its shard one addition to its hash and no record. *)
   val record_sink_events : cluster -> unit
 
   (** Route one event from the application domain, read in place from

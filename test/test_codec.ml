@@ -1,10 +1,10 @@
-(* The de-boxed forwarding plane: the minimal wire must be lossless —
+(* The de-boxed forwarding plane: the outcome wire must be lossless —
    encode ∘ decode is the identity on machine-shaped events (compact
-   and explicit sets, implied fields that agree with the live event or
-   ride the overflow area), on machine streams with events dropped,
-   and through the full channel framing; events foreign to the
-   interned program and batches too large for the payload are
-   rejected; and machine streams stay within the wire's word budget.
+   and explicit sets, implied fields that agree with the chain or ride
+   a cut), on machine streams with events dropped, and through the
+   full channel framing, with the value compared where the wire
+   forwards it; events foreign to the interned program are rejected;
+   and machine streams stay within the wire's word budget.
    Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
    on every kernel, in both runtimes and sharded — and the
@@ -28,9 +28,17 @@ let ok = function
 let prog = Spec_like.crc.Workload.program
 let table = Site.of_program prog
 
+(* Whether the wire forwards the event's value: at a [Spawn] always,
+   at a sink site when the encoder forwards sink values.  Elsewhere
+   the decoded value is [0], by design: no helper reads it. *)
+let value_forwarded ~sink_values (e : Event.exec) =
+  (match e.Event.instr with Instr.Sys (Instr.Spawn _) -> true | _ -> false)
+  || (sink_values && Site.is_sink_instr e.Event.instr)
+
 (* Decoding must return the program's own function and instruction
-   (interning preserves identity), and every dynamic field verbatim. *)
-let exec_eq (a : Event.exec) (b : Event.exec) =
+   (interning preserves identity), and every dynamic field verbatim;
+   the value only where it is forwarded, and [0] elsewhere. *)
+let exec_eq ?(sink_values = false) (a : Event.exec) (b : Event.exec) =
   a.Event.step = b.Event.step
   && a.Event.tid = b.Event.tid
   && a.Event.func == b.Event.func
@@ -39,7 +47,8 @@ let exec_eq (a : Event.exec) (b : Event.exec) =
   && a.Event.reads = b.Event.reads
   && a.Event.writes = b.Event.writes
   && a.Event.addr = b.Event.addr
-  && a.Event.value = b.Event.value
+  && (if value_forwarded ~sink_values a then a.Event.value = b.Event.value
+      else b.Event.value = 0)
   && a.Event.next_pc = b.Event.next_pc
   && a.Event.input_index = b.Event.input_index
 
@@ -51,7 +60,7 @@ let pp_exec ppf (e : Event.exec) =
     Fmt.(list ~sep:comma int)
     e.Event.writes e.Event.addr
 
-(* Programs whose sites cover every descriptor case: crc's loads,
+(* Programs whose sites cover every chain case: crc's loads,
    stores, reads and branches, treesum's calls, returns and jumps, and
    the server's threads. *)
 let tables =
@@ -93,8 +102,8 @@ let dyn_gen =
     let* value = int_bound 1_000 in
     return (step, tid, value))
 
-(* Activation frames: small, and past the descriptor's inline payload
-   (those still decode compact, through the overflow area). *)
+(* Activation frames: small, and large (a frame is a full word in a
+   cut, whatever its size). *)
 let frame_gen =
   QCheck2.Gen.(
     frequency
@@ -283,9 +292,8 @@ let event_gen tbl =
         (2, near_miss_gen tbl);
       ])
 
-(* A stream: consecutive steps with gaps (inside the descriptor's
-   field, past it, and backwards) and runs of tids with switches
-   (including tids past the descriptor's field). *)
+(* A stream: consecutive steps with gaps (short, long and backwards)
+   and runs of tids with switches (including large tids). *)
 let stream_gen tbl =
   QCheck2.Gen.(
     let* events = list_size (int_range 1 300) (event_gen tbl) in
@@ -315,7 +323,7 @@ let stream_gen tbl =
     in
     return (tbl, List.rev rev))
 
-(* The generators' site pool holds every next-pc shape the descriptor
+(* The generators' site pool holds every next-pc shape the chain
    distinguishes. *)
 let test_site_pool () =
   let rows = List.concat_map (fun t -> Array.to_list (Site.rows t)) tables in
@@ -344,8 +352,9 @@ let scratch () =
 
 (* Encode [events] into batches of [cap] events, decode every event
    back into one view, and compare. *)
-let roundtrip tbl ~cap events =
+let roundtrip ?(sink_values = false) tbl ~cap events =
   let enc = Codec.encoder tbl in
+  if sink_values then Codec.forward_sink_values enc;
   let v = scratch () in
   let rec go events =
     events = []
@@ -358,7 +367,7 @@ let roundtrip tbl ~cap events =
       (List.mapi
          (fun i e ->
            Codec.decode_into tbl b i v;
-           exec_eq e (Event.view_to_exec v))
+           exec_eq ~sink_values e (Event.view_to_exec v))
          now)
     && go rest
   in
@@ -368,9 +377,10 @@ let pp_stream = Fmt.(str "%a" (list ~sep:(any "; ") pp_exec))
 
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"codec: encode ∘ decode ≡ identity"
-    ~print:(fun (_, (_, es)) -> pp_stream es)
-    QCheck2.Gen.(pair (int_range 1 300) tabled_stream_gen)
-    (fun (cap, (tbl, events)) -> roundtrip tbl ~cap events)
+    ~print:(fun (_, _, (_, es)) -> pp_stream es)
+    QCheck2.Gen.(triple bool (int_range 1 300) tabled_stream_gen)
+    (fun (sink_values, cap, (tbl, events)) ->
+      roundtrip ~sink_values tbl ~cap events)
 
 (* A foreign event raises, wherever it falls in a batch, and leaves
    the batch's events as they were. *)
@@ -389,23 +399,26 @@ let foreign_prop =
 
 (* Same property through the channel: feed / flush / close framing
    with partial final batches, then a synchronous drain. *)
-let roundtrip_channel (tbl, events) =
+let roundtrip_channel (sink_values, (tbl, events)) =
   let ch =
     Channel.create ~wire:`Coded ~queue_capacity:64 ~batch_size:8
       ~table:(Lazy.from_val tbl) ()
   in
+  if sink_values then Channel.forward_sink_values ch;
   List.iter (Channel.add ch) events;
   Channel.close ch;
   let out = ref [] in
   Channel.drain ch ~f:(fun v -> out := Event.view_to_exec v :: !out);
   let out = List.rev !out in
-  List.length out = List.length events && List.for_all2 exec_eq events out
+  List.length out = List.length events
+  && List.for_all2 (exec_eq ~sink_values) events out
 
 let roundtrip_channel_prop =
   QCheck2.Test.make ~count:50
     ~name:"codec: channel feed/drain preserves the stream"
-    ~print:(fun (_, es) -> pp_stream es)
-    tabled_stream_gen roundtrip_channel
+    ~print:(fun (_, (_, es)) -> pp_stream es)
+    QCheck2.Gen.(pair bool tabled_stream_gen)
+    roundtrip_channel
 
 (* Real machine streams, recorded once: a call-dense kernel, a loop
    kernel with reads, and the two-worker server (tid switches). *)
@@ -447,12 +460,132 @@ let filtered_stream_prop =
       in
       roundtrip tbl ~cap kept)
 
-(* The minimal wire's budget: real machine streams cost at most three
-   words per event (descriptor, value, the address lane where a site
-   has one, call boundaries' overflow records, batch headers). *)
+(* -- the expansion property ------------------------------------------- *)
+
+(* Run [program] and forward its live views as the runtimes do: each
+   view [keep] admits goes to the shards its locations name (all of
+   it to one shard), each shard with its own encoder and [cap]-event
+   batches, and a cross-shard event ships every participant's open
+   batch.  The live record of every forwarded event is kept beside
+   it.  Then each shard's batches are expanded, in order, and every
+   expanded view must equal the live one: every field, the value
+   where the wire forwards it. *)
+let expands ?(keep = fun _ -> true) ~sink_values ~shards ~cap program ~input =
+  let tbl = Site.of_program program in
+  let router = Router.create ~shards () in
+  let encs =
+    Array.init shards (fun _ ->
+        let e = Codec.encoder tbl in
+        if sink_values then Codec.forward_sink_values e;
+        e)
+  in
+  let fresh () = Codec.batch_create ~events_per_batch:cap in
+  let open_ = Array.init shards (fun _ -> fresh ()) in
+  let shipped = Array.make shards [] and live = Array.make shards [] in
+  let ship s =
+    if Codec.batch_length open_.(s) > 0 then begin
+      shipped.(s) <- open_.(s) :: shipped.(s);
+      open_.(s) <- fresh ()
+    end
+  in
+  let m = Machine.create program ~input in
+  Machine.attach m
+    (Tool.make
+       ~on_view:(fun v ->
+         if keep v then begin
+           let mask = Router.participants_view router v in
+           Router.iter_shards mask (fun s ->
+               live.(s) <- Event.view_record v :: live.(s);
+               Codec.encode_view encs.(s) open_.(s) v;
+               if Codec.batch_length open_.(s) = cap then ship s);
+           if not (Router.is_local mask) then Router.iter_shards mask ship
+         end)
+       "expand");
+  ignore (Machine.run m);
+  let v = Event.view_blank () in
+  List.for_all
+    (fun s ->
+      ship s;
+      let out = ref [] in
+      List.iter
+        (fun b -> Codec.decode_batch tbl b v (fun v -> out := Event.view_to_exec v :: !out))
+        (List.rev shipped.(s));
+      let live = List.rev live.(s) and out = List.rev !out in
+      List.length live = List.length out
+      && List.for_all2 (exec_eq ~sink_values) live out)
+    (List.init shards Fun.id)
+
+(* Every event dropped with probability [pct]%, as a filter or a
+   router's gaps leave them. *)
+let dropping ~seed pct =
+  let rng = Random.State.make [| seed |] in
+  fun (_ : Event.view) -> pct = 0 || Random.State.int rng 100 >= pct
+
+let expansion_programs () =
+  List.map
+    (fun (w : Workload.t) ->
+      (w.Workload.name, w.Workload.program, w.Workload.input ~size:8 ~seed:3))
+    Spec_like.all
+  @ List.map
+      (fun (faulty, workers) ->
+        let b = Server_sim.generate ~requests:10 ~seed:3 ~faulty () in
+        ( Fmt.str "server %d workers%s" workers
+            (if faulty then " (faulty)" else ""),
+          Server_sim.program ~workers (),
+          b.Server_sim.input ))
+      [ (false, 2); (true, 2); (true, 3) ]
+  @ List.map
+      (fun (c : Buggy.case) ->
+        (c.Buggy.name ^ " (failing)", c.Buggy.program, c.Buggy.failing_input))
+      Buggy.all
+
+(* The expansion property on every kernel, the server (threads,
+   preemptions, its faulty run) and the fault corpus' failing runs:
+   whole streams, streams with events dropped, and each shard's stream
+   at 2 and 4 shards, with and without sink values. *)
+let test_expansion () =
+  List.iter
+    (fun (name, program, input) ->
+      List.iter
+        (fun (shards, pct, sink_values, cap) ->
+          check Alcotest.bool
+            (Fmt.str "%s: %d shards, %d%% dropped, sink values %b, %d-event \
+                      batches"
+               name shards pct sink_values cap)
+            true
+            (expands ~keep:(dropping ~seed:shards pct) ~sink_values ~shards
+               ~cap program ~input))
+        [ (1, 0, false, 256); (1, 0, true, 7); (1, 30, false, 64);
+          (2, 0, false, 256); (2, 10, true, 16); (4, 0, true, 256);
+          (4, 50, false, 5) ])
+    (expansion_programs ())
+
+(* The expansion property on generated programs: {!Test_sharded}'s
+   spawning programs (direct, indirect and recursive calls, a worker
+   thread, stores inside held mutexes) at 1, 2 and 4 shards, whole and
+   with events dropped. *)
+let expansion_prop =
+  QCheck2.Test.make ~count:40
+    ~name:"codec: generated programs expand to their live views"
+    ~print:(Fmt.str "%a" Test_sharded.pp_program)
+    Test_sharded.spawn_prog_gen
+    (fun case ->
+      let program = Test_sharded.build_spawning case
+      and input = Test_props.inputs_for () in
+      List.for_all
+        (fun (shards, pct, sink_values, cap) ->
+          expands ~keep:(dropping ~seed:shards pct) ~sink_values ~shards ~cap
+            program ~input)
+        [ (1, 0, false, 256); (1, 20, true, 5); (2, 0, true, 8);
+          (4, 0, false, 256); (4, 30, true, 3) ])
+
+(* The outcome wire's budget: real machine streams cost at most half a
+   word per event on the loop kernels and one on the call-dense ones
+   (an address per memory access, a bit per branch, a cut per call
+   boundary, a batch header and leading cut per batch). *)
 let test_wire_budget () =
   List.iter
-    (fun (name, size) ->
+    (fun (name, size, budget) ->
       let w = Spec_like.by_name name in
       let program = w.Workload.program in
       let stream = record program (w.Workload.input ~size ~seed:7) in
@@ -473,21 +606,21 @@ let test_wire_budget () =
       ship ();
       let per_ev = float_of_int !words /. float_of_int (Array.length stream) in
       check Alcotest.bool
-        (Fmt.str "%s: %.2f words/event <= 3.0" name per_ev)
-        true (per_ev <= 3.0))
-    [ ("matmul", 8); ("crc", 600); ("sieve", 400); ("treesum", 200);
-      ("feistel", 40) ]
+        (Fmt.str "%s: %.2f words/event <= %.1f" name per_ev budget)
+        true (per_ev <= budget))
+    [ ("matmul", 8, 0.5); ("crc", 600, 0.5); ("sieve", 400, 0.5);
+      ("treesum", 200, 1.0); ("feistel", 40, 1.0) ]
 
 (* The wire itself, pinned: the kernels' machine streams, encoded from
    the machine's live view into fresh 256-event batches, must give
-   exactly these words, overflow descriptors and lanes.  An encoder
-   whose compact check is too strict still round-trips, but it sends
-   compact events to the overflow area; only this test sees that. *)
+   exactly these words, cuts and lanes.  An encoder whose chain or
+   compact check is too strict still round-trips, but it cuts where
+   it could imply; only this test sees that. *)
 let wire_of program input =
   let tbl = Site.of_program program in
   let enc = Codec.encoder tbl in
   let buf = Buffer.create 4096 in
-  let words = ref 0 and ovf = ref 0 in
+  let words = ref 0 and cuts = ref 0 in
   let add x = Buffer.add_int64_le buf (Int64.of_int x) in
   let lane a n =
     add n;
@@ -499,18 +632,10 @@ let wire_of program input =
   let b = ref (Codec.batch_create ~events_per_batch:cap) in
   let ship () =
     let b = !b in
-    let n = b.Codec.b_n in
     words := !words + Codec.batch_words b;
-    for i = 0 to n - 1 do
-      let d = b.Codec.b_desc.(i) in
-      if d >= 0 && d land 2 <> 0 then incr ovf
-    done;
-    add n;
-    add b.Codec.b_step0;
-    add b.Codec.b_addr_n;
-    lane b.Codec.b_desc n;
-    lane b.Codec.b_value n;
-    lane b.Codec.b_addr n;
+    cuts := !cuts + b.Codec.b_cuts;
+    add b.Codec.b_n;
+    lane b.Codec.b_desc b.Codec.b_lane_n;
     lane b.Codec.b_ovf b.Codec.b_ovf_n
   in
   let m = Machine.create program ~input in
@@ -525,23 +650,23 @@ let wire_of program input =
        "pin-wire");
   ignore (Machine.run m);
   if Codec.batch_length !b > 0 then ship ();
-  (!words, !ovf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+  (!words, !cuts, Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let pinned_wire =
   [
-    ("matmul", 8, (20189, 0, "312a20df22c8ec63610321fdce72bb0a"));
-    ("crc", 600, (12663, 0, "e153373b2be1eef1a84941c970e93821"));
-    ("sieve", 400, (23823, 0, "a29728911d143cc808a42f8424d50f40"));
-    ("treesum", 200, (12927, 126, "692cfa7652ac9a65f4db916f85c170f2"));
-    ("feistel", 40, (12551, 80, "cea2f6daa3f0b7d08132cb0ac67ac0bd"));
+    ("matmul", 8, (1593, 37, "85157315b6940562a26e8618eed443b1"));
+    ("crc", 600, (720, 24, "1454e333930668b7236f8d49fbd8c6a2"));
+    ("sieve", 400, (1726, 44, "9055816cc983a6d5acadc658a01db842"));
+    ("treesum", 200, (1865, 275, "8524cfa56d8010b589de87ad0f647c96"));
+    ("feistel", 40, (1018, 183, "d8db0cae4c638d44e485065f79c6b6f8"));
   ]
 
-let pinned_server = (3949, 2, "46d524eb24465d74d403b29ae6aa0c2e")
+let pinned_server = (310, 23, "05fac60645f25893daf2ee9f7e09cb6c")
 
 let test_wire_pinned () =
-  let pin name (words, ovf, digest) (words', ovf', digest') =
+  let pin name (words, cuts, digest) (words', cuts', digest') =
     check Alcotest.int (name ^ ": batch words") words words';
-    check Alcotest.int (name ^ ": overflow descriptors") ovf ovf';
+    check Alcotest.int (name ^ ": cuts") cuts cuts';
     check Alcotest.string (name ^ ": lane digest") digest digest'
   in
   List.iter
@@ -577,15 +702,15 @@ let test_batch_recycling () =
 
 (* -- site resolution edges --------------------------------------------- *)
 
-(* Encode one event alone; its descriptor, and whether it decodes back
-   exactly. *)
+(* Encode one event alone; whether its sets are frame-compact (not
+   verbatim in its cut), and whether it decodes back exactly. *)
 let encode_one tbl (e : Event.exec) =
   let b = Codec.batch_create ~events_per_batch:1 in
   Codec.encode (Codec.encoder tbl) b e;
   let r0 = Site.row tbl 0 in
   let v = Event.view_create ~func:r0.Site.s_func ~instr:r0.Site.s_instr in
   Codec.decode_into tbl b 0 v;
-  (b.Codec.b_desc.(0), exec_eq e (Event.view_to_exec v))
+  (b.Codec.b_verbatim = 0, exec_eq e (Event.view_to_exec v))
 
 (* A machine-shaped event of [row] in activation frame [frame]. *)
 let shaped ?(func = fun (r : Site.row) -> r.Site.s_func) (row : Site.row)
@@ -646,7 +771,7 @@ let test_interned_shape () =
           let b = Codec.batch_create ~events_per_batch:1 in
           Codec.encode (Codec.encoder tbl) b (shaped row ~frame:3);
           check Alcotest.bool (what ^ ": compact") true
-            (b.Codec.b_desc.(0) land 1 = 1);
+            (b.Codec.b_verbatim = 0);
           let v = Event.view_blank () in
           Codec.decode_into tbl b 0 v;
           check Alcotest.int (what ^ ": decoded reads") row.Site.s_nreads
@@ -677,9 +802,9 @@ let test_copied_func_foreign () =
   in
   for site = 0 to Site.size table - 1 do
     let row = Site.row table site in
-    let desc, _ = encode_one table (shaped row ~frame:2) in
+    let compact, _ = encode_one table (shaped row ~frame:2) in
     check Alcotest.bool (Fmt.str "site %d: own function compact" site) true
-      (desc land 1 = 1);
+      compact;
     let e = shaped ~func:copy row ~frame:2 in
     check Alcotest.bool "the copy is structurally equal" true
       (e.Event.func = row.Site.s_func && e.Event.func != row.Site.s_func);
@@ -710,68 +835,16 @@ let test_pc_past_body_foreign () =
   check Alcotest.int "unknown function has no base" (-1)
     (Site.base_of_func tbl alien_func)
 
-(* A batch past [Codec.max_batch_size] could outgrow the payload with
-   overflow records: the codec refuses to make one, and a coded run
-   refuses it before any domain starts (the plan's spawn fault never
-   fires) and before the machine runs.  Within the bound, only events
-   wider than any machine's can reach the payload's end. *)
-let test_oversized_batch () =
-  let big = Codec.max_batch_size + 1 in
-  let raises f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
-  check Alcotest.bool "batch_create past the bound" true
-    (raises (fun () -> Codec.batch_create ~events_per_batch:big));
-  let w = Spec_like.crc in
-  let input = w.Workload.input ~size:4 ~seed:1 in
-  let chaos =
-    Chaos.create
-      [ { Chaos.on = Chaos.Spawn; at = 1; fault = Chaos.Crash; where = None } ]
-  in
-  let sinks = ref 0 in
-  check Alcotest.bool "run_result: coded batch_size past the bound" true
-    (raises (fun () ->
-         Parallel.run_result ~chaos ~batch_size:big
-           ~on_sink:(fun _ _ _ -> incr sinks)
-           w.Workload.program ~input));
-  check Alcotest.bool "run_sharded_result: coded batch_size past the bound"
-    true
-    (raises (fun () ->
-         Parallel.run_sharded_result ~chaos ~batch_size:big ~shards:2
-           w.Workload.program ~input));
-  check Alcotest.int "no domain spawned" 0 (Chaos.fired chaos);
-  check Alcotest.int "no event ran" 0 !sinks;
-  (* the largest batch holds a whole crc run *)
-  ignore
-    (ok (Parallel.run_result ~batch_size:Codec.max_batch_size
-        w.Workload.program ~input));
-  (* a hand-built event with 256 reads, over twice the machine's widest
-     set, fills the overflow area past the payload's reach *)
-  let row = Site.row table 0 in
-  let v = Event.view_create ~func:row.Site.s_func ~instr:row.Site.s_instr in
-  v.Event.v_pc <- row.Site.s_pc;
-  v.Event.v_next_pc <- row.Site.s_next_pc;
-  v.Event.v_reads <- Array.init 256 (fun i -> i);
-  v.Event.v_nreads <- 256;
-  let enc = Codec.encoder table in
-  let b = Codec.batch_create ~events_per_batch:Codec.max_batch_size in
-  check Alcotest.bool "too-wide events overflow the payload" true
-    (raises (fun () ->
-         for i = 0 to Codec.max_batch_size - 1 do
-           v.Event.v_step <- i;
-           Codec.encode_view enc b v
-         done))
-
 (* Frame serials far beyond any test stream's still split exactly by
-   the compact path's mask and shift. *)
+   the compact check's mask and shift. *)
 let test_large_frames_compact () =
   List.iter
     (fun frame ->
       for site = 0 to Site.size table - 1 do
         let row = Site.row table site in
-        let desc, exact = encode_one table (shaped row ~frame) in
+        let compact, exact = encode_one table (shaped row ~frame) in
         check Alcotest.bool (Fmt.str "frame %d site %d compact" frame site) true
-          (desc land 1 = 1);
+          compact;
         check Alcotest.bool (Fmt.str "frame %d site %d exact" frame site) true
           exact
       done)
@@ -1025,7 +1098,7 @@ let test_filter_stands_down_under_control () =
 let qcheck_tests =
   List.map Qcheck_run.to_alcotest
     [ roundtrip_prop; foreign_prop; roundtrip_channel_prop;
-      filtered_stream_prop ]
+      filtered_stream_prop; expansion_prop ]
 
 let suite =
   [
@@ -1037,10 +1110,11 @@ let suite =
       test_copied_func_foreign;
     Alcotest.test_case "a pc past the body is not the next site" `Quick
       test_pc_past_body_foreign;
-    Alcotest.test_case "an oversized coded batch raises" `Quick
-      test_oversized_batch;
     Alcotest.test_case "frames >= 2^20 stay compact and exact" `Quick
       test_large_frames_compact;
+    Alcotest.test_case
+      "expanded views equal the live views (kernels, server, faults, shards)"
+      `Quick test_expansion;
     Alcotest.test_case "machine streams fit the wire budget" `Quick
       test_wire_budget;
     Alcotest.test_case "machine streams encode to the pinned wire" `Quick

@@ -164,96 +164,6 @@ let gauge reg name =
   | Some (Dift_obs.Registry.Gauge_v v) -> v
   | _ -> Alcotest.failf "gauge %s missing" name
 
-let test_helper_crash_mid_drain () =
-  with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "pop@2=crash") () with
-  | Ok _ -> Alcotest.fail "injected helper crash must surface"
-  | Error e ->
-      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      (* partial accounting stays coherent: everything fed was either
-         delivered or counted as dropped *)
-      let p = e.Parallel.e_partial in
-      check Alcotest.bool "events fed" true (p.Parallel.p_events > 0);
-      check Alcotest.bool "batches delivered before the crash" true
-        (p.Parallel.p_batches >= 1)
-
-let test_app_crash_mid_run () =
-  with_watchdog @@ fun () ->
-  (* the injected push failure raises on the application domain, from
-     inside the forwarding tool *)
-  match run_crc ~chaos:(chaos "push@3=crash") () with
-  | Ok _ -> Alcotest.fail "injected app crash must surface"
-  | Error e ->
-      check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      check Alcotest.bool "crashing batch accounted as dropped" true
-        (e.Parallel.e_partial.Parallel.p_dropped_batches >= 1)
-
-let test_abort_at_step_n () =
-  with_watchdog @@ fun () ->
-  (* an injected crash on the application's second push fails the
-     application leg, and the books still reconcile exactly
-     (batch_size=1: one event per batch) *)
-  let reg = Dift_obs.Registry.create () in
-  match run_crc ~obs:reg ~chaos:(chaos "push@2=crash") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected push crash must fail the run"
-  | Error e ->
-      check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      let p = e.Parallel.e_partial in
-      check Alcotest.int "the crashing push is the one dropped batch" 1
-        p.Parallel.p_dropped_batches;
-      check Alcotest.int "one event per dropped batch"
-        p.Parallel.p_dropped_batches p.Parallel.p_dropped_events;
-      (* regression (in-flight accounting): batches sitting in the ring
-         when the abort landed used to vanish uncounted; the drain
-         sweeps them into the discarded ledger, so the delivered count
-         reconciles exactly against consumed + discarded with nothing
-         left in flight once the helper has joined *)
-      let consumed = gauge reg "parallel.forwarder.consumed_batches" in
-      let discarded = gauge reg "parallel.forwarder.discarded_batches" in
-      check Alcotest.int "nothing in flight after the join" 0
-        (gauge reg "parallel.ring.in_flight_batches");
-      check Alcotest.int "delivered = consumed + discarded"
-        p.Parallel.p_batches (consumed + discarded)
-
-let test_consumer_give_up () =
-  with_watchdog @@ fun () ->
-  (* an injected crash at the helper's second pop gives the helper
-     up; the producer must never wedge against the dead consumer *)
-  match run_crc ~chaos:(chaos "pop@2=crash") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected consumer crash must fail the run"
-  | Error e ->
-      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      check Alcotest.bool "subsequent pushes dropped and counted" true
-        (e.Parallel.e_partial.Parallel.p_dropped_batches > 0)
-
-let test_pop_drop_discards () =
-  with_watchdog @@ fun () ->
-  (* a batch popped but never processed would leave the helper's
-     result short of inline's: a crash at the first pop books the
-     batch in hand as discarded, and a degraded run completes it
-     bit-identical *)
-  let reg = Dift_obs.Registry.create () in
-  (match run_crc ~obs:reg ~chaos:(chaos "pop@1=crash") ~batch_size:1 () with
-  | Ok _ -> Alcotest.fail "an injected pop crash must fail the run"
-  | Error e ->
-      check Alcotest.bool "helper leg" true (e.Parallel.e_leg = `Helper);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      check Alcotest.bool "the dropped batch is discarded" true
-        (gauge reg "parallel.forwarder.discarded_batches" >= 1));
-  match
-    run_crc ~chaos:(chaos "pop@1=crash") ~degrade:`Inline ~batch_size:1 ()
-  with
-  | Error e ->
-      Alcotest.failf "degraded run must complete: %a" Parallel.pp_error e
-  | Ok r ->
-      check Alcotest.bool "flagged degraded" true (r.Parallel.degraded <> None);
-      same_result "degraded pop crash" (inline_of "crc" ~size:12)
-        r.Parallel.result
-
 let test_stall_delay_bit_identical () =
   with_watchdog @@ fun () ->
   (* stalls before a push and right after a pop perturb timing only:
@@ -286,42 +196,7 @@ let test_stall_delay_bit_identical () =
             r.Parallel.dropped_batches)
     [ (`Coded, 4, 8); (`Boxed, 4, 8); (`Coded, 1, 1); (`Boxed, 1, 1) ]
 
-let test_spawn_failure_two_domain () =
-  with_watchdog @@ fun () ->
-  match run_crc ~chaos:(chaos "spawn@1=crash") () with
-  | Ok _ -> Alcotest.fail "spawn failure must surface"
-  | Error e ->
-      check Alcotest.bool "spawn leg" true (e.Parallel.e_leg = `Spawn);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
-      check Alcotest.int "nothing fed" 0 e.Parallel.e_partial.Parallel.p_events
-
 (* -- sharded runtime: shard crash, spawn failure ----------------------- *)
-
-let run_sharded_crc ?chaos () =
-  let w = kernel "crc" in
-  let input = w.Workload.input ~size:12 ~seed:3 in
-  Parallel.run_sharded_result ?chaos ~queue_capacity:4 ~batch_size:1
-    ~shards:3 w.Workload.program ~input
-
-let test_shard_crash_request_reply () =
-  with_watchdog @@ fun () ->
-  (* shard 1's first pop raises: its failure must be attributed, the
-     other shards must terminate (cascade or clean), nothing wedges *)
-  match run_sharded_crc ~chaos:(chaos "parallel.shard1/pop@1=crash") () with
-  | Ok _ -> Alcotest.fail "injected shard crash must surface"
-  | Error e ->
-      check Alcotest.bool "shard 1 blamed" true (e.Parallel.e_leg = `Shard 1);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn)
-
-let test_spawn_failure_sharded () =
-  with_watchdog @@ fun () ->
-  (* the second of three spawns fails: the first shard is already
-     running and must be joined, not leaked *)
-  match run_sharded_crc ~chaos:(chaos "spawn@2=crash") () with
-  | Ok _ -> Alcotest.fail "sharded spawn failure must surface"
-  | Error e ->
-      check Alcotest.bool "spawn leg" true (e.Parallel.e_leg = `Spawn);
-      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn)
 
 (* -- exchange-mesh faults --------------------------------------------- *)
 
@@ -513,7 +388,7 @@ let test_forwarder_crash_ledger () =
         (k.consumed_batches + k.discarded_batches + k.in_flight_batches))
     [ `Coded; `Boxed ]
 
-(* -- ring.abort: one flight event per aborted feed ring ----------------- *)
+(* -- one fault table: seam x occurrence x geometry ---------------------- *)
 
 (* The flight categories (feed-ring namespaces) of every [ring.abort]. *)
 let ring_aborts flight =
@@ -525,41 +400,192 @@ let ring_aborts flight =
         t.t_entries)
     (Dift_obs.Flight.tails flight)
 
-(* regression: an injected fault, or a helper crash, used to tear the
-   ring down without recording [ring.abort]; only an explicit
-   [Channel.abort] did.  Whatever the cause, the ring's first abort
-   records it, once. *)
-let test_ring_abort_two_domain plan_s () =
-  with_watchdog @@ fun () ->
-  let w = kernel "crc" in
-  let input = w.Workload.input ~size:40 ~seed:3 in
-  let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
-  let chaos = Chaos.create ~flight (plan plan_s) in
-  ignore
-    (Parallel.run_result ~flight ~chaos ~queue_capacity:2 ~batch_size:4
-       w.Workload.program ~input);
-  check Alcotest.int "the fault fired" 1 (Chaos.fired chaos);
-  check
-    Alcotest.(list string)
-    "one ring.abort for the aborted ring" [ "parallel" ] (ring_aborts flight)
+(* What a row expects of its failed run, beyond what every row checks. *)
+type expect =
+  | Events_fed  (** the application fed events before the crash *)
+  | Delivered  (** at least one batch was delivered *)
+  | Dropped  (** the producer dropped, and counted, later batches *)
+  | Dropped_once
+      (** the crashing push is the one dropped batch, one event each *)
+  | Discarded  (** the batch in hand at the crash is booked discarded *)
+  | Nothing_in_flight  (** the helper swept the ring before its join *)
+  | Nothing_fed  (** no event ran *)
+  | Degrades  (** with [`Inline] the run completes, bit-identical *)
 
-let test_ring_abort_sharded () =
-  with_watchdog @@ fun () ->
+type runtime = Two_domain | Sharded of int
+
+(* One faulted crc run: the plan fires once and fails the run on
+   [leg] with the injection.  Every row also checks the books: batches
+   delivered = consumed + discarded + still in flight.  A ring torn
+   down by the fault records [ring.abort] once: the two-domain ring,
+   or the crashing shard's ring (a peer's ring the cascade tears down
+   records its own, and no ring records two). *)
+type row = {
+  name : string;
+  plan : string;
+  runtime : runtime;
+  queue_capacity : int;
+  batch_size : int;
+  size : int;
+  leg : Parallel.leg;
+  expect : expect list;
+}
+
+let row ?(runtime = Two_domain) ?(size = 12) ~plan ~geometry:(q, b) ~leg
+    ?(expect = []) name =
+  { name; plan; runtime; queue_capacity = q; batch_size = b; size; leg; expect }
+
+let fault_table =
+  [
+    row "helper crash mid-drain" ~plan:"pop@2=crash" ~geometry:(4, 8)
+      ~leg:`Helper ~expect:[ Events_fed; Delivered ];
+    row "consumer give-up" ~plan:"pop@2=crash" ~geometry:(4, 1) ~leg:`Helper
+      ~expect:[ Dropped ];
+    row "ring.abort once (helper crash)" ~plan:"pop@2=crash" ~geometry:(2, 4)
+      ~size:40 ~leg:`Helper;
+    row "pop drop discards" ~plan:"pop@1=crash" ~geometry:(4, 1) ~leg:`Helper
+      ~expect:[ Discarded; Degrades ];
+    row "ring.abort once (injected pop abort)" ~plan:"pop@1=crash"
+      ~geometry:(2, 4) ~size:40 ~leg:`Helper;
+    row "app crash mid-run" ~plan:"push@3=crash" ~geometry:(4, 8) ~leg:`App
+      ~expect:[ Dropped ];
+    row "abort at step N" ~plan:"push@2=crash" ~geometry:(4, 1) ~leg:`App
+      ~expect:[ Dropped_once; Nothing_in_flight ];
+    row "ring.abort once (injected push abort)" ~plan:"push@2=crash"
+      ~geometry:(2, 4) ~size:40 ~leg:`App;
+    row "spawn failure (two-domain)" ~plan:"spawn@1=crash" ~geometry:(4, 8)
+      ~leg:`Spawn ~expect:[ Nothing_fed ];
+    row "shard crash (request-reply)" ~plan:"parallel.shard1/pop@1=crash"
+      ~runtime:(Sharded 3) ~geometry:(4, 1) ~leg:(`Shard 1);
+    row "ring.abort once per shard ring" ~plan:"parallel.shard1/pop@1=crash"
+      ~runtime:(Sharded 3) ~geometry:(4, 1) ~size:40 ~leg:(`Shard 1);
+    row "spawn failure (sharded)" ~plan:"spawn@2=crash" ~runtime:(Sharded 3)
+      ~geometry:(4, 1) ~leg:`Spawn;
+  ]
+
+let run_row ?degrade r =
   let w = kernel "crc" in
-  let input = w.Workload.input ~size:40 ~seed:3 in
+  let input = w.Workload.input ~size:r.size ~seed:3 in
+  let reg = Dift_obs.Registry.create () in
   let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
-  let chaos = Chaos.create ~flight (plan "parallel.shard1/pop@1=crash") in
-  ignore
-    (Parallel.run_sharded_result ~flight ~chaos ~queue_capacity:4
-       ~batch_size:1 ~shards:3 w.Workload.program ~input);
-  let aborts = ring_aborts flight in
-  (* shard 1 aborts its ring; a peer whose ring the cascade tears down
-     records its own, and no ring records two *)
-  check Alcotest.int "shard 1's ring aborted once" 1
-    (List.length (List.filter (String.equal "parallel.shard1") aborts));
-  check Alcotest.int "no ring aborted twice"
-    (List.length (List.sort_uniq compare aborts))
-    (List.length aborts)
+  let chaos = Chaos.create ~flight (plan r.plan) in
+  let q = r.queue_capacity and b = r.batch_size in
+  let got =
+    match r.runtime with
+    | Two_domain ->
+        Parallel.run_result ~obs:reg ~flight ~chaos ?degrade ~queue_capacity:q
+          ~batch_size:b w.Workload.program ~input
+        |> Result.map (fun r -> r.Parallel.result)
+    | Sharded shards ->
+        Parallel.run_sharded_result ~obs:reg ~flight ~chaos ?degrade
+          ~queue_capacity:q ~batch_size:b ~shards w.Workload.program ~input
+        |> Result.map (fun r -> r.Parallel.s_result)
+  in
+  (got, reg, flight, chaos)
+
+let test_fault_row r () =
+  with_watchdog @@ fun () ->
+  let got, reg, flight, chaos = run_row r in
+  match got with
+  | Ok _ -> Alcotest.failf "%s must fail the run" r.plan
+  | Error e ->
+      check Alcotest.int "the fault fired once" 1 (Chaos.fired chaos);
+      check Alcotest.bool "the leg" true (e.Parallel.e_leg = r.leg);
+      check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
+      let p = e.Parallel.e_partial in
+      let ns = "parallel" in
+      (match r.runtime with
+      | Two_domain when r.leg <> `Spawn ->
+          let consumed = gauge reg (ns ^ ".forwarder.consumed_batches")
+          and discarded = gauge reg (ns ^ ".forwarder.discarded_batches")
+          and in_flight = gauge reg (ns ^ ".ring.in_flight_batches") in
+          check Alcotest.int "delivered = consumed + discarded + in flight"
+            p.Parallel.p_batches
+            (consumed + discarded + in_flight);
+          check
+            Alcotest.(list string)
+            "one ring.abort for the aborted ring" [ ns ] (ring_aborts flight)
+      | Sharded _ when r.leg <> `Spawn ->
+          let aborts = ring_aborts flight in
+          check Alcotest.int "shard 1's ring aborted once" 1
+            (List.length (List.filter (String.equal "parallel.shard1") aborts));
+          check Alcotest.int "no ring aborted twice"
+            (List.length (List.sort_uniq compare aborts))
+            (List.length aborts)
+      | _ -> ());
+      List.iter
+        (function
+          | Events_fed ->
+              check Alcotest.bool "events fed" true (p.Parallel.p_events > 0)
+          | Delivered ->
+              check Alcotest.bool "batches delivered before the crash" true
+                (p.Parallel.p_batches >= 1)
+          | Dropped ->
+              check Alcotest.bool "later batches dropped and counted" true
+                (p.Parallel.p_dropped_batches > 0)
+          | Dropped_once ->
+              check Alcotest.int "the crashing push is the one dropped batch"
+                1 p.Parallel.p_dropped_batches;
+              check Alcotest.int "one event per dropped batch"
+                p.Parallel.p_dropped_batches p.Parallel.p_dropped_events
+          | Discarded ->
+              check Alcotest.bool "the dropped batch is discarded" true
+                (gauge reg "parallel.forwarder.discarded_batches" >= 1)
+          | Nothing_in_flight ->
+              check Alcotest.int "nothing in flight after the join" 0
+                (gauge reg "parallel.ring.in_flight_batches")
+          | Nothing_fed ->
+              check Alcotest.int "nothing fed" 0 p.Parallel.p_events
+          | Degrades -> (
+              match run_row ~degrade:`Inline r with
+              | Error e, _, _, _ ->
+                  Alcotest.failf "degraded run must complete: %a"
+                    Parallel.pp_error e
+              | Ok res, _, _, _ ->
+                  same_result "degraded" (inline_of "crc" ~size:r.size) res))
+        r.expect
+
+(* A batch whose push did not land stays the producer's open batch:
+   under a consumer crash every later push is dropped, and the channel
+   allocates no batch past its [queue_capacity + 2] bound. *)
+let test_dropped_batch_reused () =
+  with_watchdog @@ fun () ->
+  List.iter
+    (fun wire ->
+      let name s = Fmt.str "%a: %s" Channel.pp_wire wire s in
+      let w = kernel "crc" in
+      let records =
+        let acc = ref [] in
+        let m =
+          Machine.create w.Workload.program
+            ~input:(w.Workload.input ~size:40 ~seed:3)
+        in
+        Machine.attach m
+          (Tool.make ~on_exec:(fun e -> acc := e :: !acc) "collect");
+        ignore (Machine.run m);
+        Array.of_list (List.rev !acc)
+      in
+      let ch =
+        Channel.create
+          ~probe:(Probe.make ~chaos:(chaos "pop@2=crash") ())
+          ~wire ~queue_capacity:2 ~batch_size:8
+          ~table:(lazy (Site.of_program w.Workload.program))
+          ()
+      in
+      let helper = Domain.spawn (fun () -> Channel.drain ch ~f:ignore) in
+      feed_all ch records;
+      (match Domain.join helper with
+      | () -> Alcotest.fail "the helper must crash"
+      | exception Chaos.Injected _ -> ());
+      let k = Channel.counts ch in
+      check Alcotest.bool (name "later batches dropped") true
+        (k.dropped_batches > 2);
+      check Alcotest.bool
+        (name (Fmt.str "%d batches created <= queue_capacity + 2"
+                 k.created_batches))
+        true
+        (k.created_batches <= 2 + 2))
+    [ `Coded; `Boxed ]
 
 (* -- one loss rule: an Error, or inline's result ------------------------ *)
 
@@ -715,47 +741,32 @@ let test_wall_times_non_negative () =
         (r.Parallel.total_wall_ns >= r.Parallel.main_wall_ns)
 
 let suite =
-  [
-    Alcotest.test_case "fault plans round-trip" `Quick test_plan_roundtrip;
-    Alcotest.test_case "helper crash mid-drain" `Quick
-      test_helper_crash_mid_drain;
-    Alcotest.test_case "app crash mid-run" `Quick test_app_crash_mid_run;
-    Alcotest.test_case "abort at step N" `Quick test_abort_at_step_n;
-    Alcotest.test_case "consumer give-up" `Quick test_consumer_give_up;
-    Alcotest.test_case "pop drop discards" `Quick test_pop_drop_discards;
-    Alcotest.test_case "stall/delay bit-identical" `Quick
-      test_stall_delay_bit_identical;
-    Alcotest.test_case "spawn failure (two-domain)" `Quick
-      test_spawn_failure_two_domain;
-    Alcotest.test_case "shard crash (request-reply)" `Quick
-      test_shard_crash_request_reply;
-    Alcotest.test_case "spawn failure (sharded)" `Quick
-      test_spawn_failure_sharded;
-    Alcotest.test_case "exchange stall bit-identical" `Quick
-      test_exchange_stall_bit_identical;
-    Alcotest.test_case "exchange crash cascades" `Quick
-      test_exchange_crash_cascades;
-    Alcotest.test_case "exchange ring abort terminates" `Quick
-      test_exchange_ring_abort_terminates;
-    Alcotest.test_case "forwarder drop accounting reconciles" `Quick
-      test_forwarder_drop_accounting;
-    Alcotest.test_case "forwarder crash ledger closes" `Quick
-      test_forwarder_crash_ledger;
-    Alcotest.test_case "ring.abort once (injected pop abort)" `Quick
-      (test_ring_abort_two_domain "pop@1=crash");
-    Alcotest.test_case "ring.abort once (injected push abort)" `Quick
-      (test_ring_abort_two_domain "push@2=crash");
-    Alcotest.test_case "ring.abort once (helper crash)" `Quick
-      (test_ring_abort_two_domain "pop@2=crash");
-    Alcotest.test_case "ring.abort once per shard ring" `Quick
-      test_ring_abort_sharded;
-    Alcotest.test_case "random-seed sweep terminates" `Quick test_seed_sweep;
-    Alcotest.test_case "one loss rule: an error or inline's result" `Quick
-      test_one_loss_rule;
-    Alcotest.test_case "abort unparks a parked consumer" `Quick
-      test_abort_unparks_consumer;
-    Alcotest.test_case "wall times non-negative" `Quick
-      test_wall_times_non_negative;
-  ]
+  [ Alcotest.test_case "fault plans round-trip" `Quick test_plan_roundtrip ]
+  @ List.map
+      (fun r -> Alcotest.test_case r.name `Quick (test_fault_row r))
+      fault_table
+  @ [
+      Alcotest.test_case "stall/delay bit-identical" `Quick
+        test_stall_delay_bit_identical;
+      Alcotest.test_case "exchange stall bit-identical" `Quick
+        test_exchange_stall_bit_identical;
+      Alcotest.test_case "exchange crash cascades" `Quick
+        test_exchange_crash_cascades;
+      Alcotest.test_case "exchange ring abort terminates" `Quick
+        test_exchange_ring_abort_terminates;
+      Alcotest.test_case "forwarder drop accounting reconciles" `Quick
+        test_forwarder_drop_accounting;
+      Alcotest.test_case "forwarder crash ledger closes" `Quick
+        test_forwarder_crash_ledger;
+      Alcotest.test_case "a dropped batch is reused, not reallocated" `Quick
+        test_dropped_batch_reused;
+      Alcotest.test_case "random-seed sweep terminates" `Quick test_seed_sweep;
+      Alcotest.test_case "one loss rule: an error or inline's result" `Quick
+        test_one_loss_rule;
+      Alcotest.test_case "abort unparks a parked consumer" `Quick
+        test_abort_unparks_consumer;
+      Alcotest.test_case "wall times non-negative" `Quick
+        test_wall_times_non_negative;
+    ]
   @ List.map Qcheck_run.to_alcotest
       [ prop_final_element_at_close; prop_abort_unparks_producer ]

@@ -142,7 +142,8 @@ let channel_metrics ns =
       "forwarder.consumed_batches"; "forwarder.consumed_events";
       "forwarder.discarded_batches"; "forwarder.discarded_events";
       "forwarder.dropped_batches"; "forwarder.dropped_events";
-      "forwarder.events"; "ring.capacity_batches"; "ring.drops";
+      "forwarder.events"; "forwarder.words"; "ring.capacity_batches";
+      "ring.drops";
       "ring.in_flight_batches"; "ring.stalls"; "ring.waits";
     ]
 

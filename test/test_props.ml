@@ -1,8 +1,10 @@
 (* Property-based tests over randomly generated programs.
 
    The generator produces terminating programs (straight-line code,
-   bounded loops, guarded blocks, calls into a generated callee) over
-   a small register file and eight memory cells spread over five
+   bounded loops, guarded blocks, direct calls into a generated
+   callee, indirect calls to it through a function-id register, calls
+   into a bounded recursive function, and stores inside a held mutex)
+   over a small register file and eight memory cells spread over five
    64-location blocks, with input reads and output writes sprinkled
    in.  Properties cross-validate independent implementations against
    each other: the taint engine against the dependence graph + slicer,
@@ -26,16 +28,32 @@ type op =
   | G_store of int * int  (* ra, cell *)
   | G_load of int * int  (* rd, cell *)
   | G_call of int  (* rd := callee (r0, r1) *)
+  | G_icall of int  (* rd := callee (r0, r1), through its function id *)
+  | G_rec of int * int  (* rd := recurse (depth 1..3) *)
+  | G_locked of int * op list  (* mutex (0..1), stores made holding it *)
   | G_guarded of int * op list  (* guard reg, body *)
   | G_loop of int * int * op list
       (* index reg (distinct per nesting depth), iterations (1..4), body *)
+
+let store_gen =
+  QCheck2.Gen.(map2 (fun ra cell -> G_store (ra, cell)) (0 -- 5) (0 -- 7))
 
 let rec op_gen ~calls depth =
   QCheck2.Gen.(
     let leaf =
       oneof
-        ((if calls then [ map (fun rd -> G_call rd) (0 -- 5) ] else [])
+        ((if calls then
+            [
+              map (fun rd -> G_call rd) (0 -- 5);
+              map (fun rd -> G_icall rd) (0 -- 5);
+              map2 (fun rd n -> G_rec (rd, n)) (0 -- 5) (1 -- 3);
+            ]
+          else [])
         @ [
+          map2
+            (fun m body -> G_locked (m, body))
+            (0 -- 1)
+            (list_size (1 -- 3) store_gen);
           map2 (fun rd k -> G_movi (rd, k)) (0 -- 5) (0 -- 100);
           map2
             (fun (k, rd) (ra, rb) -> G_arith (k, rd, ra, rb))
@@ -76,6 +94,13 @@ let prog_gen =
    spreads them over its shards. *)
 let cell_addr cell = 100 + (40 * cell)
 
+(* The callee's function id: every generated program lists [main]
+   first and [callee] second. *)
+let callee_id = 1
+
+(* A register no generated op names, for the indirect call's target. *)
+let fid_reg = Reg.make 11
+
 let rec emit b op =
   match op with
   | G_movi (rd, k) -> Builder.movi b (Reg.make rd) k
@@ -88,6 +113,16 @@ let rec emit b op =
       Builder.store b (reg (Reg.make ra)) (imm (cell_addr cell)) 0
   | G_load (rd, cell) -> Builder.load b (Reg.make rd) (imm (cell_addr cell)) 0
   | G_call rd -> Builder.call b "callee" ~ret:(Some (Reg.make rd))
+  | G_icall rd ->
+      Builder.movi b fid_reg callee_id;
+      Builder.icall b (reg fid_reg) ~ret:(Some (Reg.make rd))
+  | G_rec (rd, n) ->
+      Builder.movi b Reg.r0 n;
+      Builder.call b "recurse" ~ret:(Some (Reg.make rd))
+  | G_locked (m, body) ->
+      Builder.lock b (imm m);
+      List.iter (emit b) body;
+      Builder.unlock b (imm m)
   | G_guarded (g, body) ->
       Builder.if_nz1 b (reg (Reg.make g)) (fun () -> List.iter (emit b) body)
   | G_loop (idx, n, body) ->
@@ -99,6 +134,17 @@ let define_callee callee =
       List.iter (emit b) callee;
       Builder.ret b (Some (reg (Reg.make 0))))
 
+(* [recurse n] calls itself down to [n = 0], storing [n] at every
+   level on the way back: a fresh register frame per level. *)
+let define_recurse () =
+  Builder.define ~name:"recurse" ~arity:1 (fun b ->
+      Builder.if_nz1 b (reg Reg.r0) (fun () ->
+          Builder.sub b Reg.r1 (reg Reg.r0) (imm 1);
+          Builder.mov b Reg.r0 (reg Reg.r1);
+          Builder.call b "recurse" ~ret:(Some Reg.r1));
+      Builder.store b (reg Reg.r0) (imm (cell_addr 0)) 0;
+      Builder.ret b (Some (reg Reg.r0)))
+
 let build_program (ops, callee) =
   Program.make
     [
@@ -108,6 +154,7 @@ let build_program (ops, callee) =
           Builder.write b (reg (Reg.make 0));
           Builder.halt b);
       define_callee callee;
+      define_recurse ();
     ]
 
 let inputs_for _ops = Array.init 64 (fun i -> (i * 37) + 3)

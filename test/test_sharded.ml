@@ -439,22 +439,36 @@ module Pc_prop = Prop (Taint.Pc)
 module Set_prop = Prop (Taint.Input_set)
 
 (* {!Test_props.prog_gen}'s programs (memory cells over five blocks,
-   calls into a generated callee, so memory and register frames both
-   spread over the shards), extended: after its generated body, [main]
-   spawns a generated [worker] on one of its registers and joins it.
-   The argument is tainted whenever that register is, and always when
-   [main] first reads an input into it (three cases in four).  The worker
-   writes its r0 out first.  A spawn writes the spawner's tid register
-   and the child's r0, two frames that often live on two shards, so
-   the home shard ships the child's r0 taint to its owner: the
-   exchange's receiver leg. *)
+   direct, indirect and recursive calls, so memory and register frames
+   both spread over the shards), extended: after its generated body,
+   [main] spawns a generated [worker] on one of its registers, makes
+   stores holding mutex 0 or 1 for eight rounds while the worker runs,
+   and joins it.  The argument is tainted whenever that register is,
+   and always when [main] first reads an input into it (three cases in
+   four).  The worker writes its r0 out first, stores it holding mutex
+   0 for eight rounds, then runs its generated body.  A spawn writes
+   the spawner's tid register and the child's r0, two frames that
+   often live on two shards, so the home shard ships the child's r0
+   taint to its owner: the exchange's receiver leg. *)
 let spawn_prog_gen =
   QCheck2.Gen.(
     triple Test_props.prog_gen
-      (pair (0 -- 5) (frequencyl [ (3, true); (1, false) ]))
-      (list_size (0 -- 4) (Test_props.op_gen ~calls:false 1)))
+      (triple (0 -- 5)
+         (frequencyl [ (3, true); (1, false) ])
+         (list_size (1 -- 3)
+            (map2
+               (fun m body -> Test_props.G_locked (m, body))
+               (0 -- 1)
+               (list_size (1 -- 2) Test_props.store_gen))))
+      (list_size (0 -- 4) (Test_props.op_gen ~calls:true 1)))
 
-let build_spawning ((ops, callee), (arg, read_first), worker) =
+(* Eight rounds of [body]: long enough for the scheduler to preempt
+   one thread inside a held mutex and run the other against it. *)
+let repeat b body =
+  Builder.for_up b ~idx:(Reg.make 10) ~from_:(Operand.imm 0)
+    ~below:(Operand.imm 8) body
+
+let build_spawning ((ops, callee), (arg, read_first, meanwhile), worker) =
   let reg x = Operand.reg (Reg.make x) and tid = Reg.make 9 in
   Program.make
     [
@@ -462,14 +476,19 @@ let build_spawning ((ops, callee), (arg, read_first), worker) =
           List.iter (Test_props.emit b) ops;
           if read_first then Builder.read b (Reg.make arg);
           Builder.spawn b tid "worker" (reg arg);
+          repeat b (fun () -> List.iter (Test_props.emit b) meanwhile);
           Builder.join b (Operand.reg tid);
           Builder.write b (reg 0);
           Builder.halt b);
       Test_props.define_callee callee;
       Builder.define ~name:"worker" ~arity:1 (fun b ->
           Builder.write b (reg 0);
+          repeat b (fun () ->
+              Test_props.emit b
+                (Test_props.G_locked (0, [ Test_props.G_store (0, 1) ])));
           List.iter (Test_props.emit b) worker;
           Builder.ret b None);
+      Test_props.define_recurse ();
     ]
 
 let pp_program ppf case = Program.pp ppf (build_spawning case)

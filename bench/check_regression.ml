@@ -1,5 +1,5 @@
 (* CI gate for the performance claims: re-runs the engine micro-sweep
-   and the shard-scaling sweep in-process (smoke scale) and fails
+   and the forwarding-plane sweep in-process (smoke scale) and fails
    loudly if either regresses.
 
    Two checks over the sweep of {!Engine_bench}:
@@ -12,10 +12,6 @@
      shadow traffic must be at least 2x faster on a majority of
      kernels (the single-core CI box is noisy, so the gate asks for 2
      of 3 rather than all).
-
-   One check over the sweep of {!Shard_bench}: the 4-shard aggregate
-   drain rate must stay >= 1.5x the 1-shard rate on at least two
-   kernels.
 
    Two checks over the sweep of {!Forward_bench}: the coded wire's
    helper-drain throughput must stay >= 1.3x the boxed wire's on at
@@ -71,26 +67,6 @@ let () =
       "bool shadow traffic >=2x faster than the hashtable on only %d \
        kernel(s); need >=2"
       bool_2x;
-  (* The shard-scaling gate (BENCH_4.json; see shard_bench.ml): at 4
-     shards the aggregate drain rate must be at least 1.5x the
-     one-shard rate on at least two kernels.  The call-dense kernels
-     (treesum, feistel) are the ones expected to scale — frame
-     striping spreads their activations — while the single-frame
-     loops are expected to sit near 1x; the gate fails only if the
-     scaling story itself regresses.  Each point is the best of 15
-     isolated replays: with 5, treesum read 1.34-2.58x and qsort
-     1.01-2.45x, and one run in ten failed on each side; with 15 the
-     gate passed ten runs of ten. *)
-  let srows = Shard_bench.run ~size:40 ~reps:15 () in
-  Shard_bench.pp_rows Fmt.stdout srows;
-  let scaling =
-    List.length
-      (List.filter (fun r -> Shard_bench.speedup_at ~shards:4 r >= 1.5) srows)
-  in
-  if scaling < 2 then
-    fail
-      "sharded drain rate >=1.5x at 4 shards on only %d kernel(s); need >=2"
-      scaling;
   (* The forwarding-plane gate (BENCH_5.json; see forward_bench.ml):
      the de-boxed wire must keep its helper-drain advantage on at
      least two kernels.  The long-stream kernels (qsort, feistel) are
@@ -116,8 +92,8 @@ let () =
   match !failures with
   | [] ->
       Fmt.pr
-        "@.check_regression: paged shadow, sharded runtime and de-boxed \
-         wire hold their speedups, and the coded feed stays lean@."
+        "@.check_regression: paged shadow and de-boxed wire hold their \
+         speedups, and the coded feed stays lean@."
   | fs ->
       Fmt.epr "@.check_regression FAILED:@.";
       List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev fs);

@@ -93,8 +93,7 @@ let run ?(size = 60) ?(seed = 3) ?(reps = 5)
     (fun kname ->
       let w = Spec_like.by_name kname in
       let program = w.Workload.program in
-      (* same stream scaling as shard_bench: long enough that a trip
-         dwarfs the clock granularity *)
+      (* long enough that a trip dwarfs the clock granularity *)
       let ksize =
         match kname with
         | "matmul" -> size

@@ -13,9 +13,8 @@
       visible (the tables above measure the modelled cycles, not wall
       clock).
 
-   Then the engine, shard-scaling and forwarding-plane sweeps,
-   serialized to BENCH_3.json, BENCH_4.json and BENCH_5.json for
-   bench/check_regression.ml. *)
+   Then the engine and forwarding-plane sweeps, serialized to
+   BENCH_3.json and BENCH_5.json for bench/check_regression.ml. *)
 
 open Bechamel
 open Toolkit
@@ -311,19 +310,11 @@ let write_forward_json ?size ?reps file =
   Forward_bench.pp_rows Fmt.stdout rows;
   write_json file (Forward_bench.json rows)
 
-(* The shard-scaling sweep (kernel x shard count, two-pass journal
-   replay; see shard_bench.ml) serialized to BENCH_4.json. *)
-let write_shard_json ?size ?reps file =
-  let rows = Shard_bench.run ?size ?reps () in
-  Shard_bench.pp_rows Fmt.stdout rows;
-  write_json file (Shard_bench.json rows)
-
 let () =
   (* `bench --engine-json [FILE]`: only the engine micro-sweep;
-     `bench --shard-json [FILE]`: only the shard-scaling sweep;
      `bench --forward-json [FILE]`: only the forwarding-plane sweep
      (`--smoke` shrinks any sweep to the CI scale).  Plain `bench`:
-     tables + micro-benchmarks, then all three sweeps next to the
+     tables + micro-benchmarks, then both sweeps next to the
      current directory. *)
   match Array.to_list Sys.argv with
   | _ :: "--engine-json" :: rest ->
@@ -335,15 +326,6 @@ let () =
       in
       if smoke then write_engine_json ~size:25 ~reps:3 file
       else write_engine_json file
-  | _ :: "--shard-json" :: rest ->
-      let smoke = List.mem "--smoke" rest in
-      let file =
-        match List.filter (fun a -> a <> "--smoke") rest with
-        | f :: _ -> f
-        | [] -> "BENCH_4.json"
-      in
-      if smoke then write_shard_json ~size:40 ~reps:3 file
-      else write_shard_json file
   | _ :: "--forward-json" :: rest ->
       let smoke = List.mem "--smoke" rest in
       let file =
@@ -357,5 +339,4 @@ let () =
       print_tables ();
       run_benchmarks ();
       write_engine_json "BENCH_3.json";
-      write_shard_json "BENCH_4.json";
       write_forward_json "BENCH_5.json"

@@ -251,16 +251,6 @@ let taint_cmd =
              Results are bit-identical; only forwarding traffic \
              shrinks.")
   in
-  let helpers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "helpers" ] ~docv:"N"
-          ~doc:
-            "Number of helper domains (with --parallel).  With N > 1, \
-             shadow memory is sharded across the helpers and \
-             cross-shard events are resolved by the two-phase \
-             exchange.")
-  in
   (* The kernel can be named either positionally or with [--workload]
      (convenient in scripted invocations where the options come
      first). *)
@@ -284,8 +274,8 @@ let taint_cmd =
              (with --parallel).  Grammar: [WHERE/]OP@N=FAULT, \
              ';'-separated, where OP is push, pop or spawn, FAULT is \
              $(b,stall:)NS or $(b,crash), and WHERE is a prefix of \
-             parallel, parallel.shard<i> or xchg.<src>.<dst> — e.g. \
-             $(b,push@3=crash;xchg/pop@2=stall:2000000).  A crash \
+             the ring's namespace, parallel — e.g. \
+             $(b,push@3=crash;parallel/pop@2=stall:2000000).  A crash \
              fails the run on the side it hits.  The run exits 0 \
              when it terminates cleanly with only injected failures.")
   in
@@ -308,8 +298,8 @@ let taint_cmd =
           ~doc:
             "Turn on the always-on flight recorder: each domain keeps \
              its last $(docv) structured events (default 512) in a \
-             bounded ring — channel ops, exchange legs, chaos \
-             injections, engine milestones.  Recording never blocks; \
+             bounded ring — channel ops, chaos injections, engine \
+             milestones.  Recording never blocks; \
              overflow overwrites the oldest events and is counted.  \
              Implied by --crash-dump.")
   in
@@ -351,7 +341,9 @@ let taint_cmd =
           ~doc:
             "Supervise the parallel run with watchdog deadlines (with \
              --parallel).  Grammar: DEFAULT_MS[;SEAM_PREFIX=MS...], e.g. \
-             $(b,500) or $(b,500;xchg=200;join.helper=2000).  A seam that \
+             $(b,500) or $(b,500;parallel.pop=200;join.helper=2000); \
+             SEAM_PREFIX must be a prefix of parallel.push, \
+             parallel.pop, spawn.helper or join.helper.  A seam that \
              stays blocked past its deadline while the whole run is \
              frozen triggers the timeout-and-cascade shutdown and a \
              structured deadline error (rendered by $(b,diftc inspect)).")
@@ -362,8 +354,8 @@ let taint_cmd =
       & opt (some (enum [ ("inline", `Inline) ])) None
       & info [ "degrade" ] ~docv:"MODE"
           ~doc:
-            "Degraded-mode completion (with --parallel): when a helper \
-             or shard dies or misses its deadline, finish the tracking \
+            "Degraded-mode completion (with --parallel): when the helper \
+             dies or misses its deadline, finish the tracking \
              with the $(b,inline) sequential engine on the application \
              domain and report a complete (flagged) result instead of \
              an error.")
@@ -372,7 +364,7 @@ let taint_cmd =
     if taint && sink = Engine.Sink_output then
       Fmt.pr "tainted output %d at step %d@." e.Event.value e.Event.step
   in
-  let run pos_name workload size seed parallel helpers queue_capacity
+  let run pos_name workload size seed parallel queue_capacity
       batch_size wire forward_filter fault_plan fault_seed flight_record
       crash_dump heartbeat heartbeat_interval deadline degrade stats chrome
       trace_capacity =
@@ -399,9 +391,6 @@ let taint_cmd =
         1
     | Ok _, _, _ when parallel && (queue_capacity < 1 || batch_size < 1) ->
         Fmt.epr "--queue-capacity and --batch-size must be at least 1@.";
-        1
-    | Ok _, _, _ when parallel && helpers < 1 ->
-        Fmt.epr "--helpers must be at least 1@.";
         1
     | Ok _, _, _ when forward_filter && not parallel ->
         Fmt.epr "--forward-filter requires --parallel@.";
@@ -485,13 +474,11 @@ let taint_cmd =
           Option.map (fun pl -> Dift_parallel.Chaos.create ?flight pl) plan
         in
         (* A fault-injected run is green when it terminated cleanly and
-           the primary failure is the injected one (or the Shard_dead
-           cascade it caused); anything else is a real failure. *)
+           the primary failure is the injected one; anything else is a
+           real failure. *)
         let expected_failure ex =
           match ex with
-          | Dift_parallel.Chaos.Injected _
-          | Dift_parallel.Shard_engine.Shard_dead ->
-              chaos <> None
+          | Dift_parallel.Chaos.Injected _ -> chaos <> None
           (* a deadline miss under active supervision is the watchdog
              doing its job, not a runtime defect *)
           | Dift_parallel.Watchdog.Deadline_exceeded _ -> wd <> None
@@ -513,46 +500,28 @@ let taint_cmd =
          else
            let open Dift_parallel.Parallel in
            match
-             run_sharded_result ?obs ?trace:tracer ?flight ?chaos
-               ?watchdog:wd ?degrade ~wire ~forward_filter ~queue_capacity
-               ~batch_size ~on_sink ~shards:helpers w.Workload.program ~input
+             run_result ?obs ?trace:tracer ?flight ?chaos ?watchdog:wd
+               ?degrade ~wire ~forward_filter ~queue_capacity ~batch_size
+               ~on_sink w.Workload.program ~input
            with
            | Error e ->
-               Fmt.epr "%s run failed: %a@."
-                 (if helpers > 1 then "sharded" else "parallel")
-                 pp_error e;
+               Fmt.epr "parallel run failed: %a@." pp_error e;
                failed := Some e;
                rc := if expected_failure e.e_exn then 0 else 1
            | Ok r ->
-               Option.iter (Fmt.pr "%a@." pp_degraded) r.s_degraded;
-               print_result r.s_result;
-               if helpers = 1 then begin
-                 let s = r.s_per_shard.(0) in
-                 Fmt.pr
-                   "channel: %d batches (ring %d x %d), %d producer stalls, \
-                    %d helper waits@."
-                   s.batches r.s_queue_capacity r.s_batch_size
-                   s.producer_stalls s.consumer_waits;
-                 if s.dropped_batches > 0 then
-                   Fmt.pr "dropped: %d batches / %d events@."
-                     s.dropped_batches s.dropped_events;
-                 Fmt.pr "wall: main %.2f ms, total %.2f ms@."
-                   (float_of_int r.s_main_wall_ns /. 1e6)
-                   (float_of_int r.s_total_wall_ns /. 1e6)
-               end
-               else begin
-                 Fmt.pr "sharding: %a@." pp_sharded_report r;
-                 Array.iter
-                   (fun (s : Dift_parallel.Shard_engine.shard_stat) ->
-                     Fmt.pr
-                       "  shard %d: %d events in %d batches, %d sent / %d \
-                        received, busy %.2f ms (%d stalls, %d waits)@."
-                       s.shard s.handled s.batches s.exchange_sent
-                       s.exchange_received
-                       (float_of_int s.busy_ns /. 1e6)
-                       s.producer_stalls s.consumer_waits)
-                   r.s_per_shard
-               end);
+               Option.iter (Fmt.pr "%a@." pp_degraded) r.degraded;
+               print_result r.result;
+               Fmt.pr
+                 "channel: %d batches (ring %d x %d), %d producer stalls, %d \
+                  helper waits@."
+                 r.batches r.queue_capacity r.batch_size r.producer_stalls
+                 r.consumer_waits;
+               if r.dropped_batches > 0 then
+                 Fmt.pr "dropped: %d batches / %d events@." r.dropped_batches
+                   r.dropped_events;
+               Fmt.pr "wall: main %.2f ms, total %.2f ms@."
+                 (float_of_int r.main_wall_ns /. 1e6)
+                 (float_of_int r.total_wall_ns /. 1e6));
         (match chaos with
         | Some c ->
             Fmt.epr "faults fired: %d@." (Dift_parallel.Chaos.fired c)
@@ -572,9 +541,7 @@ let taint_cmd =
         | Some e, Some file ->
             let geometry =
               {
-                Dift_parallel.Postmortem.g_runtime =
-                  (if helpers > 1 then "sharded" else "parallel");
-                g_shards = helpers;
+                Dift_parallel.Postmortem.g_runtime = "parallel";
                 g_queue_capacity = queue_capacity;
                 g_batch_size = batch_size;
                 g_wire = wire;
@@ -616,7 +583,7 @@ let taint_cmd =
           (--fault-plan/--fault-seed).")
     Term.(
       const run $ pos_name_arg $ workload_arg $ size_arg $ seed_arg
-      $ parallel_arg $ helpers_arg $ queue_arg $ batch_arg $ wire_arg
+      $ parallel_arg $ queue_arg $ batch_arg $ wire_arg
       $ forward_filter_arg $ fault_plan_arg $ fault_seed_arg
       $ flight_record_arg $ crash_dump_arg $ heartbeat_arg
       $ heartbeat_interval_arg $ deadline_arg $ degrade_arg $ stats_arg
@@ -692,9 +659,9 @@ let inspect_cmd =
     | None -> ()
   in
   let print_geometry g =
-    Fmt.pr "geometry: %s runtime, %d shard(s), ring %d x %d%s%s%s%s@."
+    Fmt.pr "geometry: %s runtime, ring %d x %d%s%s%s%s@."
       (Option.value ~default:"?" (str g "runtime"))
-      (num "shards" g) (num "queue_capacity" g) (num "batch_size" g)
+      (num "queue_capacity" g) (num "batch_size" g)
       (match str g "wire" with
       | Some w -> Fmt.str ", %s wire" w
       | None -> "")

@@ -13,9 +13,7 @@
     cycle model — it answers "what would this cost on the paper's
     hardware?".  Its counterpart [Dift_parallel.Parallel] {e runs} the
     same architecture for real on OCaml 5 domains (one helper via
-    [Parallel.run_result], N sharded helpers via
-    [Parallel.run_sharded_result]) and
-    reports wall-clock time; the two are compared side by side in
+    [Parallel.run_result]) and reports wall-clock time; the two are compared side by side in
     [README.md], "Simulated vs. real parallelism". *)
 
 open Dift_isa

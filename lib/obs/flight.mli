@@ -37,7 +37,7 @@
 type t
 
 (** One recorded event.  [a]/[b] are two free-form integer payload
-    slots (batch length, shard index, …) and [detail] an optional
+    slots (batch length, occurrence index, …) and [detail] an optional
     free-form string; their meaning is per-event-name, catalogued in
     [docs/observability.md]. *)
 type entry = {
@@ -69,8 +69,8 @@ val capacity : t -> int
 (** Nanoseconds since the recorder was created (monotonic clock). *)
 val now_ns : t -> int
 
-(** Label the calling domain's ring (["app"], ["helper"],
-    ["shard-0"], …).  Defaults to ["domain-N"]. *)
+(** Label the calling domain's ring (["app"], ["helper"], …).
+    Defaults to ["domain-N"]. *)
 val name_domain : t -> string -> unit
 
 (** [record t ~cat name] appends an event to the calling domain's

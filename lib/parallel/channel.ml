@@ -1,14 +1,14 @@
-(** The forwarding plane (paper §2.1): one feed ring per helper, over
+(** The forwarding plane (paper §2.1): the helper's feed ring, over
     either wire; see the interface for the protocol.
 
     A ring slot carries one batch of the wire's own type: a
     {!Codec.batch} on the coded wire, a record batch (an
     {!Dift_vm.Event.exec} array plus a fill length) on the boxed one.
     The batch hands the consumer its length, so a partial batch (the
-    trailing one at {!close}, or a {!flush}) costs no [Array.sub]
-    copy.  The consumer empties each batch before its next pop, and
-    the producer reopens its own shipped batches once the consumer is
-    past them, so in steady state forwarding allocates no batch.
+    trailing one at {!close}) costs no [Array.sub] copy.  The consumer
+    empties each batch before its next pop, and the producer reopens
+    its own shipped batches once the consumer is past them, so in
+    steady state forwarding allocates no batch.
     Emptying a boxed batch overwrites its consumed slots, so it does
     not keep its records alive, and promoted, until they are
     refilled. *)
@@ -74,8 +74,8 @@ let feed_counts q : Probe.counts =
     in_flight_batches = Spsc.length q.ring;
   }
 
-let feed ~probe ~ns ~queue_capacity ~batch_size ~length ~words ~fresh ~clear =
-  let probe = Probe.feed probe ~ns in
+let feed ~probe ~queue_capacity ~batch_size ~length ~words ~fresh ~clear =
+  let probe = Probe.feed probe in
   let ring = Probe.ring probe ~capacity:queue_capacity in
   let q =
     {
@@ -246,7 +246,7 @@ let wire = function Boxed _ -> `Boxed | Coded _ -> `Coded
 (* What the boxed wire leaves in a consumed slot. *)
 let no_exec = Event.view_to_exec (Event.view_blank ())
 
-let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
+let create ?(probe = Probe.off) ~wire
     ~queue_capacity ~batch_size ~table () =
   if queue_capacity < 1 then
     invalid_arg
@@ -256,7 +256,7 @@ let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
   match wire with
   | `Boxed ->
       Boxed
-        (feed ~probe ~ns ~queue_capacity ~batch_size
+        (feed ~probe ~queue_capacity ~batch_size
            ~length:(fun b -> b.len)
            ~words:(fun b -> b.len)
            ~fresh:(fun () -> { data = Array.make batch_size no_exec; len = 0 })
@@ -270,7 +270,7 @@ let create ?(probe = Probe.off) ?(ns = "parallel") ~wire
           table;
           enc = Codec.encoder table;
           q =
-            feed ~probe ~ns ~queue_capacity ~batch_size
+            feed ~probe ~queue_capacity ~batch_size
               ~length:Codec.batch_length ~words:Codec.batch_words
               ~fresh:(fun () ->
                 Codec.batch_create ~events_per_batch:batch_size)
@@ -290,8 +290,8 @@ let add t e =
       if b.Codec.b_n = q.batch_size then ship q
 
 (* The boxed wire ships the event's record: the cached one when a tool
-   or a fan-out already built it, otherwise one built for this channel
-   alone.  The coded wire encodes the view in place. *)
+   already built it, otherwise one built for this channel alone.  The
+   coded wire encodes the view in place. *)
 let add_view t v =
   match t with
   | Boxed _ -> add t (Event.view_record v)
@@ -304,7 +304,6 @@ let forward_sink_values = function
   | Boxed _ -> ()
   | Coded { enc; _ } -> Codec.forward_sink_values enc
 
-let flush = function Boxed q -> ship q | Coded { q; _ } -> ship q
 let close = function Boxed q -> close_feed q | Coded { q; _ } -> close_feed q
 let abort = function Boxed q -> abort_feed q | Coded { q; _ } -> abort_feed q
 

@@ -23,12 +23,8 @@
     {!Dift_vm.Event.view}s: the coded wire decodes into its scratch
     view, the boxed wire refills one from each record.
 
-    The runtime ({!Shard_engine}) creates one channel per helper:
-    {!Parallel.run_result} forwards the whole event stream over a
-    single channel to its one helper, and
-    {!Parallel.run_sharded_result} creates one channel per shard (with
-    a per-shard [?ns] metric namespace) and routes each event to the
-    shards that participate in it.
+    The runtime ({!Shard_engine}) forwards the whole event stream over
+    one channel to its one helper.
 
     Shutdown protocol: the producer calls {!close}, which ships the
     trailing partial batch and closes the ring; {!drain} then returns
@@ -62,17 +58,15 @@ type t
 
     [probe] (default {!Probe.off}) carries the run's instruments; the
     channel derives its feed-ring seam from it under the namespace
-    [ns] (default ["parallel"]; the sharded runtime passes
-    [parallel.shard<i>]).  Its metrics, trace spans, flight events,
+    [parallel].  Its metrics, trace spans, flight events,
     progress legs and fault-injection seam are catalogued in
     {!Probe}, whatever the wire.  An injected [Crash] on the ring
     crashes the side it intercepts: it surfaces from
-    {!add}/{!add_view}/{!flush}/{!close} or {!drain} after the batch
+    {!add}/{!add_view}/{!close} or {!drain} after the batch
     in hand is booked as dropped or discarded (see {!Probe.counts}).
     @raise Invalid_argument if either size is [< 1]. *)
 val create :
   ?probe:Probe.t ->
-  ?ns:string ->
   wire:wire ->
   queue_capacity:int ->
   batch_size:int ->
@@ -87,10 +81,7 @@ val wire : t -> wire
 (** Forward the event in the view: the coded wire encodes it in
     place, the boxed wire ships its record
     ({!Dift_vm.Event.view_record}: the one allocation that wire pays
-    per event, unless the record is already cached in the view).  To
-    send one event to several boxed channels, cache its record first
-    ({!Dift_vm.Event.view_to_exec}) so that they all ship the same
-    one. *)
+    per event, unless the record is already cached in the view). *)
 val add_view : t -> Event.view -> unit
 
 (** Forward a boxed record. *)
@@ -98,13 +89,8 @@ val add : t -> Event.exec -> unit
 
 (** From now on, forward each sink event's value too
     ({!Codec.forward_sink_values}; the boxed wire always ships whole
-    records).  For a run whose helpers record sink events. *)
+    records).  For a run whose helper records sink events. *)
 val forward_sink_values : t -> unit
-
-(** Push the open partial batch, if any.  The sharded router calls
-    this after every cross-shard event so no participant's copy can
-    sit in an open batch while a peer shard blocks waiting for it. *)
-val flush : t -> unit
 
 (** Flush and close the ring: no more events will be forwarded. *)
 val close : t -> unit

@@ -41,20 +41,10 @@ let prefix ~pre s =
   String.length pre <= String.length s
   && String.sub s 0 (String.length pre) = pre
 
-(* Whether [w] is a prefix of some channel namespace: [parallel],
-   [parallel.shard<i>] or [xchg.<src>.<dst>].  Any other [where]
-   would match no channel, and its rule would never fire. *)
-let names_a_channel w =
-  let digits s = String.for_all (fun c -> '0' <= c && c <= '9') s in
-  match String.split_on_char '.' w with
-  | [ p ] -> prefix ~pre:p "parallel" || prefix ~pre:p "xchg"
-  | [ "parallel"; s ] ->
-      prefix ~pre:s "shard"
-      || prefix ~pre:"shard" s
-         && digits (String.sub s 5 (String.length s - 5))
-  | [ "xchg"; src ] -> digits src
-  | [ "xchg"; src; dst ] -> src <> "" && digits src && digits dst
-  | _ -> false
+(* Whether [w] is a prefix of the one channel namespace, [parallel].
+   Any other [where] would match no channel, and its rule would never
+   fire. *)
+let names_a_channel w = prefix ~pre:w "parallel"
 
 let rule_of_string s =
   let where, rest =
@@ -68,9 +58,7 @@ let rule_of_string s =
   | Some w, _ when not (names_a_channel w) ->
       Error
         (Fmt.str
-           "rule %S: %S names no channel (want a prefix of parallel, \
-            parallel.shard<i> or xchg.<src>.<dst>)"
-           s w)
+           "rule %S: %S names no channel (want a prefix of parallel)" s w)
   | _, None -> Error (Fmt.str "rule %S: missing '@'" s)
   | _, Some i -> (
       let op_name = String.sub rest 0 i in

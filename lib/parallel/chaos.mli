@@ -2,8 +2,7 @@
 
     The decoupled architecture of paper §2.1 is only as sound as its
     failure and shutdown legs: helper crash mid-drain, application
-    crash mid-run, a stalled exchange ring, an abort racing a parked
-    peer.  Those legs run rarely in production and never on the happy
+    crash mid-run, a stalled ring, an abort racing a parked peer.  Those legs run rarely in production and never on the happy
     path the cross-validation tests exercise — so this module makes
     them {e schedulable}: a {!plan} is a deterministic list of faults
     keyed to the N-th occurrence of a channel operation, and the
@@ -26,8 +25,8 @@
 exception Injected of string
 
 (** Which channel operation a rule intercepts.  [Push]/[Pop] are the
-    producer/consumer sides of any {!Spsc}-backed channel (forwarding
-    ring or exchange ring); [Spawn] intercepts [Domain.spawn] in the
+    producer/consumer sides of the {!Spsc}-backed forwarding ring;
+    [Spawn] intercepts [Domain.spawn] in the
     runtimes, modelling helper-domain creation failure. *)
 type op = Push | Pop | Spawn
 
@@ -39,9 +38,8 @@ type fault =
           intercepted side *)
   | Crash
       (** raise {!Injected} from the operation: a crash of the
-          intercepting side.  A lost event or exchange message would
-          change the helper's result or strand a peer mid-exchange, so
-          losing one and crashing are the same fault. *)
+          intercepting side.  A lost event would change the helper's
+          result, so losing one and crashing are the same fault. *)
 
 (** One scheduled fault: fire [fault] on the [at]-th (1-based)
     occurrence of [on] for channels whose name starts with [where]
@@ -68,11 +66,10 @@ rule  := [where '/'] op '@' at '=' fault
 op    := 'push' | 'pop' | 'spawn'
 fault := 'stall:' ns | 'crash'
     v}
-    e.g. [push@3=crash;parallel.shard1/pop@2=crash;xchg/push@1=stall:2000000].
+    e.g. [push@3=crash;parallel/pop@2=stall:2000000].
     [where] is matched as a prefix of the channel namespace
-    ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]); a [where]
-    that is a prefix of none of them is rejected, as it could never
-    fire.  [drop], [abort], [raise] and [delay:] are rejected with an
+    [parallel]; a [where] that is not a prefix of it is rejected, as
+    it could never fire.  [drop], [abort], [raise] and [delay:] are rejected with an
     error that names the faults there are. *)
 val plan_of_string : string -> (plan, string) result
 
@@ -115,8 +112,8 @@ val stalled_ns : t -> int
     the underlying {!Spsc} sides. *)
 type inst
 
-(** [instance t ~ns] — a ring that carries events or exchange
-    messages ([parallel], [parallel.shard<i>], [xchg.<src>.<dst>]). *)
+(** [instance t ~ns] — the ring that carries events, namespace
+    [ns] ([parallel]). *)
 val instance : t -> ns:string -> inst
 
 (** Serve the next push (pop) on the ring: sleep out any [Stall]

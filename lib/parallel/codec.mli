@@ -42,7 +42,7 @@
     {b The value rule.}  The value is forwarded only where a helper
     reads it: always at a [Spawn] (the engine keys control taint by
     the child's tid), and at sink sites once {!forward_sink_values}
-    was called (a run whose helpers record sink events).  It travels
+    was called (a run whose helper records sink events).  It travels
     in the cut; every other decoded event has [v_value = 0].
 
     {b Sites only.}  The encoder raises [Invalid_argument] for an
@@ -110,7 +110,7 @@ type encoder
 val encoder : Site.table -> encoder
 
 (** From now on, forward the value at every sink site too (see the
-    value rule above).  For a run whose helpers record sink events. *)
+    value rule above).  For a run whose helper records sink events. *)
 val forward_sink_values : encoder -> unit
 
 (** Append one event to the batch (which must not be full), reading

@@ -67,8 +67,8 @@ open Dift_vm
 
 type t
 
-(** [create ~slots ()] — [slots] consumer epoch slots (1 for the
-    two-domain runtime, one per shard for the sharded one).  The hash
+(** [create ~slots ()] — [slots] consumer epoch slots (the runtime
+    uses 1, for its one helper).  The hash
     map is 1024 words of 63 page keys, one per bit of an OCaml int
     (64,512 keys), over pages of 64 locations of one plane.
     [reset_interval] (default 8192) is the number of {!admit} calls

@@ -1,47 +1,43 @@
-(** The parallel DIFT runtimes (paper §2.1, "Exploiting multicores").
+(** The parallel DIFT runtime (paper §2.1, "Exploiting multicores").
 
     Where [Dift_multicore.Helper] {e simulates} the main-core /
     helper-core split with a cycle model, this module {e runs} it: the
-    application executes in the calling OCaml 5 domain while helper
-    domains consume the forwarded event stream through bounded
-    {!Channel}s and drive the shared taint engine
+    application executes in the calling OCaml 5 domain while one
+    helper domain consumes the forwarded event stream through a
+    bounded {!Channel} and drives the shared taint engine
     ({!Dift_core.Engine} over {!Dift_core.Taint.Bool}).  The numbers
     it reports are wall-clock, not modelled cycles — the software
     proof that the paper's decoupled architecture keeps the
     application core running while tracking proceeds elsewhere.
 
-    There is one runtime: a supervisor over a {!Shard_engine} cluster.
-    {!run_result} is its one-shard form (the two-domain runtime: one
-    helper, no router, no exchange mesh) and {!run_sharded_result} its
-    N-shard form.  Because the channels are FIFO and the VM's event
-    stream is deterministic (seeded scheduling), every configuration
-    computes exactly what {!run_inline} computes — asserted by the
-    cross-validation tests in [test/test_parallel.ml] and
-    [test/test_sharded.ml].
+    There is one runtime: a supervisor over a {!Shard_engine} helper,
+    reached through {!run_result} (and {!run_sharded_result}, the same
+    runtime under the name the benchmark ledger calls).  Because the
+    channel is FIFO and the VM's event stream is deterministic (seeded
+    scheduling), every configuration computes exactly what
+    {!run_inline} computes — asserted by the cross-validation tests in
+    [test/test_parallel.ml] and [test/test_sharded.ml].
 
-    {b Client sink callbacks.}  In both runtimes [on_sink] runs once
-    per sink, on the {e calling} domain, after the helpers joined, in
-    step order.  The helpers keep a sink's event record only when a
-    callback is given; without one, a sink costs a helper one addition
-    to the sink-trace hash.  An exception from [on_sink] fails the run
-    on the [`App] leg.  {!run_inline} calls [on_sink] as each sink
-    happens.
+    {b Client sink callbacks.}  [on_sink] runs once per sink, on the
+    {e calling} domain, after the helper joined, in step order.  The
+    helper keeps a sink's event record only when a callback is given;
+    without one, a sink costs the helper one addition to the
+    sink-trace hash.  An exception from [on_sink] fails the run on the
+    [`App] leg.  {!run_inline} calls [on_sink] as each sink happens.
 
     {b Degraded completion.}  With [~degrade:`Inline], a failure of any
-    non-application leg (helper or shard crash, spawn failure,
-    deadline miss) is completed on the calling domain, and the run
-    comes back [Ok], flagged [degraded], with a result bit-identical
-    to {!run_inline}'s.  One helper resumes: the replay processes only
-    the events past the last batch the helper fully processed.  N
-    shards have no consistent cut mid-protocol, so they rerun from
-    scratch. *)
+    non-application leg (helper crash, spawn failure, deadline miss)
+    is completed on the calling domain, and the run comes back [Ok],
+    flagged [degraded], with a result bit-identical to {!run_inline}'s:
+    the replay processes only the events past the last batch the
+    helper fully processed. *)
 
 open Dift_isa
 open Dift_vm
 open Dift_core
 
 (** The boolean-taint engine every runtime runs: the {!Shard_engine}
-    workers' engine, whose solo worker is {!run_inline}'s.  (An
+    worker's engine, whose solo worker is {!run_inline}'s.  (An
     interface cannot name a module inside a functor application, so
     the signature is spelled as {!Dift_core.Engine.Make}'s own.) *)
 module Bool_engine :
@@ -78,10 +74,7 @@ type leg =
   [ `App  (** the application domain (including a trailing-flush
               failure on its side of the channel, and a raising
               [on_sink]) *)
-  | `Helper  (** the one helper of {!run_result} (or of a one-shard
-                 {!run_sharded_result}) *)
-  | `Shard of int  (** the first of N shards that died of its own
-                       exception (not of the [Shard_dead] cascade) *)
+  | `Helper  (** the helper domain *)
   | `Spawn  (** [Domain.spawn] itself failed; no run happened *)
   | `Deadline
     (** the {!Watchdog} detected a wedged seam and cascaded the
@@ -92,7 +85,7 @@ type leg =
 (** Channel accounting at the moment the error was assembled — enough
     to reconcile how much work was fed, delivered and lost. *)
 type partial = {
-  p_events : int;  (** events accepted by the channel(s) *)
+  p_events : int;  (** events accepted by the channel *)
   p_batches : int;  (** batches actually delivered *)
   p_dropped_batches : int;  (** batches lost producer-side *)
   p_dropped_events : int;  (** events inside those batches *)
@@ -113,15 +106,14 @@ type error = {
 val pp_error : error Fmt.t
 
 (** The leg's name in flight records and crash bundles: [app],
-    [helper], [shard-<i>], [spawn] or [deadline]. *)
+    [helper], [spawn] or [deadline]. *)
 val leg_to_string : leg -> string
 
 (** How a run that lost its parallel plane was completed anyway
     ([~degrade:`Inline]): the failing leg and its exception, plus the
     resume point — [d_cutoff_step] is the step of the last event the
-    helper had fully processed ([-1] when nothing was: a spawn
-    failure, or any N-shard degrade, which always reruns from scratch)
-    and [d_replayed_events] how many events the inline completion
+    helper had fully processed ([-1] when nothing was, as after a
+    spawn failure) and [d_replayed_events] how many events the inline completion
     processed past it. *)
 type degraded = {
   d_leg : leg;
@@ -169,8 +161,7 @@ type inline_report = {
 
 (** [run_result program ~input] — the two-domain runtime: [program]
     runs in the current domain while one spawned helper domain
-    performs the taint tracking.  It is the one-shard cluster of
-    {!run_sharded_result}, with nothing to route or exchange.
+    performs the taint tracking.
 
     - {b Geometry.}  [queue_capacity] ring slots of [batch_size]
       events, by default {!Channel.default_queue_capacity} (16) and
@@ -221,12 +212,12 @@ val run_result :
 (** [run_inline program ~input] — the sequential baseline and the
     reference every runtime must match: {!Shard_engine}'s solo worker
     ({!Shard_engine.Make.solo}) driven by the machine in the current
-    domain: the one-shard runtime without a helper domain, channel or
-    mesh.  The machine's tool is the worker's
+    domain: the runtime without a helper domain or channel.  The
+    machine's tool is the worker's
     {!Shard_engine.Make.transfer}, the engine's transfer function
     behind {!Probe.engine}.  Its result is the worker's
-    {!Shard_engine.Make.merge}, the same merge a degraded completion
-    reports; [on_sink] runs as each sink happens.  The instruments
+    {!Shard_engine.Make.summary}, the same summary a degraded
+    completion reports; [on_sink] runs as each sink happens.  The instruments
     see only the {!Probe} run markers and the engine: no [parallel.*]
     metrics (there is no channel), one [app] track and one [app]
     flight ring, carrying the engine's samples and milestones. *)
@@ -241,56 +232,31 @@ val run_inline :
   input:int array ->
   inline_report
 
-(** What {!run_sharded_result} reports on top of the merged
-    {!result}: routing and exchange volume, plus per-shard activity. *)
+(** What {!run_sharded_result} reports. *)
 type sharded_report = {
-  s_result : result;  (** merged, comparable against {!run_inline} *)
-  s_shards : int;
-  s_queue_capacity : int;  (** per-shard inbound ring slots *)
-  s_batch_size : int;  (** events per inbound batch *)
+  s_result : result;  (** comparable against {!run_inline} *)
+  s_queue_capacity : int;  (** ring slots, in batches *)
+  s_batch_size : int;  (** events per batch *)
   s_wire : Channel.wire;  (** forwarding-plane encoding of the run *)
   s_filtered_events : int;
       (** events dropped producer-side by the taint-liveness filter
           ([0] with the filter off); [s_result.events] already adds
           them back *)
-  s_cross_events : int;  (** events that spanned shards *)
-  s_exchange_messages : int;  (** taint vectors through the mesh *)
-  s_per_shard : Shard_engine.shard_stat array;
+  s_helper : Shard_engine.shard_stat;  (** the helper's activity *)
   s_main_wall_ns : int;  (** application-domain run time, to the close *)
-  s_total_wall_ns : int;  (** until the last shard joined *)
+  s_total_wall_ns : int;  (** until the helper joined *)
   s_degraded : degraded option;
-      (** [Some _] iff the cluster failed and the run was completed by
+      (** [Some _] iff the helper failed and the run was completed by
           the degraded-mode inline replay; [s_result] is then still
           bit-identical to {!run_inline}'s *)
 }
 
-(** [run_sharded_result ~shards program ~input] executes [program] in
-    the current domain while [shards] helper domains track taint, each
-    owning a disjoint slice of shadow memory: a {!Router} partitions
-    shadow memory by block interleaving the {!Dift_vm.Loc} encoding,
-    the application domain routes each forwarded event to the shards
-    it touches, and events spanning shards are resolved by
-    {!Shard_engine}'s two-phase read-request/taint-reply exchange.
-    Results merge deterministically at join: sharded(N), {!run_result}
-    and {!run_inline} all produce the same {!result}.  With
-    [~shards:1] this is {!run_result}'s runtime, names and degraded
-    resume included.
-
-    [queue_capacity]/[batch_size] shape each shard's inbound channel
-    (defaults as in {!run_result}); each exchange ring holds
-    {!Shard_engine.default_xchg_capacity} messages.  [wire],
-    [forward_filter] (one liveness epoch per shard), [on_sink] and
-    [degrade] behave as in {!run_result}; N shards degrade by a full
-    rerun.  A [propagate_control] policy runs on one shard only.
-
-    With N shards the seams take per-shard names —
-    [parallel.shard<i>], [shard-<i>], [xchg.<src>.<dst>]; see
-    {!Probe} — and the watchdog's cascade hooks run in dependency
-    order: each feed channel, then the mesh.
-
-    @raise Invalid_argument before any domain starts if [shards],
-    [queue_capacity] or [batch_size] is [< 1], or [shards > 1] under
-    a [propagate_control] policy. *)
+(** [run_sharded_result ~shards:1 program ~input] is {!run_result}'s
+    runtime — the same code, arguments and result — reporting a
+    {!sharded_report}.  It keeps its name and signature because the
+    benchmark ledger ([ledger/ledger.ml]) calls it.
+    @raise Invalid_argument before any domain starts if [shards] is
+    not [1], or if [queue_capacity] or [batch_size] is [< 1]. *)
 val run_sharded_result :
   ?config:Machine.config ->
   ?obs:Dift_obs.Registry.t ->
@@ -309,10 +275,6 @@ val run_sharded_result :
   Program.t ->
   input:int array ->
   (sharded_report, error) Stdlib.result
-
-(** One-line summary of a sharded run: shard count, exchange volume
-    and wall times.  The merged outcome is in [s_result]. *)
-val pp_sharded_report : sharded_report Fmt.t
 
 (** {1 Baselines and comparisons} *)
 

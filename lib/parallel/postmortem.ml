@@ -4,7 +4,6 @@ let schema = "dift-crash-bundle/1"
 
 type geometry = {
   g_runtime : string;
-  g_shards : int;
   g_queue_capacity : int;
   g_batch_size : int;
   g_wire : Channel.wire;
@@ -17,7 +16,6 @@ let geometry_json g =
   Json.obj
     ([
        ("runtime", Json.String g.g_runtime);
-       ("shards", Json.Int g.g_shards);
        ("queue_capacity", Json.Int g.g_queue_capacity);
        ("batch_size", Json.Int g.g_batch_size);
        ("wire", Json.String (Fmt.str "%a" Channel.pp_wire g.g_wire));

@@ -22,9 +22,8 @@ val schema : string
 (** The runtime geometry at the moment of the crash — enough to
     reproduce the channel shapes of the failed run. *)
 type geometry = {
-  g_runtime : string;  (** ["parallel"] (two-domain) or ["sharded"] *)
-  g_shards : int;  (** helper domains; [1] for the two-domain runtime *)
-  g_queue_capacity : int;  (** per-channel ring slots, in batches *)
+  g_runtime : string;  (** ["parallel"]: the two-domain runtime *)
+  g_queue_capacity : int;  (** ring slots, in batches *)
   g_batch_size : int;  (** events per batch *)
   g_wire : Channel.wire;  (** forwarding wire ([`Coded] or [`Boxed]) *)
   g_forward_filter : bool;  (** producer-side liveness filter enabled *)
@@ -37,8 +36,8 @@ type geometry = {
 val geometry_json : geometry -> Dift_obs.Json.t
 
 (** Structured rendering of a supervised failure: the failing leg
-    (as [pp] prints it: [app], [helper], [shard-N], [spawn],
-    [deadline]), the primary exception, every secondary shutdown
+    ([app], [helper], [spawn] or [deadline], as
+    {!Parallel.leg_to_string} names it), the primary exception, every secondary shutdown
     failure, and the channel accounting of {!Parallel.partial}.  When
     the primary exception is {!Watchdog.Deadline_exceeded}, a
     ["deadline"] object is added carrying the stalled seam, its frozen

@@ -44,17 +44,19 @@ type counts = {
 
 type feed = {
   run : t;
-  ns : string;  (** metric namespace, doubles as the flight category *)
   chaos : Chaos.inst option;
   push_leg : Progress.leg option;
   pop_leg : Progress.leg option;
   mutable occupancy : Registry.histogram option;
 }
 
-let feed run ~ns =
+(* The feed ring's namespace: its metric prefix, flight category,
+   progress-leg prefix and fault namespace. *)
+let ns = "parallel"
+
+let feed run =
   {
     run;
-    ns;
     chaos = Option.map (fun c -> Chaos.instance c ~ns) run.chaos;
     push_leg = leg run (ns ^ ".push");
     pop_leg = leg run (ns ^ ".pop");
@@ -78,7 +80,7 @@ let publish f ring ~batch_size counts =
   | None -> ()
   | Some reg ->
       let gauge suffix help read =
-        Registry.gauge_fn reg (f.ns ^ suffix) ~help read
+        Registry.gauge_fn reg (ns ^ suffix) ~help read
       in
       let books suffix help read =
         gauge suffix help (fun () -> read (counts ()))
@@ -93,7 +95,7 @@ let publish f ring ~batch_size counts =
           Spsc.dropped ring);
       f.occupancy <-
         Some
-          (Registry.histogram reg (f.ns ^ ".forwarder.batch_occupancy")
+          (Registry.histogram reg (ns ^ ".forwarder.batch_occupancy")
              ~help:"events per pushed batch"
              ~buckets:(occupancy_buckets batch_size));
       books ".forwarder.events" "events forwarded" (fun c -> c.events);
@@ -123,7 +125,7 @@ let publish f ring ~batch_size counts =
 let note f name ~a ~b =
   match f.run.flight with
   | None -> ()
-  | Some fl -> Flight.record fl ~a ~b ~cat:f.ns name
+  | Some fl -> Flight.record fl ~a ~b ~cat:ns name
 
 (* One ring transfer on the acting domain's track: a span named [slow]
    when the transfer parked (counted by [parks]) and [fast] otherwise,
@@ -181,148 +183,61 @@ let discarded f ~events ~total = note f "ring.discard" ~a:events ~b:total
 let swept f ~batches ~events = note f "ring.sweep" ~a:batches ~b:events
 let closed f ~events ~batches = note f "ring.close" ~a:events ~b:batches
 
-(* -- exchange rings ----------------------------------------------------- *)
-
-type exchange = {
-  x_run : t;
-  src : int;
-  dst : int;
-  x_chaos : Chaos.inst option;
-  x_push_leg : Progress.leg option;
-  x_pop_leg : Progress.leg option;
-}
-
-let exchange x_run ~src ~dst =
-  let ns = Fmt.str "xchg.%d.%d" src dst in
-  {
-    x_run;
-    src;
-    dst;
-    x_chaos = Option.map (fun c -> Chaos.instance c ~ns) x_run.chaos;
-    (* one leg per blocking side, so a stalled exchange names its
-       exact edge *)
-    x_push_leg = leg x_run (ns ^ ".push");
-    x_pop_leg = leg x_run (ns ^ ".pop");
-  }
-
-let exchange_ring x ~capacity =
-  Spsc.create ?push_leg:x.x_push_leg ?pop_leg:x.x_pop_leg ~capacity ()
-
-let x_note x name =
-  match x.x_run.flight with
-  | None -> ()
-  | Some fl -> Flight.record fl ~cat:"xchg" name ~a:x.src ~b:x.dst
-
-(* An injected fault crashes the intercepting shard, whose handler
-   aborts the mesh so that its peers cascade. *)
-let exchange_push x mesh m =
-  Option.iter raise (Option.bind x.x_chaos Chaos.on_push);
-  x_note x "xchg.push";
-  Spsc.push mesh.(x.src).(x.dst) m
-
-let exchange_pop x mesh =
-  Option.iter raise (Option.bind x.x_chaos Chaos.on_pop);
-  let m = Spsc.pop mesh.(x.src).(x.dst) in
-  x_note x (if Option.is_none m then "xchg.dead" else "xchg.pop");
-  m
-
 (* -- helper lifecycle --------------------------------------------------- *)
 
 type helper = {
   h_run : t;
-  shard : int;
-  solo : bool;  (** the one helper of the two-domain runtime *)
   spawn_leg : Progress.leg option;
   join_leg : Progress.leg option;
-  work_leg : Progress.leg option;
   mutable busy_ns : int;
   mutable wall_ns : int;
   on_busy : int -> unit;  (** registry hook, per timed batch *)
   on_wall : int -> unit;  (** registry hook, at drain end *)
 }
 
-let helpers h_run ~shards ~sent ~cross =
-  let solo = shards = 1 in
-  let legs prefix =
-    Array.init shards (fun s ->
-        leg h_run
-          (if solo then prefix ^ ".helper" else Fmt.str "%s.shard%d" prefix s))
-  in
-  let work =
-    Array.init shards (fun s ->
-        if solo then None else leg h_run (Fmt.str "work.shard%d" s))
-  in
-  let spawn = legs "spawn" and join = legs "join" in
-  let make ?(on_busy = ignore) ?(on_wall = ignore) s =
-    {
-      h_run;
-      shard = s;
-      solo;
-      spawn_leg = spawn.(s);
-      join_leg = join.(s);
-      work_leg = work.(s);
-      busy_ns = 0;
-      wall_ns = 0;
-      on_busy;
-      on_wall;
-    }
-  in
-  match h_run.obs with
-  | None -> Array.init shards (fun s -> make s)
-  | Some reg when solo ->
-      (* utilization: busy time around whole batches against wall
-         time; the same per-batch measurement feeds the span *)
-      let busy =
-        Registry.counter reg "parallel.helper.busy_ns"
-          ~help:"helper time spent processing batches"
-      in
-      let wall =
-        Registry.counter reg "parallel.helper.wall_ns"
-          ~help:"helper wall time, spawn to drain end"
-      in
-      let batch_span =
-        Registry.span reg "parallel.helper.batch"
-          ~help:"per-batch propagation latency"
-      in
-      Registry.gauge_fn reg "parallel.helper.utilization_pct"
-        ~help:"busy / wall, percent" (fun () ->
-          Registry.value busy * 100 / max 1 (Registry.value wall));
-      [|
-        make 0
-          ~on_busy:(fun dt ->
+let helper h_run =
+  let on_busy, on_wall =
+    match h_run.obs with
+    | None -> (ignore, ignore)
+    | Some reg ->
+        (* utilization: busy time around whole batches against wall
+           time; the same per-batch measurement feeds the span *)
+        let busy =
+          Registry.counter reg "parallel.helper.busy_ns"
+            ~help:"helper time spent processing batches"
+        in
+        let wall =
+          Registry.counter reg "parallel.helper.wall_ns"
+            ~help:"helper wall time, spawn to drain end"
+        in
+        let batch_span =
+          Registry.span reg "parallel.helper.batch"
+            ~help:"per-batch propagation latency"
+        in
+        Registry.gauge_fn reg "parallel.helper.utilization_pct"
+          ~help:"busy / wall, percent" (fun () ->
+            Registry.value busy * 100 / max 1 (Registry.value wall));
+        ( (fun dt ->
             Registry.add busy dt;
-            Registry.record_ns batch_span dt)
-          ~on_wall:(Registry.add wall);
-      |]
-  | Some reg ->
-      let hs = Array.init shards (fun s -> make s) in
-      Array.iter
-        (fun h ->
-          let gauge suffix help read =
-            Registry.gauge_fn reg
-              (Fmt.str "parallel.shard%d.%s" h.shard suffix)
-              ~help read
-          in
-          gauge "busy_ns" "shard time spent processing batches" (fun () ->
-              h.busy_ns);
-          gauge "wall_ns" "shard wall time, spawn to drain end" (fun () ->
-              h.wall_ns);
-          gauge "utilization_pct" "busy / wall, percent" (fun () ->
-              h.busy_ns * 100 / max 1 h.wall_ns);
-          gauge "exchange_sent" "cross-shard taint vectors pushed" (fun () ->
-              sent h.shard))
-        hs;
-      Registry.gauge_fn reg "parallel.router.cross_events"
-        ~help:"events spanning more than one shard" cross;
-      hs
+            Registry.record_ns batch_span dt),
+          Registry.add wall )
+  in
+  {
+    h_run;
+    spawn_leg = leg h_run "spawn.helper";
+    join_leg = leg h_run "join.helper";
+    busy_ns = 0;
+    wall_ns = 0;
+    on_busy;
+    on_wall;
+  }
 
 (* The wrapper runs before the engine counts the event, so [n] is the
    count before this one: [n land 255 = 0] holds on the first
    processed event and every 256th after it. *)
-let engine t ~owner ~(stats : Dift_core.Engine.stats) ~shadow_footprint
-    process =
+let engine t ~(stats : Dift_core.Engine.stats) ~shadow_footprint process =
   (match t.obs with
-  | Some reg when owner ->
+  | Some reg ->
       let g name help f = Registry.gauge_fn reg name ~help f in
       g "core.engine.events" "events the engine processed" (fun () ->
           stats.events);
@@ -335,7 +250,7 @@ let engine t ~owner ~(stats : Dift_core.Engine.stats) ~shadow_footprint
       g "core.shadow.words" "shadow footprint, machine words" (fun () ->
           snd (shadow_footprint ()))
   | _ -> ());
-  match ((if owner then t.trace else None), t.flight) with
+  match (t.trace, t.flight) with
   | None, None -> process
   | trace, flight ->
       fun v ->
@@ -353,9 +268,6 @@ let engine t ~owner ~(stats : Dift_core.Engine.stats) ~shadow_footprint
         | _ -> ());
         process v
 
-let name h = if h.solo then "helper" else Fmt.str "shard-%d" h.shard
-let role h = if h.solo then "helper" else "shard"
-
 let spawn h body =
   (* armed from here until the body's first instruction: a domain
      that never gets scheduled is a watchable seam *)
@@ -364,11 +276,11 @@ let spawn h body =
     Option.iter raise (Option.bind h.h_run.chaos Chaos.on_spawn);
     Domain.spawn (fun () ->
         leave h.spawn_leg;
-        Option.iter (fun tr -> Trace.name_track tr (name h)) h.h_run.trace;
+        Option.iter (fun tr -> Trace.name_track tr "helper") h.h_run.trace;
         (match h.h_run.flight with
         | Some fl ->
-            Flight.name_domain fl (name h);
-            Flight.record fl ~cat:"run" (role h ^ ".start") ~a:h.shard
+            Flight.name_domain fl "helper";
+            Flight.record fl ~cat:"run" "helper.start"
         | None -> ());
         let t0 = Clock.now_ns () in
         Fun.protect body ~finally:(fun () ->
@@ -400,7 +312,7 @@ let drain h k =
 let crash h ex =
   match h.h_run.flight with
   | Some fl ->
-      Flight.record fl ~cat:"run" (role h ^ ".crash") ~a:h.shard
+      Flight.record fl ~cat:"run" "helper.crash"
         ~detail:(Printexc.to_string ex)
   | None -> ()
 
@@ -408,7 +320,6 @@ let join h d =
   enter h.join_leg;
   Fun.protect ~finally:(fun () -> leave h.join_leg) (fun () -> Domain.join d)
 
-let work h = tick h.work_leg
 let busy_ns h = h.busy_ns
 let wall_ns h = h.wall_ns
 
@@ -429,10 +340,9 @@ let mark t ?a ?b ?detail name =
   | None -> ()
   | Some fl -> Flight.record fl ?a ?b ?detail ~cat:"run" name
 
-let run_start t ~shards ~queue_capacity =
+let run_start t ~queue_capacity =
   Option.iter (fun fl -> Flight.name_domain fl "app") t.flight;
-  mark t "run.start" ~a:shards ~b:queue_capacity
-    ~detail:(if shards = 1 then "two-domain" else "sharded")
+  mark t "run.start" ~b:queue_capacity ~detail:"two-domain"
 
 let run_done t ~events ~batches = mark t "run.done" ~a:events ~b:batches
 let run_error t ~leg = mark t "run.error" ~detail:leg

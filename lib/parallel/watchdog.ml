@@ -21,6 +21,14 @@ let deadlines_to_string d =
     (string_of_int d.default_ms
     :: List.map (fun (pre, ms) -> Fmt.str "%s=%d" pre ms) d.overrides)
 
+let prefix ~pre s =
+  String.length pre <= String.length s
+  && String.sub s 0 (String.length pre) = pre
+
+(* The runtime's watchdog seams.  An override whose prefix names none
+   of them would never apply. *)
+let seams = [ "parallel.push"; "parallel.pop"; "spawn.helper"; "join.helper" ]
+
 let deadlines_of_string s =
   let parts =
     String.split_on_char ';' s |> List.map String.trim
@@ -51,6 +59,14 @@ let deadlines_of_string s =
                         in
                         if pre = "" then
                           Error (Fmt.str "override %S: empty prefix" part)
+                        else if
+                          not (List.exists (fun seam -> prefix ~pre seam) seams)
+                        then
+                          Error
+                            (Fmt.str
+                               "override %S: %S names no seam (want a prefix \
+                                of %s)"
+                               part pre (String.concat ", " seams))
                         else
                           match int_of_string_opt ms_s with
                           | Some ms when ms >= 1 -> Ok ((pre, ms) :: os)
@@ -62,10 +78,6 @@ let deadlines_of_string s =
           Result.map
             (fun os -> { default_ms; overrides = List.rev os })
             overrides)
-
-let prefix ~pre s =
-  String.length pre <= String.length s
-  && String.sub s 0 (String.length pre) = pre
 
 let deadline_ms d seam =
   match List.find_opt (fun (pre, _) -> prefix ~pre seam) d.overrides with

@@ -36,13 +36,13 @@
     ring's worth of slack after the stall.
 
     {b Cascade.}  Supervisors register teardown hooks ({!on_miss}) in
-    dependency order — feed channels before the exchange mesh, one
-    hook per abortable resource, every hook idempotent (they are the
-    same aborts the crash paths run).  On a miss, hooks whose name is
+    dependency order, one hook per abortable resource (the runtime
+    registers one: its feed channel), every hook idempotent (they are
+    the same aborts the crash paths run).  On a miss, hooks whose name is
     a prefix of the stalled seam run first (the resource the wedge
     sits on), then the rest in registration order; each hook runs
     under its own exception handler.  The aborts unpark every blocked
-    side, the helpers terminate, and the supervisor — which must
+    side, the helper terminates, and the supervisor — which must
     consult {!fired} after its joins — surfaces the structured
     [`Deadline] error.
 
@@ -55,11 +55,8 @@
 
 (** A default deadline plus per-seam overrides, matched by {e prefix}
     of the seam name (first matching override wins).  Seam names:
-    [parallel.push]/[parallel.pop] (two-domain ring),
-    [parallel.shard<i>.push]/[.pop] (shard feed rings),
-    [xchg.<src>.<dst>.push]/[.pop] (exchange mesh),
-    [spawn.helper]/[spawn.shard<i>] (spawn to first progress),
-    [join.helper]/[join.shard<i>] (join fan-in). *)
+    [parallel.push]/[parallel.pop] (the feed ring), [spawn.helper]
+    (spawn to first progress) and [join.helper] (the join). *)
 type deadlines
 
 (** [deadlines ?overrides default_ms].
@@ -72,7 +69,10 @@ val deadlines : ?overrides:(string * int) list -> int -> deadlines
 spec     := default_ms (';' override)*
 override := seam_prefix '=' ms
     v}
-    e.g. [500], [500;xchg=200;join.helper=2000]. *)
+    e.g. [500], [500;parallel=200;join.helper=2000].  An override
+    whose prefix is not a prefix of one of the runtime's seams
+    ([parallel.push], [parallel.pop], [spawn.helper], [join.helper])
+    is rejected, as it could never apply. *)
 val deadlines_of_string : string -> (deadlines, string) result
 
 (** Render in the {!deadlines_of_string} grammar (round-trips). *)

@@ -578,9 +578,8 @@ let bfs =
    segment and combine child results, leaves hash their elements in a
    tight register loop.  One activation per segment gives the
    call-dense profile of real code that the fused single-frame loops
-   above lack — and, since the VM assigns every activation a fresh
-   register frame, it is the shape that spreads work across the
-   sharded runtime's frame-striped shadow partition. *)
+   above lack; the VM assigns every activation a fresh register
+   frame. *)
 let treesum =
   let leaf = 8 in
   let tsum =

@@ -7,7 +7,7 @@
     arithmetic loops, data-dependent control, indexed memory traffic,
     strided shuffles, pointer chasing, and call-dense code (one
     activation per data block — the shape that exercises per-frame
-    register files and the sharded runtime's frame striping). *)
+    register files and the wire's call and return cuts). *)
 
 val matmul : Workload.t
 val qsort : Workload.t

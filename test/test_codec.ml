@@ -7,8 +7,8 @@
    and machine streams stay within the wire's word budget.
    Whole-run equivalence: the coded wire, the boxed wire and
    the producer-side liveness filter all produce bit-identical reports
-   on every kernel, in both runtimes and sharded — and the
-   filter strictly reduces forwarded volume on taint-sparse streams. *)
+   on every kernel, from both entry points — and the filter strictly
+   reduces forwarded volume on taint-sparse streams. *)
 
 open Dift_isa
 open Dift_vm
@@ -462,30 +462,21 @@ let filtered_stream_prop =
 
 (* -- the expansion property ------------------------------------------- *)
 
-(* Run [program] and forward its live views as the runtimes do: each
-   view [keep] admits goes to the shards its locations name (all of
-   it to one shard), each shard with its own encoder and [cap]-event
-   batches, and a cross-shard event ships every participant's open
-   batch.  The live record of every forwarded event is kept beside
-   it.  Then each shard's batches are expanded, in order, and every
-   expanded view must equal the live one: every field, the value
-   where the wire forwards it. *)
-let expands ?(keep = fun _ -> true) ~sink_values ~shards ~cap program ~input =
+(* Run [program] and forward its live views as the runtime does: each
+   view [keep] admits is encoded into [cap]-event batches.  The live
+   record of every forwarded event is kept beside it.  Then the
+   batches are expanded, in order, and every expanded view must equal
+   the live one: every field, the value where the wire forwards it. *)
+let expands ?(keep = fun _ -> true) ~sink_values ~cap program ~input =
   let tbl = Site.of_program program in
-  let router = Router.create ~shards () in
-  let encs =
-    Array.init shards (fun _ ->
-        let e = Codec.encoder tbl in
-        if sink_values then Codec.forward_sink_values e;
-        e)
-  in
+  let enc = Codec.encoder tbl in
+  if sink_values then Codec.forward_sink_values enc;
   let fresh () = Codec.batch_create ~events_per_batch:cap in
-  let open_ = Array.init shards (fun _ -> fresh ()) in
-  let shipped = Array.make shards [] and live = Array.make shards [] in
-  let ship s =
-    if Codec.batch_length open_.(s) > 0 then begin
-      shipped.(s) <- open_.(s) :: shipped.(s);
-      open_.(s) <- fresh ()
+  let open_ = ref (fresh ()) and shipped = ref [] and live = ref [] in
+  let ship () =
+    if Codec.batch_length !open_ > 0 then begin
+      shipped := !open_ :: !shipped;
+      open_ := fresh ()
     end
   in
   let m = Machine.create program ~input in
@@ -493,30 +484,24 @@ let expands ?(keep = fun _ -> true) ~sink_values ~shards ~cap program ~input =
     (Tool.make
        ~on_view:(fun v ->
          if keep v then begin
-           let mask = Router.participants_view router v in
-           Router.iter_shards mask (fun s ->
-               live.(s) <- Event.view_record v :: live.(s);
-               Codec.encode_view encs.(s) open_.(s) v;
-               if Codec.batch_length open_.(s) = cap then ship s);
-           if not (Router.is_local mask) then Router.iter_shards mask ship
+           live := Event.view_record v :: !live;
+           Codec.encode_view enc !open_ v;
+           if Codec.batch_length !open_ = cap then ship ()
          end)
        "expand");
   ignore (Machine.run m);
-  let v = Event.view_blank () in
-  List.for_all
-    (fun s ->
-      ship s;
-      let out = ref [] in
-      List.iter
-        (fun b -> Codec.decode_batch tbl b v (fun v -> out := Event.view_to_exec v :: !out))
-        (List.rev shipped.(s));
-      let live = List.rev live.(s) and out = List.rev !out in
-      List.length live = List.length out
-      && List.for_all2 (exec_eq ~sink_values) live out)
-    (List.init shards Fun.id)
+  ship ();
+  let v = Event.view_blank () and out = ref [] in
+  List.iter
+    (fun b ->
+      Codec.decode_batch tbl b v (fun v -> out := Event.view_to_exec v :: !out))
+    (List.rev !shipped);
+  let live = List.rev !live and out = List.rev !out in
+  List.length live = List.length out
+  && List.for_all2 (exec_eq ~sink_values) live out
 
-(* Every event dropped with probability [pct]%, as a filter or a
-   router's gaps leave them. *)
+(* Every event dropped with probability [pct]%, as the liveness
+   filter's gaps leave them. *)
 let dropping ~seed pct =
   let rng = Random.State.make [| seed |] in
   fun (_ : Event.view) -> pct = 0 || Random.State.int rng 100 >= pct
@@ -541,29 +526,27 @@ let expansion_programs () =
 
 (* The expansion property on every kernel, the server (threads,
    preemptions, its faulty run) and the fault corpus' failing runs:
-   whole streams, streams with events dropped, and each shard's stream
-   at 2 and 4 shards, with and without sink values. *)
+   whole streams and streams with events dropped, with and without
+   sink values. *)
 let test_expansion () =
   List.iter
     (fun (name, program, input) ->
-      List.iter
-        (fun (shards, pct, sink_values, cap) ->
+      List.iteri
+        (fun seed (pct, sink_values, cap) ->
           check Alcotest.bool
-            (Fmt.str "%s: %d shards, %d%% dropped, sink values %b, %d-event \
-                      batches"
-               name shards pct sink_values cap)
+            (Fmt.str "%s: %d%% dropped, sink values %b, %d-event batches"
+               name pct sink_values cap)
             true
-            (expands ~keep:(dropping ~seed:shards pct) ~sink_values ~shards
-               ~cap program ~input))
-        [ (1, 0, false, 256); (1, 0, true, 7); (1, 30, false, 64);
-          (2, 0, false, 256); (2, 10, true, 16); (4, 0, true, 256);
-          (4, 50, false, 5) ])
+            (expands ~keep:(dropping ~seed pct) ~sink_values ~cap program
+               ~input))
+        [ (0, false, 256); (0, true, 7); (30, false, 64); (10, true, 16);
+          (50, false, 5) ])
     (expansion_programs ())
 
 (* The expansion property on generated programs: {!Test_sharded}'s
    spawning programs (direct, indirect and recursive calls, a worker
-   thread, stores inside held mutexes) at 1, 2 and 4 shards, whole and
-   with events dropped. *)
+   thread, stores inside held mutexes), whole and with events
+   dropped. *)
 let expansion_prop =
   QCheck2.Test.make ~count:40
     ~name:"codec: generated programs expand to their live views"
@@ -573,11 +556,10 @@ let expansion_prop =
       let program = Test_sharded.build_spawning case
       and input = Test_props.inputs_for () in
       List.for_all
-        (fun (shards, pct, sink_values, cap) ->
-          expands ~keep:(dropping ~seed:shards pct) ~sink_values ~shards ~cap
-            program ~input)
+        (fun (seed, pct, sink_values, cap) ->
+          expands ~keep:(dropping ~seed pct) ~sink_values ~cap program ~input)
         [ (1, 0, false, 256); (1, 20, true, 5); (2, 0, true, 8);
-          (4, 0, false, 256); (4, 30, true, 3) ])
+          (4, 30, true, 3) ])
 
 (* The outcome wire's budget: real machine streams cost at most half a
    word per event on the loop kernels and one on the call-dense ones
@@ -896,26 +878,32 @@ let test_wires_two_domain () =
         [ `Boxed; `Coded ])
     Spec_like.all
 
-(* Every kernel: both wires, sharded runtime. *)
+(* Every kernel: both wires through the benchmark ledger's entry point,
+   [run_sharded_result ~shards:1], at the default geometry the ledger
+   runs (16 slots of 256 events). *)
 let test_wires_sharded () =
   List.iter
     (fun (w : Workload.t) ->
-      let input = w.Workload.input ~size:12 ~seed:9 in
+      let input = w.Workload.input ~size:40 ~seed:9 in
       let inline = Parallel.run_inline w.Workload.program ~input in
       List.iter
         (fun wire ->
           let rep =
-            ok (Parallel.run_sharded_result ~wire ~shards:3 ~queue_capacity:8
-                ~batch_size:8 w.Workload.program ~input)
+            ok (Parallel.run_sharded_result ~wire ~shards:1
+                w.Workload.program ~input)
           in
           same_result
             (Fmt.str "%s/%a" w.Workload.name Channel.pp_wire wire)
-            inline.Parallel.i_result rep.Parallel.s_result)
+            inline.Parallel.i_result rep.Parallel.s_result;
+          check Alcotest.bool
+            (Fmt.str "%s: wire reported" w.Workload.name)
+            true
+            (rep.Parallel.s_wire = wire))
         [ `Boxed; `Coded ])
     Spec_like.all
 
 (* Every kernel: the producer-side liveness filter is invisible in the
-   report — bit-identical to the unfiltered run, both runtimes. *)
+   report — bit-identical to the unfiltered run. *)
 let test_filter_bit_identical () =
   List.iter
     (fun (w : Workload.t) ->
@@ -926,14 +914,7 @@ let test_filter_bit_identical () =
       in
       same_result
         (Fmt.str "%s/filtered" w.Workload.name)
-        inline.Parallel.i_result filtered.Parallel.result;
-      let sharded =
-        ok (Parallel.run_sharded_result ~forward_filter:true ~shards:3
-            w.Workload.program ~input)
-      in
-      same_result
-        (Fmt.str "%s/filtered sharded" w.Workload.name)
-        inline.Parallel.i_result sharded.Parallel.s_result)
+        inline.Parallel.i_result filtered.Parallel.result)
     Spec_like.all
 
 (* Call-dense inputs whose frames reach serial 31 and beyond: a
@@ -953,13 +934,7 @@ let test_filter_bit_identical_qsort () =
         ok (Parallel.run_result ~forward_filter:true w.Workload.program ~input)
       in
       same_result (name ^ " filtered") inline.Parallel.i_result
-        filtered.Parallel.result;
-      let sharded =
-        ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
-            w.Workload.program ~input)
-      in
-      same_result (name ^ " filtered sharded") inline.Parallel.i_result
-        sharded.Parallel.s_result)
+        filtered.Parallel.result)
     qsort_inputs
 
 (* The filter against a helper that never lags, in one domain: per
@@ -1071,14 +1046,9 @@ let test_filter_reduces_forwarding () =
   check Alcotest.bool "two-domain: forwarded volume shrank" true
     (r.Parallel.result.Parallel.events - r.Parallel.filtered_events
     < unfiltered.Parallel.result.Parallel.events);
-  let s =
-    ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
-        w.Workload.program ~input)
-  in
-  check Alcotest.bool "sharded: events filtered" true
-    (s.Parallel.s_filtered_events > 0);
-  check Alcotest.int "sharded: report stays whole"
-    r.Parallel.result.Parallel.events s.Parallel.s_result.Parallel.events
+  check Alcotest.int "two-domain: report stays whole"
+    unfiltered.Parallel.result.Parallel.events
+    r.Parallel.result.Parallel.events
 
 (* Under [propagate_control] every event is entangled with per-thread
    control state, so the filter must silently stand down. *)
@@ -1113,7 +1083,7 @@ let suite =
     Alcotest.test_case "frames >= 2^20 stay compact and exact" `Quick
       test_large_frames_compact;
     Alcotest.test_case
-      "expanded views equal the live views (kernels, server, faults, shards)"
+      "expanded views equal the live views (kernels, server, faults)"
       `Quick test_expansion;
     Alcotest.test_case "machine streams fit the wire budget" `Quick
       test_wire_budget;
@@ -1123,7 +1093,8 @@ let suite =
       test_site_pool;
     Alcotest.test_case "boxed ≡ coded ≡ inline (two-domain, all kernels)"
       `Quick test_wires_two_domain;
-    Alcotest.test_case "boxed ≡ coded ≡ inline (sharded, both wires)"
+    Alcotest.test_case
+      "boxed ≡ coded ≡ inline (sharded, both wires, default geometry)"
       `Quick test_wires_sharded;
     Alcotest.test_case "forward filter is bit-identical (all kernels)"
       `Quick test_filter_bit_identical;

@@ -1,7 +1,7 @@
-(* Fault-injection hardening of the parallel runtimes: every shutdown
+(* Fault-injection hardening of the parallel runtime: every shutdown
    leg — helper crash mid-drain, application crash mid-run, abort
-   racing a parked peer, a stalled or crashed exchange ring, spawn
-   failure — must terminate cleanly (no deadlock, no leaked domain),
+   racing a parked peer, a stalled ring, spawn failure — must
+   terminate cleanly (no deadlock, no leaked domain),
    keep coherent partial statistics, and surface a structured
    [Parallel.error] instead of a bare re-raise.  A watchdog domain
    turns any wedged scenario into a hard process abort so a deadlock
@@ -13,7 +13,6 @@
    the Spsc shutdown edges (final element racing close, abort against
    a parked peer) under QCheck. *)
 
-open Dift_isa
 open Dift_vm
 open Dift_workloads
 open Dift_parallel
@@ -91,10 +90,10 @@ let test_plan_roundtrip () =
   check Alcotest.bool "deterministic" true
     (Chaos.plan_of_seed 42 = Chaos.plan_of_seed 42);
   (* explicit grammar corners *)
-  (match Chaos.plan_of_string "parallel.shard1/pop@2=crash;push@1=stall:50" with
+  (match Chaos.plan_of_string "parallel/pop@2=crash;push@1=stall:50" with
   | Ok [ r1; r2 ] ->
       check Alcotest.bool "where parsed" true
-        (r1.Chaos.where = Some "parallel.shard1");
+        (r1.Chaos.where = Some "parallel");
       check Alcotest.bool "stall parsed" true
         (r2.Chaos.fault = Chaos.Stall 50)
   | _ -> Alcotest.fail "two-rule plan must parse");
@@ -122,27 +121,34 @@ let test_plan_roundtrip () =
         (names (rejected bad) word))
     [ ("push@1=delay:5", "stall:"); ("push@1=drop", "crash");
       ("pop@2=abort", "crash"); ("pop@1=raise", "crash") ];
-  (* a [where] must be a prefix of some channel namespace: [parallel],
-     [parallel.shard<i>] or [xchg.<src>.<dst>]; a misspelt or retired
-     one would never fire *)
+  (* a [where] must be a prefix of the one channel namespace,
+     [parallel]; a misspelt or retired one (the shard rings
+     [parallel.shard<i>], the exchange mesh [xchg.<src>.<dst>]) would
+     never fire *)
   List.iter
     (fun w ->
       match Chaos.plan_of_string (w ^ "/pop@2=crash") with
       | Ok [ r ] ->
           check Alcotest.bool (w ^ " parsed") true (r.Chaos.where = Some w)
       | _ -> Alcotest.failf "%S names a channel" w)
-    [ ""; "p"; "parallel"; "parallel."; "parallel.sh"; "parallel.shard";
-      "parallel.shard1"; "parallel.shard12"; "xc"; "xchg"; "xchg.";
-      "xchg.0"; "xchg.0."; "xchg.0.1"; "xchg.10.11" ];
+    [ ""; "p"; "par"; "paralle"; "parallel" ];
   List.iter
     (fun w ->
       check Alcotest.bool
         (Fmt.str "%S names no channel" w)
         true
         (names (rejected (w ^ "/pop@2=crash")) "names no channel"))
-    [ "paralel"; "parallel7"; "parallel.shard1x"; "parallel.s1";
-      "parallel.shard1.x"; "ring.parallel"; "ring"; "xchg.a";
-      "xchg..1"; "xchg.0.1.2"; "xchg.0.x"; "shard1" ]
+    [ "paralel"; "parallel7"; "parallel."; "parallel.shard";
+      "parallel.shard1"; "parallel.shard12"; "parallel.s1"; "ring.parallel";
+      "ring"; "xc"; "xchg"; "xchg.0"; "xchg.0.1"; "xchg.10.11"; "shard1" ];
+  (* the retired namespaces fail loudly, naming the one there is *)
+  List.iter
+    (fun bad ->
+      check Alcotest.bool
+        (Fmt.str "the error for %S names parallel" bad)
+        true
+        (names (rejected bad) "prefix of parallel"))
+    [ "parallel.shard1/pop@1=crash"; "xchg/push@1=stall:2000000" ]
 
 (* -- two-domain runtime: every leg ------------------------------------ *)
 
@@ -195,98 +201,6 @@ let test_stall_delay_bit_identical () =
           check Alcotest.int (name ^ ": no drops") 0
             r.Parallel.dropped_batches)
     [ (`Coded, 4, 8); (`Boxed, 4, 8); (`Coded, 1, 1); (`Boxed, 1, 1) ]
-
-(* -- sharded runtime: shard crash, spawn failure ----------------------- *)
-
-(* -- exchange-mesh faults --------------------------------------------- *)
-
-(* A small real program whose taint crosses shards every iteration:
-   with the default 64-location blocks and 2 shards, [mem 0] lives on
-   shard 0 and [mem 64] on shard 1, and each iteration reads an input,
-   stores it to [mem 0], moves it to [mem 64] and writes it out from
-   there, so the store to [mem 64] and the load back from it cross
-   shards whichever shard owns the register frame. *)
-let cross_prog =
-  let r = Reg.make and imm = Operand.imm and reg x = Operand.reg (Reg.make x) in
-  Program.make
-    [
-      Builder.define ~name:"main" ~arity:0 (fun b ->
-          Builder.for_up b ~idx:(r 7) ~from_:(imm 0) ~below:(imm 8) (fun () ->
-              Builder.read b (r 1);
-              Builder.store b (reg 1) (imm 0) 0;
-              Builder.load b (r 2) (imm 0) 0;
-              Builder.store b (reg 2) (imm 64) 0;
-              Builder.load b (r 3) (imm 64) 0;
-              Builder.write b (reg 3));
-          Builder.halt b);
-    ]
-
-module SE = Shard_engine.Make (Dift_core.Taint.Bool)
-
-let run_cross ?chaos () =
-  let c =
-    SE.cluster
-      ?probe:(Option.map (fun chaos -> Probe.make ~chaos ()) chaos)
-      ~queue_capacity:4 ~batch_size:1 ~xchg_capacity:4 ~shards:2 cross_prog
-  in
-  SE.start c;
-  let m = Machine.create cross_prog ~input:(Array.init 8 (fun i -> i + 1)) in
-  Machine.attach m (Tool.make ~on_view:(SE.feed_view c) "cross-feed");
-  (match Machine.run m with
-  | _ -> ()
-  | exception _ ->
-      (* a cascade can reach the feeding side: tear the cluster down,
-         as the supervisor does; finish_result still joins and
-         reports *)
-      SE.abort c);
-  (SE.finish_result c, SE.cross_events c)
-
-let test_exchange_stall_bit_identical () =
-  with_watchdog @@ fun () ->
-  let reference, cross =
-    match run_cross () with
-    | Ok m, cross -> (m, cross)
-    | Error f, _ ->
-        Alcotest.failf "clean cross run failed: %a" Shard_engine.pp_failure f
-  in
-  check Alcotest.bool "stream really crosses shards" true
-    (reference.SE.m_sink_hits > 0 && cross > 0);
-  (* stall the first exchange push for 2ms: timing noise only *)
-  match run_cross ~chaos:(chaos "xchg/push@1=stall:2000000") () with
-  | Error f, _ ->
-      Alcotest.failf "exchange stall failed the run: %a"
-        Shard_engine.pp_failure f
-  | Ok m, _ ->
-      check Alcotest.int "same events" reference.SE.m_events m.SE.m_events;
-      check Alcotest.int "same sink hits" reference.SE.m_sink_hits
-        m.SE.m_sink_hits;
-      check Alcotest.int "same fingerprint" reference.SE.m_fingerprint
-        m.SE.m_fingerprint
-
-let test_exchange_crash_cascades () =
-  with_watchdog @@ fun () ->
-  (* a crash on an exchange pop: the popping shard dies, the mesh is
-     aborted, every peer terminates via the Shard_dead cascade *)
-  match run_cross ~chaos:(chaos "xchg/pop@1=crash") () with
-  | Ok _, _ -> Alcotest.fail "injected exchange crash must surface"
-  | Error f, _ ->
-      check Alcotest.bool "primary is the injection" true
-        (injected f.Shard_engine.f_primary);
-      check Alcotest.bool "at least one shard reported dead" true
-        (f.Shard_engine.f_shards <> [])
-
-let test_exchange_ring_abort_terminates () =
-  with_watchdog @@ fun () ->
-  (* a crash on an exchange push tears the whole mesh down
-     mid-protocol: it must cascade to Shard_dead everywhere, never
-     wedge *)
-  match run_cross ~chaos:(chaos "xchg/push@2=crash") () with
-  | Ok _, _ -> Alcotest.fail "mesh abort must surface"
-  | Error f, _ ->
-      check Alcotest.bool "every failure is a cascade or injection" true
-        (List.for_all
-           (fun (_, e) -> e = Shard_engine.Shard_dead || injected e)
-           f.Shard_engine.f_shards)
 
 (* -- feed-ring accounting regression ------------------------------------ *)
 
@@ -412,18 +326,14 @@ type expect =
   | Nothing_fed  (** no event ran *)
   | Degrades  (** with [`Inline] the run completes, bit-identical *)
 
-type runtime = Two_domain | Sharded of int
-
 (* One faulted crc run: the plan fires once and fails the run on
-   [leg] with the injection.  Every row also checks the books: batches
-   delivered = consumed + discarded + still in flight.  A ring torn
-   down by the fault records [ring.abort] once: the two-domain ring,
-   or the crashing shard's ring (a peer's ring the cascade tears down
-   records its own, and no ring records two). *)
+   [leg] with the injection.  Every row but the spawn failure also
+   checks the books (batches delivered = consumed + discarded + still
+   in flight) and that the ring torn down by the fault records
+   [ring.abort] once. *)
 type row = {
   name : string;
   plan : string;
-  runtime : runtime;
   queue_capacity : int;
   batch_size : int;
   size : int;
@@ -431,9 +341,8 @@ type row = {
   expect : expect list;
 }
 
-let row ?(runtime = Two_domain) ?(size = 12) ~plan ~geometry:(q, b) ~leg
-    ?(expect = []) name =
-  { name; plan; runtime; queue_capacity = q; batch_size = b; size; leg; expect }
+let row ?(size = 12) ~plan ~geometry:(q, b) ~leg ?(expect = []) name =
+  { name; plan; queue_capacity = q; batch_size = b; size; leg; expect }
 
 let fault_table =
   [
@@ -455,12 +364,6 @@ let fault_table =
       ~geometry:(2, 4) ~size:40 ~leg:`App;
     row "spawn failure (two-domain)" ~plan:"spawn@1=crash" ~geometry:(4, 8)
       ~leg:`Spawn ~expect:[ Nothing_fed ];
-    row "shard crash (request-reply)" ~plan:"parallel.shard1/pop@1=crash"
-      ~runtime:(Sharded 3) ~geometry:(4, 1) ~leg:(`Shard 1);
-    row "ring.abort once per shard ring" ~plan:"parallel.shard1/pop@1=crash"
-      ~runtime:(Sharded 3) ~geometry:(4, 1) ~size:40 ~leg:(`Shard 1);
-    row "spawn failure (sharded)" ~plan:"spawn@2=crash" ~runtime:(Sharded 3)
-      ~geometry:(4, 1) ~leg:`Spawn;
   ]
 
 let run_row ?degrade r =
@@ -471,15 +374,9 @@ let run_row ?degrade r =
   let chaos = Chaos.create ~flight (plan r.plan) in
   let q = r.queue_capacity and b = r.batch_size in
   let got =
-    match r.runtime with
-    | Two_domain ->
-        Parallel.run_result ~obs:reg ~flight ~chaos ?degrade ~queue_capacity:q
-          ~batch_size:b w.Workload.program ~input
-        |> Result.map (fun r -> r.Parallel.result)
-    | Sharded shards ->
-        Parallel.run_sharded_result ~obs:reg ~flight ~chaos ?degrade
-          ~queue_capacity:q ~batch_size:b ~shards w.Workload.program ~input
-        |> Result.map (fun r -> r.Parallel.s_result)
+    Parallel.run_result ~obs:reg ~flight ~chaos ?degrade ~queue_capacity:q
+      ~batch_size:b w.Workload.program ~input
+    |> Result.map (fun r -> r.Parallel.result)
   in
   (got, reg, flight, chaos)
 
@@ -494,25 +391,17 @@ let test_fault_row r () =
       check Alcotest.bool "injected exn" true (injected e.Parallel.e_exn);
       let p = e.Parallel.e_partial in
       let ns = "parallel" in
-      (match r.runtime with
-      | Two_domain when r.leg <> `Spawn ->
-          let consumed = gauge reg (ns ^ ".forwarder.consumed_batches")
-          and discarded = gauge reg (ns ^ ".forwarder.discarded_batches")
-          and in_flight = gauge reg (ns ^ ".ring.in_flight_batches") in
-          check Alcotest.int "delivered = consumed + discarded + in flight"
-            p.Parallel.p_batches
-            (consumed + discarded + in_flight);
-          check
-            Alcotest.(list string)
-            "one ring.abort for the aborted ring" [ ns ] (ring_aborts flight)
-      | Sharded _ when r.leg <> `Spawn ->
-          let aborts = ring_aborts flight in
-          check Alcotest.int "shard 1's ring aborted once" 1
-            (List.length (List.filter (String.equal "parallel.shard1") aborts));
-          check Alcotest.int "no ring aborted twice"
-            (List.length (List.sort_uniq compare aborts))
-            (List.length aborts)
-      | _ -> ());
+      if r.leg <> `Spawn then begin
+        let consumed = gauge reg (ns ^ ".forwarder.consumed_batches")
+        and discarded = gauge reg (ns ^ ".forwarder.discarded_batches")
+        and in_flight = gauge reg (ns ^ ".ring.in_flight_batches") in
+        check Alcotest.int "delivered = consumed + discarded + in flight"
+          p.Parallel.p_batches
+          (consumed + discarded + in_flight);
+        check
+          Alcotest.(list string)
+          "one ring.abort for the aborted ring" [ ns ] (ring_aborts flight)
+      end;
       List.iter
         (function
           | Events_fed ->
@@ -590,17 +479,15 @@ let test_dropped_batch_reused () =
 (* -- one loss rule: an Error, or inline's result ------------------------ *)
 
 (* A faulted run either fails with a structured error whose primary
-   failure is the injection (or the cascade it caused), or returns
-   exactly what inline tracking returns. *)
+   failure is the injection, or returns exactly what inline tracking
+   returns. *)
 let error_or_inline name ~reference = function
   | Ok r -> same_result name reference r
   | Error (e : Parallel.error) ->
       check Alcotest.bool
-        (Fmt.str "%s: failure is injected or cascade (%s)" name
+        (Fmt.str "%s: failure is injected (%s)" name
            (Printexc.to_string e.Parallel.e_exn))
-        true
-        (injected e.Parallel.e_exn
-        || e.Parallel.e_exn = Shard_engine.Shard_dead)
+        true (injected e.Parallel.e_exn)
 
 let test_seed_sweep () =
   with_watchdog ~timeout_s:120. @@ fun () ->
@@ -609,54 +496,39 @@ let test_seed_sweep () =
   let reference =
     (Parallel.run_inline w.Workload.program ~input).Parallel.i_result
   in
-  for seed = 0 to 7 do
-    let c = Chaos.create (Chaos.plan_of_seed seed) in
-    Parallel.run_result ~chaos:c ~queue_capacity:4 ~batch_size:4
-      w.Workload.program ~input
-    |> Result.map (fun r -> r.Parallel.result)
-    |> error_or_inline (Fmt.str "seed %d" seed) ~reference
-  done;
-  for seed = 100 to 103 do
-    let c = Chaos.create (Chaos.plan_of_seed seed) in
-    Parallel.run_sharded_result ~chaos:c ~queue_capacity:4 ~batch_size:4
-      ~shards:2 w.Workload.program ~input
-    |> Result.map (fun r -> r.Parallel.s_result)
-    |> error_or_inline (Fmt.str "sharded seed %d" seed) ~reference
-  done
+  List.iter
+    (fun seed ->
+      let c = Chaos.create (Chaos.plan_of_seed seed) in
+      Parallel.run_result ~chaos:c ~queue_capacity:4 ~batch_size:4
+        w.Workload.program ~input
+      |> Result.map (fun r -> r.Parallel.result)
+      |> error_or_inline (Fmt.str "seed %d" seed) ~reference)
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 100; 101; 102; 103 ]
 
-(* A crash on an event ring, on either side, at the first three
-   occurrences, with and without degraded completion: two domains on
-   crc, and shard 1 of two on hash (crc routes nothing to shard 1).
-   A pop-side crash is a helper's, so a degraded run completes it; a
+(* A crash on the event ring, on either side, at the first three
+   occurrences, with and without degraded completion, on crc and hash.
+   A pop-side crash is the helper's, so a degraded run completes it; a
    push-side crash is the application's, which a replay would only
    repeat. *)
 let test_one_loss_rule () =
   with_watchdog ~timeout_s:120. @@ fun () ->
-  let two_domain degrade chaos program ~input =
-    Parallel.run_result ~chaos ?degrade ~queue_capacity:4 ~batch_size:1
-      program ~input
-    |> Result.map (fun r -> (r.Parallel.result, r.Parallel.degraded))
-  and sharded degrade chaos program ~input =
-    Parallel.run_sharded_result ~chaos ?degrade ~queue_capacity:4
-      ~batch_size:1 ~shards:2 program ~input
-    |> Result.map (fun r -> (r.Parallel.s_result, r.Parallel.s_degraded))
-  in
   let each l f = List.iter f l in
-  each
-    [ ("two-domain", "crc", "", two_domain);
-      ("sharded", "hash", "parallel.shard1/", sharded) ]
-  @@ fun (leg, kname, where, run) ->
+  each [ "crc"; "hash" ] @@ fun kname ->
   let w = kernel kname in
   let input = w.Workload.input ~size:12 ~seed:3 in
   let reference = inline_of kname ~size:12 in
   each [ "push"; "pop" ] @@ fun op ->
   each [ 1; 2; 3 ] @@ fun at ->
   each [ None; Some `Inline ] @@ fun degrade ->
-  let rule = Fmt.str "%s%s@%d=crash" where op at in
+  let rule = Fmt.str "%s@%d=crash" op at in
   let name =
-    Fmt.str "%s %s%s" leg rule (if degrade = None then "" else " (degrade)")
+    Fmt.str "%s %s%s" kname rule (if degrade = None then "" else " (degrade)")
   in
-  let got = run degrade (chaos rule) w.Workload.program ~input in
+  let got =
+    Parallel.run_result ~chaos:(chaos rule) ?degrade ~queue_capacity:4
+      ~batch_size:1 w.Workload.program ~input
+    |> Result.map (fun r -> (r.Parallel.result, r.Parallel.degraded))
+  in
   error_or_inline name ~reference (Result.map fst got);
   if op = "pop" && degrade <> None then
     match got with
@@ -748,12 +620,6 @@ let suite =
   @ [
       Alcotest.test_case "stall/delay bit-identical" `Quick
         test_stall_delay_bit_identical;
-      Alcotest.test_case "exchange stall bit-identical" `Quick
-        test_exchange_stall_bit_identical;
-      Alcotest.test_case "exchange crash cascades" `Quick
-        test_exchange_crash_cascades;
-      Alcotest.test_case "exchange ring abort terminates" `Quick
-        test_exchange_ring_abort_terminates;
       Alcotest.test_case "forwarder drop accounting reconciles" `Quick
         test_forwarder_drop_accounting;
       Alcotest.test_case "forwarder crash ledger closes" `Quick

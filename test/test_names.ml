@@ -1,11 +1,11 @@
-(* The instrument names the parallel runtimes expose, pinned: metric
+(* The instrument names the parallel runtime exposes, pinned: metric
    names in the registry, watchdog progress legs, the (category, name)
-   pairs on each flight-recorder ring and on each trace track.  Two
-   fully instrumented runs — two-domain and sharded request/reply —
-   each with a registry, a tracer, a flight recorder, a fault plan
-   that never fires and a watchdog that never misses, so every seam is
-   wired and no failure leg runs.  A third, inline, takes the registry, tracer and flight recorder only: it has
-   no channel to inject into and no seam to watch.
+   pairs on each flight-recorder ring and on each trace track.  One
+   fully instrumented two-domain run, with a registry, a tracer, a
+   flight recorder, a fault plan that never fires and a watchdog that
+   never misses, so every seam is wired and no failure leg runs.  An
+   inline run takes the registry, tracer and flight recorder only: it
+   has no channel to inject into and no seam to watch.
 
    Excluded, because their presence depends on scheduling: which of
    [ring.stall]/[ring.enqueue] and of [ring.wait]/[ring.dequeue] a
@@ -114,13 +114,6 @@ let inline ~obs ~trace ~flight ~chaos:_ ~watchdog:_ =
   let r = Parallel.run_inline ~obs ~trace ~flight w.Workload.program ~input in
   r.Parallel.i_result.Parallel.events > 0
 
-let sharded ~shards ~obs ~trace ~flight ~chaos ~watchdog =
-  let w = kernel "treesum" in
-  let input = w.Workload.input ~size:60 ~seed:3 in
-  Result.is_ok
-    (Parallel.run_sharded_result ~obs ~trace ~flight ~chaos ~watchdog ~shards
-       w.Workload.program ~input)
-
 (* -- the expected names --------------------------------------------------- *)
 
 let vm_metrics =
@@ -146,8 +139,6 @@ let channel_metrics ns =
       "ring.drops";
       "ring.in_flight_batches"; "ring.stalls"; "ring.waits";
     ]
-
-let shard_list shards f = List.concat (List.init shards f)
 
 let two_domain_seen =
   {
@@ -198,43 +189,6 @@ let inline_seen =
       ];
   }
 
-let sharded_seen ~shards =
-  let ns s = Fmt.str "parallel.shard%d" s in
-  {
-    metrics =
-      ("parallel.router.cross_events"
-      :: shard_list shards (fun s ->
-             List.map (fun m -> ns s ^ "." ^ m)
-               [ "busy_ns"; "exchange_sent"; "utilization_pct"; "wall_ns" ]
-             @ channel_metrics (ns s)))
-      @ vm_metrics;
-    legs =
-      shard_list shards (fun s ->
-          [
-            Fmt.str "join.shard%d" s; ns s ^ ".pop"; ns s ^ ".push";
-            Fmt.str "spawn.shard%d" s; Fmt.str "work.shard%d" s;
-          ]
-          @ shard_list shards (fun d ->
-                [ Fmt.str "xchg.%d.%d.pop" s d; Fmt.str "xchg.%d.%d.push" s d ]));
-    flight =
-      ( "app",
-        shard_list shards (fun s ->
-            [ ns s ^ "/ring.close"; ns s ^ "/ring.push" ])
-        @ [ "run/run.done"; "run/run.start" ] )
-      :: List.init shards (fun s ->
-             ( Fmt.str "shard-%d" s,
-               [
-                 "core/engine.progress"; ns s ^ "/ring.pop"; "run/shard.start";
-                 "xchg/xchg.pop"; "xchg/xchg.push";
-               ] ));
-    trace =
-      ("app", [ "vm/app.run" ])
-      :: ("ring.occupancy", [ "parallel/ring.occupancy" ])
-      :: List.init shards (fun s ->
-             ( Fmt.str "shard-%d" s,
-               [ "core/engine.batch"; "parallel/helper.drain" ] ));
-  }
-
 let sorted_seen s =
   let groups = List.map (fun (k, l) -> (k, List.sort compare l)) in
   {
@@ -257,13 +211,8 @@ let test_two_domain () = check_seen two_domain_seen (observe two_domain)
 
 let test_inline () = check_seen inline_seen (observe inline)
 
-let test_sharded shards () =
-  check_seen (sharded_seen ~shards) (observe (sharded ~shards))
-
 let suite =
   [
     Alcotest.test_case "two-domain instrument names" `Quick test_two_domain;
     Alcotest.test_case "inline instrument names" `Quick test_inline;
-    Alcotest.test_case "sharded request/reply instrument names" `Quick
-      (test_sharded 3);
   ]

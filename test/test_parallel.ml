@@ -359,12 +359,7 @@ let test_transient_on_sink_under_degrade () =
                (fun r -> r.Parallel.result)
                (Parallel.run_result ~degrade:`Inline ~queue_capacity:4
                   ~batch_size:64 ~on_sink:(on_sink ()) w.Workload.program
-                  ~input));
-          agree "sharded(2)"
-            (Result.map
-               (fun r -> r.Parallel.s_result)
-               (Parallel.run_sharded_result ~degrade:`Inline ~shards:2
-                  ~on_sink:(on_sink ()) w.Workload.program ~input)))
+                  ~input)))
         [ 1; 5 ])
     [ ("crc", 40, 3); ("treesum", 40, 3) ]
 

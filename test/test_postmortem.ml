@@ -1,6 +1,5 @@
-(* Crash bundles: for every fault-plan leg the supervised runtimes can
-   blame — helper crash, application crash, spawn failure, a shard's
-   own death — a bundle assembled from the failed run must be written
+(* Crash bundles: for every fault-plan leg the supervised runtime can
+   blame — helper crash, application crash, spawn failure — a bundle assembled from the failed run must be written
    atomically, parse back, name the same failing leg as the structured
    error, and carry at least one flight-recorder event from the
    crashing domain (the chaos injection fires on the intercepting
@@ -23,10 +22,9 @@ let plan s =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad test plan %S: %s" s e
 
-let geometry ~runtime ~shards =
+let geometry =
   {
-    Postmortem.g_runtime = runtime;
-    g_shards = shards;
+    Postmortem.g_runtime = "parallel";
     g_queue_capacity = 4;
     g_batch_size = 1;
     g_wire = `Coded;
@@ -38,7 +36,6 @@ let geometry ~runtime ~shards =
 let leg_name : Parallel.leg -> string = function
   | `App -> "app"
   | `Helper -> "helper"
-  | `Shard s -> Fmt.str "shard-%d" s
   | `Spawn -> "spawn"
   | `Deadline -> "deadline"
 
@@ -48,7 +45,6 @@ let leg_name : Parallel.leg -> string = function
 let crash_domain : Parallel.leg -> string = function
   | `App | `Spawn | `Deadline -> "app"
   | `Helper -> "helper"
-  | `Shard s -> Fmt.str "shard-%d" s
 
 (* Write the bundle, read it back through the parser, and run the
    shared assertions.  Returns the parsed bundle for extra checks. *)
@@ -113,32 +109,11 @@ let run_two_domain plan_s expected_leg () =
   | Error e ->
       check Alcotest.bool "failing leg as planned" true
         (e.Parallel.e_leg = expected_leg);
-      ignore
-        (assert_bundle ~expected_leg ~flight ~chaos e
-           (geometry ~runtime:"parallel" ~shards:1))
-
-let run_sharded plan_s expected_leg () =
-  let w = kernel "crc" in
-  let input = w.Workload.input ~size:12 ~seed:3 in
-  let flight = Flight.create () in
-  let chaos = Chaos.create ~flight (plan plan_s) in
-  match
-    Parallel.run_sharded_result ~flight ~chaos ~queue_capacity:4
-      ~batch_size:1 ~shards:3 w.Workload.program ~input
-  with
-  | Ok _ -> Alcotest.failf "plan %s must fail the run" plan_s
-  | Error e ->
-      check Alcotest.bool "failing leg as planned" true
-        (e.Parallel.e_leg = expected_leg);
-      ignore
-        (assert_bundle ~expected_leg ~flight ~chaos e
-           (geometry ~runtime:"sharded" ~shards:3))
+      ignore (assert_bundle ~expected_leg ~flight ~chaos e geometry)
 
 let test_bundle_helper_leg = run_two_domain "pop@2=crash" `Helper
 let test_bundle_app_leg = run_two_domain "push@3=crash" `App
 let test_bundle_spawn_leg = run_two_domain "spawn@1=crash" `Spawn
-let test_bundle_shard_leg = run_sharded "parallel.shard1/pop@1=crash" (`Shard 1)
-let test_bundle_sharded_spawn_leg = run_sharded "spawn@2=crash" `Spawn
 
 (* The optional sections appear when their sources are supplied, and
    the embedded metrics are the post-mortem registry state. *)
@@ -158,8 +133,7 @@ let test_bundle_optional_sections () =
       let j =
         Postmortem.bundle ~obs:reg ~flight ~chaos ~first_heartbeat:first
           ~extra:[ ("workload", Json.String "crc") ]
-          ~error:e
-          (geometry ~runtime:"parallel" ~shards:1)
+          ~error:e geometry
       in
       List.iter
         (fun field ->
@@ -181,9 +155,6 @@ let suite =
     Alcotest.test_case "bundle: helper leg" `Quick test_bundle_helper_leg;
     Alcotest.test_case "bundle: app leg" `Quick test_bundle_app_leg;
     Alcotest.test_case "bundle: spawn leg" `Quick test_bundle_spawn_leg;
-    Alcotest.test_case "bundle: shard leg" `Quick test_bundle_shard_leg;
-    Alcotest.test_case "bundle: sharded spawn leg" `Quick
-      test_bundle_sharded_spawn_leg;
     Alcotest.test_case "bundle: optional sections" `Quick
       test_bundle_optional_sections;
   ]

@@ -90,8 +90,7 @@ let prog_gen =
       (list_size (1 -- 6) (op_gen ~calls:false 1)))
 
 (* Each cell its own address, [40 * cell] apart: the eight cells span
-   blocks 1 to 5 of the 64-location memory blocks, so a sharded run
-   spreads them over its shards. *)
+   addresses 100 to 380. *)
 let cell_addr cell = 100 + (40 * cell)
 
 (* The callee's function id: every generated program lists [main]

@@ -1,11 +1,14 @@
-(* The sharded N-helper runtime computes exactly what the sequential
-   engine computes — same sink trace, same stats, same final shadow —
-   for every workload kernel at 1, 2 and 4 shards, and (as QCheck
-   properties, sink by sink) for generated programs (which also spawn
-   a thread) and call-dense kernels whose memory cells and register
-   frames spread over the shards, in the Bool and Pc domains, on both
-   wires, under the default and security policies, and under the full
-   policy on one shard.  Plus the regression test for channel-geometry
+(* The helper runtime's cluster entry point,
+   [Parallel.run_sharded_result ~shards:1] (the name the benchmark
+   ledger calls), is [run_result]: field by field on every kernel and
+   the server, on both wires, with the filter on, and it refuses any
+   other count before a domain starts.  The helper cluster
+   ({!Shard_engine.Make.cluster}) computes exactly what the solo
+   worker computes — same sinks, stats and final shadow — as QCheck
+   properties, sink by sink, for generated programs (which also spawn
+   a thread) and call-dense kernels, in the Bool, Pc and Input_set
+   domains, on both wires, under the default and security policies
+   and the full policy.  Plus the regression test for channel-geometry
    validation. *)
 
 open Dift_isa
@@ -43,71 +46,24 @@ let same_result name (a : Parallel.result) (b : Parallel.result) =
     (Fmt.str "%s: taint fingerprint" name)
     a.Parallel.taint_fingerprint b.Parallel.taint_fingerprint
 
-(* -- every kernel, 1/2/4 shards, bit-identical to inline -------------- *)
-
-let test_equivalence_all_kernels () =
-  let found_cross = ref false in
-  List.iter
-    (fun (w : Workload.t) ->
-      let input = w.Workload.input ~size:14 ~seed:11 in
-      let inline = Parallel.run_inline w.Workload.program ~input in
-      List.iter
-        (fun shards ->
-          let rep =
-            ok (Parallel.run_sharded_result ~queue_capacity:8 ~batch_size:8
-                ~shards w.Workload.program ~input)
-          in
-          same_result
-            (Fmt.str "%s/shards=%d" w.Workload.name shards)
-            inline.Parallel.i_result rep.Parallel.s_result;
-          if rep.Parallel.s_cross_events > 0 then found_cross := true)
-        [ 1; 2; 4 ])
-    Spec_like.all;
-  (* if no kernel ever crossed shards, the exchange protocol was never
-     exercised and the equivalences above prove nothing about it *)
-  check Alcotest.bool "cross-shard exchange exercised" true !found_cross
-
-(* The sharded runtime must also agree with the two-domain [run]
-   (which asserts the hash chain is the same one [make_engine] mixes). *)
-let test_agrees_with_two_domain_run () =
-  let w = Spec_like.crc in
-  let input = w.Workload.input ~size:12 ~seed:5 in
-  let two = ok (Parallel.run_result w.Workload.program ~input) in
-  let sharded =
-    ok (Parallel.run_sharded_result ~shards:2 w.Workload.program ~input)
-  in
-  same_result "crc run_result vs run_sharded_result" two.Parallel.result
-    sharded.Parallel.s_result
-
-(* The security policy (pointer flows) must survive sharding. *)
-let test_security_policy () =
-  let w = Spec_like.bfs in
-  let input = w.Workload.input ~size:14 ~seed:3 in
-  let policy = Policy.security in
-  let inline = Parallel.run_inline ~policy w.Workload.program ~input in
-  let rep =
-    ok (Parallel.run_sharded_result ~policy ~shards:4 w.Workload.program ~input)
-  in
-  same_result "bfs/security sharded" inline.Parallel.i_result
-    rep.Parallel.s_result
-
 let raises_invalid f =
   match f () with _ -> false | exception Invalid_argument _ -> true
 
+let spawn_chaos () =
+  match Chaos.plan_of_string "spawn@1=crash" with
+  | Ok p -> Chaos.create p
+  | Error e -> Alcotest.failf "bad plan: %s" e
+
 (* Control-flow taint entangles all events through per-thread state:
-   two shards must refuse it before any domain starts (a spawn fault
-   never fires), and one shard, which exchanges nothing, must get it
-   right from either entry point. *)
+   two shards are refused before any domain starts (a spawn fault
+   never fires), and the one helper must get it right from either
+   entry point. *)
 let test_control_policy () =
   let w = Spec_like.search in
   let input = w.Workload.input ~size:10 ~seed:2 in
   let policy = Policy.full in
-  let chaos =
-    match Chaos.plan_of_string "spawn@1=crash" with
-    | Ok p -> Chaos.create p
-    | Error e -> Alcotest.failf "bad plan: %s" e
-  in
-  check Alcotest.bool "two shards reject propagate_control" true
+  let chaos = spawn_chaos () in
+  check Alcotest.bool "two shards refused" true
     (raises_invalid (fun () ->
          Parallel.run_sharded_result ~chaos ~policy ~shards:2
            w.Workload.program ~input));
@@ -126,40 +82,51 @@ let test_control_policy () =
 (* -- one shard is the two-domain runtime -------------------------------- *)
 
 (* [run_result] and [run_sharded_result ~shards:1] are one runtime: on
-   every kernel, both wires, filter off and on, the same
-   result and the same channel accounting.  The filter's admissions
-   depend on how far the helper has got, so with the filter on the two
-   runs are tied through the batch count instead: one helper's channel
-   ships full batches of the forwarded events plus one trailing
-   partial batch. *)
+   every kernel and the server, both wires, filter off and on, the
+   same result and every deterministic field of the report the same.
+   The filter's admissions depend on how far the helper has got, so
+   with the filter on the two runs are tied through the batch count
+   instead: the channel ships full batches of the forwarded events
+   plus one trailing partial batch.  Any other shard count is refused
+   before a domain starts. *)
 let test_one_shard_is_two_domain () =
-  let batch_size = 8 in
+  let batch_size = 8 and queue_capacity = 4 in
+  let server =
+    let b = Server_sim.generate ~requests:12 ~seed:3 () in
+    ("server", Server_sim.program ~workers:2 (), b.Server_sim.input)
+  in
   List.iter
-    (fun (w : Workload.t) ->
-      let input = w.Workload.input ~size:12 ~seed:4 in
-      let inline = Parallel.run_inline w.Workload.program ~input in
+    (fun (kernel, program, input) ->
+      let inline = Parallel.run_inline program ~input in
       List.iter
         (fun (wire, forward_filter) ->
           let name =
-            Fmt.str "%s/%a/filter=%b" w.Workload.name Channel.pp_wire wire
+            Fmt.str "%s/%a/filter=%b" kernel Channel.pp_wire wire
               forward_filter
           in
           let two =
             ok
-              (Parallel.run_result ~wire ~forward_filter ~queue_capacity:4
-                 ~batch_size w.Workload.program ~input)
+              (Parallel.run_result ~wire ~forward_filter ~queue_capacity
+                 ~batch_size program ~input)
           in
           let one =
             ok
               (Parallel.run_sharded_result ~wire ~forward_filter
-                 ~queue_capacity:4 ~batch_size ~shards:1 w.Workload.program
-                 ~input)
+                 ~queue_capacity ~batch_size ~shards:1 program ~input)
           in
-          let s = one.Parallel.s_per_shard.(0) in
+          let s = one.Parallel.s_helper in
           same_result (name ^ " two-domain") inline.Parallel.i_result
             two.Parallel.result;
           same_result (name ^ " one shard") two.Parallel.result
             one.Parallel.s_result;
+          check Alcotest.int (name ^ ": queue capacity")
+            two.Parallel.queue_capacity one.Parallel.s_queue_capacity;
+          check Alcotest.int (name ^ ": batch size") two.Parallel.batch_size
+            one.Parallel.s_batch_size;
+          check Alcotest.bool (name ^ ": wire") true
+            (two.Parallel.wire = one.Parallel.s_wire);
+          check Alcotest.bool (name ^ ": neither degraded") true
+            (two.Parallel.degraded = None && one.Parallel.s_degraded = None);
           let batches forwarded = (forwarded + batch_size - 1) / batch_size in
           check Alcotest.int (name ^ ": two-domain batches")
             (batches (two.Parallel.result.Parallel.events
@@ -182,11 +149,30 @@ let test_one_shard_is_two_domain () =
         [
           (`Coded, false); (`Boxed, true); (`Coded, true); (`Boxed, false);
         ])
-    Spec_like.all
+    (server
+    :: List.map
+         (fun (w : Workload.t) ->
+           (w.Workload.name, w.Workload.program,
+            w.Workload.input ~size:12 ~seed:4))
+         Spec_like.all);
+  let w = Spec_like.crc in
+  let input = w.Workload.input ~size:12 ~seed:4 in
+  List.iter
+    (fun shards ->
+      let chaos = spawn_chaos () in
+      check Alcotest.bool
+        (Fmt.str "shards %d refused" shards)
+        true
+        (raises_invalid (fun () ->
+             Parallel.run_sharded_result ~chaos ~shards w.Workload.program
+               ~input));
+      check Alcotest.int
+        (Fmt.str "shards %d: no domain spawned" shards)
+        0 (Chaos.fired chaos))
+    [ 0; 2 ]
 
 (* A one-shard run degrades by resuming after its helper's last fully
-   processed batch, from either entry point; N shards rerun from
-   scratch. *)
+   processed batch, from either entry point. *)
 let test_one_shard_degrade_resumes () =
   let w = Spec_like.crc in
   let input = w.Workload.input ~size:12 ~seed:3 in
@@ -216,19 +202,7 @@ let test_one_shard_degrade_resumes () =
       (Parallel.run_sharded_result ~chaos:(chaos ()) ~degrade:`Inline
          ~queue_capacity:4 ~batch_size:1 ~shards:1 w.Workload.program ~input)
   in
-  resumed "one shard" one.Parallel.s_result one.Parallel.s_degraded;
-  let two_shards =
-    ok
-      (Parallel.run_sharded_result ~chaos:(chaos ()) ~degrade:`Inline
-         ~queue_capacity:4 ~batch_size:1 ~shards:2 w.Workload.program ~input)
-  in
-  same_result "two shards" inline.Parallel.i_result
-    two_shards.Parallel.s_result;
-  match two_shards.Parallel.s_degraded with
-  | None -> Alcotest.fail "two shards: report must be flagged degraded"
-  | Some d ->
-      check Alcotest.int "two shards rerun from scratch" (-1)
-        d.Parallel.d_cutoff_step
+  resumed "one shard" one.Parallel.s_result one.Parallel.s_degraded
 
 (* -- regression: channel geometry below 1 must raise, not hang ------- *)
 
@@ -250,19 +224,22 @@ let test_invalid_geometry_rejected () =
         fun () -> ignore (Parallel.run_sharded_result ~shards:0 p ~input) );
       ( "run_sharded: shards negative",
         fun () -> ignore (Parallel.run_sharded_result ~shards:(-1) p ~input) );
+      ( "run_sharded: shards 2",
+        fun () -> ignore (Parallel.run_sharded_result ~shards:2 p ~input) );
       ( "run_sharded: queue_capacity 0",
         fun () ->
-          ignore (Parallel.run_sharded_result ~queue_capacity:0 ~shards:2 p
+          ignore (Parallel.run_sharded_result ~queue_capacity:0 ~shards:1 p
               ~input)
       );
       ( "run_sharded: batch_size 0",
         fun () ->
-          ignore (Parallel.run_sharded_result ~batch_size:0 ~shards:2 p
+          ignore (Parallel.run_sharded_result ~batch_size:0 ~shards:1 p
               ~input) );
     ]
 
-(* Sharded sink callbacks fire at join, in global step order — the
-   same observations, in the same order, as the streaming runtimes. *)
+(* The helper's sink callbacks fire at join, in step order — the
+   same observations, in the same order, as the streaming inline
+   runtime. *)
 let test_deferred_on_sink_order () =
   let w = Spec_like.rle in
   let input = w.Workload.input ~size:12 ~seed:8 in
@@ -276,7 +253,7 @@ let test_deferred_on_sink_order () =
   in
   let sharded_obs = ref [] in
   let _ =
-    ok (Parallel.run_sharded_result ~shards:3 ~on_sink:(observe sharded_obs)
+    ok (Parallel.run_sharded_result ~shards:1 ~on_sink:(observe sharded_obs)
         w.Workload.program ~input)
   in
   check Alcotest.bool "same sink observations, same order" true
@@ -293,7 +270,7 @@ let test_on_sink_exception () =
   List.iter
     (fun degrade ->
       match
-        Parallel.run_sharded_result ?degrade ~shards:2
+        Parallel.run_sharded_result ?degrade ~shards:1
           ~on_sink:(fun _ _ _ -> raise Sink_boom)
           w.Workload.program ~input
       with
@@ -304,54 +281,27 @@ let test_on_sink_exception () =
             (e.Parallel.e_exn = Sink_boom))
     [ None; Some `Inline ]
 
-(* -- QCheck: generated programs, sharded(N) ≡ solo, sink by sink ----- *)
+(* -- QCheck: generated programs, helper ≡ solo, sink by sink ---------- *)
 
 (* The property's channel geometries, (queue capacity, batch size):
    down to two-slot rings of three-event batches. *)
 let geometries = [ (8, 8); (4, 4); (2, 3) ]
-
-(* Generated cases run, those whose run crossed shards at 2 and at 4
-   shards, and those with an event that writes on two shards: a
-   property none of whose cases crosses shards says nothing about the
-   exchange, and one with no such write says nothing about its
-   receiver leg. *)
-type tally = {
-  mutable cases : int;
-  mutable cross2 : int;
-  mutable cross4 : int;
-  mutable split_writes : int;
-}
 
 let run_machine program ~input on_view =
   let m = Machine.create program ~input in
   Machine.attach m (Tool.make ~on_view "prop-feed");
   Machine.run m
 
-(* Whether some event writes locations that 4 shards place on two
-   different shards (2 shards split no write that 4 keep together). *)
-let writes_split program ~input =
-  let router = Router.create ~shards:4 () in
-  let split = ref false in
-  ignore
-    (run_machine program ~input (fun v ->
-         let w = v.Event.v_writes in
-         for i = 1 to v.Event.v_nwrites - 1 do
-           if Router.shard_of_loc router w.(i) <> Router.shard_of_loc router w.(0)
-           then split := true
-         done));
-  !split
-
 module Prop (D : Taint.DOMAIN) = struct
   module SE = Shard_engine.Make (D)
 
-  (* Everything observable about a merged run, with its sinks one by
-     one in step order: the sink, its taint and every field of its
-     event, so a sink event decoded wrong (a lane, an implied next pc)
-     shows even where the taint does not.  Taint values are compared
-     structurally: the exchange ships representations verbatim and the
-     home shard replays the exact sequential join order, so
-     representations (not just abstract values) must coincide. *)
-  let key (m : SE.merged) sinks =
+  (* Everything observable about a run, with its sinks one by one in
+     step order: the sink, its taint and every field of its event, so
+     a sink event decoded wrong (a lane, an implied next pc) shows even
+     where the taint does not.  Taint values are compared
+     structurally: the helper replays the exact sequential join order,
+     so representations (not just abstract values) must coincide. *)
+  let key (m : SE.summary) sinks =
     let event (e : Event.exec) =
       ( (e.Event.step, e.Event.tid, e.Event.func.Func.name, e.Event.pc),
         (e.Event.reads, e.Event.writes, e.Event.addr, e.Event.next_pc),
@@ -372,16 +322,12 @@ module Prop (D : Taint.DOMAIN) = struct
     SE.E.on_sink (SE.engine w) (fun sink taint e ->
         sinks := (sink, taint, e) :: !sinks);
     ignore (run_machine program ~input (SE.transfer w));
-    key (SE.merge [| w |]) (List.rev !sinks)
+    key (SE.summary w) (List.rev !sinks)
 
-  (* A cluster fed the machine's views, as the runtimes feed it; its
-     key and the events that crossed shards. *)
-  let sharded policy wire shards (queue_capacity, batch_size) program
-      ~input =
-    let c =
-      SE.cluster ~policy ~wire ~shards ~queue_capacity ~batch_size
-        ~xchg_capacity:4 program
-    in
+  (* A helper cluster fed the machine's views, as the runtime feeds
+     it; its key. *)
+  let helper policy wire (queue_capacity, batch_size) program ~input =
+    let c = SE.cluster ~policy ~wire ~queue_capacity ~batch_size program in
     SE.record_sink_events c;
     SE.start c;
     (match run_machine program ~input (SE.feed_view c) with
@@ -392,46 +338,25 @@ module Prop (D : Taint.DOMAIN) = struct
         raise ex);
     match SE.finish_result c with
     | Ok m ->
-        ( key m
-            (List.map (fun (_, sink, taint, e) -> (sink, taint, Option.get e))
-               m.SE.m_sinks),
-          SE.cross_events c )
+        key m
+          (List.map (fun (_, sink, taint, e) -> (sink, taint, Option.get e))
+             m.SE.m_sinks)
     | Error f -> raise f.Shard_engine.f_primary
 
   (* Every configuration of the grid agrees with the solo worker on
-     [program]: under each of [policies], shards {1, 2, 4} x
-     geometries x both wires, and, with [full], [Policy.full] (which
-     only one shard runs) on the geometries x both wires. *)
-  let agree ?tally ~policies ~full program ~input =
-    let crossed = Array.make 5 false in
-    let grid policy shard_counts =
+     [program]: under each of [policies] and, with [full],
+     [Policy.full], geometries x both wires. *)
+  let agree ~policies ~full program ~input =
+    let grid policy =
       let reference = solo policy program ~input in
       List.for_all
         (fun wire ->
           List.for_all
-            (fun shards ->
-              List.for_all
-                (fun geometry ->
-                  let k, cross =
-                    sharded policy wire shards geometry program ~input
-                  in
-                  if cross > 0 then crossed.(shards) <- true;
-                  k = reference)
-                geometries)
-            shard_counts)
+            (fun geometry -> helper policy wire geometry program ~input = reference)
+            geometries)
         [ `Coded; `Boxed ]
     in
-    let ok =
-      List.for_all (fun policy -> grid policy [ 1; 2; 4 ]) policies
-      && ((not full) || grid Policy.full [ 1 ])
-    in
-    Option.iter
-      (fun t ->
-        t.cases <- t.cases + 1;
-        if crossed.(2) then t.cross2 <- t.cross2 + 1;
-        if crossed.(4) then t.cross4 <- t.cross4 + 1)
-      tally;
-    ok
+    List.for_all grid (if full then Policy.full :: policies else policies)
 end
 
 module Bool_prop = Prop (Taint.Bool)
@@ -439,17 +364,16 @@ module Pc_prop = Prop (Taint.Pc)
 module Set_prop = Prop (Taint.Input_set)
 
 (* {!Test_props.prog_gen}'s programs (memory cells over five blocks,
-   direct, indirect and recursive calls, so memory and register frames
-   both spread over the shards), extended: after its generated body,
+   direct, indirect and recursive calls), extended: after its
+   generated body,
    [main] spawns a generated [worker] on one of its registers, makes
    stores holding mutex 0 or 1 for eight rounds while the worker runs,
    and joins it.  The argument is tainted whenever that register is,
    and always when [main] first reads an input into it (three cases in
    four).  The worker writes its r0 out first, stores it holding mutex
    0 for eight rounds, then runs its generated body.  A spawn writes
-   the spawner's tid register and the child's r0, two frames that
-   often live on two shards, so the home shard ships the child's r0
-   taint to its owner: the exchange's receiver leg. *)
+   the spawner's tid register and the child's r0, two frames: the
+   wire carries a spawn's value in its cut. *)
 let spawn_prog_gen =
   QCheck2.Gen.(
     triple Test_props.prog_gen
@@ -493,38 +417,15 @@ let build_spawning ((ops, callee), (arg, read_first, meanwhile), worker) =
 
 let pp_program ppf case = Program.pp ppf (build_spawning case)
 
-(* A property over {!spawn_prog_gen}'s programs that fails unless some
-   case crosses shards at 2 and at 4 shards and some case writes on
-   two shards.  The shares of cases that do are printed. *)
+(* A property over {!spawn_prog_gen}'s programs. *)
 let program_property ~count name agree =
-  let tally = { cases = 0; cross2 = 0; cross4 = 0; split_writes = 0 } in
-  let test =
-    QCheck2.Test.make ~count ~name ~print:(Fmt.str "%a" pp_program)
-      spawn_prog_gen (fun case ->
-        let program = build_spawning case
-        and input = Test_props.inputs_for () in
-        if writes_split program ~input then
-          tally.split_writes <- tally.split_writes + 1;
-        agree tally program ~input)
-  in
-  let name, speed, run = Qcheck_run.to_alcotest test in
-  ( name,
-    speed,
-    fun () ->
-      run ();
-      Fmt.pr
-        "%d cases: %d cross shards at 2 shards, %d at 4; %d write on two \
-         shards@."
-        tally.cases tally.cross2 tally.cross4 tally.split_writes;
-      check Alcotest.bool "some case crosses at 2 shards" true
-        (tally.cross2 > 0);
-      check Alcotest.bool "some case crosses at 4 shards" true
-        (tally.cross4 > 0);
-      check Alcotest.bool "some case writes on two shards" true
-        (tally.split_writes > 0) )
+  Qcheck_run.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:(Fmt.str "%a" pp_program)
+       spawn_prog_gen (fun case ->
+         agree (build_spawning case) ~input:(Test_props.inputs_for ())))
 
 (* The call-dense kernels at random sizes and seeds: every activation
-   a fresh register frame, so frames round-robin over the shards. *)
+   a fresh register frame, every call and return a cut on the wire. *)
 let kernel_gen =
   QCheck2.Gen.(
     let* w, lo, hi =
@@ -538,7 +439,7 @@ let kernel_gen =
 
 let kernel_property =
   QCheck2.Test.make ~count:2
-    ~name:"sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (call-dense kernels)"
+    ~name:"helper ≡ solo (call-dense kernels)"
     ~print:(fun ((w : Workload.t), size, seed) ->
       Fmt.str "%s size %d seed %d" w.Workload.name size seed)
     kernel_gen
@@ -550,39 +451,32 @@ let kernel_property =
 
 let qcheck_tests =
   [
+    program_property ~count:6 "helper ≡ solo (generated programs, Bool)"
+      (Bool_prop.agree ~policies:[ Policy.default ] ~full:true);
     program_property ~count:6
-      "sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (generated programs, Bool)"
-      (fun tally ->
-        Bool_prop.agree ~tally ~policies:[ Policy.default ] ~full:true);
-    program_property ~count:6
-      "sharded(4) ≡ sharded(2) ≡ sharded(1) ≡ solo (generated programs, Pc \
-       and Input_set)"
-      (fun tally program ~input ->
-        Pc_prop.agree ~tally ~policies:[ Policy.default ] ~full:false program
-          ~input
-        && Set_prop.agree ~policies:[ Policy.default ] ~full:false program
+      "helper ≡ solo (generated programs, Pc and Input_set)"
+      (fun program ~input ->
+        Pc_prop.agree ~policies:[ Policy.default ] ~full:true program ~input
+        && Set_prop.agree ~policies:[ Policy.default ] ~full:true program
              ~input);
     program_property ~count:6
-      "sharded ≡ sequential, security policy (generated programs, Bool and Pc)"
-      (fun tally program ~input ->
-        Bool_prop.agree ~tally ~policies:[ Policy.security ] ~full:false
-          program ~input
+      "sharded ≡ sequential, security policy (generated programs, Bool, Pc \
+       and Input_set)"
+      (fun program ~input ->
+        Bool_prop.agree ~policies:[ Policy.security ] ~full:false program
+          ~input
         && Pc_prop.agree ~policies:[ Policy.security ] ~full:false program
+             ~input
+        && Set_prop.agree ~policies:[ Policy.security ] ~full:false program
              ~input);
     Qcheck_run.to_alcotest kernel_property;
   ]
 
 let suite =
   [
-    Alcotest.test_case "sharded ≡ inline on all kernels (1/2/4 shards)"
-      `Quick test_equivalence_all_kernels;
-    Alcotest.test_case "sharded ≡ two-domain run" `Quick
-      test_agrees_with_two_domain_run;
-    Alcotest.test_case "security policy survives sharding" `Quick
-      test_security_policy;
     Alcotest.test_case "control policy: rejected exact, correct at one shard"
       `Quick test_control_policy;
-    Alcotest.test_case "one shard ≡ two-domain run (wires, filter)"
+    Alcotest.test_case "one shard ≡ two-domain run (wires, filter, server)"
       `Quick test_one_shard_is_two_domain;
     Alcotest.test_case "one shard degrades by resuming" `Quick
       test_one_shard_degrade_resumes;

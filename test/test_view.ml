@@ -149,46 +149,9 @@ let test_alloc_budget () =
       within "inline" inline_words (inline +. headroom))
     alloc_cases
 
-(* A cross-shard event sent to several boxed channels gets one record,
-   shared by all of them.  Against a 1-shard run of the same program,
-   a 4-shard run allocates, per cross-shard event on the application
-   domain, the cached record's option cell and its share of the extra
-   batches and stalls that the cross-event flushes cause: 8 to 11
-   words on treesum 200 with 8-slot rings of 16-event batches.  A
-   record per participant makes that 28 to 30. *)
-module Shards = Dift_parallel.Shard_engine.Make (Dift_core.Taint.Bool)
-
-let test_boxed_fanout () =
-  let w = Spec_like.by_name "treesum" in
-  let program = w.Workload.program in
-  let input = w.Workload.input ~size:200 ~seed:7 in
-  let run shards =
-    let c =
-      Shards.cluster ~wire:`Boxed ~queue_capacity:8 ~batch_size:16 ~shards
-        program
-    in
-    Shards.start c;
-    let m = Machine.create program ~input in
-    Machine.attach m (Tool.make ~on_view:(Shards.feed_view c) "fan-out");
-    let words = minor_words (fun () -> ignore (Machine.run m)) in
-    ignore (Shards.finish_result c);
-    (words, Shards.cross_events c)
-  in
-  let one, _ = run 1 and four, cross = run 4 in
-  if cross = 0 then Alcotest.fail "no event crossed shards";
-  let per_cross = (four -. one) /. float_of_int cross in
-  Fmt.pr "%d cross-shard events: %.2f extra minor words each@." cross
-    per_cross;
-  if per_cross > 18.0 then
-    Alcotest.failf
-      "4-shard boxed run: %.2f extra minor words per cross-shard event"
-      per_cross
-
 let suite =
   [
     Alcotest.test_case "one event: view and exec tools agree" `Quick
       test_one_event;
-    Alcotest.test_case "boxed fan-out shares one record per event" `Quick
-      test_boxed_fanout;
     Alcotest.test_case "allocation budget per event" `Quick test_alloc_budget;
   ]

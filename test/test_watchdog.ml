@@ -8,7 +8,7 @@
    [`Deadline] error (or, with [~degrade:`Inline], complete anyway
    with a bit-identical result), a stall inside its deadline must be
    invisible; (3) QCheck false-positive freedom: clean supervised runs
-   at any size never trip the watchdog, on both runtimes.
+   at any size never trip the watchdog.
 
    Also the Livefilter generation-reset protocol (clear, standdown,
    per-slot ack, post-reset cleanliness) and the chaos stall clamp. *)
@@ -101,7 +101,7 @@ let with_wd spec f =
 let test_progress_parity () =
   let p = Progress.create () in
   let a = Progress.leg p "parallel.push" in
-  let b = Progress.leg p "work.shard0" in
+  let b = Progress.leg p "parallel.pop" in
   check Alcotest.string "name" "parallel.push" (Progress.name a);
   check Alcotest.bool "distinct ids" true (Progress.id a <> Progress.id b);
   check Alcotest.int "fresh epoch" 0 (Progress.epoch a);
@@ -122,11 +122,11 @@ let test_progress_parity () =
 (* -- deadline grammar --------------------------------------------------- *)
 
 let test_deadline_grammar () =
-  let spec = "500;xchg=200;join.helper=2000" in
+  let spec = "500;parallel.po=200;join.helper=2000" in
   let d = dl spec in
   check Alcotest.string "round-trips" spec (Watchdog.deadlines_to_string d);
   check Alcotest.int "prefix override" 200
-    (Watchdog.deadline_ms d "xchg.0.1.push");
+    (Watchdog.deadline_ms d "parallel.pop");
   check Alcotest.int "exact override" 2000
     (Watchdog.deadline_ms d "join.helper");
   check Alcotest.int "default" 500 (Watchdog.deadline_ms d "parallel.push");
@@ -139,7 +139,38 @@ let test_deadline_grammar () =
       match Watchdog.deadlines_of_string bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S must be rejected" bad)
-    [ ""; "0"; "-5"; "abc"; "100;nodeq"; "100;=5"; "100;x=0"; "100;x=q" ];
+    [ ""; "0"; "-5"; "abc"; "100;nodeq"; "100;=5"; "100;join=0";
+      "100;join=q" ];
+  (* an override must be a prefix of one of the runtime's seams; a
+     misspelt or retired one (the shard rings, the exchange mesh, the
+     per-shard work legs) would never apply, and the error lists the
+     seams there are *)
+  List.iter
+    (fun good ->
+      match Watchdog.deadlines_of_string ("100;" ^ good ^ "=5") with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%S names a seam: %s" good e)
+    [ "p"; "parallel"; "parallel.push"; "parallel.pop"; "spawn";
+      "spawn.helper"; "j"; "join.helper" ];
+  List.iter
+    (fun bad ->
+      match Watchdog.deadlines_of_string bad with
+      | Ok _ -> Alcotest.failf "%S must be rejected" bad
+      | Error e ->
+          let want =
+            "parallel.push, parallel.pop, spawn.helper, join.helper"
+          in
+          check Alcotest.bool
+            (Fmt.str "the error for %S lists the seams" bad)
+            true
+            (List.exists
+               (fun i -> String.sub e i (String.length want) = want)
+               (List.init
+                  (max 0 (String.length e - String.length want + 1))
+                  Fun.id)))
+    [ "500;paralel.pop=1;bogus=1"; "100;bogus=1"; "100;xchg=200";
+      "100;xchg.0.1.push=5"; "100;parallel.shard1=5"; "100;spawn.shard0=5";
+      "100;join.shard1=5"; "100;work=5"; "100;parallel.popx=5" ];
   (match Watchdog.deadlines 0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "deadline 0 ms must be rejected");
@@ -218,7 +249,7 @@ let test_global_quiet_suppresses_misses () =
   with_wd "25" @@ fun wd ->
   let p = Watchdog.progress wd in
   let parked = Progress.leg p "parallel.pop" in
-  let busy = Progress.leg p "work.shard0" in
+  let busy = Progress.leg p "parallel.push" in
   let idle = Progress.leg p "join.helper" in
   ignore idle;
   Progress.enter parked;
@@ -271,23 +302,6 @@ let test_stall_past_deadline_two_domain () =
       check Alcotest.bool "watchdog agrees" true (Watchdog.fired wd <> None);
       check Alcotest.bool "error_json carries the deadline object" true
         (Json.member "deadline" (Postmortem.error_json e) <> None)
-
-let test_stall_past_deadline_sharded () =
-  with_watchdog @@ fun () ->
-  with_wd "50" @@ fun wd ->
-  let w = kernel "crc" in
-  let input = w.Workload.input ~size:12 ~seed:3 in
-  match
-    Parallel.run_sharded_result
-      ~chaos:(chaos "parallel.shard1/pop@1=stall:400000000")
-      ~watchdog:wd ~queue_capacity:4 ~batch_size:1 ~shards:3
-      w.Workload.program ~input
-  with
-  | Ok _ -> Alcotest.fail "a wedged shard past its deadline must surface"
-  | Error e ->
-      check Alcotest.bool "deadline leg" true (e.Parallel.e_leg = `Deadline);
-      check Alcotest.bool "Deadline_exceeded primary" true
-        (is_deadline e.Parallel.e_exn)
 
 let test_stall_within_deadline_invisible () =
   with_watchdog @@ fun () ->
@@ -389,28 +403,6 @@ let test_degrade_does_not_mask_app_crash () =
   | Ok _ -> Alcotest.fail "an app crash must not be degraded away"
   | Error e -> check Alcotest.bool "app leg" true (e.Parallel.e_leg = `App)
 
-let test_degrade_sharded_request_reply () =
-  with_watchdog @@ fun () ->
-  let w = kernel "crc" in
-  let input = w.Workload.input ~size:12 ~seed:3 in
-  match
-    Parallel.run_sharded_result
-      ~chaos:(chaos "parallel.shard1/pop@1=crash")
-      ~degrade:`Inline ~queue_capacity:4 ~batch_size:1 ~shards:3
-      w.Workload.program ~input
-  with
-  | Error e ->
-      Alcotest.failf "degraded sharded run must complete: %a" Parallel.pp_error
-        e
-  | Ok r -> (
-      same_result "degraded shard crash" (inline_crc ()) r.Parallel.s_result;
-      match r.Parallel.s_degraded with
-      | None -> Alcotest.fail "report must be flagged degraded"
-      | Some d ->
-          check Alcotest.bool "shard leg" true (d.Parallel.d_leg = `Shard 1);
-          check Alcotest.int "sharded degrade always reruns from scratch" (-1)
-            d.Parallel.d_cutoff_step)
-
 (* -- QCheck: false-positive freedom on clean runs ----------------------- *)
 
 let prop_clean_two_domain_never_trips =
@@ -431,24 +423,6 @@ let prop_clean_two_domain_never_trips =
           Watchdog.fired wd = None
           && r.Parallel.degraded = None
           && r.Parallel.result = inline.Parallel.i_result)
-
-let prop_clean_sharded_never_trips =
-  QCheck2.Test.make ~count:8 ~name:"watchdog: clean sharded runs never trip"
-    QCheck2.Gen.(pair (int_range 4 12) (int_range 2 3))
-    (fun (size, shards) ->
-      let w = kernel "crc" in
-      let input = w.Workload.input ~size ~seed:7 in
-      let inline = Parallel.run_inline w.Workload.program ~input in
-      with_wd "250" @@ fun wd ->
-      match
-        Parallel.run_sharded_result ~watchdog:wd ~queue_capacity:4
-          ~batch_size:2 ~shards w.Workload.program ~input
-      with
-      | Error _ -> false
-      | Ok r ->
-          Watchdog.fired wd = None
-          && r.Parallel.s_degraded = None
-          && r.Parallel.s_result = inline.Parallel.i_result)
 
 (* -- livefilter generation reset ---------------------------------------- *)
 
@@ -554,7 +528,7 @@ let test_livefilter_reset_bit_identical () =
   with_watchdog ~timeout_s:120. @@ fun () ->
   (* end to end: a run long enough to cross the runtime's default
      reset interval (8192 admits) stays bit-identical to the inline
-     baseline on both runtimes, with the filter actually earning *)
+     baseline, with the filter actually earning *)
   let w = Spec_like.search in
   let input = w.Workload.input ~size:2000 ~seed:1 in
   let inline = Parallel.run_inline w.Workload.program ~input in
@@ -565,13 +539,7 @@ let test_livefilter_reset_bit_identical () =
   in
   same_result "filtered two-domain across resets"
     inline.Parallel.i_result r.Parallel.result;
-  check Alcotest.bool "filter earned" true (r.Parallel.filtered_events > 0);
-  let s =
-    ok (Parallel.run_sharded_result ~forward_filter:true ~shards:2
-        w.Workload.program ~input)
-  in
-  same_result "filtered sharded across resets" inline.Parallel.i_result
-    s.Parallel.s_result
+  check Alcotest.bool "filter earned" true (r.Parallel.filtered_events > 0)
 
 let suite =
   [
@@ -584,8 +552,6 @@ let suite =
       test_global_quiet_suppresses_misses;
     Alcotest.test_case "stall past deadline (two-domain)" `Quick
       test_stall_past_deadline_two_domain;
-    Alcotest.test_case "stall past deadline (sharded)" `Quick
-      test_stall_past_deadline_sharded;
     Alcotest.test_case "stall within deadline invisible" `Quick
       test_stall_within_deadline_invisible;
     Alcotest.test_case "stall clamp bounds the join" `Quick test_stall_clamp;
@@ -597,8 +563,6 @@ let suite =
       test_degrade_deadline_miss;
     Alcotest.test_case "degrade: app crash not masked" `Quick
       test_degrade_does_not_mask_app_crash;
-    Alcotest.test_case "degrade: sharded (request-reply)" `Quick
-      test_degrade_sharded_request_reply;
     Alcotest.test_case "livefilter: reset cycle" `Quick
       test_livefilter_reset_cycle;
     Alcotest.test_case "livefilter: reset awaits every ack" `Quick
@@ -609,4 +573,4 @@ let suite =
       test_livefilter_reset_bit_identical;
   ]
   @ List.map Qcheck_run.to_alcotest
-      [ prop_clean_two_domain_never_trips; prop_clean_sharded_never_trips ]
+      [ prop_clean_two_domain_never_trips ]

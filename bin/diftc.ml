@@ -273,8 +273,9 @@ let taint_cmd =
             "Inject a deterministic fault plan into the parallel runtime \
              (with --parallel).  Grammar: [WHERE/]OP@N=FAULT, \
              ';'-separated, where OP is push, pop or spawn, FAULT is \
-             $(b,stall:)NS or $(b,crash), and WHERE is a prefix of \
-             the ring's namespace, parallel — e.g. \
+             $(b,stall:)NS or $(b,crash), WHERE is a prefix of \
+             the ring's namespace, parallel, and a spawn rule is \
+             $(b,spawn@1) (a run spawns one helper) — e.g. \
              $(b,push@3=crash;parallel/pop@2=stall:2000000).  A crash \
              fails the run on the side it hits.  The run exits 0 \
              when it terminates cleanly with only injected failures.")
@@ -444,7 +445,8 @@ let taint_cmd =
         | Some fl, Some reg -> Dift_obs.Flight.register_obs fl reg
         | _ -> ());
         (* One sampler domain serves every periodic job of the run:
-           heartbeat beats and watchdog deadline checks share it. *)
+           heartbeat beats and watchdog deadline checks share it.  It
+           exists whenever either job does. *)
         let sampler =
           if heartbeat <> None || deadline <> None then
             Some (Dift_obs.Sampler.create ())
@@ -454,11 +456,14 @@ let taint_cmd =
           Option.map
             (fun file ->
               Dift_obs.Heartbeat.start ~interval_ms:heartbeat_interval
-                ?sampler (Option.get obs) ~file)
+                ~sampler:(Option.get sampler) (Option.get obs) ~file)
             heartbeat
         in
         let wd =
-          Option.map (Dift_parallel.Watchdog.create ?obs ?flight ?sampler)
+          Option.map
+            (fun d ->
+              Dift_parallel.Watchdog.create ?obs ?flight
+                ~sampler:(Option.get sampler) d)
             deadlines
         in
         let plan =
@@ -470,9 +475,7 @@ let taint_cmd =
         | Some pl ->
             Fmt.epr "fault plan: %a@." Dift_parallel.Chaos.pp_plan pl
         | None -> ());
-        let chaos =
-          Option.map (fun pl -> Dift_parallel.Chaos.create ?flight pl) plan
-        in
+        let chaos = Option.map Dift_parallel.Chaos.create plan in
         (* A fault-injected run is green when it terminated cleanly and
            the primary failure is the injected one; anything else is a
            real failure. *)

@@ -17,7 +17,6 @@ type t = {
   oc : out_channel;
   sampler : Sampler.t;
   job : Sampler.job;
-  owned : bool;  (** the sampler is private: stop it on {!stop} *)
   mutable stopped : bool;
 }
 
@@ -39,21 +38,18 @@ let write_beat oc start_ns reg beats =
   output_char oc '\n';
   flush oc
 
-let start ?(interval_ms = 200) ?sampler reg ~file =
+let start ?(interval_ms = 200) ~sampler reg ~file =
   if interval_ms < 1 then invalid_arg "Heartbeat.start: interval_ms < 1";
   let oc = open_out file in
   let first_json = Registry.to_json (Registry.snapshot reg) in
   let start_ns = Clock.now_ns () in
   let beats = Atomic.make 0 in
   write_beat oc start_ns reg beats;
-  let sampler, owned =
-    match sampler with Some s -> (s, false) | None -> (Sampler.create (), true)
-  in
   let job =
     Sampler.add sampler ~name:("heartbeat:" ^ file) ~interval_ms (fun () ->
         write_beat oc start_ns reg beats)
   in
-  { interval_ms; reg; start_ns; beats; first_json; oc; sampler; job; owned;
+  { interval_ms; reg; start_ns; beats; first_json; oc; sampler; job;
     stopped = false }
 
 let first t = t.first_json
@@ -65,7 +61,6 @@ let stop t =
     (* synchronous: after this, no periodic beat is in flight *)
     Sampler.remove t.sampler t.job;
     write_beat t.oc t.start_ns t.reg t.beats;
-    close_out_noerr t.oc;
-    if t.owned then Sampler.stop t.sampler
+    close_out_noerr t.oc
   end;
   Atomic.get t.beats

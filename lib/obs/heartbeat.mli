@@ -3,8 +3,9 @@
     outside while it is still running (tail the file) and after the
     fact (crash bundles embed the first beat as the delta baseline).
 
-    {!start} truncates [file], writes beat 0 immediately, then spawns
-    a sampler domain that appends one line per interval:
+    {!start} truncates [file], writes beat 0 immediately, then
+    schedules a job on the caller's sampler domain that appends one
+    line per interval:
 
     {v {"seq":N,"t_ns":NANOSECONDS_SINCE_START,"metrics":{…}} v}
 
@@ -15,9 +16,8 @@
 
     Periodic beats are written by a {!Sampler} job, so any number of
     heartbeats (and other periodic channels, e.g. watchdog checks)
-    can share {e one} sampler domain — pass [?sampler] to share;
-    without it the heartbeat owns a private sampler, preserving the
-    historical one-domain behaviour.
+    share {e one} sampler domain, which the caller creates and
+    stops.
 
     Snapshotting from a separate domain is safe by the registry's
     contract (atomic cells; derived gauges must themselves be
@@ -25,15 +25,14 @@
 
 type t
 
-(** [start ?interval_ms ?sampler reg ~file] begins sampling [reg] into
-    [file] every [interval_ms] (default [200]) milliseconds.  With
-    [?sampler] the beats ride the given shared sampler (which the
-    caller stops); without it a private sampler is created and stopped
-    by {!stop}.
+(** [start ?interval_ms ~sampler reg ~file] begins sampling [reg] into
+    [file] every [interval_ms] (default [200]) milliseconds, as a job
+    on [sampler] (which the caller stops after {!stop}).
 
     @raise Invalid_argument if [interval_ms < 1].
     @raise Sys_error if [file] cannot be created. *)
-val start : ?interval_ms:int -> ?sampler:Sampler.t -> Registry.t -> file:string -> t
+val start :
+  ?interval_ms:int -> sampler:Sampler.t -> Registry.t -> file:string -> t
 
 (** The first beat's metrics (the snapshot taken synchronously inside
     {!start}), as the registry JSON — the baseline crash bundles embed
@@ -43,6 +42,7 @@ val first : t -> Json.t
 (** Beats written so far (including beat 0). *)
 val beats : t -> int
 
-(** Write a final beat, stop the sampler domain and join it.
-    Idempotent; returns the total number of beats written. *)
+(** Unschedule the job (synchronously), write a final beat and close
+    the file; the sampler keeps running.  Idempotent; returns the
+    total number of beats written. *)
 val stop : t -> int

@@ -1,15 +1,12 @@
-(** Deterministic fault injection; see the interface for the model.
-
-    An instance's operation counters are atomics: each counter is
-    bumped by exactly one domain (the channel side that owns the
-    operation), but [fired] totals are read cross-domain by tests and
-    the CLI, and atomics keep every read untorn. *)
+(** Fault plans and a run's fault totals; see the interface for the
+    model.  The totals are atomics: the seams that fire faults run on
+    both domains, and tests and the CLI read the totals from either. *)
 
 exception Injected of string
 
 type op = Push | Pop | Spawn
 type fault = Stall of int | Crash
-type rule = { on : op; at : int; fault : fault; where : string option }
+type rule = { on : op; at : int; fault : fault }
 type plan = rule list
 
 (* -- plan text form ----------------------------------------------------- *)
@@ -21,9 +18,7 @@ let fault_to_string = function
   | Crash -> "crash"
 
 let rule_to_string r =
-  Fmt.str "%s%s@%d=%s"
-    (match r.where with None -> "" | Some w -> w ^ "/")
-    (op_to_string r.on) r.at (fault_to_string r.fault)
+  Fmt.str "%s@%d=%s" (op_to_string r.on) r.at (fault_to_string r.fault)
 
 let plan_to_string p = String.concat ";" (List.map rule_to_string p)
 let pp_plan ppf p = Fmt.string ppf (plan_to_string p)
@@ -43,7 +38,8 @@ let prefix ~pre s =
 
 (* Whether [w] is a prefix of the one channel namespace, [parallel].
    Any other [where] would match no channel, and its rule would never
-   fire. *)
+   fire.  An accepted [where] matches the one ring, so the rule keeps
+   no trace of it. *)
 let names_a_channel w = prefix ~pre:w "parallel"
 
 let rule_of_string s =
@@ -76,8 +72,13 @@ let rule_of_string s =
             | o -> Error (Fmt.str "rule %S: unknown op %S" s o)
           in
           match (op, int_of_string_opt at_s, fault_of_string f_s) with
-          | Ok on, Some at, Ok fault when at >= 1 ->
-              Ok { on; at; fault; where }
+          | Ok Spawn, Some at, Ok _ when at > 1 ->
+              Error
+                (Fmt.str
+                   "rule %S: a run spawns one helper, so only spawn@1 can \
+                    fire"
+                   s)
+          | Ok on, Some at, Ok fault when at >= 1 -> Ok { on; at; fault }
           | Ok _, None, _ ->
               Error (Fmt.str "rule %S: bad occurrence %S" s at_s)
           | Ok _, Some at, Ok _ ->
@@ -117,54 +118,41 @@ let plan_of_seed seed =
       | 3 | 4 -> Stall (50_000 + Random.State.int st 1_000_000)
       | _ -> Crash
     in
-    { on; at; fault; where = None }
+    { on; at; fault }
   in
   let base = List.init 4 rule in
-  (* one seed in ~6 also rehearses a spawn failure *)
+  (* one seed in ~6 also rehearses a spawn failure; a run spawns one
+     helper, so the failure is at its first spawn *)
   if Random.State.int st 6 = 0 then
-    { on = Spawn; at = 1 + Random.State.int st 2; fault = Crash; where = None }
-    :: base
+    { on = Spawn; at = 1; fault = Crash } :: base
   else base
 
-(* -- instances ---------------------------------------------------------- *)
+(* -- the run's totals ----------------------------------------------------- *)
 
 type t = {
   c_plan : plan;
   c_fired : int Atomic.t;
-  spawns : int Atomic.t;
   c_stalled_ns : int Atomic.t;
       (** total injected sleep actually served, post-clamp — lets a
           watchdog or test reconcile elapsed time against the plan *)
-  c_flight : Dift_obs.Flight.t option;
-      (** every fired rule records a [chaos.fire] flight event {e on
-          the intercepting domain} — so a crash bundle always carries
-          at least one event from the domain the fault hit *)
 }
 
-let create ?flight plan =
-  { c_plan = plan; c_fired = Atomic.make 0; spawns = Atomic.make 0;
-    c_stalled_ns = Atomic.make 0; c_flight = flight }
+let create plan =
+  { c_plan = plan; c_fired = Atomic.make 0; c_stalled_ns = Atomic.make 0 }
+
 let plan t = t.c_plan
 let fired t = Atomic.get t.c_fired
 let stalled_ns t = Atomic.get t.c_stalled_ns
 
-type inst = {
-  owner : t;
-  ns : string;
-  rules : rule list;  (** pre-filtered for this channel's namespace *)
-  pushes : int Atomic.t;
-  pops : int Atomic.t;
-}
-
-let instance t ~ns =
-  let rules =
-    List.filter
-      (fun r ->
-        r.on <> Spawn
-        && match r.where with None -> true | Some w -> prefix ~pre:w ns)
-      t.c_plan
-  in
-  { owner = t; ns; rules; pushes = Atomic.make 0; pops = Atomic.make 0 }
+let fire t op n =
+  List.filter_map
+    (fun r ->
+      if r.on = op && r.at = n then begin
+        Atomic.incr t.c_fired;
+        Some r.fault
+      end
+      else None)
+    t.c_plan
 
 (* A fat-fingered plan ("stall:3600000000000") must degrade a run, not
    wedge it past any reasonable watchdog deadline: injected sleeps are
@@ -172,55 +160,9 @@ let instance t ~ns =
    [stalled_ns] so deadline tests can reconcile elapsed time. *)
 let max_sleep_ns = 2_000_000_000
 
-let sleep_ns owner ns =
+let stall t ns =
   if ns > 0 then begin
     let ns = min ns max_sleep_ns in
-    ignore (Atomic.fetch_and_add owner.c_stalled_ns ns);
+    ignore (Atomic.fetch_and_add t.c_stalled_ns ns);
     Unix.sleepf (float_of_int ns /. 1e9)
   end
-
-(* Serve the [n]-th occurrence of [op]: sleep out every stall rule
-   that matched, and return the crash that any crash rule schedules,
-   naming the occurrence. *)
-let act owner rules op ~what n =
-  let crash =
-    List.fold_left
-      (fun crash r ->
-        if r.on <> op || r.at <> n then crash
-        else begin
-          Atomic.incr owner.c_fired;
-          (match owner.c_flight with
-          | Some fl ->
-              Dift_obs.Flight.record fl ~cat:"chaos" "chaos.fire" ~a:n
-                ~detail:(Fmt.str "%s=%s" what (fault_to_string r.fault))
-          | None -> ());
-          match r.fault with
-          | Stall ns ->
-              sleep_ns owner ns;
-              crash
-          | Crash -> true
-        end)
-      false rules
-  in
-  if crash then Some (Injected (Fmt.str "injected crash at %s #%d" what n))
-  else None
-
-(* Count this occurrence of [op] on [i] and serve it. *)
-let serve i op =
-  match i.rules with
-  | [] -> None
-  | rules ->
-      let n =
-        1 + Atomic.fetch_and_add (if op = Push then i.pushes else i.pops) 1
-      in
-      act i.owner rules op ~what:(Fmt.str "%s/%s" i.ns (op_to_string op)) n
-
-let on_push i = serve i Push
-let on_pop i = serve i Pop
-
-let on_spawn t =
-  match List.filter (fun r -> r.on = Spawn) t.c_plan with
-  | [] -> None
-  | rules ->
-      let n = 1 + Atomic.fetch_and_add t.spawns 1 in
-      act t rules Spawn ~what:"spawn" n

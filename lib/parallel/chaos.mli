@@ -1,17 +1,19 @@
-(** Deterministic fault injection for the parallel runtimes.
+(** Deterministic fault plans for the parallel runtimes.
 
     The decoupled architecture of paper §2.1 is only as sound as its
     failure and shutdown legs: helper crash mid-drain, application
     crash mid-run, a stalled ring, an abort racing a parked peer.  Those legs run rarely in production and never on the happy
     path the cross-validation tests exercise — so this module makes
     them {e schedulable}: a {!plan} is a deterministic list of faults
-    keyed to the N-th occurrence of a channel operation, and the
-    runtimes consult an optional {!t} through their {!Probe}, in the
-    one probe call each seam operation makes.
+    keyed to the N-th occurrence of a seam operation.
 
-    The seam is strictly {b opt-in}: without a [?chaos] argument the
-    probe's fault check is one branch and the operation takes the
-    ordinary [Spsc] path.
+    This module is the plan and the run's fault totals ({!t}).  The
+    {!Probe} counts each seam's occurrences in its seam handles, asks
+    {!fire} which faults the plan schedules there, records each one
+    as a [chaos.fire] flight event on the intercepting domain and
+    serves it.  The seam is strictly {b opt-in}: without a [?chaos]
+    argument the probe's fault check is one branch and the operation
+    takes the ordinary [Spsc] path.
 
     Plans are reproducible two ways: {!plan_of_seed} derives one
     pseudo-randomly from an integer seed (the CI sweep), and the
@@ -42,17 +44,16 @@ type fault =
           result, so losing one and crashing are the same fault. *)
 
 (** One scheduled fault: fire [fault] on the [at]-th (1-based)
-    occurrence of [on] for channels whose name starts with [where]
-    ([None] matches every channel).  Each rule fires at most once per
-    matching channel instance. *)
-type rule = { on : op; at : int; fault : fault; where : string option }
+    occurrence of [on].  A run has one ring and spawns one helper, so
+    each rule fires at most once per run. *)
+type rule = { on : op; at : int; fault : fault }
 
 type plan = rule list
 
 (** [plan_of_seed seed] derives a reproducible pseudo-random plan of
     four rules from [seed]: push/pop stalls and crashes at small
-    occurrence indices, occasionally a spawn failure.  Same seed, same
-    plan. *)
+    occurrence indices, occasionally a spawn failure ([spawn@1]).
+    Same seed, same plan. *)
 val plan_of_seed : int -> plan
 
 (** Render a plan in the grammar {!plan_of_string} accepts —
@@ -67,64 +68,43 @@ op    := 'push' | 'pop' | 'spawn'
 fault := 'stall:' ns | 'crash'
     v}
     e.g. [push@3=crash;parallel/pop@2=stall:2000000].
-    [where] is matched as a prefix of the channel namespace
-    [parallel]; a [where] that is not a prefix of it is rejected, as
-    it could never fire.  [drop], [abort], [raise] and [delay:] are rejected with an
-    error that names the faults there are. *)
+    A [where] must be a prefix of the one channel namespace,
+    [parallel], and then matches the one ring: the parsed rule (and
+    {!plan_to_string}) drops it.  A [where] that is not a prefix of
+    [parallel] is rejected, and so is [spawn@N] for [N > 1] (a run
+    spawns one helper), as neither could ever fire.  [drop], [abort],
+    [raise] and [delay:] are rejected with an error that names the
+    faults there are. *)
 val plan_of_string : string -> (plan, string) result
 
 val pp_plan : plan Fmt.t
 
-(** {1 Instances}
-
-    A {!t} is one run's fault state: the plan plus a fired-fault
-    count.  Each channel derives a per-channel {!inst} carrying its
-    own operation counters, so rule occurrence indices are counted
-    per channel, not globally. *)
+(** {1 A run's fault totals} *)
 
 type t
 
-(** [create ?flight plan] — with [?flight], every fired rule records a
-    [chaos.fire] flight event (category [chaos], [a] = occurrence
-    index, [detail] = ["<ns>/<op>=<fault>"]) {e on the domain the
-    fault intercepts} — so a crash bundle always carries at least one
-    flight event from the crashing domain, whichever leg the plan
-    hit. *)
-val create : ?flight:Dift_obs.Flight.t -> plan -> t
-
+val create : plan -> t
 val plan : t -> plan
 
-(** Faults fired so far, across every instance (atomic — readable
-    from any domain). *)
+(** Faults fired so far (atomic — readable from any domain). *)
 val fired : t -> int
 
-(** Total injected sleep actually served so far, in ns, across every
-    instance (atomic).  Individual [Stall] durations are
-    clamped to 2 s apiece before serving, so a fat-fingered plan
-    degrades a run instead of wedging it past any watchdog deadline;
-    this total is post-clamp, letting tests reconcile elapsed wall
-    time against the plan. *)
+(** Total injected sleep actually served so far, in ns (atomic).
+    Individual [Stall] durations are clamped to 2 s apiece before
+    serving, so a fat-fingered plan degrades a run instead of wedging
+    it past any watchdog deadline; this total is post-clamp, letting
+    tests reconcile elapsed wall time against the plan. *)
 val stalled_ns : t -> int
 
-(** A per-channel view: [ns] selects which rules apply (prefix
-    match).  Push operations must come from the channel's single
-    producer domain and pops from its single consumer domain, like
-    the underlying {!Spsc} sides. *)
-type inst
+(** {1 Serving a seam} *)
 
-(** [instance t ~ns] — the ring that carries events, namespace
-    [ns] ([parallel]). *)
-val instance : t -> ns:string -> inst
+(** [fire t op n] is the faults the plan schedules at the [n]-th
+    occurrence of [op], in plan order, each counted in {!fired}. *)
+val fire : t -> op -> int -> fault list
 
-(** Serve the next push (pop) on the ring: sleep out any [Stall]
-    fired at this occurrence, then return the crash that any [Crash]
-    fired here schedules — {!Injected}, naming the channel and the
-    occurrence — for the seam to raise after its accounting. *)
-val on_push : inst -> exn option
+(** [stall t ns] sleeps [ns], clamped to 2 s, and adds what it served
+    to {!stalled_ns}. *)
+val stall : t -> int -> unit
 
-val on_pop : inst -> exn option
-
-(** The [Spawn] interception point — global to the run (domains are
-    spawned from one supervising domain); a [Crash] is a spawn
-    failure. *)
-val on_spawn : t -> exn option
+(** A fault in the plan grammar: [crash], [stall:<ns>]. *)
+val fault_to_string : fault -> string

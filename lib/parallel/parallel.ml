@@ -151,12 +151,12 @@ let supervise ?config ~probe ?degrade ~queue_capacity ~batch_size ~wire
   let filtered () = match lf with Some l -> Livefilter.filtered l | None -> 0 in
   let t_start = now_ns () in
   let partial () =
-    let s = Bool_helper.shard_stat c in
+    let k = Bool_helper.counts c in
     {
-      p_events = s.Shard_engine.fed;
-      p_batches = s.Shard_engine.batches;
-      p_dropped_batches = s.Shard_engine.dropped_batches;
-      p_dropped_events = s.Shard_engine.dropped_events;
+      p_events = k.Probe.events;
+      p_batches = k.Probe.batches;
+      p_dropped_batches = k.Probe.dropped_batches;
+      p_dropped_events = k.Probe.dropped_events;
       p_wall_ns = now_ns () - t_start;
     }
   in
@@ -328,18 +328,18 @@ let run_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
     ~probe:(Probe.make ?obs ?trace ?flight ?chaos ?watchdog ())
     ?degrade ~queue_capacity ~batch_size ~wire ~forward_filter ?policy
     ?on_sink program ~input ~report:(fun c r ->
-      let s = Bool_helper.shard_stat c in
+      let k = Bool_helper.counts c in
       {
         result = r.r_result;
         queue_capacity;
         batch_size;
         wire;
         filtered_events = r.r_filtered;
-        batches = s.Shard_engine.batches;
-        dropped_batches = s.Shard_engine.dropped_batches;
-        dropped_events = s.Shard_engine.dropped_events;
-        producer_stalls = s.Shard_engine.producer_stalls;
-        consumer_waits = s.Shard_engine.consumer_waits;
+        batches = k.Probe.batches;
+        dropped_batches = k.Probe.dropped_batches;
+        dropped_events = k.Probe.dropped_events;
+        producer_stalls = k.Probe.producer_stalls;
+        consumer_waits = k.Probe.consumer_waits;
         main_wall_ns = r.r_main_wall_ns;
         total_wall_ns = r.r_total_wall_ns;
         degraded = r.r_degraded;
@@ -377,7 +377,7 @@ type sharded_report = {
   s_filtered_events : int;
       (** events the producer-side liveness filter dropped (0 with the
           filter off); [s_result.events] already adds them back *)
-  s_helper : Shard_engine.shard_stat;
+  s_helper : Probe.counts;
   s_main_wall_ns : int;
   s_total_wall_ns : int;
   s_degraded : degraded option;
@@ -400,7 +400,7 @@ let run_sharded_result ?config ?obs ?trace ?flight ?chaos ?watchdog ?degrade
         s_batch_size = batch_size;
         s_wire = wire;
         s_filtered_events = r.r_filtered;
-        s_helper = Bool_helper.shard_stat c;
+        s_helper = Bool_helper.counts c;
         s_main_wall_ns = r.r_main_wall_ns;
         s_total_wall_ns = r.r_total_wall_ns;
         s_degraded = r.r_degraded;

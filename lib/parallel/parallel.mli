@@ -242,7 +242,7 @@ type sharded_report = {
       (** events dropped producer-side by the taint-liveness filter
           ([0] with the filter off); [s_result.events] already adds
           them back *)
-  s_helper : Shard_engine.shard_stat;  (** the helper's activity *)
+  s_helper : Probe.counts;  (** the helper's books: its channel's *)
   s_main_wall_ns : int;  (** application-domain run time, to the close *)
   s_total_wall_ns : int;  (** until the helper joined *)
   s_degraded : degraded option;

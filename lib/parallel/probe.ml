@@ -24,6 +24,33 @@ let enter = function Some l -> Progress.enter l | None -> ()
 let leave = function Some l -> Progress.leave l | None -> ()
 let tick = function Some l -> Progress.tick l | None -> ()
 
+(* Serve the [n]-th occurrence of [op] at the seam named [what]: each
+   fault the plan fires here is recorded as [chaos.fire] on the acting
+   domain's flight ring, its stall slept out, and a crash returned as
+   the {!Chaos.Injected} the seam raises after its accounting. *)
+let inject t c op ~what n =
+  match Chaos.fire c op n with
+  | [] -> None
+  | faults ->
+      let crash =
+        List.fold_left
+          (fun crash fault ->
+            (match t.flight with
+            | Some fl ->
+                Flight.record fl ~cat:"chaos" "chaos.fire" ~a:n
+                  ~detail:(Fmt.str "%s=%s" what (Chaos.fault_to_string fault))
+            | None -> ());
+            match fault with
+            | Chaos.Stall ns ->
+                Chaos.stall c ns;
+                crash
+            | Chaos.Crash -> true)
+          false faults
+      in
+      if crash then
+        Some (Chaos.Injected (Fmt.str "injected crash at %s #%d" what n))
+      else None
+
 (* -- feed rings --------------------------------------------------------- *)
 
 type counts = {
@@ -44,23 +71,29 @@ type counts = {
 
 type feed = {
   run : t;
-  chaos : Chaos.inst option;
   push_leg : Progress.leg option;
   pop_leg : Progress.leg option;
   mutable occupancy : Registry.histogram option;
+  mutable pushes : int;
+      (** pushes so far, for the plan's [Push] rules; only the
+          producer touches it *)
+  mutable pops : int;  (** pops so far; only the consumer touches it *)
 }
 
 (* The feed ring's namespace: its metric prefix, flight category,
    progress-leg prefix and fault namespace. *)
 let ns = "parallel"
+let push_seam = ns ^ "/push"
+let pop_seam = ns ^ "/pop"
 
 let feed run =
   {
     run;
-    chaos = Option.map (fun c -> Chaos.instance c ~ns) run.chaos;
     push_leg = leg run (ns ^ ".push");
     pop_leg = leg run (ns ^ ".pop");
     occupancy = None;
+    pushes = 0;
+    pops = 0;
   }
 
 let ring f ~capacity =
@@ -161,7 +194,11 @@ let deliver f ring x ~events =
 
 let push f ring x ~events =
   (match f.occupancy with Some h -> Registry.observe h events | None -> ());
-  Option.iter raise (Option.bind f.chaos Chaos.on_push);
+  (match f.run.chaos with
+  | None -> ()
+  | Some c ->
+      f.pushes <- f.pushes + 1;
+      Option.iter raise (inject f.run c Chaos.Push ~what:push_seam f.pushes));
   deliver f ring x ~events
 
 let pop f ring =
@@ -172,7 +209,15 @@ let pop f ring =
         transfer tr ring ~parks:Spsc.consumer_waits ~fast:"ring.dequeue"
           ~slow:"ring.wait" (fun () -> Spsc.pop ring)
   in
-  Option.map (fun x -> (x, Option.bind f.chaos Chaos.on_pop)) got
+  Option.map
+    (fun x ->
+      ( x,
+        match f.run.chaos with
+        | None -> None
+        | Some c ->
+            f.pops <- f.pops + 1;
+            inject f.run c Chaos.Pop ~what:pop_seam f.pops ))
+    got
 
 let consumed f ring ~events =
   tick f.pop_leg;
@@ -189,8 +234,7 @@ type helper = {
   h_run : t;
   spawn_leg : Progress.leg option;
   join_leg : Progress.leg option;
-  mutable busy_ns : int;
-  mutable wall_ns : int;
+  mutable spawns : int;  (** spawns so far, for the plan's [Spawn] rules *)
   on_busy : int -> unit;  (** registry hook, per timed batch *)
   on_wall : int -> unit;  (** registry hook, at drain end *)
 }
@@ -226,8 +270,7 @@ let helper h_run =
     h_run;
     spawn_leg = leg h_run "spawn.helper";
     join_leg = leg h_run "join.helper";
-    busy_ns = 0;
-    wall_ns = 0;
+    spawns = 0;
     on_busy;
     on_wall;
   }
@@ -273,7 +316,12 @@ let spawn h body =
      that never gets scheduled is a watchable seam *)
   enter h.spawn_leg;
   match
-    Option.iter raise (Option.bind h.h_run.chaos Chaos.on_spawn);
+    (match h.h_run.chaos with
+    | None -> ()
+    | Some c ->
+        h.spawns <- h.spawns + 1;
+        Option.iter raise
+          (inject h.h_run c Chaos.Spawn ~what:"spawn" h.spawns));
     Domain.spawn (fun () ->
         leave h.spawn_leg;
         Option.iter (fun tr -> Trace.name_track tr "helper") h.h_run.trace;
@@ -283,9 +331,7 @@ let spawn h body =
             Flight.record fl ~cat:"run" "helper.start"
         | None -> ());
         let t0 = Clock.now_ns () in
-        Fun.protect body ~finally:(fun () ->
-            h.wall_ns <- Clock.now_ns () - t0;
-            h.on_wall h.wall_ns))
+        Fun.protect body ~finally:(fun () -> h.on_wall (Clock.now_ns () - t0)))
   with
   | d -> d
   | exception ex ->
@@ -300,9 +346,7 @@ let drain h k =
     (match trace with
     | Some tr -> Trace.span tr ~cat:"core" "engine.batch" body
     | None -> body ());
-    let dt = Clock.now_ns () - t0 in
-    h.busy_ns <- h.busy_ns + dt;
-    h.on_busy dt
+    h.on_busy (Clock.now_ns () - t0)
   in
   match trace with
   | Some tr ->
@@ -319,9 +363,6 @@ let crash h ex =
 let join h d =
   enter h.join_leg;
   Fun.protect ~finally:(fun () -> leave h.join_leg) (fun () -> Domain.join d)
-
-let busy_ns h = h.busy_ns
-let wall_ns h = h.wall_ns
 
 (* -- run markers -------------------------------------------------------- *)
 

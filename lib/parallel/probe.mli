@@ -14,6 +14,17 @@
     what a lost batch means for its books.  With an instrument off,
     its part of a probe call is one branch.
 
+    The probe is the run's one fault point.  The feed handle counts
+    pushes and pops and the helper handle counts spawns; at each
+    occurrence the probe asks {!Chaos.fire} what the plan schedules
+    there, records every fired fault as a [chaos.fire] flight event
+    (category [chaos], [a] = occurrence index, [detail] =
+    [parallel/pop=crash], [spawn=stall:5000], ...) on the intercepting
+    domain, sleeps out its stall and raises its crash
+    ({!Chaos.Injected}, [injected crash at parallel/pop #2]).  So a
+    crash bundle always carries a flight event from the domain the
+    fault hit.
+
     {1 Seam catalogue}
 
     The tables in [docs/observability.md] and
@@ -41,7 +52,8 @@
       the domain that aborted the ring first, whatever the cause.
     - Progress legs: [parallel.push] and [parallel.pop], armed while
       that side is parked and ticked per delivered/consumed batch.
-    - Chaos: namespace [parallel].  A [Crash] crashes the
+    - Chaos: the plan's [Push]/[Pop] rules, counted per ring side
+      ([parallel/push], [parallel/pop]).  A [Crash] crashes the
       intercepting side, after the batch in hand is booked as dropped
       (push) or discarded (pop); a lost batch never lets the run
       complete with a result inline tracking would not compute.
@@ -57,7 +69,8 @@
       dies of an exception, [helper.crash].
     - Progress legs: [spawn.helper], armed from before [Domain.spawn]
       until the body runs; [join.helper], armed around the join.
-    - Chaos: the run's [Spawn] rules; a [Crash] is a spawn failure.
+    - Chaos: the plan's [Spawn] rules ([spawn]); a [Crash] is a spawn
+      failure.
 
     {b Engine} ({!engine}, on whichever domain processes the events).
     - Metrics: the [core.engine.*]/[core.shadow.*] gauges.
@@ -69,7 +82,7 @@
     - Trace: the [app] track and its [app.run] span (category [vm]).
     - Flight (category [run], ring [app]): [run.start], [run.done],
       [run.error], [run.degrade].
-    - Watchdog: the cascade hooks ({!on_miss}) and the deadline
+    - Watchdog: the cascade hook ({!on_miss}) and the deadline
       verdict ({!missed}). *)
 
 type t
@@ -217,9 +230,6 @@ val crash : helper -> exn -> unit
 
 val join : helper -> unit Domain.t -> unit
 
-val busy_ns : helper -> int
-val wall_ns : helper -> int
-
 (** {1 Run markers} *)
 
 (** The application domain: names its track and flight ring [app]
@@ -236,7 +246,7 @@ val run_done : t -> events:int -> batches:int -> unit
 val run_error : t -> leg:string -> unit
 val run_degrade : t -> cut:int -> leg:string -> unit
 
-(** Register a watchdog cascade hook (see {!Watchdog.on_miss}). *)
+(** Set the watchdog's cascade hook (see {!Watchdog.on_miss}). *)
 val on_miss : t -> name:string -> (unit -> unit) -> unit
 
 (** The watchdog's miss, once one has fired. *)

@@ -5,20 +5,6 @@
 open Dift_vm
 open Dift_core
 
-type shard_stat = {
-  fed : int;
-  handled : int;
-  batches : int;
-  dropped_batches : int;
-  dropped_events : int;
-  discarded_batches : int;
-  discarded_events : int;
-  busy_ns : int;
-  wall_ns : int;
-  producer_stalls : int;
-  consumer_waits : int;
-}
-
 exception Spawn_failure of exn
 
 type failure = { f_primary : exn; f_helper : bool }
@@ -268,19 +254,5 @@ module Make (D : Taint.DOMAIN) = struct
 
   let resume c = (c.cutoff, c.worker)
 
-  let shard_stat c =
-    let k = Channel.counts c.chan and h = c.helper in
-    {
-      fed = k.events;
-      handled = k.consumed_events;
-      batches = k.batches;
-      dropped_batches = k.dropped_batches;
-      dropped_events = k.dropped_events;
-      discarded_batches = k.discarded_batches;
-      discarded_events = k.discarded_events;
-      busy_ns = Probe.busy_ns h;
-      wall_ns = Probe.wall_ns h;
-      producer_stalls = k.producer_stalls;
-      consumer_waits = k.consumer_waits;
-    }
+  let counts c = Channel.counts c.chan
 end

@@ -10,6 +10,8 @@
     [parallel.helper.*] metrics and the [spawn.helper]/[join.helper]
     watchdog legs.  It records the step of the last batch it fully
     processed, so a degraded run can resume there ({!Make.resume}).
+    Its books are its channel's ({!Make.counts}); there is no second
+    copy of them.
 
     The module is exposed so tests can feed machine runs through a
     real helper domain ({!Make.feed_view}) and compare it with the
@@ -18,25 +20,6 @@
 open Dift_isa
 open Dift_vm
 open Dift_core
-
-(** The helper's activity summary, reported by {!Make.shard_stat}
-    after a run. *)
-type shard_stat = {
-  fed : int;  (** events the application handed the channel *)
-  handled : int;  (** events the helper processed *)
-  batches : int;  (** ring batches actually delivered *)
-  dropped_batches : int;
-      (** batches lost producer-side (post-abort or injected) *)
-  dropped_events : int;  (** events inside [dropped_batches] *)
-  discarded_batches : int;
-      (** batches popped but not processed (the batch in hand at a
-          crash, and the post-abort sweep) *)
-  discarded_events : int;  (** events inside [discarded_batches] *)
-  busy_ns : int;  (** time spent inside batch processing *)
-  wall_ns : int;  (** helper wall time, spawn to drain end *)
-  producer_stalls : int;  (** app blocked on the full ring *)
-  consumer_waits : int;  (** helper blocked on the empty ring *)
-}
 
 (** Raised by {!Make.start} when the helper domain could not be
     spawned (the payload is the underlying spawn exception).  The
@@ -133,9 +116,9 @@ module Make (D : Taint.DOMAIN) : sig
       [probe] (default {!Probe.off}) carries the run's instruments:
       the channel, the helper's spawn, drain and join, and the engine
       derive their handles from it, with the metrics, trace spans,
-      flight events, progress legs and fault namespaces the catalogue
-      in {!Probe} lists.  With a watchdog, the cluster also registers
-      its cascade hook (abort the channel) under the name [parallel],
+      flight events, progress legs and fault counters the catalogue
+      in {!Probe} lists.  With a watchdog, the cluster also sets the
+      run's one cascade hook (abort the channel), named [parallel],
       so a deadline miss tears the run down; the supervisor must
       consult the watchdog after {!finish_result}, since a
       post-cascade run can complete looking ordinary.
@@ -193,7 +176,7 @@ module Make (D : Taint.DOMAIN) : sig
   (** Close the channel ({!close_feed}), join the helper domain and
       return the worker's {!summary}.  Always joins (never leaks the
       domain), and reports a failure as a {!failure} value instead of
-      raising, so callers can still read {!shard_stat}. *)
+      raising, so callers can still read its {!counts}. *)
   val finish_result : cluster -> (summary, failure) result
 
   (** Where a degraded run continues on the calling domain, after the
@@ -205,6 +188,7 @@ module Make (D : Taint.DOMAIN) : sig
       ([-1] when none was). *)
   val resume : cluster -> int * worker
 
-  (** The helper's activity after {!finish_result}. *)
-  val shard_stat : cluster -> shard_stat
+  (** The helper's books: its channel's {!Channel.counts}, exact once
+      {!finish_result} has joined the helper. *)
+  val counts : cluster -> Probe.counts
 end

@@ -120,14 +120,14 @@ type t = {
   w_deadlines : deadlines;
   w_progress : Dift_obs.Progress.t;
   w_sampler : Dift_obs.Sampler.t;
-  w_owned : bool;
   mutable w_job : Dift_obs.Sampler.job option;
   w_fired : miss option Atomic.t;
   w_checks : int Atomic.t;
   w_lock : Mutex.t;
       (** serializes [check] (sampler job vs an explicit {!check_now})
-          and guards [w_hooks] *)
-  mutable w_hooks : (string * (unit -> unit)) list;  (** reversed *)
+          and guards [w_hook] *)
+  mutable w_hook : (string * (unit -> unit)) option;
+      (** the run's one cascade hook *)
   w_flight : Dift_obs.Flight.t option;
   w_seen : (int, seen) Hashtbl.t;  (** keyed by [Progress.id]; only
                                        touched under [w_lock] *)
@@ -138,17 +138,11 @@ type t = {
 let min_deadline_ms d =
   List.fold_left (fun a (_, ms) -> min a ms) d.default_ms d.overrides
 
-(* Run the cascade: hooks whose name prefixes the stalled seam first
-   (the channel the wedge sits on), then every other hook in
-   registration (dependency) order.  All hooks are idempotent aborts,
-   and each runs under its own handler so one failing hook cannot
-   strand the rest of the teardown. *)
-let cascade t m =
-  let hooks = List.rev t.w_hooks in
-  let hit, rest =
-    List.partition (fun (name, _) -> prefix ~pre:name m.m_seam) hooks
-  in
-  List.iter
+(* Run the cascade: the one hook, an idempotent abort of the channel
+   every seam's wedge backs up into.  A failing hook must not kill the
+   sampler domain the check runs on. *)
+let cascade t =
+  Option.iter
     (fun (name, f) ->
       (match t.w_flight with
       | Some fl ->
@@ -156,7 +150,7 @@ let cascade t m =
             ~detail:name
       | None -> ());
       try f () with _ -> ())
-    (hit @ rest)
+    t.w_hook
 
 let fire t m =
   Atomic.set t.w_fired (Some m);
@@ -167,7 +161,7 @@ let fire t m =
         ~b:(m.m_deadline_ns / 1_000_000)
         ~detail:m.m_seam
   | None -> ());
-  cascade t m
+  cascade t
 
 (* One deadline check.  A leg misses its deadline iff it is armed
    (parked inside a blocking region), its own epoch has been frozen
@@ -238,13 +232,8 @@ let check_locked t =
   Mutex.lock t.w_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.w_lock) (fun () -> check t)
 
-let create ?obs ?flight ?sampler w_deadlines =
+let create ?obs ?flight ~sampler:w_sampler w_deadlines =
   let w_progress = Dift_obs.Progress.create () in
-  let w_sampler, w_owned =
-    match sampler with
-    | Some s -> (s, false)
-    | None -> (Dift_obs.Sampler.create (), true)
-  in
   (* sample a few times per shortest deadline so a miss is detected
      within ~1.25x its deadline; clamp so sub-10ms deadlines don't
      spin the sampler and huge ones still stop promptly *)
@@ -254,12 +243,11 @@ let create ?obs ?flight ?sampler w_deadlines =
       w_deadlines;
       w_progress;
       w_sampler;
-      w_owned;
       w_job = None;
       w_fired = Atomic.make None;
       w_checks = Atomic.make 0;
       w_lock = Mutex.create ();
-      w_hooks = [];
+      w_hook = None;
       w_flight = flight;
       w_seen = Hashtbl.create 16;
       w_last_total = 0;
@@ -288,8 +276,12 @@ let deadline_spec t = t.w_deadlines
 
 let on_miss t ~name f =
   Mutex.lock t.w_lock;
-  t.w_hooks <- (name, f) :: t.w_hooks;
-  Mutex.unlock t.w_lock
+  let first = Option.is_none t.w_hook in
+  if first then t.w_hook <- Some (name, f);
+  Mutex.unlock t.w_lock;
+  if not first then
+    invalid_arg
+      (Fmt.str "Watchdog.on_miss: %s: the run has a cascade hook" name)
 
 let check_now t = check_locked t
 
@@ -299,5 +291,4 @@ let stop t =
   | Some j ->
       t.w_job <- None;
       Dift_obs.Sampler.remove t.w_sampler j
-  | None -> ());
-  if t.w_owned then Dift_obs.Sampler.stop t.w_sampler
+  | None -> ())

@@ -35,21 +35,20 @@
     pipeline has backed up, which on a bounded ring takes at most one
     ring's worth of slack after the stall.
 
-    {b Cascade.}  Supervisors register teardown hooks ({!on_miss}) in
-    dependency order, one hook per abortable resource (the runtime
-    registers one: its feed channel), every hook idempotent (they are
-    the same aborts the crash paths run).  On a miss, hooks whose name is
-    a prefix of the stalled seam run first (the resource the wedge
-    sits on), then the rest in registration order; each hook runs
-    under its own exception handler.  The aborts unpark every blocked
-    side, the helper terminates, and the supervisor — which must
-    consult {!fired} after its joins — surfaces the structured
-    [`Deadline] error.
+    {b Cascade.}  A run has one abortable resource, its feed channel,
+    and the supervisor sets one teardown hook for it ({!on_miss}): the
+    channel abort the crash paths run, idempotent.  Every seam's wedge
+    backs up into that channel, so the hook needs no ordering against
+    the stalled seam.  On a miss it runs under an exception handler;
+    the abort unparks every blocked side, the helper terminates, and
+    the supervisor — which must consult {!fired} after its joins —
+    surfaces the structured [`Deadline] error.
 
-    One watchdog supervises one run: create it, pass it to
-    [Parallel.run_result ~watchdog] / [run_sharded_result ~watchdog],
-    and {!stop} it after the run returns.  Hooks and legs accumulate
-    per run; reuse across runs is not supported. *)
+    One watchdog supervises one run: create it on the run's sampler,
+    pass it to [Parallel.run_result ~watchdog] /
+    [run_sharded_result ~watchdog], and {!stop} it after the run
+    returns.  Its hook and legs belong to that run; reuse across runs
+    is not supported. *)
 
 (** {1 Deadlines} *)
 
@@ -103,30 +102,31 @@ val pp_miss : miss Fmt.t
 
 type t
 
-(** [create ?obs ?flight ?sampler deadlines] — a fresh watchdog with
-    its own empty {!progress} table, checking on [?sampler] (shared
-    with e.g. the heartbeat) or on a private sampler stopped by
-    {!stop}.  The check interval is a quarter of the shortest
+(** [create ?obs ?flight ~sampler deadlines] — a fresh watchdog with
+    its own empty {!progress} table, checking on [sampler], which the
+    caller owns (it may share it with e.g. the heartbeat) and stops
+    after {!stop}.  The check interval is a quarter of the shortest
     configured deadline, clamped to [2..50] ms, so a miss is detected
     within roughly 1.25x its deadline.  With [?obs], publishes
     [watchdog.checks] and [watchdog.fired] gauges plus the progress
     table's own.  With [?flight], a miss records [watchdog.miss]
-    (detail = seam, a/b = blocked/deadline ms) and one
-    [watchdog.cascade] event per hook run, on the detecting domain. *)
+    (detail = seam, a/b = blocked/deadline ms) and, when a hook is
+    set, a [watchdog.cascade] event (detail = its name), on the
+    detecting domain. *)
 val create :
   ?obs:Dift_obs.Registry.t ->
   ?flight:Dift_obs.Flight.t ->
-  ?sampler:Dift_obs.Sampler.t ->
+  sampler:Dift_obs.Sampler.t ->
   deadlines ->
   t
 
 (** The progress table the supervised run's seams register into. *)
 val progress : t -> Dift_obs.Progress.t
 
-(** Register a cascade hook (idempotent teardown of one resource), in
-    dependency order.  [name] should be the seam-name prefix of the
-    resource it aborts — hooks prefixing the stalled seam run first.
-    Callable from the supervising domain before and during the run. *)
+(** Set the run's cascade hook (the idempotent teardown of its
+    channel); [name] labels its [watchdog.cascade] event.  Callable
+    from the supervising domain before and during the run.
+    @raise Invalid_argument if the hook is already set. *)
 val on_miss : t -> name:string -> (unit -> unit) -> unit
 
 (** The miss, once one has fired (atomic; readable from any domain).
@@ -146,6 +146,6 @@ val deadline_spec : t -> deadlines
 val check_now : t -> unit
 
 (** Unschedule the check job (synchronously — no check is in flight
-    once this returns) and stop the private sampler if one was
-    created.  Does not clear {!fired}. *)
+    once this returns); the sampler keeps running.  Does not clear
+    {!fired}. *)
 val stop : t -> unit

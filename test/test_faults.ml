@@ -89,13 +89,25 @@ let test_plan_roundtrip () =
   (* same seed, same plan *)
   check Alcotest.bool "deterministic" true
     (Chaos.plan_of_seed 42 = Chaos.plan_of_seed 42);
-  (* explicit grammar corners *)
+  (* a run spawns one helper: a seeded spawn failure is at the first *)
+  for seed = 0 to 99 do
+    List.iter
+      (fun (r : Chaos.rule) ->
+        if r.on = Chaos.Spawn then
+          check Alcotest.int (Fmt.str "seed %d: spawn@1" seed) 1 r.at)
+      (Chaos.plan_of_seed seed)
+  done;
+  (* explicit grammar corners; a [where] matches the one ring, so the
+     rule (and its printed form) drops it *)
   (match Chaos.plan_of_string "parallel/pop@2=crash;push@1=stall:50" with
   | Ok [ r1; r2 ] ->
-      check Alcotest.bool "where parsed" true
-        (r1.Chaos.where = Some "parallel");
+      check Alcotest.bool "where dropped" true
+        (r1 = { Chaos.on = Chaos.Pop; at = 2; fault = Chaos.Crash });
       check Alcotest.bool "stall parsed" true
-        (r2.Chaos.fault = Chaos.Stall 50)
+        (r2.Chaos.fault = Chaos.Stall 50);
+      check Alcotest.string "printed without the where"
+        "pop@2=crash;push@1=stall:50"
+        (Chaos.plan_to_string [ r1; r2 ])
   | _ -> Alcotest.fail "two-rule plan must parse");
   let rejected bad =
     match Chaos.plan_of_string bad with
@@ -121,6 +133,18 @@ let test_plan_roundtrip () =
         (names (rejected bad) word))
     [ ("push@1=delay:5", "stall:"); ("push@1=drop", "crash");
       ("pop@2=abort", "crash"); ("pop@1=raise", "crash") ];
+  (* a run spawns one helper, so a later spawn never comes *)
+  check Alcotest.bool "spawn@1 parses" true
+    (Result.is_ok
+       (Chaos.plan_of_string "spawn@1=crash;parallel/spawn@1=stall:5"));
+  List.iter
+    (fun bad ->
+      check Alcotest.bool
+        (Fmt.str "the error for %S names spawn@1" bad)
+        true
+        (names (rejected bad) "spawn@1"))
+    [ "spawn@2=crash"; "spawn@3=stall:100"; "pop@1=crash;spawn@2=crash";
+      "parallel/spawn@2=crash"; "spawn@1000000=crash" ];
   (* a [where] must be a prefix of the one channel namespace,
      [parallel]; a misspelt or retired one (the shard rings
      [parallel.shard<i>], the exchange mesh [xchg.<src>.<dst>]) would
@@ -128,9 +152,10 @@ let test_plan_roundtrip () =
   List.iter
     (fun w ->
       match Chaos.plan_of_string (w ^ "/pop@2=crash") with
-      | Ok [ r ] ->
-          check Alcotest.bool (w ^ " parsed") true (r.Chaos.where = Some w)
-      | _ -> Alcotest.failf "%S names a channel" w)
+      | Ok p ->
+          check Alcotest.bool (w ^ " parsed") true
+            (p = Result.get_ok (Chaos.plan_of_string "pop@2=crash"))
+      | Error e -> Alcotest.failf "%S names a channel: %s" w e)
     [ ""; "p"; "par"; "paralle"; "parallel" ];
   List.iter
     (fun w ->
@@ -371,7 +396,7 @@ let run_row ?degrade r =
   let input = w.Workload.input ~size:r.size ~seed:3 in
   let reg = Dift_obs.Registry.create () in
   let flight = Dift_obs.Flight.create ~capacity:(1 lsl 14) () in
-  let chaos = Chaos.create ~flight (plan r.plan) in
+  let chaos = Chaos.create (plan r.plan) in
   let q = r.queue_capacity and b = r.batch_size in
   let got =
     Parallel.run_result ~obs:reg ~flight ~chaos ?degrade ~queue_capacity:q

@@ -51,11 +51,14 @@ let observe run =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let chaos = Chaos.create ~flight:fl plan in
-  let wd = Watchdog.create (Watchdog.deadlines 60_000) in
+  let chaos = Chaos.create plan in
+  let sampler = Dift_obs.Sampler.create () in
+  let wd = Watchdog.create ~sampler (Watchdog.deadlines 60_000) in
   let ok =
     Fun.protect
-      ~finally:(fun () -> Watchdog.stop wd)
+      ~finally:(fun () ->
+        Watchdog.stop wd;
+        Dift_obs.Sampler.stop sampler)
       (fun () -> run ~obs:reg ~trace:tr ~flight:fl ~chaos ~watchdog:wd)
   in
   check Alcotest.bool "run completes" true ok;

@@ -467,10 +467,12 @@ let test_heartbeat () =
   let reg = Registry.create () in
   let c = Registry.counter reg "hb.ticks" in
   let file = Filename.temp_file "dift-hb" ".jsonl" in
-  let hb = Heartbeat.start ~interval_ms:20 reg ~file in
+  let sampler = Sampler.create () in
+  let hb = Heartbeat.start ~interval_ms:20 ~sampler reg ~file in
   Registry.add c 5;
   Unix.sleepf 0.1;
   let n = Heartbeat.stop hb in
+  Sampler.stop sampler;
   check Alcotest.bool "several beats" true (n >= 3);
   check Alcotest.int "stop is idempotent" n (Heartbeat.stop hb);
   let lines =

@@ -92,7 +92,14 @@ let assert_bundle ~expected_leg ~flight ~chaos (e : Parallel.error) geo =
    | None -> Alcotest.failf "no flight ring named %s" wanted
    | Some d -> (
        match Json.member "events" d with
-       | Some (Json.List (_ :: _)) -> ()
+       | Some (Json.List evs) ->
+           check Alcotest.bool
+             (Fmt.str "chaos.fire on the %s ring" wanted)
+             true
+             (List.exists
+                (fun e ->
+                  Json.member "name" e = Some (Json.String "chaos.fire"))
+                evs)
        | _ -> Alcotest.failf "flight ring %s recorded no events" wanted));
   j
 
@@ -100,7 +107,7 @@ let run_two_domain plan_s expected_leg () =
   let w = kernel "crc" in
   let input = w.Workload.input ~size:12 ~seed:3 in
   let flight = Flight.create () in
-  let chaos = Chaos.create ~flight (plan plan_s) in
+  let chaos = Chaos.create (plan plan_s) in
   match
     Parallel.run_result ~flight ~chaos ~queue_capacity:4 ~batch_size:1
       w.Workload.program ~input
@@ -122,7 +129,7 @@ let test_bundle_optional_sections () =
   let input = w.Workload.input ~size:12 ~seed:3 in
   let flight = Flight.create () in
   let reg = Dift_obs.Registry.create () in
-  let chaos = Chaos.create ~flight (plan "pop@2=crash") in
+  let chaos = Chaos.create (plan "pop@2=crash") in
   match
     Parallel.run_result ~obs:reg ~flight ~chaos ~queue_capacity:4
       ~batch_size:1 w.Workload.program ~input

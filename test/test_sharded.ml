@@ -135,17 +135,17 @@ let test_one_shard_is_two_domain () =
           check Alcotest.int (name ^ ": one-shard batches")
             (batches (one.Parallel.s_result.Parallel.events
                      - one.Parallel.s_filtered_events))
-            s.Shard_engine.batches;
+            s.Probe.batches;
           if not forward_filter then begin
             check Alcotest.int (name ^ ": same batches") two.Parallel.batches
-              s.Shard_engine.batches;
+              s.Probe.batches;
             check Alcotest.int (name ^ ": nothing filtered") 0
               (two.Parallel.filtered_events + one.Parallel.s_filtered_events)
           end;
           check Alcotest.int (name ^ ": same dropped batches")
-            two.Parallel.dropped_batches s.Shard_engine.dropped_batches;
+            two.Parallel.dropped_batches s.Probe.dropped_batches;
           check Alcotest.int (name ^ ": same dropped events")
-            two.Parallel.dropped_events s.Shard_engine.dropped_events)
+            two.Parallel.dropped_events s.Probe.dropped_events)
         [
           (`Coded, false); (`Boxed, true); (`Coded, true); (`Boxed, false);
         ])
@@ -315,20 +315,22 @@ module Prop (D : Taint.DOMAIN) = struct
       m.SE.m_shadow_words,
       m.SE.m_fingerprint )
 
-  (* The oracle: a solo worker driven by the machine. *)
+  (* The oracle: a solo worker driven by the machine; its summary and
+     its sinks. *)
   let solo policy program ~input =
     let w = SE.solo ~policy ~record_sinks:false program in
     let sinks = ref [] in
     SE.E.on_sink (SE.engine w) (fun sink taint e ->
         sinks := (sink, taint, e) :: !sinks);
     ignore (run_machine program ~input (SE.transfer w));
-    key (SE.summary w) (List.rev !sinks)
+    (SE.summary w, List.rev !sinks)
 
   (* A helper cluster fed the machine's views, as the runtime feeds
-     it; its key. *)
-  let helper policy wire (queue_capacity, batch_size) program ~input =
+     it; its key, with its sink events when [sink_events]. *)
+  let helper policy wire (queue_capacity, batch_size) ~sink_events program
+      ~input =
     let c = SE.cluster ~policy ~wire ~queue_capacity ~batch_size program in
-    SE.record_sink_events c;
+    if sink_events then SE.record_sink_events c;
     SE.start c;
     (match run_machine program ~input (SE.feed_view c) with
     | _ -> ()
@@ -345,16 +347,26 @@ module Prop (D : Taint.DOMAIN) = struct
 
   (* Every configuration of the grid agrees with the solo worker on
      [program]: under each of [policies] and, with [full],
-     [Policy.full], geometries x both wires. *)
+     [Policy.full], geometries x both wires, with and without the sink
+     events.  Recording them forwards every sink's value, which makes
+     every sink event (each Load, Store and Br among them) a cut on the
+     coded wire; only the run without them takes the implied path,
+     whose Load/Store addresses come from the lane alone. *)
   let agree ~policies ~full program ~input =
     let grid policy =
-      let reference = solo policy program ~input in
+      let m, sinks = solo policy program ~input in
       List.for_all
-        (fun wire ->
+        (fun sink_events ->
+          let reference = key m (if sink_events then sinks else []) in
           List.for_all
-            (fun geometry -> helper policy wire geometry program ~input = reference)
-            geometries)
-        [ `Coded; `Boxed ]
+            (fun wire ->
+              List.for_all
+                (fun geometry ->
+                  helper policy wire geometry ~sink_events program ~input
+                  = reference)
+                geometries)
+            [ `Coded; `Boxed ])
+        [ true; false ]
     in
     List.for_all grid (if full then Policy.full :: policies else policies)
 end
@@ -373,7 +385,9 @@ module Set_prop = Prop (Taint.Input_set)
    four).  The worker writes its r0 out first, stores it holding mutex
    0 for eight rounds, then runs its generated body.  A spawn writes
    the spawner's tid register and the child's r0, two frames: the
-   wire carries a spawn's value in its cut. *)
+   wire carries a spawn's value in its cut.  After the join, [main]
+   fills one to three pairs of adjacent addresses with different
+   taint ({!adjacent}). *)
 let spawn_prog_gen =
   QCheck2.Gen.(
     triple Test_props.prog_gen
@@ -384,7 +398,9 @@ let spawn_prog_gen =
                (fun m body -> Test_props.G_locked (m, body))
                (0 -- 1)
                (list_size (1 -- 2) Test_props.store_gen))))
-      (list_size (0 -- 4) (Test_props.op_gen ~calls:true 1)))
+      (pair
+         (list_size (0 -- 4) (Test_props.op_gen ~calls:true 1))
+         (list_size (1 -- 3) (pair (0 -- 7) bool))))
 
 (* Eight rounds of [body]: long enough for the scheduler to preempt
    one thread inside a held mutex and run the other against it. *)
@@ -392,7 +408,27 @@ let repeat b body =
   Builder.for_up b ~idx:(Reg.make 10) ~from_:(Operand.imm 0)
     ~below:(Operand.imm 8) body
 
-let build_spawning ((ops, callee), (arg, read_first, meanwhile), worker) =
+(* A fresh input and a constant stored at adjacent addresses, the
+   cell's and the one past it ([tainted_first] says which gets the
+   input), loaded back crosswise and written out.  The stores and
+   loads run back to back, so most take the coded wire's implied path,
+   where an address off by one moves the taint to another location of
+   the shadow fingerprint. *)
+let adjacent b (cell, tainted_first) =
+  let reg x = Operand.reg (Reg.make x) in
+  let a = Test_props.cell_addr cell in
+  let at, ac = if tainted_first then (a, a + 1) else (a + 1, a) in
+  Builder.read b (Reg.make 4);
+  Builder.movi b (Reg.make 5) 7;
+  Builder.store b (reg 4) (Operand.imm at) 0;
+  Builder.store b (reg 5) (Operand.imm ac) 0;
+  Builder.load b (Reg.make 4) (Operand.imm ac) 0;
+  Builder.load b (Reg.make 5) (Operand.imm at) 0;
+  Builder.write b (reg 4);
+  Builder.write b (reg 5)
+
+let build_spawning
+    ((ops, callee), (arg, read_first, meanwhile), (worker, pairs)) =
   let reg x = Operand.reg (Reg.make x) and tid = Reg.make 9 in
   Program.make
     [
@@ -402,6 +438,7 @@ let build_spawning ((ops, callee), (arg, read_first, meanwhile), worker) =
           Builder.spawn b tid "worker" (reg arg);
           repeat b (fun () -> List.iter (Test_props.emit b) meanwhile);
           Builder.join b (Operand.reg tid);
+          List.iter (adjacent b) pairs;
           Builder.write b (reg 0);
           Builder.halt b);
       Test_props.define_callee callee;

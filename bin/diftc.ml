@@ -251,19 +251,6 @@ let taint_cmd =
              Results are bit-identical; only forwarding traffic \
              shrinks.")
   in
-  (* The kernel can be named either positionally or with [--workload]
-     (convenient in scripted invocations where the options come
-     first). *)
-  let pos_name_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL")
-  in
-  let workload_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"KERNEL"
-          ~doc:"Kernel to run (alternative to the positional argument).")
-  in
   let fault_plan_arg =
     Arg.(
       value
@@ -271,14 +258,12 @@ let taint_cmd =
       & info [ "fault-plan" ] ~docv:"PLAN"
           ~doc:
             "Inject a deterministic fault plan into the parallel runtime \
-             (with --parallel).  Grammar: [WHERE/]OP@N=FAULT, \
-             ';'-separated, where OP is push, pop or spawn, FAULT is \
-             $(b,stall:)NS or $(b,crash), WHERE is a prefix of \
-             the ring's namespace, parallel, and a spawn rule is \
-             $(b,spawn@1) (a run spawns one helper) — e.g. \
-             $(b,push@3=crash;parallel/pop@2=stall:2000000).  A crash \
-             fails the run on the side it hits.  The run exits 0 \
-             when it terminates cleanly with only injected failures.")
+             (with --parallel).  Grammar: OP@N=FAULT, ';'-separated, \
+             where OP is push, pop or spawn, FAULT is $(b,stall:)NS or \
+             $(b,crash), and a spawn rule is $(b,spawn@1) (a run spawns \
+             one helper) — e.g. $(b,push@3=crash;pop@2=stall:2000000).  \
+             A crash fails the run on the side it hits.  The run exits \
+             0 when it terminates cleanly with only injected failures.")
   in
   let fault_seed_arg =
     Arg.(
@@ -291,19 +276,6 @@ let taint_cmd =
              failing seed is a one-flag repro).  Mutually exclusive \
              with --fault-plan.")
   in
-  let flight_record_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some 512) (some int) None
-      & info [ "flight-record" ] ~docv:"CAP"
-          ~doc:
-            "Turn on the always-on flight recorder: each domain keeps \
-             its last $(docv) structured events (default 512) in a \
-             bounded ring — channel ops, chaos injections, engine \
-             milestones.  Recording never blocks; \
-             overflow overwrites the oldest events and is counted.  \
-             Implied by --crash-dump.")
-  in
   let crash_dump_arg =
     Arg.(
       value
@@ -315,8 +287,9 @@ let taint_cmd =
              error, runtime geometry, fault plan, final metrics, \
              per-domain flight-recorder tails and trace accounting, in \
              one atomically-written JSON document ($(b,diftc inspect) \
-             renders it).  Requires --parallel; implies \
-             --flight-record.")
+             renders it).  Requires --parallel; turns on the flight \
+             recorder, each domain keeping its last 512 structured \
+             events.")
   in
   let heartbeat_arg =
     Arg.(
@@ -365,17 +338,9 @@ let taint_cmd =
     if taint && sink = Engine.Sink_output then
       Fmt.pr "tainted output %d at step %d@." e.Event.value e.Event.step
   in
-  let run pos_name workload size seed parallel queue_capacity
-      batch_size wire forward_filter fault_plan fault_seed flight_record
-      crash_dump heartbeat heartbeat_interval deadline degrade stats chrome
-      trace_capacity =
-    let named =
-      match (pos_name, workload) with
-      | Some p, Some w when p <> w ->
-          Error (Fmt.str "both KERNEL %s and --workload %s given" p w)
-      | Some n, _ | None, Some n -> Ok n
-      | None, None -> Error "no kernel named (positional or --workload)"
-    in
+  let run kernel size seed parallel queue_capacity batch_size wire
+      forward_filter fault_plan fault_seed crash_dump heartbeat
+      heartbeat_interval deadline degrade stats chrome trace_capacity =
     (* each spec is parsed once; a bad one is reported after the
        flag-combination checks *)
     let parse of_string = function
@@ -383,7 +348,7 @@ let taint_cmd =
       | Some spec -> Result.map Option.some (of_string spec)
     in
     match
-      ( Result.bind named find_workload,
+      ( find_workload kernel,
         parse Dift_parallel.Watchdog.deadlines_of_string deadline,
         parse Dift_parallel.Chaos.plan_of_string fault_plan )
     with
@@ -402,10 +367,6 @@ let taint_cmd =
         1
     | Ok _, _, _ when crash_dump <> None && not parallel ->
         Fmt.epr "--crash-dump requires --parallel@.";
-        1
-    | Ok _, _, _
-      when match flight_record with Some c -> c < 1 | None -> false ->
-        Fmt.epr "--flight-record capacity must be at least 1@.";
         1
     | Ok _, _, _ when heartbeat <> None && heartbeat_interval < 1 ->
         Fmt.epr "--heartbeat-interval-ms must be at least 1@.";
@@ -433,13 +394,11 @@ let taint_cmd =
           else None
         in
         let tracer = make_tracer chrome trace_capacity obs in
-        (* --crash-dump implies the flight recorder: a bundle without
-           per-domain tails would be an error report, not a flight. *)
+        (* Only a crash bundle reads the flight recorder's tails: a
+           bundle without them would be an error report, not a
+           flight. *)
         let flight =
-          match (flight_record, crash_dump) with
-          | Some cap, _ -> Some (Dift_obs.Flight.create ~capacity:cap ())
-          | None, Some _ -> Some (Dift_obs.Flight.create ())
-          | None, None -> None
+          Option.map (fun _ -> Dift_obs.Flight.create ()) crash_dump
         in
         (match (flight, obs) with
         | Some fl, Some reg -> Dift_obs.Flight.register_obs fl reg
@@ -585,10 +544,9 @@ let taint_cmd =
           domain (--parallel), optionally under an injected fault plan \
           (--fault-plan/--fault-seed).")
     Term.(
-      const run $ pos_name_arg $ workload_arg $ size_arg $ seed_arg
-      $ parallel_arg $ queue_arg $ batch_arg $ wire_arg
-      $ forward_filter_arg $ fault_plan_arg $ fault_seed_arg
-      $ flight_record_arg $ crash_dump_arg $ heartbeat_arg
+      const run $ name_arg "KERNEL" $ size_arg $ seed_arg $ parallel_arg
+      $ queue_arg $ batch_arg $ wire_arg $ forward_filter_arg
+      $ fault_plan_arg $ fault_seed_arg $ crash_dump_arg $ heartbeat_arg
       $ heartbeat_interval_arg $ deadline_arg $ degrade_arg $ stats_arg
       $ chrome_trace_arg $ trace_capacity_arg)
 

@@ -23,8 +23,8 @@
     {!Dift_vm.Event.view}s: the coded wire decodes into its scratch
     view, the boxed wire refills one from each record.
 
-    The runtime ({!Shard_engine}) forwards the whole event stream over
-    one channel to its one helper.
+    The runtime ({!Parallel}) forwards the whole event stream over one
+    channel to its one helper.
 
     Shutdown protocol: the producer calls {!close}, which ships the
     trailing partial batch and closes the ring; {!drain} then returns

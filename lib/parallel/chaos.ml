@@ -32,33 +32,12 @@ let fault_of_string s =
       | _ -> Error (Fmt.str "bad duration %S (want non-negative ns)" ns))
   | _ -> Error (Fmt.str "unknown fault %S (want stall:<ns>|crash)" s)
 
-let prefix ~pre s =
-  String.length pre <= String.length s
-  && String.sub s 0 (String.length pre) = pre
-
-(* Whether [w] is a prefix of the one channel namespace, [parallel].
-   Any other [where] would match no channel, and its rule would never
-   fire.  An accepted [where] matches the one ring, so the rule keeps
-   no trace of it. *)
-let names_a_channel w = prefix ~pre:w "parallel"
-
 let rule_of_string s =
-  let where, rest =
-    match String.index_opt s '/' with
-    | Some i ->
-        ( Some (String.sub s 0 i),
-          String.sub s (i + 1) (String.length s - i - 1) )
-    | None -> (None, s)
-  in
-  match (where, String.index_opt rest '@') with
-  | Some w, _ when not (names_a_channel w) ->
-      Error
-        (Fmt.str
-           "rule %S: %S names no channel (want a prefix of parallel)" s w)
-  | _, None -> Error (Fmt.str "rule %S: missing '@'" s)
-  | _, Some i -> (
-      let op_name = String.sub rest 0 i in
-      let tail = String.sub rest (i + 1) (String.length rest - i - 1) in
+  match String.index_opt s '@' with
+  | None -> Error (Fmt.str "rule %S: missing '@'" s)
+  | Some i -> (
+      let op_name = String.sub s 0 i in
+      let tail = String.sub s (i + 1) (String.length s - i - 1) in
       match String.index_opt tail '=' with
       | None -> Error (Fmt.str "rule %S: missing '='" s)
       | Some j -> (
@@ -69,7 +48,9 @@ let rule_of_string s =
             | "push" -> Ok Push
             | "pop" -> Ok Pop
             | "spawn" -> Ok Spawn
-            | o -> Error (Fmt.str "rule %S: unknown op %S" s o)
+            | o ->
+                Error
+                  (Fmt.str "rule %S: unknown op %S (want push|pop|spawn)" s o)
           in
           match (op, int_of_string_opt at_s, fault_of_string f_s) with
           | Ok Spawn, Some at, Ok _ when at > 1 ->

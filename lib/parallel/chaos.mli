@@ -63,18 +63,15 @@ val plan_to_string : plan -> string
 (** Parse the [--fault-plan] grammar:
     {v
 plan  := rule (';' rule)*
-rule  := [where '/'] op '@' at '=' fault
+rule  := op '@' at '=' fault
 op    := 'push' | 'pop' | 'spawn'
 fault := 'stall:' ns | 'crash'
     v}
-    e.g. [push@3=crash;parallel/pop@2=stall:2000000].
-    A [where] must be a prefix of the one channel namespace,
-    [parallel], and then matches the one ring: the parsed rule (and
-    {!plan_to_string}) drops it.  A [where] that is not a prefix of
-    [parallel] is rejected, and so is [spawn@N] for [N > 1] (a run
-    spawns one helper), as neither could ever fire.  [drop], [abort],
-    [raise] and [delay:] are rejected with an error that names the
-    faults there are. *)
+    e.g. [push@3=crash;pop@2=stall:2000000].  A run has one ring, so a
+    rule names no channel: an op with a [/] in it is an unknown op.
+    [spawn@N] for [N > 1] is rejected, as a run spawns one helper and
+    the rule could never fire.  [drop], [abort], [raise] and [delay:]
+    are rejected with an error that names the faults there are. *)
 val plan_of_string : string -> (plan, string) result
 
 val pp_plan : plan Fmt.t

@@ -5,18 +5,21 @@
     application executes in the calling OCaml 5 domain while one
     helper domain consumes the forwarded event stream through a
     bounded {!Channel} and drives the shared taint engine
-    ({!Dift_core.Engine} over {!Dift_core.Taint.Bool}).  The numbers
+    ({!Dift_core.Engine}, over {!Dift_core.Taint.Bool} for the
+    boolean entry points).  The numbers
     it reports are wall-clock, not modelled cycles — the software
     proof that the paper's decoupled architecture keeps the
     application core running while tracking proceeds elsewhere.
 
-    There is one runtime: a supervisor over a {!Shard_engine} helper,
-    reached through {!run_result} (and {!run_sharded_result}, the same
-    runtime under the name the benchmark ledger calls).  Because the
-    channel is FIFO and the VM's event stream is deterministic (seeded
-    scheduling), every configuration computes exactly what
-    {!run_inline} computes — asserted by the cross-validation tests in
-    [test/test_parallel.ml] and [test/test_sharded.ml].
+    There is one runtime: a supervisor over one helper domain,
+    written once over any taint domain ({!Make}) and reached for
+    boolean taint through {!run_result} (and {!run_sharded_result},
+    the same runtime under the name the benchmark ledger calls).
+    Because the channel is FIFO and the VM's event stream is
+    deterministic (seeded scheduling), every configuration computes
+    exactly what {!run_inline} computes — asserted by the
+    cross-validation tests in [test/test_parallel.ml] and
+    [test/test_sharded.ml].
 
     {b Client sink callbacks.}  [on_sink] runs once per sink, on the
     {e calling} domain, after the helper joined, in step order.  The
@@ -36,12 +39,27 @@ open Dift_isa
 open Dift_vm
 open Dift_core
 
-(** The boolean-taint engine every runtime runs: the {!Shard_engine}
-    worker's engine, whose solo worker is {!run_inline}'s.  (An
-    interface cannot name a module inside a functor application, so
-    the signature is spelled as {!Dift_core.Engine.Make}'s own.) *)
+(** The boolean-taint engine every runtime runs: the engine of the
+    [Taint.Bool] instance of {!Make}, the one {!run_inline} and
+    {!run_result} drive.  (An interface cannot name a module inside a
+    functor application, so the signature is spelled as
+    {!Dift_core.Engine.Make}'s own.) *)
 module Bool_engine :
   module type of Engine.Make_over (Shadow.Make) (Taint.Bool)
+
+(** [sink_hash ~step sink tainted] is one sink observation's share of
+    the sink-trace hash.  The hash of a run is the sum of its
+    observations' shares, so the step inside each share keeps the
+    trace's order information.  Every runtime folds the same
+    observations, so the sums agree across configurations. *)
+val sink_hash : step:int -> Engine.sink -> bool -> int
+
+(** [entry_hash loc code] is one shadow entry's share of the shadow
+    fingerprint, [code] being its taint as an integer ([Bool.to_int]
+    in the Bool domain, [Hashtbl.hash] in any other).  The fingerprint
+    sums every entry's share, so it does not depend on the shadow's
+    iteration order. *)
+val entry_hash : Loc.t -> int -> int
 
 (** The functional outcome of a tracked run — everything that must be
     identical between the parallel and the sequential runtime. *)
@@ -51,13 +69,15 @@ type result = {
   sources : int;  (** taint injections at input reads *)
   sink_hits : int;  (** sinks reached by tainted data *)
   sink_trace_hash : int;
-      (** hash of every sink observation [(step, sink, tainted)]:
-          {!Shard_engine.sink_hash} summed over them *)
+      (** hash of every sink observation [(step, sink, tainted)], a
+          tainted one being one whose taint is not bottom: {!sink_hash}
+          summed over them *)
   tainted_locations : int;
   shadow_words : int;
   taint_fingerprint : int;
-      (** hash of the full final shadow state:
-          {!Shard_engine.entry_hash} summed over every entry *)
+      (** hash of the full final shadow state: {!entry_hash} summed
+          over every entry, so a difference in any one entry changes it
+          (up to hash collisions) *)
 }
 
 (** {1 Supervised outcomes}
@@ -159,78 +179,92 @@ type inline_report = {
 
 (** {1 Entry points} *)
 
-(** [run_result program ~input] — the two-domain runtime: [program]
-    runs in the current domain while one spawned helper domain
-    performs the taint tracking.
+(** The two entry points over one taint domain, whose values the
+    client sink callback receives as [taint]. *)
+module type S = sig
+  type taint
 
-    - {b Geometry.}  [queue_capacity] ring slots of [batch_size]
-      events, by default {!Channel.default_queue_capacity} (16) and
-      {!Channel.default_batch_size} (256).
-    - {b Wire.}  [wire] picks the forwarding-plane encoding (default
-      [`Coded]: interned sites and flat {!Codec} batches, no
-      allocation per forwarded event in the steady state; [`Boxed]
-      forwards whole event records).  Both wires produce
-      bit-identical results.
-    - {b Filter.}  With [~forward_filter:true], the application domain
-      drops events that provably cannot touch live taint (see
-      {!Livefilter}); results stay bit-identical — only
-      [filtered_events] and the forwarded volume change.  The filter
-      stands down silently under [propagate_control].
-    - {b Sinks and degrade.}  See the module preamble: [on_sink] runs
-      on the calling domain after the join; [~degrade:`Inline]
-      resumes after the helper's last fully processed batch.
-    - {b Instruments.}  [?obs], [?trace], [?flight], [?chaos] and
-      [?watchdog] make the run's one {!Probe}; its seam catalogue
-      lists every metric, trace span, flight event, progress leg and
-      fault namespace of the feed ring [parallel], the [helper]
-      lifecycle and the [app] run markers.  The registry may be
-      snapshotted from any domain, including while the run is in
-      flight.  A wedged seam surfaces as a [`Deadline] error instead
-      of a hang; the caller creates and {!Watchdog.stop}s the
-      watchdog, and one watchdog supervises one run.
+  (** [run_result program ~input] — the two-domain runtime: [program]
+      runs in the current domain while one spawned helper domain
+      performs the taint tracking.
 
-    @raise Invalid_argument before any domain starts if
-    [queue_capacity] or [batch_size] is [< 1]. *)
-val run_result :
-  ?config:Machine.config ->
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?chaos:Chaos.t ->
-  ?watchdog:Watchdog.t ->
-  ?degrade:[ `Inline ] ->
-  ?queue_capacity:int ->
-  ?batch_size:int ->
-  ?wire:Channel.wire ->
-  ?forward_filter:bool ->
-  ?policy:Policy.t ->
-  ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
-  Program.t ->
-  input:int array ->
-  (report, error) Stdlib.result
+      - {b Geometry.}  [queue_capacity] ring slots of [batch_size]
+        events, by default {!Channel.default_queue_capacity} (16) and
+        {!Channel.default_batch_size} (256).
+      - {b Wire.}  [wire] picks the forwarding-plane encoding (default
+        [`Coded]: interned sites and flat {!Codec} batches, no
+        allocation per forwarded event in the steady state; [`Boxed]
+        forwards whole event records).  Both wires produce
+        bit-identical results.
+      - {b Filter.}  With [~forward_filter:true], the application
+        domain drops events that provably cannot touch live taint (see
+        {!Livefilter}); results stay bit-identical — only
+        [filtered_events] and the forwarded volume change.  The filter
+        stands down silently under [propagate_control].
+      - {b Sinks and degrade.}  See the module preamble: [on_sink]
+        runs on the calling domain after the join; [~degrade:`Inline]
+        resumes after the helper's last fully processed batch.
+      - {b Instruments.}  [?obs], [?trace], [?flight], [?chaos] and
+        [?watchdog] make the run's one {!Probe}; its seam catalogue
+        lists every metric, trace span, flight event, progress leg and
+        fault namespace of the feed ring [parallel], the [helper]
+        lifecycle and the [app] run markers.  The registry may be
+        snapshotted from any domain, including while the run is in
+        flight.  A wedged seam surfaces as a [`Deadline] error instead
+        of a hang; the caller creates and {!Watchdog.stop}s the
+        watchdog, and one watchdog supervises one run.
 
-(** [run_inline program ~input] — the sequential baseline and the
-    reference every runtime must match: {!Shard_engine}'s solo worker
-    ({!Shard_engine.Make.solo}) driven by the machine in the current
-    domain: the runtime without a helper domain or channel.  The
-    machine's tool is the worker's
-    {!Shard_engine.Make.transfer}, the engine's transfer function
-    behind {!Probe.engine}.  Its result is the worker's
-    {!Shard_engine.Make.summary}, the same summary a degraded
-    completion reports; [on_sink] runs as each sink happens.  The instruments
-    see only the {!Probe} run markers and the engine: no [parallel.*]
-    metrics (there is no channel), one [app] track and one [app]
-    flight ring, carrying the engine's samples and milestones. *)
-val run_inline :
-  ?config:Machine.config ->
-  ?obs:Dift_obs.Registry.t ->
-  ?trace:Dift_obs.Trace.t ->
-  ?flight:Dift_obs.Flight.t ->
-  ?policy:Policy.t ->
-  ?on_sink:(Engine.sink -> bool -> Event.exec -> unit) ->
-  Program.t ->
-  input:int array ->
-  inline_report
+      @raise Invalid_argument before any domain starts if
+      [queue_capacity] or [batch_size] is [< 1]. *)
+  val run_result :
+    ?config:Machine.config ->
+    ?obs:Dift_obs.Registry.t ->
+    ?trace:Dift_obs.Trace.t ->
+    ?flight:Dift_obs.Flight.t ->
+    ?chaos:Chaos.t ->
+    ?watchdog:Watchdog.t ->
+    ?degrade:[ `Inline ] ->
+    ?queue_capacity:int ->
+    ?batch_size:int ->
+    ?wire:Channel.wire ->
+    ?forward_filter:bool ->
+    ?policy:Policy.t ->
+    ?on_sink:(Engine.sink -> taint -> Event.exec -> unit) ->
+    Program.t ->
+    input:int array ->
+    (report, error) Stdlib.result
+
+  (** [run_inline program ~input] — the sequential baseline and the
+      reference every runtime must match: the runtime's worker (the
+      engine and its sink books) driven by the machine in the current
+      domain, without a helper domain or channel.  The machine's tool
+      is the engine's transfer function behind {!Probe.engine}, and
+      the result is computed from the worker as a degraded completion
+      computes it; [on_sink] runs as each sink happens.  The
+      instruments see only the {!Probe} run markers and the engine:
+      no [parallel.*] metrics (there is no channel), one [app] track
+      and one [app] flight ring, carrying the engine's samples and
+      milestones. *)
+  val run_inline :
+    ?config:Machine.config ->
+    ?obs:Dift_obs.Registry.t ->
+    ?trace:Dift_obs.Trace.t ->
+    ?flight:Dift_obs.Flight.t ->
+    ?policy:Policy.t ->
+    ?on_sink:(Engine.sink -> taint -> Event.exec -> unit) ->
+    Program.t ->
+    input:int array ->
+    inline_report
+end
+
+(** The runtime over the taint domain [D]: the same supervisor, helper
+    and worker as the boolean entry points below, with [D]'s engine;
+    [on_sink] receives [D]'s values. *)
+module Make (D : Taint.DOMAIN) : S with type taint := D.t
+
+(** The runtime over boolean taint ([Taint.Bool]), whose engine is
+    {!Bool_engine}. *)
+include S with type taint := bool
 
 (** What {!run_sharded_result} reports. *)
 type sharded_report = {

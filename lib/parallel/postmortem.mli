@@ -51,9 +51,8 @@ val error_json : Parallel.error -> Dift_obs.Json.t
     - ["error"]: {!error_json};
     - ["geometry"]: {!geometry_json};
     - ["fault_plan"] (with [?chaos]): the active plan in
-      {!Chaos.plan_to_string} grammar (a rule given as
-      [parallel/pop@2=crash] reads [pop@2=crash], the same rule) plus
-      the fired-fault count; the fired faults themselves are the
+      {!Chaos.plan_to_string} grammar plus the fired-fault count; the
+      fired faults themselves are the
       [chaos.fire] events in ["flight"];
     - ["metrics"] (with [?obs]): the final registry snapshot
       ({!Dift_obs.Registry.to_json});

@@ -134,7 +134,7 @@ let reference ?policy program ~input =
       let step = v.Event.v_step in
       sink_trace :=
         !sink_trace
-        + Shard_engine.sink_hash ~step sink (not (Taint.Bool.is_bottom taint));
+        + Parallel.sink_hash ~step sink (not (Taint.Bool.is_bottom taint));
       sinks := (step, sink, taint) :: !sinks);
   let m = Machine.create program ~input in
   Ref_engine.attach ~charge:ignore eng m;
@@ -143,7 +143,7 @@ let reference ?policy program ~input =
   let tainted_locations, shadow_words = Ref_engine.shadow_footprint eng in
   let fingerprint =
     Ref_engine.Sh.fold
-      (fun loc d acc -> acc + Shard_engine.entry_hash loc (Bool.to_int d))
+      (fun loc d acc -> acc + Parallel.entry_hash loc (Bool.to_int d))
       (Ref_engine.shadow eng) 0
   in
   ( {

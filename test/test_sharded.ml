@@ -1,15 +1,16 @@
-(* The helper runtime's cluster entry point,
+(* The helper runtime's ledger entry point,
    [Parallel.run_sharded_result ~shards:1] (the name the benchmark
    ledger calls), is [run_result]: field by field on every kernel and
    the server, on both wires, with the filter on, and it refuses any
-   other count before a domain starts.  The helper cluster
-   ({!Shard_engine.Make.cluster}) computes exactly what the solo
-   worker computes — same sinks, stats and final shadow — as QCheck
-   properties, sink by sink, for generated programs (which also spawn
-   a thread) and call-dense kernels, in the Bool, Pc and Input_set
-   domains, on both wires, under the default and security policies
-   and the full policy.  Plus the regression test for channel-geometry
-   validation. *)
+   other count before a domain starts.  The two-domain runtime
+   ([Parallel.Make (D).run_result], the one supervisor) computes
+   exactly what the inline runtime ([Parallel.Make (D).run_inline])
+   computes — same result, and the same sinks delivered to the client
+   callback — as QCheck properties, sink by sink, for generated
+   programs (which also spawn a thread) and call-dense kernels, in the
+   Bool, Pc and Input_set domains, on both wires, under the default
+   and security policies and the full policy.  Plus the regression
+   test for channel-geometry validation. *)
 
 open Dift_isa
 open Dift_vm
@@ -287,13 +288,8 @@ let test_on_sink_exception () =
    down to two-slot rings of three-event batches. *)
 let geometries = [ (8, 8); (4, 4); (2, 3) ]
 
-let run_machine program ~input on_view =
-  let m = Machine.create program ~input in
-  Machine.attach m (Tool.make ~on_view "prop-feed");
-  Machine.run m
-
 module Prop (D : Taint.DOMAIN) = struct
-  module SE = Shard_engine.Make (D)
+  module P = Parallel.Make (D)
 
   (* Everything observable about a run, with its sinks one by one in
      step order: the sink, its taint and every field of its event, so
@@ -301,51 +297,41 @@ module Prop (D : Taint.DOMAIN) = struct
      where the taint does not.  Taint values are compared
      structurally: the helper replays the exact sequential join order,
      so representations (not just abstract values) must coincide. *)
-  let key (m : SE.summary) sinks =
+  let key (r : Parallel.result) sinks =
     let event (e : Event.exec) =
       ( (e.Event.step, e.Event.tid, e.Event.func.Func.name, e.Event.pc),
         (e.Event.reads, e.Event.writes, e.Event.addr, e.Event.next_pc),
         (e.Event.input_index, e.Event.value) )
     in
-    ( m.SE.m_events,
-      m.SE.m_sources,
-      m.SE.m_sink_hits,
-      List.map (fun (sink, taint, e) -> (sink, taint, event e)) sinks,
-      m.SE.m_tainted_locations,
-      m.SE.m_shadow_words,
-      m.SE.m_fingerprint )
+    (r, List.map (fun (sink, taint, e) -> (sink, taint, event e)) sinks)
 
-  (* The oracle: a solo worker driven by the machine; its summary and
-     its sinks. *)
-  let solo policy program ~input =
-    let w = SE.solo ~policy ~record_sinks:false program in
+  (* A client sink callback that keeps every sink, and what it kept,
+     in step order. *)
+  let recorder () =
     let sinks = ref [] in
-    SE.E.on_sink (SE.engine w) (fun sink taint e ->
-        sinks := (sink, taint, e) :: !sinks);
-    ignore (run_machine program ~input (SE.transfer w));
-    (SE.summary w, List.rev !sinks)
+    ( (fun sink taint e -> sinks := (sink, taint, e) :: !sinks),
+      fun () -> List.rev !sinks )
 
-  (* A helper cluster fed the machine's views, as the runtime feeds
-     it; its key, with its sink events when [sink_events]. *)
+  (* The oracle: the inline runtime; its result and its sinks. *)
+  let solo policy program ~input =
+    let on_sink, sinks = recorder () in
+    let r = P.run_inline ~policy ~on_sink program ~input in
+    (r.Parallel.i_result, sinks ())
+
+  (* The two-domain runtime; its key, with the sinks its callback got
+     after the join when [sink_events]. *)
   let helper policy wire (queue_capacity, batch_size) ~sink_events program
       ~input =
-    let c = SE.cluster ~policy ~wire ~queue_capacity ~batch_size program in
-    if sink_events then SE.record_sink_events c;
-    SE.start c;
-    (match run_machine program ~input (SE.feed_view c) with
-    | _ -> ()
-    | exception ex ->
-        SE.abort c;
-        ignore (SE.finish_result c);
-        raise ex);
-    match SE.finish_result c with
-    | Ok m ->
-        key m
-          (List.map (fun (_, sink, taint, e) -> (sink, taint, Option.get e))
-             m.SE.m_sinks)
-    | Error f -> raise f.Shard_engine.f_primary
+    let on_sink, sinks = recorder () in
+    let on_sink = if sink_events then Some on_sink else None in
+    match
+      P.run_result ~policy ~wire ~queue_capacity ~batch_size ?on_sink program
+        ~input
+    with
+    | Ok r -> key r.Parallel.result (sinks ())
+    | Error e -> Alcotest.failf "helper run failed: %a" Parallel.pp_error e
 
-  (* Every configuration of the grid agrees with the solo worker on
+  (* Every configuration of the grid agrees with the inline runtime on
      [program]: under each of [policies] and, with [full],
      [Policy.full], geometries x both wires, with and without the sink
      events.  Recording them forwards every sink's value, which makes
@@ -354,10 +340,10 @@ module Prop (D : Taint.DOMAIN) = struct
      whose Load/Store addresses come from the lane alone. *)
   let agree ~policies ~full program ~input =
     let grid policy =
-      let m, sinks = solo policy program ~input in
+      let r, sinks = solo policy program ~input in
       List.for_all
         (fun sink_events ->
-          let reference = key m (if sink_events then sinks else []) in
+          let reference = key r (if sink_events then sinks else []) in
           List.for_all
             (fun wire ->
               List.for_all
